@@ -13,6 +13,9 @@
 #   BENCH_serve.json
 #     {"schema": "eel-bench/1", "suite": "serve", "benches": [...]}
 #       (the eel-serve edit-service latency/throughput/caching bench)
+#   BENCH_scale.json
+#     {"schema": "eel-bench/1", "suite": "scale", "benches": [...]}
+#       (per-phase growth exponents from 1k to 8k routines, gated)
 #
 # Usage: scripts/run_benches.sh [build-dir]   (default: build)
 #
@@ -51,8 +54,12 @@ SERVE_BENCHES=(
   bench_serve
 )
 
+SCALE_BENCHES=(
+  bench_scale
+)
+
 for B in "${OBSERVABILITY_BENCHES[@]}" "${IR_BENCHES[@]}" \
-         "${SERVE_BENCHES[@]}"; do
+         "${SERVE_BENCHES[@]}" "${SCALE_BENCHES[@]}"; do
   if [ ! -x "$BENCH_DIR/$B" ]; then
     echo "error: $BENCH_DIR/$B not built (cmake --build \"$BUILD_DIR\" -j)" >&2
     exit 1
@@ -60,7 +67,7 @@ for B in "${OBSERVABILITY_BENCHES[@]}" "${IR_BENCHES[@]}" \
 done
 
 for B in "${OBSERVABILITY_BENCHES[@]}" "${IR_BENCHES[@]}" \
-         "${SERVE_BENCHES[@]}"; do
+         "${SERVE_BENCHES[@]}" "${SCALE_BENCHES[@]}"; do
   echo "== $B"
   "$BENCH_DIR/$B" --json="$TMP_DIR/$B.json" \
     --benchmark_min_time=0.05 > "$TMP_DIR/$B.log"
@@ -92,6 +99,7 @@ write_suite observability "$REPO_ROOT/BENCH_observability.json" \
   "${OBSERVABILITY_BENCHES[@]}"
 write_suite ir "$REPO_ROOT/BENCH_ir.json" "${IR_BENCHES[@]}"
 write_suite serve "$REPO_ROOT/BENCH_serve.json" "${SERVE_BENCHES[@]}"
+write_suite scale "$REPO_ROOT/BENCH_scale.json" "${SCALE_BENCHES[@]}"
 
 # Finish with the live control-plane round-trip: daemon + eel-stat over a
 # real unix socket, every output mode validated.

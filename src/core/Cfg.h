@@ -331,7 +331,10 @@ private:
 
   Routine &Parent;
   const TargetInfo &Target;
-  BumpArena IR;
+  /// 4 KiB chunks: most routines' graphs fit in one (36 MB of graphs for
+  /// 10k routines). Larger chunks would mostly sit reserved, and their
+  /// pages become resident as the allocator recycles them across images.
+  BumpArena IR{4096};
   std::vector<BasicBlock *> Blocks;
   std::vector<Edge *> Edges;
   std::vector<CfgInst> Rows;

@@ -114,10 +114,17 @@ uint8_t Executable::inferredConfidence(Addr RoutineStart) const {
 }
 
 Routine *Executable::routineContaining(Addr A) const {
-  for (const auto &R : Routines)
-    if (R->contains(A))
-      return R.get();
-  return nullptr;
+  // The last routine starting at or below A is the only one that can
+  // contain it (see the sorted, disjoint invariant in Executable.h).
+  auto It = std::upper_bound(
+      Routines.begin(), Routines.end(), A,
+      [](Addr Key, const std::unique_ptr<Routine> &R) {
+        return Key < R->startAddr();
+      });
+  if (It == Routines.begin())
+    return nullptr;
+  Routine *R = std::prev(It)->get();
+  return R->contains(A) ? R : nullptr;
 }
 
 Routine *Executable::findRoutine(const std::string &Name) const {

@@ -158,6 +158,12 @@ public:
   const std::vector<std::unique_ptr<Routine>> &routines() const {
     return Routines;
   }
+  /// The routine whose extent holds \p A, or nullptr. A binary search,
+  /// which relies on an invariant of refinement: routine extents are
+  /// pairwise disjoint, and routines() is sorted by start address whenever
+  /// a lookup can run. Routines are built from sorted candidates before
+  /// stage 3 looks them up; stage 4 appends hidden routines out of order
+  /// but looks none up, and readContents() sorts again before returning.
   Routine *routineContaining(Addr A) const;
   Routine *findRoutine(const std::string &Name) const;
 

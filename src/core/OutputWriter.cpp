@@ -25,8 +25,11 @@
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
+#include <cstdio>
 #include <memory>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 using namespace eel;
 
@@ -368,6 +371,25 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
     Out.Segments.push_back(std::move(Blob));
   }
 
+  // The edited text sits on the page after the original text, so a large
+  // enough program runs it into the data segment. Report that rather than
+  // return an image the loader rejects.
+  for (size_t I = 1; I < Out.Segments.size(); ++I) {
+    const SxfSegment &Seg = Out.Segments[I];
+    uint64_t Lo = Seg.VAddr, Hi = Lo + Seg.MemSize;
+    if (NewTextBase < Hi && Lo < Cursor) {
+      char Msg[128];
+      std::snprintf(Msg, sizeof(Msg),
+                    "edited text [0x%x, 0x%x) overlaps %s segment "
+                    "[0x%llx, 0x%llx)",
+                    NewTextBase, Cursor,
+                    Seg.Kind == SegKind::Bss ? "bss" : "data",
+                    static_cast<unsigned long long>(Lo),
+                    static_cast<unsigned long long>(Hi));
+      return Error(ErrorCode::SegmentOverlap, Msg);
+    }
+  }
+
   // Translation table contents: sorted (orig, edited) pairs. The sealed
   // flat map iterates in original-address order.
   if (TableCount) {
@@ -464,14 +486,19 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
 
   // --- 10. Symbols and entry point --------------------------------------------------
   BeginPhase("write.symbols");
+  // Binding of the first original symbol with each name (the one
+  // SxfFile::findSymbol returns: emplace keeps the first).
+  std::unordered_map<std::string_view, SymBinding> BindingOf;
+  for (const SxfSymbol &Sym : Image.Symbols)
+    BindingOf.emplace(Sym.Name, Sym.Binding);
   for (const PlacedRoutine &P : Placed) {
     SxfSymbol Sym;
     Sym.Name = P.R->name();
     Sym.Value = P.Base;
     Sym.Size = static_cast<uint32_t>(P.Layout.Code.size() * 4);
     Sym.Kind = P.R->isData() ? SymKind::Object : SymKind::Routine;
-    const SxfSymbol *Orig = Image.findSymbol(P.R->name());
-    Sym.Binding = Orig ? Orig->Binding : SymBinding::Local;
+    auto Orig = BindingOf.find(P.R->name());
+    Sym.Binding = Orig != BindingOf.end() ? Orig->second : SymBinding::Local;
     Out.Symbols.push_back(std::move(Sym));
   }
   if (!TranslatorCode.empty())

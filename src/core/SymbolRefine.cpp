@@ -30,6 +30,15 @@
 ///            the end of a routine become a new, hidden routine, which is
 ///            analyzed in turn and may itself contribute entry points.
 ///
+/// Cost, for W text words, S direct transfer sites, C candidate labels and
+/// R routines: one linear scan of the text finds the sites (O(W)). Stage 1
+/// sorts the non-call sites by (destination, source) once and decides each
+/// candidate with one binary search (O((S + C) log S)). Stage 3 makes two
+/// routineContaining() binary searches per site (O(S log R)); they rely on
+/// the routine map being sorted by start with disjoint extents. Stage 4
+/// marks reached words in a byte-per-word map of the extent, reused across
+/// routines, so it is linear in the words of each extent.
+///
 //===----------------------------------------------------------------------===//
 
 #include "core/Executable.h"
@@ -42,7 +51,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 using namespace eel;
 
@@ -55,18 +63,49 @@ struct TransferSite {
   bool IsCall = false;
 };
 
+/// The instruction words of one extent [Lo, Hi) that scanReachable reached:
+/// a byte per word, plus the only two facts stage 4 reads from the set.
+/// One instance serves every routine in turn, so its storage is reused.
+class ReachedWords {
+public:
+  void reset(Addr LoIn, Addr Hi) {
+    Lo = LoIn;
+    Marks.assign((Hi - Lo + 3) / 4, 0);
+    Count = 0;
+    Highest = 0;
+  }
+  bool contains(Addr A) const { return Marks[(A - Lo) / 4]; }
+  void insert(Addr A) {
+    uint8_t &Mark = Marks[(A - Lo) / 4];
+    if (Mark)
+      return;
+    Mark = 1;
+    ++Count;
+    Highest = std::max(Highest, A);
+  }
+  size_t size() const { return Count; }
+  Addr highest() const { return Highest; }
+
+private:
+  Addr Lo = 0;
+  std::vector<uint8_t> Marks;
+  size_t Count = 0;
+  Addr Highest = 0;
+};
+
 } // namespace
 
 /// Follows control flow from \p Entries within [Lo, Hi), recording reached
 /// instruction addresses. Returns false if a reachable word is invalid.
 static bool scanReachable(Executable &Exec, const std::vector<Addr> &Entries,
-                          Addr Lo, Addr Hi, std::set<Addr> &Reached) {
+                          Addr Lo, Addr Hi, ReachedWords &Reached) {
   bool AllValid = true;
+  Reached.reset(Lo, Hi);
   std::vector<Addr> Worklist(Entries.begin(), Entries.end());
   while (!Worklist.empty()) {
     Addr A = Worklist.back();
     Worklist.pop_back();
-    if (A < Lo || A >= Hi || (A & 3) || Reached.count(A))
+    if (A < Lo || A >= Hi || (A & 3) || Reached.contains(A))
       continue;
     std::optional<MachWord> W = Exec.fetchWord(A);
     if (!W) {
@@ -210,27 +249,25 @@ Expected<bool> Executable::readContents() {
     Candidates[TB] = "text_start";
 
   // Stage 1 (cont.): drop labels that are branch/jump targets from the
-  // preceding routine.
+  // preceding routine, i.e. some non-call site has To == C and
+  // PrevStart <= From < C. With the sites sorted by (To, From), the first
+  // one not below (C, PrevStart) decides.
   {
-    std::vector<std::pair<Addr, std::string>> Sorted(Candidates.begin(),
-                                                     Candidates.end());
+    std::vector<std::pair<Addr, Addr>> ToFrom;
+    for (const TransferSite &Site : Transfers)
+      if (!Site.IsCall)
+        ToFrom.emplace_back(Site.To, Site.From);
+    std::sort(ToFrom.begin(), ToFrom.end());
     std::map<Addr, std::string> Kept;
     Addr PrevStart = 0;
-    for (size_t I = 0; I < Sorted.size(); ++I) {
-      Addr C = Sorted[I].first;
-      bool Drop = false;
-      if (I > 0 && C != Image.Entry) {
-        for (const TransferSite &Site : Transfers) {
-          if (!Site.IsCall && Site.To == C && Site.From >= PrevStart &&
-              Site.From < C) {
-            Drop = true;
-            break;
-          }
-        }
+    for (auto &[C, Name] : Candidates) {
+      if (!Kept.empty() && C != Image.Entry) {
+        auto Hit = std::lower_bound(ToFrom.begin(), ToFrom.end(),
+                                    std::make_pair(C, PrevStart));
+        if (Hit != ToFrom.end() && Hit->first == C && Hit->second < C)
+          continue;
       }
-      if (Drop)
-        continue;
-      Kept.insert(Sorted[I]);
+      Kept.emplace_hint(Kept.end(), C, std::move(Name));
       PrevStart = C;
     }
     Candidates = std::move(Kept);
@@ -261,20 +298,20 @@ Expected<bool> Executable::readContents() {
   // --- Stage 4: reachability, data detection, hidden-routine discovery -----
   // Process newly created routines too (a discovered routine may itself
   // have an unreachable tail).
+  ReachedWords Reached;
   for (size_t Index = 0; Index < Routines.size(); ++Index) {
     Routine &R = *Routines[Index];
-    std::set<Addr> Reached;
     bool AllValid =
         scanReachable(*this, R.entryPoints(), R.startAddr(), R.endAddr(),
                       Reached);
-    if (Reached.empty() || (!AllValid && Reached.size() <= R.entryPoints().size())) {
+    if (Reached.size() == 0 ||
+        (!AllValid && Reached.size() <= R.entryPoints().size())) {
       // Every entry lands on data: this "routine" is a data table.
       R.IsData = true;
       bumpStat("eel.refine.data_tables");
       continue;
     }
-    (void)AllValid;
-    Addr HighWater = *Reached.rbegin() + 4;
+    Addr HighWater = Reached.highest() + 4;
     // Unreachable instructions at the end comprise another routine.
     if (HighWater + 4 <= R.endAddr()) {
       Addr TailLo = HighWater;

@@ -750,21 +750,19 @@ std::string SriscTarget::disassemble(MachWord W, Addr PC) const {
     for (const auto &Entry : Ops) {
       if (Entry.Op3 != Op3)
         continue;
-      std::string AddrStr;
-      if (fieldI(W)) {
-        char A[48];
-        std::snprintf(A, sizeof(A), "[%s%+d]", R(fieldRs1(W)).c_str(),
-                      fieldSimm13(W));
-        AddrStr = A;
-      } else {
-        AddrStr = "[" + R(fieldRs1(W)) + "+" + R(fieldRs2(W)) + "]";
-      }
+      char AddrStr[48];
+      if (fieldI(W))
+        std::snprintf(AddrStr, sizeof(AddrStr), "[%s%+d]",
+                      R(fieldRs1(W)).c_str(), fieldSimm13(W));
+      else
+        std::snprintf(AddrStr, sizeof(AddrStr), "[%s+%s]",
+                      R(fieldRs1(W)).c_str(), R(fieldRs2(W)).c_str());
       if (Op3 >= Op3St)
         std::snprintf(Buf, sizeof(Buf), "%s %s, %s", Entry.Name,
-                      R(fieldRd(W)).c_str(), AddrStr.c_str());
+                      R(fieldRd(W)).c_str(), AddrStr);
       else
-        std::snprintf(Buf, sizeof(Buf), "%s %s, %s", Entry.Name,
-                      AddrStr.c_str(), R(fieldRd(W)).c_str());
+        std::snprintf(Buf, sizeof(Buf), "%s %s, %s", Entry.Name, AddrStr,
+                      R(fieldRd(W)).c_str());
       return Buf;
     }
     return "<invalid>";

@@ -188,10 +188,12 @@ std::string spawn::printExpr(const Expr &E,
     return "mem(" + printExpr(*E.Args[0], RegFileNames) + ", " +
            std::to_string(E.MemWidth) + (E.MemSignExtend ? ", 1)" : ")");
   case Expr::Kind::Binary:
-    return "(" + printExpr(*E.Args[0], RegFileNames) + " " +
+    // std::string first: at -O3, GCC 12 reports a false -Wrestrict
+    // overlap for "literal" + std::string&&.
+    return std::string("(") + printExpr(*E.Args[0], RegFileNames) + " " +
            binOpName(E.Op) + " " + printExpr(*E.Args[1], RegFileNames) + ")";
   case Expr::Kind::Ternary:
-    return "(" + printExpr(*E.Args[0], RegFileNames) + " ? " +
+    return std::string("(") + printExpr(*E.Args[0], RegFileNames) + " ? " +
            printExpr(*E.Args[1], RegFileNames) + " : " +
            printExpr(*E.Args[2], RegFileNames) + ")";
   case Expr::Kind::Apply: {

@@ -18,6 +18,7 @@
 #include "core/Liveness.h"
 #include "core/Slice.h"
 #include "isa/SriscEncoding.h"
+#include "workload/Generator.h"
 
 #include <gtest/gtest.h>
 
@@ -121,6 +122,73 @@ skip_it:
   EXPECT_EQ(Exec.routines()[0]->name(), "main");
 }
 
+TEST(SymbolRefine, InternalLabelBoundaries) {
+  // Stage 1 drops a routine-kind label when a branch/jump (not a call)
+  // from the preceding kept routine targets it: PrevStart <= From < label.
+  Executable Exec = makeExec(TargetArch::Srisc, R"(
+.text
+.entry start
+r0:
+  call r1
+  nop
+  ret
+  nop
+r1:
+  cmp %o0, 0
+  be r3
+  nop
+  cmp %o0, 1
+  be edge5
+  nop
+  ret
+  nop
+r2:
+  ret
+  nop
+r3:
+  ret
+  nop
+r4:
+  cmp %o0, 0
+  be inner4
+  nop
+  mov 1, %o0
+inner4:
+  ret
+  nop
+r5:
+  be edge5
+  nop
+edge5:
+  ret
+  nop
+r6:
+  cmp %o0, 0
+  be start
+  nop
+  mov 2, %o0
+start:
+  mov 0, %o0
+  sys 0
+  ret
+  nop
+)");
+  // r1: called from the preceding routine — kept.
+  // r3: branched to from two routines back (r1) — kept.
+  // inner4: branched to from the preceding routine — dropped.
+  // edge5: branched to from exactly the preceding routine's start (and
+  //        from r1, two back) — dropped.
+  // start: the program entry, branched to from the preceding routine —
+  //        kept.
+  Exec.readContents();
+  std::vector<std::string> Names;
+  for (const auto &R : Exec.routines())
+    Names.push_back(R->name());
+  EXPECT_EQ(Names, (std::vector<std::string>{"r0", "r1", "r2", "r3", "r4",
+                                             "r5", "r6", "start"}));
+  EXPECT_TRUE(Exec.hiddenRoutines().empty());
+}
+
 TEST(SymbolRefine, HiddenRoutineDiscovery) {
   Executable Exec = makeExec(TargetArch::Srisc, R"(
 .text
@@ -220,6 +288,63 @@ f:
   ASSERT_EQ(Exec.routines().size(), 2u);
   EXPECT_EQ(Exec.routines()[1]->startAddr(),
             Exec.routines()[0]->endAddr());
+}
+
+// --- The routine map (sorted, disjoint extents) -------------------------------------
+
+TEST(RoutineMap, SortedDisjointAndLookupMatchesLinearScan) {
+  struct Style {
+    const char *Name;
+    unsigned TailCallPercent;
+    bool Pathologies;
+    bool Strip;
+  };
+  const Style Styles[] = {{"gcc", 0, false, false},
+                          {"sunpro", 35, false, false},
+                          {"stripped", 0, false, true},
+                          {"pathologies", 0, true, false}};
+  for (TargetArch Arch : AllTargetArches) {
+    for (const Style &S : Styles) {
+      WorkloadOptions W;
+      W.Seed = 5;
+      W.Routines = 20;
+      W.TailCallPercent = S.TailCallPercent;
+      W.SymbolPathologies = S.Pathologies;
+      SxfFile File = generateWorkload(Arch, W);
+      if (S.Strip)
+        File.strip();
+      for (unsigned Threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string("arch=") +
+                     std::to_string(static_cast<int>(Arch)) +
+                     " style=" + S.Name +
+                     " threads=" + std::to_string(Threads));
+        Executable::Options Opts;
+        Opts.Threads = Threads;
+        Executable Exec(SxfFile(File), Opts);
+        Exec.readContents();
+        const auto &Routines = Exec.routines();
+        ASSERT_FALSE(Routines.empty());
+        for (size_t I = 0; I < Routines.size(); ++I) {
+          EXPECT_LT(Routines[I]->startAddr(), Routines[I]->endAddr());
+          if (I > 0) {
+            EXPECT_LE(Routines[I - 1]->endAddr(), Routines[I]->startAddr());
+          }
+        }
+        auto Linear = [&Routines](Addr A) -> Routine * {
+          for (const auto &R : Routines)
+            if (R->contains(A))
+              return R.get();
+          return nullptr;
+        };
+        std::vector<Addr> Probes = {Exec.textBase() - 4, Exec.textEnd(),
+                                    Exec.image().segment(SegKind::Data)->VAddr};
+        for (Addr A = Exec.textBase(); A < Exec.textEnd(); A += 4)
+          Probes.push_back(A);
+        for (Addr A : Probes)
+          EXPECT_EQ(Exec.routineContaining(A), Linear(A)) << "addr " << A;
+      }
+    }
+  }
 }
 
 // --- CFG construction (§3.3) ------------------------------------------------------

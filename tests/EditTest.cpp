@@ -591,6 +591,8 @@ table: .word .Lcase0, .Lcase1, .Lcase2, .Lcase3
 // --- Symbol table of the edited program ---------------------------------------------
 
 TEST(EditedOutput, SymbolsUpdated) {
+  // The debug label emits a second, local symbol named "main" after the
+  // global one; the edited routine keeps the first symbol's binding.
   Executable Exec(assembleOrDie(TargetArch::Srisc, R"(
 .text
 .global main
@@ -598,6 +600,7 @@ main:
   call f
   nop
   sys 0
+.debuglabel main
   ret
   nop
 f:
@@ -606,6 +609,12 @@ f:
 .data
 obj: .word 7
 )"));
+  std::vector<SymBinding> MainBindings;
+  for (const SxfSymbol &Sym : Exec.image().Symbols)
+    if (Sym.Name == "main")
+      MainBindings.push_back(Sym.Binding);
+  ASSERT_EQ(MainBindings, (std::vector<SymBinding>{SymBinding::Global,
+                                                   SymBinding::Local}));
   Exec.readContents();
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasValue());
@@ -623,4 +632,33 @@ obj: .word 7
   ASSERT_NE(Obj, nullptr);
   EXPECT_EQ(Obj->Value, Exec.image().findSymbol("obj")->Value);
   EXPECT_EQ(Out.Entry, Exec.editedAddr(Exec.image().Entry));
+}
+
+TEST(EditedOutput, TextRunningIntoDataIsAnError) {
+  // Data sits on the page right after the original text, exactly where the
+  // edited text is placed, so any edit collides with it. The writer must
+  // report the collision instead of returning an image the loader rejects.
+  AsmOptions Layout;
+  Layout.DataBase = 0x11000;
+  Executable Exec(assembleOrDie(TargetArch::Srisc, R"(
+.text
+main:
+  mov 0, %o0
+  sys 0
+  ret
+  nop
+.data
+obj: .word 7
+)",
+                                Layout));
+  ASSERT_LT(Exec.textEnd(), Layout.DataBase);
+  Expected<SxfFile> Edited = Exec.writeEditedExecutable();
+  ASSERT_TRUE(Edited.hasError());
+  EXPECT_EQ(Edited.error().code(), ErrorCode::SegmentOverlap);
+  EXPECT_NE(Edited.error().message().find("edited text [0x11000, 0x11010)"),
+            std::string::npos)
+      << Edited.error().message();
+  EXPECT_NE(Edited.error().message().find("data segment [0x11000, 0x11004)"),
+            std::string::npos)
+      << Edited.error().message();
 }

@@ -63,8 +63,10 @@ std::string layoutFingerprint(Executable &Exec) {
       FP += " @" + std::to_string(Site.JumpAddr) + " k" +
             std::to_string(static_cast<int>(Site.Resolution.K)) +
             (Site.Resolution.Inferred ? " inf" : "");
-      for (Addr T : Site.Resolution.Targets)
-        FP += " " + std::to_string(T);
+      for (Addr T : Site.Resolution.Targets) {
+        FP += ' ';
+        FP += std::to_string(T);
+      }
       FP += "\n";
     }
     R->deleteControlFlowGraph();
