@@ -26,9 +26,11 @@
 #include "bench/BenchUtil.h"
 #include "core/Executable.h"
 #include "core/Slice.h"
-#include "support/Stats.h"
+#include "support/Trace.h"
 
 #include <benchmark/benchmark.h>
+
+#include <string_view>
 
 using namespace eel;
 using namespace eelbench;
@@ -180,16 +182,27 @@ int main(int argc, char **argv) {
   // Stripped frontier: the same sunpro suite with symbol tables removed
   // goes down the eel-infer path. Constant-cell facts turn the previously
   // unanalyzable cell tail calls into inferred literals.
-  uint64_t InferUsBefore = StatRegistry::instance().read("time.infer_us");
+  // The run is traced: inference throughput comes from the summed
+  // "infer" span durations.
+  TraceCollector::instance().reset();
+  traceSetEnabled(true);
   SuiteStats Stripped = analyzeSuite(true, 12, /*Stripped=*/true);
-  uint64_t InferUs =
-      StatRegistry::instance().read("time.infer_us") - InferUsBefore;
+  traceSetEnabled(false);
+  uint64_t InferNs = 0;
+  for (const TraceEvent &Ev : TraceCollector::instance().drain())
+    if (std::string_view(Ev.Name) == "infer")
+      InferNs += Ev.EndNs - Ev.StartNs;
+  if (TraceCollector::instance().droppedCount()) {
+    std::fprintf(stderr, "FAIL: trace rings wrapped; infer spans lost\n");
+    return 1;
+  }
+  double InferUs = static_cast<double>(InferNs) / 1000.0;
   printRow("sunpro-style, stripped", Stripped);
   std::printf("%-28s recovered %u of %u previously-unanalyzable jumps "
               "(%.1f%%), inference %.2f MB/s\n",
               "", Stripped.Recovered, SunproUnanalyzable,
               100.0 * Stripped.Recovered / SunproUnanalyzable,
-              InferUs ? static_cast<double>(Stripped.TextBytes) / InferUs
+              InferNs ? static_cast<double>(Stripped.TextBytes) / InferUs
                       : 0.0);
 
   Sink.metric("gcc_indirect_jumps", Gcc.IndirectJumps, "count");
@@ -202,7 +215,7 @@ int main(int argc, char **argv) {
   Sink.metric("stripped_unanalyzable", Stripped.Unanalyzable, "count");
   Sink.metric("stripped_recovered_pct",
               100.0 * Stripped.Recovered / SunproUnanalyzable, "percent");
-  if (InferUs)
+  if (InferNs)
     Sink.metric("infer_mb_per_s",
                 static_cast<double>(Stripped.TextBytes) / InferUs, "MB/s");
 

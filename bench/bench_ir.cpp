@@ -269,10 +269,9 @@ int main(int argc, char **argv) {
 
   printHeader("Arena and interned-operand statistics");
 
-  uint64_t Requested = 0, PoolArenaBytes = 0, OpPairs = 0, RowCount = 0;
+  uint64_t PoolArenaBytes = 0, OpPairs = 0, RowCount = 0;
   for (const AnalyzedFile &A : Suite) {
     InstructionPool &Pool = A.Exec->pool();
-    Requested += Pool.requested();
     PoolArenaBytes += Pool.arenaBytes();
     OpPairs += Pool.operands().size();
     for (const Cfg *G : A.Graphs)
@@ -285,8 +284,6 @@ int main(int argc, char **argv) {
               static_cast<unsigned long long>(RowCount));
   std::printf("distinct operand pairs:   %llu  (%.1f rows/pair)\n",
               static_cast<unsigned long long>(OpPairs), DedupRatio);
-  std::printf("pool decode requests:     %llu\n",
-              static_cast<unsigned long long>(Requested));
   std::printf("pool arena bytes:         %llu\n",
               static_cast<unsigned long long>(PoolArenaBytes));
   Sink.metric("cfg_rows", static_cast<double>(RowCount), "rows");

@@ -87,7 +87,7 @@ int main(int argc, char **argv) {
   for (SxfFile &F : makeSuite(TargetArch::Srisc, true, SuiteCount, Routines))
     Suite.push_back(std::move(F));
 
-  // Reference images from the serial oracle.
+  // Reference images from a one-thread run.
   std::vector<std::vector<uint8_t>> Reference;
   for (const SxfFile &File : Suite)
     Reference.push_back(editPipeline(File, 1));

@@ -9,10 +9,10 @@
 /// image size. Generates SRISC gcc-style images with the §3.1 symbol-table
 /// pathologies at 1k, 2k, 4k and 8k routines (8k is the largest whose
 /// edited text clears the data segment at 4 MB) and runs open →
-/// readContents → CFG + liveness → writeEditedExecutable at Threads = 1, so
-/// every size attributes work to the same phases. The CFG step is the one
-/// eel-report runs; doing it before the write keeps each trace drain below
-/// the per-thread ring capacity.
+/// readContents → writeEditedExecutable at Threads = 1, so every size
+/// attributes work to the same phases. readContents ends with the
+/// "analyze" phase (CFG + slicing + liveness); draining after it keeps
+/// each trace drain below the per-thread ring capacity.
 ///
 /// Phase times come from the phase tree (buildPhaseTree over the drained
 /// spans); each size keeps every phase's minimum over 5 repetitions, since
@@ -90,15 +90,6 @@ bool runPass(const std::vector<uint8_t> &Bytes, Pass &P) {
   }
   Executable &Exec = *Opened.value();
   Exec.readContents();
-  if (!drainInto(Events))
-    return false;
-  for (const std::unique_ptr<Routine> &R : Exec.routines()) {
-    if (R->isData())
-      continue;
-    Cfg *G = R->controlFlowGraph();
-    if (!G->unsupported() && (G->complete() || Opts.EnableRuntimeTranslation))
-      R->liveness();
-  }
   if (!drainInto(Events))
     return false;
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();

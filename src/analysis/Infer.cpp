@@ -134,7 +134,6 @@ InferConfidence confidenceFor(const EntryFact &F, bool WeakOracle) {
 } // namespace
 
 InferResult eel::inferLayout(Executable &Exec, const InferOptions &Opts) {
-  ScopedStatTimer Timer("time.infer_us");
   EEL_TRACE_SCOPE("infer");
 
   InferContext Ctx(Exec);

@@ -134,6 +134,12 @@ void RunReport::captureMetrics() {
   Histograms = HistogramRegistry::instance().snapshot();
 }
 
+void RunReport::addCounters(
+    const std::vector<std::pair<std::string, uint64_t>> &Extra) {
+  Counters.insert(Counters.end(), Extra.begin(), Extra.end());
+  std::sort(Counters.begin(), Counters.end());
+}
+
 void RunReport::capturePhases(const std::vector<TraceEvent> &Events) {
   Phases = buildPhaseTree(Events);
   DroppedSpans = TraceCollector::instance().droppedCount();

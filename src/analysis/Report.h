@@ -128,6 +128,12 @@ public:
   /// report. Call from a quiescent point after the instrumented work.
   void captureMetrics();
 
+  /// Adds counters kept outside the registries (eel-serve's cumulative
+  /// service counters) to those captureMetrics() took; the rendered
+  /// counters stay sorted by name.
+  void addCounters(
+      const std::vector<std::pair<std::string, uint64_t>> &Extra);
+
   /// Builds the phase-timing tree from \p Events (typically
   /// TraceCollector::instance().drain()).
   void capturePhases(const std::vector<TraceEvent> &Events);

@@ -300,15 +300,13 @@ DiagnosticReport eel::verifyEdit(Executable &Exec, const SxfFile &Edited,
                "original entry point");
 
   // Translation validation needs the emitted image re-disassembled from
-  // scratch. Open it serially (Threads=1): the per-routine fan-out below
-  // builds each edited CFG from the worker that needs it, and two workers
-  // never share an edited routine because original routines map into
-  // disjoint edited extents.
+  // scratch. readContents() builds every edited CFG at the verifier's
+  // width, so the per-routine fan-out below only ever reads cached graphs.
   std::unique_ptr<Executable> EditedExec;
   Addr TranslatorAddr = 0;
   if (Opts.CheckTranslation) {
     Executable::Options ReOpts = Exec.options();
-    ReOpts.Threads = 1;
+    ReOpts.Threads = resolveThreads(Exec, Opts);
     ReOpts.Verify = false;
     Expected<std::unique_ptr<Executable>> Reopened =
         Executable::openImage(Edited, ReOpts);
@@ -326,17 +324,8 @@ DiagnosticReport eel::verifyEdit(Executable &Exec, const SxfFile &Edited,
                    "edited image is not analyzable: " +
                        ReAnalyzed.error().describe());
         EditedExec.reset();
-      } else {
-        if (const SxfSymbol *Sym = Edited.findSymbol("__eel_translate"))
-          TranslatorAddr = Sym->Value;
-        // Pre-build the edited CFGs with one worker per edited routine, so
-        // the fan-out below only ever reads cached graphs.
-        const auto &EditedRoutines = EditedExec->routines();
-        parallelForEach(resolveThreads(Exec, Opts), EditedRoutines.size(),
-                        [&](size_t Index) {
-                          if (!EditedRoutines[Index]->isData())
-                            EditedRoutines[Index]->controlFlowGraph();
-                        });
+      } else if (const SxfSymbol *Sym = Edited.findSymbol("__eel_translate")) {
+        TranslatorAddr = Sym->Value;
       }
     }
   }

@@ -8,7 +8,6 @@
 
 #include "core/Executable.h"
 #include "core/Routine.h"
-#include "support/Stats.h"
 
 #include <algorithm>
 
@@ -28,7 +27,6 @@ Cfg::Cfg(Routine &ParentRoutine, const TargetInfo &Target)
 Cfg::~Cfg() = default;
 
 BasicBlock *Cfg::newBlock(BlockKind Kind, Addr Anchor) {
-  bumpStat("eel.cfg.blocks");
   BasicBlock *Ptr = IR.create<BasicBlock>(
       *this, static_cast<unsigned>(Blocks.size()), Kind, Anchor);
   Blocks.push_back(Ptr);
@@ -38,7 +36,6 @@ BasicBlock *Cfg::newBlock(BlockKind Kind, Addr Anchor) {
 }
 
 Edge *Cfg::newEdge(BasicBlock *Src, BasicBlock *Dst, EdgeKind Kind) {
-  bumpStat("eel.cfg.edges");
   Edge *Ptr =
       IR.create<Edge>(static_cast<unsigned>(Edges.size()), Src, Dst, Kind);
   Ptr->Parent = this;

@@ -23,7 +23,6 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
-#include <chrono>
 #include <map>
 #include <set>
 
@@ -514,23 +513,18 @@ std::unique_ptr<Cfg> CfgBuilder::build() {
 }
 
 std::unique_ptr<Cfg> eel::buildCfg(Routine &R) {
-  ScopedStatTimer Timer("time.cfg_build_us");
   EEL_TRACE_SCOPE("cfg_build", "routine", R.name());
-  auto Start = std::chrono::steady_clock::now();
   CfgBuilder Builder(R);
   std::unique_ptr<Cfg> G = Builder.build();
-  // Per-routine shape and latency distributions. The value-keyed ones
-  // (blocks, insts) are deterministic across thread counts; the latency
-  // one is wall-clock and therefore lives under time.*, exempting it.
+  // Graphs never lose blocks or edges, so the finished graph's sizes are
+  // its whole contribution to the Table 1 object counts.
+  bumpStat("eel.cfg.blocks", G->blocks().size());
+  bumpStat("eel.cfg.edges", G->edges().size());
+  // Per-routine shape distributions, deterministic across thread counts.
   size_t Insts = 0;
   for (const auto &B : G->blocks())
     Insts += B->size();
   bumpHistogram("cfg.blocks_per_routine", G->blocks().size());
   bumpHistogram("cfg.insts_per_routine", Insts);
-  bumpHistogram("time.cfg_build_routine_us",
-                static_cast<uint64_t>(
-                    std::chrono::duration_cast<std::chrono::microseconds>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count()));
   return G;
 }

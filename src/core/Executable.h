@@ -70,9 +70,10 @@ public:
     bool DisableDelayFolding = false;
     /// Worker threads for the per-routine analysis and editing phases
     /// (CFG construction, liveness, slicing, layout, relocation patching).
-    /// 0 = hardware concurrency; 1 = the legacy serial path, kept as the
-    /// reference oracle. Output images and (non-time.*) statistics are
-    /// bit-identical across all settings.
+    /// 0 = hardware concurrency. Every width runs the same schedule — 1
+    /// just runs each fan-out inline, in routine order — so output images,
+    /// statistics, and span names (bar pool.worker occupancy spans) are
+    /// identical across all settings.
     unsigned Threads = 0;
     /// Use the seed (pre-arena) emission path: serialize each routine's
     /// words into the text segment byte by byte after patching, instead of
@@ -148,7 +149,9 @@ public:
 
   // --- Analysis -------------------------------------------------------------
 
-  /// Runs symbol-table refinement and routine discovery (§3.1 stages 1–4).
+  /// Runs symbol-table refinement and routine discovery (§3.1 stages 1–4),
+  /// then the "analyze" phase: every code routine's CFG, slices, and (where
+  /// layout will need it) liveness, fanned out over effectiveThreads().
   /// Idempotent. Returns an error (instead of asserting) when the image is
   /// not analyzable — e.g. it has no text segment; callers holding images
   /// from Executable::open()/openImage() may ignore the result, since those

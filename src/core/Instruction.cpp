@@ -105,7 +105,7 @@ Instruction *eel::makeInstructionIn(BumpArena &Arena, const TargetInfo &Target,
   return buildInstruction<MakeInArena, Instruction *>(Target, Word, Arena);
 }
 
-const Instruction *InstructionPool::lookup(MachWord Word) {
+const Instruction *InstructionPool::get(MachWord Word) {
   size_t ShardIdx = shardIndexFor(Word);
   ShardedBumpArena::Shard &S = Arenas.shard(ShardIdx);
   std::lock_guard<std::mutex> Lock(S.M);
@@ -120,12 +120,6 @@ const Instruction *InstructionPool::lookup(MachWord Word) {
   return Inst;
 }
 
-const Instruction *InstructionPool::get(MachWord Word) {
-  Requested.fetch_add(1, std::memory_order_relaxed);
-  bumpStat("eel.inst.requested");
-  return lookup(Word);
-}
-
 void InstructionPool::attachDecodeIndex(Addr TextBase, size_t WordCount) {
   IndexBase = TextBase;
   IndexWords = WordCount;
@@ -134,8 +128,6 @@ void InstructionPool::attachDecodeIndex(Addr TextBase, size_t WordCount) {
 }
 
 const Instruction *InstructionPool::getAt(Addr A, MachWord Word) {
-  Requested.fetch_add(1, std::memory_order_relaxed);
-  bumpStat("eel.inst.requested");
   if (DecodeIndex && !(A & 3) && A >= IndexBase) {
     size_t Slot = (A - IndexBase) / 4;
     if (Slot < IndexWords) {
@@ -144,14 +136,14 @@ const Instruction *InstructionPool::getAt(Addr A, MachWord Word) {
         assert(I->word() == Word && "decode index out of sync with image");
         return I;
       }
-      const Instruction *I = lookup(Word);
+      const Instruction *I = get(Word);
       // Racing decoders of the same address publish the same pointer (the
       // flyweight invariant), so the store order is immaterial.
       DecodeIndex[Slot].store(I, std::memory_order_release);
       return I;
     }
   }
-  return lookup(Word);
+  return get(Word);
 }
 
 uint64_t InstructionPool::allocated() const {

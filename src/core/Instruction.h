@@ -271,8 +271,9 @@ private:
   std::optional<unsigned> Number;
 };
 
-/// Flyweight pool: one Instruction per distinct machine word. Statistics
-/// "eel.inst.requested" / "eel.inst.allocated" feed bench_sharing.
+/// Flyweight pool: one Instruction per distinct machine word. Lookups do
+/// no accounting; construction bumps "eel.inst.allocated" (Table 1), and
+/// bench_sharing sets allocated() against the words it submits itself.
 ///
 /// Thread-safe: the word→instruction maps are split into shards folded
 /// into a sharded bump arena — shard i's mutex guards both its map and the
@@ -309,9 +310,6 @@ public:
   const Instruction *getAt(Addr A, MachWord Word);
 
   const TargetInfo &target() const { return Target; }
-  uint64_t requested() const {
-    return Requested.load(std::memory_order_relaxed);
-  }
   uint64_t allocated() const;
 
   /// Interned (reads, writes) register-mask pairs: Pair::First is the
@@ -330,15 +328,11 @@ private:
     return (Word * 0x9E3779B9u >> 16) & (ShardCount - 1);
   }
 
-  /// Shard-locked find-or-create, without the request accounting.
-  const Instruction *lookup(MachWord Word);
-
   const TargetInfo &Target;
   ShardedBumpArena Arenas; ///< Shard i's mutex also guards Maps[i].
   std::array<std::unordered_map<MachWord, const Instruction *>, ShardCount>
       Maps;
   InternedPairTable Ops;
-  std::atomic<uint64_t> Requested{0};
 
   Addr IndexBase = 0;
   size_t IndexWords = 0;

@@ -890,9 +890,6 @@ Expected<RoutineLayout> RoutineLayouter::run() {
 }
 
 Expected<RoutineLayout> eel::layoutRoutine(Routine &R) {
-  // Nested phases (CFG build, liveness) that run lazily inside layout are
-  // also counted by their own time.* timers; see DESIGN.md "Timer nesting".
-  ScopedStatTimer Timer("time.layout_us");
   EEL_TRACE_SCOPE("layout_routine", "routine", R.name());
   RoutineLayouter L(R);
   Expected<RoutineLayout> Out = L.run();

@@ -6,13 +6,11 @@
 
 #include "core/Liveness.h"
 
-#include "support/Stats.h"
 #include "support/Trace.h"
 
 using namespace eel;
 
 Liveness::Liveness(const Cfg &G) : Graph(G) {
-  ScopedStatTimer Timer("time.liveness_us");
   EEL_TRACE_SCOPE("liveness", "blocks", uint64_t(G.blocks().size()));
   const TargetInfo &Target = G.target();
   const TargetConventions &Conv = Target.conventions();

@@ -21,12 +21,10 @@
 #include "asmkit/TargetAsm.h"
 #include "core/Layout.h"
 #include "core/Translate.h"
-#include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <unordered_map>
@@ -66,7 +64,6 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   Stats = EditStats();
   AddrMap.clear();
 
-  ScopedStatTimer WriteTimer("time.write_us");
   EEL_TRACE_SCOPE("writeEditedExecutable");
   // One span per numbered phase below, sequential and non-overlapping:
   // starting a phase ends the previous one.
@@ -79,28 +76,24 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   const asmkit::InstParser &Parser = asmkit::instParserFor(Image.Arch);
 
   // --- 1. Lay out every routine --------------------------------------------
-  // Per-routine layout (with the CFG construction, slicing, and liveness it
-  // pulls in when not already cached) is independent across routines, so it
-  // fans out over the pool. Results land in per-index slots and are merged
-  // in index order below, which makes placement, the address map, and the
-  // reported error (the lowest-index failure) identical to the serial path.
+  // Per-routine layout is independent across routines (readContents has
+  // already built the CFGs, slices, and liveness it reads), so it fans out
+  // over the pool. Results land in per-index slots and are merged in index
+  // order below, which makes placement, the address map, and the reported
+  // error (the lowest-index failure) the same at every width.
   BeginPhase("write.layout");
   const unsigned NThreads = effectiveThreads();
   const size_t NumRoutines = Routines.size();
-  std::vector<std::optional<Expected<RoutineLayout>>> LaidOut;
-  if (NThreads > 1) {
-    LaidOut.resize(NumRoutines);
-    parallelForEach(NThreads, NumRoutines, [this, &LaidOut](size_t Index) {
-      LaidOut[Index].emplace(layoutRoutine(*Routines[Index]));
-    });
-  }
+  std::vector<std::optional<Expected<RoutineLayout>>> LaidOut(NumRoutines);
+  parallelForEach(NThreads, NumRoutines, [this, &LaidOut](size_t Index) {
+    LaidOut[Index].emplace(layoutRoutine(*Routines[Index]));
+  });
 
   std::vector<PlacedRoutine> Placed;
   bool NeedTranslator = false;
   for (size_t Index = 0; Index < NumRoutines; ++Index) {
     Routine &R = *Routines[Index];
-    Expected<RoutineLayout> Layout =
-        NThreads > 1 ? std::move(*LaidOut[Index]) : layoutRoutine(R);
+    Expected<RoutineLayout> Layout = std::move(*LaidOut[Index]);
     if (Layout.hasError())
       return Layout.error();
     PlacedRoutine P;
@@ -201,7 +194,6 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   uint8_t *TextBuf = nullptr; // non-null selects the zero-copy accessors
   if (!Opts.LegacyWriter) {
     BeginPhase("write.emit");
-    auto EmitTimer = std::make_unique<ScopedStatTimer>("time.emit_us");
     TextSeg.Bytes.resize(static_cast<size_t>(Cursor - NewTextBase));
     TextBuf = TextSeg.Bytes.data();
     parallelForEach(NThreads, Placed.size(),
@@ -227,7 +219,6 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
         Dst += 4;
       }
     }
-    EmitTimer.reset();
   }
 
   auto LoadWord = [&](const PlacedRoutine &P, unsigned WI) -> MachWord {
@@ -245,9 +236,8 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   // Per-routine and independent once the address map is frozen (phase 2):
   // each worker writes only its own routine's words and reads the shared
   // sealed map. Per-routine translation-site counts and error messages are
-  // merged in index order, so the serial oracle's result is reproduced.
+  // merged in index order, so the result is the same at every width.
   BeginPhase("write.reloc_patch");
-  auto RelocTimer = std::make_unique<ScopedStatTimer>("time.reloc_us");
   std::vector<unsigned> SiteCounts(Placed.size(), 0);
   std::vector<std::string> PatchErrors(Placed.size());
   parallelForEach(
@@ -312,7 +302,6 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
       return Error(PatchErrors[Index]);
     Stats.TranslationSites += SiteCounts[Index];
   }
-  RelocTimer.reset();
 
   // --- 6. Snippet call-backs ------------------------------------------------------
   BeginPhase("write.callbacks");
@@ -332,7 +321,6 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   if (Opts.LegacyWriter) {
     // Seed emission path: serialize the patched word vectors byte by byte.
     BeginPhase("write.emit");
-    auto EmitTimer = std::make_unique<ScopedStatTimer>("time.emit_us");
     auto AppendWords = [&TextSeg](const std::vector<MachWord> &Words) {
       for (MachWord W : Words) {
         TextSeg.Bytes.push_back(static_cast<uint8_t>(W));
@@ -346,7 +334,6 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
     AppendWords(TranslatorCode);
     for (const auto &Words : AddedCode)
       AppendWords(Words);
-    EmitTimer.reset();
   }
   BeginPhase("write.image");
   TextSeg.MemSize = static_cast<uint32_t>(TextSeg.Bytes.size());

@@ -349,8 +349,7 @@ static const IndirectInst *indirectAt(Executable &Exec, Addr JumpAddr) {
 IndirectResolution eel::resolveIndirect(Executable &Exec, Routine &R,
                                         Addr JumpAddr) {
   // The pipeline's only entry into slicing — backwardSlice() calls nested
-  // here would double-count, so the timer and span live here alone.
-  ScopedStatTimer Timer("time.slice_us");
+  // here would double-count, so the span lives here alone.
   EEL_TRACE_SCOPE("slice.resolve_indirect", "routine", R.name());
   IndirectResolution Res;
   const IndirectTargetInfo &Info = indirectAt(Exec, JumpAddr)->targetInfo();

@@ -51,6 +51,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 using namespace eel;
 
@@ -176,12 +177,8 @@ Expected<bool> Executable::readContents() {
 
   EEL_TRACE_SCOPE("readContents");
   // Stages 1-4 below are the symbol-refinement analysis proper; the
-  // parallel pre-analysis at the end accounts to time.cfg_build_us /
-  // time.liveness_us instead (see DESIGN.md "Timer nesting").
-  std::unique_ptr<TraceSpan> RefineSpan;
-  if (traceEnabled())
-    RefineSpan = std::make_unique<TraceSpan>("symbol_refine");
-  auto RefineTimer = std::make_unique<ScopedStatTimer>("time.symbol_refine_us");
+  // per-routine analyses at the end are their own "analyze" phase.
+  std::optional<TraceSpan> RefineSpan(std::in_place, "symbol_refine");
 
   const Addr TB = textBase();
   const Addr TE = textEnd();
@@ -347,36 +344,30 @@ Expected<bool> Executable::readContents() {
                const std::unique_ptr<Routine> &B) {
               return A->startAddr() < B->startAddr();
             });
-  RefineTimer.reset();
   RefineSpan.reset();
   bumpHistogram("refine.routines_per_image", Routines.size());
 
-  // --- Parallel pre-analysis -----------------------------------------------
+  // --- Per-routine analysis ------------------------------------------------
   // The remaining per-routine analyses — CFG construction with delay-slot
   // normalization, backward slicing of indirect-jump sites (both inside
-  // buildCfg), and liveness — are independent across routines, so with
-  // Threads != 1 they fan out over the pool now and later edits and layout
-  // find them cached. Each routine is touched by exactly one worker; the
-  // cross-routine state (instruction pool, stat registry) is sharded. The
-  // serial path computes the same results lazily inside layoutRoutine, so
-  // only the schedule differs, never the output.
-  if (effectiveThreads() > 1 && !Routines.empty()) {
-    // "pool." prefix: this span's presence depends on the thread count, so
-    // determinism comparisons across 1 vs N threads exclude pool.* names.
-    EEL_TRACE_SCOPE("pool.prebuild", "routines", uint64_t(Routines.size()));
-    bool WantTranslation = Opts.EnableRuntimeTranslation;
-    parallelForEach(effectiveThreads(), Routines.size(),
-                    [this, WantTranslation](size_t Index) {
-                      Routine &R = *Routines[Index];
-                      if (R.isData())
-                        return; // layout copies data verbatim, no CFG
-                      Cfg *G = R.controlFlowGraph();
-                      // Mirror layoutRoutine's condition so the set of
-                      // analyses run matches the serial oracle exactly.
-                      if (!G->unsupported() &&
-                          (G->complete() || WantTranslation))
-                        R.liveness();
-                    });
-  }
+  // buildCfg), and liveness — are independent across routines, so they fan
+  // out over the pool now (inline, in index order, at width 1) and later
+  // edits and layout find them cached. Each routine is touched by exactly
+  // one worker; the cross-routine state (instruction pool, stat registry)
+  // is sharded. Every width runs this same schedule.
+  EEL_TRACE_SCOPE("analyze", "routines", uint64_t(Routines.size()));
+  bool WantTranslation = Opts.EnableRuntimeTranslation;
+  parallelForEach(effectiveThreads(), Routines.size(),
+                  [this, WantTranslation](size_t Index) {
+                    Routine &R = *Routines[Index];
+                    if (R.isData())
+                      return; // layout copies data verbatim, no CFG
+                    Cfg *G = R.controlFlowGraph();
+                    // Mirror layoutRoutine's condition so exactly the
+                    // analyses layout needs run here.
+                    if (!G->unsupported() &&
+                        (G->complete() || WantTranslation))
+                      R.liveness();
+                  });
   return true;
 }

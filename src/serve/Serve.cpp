@@ -10,7 +10,6 @@
 #include "support/Json.h"
 #include "support/Log.h"
 #include "support/Metrics.h"
-#include "support/Stats.h"
 #include "support/Trace.h"
 #include "sxf/Sxf.h"
 #include "tools/Qpt.h"
@@ -78,10 +77,6 @@ void AnalysisCache::insert(uint64_t Key, std::unique_ptr<Executable> Exec,
     EEL_LOG(LogLevel::Info, "serve.cache_evict",
             logNum("key", Lru.back().Key),
             logNum("image_bytes", Lru.back().ImageBytes));
-    // Cumulative by contract: "serve." names are exempt from MetricsScope
-    // resets, so evictions during scoped requests still land (the PR 10
-    // metrics-scope gap fix — callers hold the service's metrics lock).
-    bumpStat("serve.cache_evictions");
     CurrentBytes -= Lru.back().ImageBytes;
     Index.erase(Lru.back().Key);
     Lru.pop_back();
@@ -175,13 +170,6 @@ EditService::~EditService() = default;
 
 ServeResponse EditService::reject(ErrorCode Code, const std::string &Message,
                                   uint64_t Rid) {
-  {
-    // Shared lock: a concurrent MetricsScope reset iterating the registry
-    // shards must exclude this insert (the metrics-scope gap fix). The
-    // "serve." prefix exemption is what keeps the value cumulative.
-    std::shared_lock<std::shared_mutex> G(MetricsM);
-    bumpStat("serve.rejected");
-  }
   Counters.Rejected.fetch_add(1, std::memory_order_relaxed);
   EEL_LOG(LogLevel::Warn, "serve.rejected",
           logStr("error_code", errorCodeName(Code)),
@@ -194,9 +182,6 @@ ServeResponse EditService::reject(ErrorCode Code, const std::string &Message,
 }
 
 ServeResponse EditService::errorResponse(const Error &E, uint64_t Rid) {
-  // No lock here: pipeline callers already hold MetricsM (shared or
-  // exclusive) and the decode path in handleEncoded takes it explicitly.
-  bumpStat("serve.errors");
   Counters.Errors.fetch_add(1, std::memory_order_relaxed);
   EEL_LOG(LogLevel::Error, "serve.error",
           logStr("error_code", errorCodeName(E.code())),
@@ -212,8 +197,6 @@ ServeResponse EditService::handleEncoded(const std::vector<uint8_t> &Payload) {
   Expected<ServeRequest> Req = decodeRequest(Payload);
   if (Req.hasError()) {
     Counters.Requests.fetch_add(1, std::memory_order_relaxed);
-    std::shared_lock<std::shared_mutex> G(MetricsM);
-    bumpStat("serve.requests");
     return errorResponse(Req.error(), /*Rid=*/0);
   }
   return handle(Req.value());
@@ -250,10 +233,6 @@ ServeResponse EditService::handle(const ServeRequest &Req) {
                      : NextMintedId.fetch_add(1, std::memory_order_relaxed);
   TraceRequestScope RidScope(Rid);
   Counters.Requests.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::shared_lock<std::shared_mutex> G(MetricsM);
-    bumpStat("serve.requests");
-  }
   EEL_LOG(LogLevel::Debug, "serve.request", logStr("tool", Req.ToolSpec),
           logNum("image_bytes", Req.ImageBytes.size()),
           logNum("threads", Req.Threads));
@@ -319,7 +298,7 @@ ServeResponse EditService::process(const ServeRequest &Req, ServeTool Tool,
     // concurrent recorders, and the envelope's metrics cover exactly
     // this request.
     std::unique_lock<std::shared_mutex> G(MetricsM);
-    MetricsScope Scope("serve.", /*EnableTrace=*/true);
+    MetricsScope Scope(/*EnableTrace=*/true);
     return runPipeline(Req, Tool, /*CaptureMetrics=*/true, Rid);
   }
   std::shared_lock<std::shared_mutex> G(MetricsM);
@@ -346,9 +325,6 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
   auto AnalyzeStart = std::chrono::steady_clock::now();
   std::unique_ptr<Executable> Exec = Cache.claim(Key);
   bool CacheHit = Exec != nullptr;
-  bumpStat(CacheHit ? "serve.cache_hits" : "serve.cache_misses");
-  (CacheHit ? Counters.CacheHits : Counters.CacheMisses)
-      .fetch_add(1, std::memory_order_relaxed);
   EEL_LOG(LogLevel::Debug, "serve.cache",
           logStr("result", CacheHit ? "hit" : "miss"), logNum("key", Key));
   if (CacheHit) {
@@ -409,8 +385,6 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
   Cache.insert(Key, std::move(Exec), Req.ImageBytes.size());
 
   uint64_t LatencyUs = elapsedUs(Start);
-  bumpStat("serve.ok");
-  bumpHistogram("serve.latency_us", LatencyUs);
   Counters.Ok.fetch_add(1, std::memory_order_relaxed);
   LatencyHist.record(LatencyUs);
   EEL_LOG(LogLevel::Info, "serve.ok", logStr("tool", Req.ToolSpec),
@@ -427,11 +401,12 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
   Report.addOption("verify", Req.Verify);
   Report.addOption("legacy_writer", Req.LegacyWriter);
   Report.addOption("metrics", Req.WantMetrics);
+  AnalysisCache::Stats CS = Cache.stats();
   if (CaptureMetrics) {
     Report.captureMetrics();
+    Report.addCounters(cumulativeCounters(CS));
     Report.capturePhases(TraceCollector::instance().drain());
   }
-  AnalysisCache::Stats CS = Cache.stats();
   JsonWriter S(/*Indent=*/false);
   S.beginObject();
   S.key("status");
@@ -541,10 +516,9 @@ StatusResponse EditService::handleStatus(const StatusRequest &Req) {
   return Resp;
 }
 
-std::string EditService::statusPrometheus() {
-  AnalysisCache::Stats CS = Cache.stats();
-  uint64_t UptimeMs = elapsedUs(StartedAt) / 1000;
-  std::vector<std::pair<std::string, uint64_t>> Cnts = {
+std::vector<std::pair<std::string, uint64_t>>
+EditService::cumulativeCounters(const AnalysisCache::Stats &CS) const {
+  return {
       {"serve.requests", Counters.Requests.load(std::memory_order_relaxed)},
       {"serve.ok", Counters.Ok.load(std::memory_order_relaxed)},
       {"serve.rejected", Counters.Rejected.load(std::memory_order_relaxed)},
@@ -552,17 +526,24 @@ std::string EditService::statusPrometheus() {
       {"serve.cache_hits", CS.Hits},
       {"serve.cache_misses", CS.Misses},
       {"serve.cache_evictions", CS.Evictions},
-      {"serve.cache_entries", CS.Entries},
-      {"serve.cache_bytes", CS.Bytes},
-      {"serve.status_requests",
-       Counters.StatusRequests.load(std::memory_order_relaxed)},
-      {"serve.slow_captured",
-       Counters.SlowCaptured.load(std::memory_order_relaxed)},
-      {"serve.in_flight", InFlight.load(std::memory_order_relaxed)},
-      {"serve.pool_workers", Pool.workerCount()},
-      {"serve.pool_pending", Pool.pendingTasks()},
-      {"serve.uptime_ms", UptimeMs},
   };
+}
+
+std::string EditService::statusPrometheus() {
+  AnalysisCache::Stats CS = Cache.stats();
+  uint64_t UptimeMs = elapsedUs(StartedAt) / 1000;
+  std::vector<std::pair<std::string, uint64_t>> Cnts = cumulativeCounters(CS);
+  Cnts.insert(Cnts.end(),
+              {{"serve.cache_entries", CS.Entries},
+               {"serve.cache_bytes", CS.Bytes},
+               {"serve.status_requests",
+                Counters.StatusRequests.load(std::memory_order_relaxed)},
+               {"serve.slow_captured",
+                Counters.SlowCaptured.load(std::memory_order_relaxed)},
+               {"serve.in_flight", InFlight.load(std::memory_order_relaxed)},
+               {"serve.pool_workers", Pool.workerCount()},
+               {"serve.pool_pending", Pool.pendingTasks()},
+               {"serve.uptime_ms", UptimeMs}});
   std::vector<HistogramSnapshot> Hists = {
       LatencyHist.snapshot("serve.latency_us"),
       AnalyzeHist.snapshot("serve.phase.analyze_us"),

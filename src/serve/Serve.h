@@ -30,16 +30,18 @@
 ///    running requests inline on the acceptor thread.
 ///
 ///  * Metrics are scoped per request. A request with WantMetrics runs
-///    isolated (exclusive lock + support/Metrics.h MetricsScope), so its
-///    envelope's counters, histograms, and phase tree cover exactly that
-///    request; cumulative `serve.*` counters are exempt from the scope
-///    reset and keep accumulating for the life of the service.
+///    isolated (exclusive lock + support/Metrics.h MetricsScope, which
+///    resets every registry), so its envelope's pipeline counters,
+///    histograms, and phase tree cover exactly that request. The
+///    cumulative `serve.*` counters never live in the registries: the
+///    service counts them itself and adds them to the envelope.
 ///
-/// PR 10 adds the operational layer. Every request carries a 64-bit
-/// RequestId (client-supplied or daemon-minted) stamped on its spans, log
-/// records, envelope, and response frame. The service mirrors its
-/// cumulative counters into plain atomics and records latency/per-phase
-/// durations into AtomicHistograms, so an ELSt status frame
+/// The operational layer: every request carries a 64-bit RequestId
+/// (client-supplied or daemon-minted) stamped on its spans, log records,
+/// envelope, and response frame. The service keeps its cumulative
+/// counters in plain atomics (plus the cache's own hit/miss/eviction
+/// counts) and records latency/per-phase durations into AtomicHistograms,
+/// each service its own, so an ELSt status frame
 /// (handleFrame/handleStatus) can snapshot a live, saturated daemon
 /// without touching the metrics-isolation lock, the sharded registries,
 /// or admission control — scrapes never block behind an edit and never
@@ -214,18 +216,16 @@ public:
   AnalysisCache::Stats cacheStats() const { return Cache.stats(); }
 
 private:
-  /// Cumulative counters mirrored into plain atomics so the scrape path
-  /// reads them without the sharded StatRegistry's quiescence contract.
-  /// The registry keeps its serve.* names too (envelope counters and
-  /// MetricsScope exemption are registry features); these are the
-  /// always-consistent operational view.
+  friend struct ServeTestAccess; ///< Tests park requests on MetricsM.
+
+  /// The service's cumulative counters: the one source for both the scrape
+  /// and WantMetrics envelopes. Plain atomics, so either reads them
+  /// without the sharded registries' quiescence contract.
   struct ServiceCounters {
     std::atomic<uint64_t> Requests{0};
     std::atomic<uint64_t> Ok{0};
     std::atomic<uint64_t> Rejected{0};
     std::atomic<uint64_t> Errors{0};
-    std::atomic<uint64_t> CacheHits{0};
-    std::atomic<uint64_t> CacheMisses{0};
     std::atomic<uint64_t> StatusRequests{0};
     std::atomic<uint64_t> SlowCaptured{0};
   };
@@ -246,16 +246,20 @@ private:
   std::string statusJson(const StatusRequest &Req);
   /// Renders the Prometheus text snapshot.
   std::string statusPrometheus();
+  /// The seven cumulative `serve.*` counters (requests, ok, rejected,
+  /// errors, cache hits/misses/evictions), read from the atomics and
+  /// \p CS. Envelopes and the Prometheus scrape both render these.
+  std::vector<std::pair<std::string, uint64_t>>
+  cumulativeCounters(const AnalysisCache::Stats &CS) const;
 
   ServeLimits Limits;
   AnalysisCache Cache;
   ThreadPool Pool;
   std::atomic<unsigned> InFlight{0};
-  /// Metrics-isolation lock: WantMetrics requests hold it exclusively
-  /// (their MetricsScope resets the registries, which tolerates no
-  /// concurrent recorders), all other requests hold it shared — including
-  /// the admission-path serve.* counter bumps, which would otherwise race
-  /// the scope's registry reset (the PR 10 metrics-scope gap fix).
+  /// Metrics-isolation lock around runPipeline: WantMetrics requests hold
+  /// it exclusively (their MetricsScope resets the registries, which
+  /// tolerates no concurrent recorders), all other requests hold it
+  /// shared. Admission and scrapes touch no registry and never take it.
   std::shared_mutex MetricsM;
 
   ServiceCounters Counters;

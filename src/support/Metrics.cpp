@@ -145,19 +145,10 @@ void HistogramRegistry::resetAll() {
       C = Cell{};
 }
 
-void HistogramRegistry::resetAllExcept(const std::string &ExemptPrefix) {
-  std::lock_guard<std::mutex> Lock(M);
-  for (const auto &Shard : Shards)
-    for (auto &[Name, C] : Shard->Cells)
-      if (ExemptPrefix.empty() ||
-          Name.compare(0, ExemptPrefix.size(), ExemptPrefix) != 0)
-        C = Cell{};
-}
-
-MetricsScope::MetricsScope(const std::string &ExemptPrefix, bool EnableTrace)
+MetricsScope::MetricsScope(bool EnableTrace)
     : TraceWasEnabled(traceEnabled()) {
-  StatRegistry::instance().resetAllExcept(ExemptPrefix);
-  HistogramRegistry::instance().resetAllExcept(ExemptPrefix);
+  StatRegistry::instance().resetAll();
+  HistogramRegistry::instance().resetAll();
   TraceCollector::instance().reset();
   traceSetEnabled(EnableTrace);
 }

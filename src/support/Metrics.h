@@ -6,9 +6,9 @@
 ///
 /// \file
 /// Deterministic log-bucketed histograms extending the StatRegistry counter
-/// model: per-routine CFG-build latency, block/instruction counts per
-/// routine, scavenge spill rates. Sharded per thread exactly like
-/// StatRegistry (lock-free hot path, merge at quiescent points).
+/// model: block/instruction counts per routine, layout words per routine,
+/// scavenge spill rates. Sharded per thread exactly like StatRegistry
+/// (lock-free hot path, merge at quiescent points).
 ///
 /// Bucketing is power-of-two: value v lands in bucket std::bit_width(v)
 /// (v == 0 in bucket 0), i.e. bucket i >= 1 covers [2^(i-1), 2^i). With 64
@@ -16,9 +16,9 @@
 /// uint64_t with no configuration. Because the bucket of a sample depends
 /// only on its value, and the pipeline records the same per-routine sample
 /// set whatever the schedule, merged bucket counts, sums, and min/max are
-/// bit-identical across thread counts. The exception is wall-clock-valued
-/// histograms (names under time.*), which are exempt just like time.*
-/// counters; determinism comparisons filter them out.
+/// bit-identical across thread counts. No registry histogram holds a
+/// duration: phase time comes from trace spans, and eel-serve keeps its
+/// latencies in its own AtomicHistograms.
 ///
 /// Exporters: metricsJson() (embedded in run reports) and
 /// metricsPrometheus() (text exposition format with cumulative
@@ -150,11 +150,6 @@ public:
   /// pointers must stay valid).
   void resetAll();
 
-  /// Like resetAll(), but histograms whose name starts with
-  /// \p ExemptPrefix keep their contents (cumulative service histograms
-  /// such as `serve.latency_us`). An empty prefix exempts nothing.
-  void resetAllExcept(const std::string &ExemptPrefix);
-
 private:
   struct Cell {
     uint64_t Count = 0;
@@ -184,9 +179,10 @@ inline void bumpHistogram(const std::string &Name, uint64_t Value) {
 /// accumulate for the life of the process — correct for one-shot tools,
 /// but in a daemon the second request's envelope would contain the first
 /// request's counters, histogram samples, and trace spans. Constructing a
-/// MetricsScope at the start of a request resets all three, EXCEPT names
-/// under \p ExemptPrefix (cumulative service counters like `serve.*`),
-/// so metrics captured inside the scope cover exactly the enclosed work.
+/// MetricsScope at the start of a request resets all three, so metrics
+/// captured inside the scope cover exactly the enclosed work. Nothing is
+/// exempt: eel-serve's cumulative counters live in the service itself,
+/// not in the registries.
 ///
 /// The scope also owns the trace gate for its lifetime: pass
 /// \p EnableTrace true to record spans for this request, and destruction
@@ -198,8 +194,7 @@ inline void bumpHistogram(const std::string &Name, uint64_t Value) {
 /// lock exclusively around isolated requests).
 class MetricsScope {
 public:
-  explicit MetricsScope(const std::string &ExemptPrefix,
-                        bool EnableTrace = false);
+  explicit MetricsScope(bool EnableTrace = false);
   ~MetricsScope();
 
   MetricsScope(const MetricsScope &) = delete;

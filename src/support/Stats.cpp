@@ -56,15 +56,6 @@ void StatRegistry::resetAll() {
       Entry.second = 0;
 }
 
-void StatRegistry::resetAllExcept(const std::string &ExemptPrefix) {
-  std::lock_guard<std::mutex> Lock(M);
-  for (const auto &Shard : Shards)
-    for (auto &Entry : Shard->Counters)
-      if (ExemptPrefix.empty() ||
-          Entry.first.compare(0, ExemptPrefix.size(), ExemptPrefix) != 0)
-        Entry.second = 0;
-}
-
 std::vector<std::pair<std::string, uint64_t>> StatRegistry::snapshot() const {
   std::lock_guard<std::mutex> Lock(M);
   std::map<std::string, uint64_t> Merged;

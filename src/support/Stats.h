@@ -18,15 +18,15 @@
 /// with every worker's writes). Because merging sums per-thread deltas,
 /// totals are deterministic regardless of thread count or schedule.
 ///
-/// `time.*` counters hold wall-clock phase timings and are exempt from the
-/// determinism guarantee — filter them out when comparing snapshots.
+/// Every counter is a count of work, never a duration: phase time comes
+/// only from trace spans (support/Trace.h), so whole snapshots compare
+/// equal across thread counts with no exempt names.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EEL_SUPPORT_STATS_H
 #define EEL_SUPPORT_STATS_H
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -59,13 +59,6 @@ public:
   /// points only.
   void resetAll();
 
-  /// Like resetAll(), but counters whose name starts with \p ExemptPrefix
-  /// keep their values. Long-lived processes (eel-serve) reset per-request
-  /// pipeline counters between requests while their cumulative service
-  /// counters (`serve.*`) keep accumulating. An empty prefix exempts
-  /// nothing. Call from quiescent points only.
-  void resetAllExcept(const std::string &ExemptPrefix);
-
   /// Merged snapshot of all counters, sorted by name so the result is
   /// identical whatever thread count produced it. Call from quiescent
   /// points only.
@@ -87,30 +80,6 @@ private:
 inline void bumpStat(const std::string &Name, uint64_t Delta = 1) {
   StatRegistry::instance().counter(Name) += Delta;
 }
-
-/// Accumulates the enclosing scope's wall-clock duration, in microseconds,
-/// into the named counter on destruction. Used for the per-phase pipeline
-/// timers (time.cfg_build_us, time.liveness_us, time.layout_us); being
-/// wall-clock, these are excluded from determinism comparisons.
-class ScopedStatTimer {
-public:
-  explicit ScopedStatTimer(const char *Name)
-      : Name(Name), Start(std::chrono::steady_clock::now()) {}
-  ~ScopedStatTimer() {
-    auto Elapsed = std::chrono::steady_clock::now() - Start;
-    bumpStat(Name, static_cast<uint64_t>(
-                       std::chrono::duration_cast<std::chrono::microseconds>(
-                           Elapsed)
-                           .count()));
-  }
-
-  ScopedStatTimer(const ScopedStatTimer &) = delete;
-  ScopedStatTimer &operator=(const ScopedStatTimer &) = delete;
-
-private:
-  const char *Name;
-  std::chrono::steady_clock::time_point Start;
-};
 
 } // namespace eel
 

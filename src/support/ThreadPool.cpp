@@ -162,7 +162,13 @@ void ThreadPool::runTask(std::function<void()> &Task) {
   CurrentTaskPool = this;
   Task();
   CurrentTaskPool = Prev;
-  PendingTasks.fetch_sub(1, std::memory_order_release);
+  {
+    // Under WakeM: a saturated submitter checks PendingTasks and then
+    // blocks without a timeout while holding WakeM, so a decrement and
+    // notify landing between the two would be a lost wake-up.
+    std::lock_guard<std::mutex> Lock(WakeM);
+    PendingTasks.fetch_sub(1, std::memory_order_release);
+  }
   WakeCV.notify_all(); // a waiter may be blocked on this completion
 }
 

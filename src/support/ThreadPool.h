@@ -21,9 +21,9 @@
 ///
 /// Determinism contract: parallelForEach runs the body exactly once per
 /// index, and its return synchronizes-with every body invocation. Callers
-/// that want results identical to the serial path write into per-index
-/// slots and merge in index order afterwards; the schedule is the only
-/// thing that varies between runs.
+/// that want results identical at every width write into per-index slots
+/// and merge in index order afterwards; the schedule is the only thing
+/// that varies between runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,9 +137,9 @@ private:
 
 /// Runs Body(0), ..., Body(N-1), fanning out across \p Threads
 /// participants (the calling thread included). Threads <= 1 or N <= 1 runs
-/// inline in index order — the legacy serial path, kept as the reference
-/// oracle. Indices are handed out dynamically (self-balancing), each runs
-/// exactly once, and all invocations happen-before the return.
+/// inline in index order, on the calling thread. Indices are handed out
+/// dynamically (self-balancing), each runs exactly once, and all
+/// invocations happen-before the return.
 void parallelForEach(unsigned Threads, size_t N,
                      const std::function<void(size_t)> &Body);
 

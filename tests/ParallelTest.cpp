@@ -6,11 +6,11 @@
 ///
 /// \file
 /// The parallel editing pipeline's contract is bit-identical output: for any
-/// Threads setting, the edited image and the (non-time.*) statistics must
-/// equal what the legacy serial path (Threads = 1) produces. These tests run
-/// the full pipeline — readContents, deterministic edits, and
-/// writeEditedExecutable — at Threads = 1 and Threads = 8 over SRISC and
-/// MRISC workloads, including the DisableSlicing / DisableDelayFolding
+/// Threads setting, the edited image and the full statistics snapshot must
+/// equal what Threads = 1 (the same schedule, run inline) produces. These
+/// tests run the full pipeline — readContents, deterministic edits, and
+/// writeEditedExecutable — at Threads = 1 and Threads = 8 over SRISC, MRISC
+/// and ARISC workloads, including the DisableSlicing / DisableDelayFolding
 /// ablations, and compare byte-for-byte. Also unit-tests the thread pool's
 /// parallelForEach (exactly-once coverage, nesting).
 ///
@@ -167,7 +167,7 @@ TEST(ThreadPoolTest, ShardedStatsMergeAcrossThreads) {
 struct PipelineResult {
   std::vector<uint8_t> Bytes; ///< Serialized edited image.
   Executable::EditStats Stats;
-  std::vector<std::pair<std::string, uint64_t>> Counters; ///< Sans time.*.
+  std::vector<std::pair<std::string, uint64_t>> Counters; ///< Full snapshot.
   SxfFile EditedFile;
   SxfFile OriginalFile;
 };
@@ -219,9 +219,7 @@ PipelineResult runPipeline(TargetArch Arch, const WorkloadOptions &WOpts,
   Result.EditedFile = Edited.takeValue();
   Result.Bytes = Result.EditedFile.serialize();
   Result.Stats = Exec.editStats();
-  for (auto &Entry : StatRegistry::instance().snapshot())
-    if (Entry.first.rfind("time.", 0) != 0) // wall-clock: schedule-dependent
-      Result.Counters.push_back(std::move(Entry));
+  Result.Counters = StatRegistry::instance().snapshot();
   return Result;
 }
 

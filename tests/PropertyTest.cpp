@@ -34,16 +34,30 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace eel;
 
 namespace {
 
+/// gtest names each case by printing the parameter's bytes, so the struct
+/// has no padding: the zeroed filler fields keep every byte defined and
+/// the ctest names identical from run to run and build to build.
 struct SweepParam {
+  SweepParam(TargetArch Arch, uint64_t Seed, unsigned TailCallPercent,
+             bool Pathologies)
+      : Arch(Arch), Seed(Seed), TailCallPercent(TailCallPercent),
+        Pathologies(Pathologies) {}
+
   TargetArch Arch;
+  uint8_t Fill0[7] = {};
   uint64_t Seed;
   unsigned TailCallPercent;
   bool Pathologies;
+  uint8_t Fill1[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<SweepParam>,
+              "SweepParam must have no padding bytes");
 
 std::string paramName(const testing::TestParamInfo<SweepParam> &Info) {
   const SweepParam &P = Info.param;

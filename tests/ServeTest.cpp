@@ -22,7 +22,6 @@
 #include "serve/Serve.h"
 #include "support/Json.h"
 #include "support/Rng.h"
-#include "support/Stats.h"
 #include "tools/Qpt.h"
 #include "vm/Machine.h"
 #include "workload/Generator.h"
@@ -31,8 +30,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <shared_mutex>
 #include <thread>
 #include <vector>
+
+namespace eel {
+
+/// Befriended by EditService: lets a test hold the metrics lock so an
+/// admitted request waits in process() for as long as the test needs.
+struct ServeTestAccess {
+  static std::shared_mutex &metricsLock(EditService &S) { return S.MetricsM; }
+};
+
+} // namespace eel
 
 using namespace eel;
 
@@ -323,30 +334,41 @@ TEST(ServeAdmission, SaturationRejectsWithRetryableCode) {
   ServeLimits Limits;
   Limits.MaxInFlight = 1;
   EditService Service(Limits);
-  // A large image keeps the admitted request in flight long enough for
-  // the probe below to observe saturation; retry a few times in case the
-  // blocker finishes early on a fast machine.
-  std::vector<uint8_t> Big = makeImage(6, /*Routines=*/40);
+  // Park the admitted blocker on purpose: with the metrics lock held
+  // exclusively here, it takes the one in-flight slot and then waits in
+  // process() until the lock is released.
+  std::unique_lock<std::shared_mutex> Park(
+      ServeTestAccess::metricsLock(Service));
+  std::thread Blocker([&] {
+    ServeResponse R = Service.handle(makeRequest(makeImage(6, 4)));
+    EXPECT_EQ(R.Status, ServeStatus::Ok);
+  });
+  // The public scrape shows when the blocker holds the slot.
+  auto InFlight = [&] {
+    Expected<JsonValue> Doc =
+        parseJson(Service.handleStatus(StatusRequest{}).Body);
+    EXPECT_TRUE(Doc.hasValue());
+    return Doc.hasValue() ? summaryField(Doc.value(), "in_flight")->asNumber()
+                          : -1.0;
+  };
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  bool Parked = false;
+  while (!(Parked = InFlight() == 1.0) &&
+         std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::yield();
+  EXPECT_TRUE(Parked) << "the blocker never took the in-flight slot";
+
   bool SawRejection = false;
-  for (int Attempt = 0; Attempt < 3 && !SawRejection; ++Attempt) {
-    std::atomic<bool> Started{false};
-    std::thread Blocker([&] {
-      Started.store(true, std::memory_order_release);
-      ServeResponse R = Service.handle(makeRequest(Big));
-      EXPECT_EQ(R.Status, ServeStatus::Ok);
-    });
-    while (!Started.load(std::memory_order_acquire))
-      std::this_thread::yield();
-    for (int Probe = 0; Probe < 200 && !SawRejection; ++Probe) {
-      ServeResponse R = Service.handle(makeRequest(makeImage(7, 4)));
-      if (R.Status == ServeStatus::Rejected) {
-        EXPECT_EQ(summaryField(parseEnvelope(R), "error_code")->Str,
-                  "server_saturated");
-        SawRejection = true;
-      }
+  if (Parked) {
+    ServeResponse Probe = Service.handle(makeRequest(makeImage(7, 4)));
+    SawRejection = Probe.Status == ServeStatus::Rejected;
+    if (SawRejection) {
+      EXPECT_EQ(summaryField(parseEnvelope(Probe), "error_code")->Str,
+                "server_saturated");
     }
-    Blocker.join();
   }
+  Park.unlock();
+  Blocker.join();
   EXPECT_TRUE(SawRejection);
 }
 
@@ -409,11 +431,10 @@ TEST(ServeConcurrency, ThreadCountDoesNotChangeOutput) {
 // --- Per-request metrics isolation ------------------------------------------
 
 TEST(ServeMetrics, BackToBackEnvelopesAreIsolated) {
-  // Satellite 3: with caching disabled both requests run the identical
-  // cold pipeline, so their envelope counters must match exactly — a
-  // second envelope with doubled pipeline counters means the first
-  // request's metrics leaked through. Cumulative serve.* counters are
-  // exempt and must keep growing.
+  // With caching disabled both requests run the identical cold pipeline,
+  // so their envelope counters must match exactly — a second envelope
+  // with doubled pipeline counters means the first request's metrics
+  // leaked through. Cumulative serve.* counters must keep growing.
   ServeLimits Limits;
   Limits.CacheCapacity = 0;
   EditService Service(Limits);
@@ -434,8 +455,6 @@ TEST(ServeMetrics, BackToBackEnvelopesAreIsolated) {
   ASSERT_TRUE(C1->isObject());
   unsigned PipelineCountersCompared = 0;
   for (const auto &[Name, Value] : C1->Obj) {
-    if (Name.rfind("time.", 0) == 0) // Wall-clock: exempt by contract.
-      continue;
     const JsonValue *Other = C2->find(Name);
     ASSERT_NE(Other, nullptr) << Name;
     if (Name.rfind("serve.", 0) == 0) {
@@ -828,16 +847,11 @@ TEST(ServeSlow, ThresholdZeroCapturesNothing) {
 // --- Metrics-scope gap regression -------------------------------------------
 
 TEST(ServeMetrics, CumulativeCountersSurviveScopedRequests) {
-  // Regression for the PR 10 gap: cache evictions and admission
-  // rejections that land *while a WantMetrics request's scope is live*
-  // must still be visible in the cumulative registry afterwards. With a
-  // capacity-1 cache, back-to-back scoped requests for two images evict
+  // Cache evictions and admission rejections that land *while a
+  // WantMetrics request's scope is live* must still be counted: the scope
+  // resets the registries, and serve.* counters live in the service. With
+  // a capacity-1 cache, back-to-back scoped requests for two images evict
   // each other; a rejection rides along.
-  //
-  // serve.* counters are process-global and never reset by MetricsScope
-  // (that is the property under test), so clear them here to isolate
-  // this test from earlier suite activity.
-  StatRegistry::instance().resetAll();
   ServeLimits Limits;
   Limits.CacheCapacity = 1;
   EditService Service(Limits);
@@ -853,9 +867,8 @@ TEST(ServeMetrics, CumulativeCountersSurviveScopedRequests) {
   ASSERT_EQ(Service.handle(makeRequest(Image1, "qpt:nope")).Status,
             ServeStatus::Rejected);
 
-  // Read the cumulative registry through a final scoped envelope: serve.*
-  // names are exempt from the scope reset, so everything above must still
-  // be there.
+  // Read the cumulative counters through a final scoped envelope:
+  // everything above must still be there.
   ServeRequest Last = makeRequest(Image2);
   Last.WantMetrics = true;
   ServeResponse R = Service.handle(Last);
@@ -864,7 +877,7 @@ TEST(ServeMetrics, CumulativeCountersSurviveScopedRequests) {
   const JsonValue *Counters = Envelope.find("counters");
   ASSERT_NE(Counters, nullptr);
   const JsonValue *Evictions = Counters->find("serve.cache_evictions");
-  ASSERT_NE(Evictions, nullptr) << "evictions never reached the registry";
+  ASSERT_NE(Evictions, nullptr) << "evictions missing from the envelope";
   EXPECT_GE(Evictions->asNumber(), 3.0);
   const JsonValue *Rejected = Counters->find("serve.rejected");
   ASSERT_NE(Rejected, nullptr);
@@ -880,4 +893,43 @@ TEST(ServeMetrics, CumulativeCountersSurviveScopedRequests) {
   const JsonValue *Summary = Doc.value().find("summary");
   EXPECT_EQ(Summary->find("counters")->find("requests")->asNumber(), 6.0);
   EXPECT_GE(Summary->find("cache")->find("evictions")->asNumber(), 3.0);
+}
+
+TEST(ServeMetrics, EachServiceReportsItsOwnCounters) {
+  // serve.* counters belong to a service, not to the process: two services
+  // side by side each report their own request count in WantMetrics
+  // envelopes, and every envelope agrees with that service's scrape.
+  EditService A(ServeLimits{});
+  EditService B(ServeLimits{});
+  std::vector<uint8_t> Image = makeImage(52, 6);
+  auto envelopeRequests = [&](EditService &S) {
+    ServeRequest Req = makeRequest(Image);
+    Req.WantMetrics = true;
+    ServeResponse R = S.handle(Req);
+    EXPECT_EQ(R.Status, ServeStatus::Ok);
+    JsonValue Envelope = parseEnvelope(R);
+    const JsonValue *N = Envelope.find("counters")->find("serve.requests");
+    return N ? N->asNumber() : -1.0;
+  };
+  auto scrapeRequests = [](EditService &S) {
+    StatusRequest Prom;
+    Prom.Format = StatusFormat::Prometheus;
+    std::string Body = S.handleStatus(Prom).Body;
+    std::string Key = "serve_requests ";
+    size_t At = Body.find("\n" + Key);
+    EXPECT_NE(At, std::string::npos) << Body;
+    return At == std::string::npos
+               ? -1.0
+               : std::stod(Body.substr(At + 1 + Key.size()));
+  };
+
+  ASSERT_EQ(A.handle(makeRequest(Image)).Status, ServeStatus::Ok);
+  ASSERT_EQ(A.handle(makeRequest(Image, "qpt:nope")).Status,
+            ServeStatus::Rejected);
+  EXPECT_EQ(envelopeRequests(A), 3.0);
+  EXPECT_EQ(scrapeRequests(A), 3.0);
+  EXPECT_EQ(envelopeRequests(B), 1.0);
+  EXPECT_EQ(scrapeRequests(B), 1.0);
+  EXPECT_EQ(envelopeRequests(A), 4.0);
+  EXPECT_EQ(scrapeRequests(A), 4.0);
 }

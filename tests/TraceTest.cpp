@@ -8,11 +8,12 @@
 /// Tests for the tracing/metrics/report stack (label: obs):
 ///
 ///  * histogram bucketing boundaries and the value-keyed determinism
-///    guarantee — counter and histogram snapshots from the same pipeline
-///    are bit-identical at 1 and 8 worker threads (time.* excluded, the
-///    documented wall-clock exemption);
-///  * the span-name multiset is thread-count-deterministic too (pool.*
-///    spans excluded — worker occupancy is schedule-dependent by design);
+///    guarantee — full counter and histogram snapshots from the same
+///    pipeline are bit-identical at 1 and 8 worker threads;
+///  * the span-name multiset is thread-count-deterministic too (only
+///    pool.worker spans excluded — worker occupancy is schedule-dependent
+///    by design), and both widths run the same "analyze" phase, so layout
+///    never builds an analysis lazily;
 ///  * exported Chrome trace JSON and eel-report JSON parse with the strict
 ///    in-tree parser and are dump/parse round-trip fixpoints;
 ///  * disabled-mode tracing records nothing and creates no ring buffers;
@@ -41,6 +42,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -96,12 +98,8 @@ PipelineArtifacts runTracedPipeline(unsigned Threads) {
   return Out;
 }
 
-bool isWallClockName(const std::string &Name) {
-  return Name.rfind("time.", 0) == 0;
-}
-
 bool isScheduleDependentSpan(const std::string &Name) {
-  return Name.rfind("pool.", 0) == 0;
+  return Name == "pool.worker";
 }
 
 } // namespace
@@ -161,28 +159,13 @@ TEST(Determinism, SnapshotsIdenticalAcrossThreadCounts) {
   PipelineArtifacts Serial = runTracedPipeline(1);
   PipelineArtifacts Parallel = runTracedPipeline(8);
 
-  // Counters: bit-identical, wall-clock timers excluded.
-  auto filterCounters =
-      [](const std::vector<std::pair<std::string, uint64_t>> &In) {
-        std::vector<std::pair<std::string, uint64_t>> Out;
-        for (const auto &C : In)
-          if (!isWallClockName(C.first))
-            Out.push_back(C);
-        return Out;
-      };
-  EXPECT_EQ(filterCounters(Serial.Counters), filterCounters(Parallel.Counters));
+  // Counters: the full snapshots are bit-identical; no name is exempt.
+  EXPECT_EQ(Serial.Counters, Parallel.Counters);
 
   // Histograms: same set of names, and every field of every snapshot
   // matches, bucket by bucket.
-  auto filterHists = [](const std::vector<HistogramSnapshot> &In) {
-    std::vector<HistogramSnapshot> Out;
-    for (const HistogramSnapshot &H : In)
-      if (!isWallClockName(H.Name))
-        Out.push_back(H);
-    return Out;
-  };
-  std::vector<HistogramSnapshot> A = filterHists(Serial.Histograms);
-  std::vector<HistogramSnapshot> B = filterHists(Parallel.Histograms);
+  const std::vector<HistogramSnapshot> &A = Serial.Histograms;
+  const std::vector<HistogramSnapshot> &B = Parallel.Histograms;
   ASSERT_EQ(A.size(), B.size());
   EXPECT_GE(A.size(), 3u); // the acceptance floor: >= 3 histograms populated
   for (size_t I = 0; I < A.size(); ++I) {
@@ -215,12 +198,61 @@ TEST(Determinism, SpanNamesIdenticalAcrossThreadCounts) {
     return Out;
   };
   EXPECT_EQ(names(Serial.Spans), names(Parallel.Spans));
+  EXPECT_GT(names(Serial.Spans).count("analyze"), 0u);
+  EXPECT_GT(names(Parallel.Spans).count("analyze"), 0u);
 
   // Every span is well-formed: end >= start, and nothing was dropped on a
   // workload this small.
   for (const TraceEvent &Ev : Serial.Spans)
     EXPECT_GE(Ev.EndNs, Ev.StartNs);
   EXPECT_EQ(TraceCollector::instance().droppedCount(), 0u);
+}
+
+TEST(Determinism, LayoutBuildsNoAnalysisAtAnyWidth) {
+  // readContents() runs the per-routine analyses at every width, so the
+  // write path only reads cached CFGs, slices, and liveness: no analysis
+  // span may open inside a layout_routine span, at 1 thread or at 4.
+  WorkloadOptions WOpts;
+  WOpts.Seed = 12;
+  WOpts.Routines = 16;
+  WOpts.SwitchPercent = 35;
+  WOpts.TailCallPercent = 10;
+  SxfFile File = generateWorkload(TargetArch::Srisc, WOpts);
+  for (unsigned Threads : {1u, 4u}) {
+    TraceCollector::instance().reset();
+    Executable::Options EOpts;
+    EOpts.Threads = Threads;
+    EOpts.Trace = true;
+    Executable Exec(SxfFile(File), EOpts);
+    ASSERT_FALSE(Exec.readContents().hasError());
+    ASSERT_FALSE(Exec.writeEditedExecutable().hasError());
+    traceSetEnabled(false);
+    std::vector<TraceEvent> Spans = TraceCollector::instance().drain();
+
+    auto isAnalysis = [](const TraceEvent &Ev) {
+      std::string_view Name = Ev.Name;
+      return Name == "cfg_build" || Name == "liveness" ||
+             Name == "slice.resolve_indirect";
+    };
+    std::vector<const TraceEvent *> Layouts;
+    unsigned Analyses = 0;
+    for (const TraceEvent &Ev : Spans) {
+      if (std::string_view(Ev.Name) == "layout_routine")
+        Layouts.push_back(&Ev);
+      Analyses += isAnalysis(Ev);
+    }
+    ASSERT_FALSE(Layouts.empty()) << Threads << " threads";
+    ASSERT_GT(Analyses, 0u) << Threads << " threads";
+    for (const TraceEvent &Ev : Spans) {
+      if (!isAnalysis(Ev))
+        continue;
+      for (const TraceEvent *L : Layouts)
+        EXPECT_FALSE(L->Tid == Ev.Tid && L->StartNs <= Ev.StartNs &&
+                     Ev.EndNs <= L->EndNs)
+            << Ev.Name << " for routine " << Ev.Val0
+            << " ran inside layout_routine at " << Threads << " threads";
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
