@@ -96,7 +96,6 @@ SuiteStats analyzeSuite(bool Sunpro, unsigned Programs,
           break;
         }
       }
-      R->deleteControlFlowGraph();
     }
   }
   return Stats;
@@ -143,7 +142,7 @@ static void BM_BackwardSlice(benchmark::State &State) {
   }
   for (auto _ : State) {
     for (auto &[R, JumpAddr] : Sites) {
-      IndirectResolution Res = resolveIndirect(Exec, *R, JumpAddr);
+      IndirectResolution Res = resolveIndirect(Exec.analysis(), *R, JumpAddr);
       benchmark::DoNotOptimize(Res);
     }
   }

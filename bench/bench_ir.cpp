@@ -271,7 +271,7 @@ int main(int argc, char **argv) {
 
   uint64_t PoolArenaBytes = 0, OpPairs = 0, RowCount = 0;
   for (const AnalyzedFile &A : Suite) {
-    InstructionPool &Pool = A.Exec->pool();
+    InstructionPool &Pool = A.Exec->analysis().pool();
     PoolArenaBytes += Pool.arenaBytes();
     OpPairs += Pool.operands().size();
     for (const Cfg *G : A.Graphs)

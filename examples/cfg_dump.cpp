@@ -106,7 +106,7 @@ int main(int argc, char **argv) {
                 R->startAddr(), R->endAddr(), R->entryPoints().size(),
                 R->hidden() ? "yes" : "", R->isData() ? "yes" : "");
 
-  CallGraph CG = CallGraph::build(Exec);
+  CallGraph CG = CallGraph::build(Exec.analysis());
   std::printf("\ncall graph (callees per routine):\n");
   for (const CallGraph::Node &N : CG.nodes()) {
     if (N.Callees.empty())

@@ -52,7 +52,7 @@ void voteEntries(InferContext &Ctx) {
   // The program entry point and the first text address are always kept —
   // exactly the stage-2 seeds the naive stripped path used, so inference
   // degrades to it when no other rule fires.
-  Vote(Ctx.Exec.image().Entry, ImageEntryVote).IsImageEntry = true;
+  Vote(Ctx.An.image().Entry, ImageEntryVote).IsImageEntry = true;
   Vote(Ctx.TB, 1);
 
   for (Addr T : Ctx.CallTargets)
@@ -133,12 +133,12 @@ InferConfidence confidenceFor(const EntryFact &F, bool WeakOracle) {
 
 } // namespace
 
-InferResult eel::inferLayout(Executable &Exec, const InferOptions &Opts) {
+InferResult eel::inferLayout(Analysis &An, const InferOptions &Opts) {
   EEL_TRACE_SCOPE("infer");
 
-  InferContext Ctx(Exec);
-  Ctx.TB = Exec.textBase();
-  Ctx.TE = Exec.textEnd();
+  InferContext Ctx(An);
+  Ctx.TB = An.textBase();
+  Ctx.TE = An.textEnd();
   scanText(Ctx);          // R1 + R2, byte-level, fixed across rounds
   scanDataPointers(Ctx);  // R3, likewise
 
@@ -148,7 +148,7 @@ InferResult eel::inferLayout(Executable &Exec, const InferOptions &Opts) {
     voteEntries(Ctx);                                    // R5
     std::vector<Extent> Extents = partition(Ctx);
     computeReachable(Ctx);   // uses last round's Sites for indirect targets
-    Exec.InferredCells = computeCellConstancy(Ctx, Extents); // R4 (oracle)
+    An.InferredCells = computeCellConstancy(Ctx, Extents); // R4 (oracle)
     resolveSites(Ctx, Extents);                          // R6
     std::vector<uint64_t> FP = fingerprint(Ctx);
     if (FP == PrevFP)
@@ -162,7 +162,7 @@ InferResult eel::inferLayout(Executable &Exec, const InferOptions &Opts) {
       WeakOracle = true;
 
   InferResult Result;
-  Result.ConstantCells = Exec.InferredCells;
+  Result.ConstantCells = An.InferredCells;
   Result.Sites = std::move(Ctx.Sites);
   {
     std::vector<const EntryFact *> Sorted;
@@ -179,7 +179,7 @@ InferResult eel::inferLayout(Executable &Exec, const InferOptions &Opts) {
       InferredRoutine R;
       R.Lo = F.At;
       R.Hi = I + 1 < Sorted.size() ? Sorted[I + 1]->At : Ctx.TE;
-      if (F.At == Exec.image().Entry)
+      if (F.At == An.image().Entry)
         R.Name = "entry";
       else if (F.At == Ctx.TB)
         R.Name = "text_start";

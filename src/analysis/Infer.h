@@ -36,7 +36,7 @@
 ///                             votes back into R5.
 ///
 /// Rules repeat until the entry set and resolutions stop changing. The
-/// result seeds Executable::readContents in place of symbol refinement
+/// result seeds Analysis::readContents in place of symbol refinement
 /// stage 2; stages 3–4 (inter-routine entries, data detection, hidden
 /// tails) then run unchanged, so stripped images go down the same
 /// pipeline — CFG build, editing, verification — as symboled ones.
@@ -50,7 +50,7 @@
 
 namespace eel {
 
-class Executable;
+class Analysis;
 
 struct InferOptions {
   /// Fixpoint iteration cap; the rule set converges in 2–3 rounds on
@@ -68,11 +68,11 @@ struct InferResult {
   InferStats Stats;
 };
 
-/// Runs the fixpoint over \p Exec's text and data segments. Pure analysis:
+/// Runs the fixpoint over \p An's text and data segments. Pure analysis:
 /// reads the image, touches no routine state. Deterministic — serial by
 /// design, with every container ordered by address — so two runs (and any
 /// thread setting) produce identical results.
-InferResult inferLayout(Executable &Exec, const InferOptions &Opts = {});
+InferResult inferLayout(Analysis &An, const InferOptions &Opts = {});
 
 } // namespace eel
 

@@ -32,7 +32,7 @@ struct Extent {
 /// are computed once — they depend only on the image; the aliasing, entry,
 /// and resolution facts are recomputed every round of the fixpoint.
 struct InferContext {
-  Executable &Exec;
+  Analysis &An;
   Addr TB = 0; ///< Text segment [TB, TE).
   Addr TE = 0;
 
@@ -60,7 +60,7 @@ struct InferContext {
 
   InferStats Stats;
 
-  explicit InferContext(Executable &E) : Exec(E) {}
+  explicit InferContext(Analysis &E) : An(E) {}
 
   bool plausibleAt(Addr A) const {
     return A >= TB && A < TE && (A & 3) == 0 && Plausible[(A - TB) / 4];

@@ -24,16 +24,16 @@ using namespace eel;
 using namespace eel::infer;
 
 void infer::scanText(InferContext &Ctx) {
-  Executable &Exec = Ctx.Exec;
-  const unsigned SP = Exec.target().conventions().StackPointer;
-  const unsigned FP = Exec.target().conventions().FramePointer;
+  Analysis &An = Ctx.An;
+  const unsigned SP = An.target().conventions().StackPointer;
+  const unsigned FP = An.target().conventions().FramePointer;
   Ctx.Plausible.assign((Ctx.TE - Ctx.TB) / 4, false);
 
   for (Addr A = Ctx.TB; A + 4 <= Ctx.TE; A += 4) {
-    std::optional<MachWord> W = Exec.fetchWord(A);
+    std::optional<MachWord> W = An.fetchWord(A);
     if (!W)
       break;
-    const Instruction *I = Exec.pool().getAt(A, *W);
+    const Instruction *I = An.pool().getAt(A, *W);
     if (isa<InvalidInst>(I)) {
       ++Ctx.Stats.ImplausibleWords;
       continue; // R1: a data-in-text seed, never code
@@ -83,8 +83,8 @@ void infer::scanText(InferContext &Ctx) {
 }
 
 void infer::scanDataPointers(InferContext &Ctx) {
-  Executable &Exec = Ctx.Exec;
-  const SxfFile &Image = Exec.image();
+  Analysis &An = Ctx.An;
+  const SxfFile &Image = An.image();
 
   // A word-aligned value inside any initialized data segment could be a
   // table base (the mangled-dispatch idiom loads its base from memory).
@@ -106,8 +106,8 @@ void infer::scanDataPointers(InferContext &Ctx) {
     std::vector<bool> TextPtr(Words, false);
     for (size_t Idx = 0; Idx < Words; ++Idx) {
       Addr A = Seg.VAddr + static_cast<Addr>(4 * Idx);
-      std::optional<uint32_t> W = Exec.fetchWord(A);
-      if (W && Exec.isTextAddr(*W) && (*W & 3) == 0)
+      std::optional<uint32_t> W = An.fetchWord(A);
+      if (W && An.isTextAddr(*W) && (*W & 3) == 0)
         TextPtr[Idx] = true;
     }
     // Second pass: emit cell facts. Consecutive runs of two or more text
@@ -115,7 +115,7 @@ void infer::scanDataPointers(InferContext &Ctx) {
     // not routine entries.
     for (size_t Idx = 0; Idx < Words; ++Idx) {
       Addr A = Seg.VAddr + static_cast<Addr>(4 * Idx);
-      uint32_t W = *Exec.fetchWord(A);
+      uint32_t W = *An.fetchWord(A);
       CellFact F;
       F.Cell = A;
       F.Value = W;
@@ -140,7 +140,7 @@ void infer::scanDataPointers(InferContext &Ctx) {
 }
 
 void infer::computeReachable(InferContext &Ctx) {
-  Executable &Exec = Ctx.Exec;
+  Analysis &An = Ctx.An;
   Ctx.Reachable.assign((Ctx.TE - Ctx.TB) / 4, false);
   std::vector<Addr> Worklist;
   for (const auto &[A, F] : Ctx.Entries) {
@@ -163,10 +163,10 @@ void infer::computeReachable(InferContext &Ctx) {
     Worklist.pop_back();
     if (A < Ctx.TB || A + 4 > Ctx.TE || (A & 3) || Mark(A))
       continue;
-    std::optional<MachWord> W = Exec.fetchWord(A);
+    std::optional<MachWord> W = An.fetchWord(A);
     if (!W)
       continue;
-    const Instruction *I = Exec.pool().getAt(A, *W);
+    const Instruction *I = An.pool().getAt(A, *W);
     if (isa<InvalidInst>(I))
       continue; // an entry vote landed on data; the scan stops here
     if (!I->isControlTransfer()) {
@@ -217,7 +217,7 @@ void infer::computeReachable(InferContext &Ctx) {
 std::vector<std::pair<Addr, uint32_t>>
 infer::computeCellConstancy(InferContext &Ctx,
                             const std::vector<Extent> &Extents) {
-  Executable &Exec = Ctx.Exec;
+  Analysis &An = Ctx.An;
 
   // Classify every reachable non-stack store under the current partition:
   // slice its base within the extent containing it. One scratch routine
@@ -241,12 +241,12 @@ infer::computeCellConstancy(InferContext &Ctx,
       continue;
     }
     if (!Scratch || ScratchLo != Extents[ExtIdx].Lo) {
-      Scratch = std::make_unique<Routine>(Exec, "infer_scratch",
+      Scratch = std::make_unique<Routine>(An, "infer_scratch",
                                           Extents[ExtIdx].Lo,
                                           Extents[ExtIdx].Hi);
       ScratchLo = Extents[ExtIdx].Lo;
     }
-    if (std::optional<Addr> T = storeTargetAddr(Exec, *Scratch, F.At)) {
+    if (std::optional<Addr> T = storeTargetAddr(An, *Scratch, F.At)) {
       F.AddrKnown = true;
       F.Target = *T;
     } else if (F.Width == 4) {
@@ -285,7 +285,7 @@ infer::computeCellConstancy(InferContext &Ctx,
 
 void infer::resolveSites(InferContext &Ctx,
                          const std::vector<Extent> &Extents) {
-  Executable &Exec = Ctx.Exec;
+  Analysis &An = Ctx.An;
   Ctx.Sites.clear();
   Ctx.Tables.clear();
   Ctx.ResolutionTargets.clear();
@@ -299,20 +299,20 @@ void infer::resolveSites(InferContext &Ctx,
     if (ExtIdx >= Extents.size() || A < Extents[ExtIdx].Lo)
       continue;
     if (!Scratch || ScratchLo != Extents[ExtIdx].Lo) {
-      Scratch = std::make_unique<Routine>(Exec, "infer_scratch",
+      Scratch = std::make_unique<Routine>(An, "infer_scratch",
                                           Extents[ExtIdx].Lo,
                                           Extents[ExtIdx].Hi);
       ScratchLo = Extents[ExtIdx].Lo;
     }
-    IndirectResolution Res = resolveIndirect(Exec, *Scratch, A);
+    IndirectResolution Res = resolveIndirect(An, *Scratch, A);
     TableFact TF;
     TF.Jump = A;
-    TF.Evidence = tableEvidence(Exec, *Scratch, A);
+    TF.Evidence = tableEvidence(An, *Scratch, A);
     if (TF.Evidence.HasTable)
       Ctx.Tables.push_back(TF);
     if (Res.K == IndirectResolution::Kind::Literal) {
       Addr T = Res.Targets[0];
-      if (Exec.isTextAddr(T) && (T & 3) == 0)
+      if (An.isTextAddr(T) && (T & 3) == 0)
         Ctx.ResolutionTargets.insert(T);
     }
     Ctx.Sites.emplace(A, std::move(Res));

@@ -134,6 +134,14 @@ void RunReport::captureMetrics() {
   Histograms = HistogramRegistry::instance().snapshot();
 }
 
+void RunReport::captureMetrics(const MetricsSink &Sink) {
+  Counters = Sink.counters();
+  Histograms = Sink.histograms();
+  Phases = buildPhaseTree(Sink.spans());
+  DroppedSpans = Sink.droppedSpans();
+  HasPhases = true;
+}
+
 void RunReport::addCounters(
     const std::vector<std::pair<std::string, uint64_t>> &Extra) {
   Counters.insert(Counters.end(), Extra.begin(), Extra.end());

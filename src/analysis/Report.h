@@ -67,10 +67,11 @@ inline uint64_t optionsDigest(const Executable::Options &Opts) {
 
 /// Combined provenance key folding the image content hash, the tool-spec
 /// digest, and the options digest — in that fixed order — into one value.
-/// An edit-result or analysis cache MUST key on this (not the image hash
-/// alone): the image bytes say nothing about which tool edited them or
-/// which options shaped analysis and output, and a cache keyed on content
-/// alone serves stale results the moment either differs.
+/// An edit-result cache MUST key on this (not the image hash alone): the
+/// image bytes say nothing about which tool edited them or which options
+/// shaped analysis and output, and a cache keyed on content alone serves
+/// stale results the moment either differs. (eel-serve's analysis cache
+/// passes a zero tool digest: an analysis does not depend on the tool.)
 inline uint64_t provenanceKey(uint64_t ImageHash, uint64_t ToolDigest,
                               uint64_t OptsDigest) {
   uint64_t Parts[3] = {ImageHash, ToolDigest, OptsDigest};
@@ -127,6 +128,10 @@ public:
   /// Snapshots the global counter and histogram registries into the
   /// report. Call from a quiescent point after the instrumented work.
   void captureMetrics();
+
+  /// Takes one request's counters, histograms and phase tree from its
+  /// metrics sink (eel-serve's WantMetrics requests).
+  void captureMetrics(const MetricsSink &Sink);
 
   /// Adds counters kept outside the registries (eel-serve's cumulative
   /// service counters) to those captureMetrics() took; the rendered

@@ -246,7 +246,7 @@ runOverRoutines(Executable &Exec, unsigned Threads, const VerifyOptions &Opts,
 }
 
 unsigned resolveThreads(const Executable &Exec, const VerifyOptions &Opts) {
-  return Opts.Threads ? Opts.Threads : Exec.effectiveThreads();
+  return Opts.Threads ? Opts.Threads : Exec.analysis().effectiveThreads();
 }
 
 } // namespace
@@ -305,7 +305,7 @@ DiagnosticReport eel::verifyEdit(Executable &Exec, const SxfFile &Edited,
   std::unique_ptr<Executable> EditedExec;
   Addr TranslatorAddr = 0;
   if (Opts.CheckTranslation) {
-    Executable::Options ReOpts = Exec.options();
+    Executable::Options ReOpts = Exec.analysis().options();
     ReOpts.Threads = resolveThreads(Exec, Opts);
     ReOpts.Verify = false;
     Expected<std::unique_ptr<Executable>> Reopened =

@@ -51,8 +51,9 @@ std::string regList(const TargetInfo &Target, const RegSet &Set) {
 /// writeEditedExecutable() gate.
 class TouchedBlocks {
 public:
-  explicit TouchedBlocks(const Cfg &G) : Bits(G.blocks().size(), false) {
-    for (const Edit &E : G.edits()) {
+  TouchedBlocks(const Executable &Exec, const Cfg &G)
+      : Bits(G.blocks().size(), false) {
+    for (const Edit &E : Exec.edits(G)) {
       if (E.Block)
         Bits[E.Block->id()] = true;
       if (E.E) {
@@ -83,6 +84,14 @@ const Edge *succOfKind(const BasicBlock *B, EdgeKind K) {
   return nullptr;
 }
 
+/// The successor edge of \p B along a Taken or UncondJump path: the edge
+/// of kind \p K, or the ExitInterJump that ends the path when its target
+/// lies outside the routine.
+const Edge *pathSucc(const BasicBlock *B, EdgeKind K) {
+  const Edge *E = succOfKind(B, K);
+  return E ? E : succOfKind(B, EdgeKind::ExitInterJump);
+}
+
 } // namespace
 
 bool eel::verify::isVerbatimRoutine(Executable &Exec, Routine &R) {
@@ -91,8 +100,8 @@ bool eel::verify::isVerbatimRoutine(Executable &Exec, Routine &R) {
   Cfg *G = R.controlFlowGraph();
   if (!G)
     return true;
-  return G->unsupported() ||
-         (!G->complete() && !Exec.options().EnableRuntimeTranslation);
+  bool Translate = Exec.analysis().options().EnableRuntimeTranslation;
+  return G->unsupported() || (!G->complete() && !Translate);
 }
 
 //===----------------------------------------------------------------------===//
@@ -230,10 +239,10 @@ void eel::verify::checkCfgWellFormed(RoutineCheckContext &Ctx) {
             EdgeKind K = Term->kind() == InstKind::Branch
                              ? EdgeKind::Taken
                              : EdgeKind::UncondJump;
-            const Edge *First = succOfKind(B, K);
+            const Edge *First = pathSucc(B, K);
             const BasicBlock *Reached = First ? First->dst() : nullptr;
             if (Reached && Reached->kind() == BlockKind::DelaySlot) {
-              const Edge *Second = succOfKind(Reached, K);
+              const Edge *Second = pathSucc(Reached, K);
               Reached = Second ? Second->dst() : nullptr;
             }
             if (Reached && Reached->kind() == BlockKind::Normal &&
@@ -291,6 +300,19 @@ void eel::verify::checkCfgWellFormed(RoutineCheckContext &Ctx) {
       if (!B->succ().empty())
         Ctx.diag(VerifyPass::CfgWellFormed, DiagSeverity::Error, Id,
                  B->anchor(), true, "exit block with successors");
+      // Control reaches Exit only by returning or by leaving the routine,
+      // and liveness reads the edge kind to decide which registers the
+      // caller (or the transfer's target) may still read.
+      for (const Edge *E : B->pred()) {
+        Ctx.check();
+        EdgeKind K = E->kind();
+        if (K != EdgeKind::ExitReturn && K != EdgeKind::ExitInterJump &&
+            K != EdgeKind::ExitUnresolved)
+          Ctx.diag(VerifyPass::CfgWellFormed, DiagSeverity::Error,
+                   static_cast<int>(E->src()->id()), E->src()->anchor(), true,
+                   "edge into the exit block is neither a return nor an "
+                   "exit transfer");
+      }
       break;
     }
   }
@@ -381,7 +403,7 @@ void eel::verify::checkDelaySlotsIR(RoutineCheckContext &Ctx) {
       // Taken path always executes the delay instruction (Figure 3) — and
       // on a machine without delay slots must not carry one at all.
       const BasicBlock *TakenD =
-          expectDelayPath(Ctx, B, succOfKind(B, EdgeKind::Taken),
+          expectDelayPath(Ctx, B, pathSucc(B, EdgeKind::Taken),
                           /*WantDelay=*/HasDelay, DelayAddr, "taken");
       (void)TakenD;
       // Not-taken path: executes it only when not annulled.
@@ -397,7 +419,7 @@ void eel::verify::checkDelaySlotsIR(RoutineCheckContext &Ctx) {
                      " instead of " + hex(FallAddr));
       // Duplicated copies must duplicate the same instruction.
       if (HasDelay && Delay == DelayBehavior::Always) {
-        const Edge *TE = succOfKind(B, EdgeKind::Taken);
+        const Edge *TE = pathSucc(B, EdgeKind::Taken);
         const Edge *FE = succOfKind(B, EdgeKind::NotTaken);
         if (TE && FE && TE->dst()->kind() == BlockKind::DelaySlot &&
             FE->dst()->kind() == BlockKind::DelaySlot &&
@@ -412,7 +434,7 @@ void eel::verify::checkDelaySlotsIR(RoutineCheckContext &Ctx) {
     }
     case InstKind::Jump: {
       Ctx.check();
-      expectDelayPath(Ctx, B, succOfKind(B, EdgeKind::UncondJump),
+      expectDelayPath(Ctx, B, pathSucc(B, EdgeKind::UncondJump),
                       HasDelay && Delay != DelayBehavior::AnnulAlways,
                       DelayAddr, "jump");
       break;
@@ -467,7 +489,7 @@ void eel::verify::checkDelaySlotsImage(RoutineCheckContext &Ctx) {
   Executable &Exec = Ctx.Exec;
   const TargetInfo &Target = Exec.target();
   const FlatAddrMap &Map = *Ctx.AddrMap;
-  TouchedBlocks Touched(*G);
+  TouchedBlocks Touched(Ctx.Exec, *G);
 
   for (const auto &BP : G->blocks()) {
     const BasicBlock *B = BP;
@@ -506,7 +528,7 @@ void eel::verify::checkDelaySlotsImage(RoutineCheckContext &Ctx) {
       }
       if (!Term->hasDelaySlot())
         continue; // no slot word to audit on a delay-slot-free machine
-      std::optional<MachWord> OrigDelay = Exec.fetchWord(A + 4);
+      std::optional<MachWord> OrigDelay = Exec.analysis().fetchWord(A + 4);
       std::optional<MachWord> Slot =
           Ctx.Edited->readWord(MappedA->second + 4);
       if (!Slot || !OrigDelay)
@@ -531,7 +553,7 @@ void eel::verify::checkDelaySlotsImage(RoutineCheckContext &Ctx) {
       // verbatim right after the transfer.
       Ctx.check();
       auto MappedDelay = Map.find(A + 4);
-      std::optional<MachWord> OrigDelay = Exec.fetchWord(A + 4);
+      std::optional<MachWord> OrigDelay = Exec.analysis().fetchWord(A + 4);
       if (MappedDelay == Map.end() || !OrigDelay)
         continue;
       std::optional<MachWord> Slot = Ctx.Edited->readWord(MappedDelay->second);
@@ -549,14 +571,14 @@ void eel::verify::checkDelaySlotsImage(RoutineCheckContext &Ctx) {
 
 void eel::verify::checkScavenging(RoutineCheckContext &Ctx) {
   Cfg *G = Ctx.G;
-  if (!G || !G->edited() || G->unsupported())
+  if (!G || !Ctx.Exec.edited(*G) || G->unsupported())
     return;
   Routine &R = Ctx.R;
   const TargetInfo &Target = Ctx.Exec.target();
   Liveness *Prod = R.liveness();
   WorklistLiveness Ind(*G);
 
-  for (const Edit &E : G->edits()) {
+  for (const Edit &E : Ctx.Exec.edits(*G)) {
     if (!E.Snippet)
       continue;
     RegSet Used, Truth;
@@ -682,13 +704,13 @@ void eel::verify::checkLayoutConsistency(RoutineCheckContext &Ctx) {
     // Verbatim copies still patch direct transfers that target another
     // routine's entry point (runVerbatim's contract); check exactly those.
     for (Addr A = R.startAddr(); A + 4 <= R.endAddr(); A += 4) {
-      std::optional<MachWord> W = Exec.fetchWord(A);
+      std::optional<MachWord> W = Exec.analysis().fetchWord(A);
       if (!W)
         break;
       std::optional<Addr> T = Target.directTarget(*W, A);
       if (!T || R.contains(*T))
         continue;
-      Routine *Dest = Exec.routineContaining(*T);
+      Routine *Dest = Exec.analysis().routineContaining(*T);
       if (!Dest ||
           std::find(Dest->entryPoints().begin(), Dest->entryPoints().end(),
                     *T) == Dest->entryPoints().end())
@@ -712,7 +734,7 @@ void eel::verify::checkLayoutConsistency(RoutineCheckContext &Ctx) {
   Cfg *G = Ctx.G;
   if (!G)
     return;
-  TouchedBlocks Touched(*G);
+  TouchedBlocks Touched(Ctx.Exec, *G);
 
   // (a) Direct calls: the relocated call word must reach the callee's
   // edited entry.
@@ -769,7 +791,7 @@ void eel::verify::checkLayoutConsistency(RoutineCheckContext &Ctx) {
                               static_cast<uint32_t>(Cur.Imm))
                            : (static_cast<uint32_t>(Prev.Imm) +
                               static_cast<uint32_t>(Cur.Imm));
-      if (!Exec.isTextAddr(Value))
+      if (!Exec.analysis().isTextAddr(Value))
         continue;
       std::optional<Addr> NewV = Mapped(Value);
       if (!NewV)
@@ -1043,7 +1065,8 @@ void eel::verify::checkTranslation(RoutineCheckContext &Ctx) {
              R.startAddr(), true, "routine start has no edited address");
     return;
   }
-  Routine *ER = Ctx.EditedExec->routineContaining(StartMapped->second);
+  Routine *ER =
+      Ctx.EditedExec->analysis().routineContaining(StartMapped->second);
   if (!ER) {
     Ctx.diag(VerifyPass::TranslationValidation, DiagSeverity::Error, -1,
              StartMapped->second, true,
@@ -1126,7 +1149,7 @@ void eel::verify::checkTranslation(RoutineCheckContext &Ctx) {
   // edges may legitimately introduce new transfers (guard branches to a
   // violation handler, counter stubs), so extra successors are not errors
   // there — the intended successors must still all be reachable.
-  TouchedBlocks Touched(*G);
+  TouchedBlocks Touched(Ctx.Exec, *G);
 
   for (const auto &BP : G->blocks()) {
     const BasicBlock *B = BP;

@@ -11,10 +11,9 @@
 
 using namespace eel;
 
-CallGraph CallGraph::build(Executable &Exec) {
-  Exec.readContents();
+CallGraph CallGraph::build(const Analysis &An) {
   CallGraph CG;
-  for (const auto &R : Exec.routines()) {
+  for (const auto &R : An.routines()) {
     CG.Index[R.get()] = CG.Nodes.size();
     Node N;
     N.R = R.get();
@@ -31,7 +30,7 @@ CallGraph CallGraph::build(Executable &Exec) {
       T.Callers.push_back(From);
   };
 
-  for (const auto &R : Exec.routines()) {
+  for (const auto &R : An.routines()) {
     if (R->isData())
       continue;
     Cfg *G = R->controlFlowGraph();
@@ -46,7 +45,7 @@ CallGraph CallGraph::build(Executable &Exec) {
         continue; // resolved below via the indirect-site list
       }
       if (std::optional<Addr> T = Block->callTarget()) {
-        if (Routine *Callee = Exec.routineContaining(*T)) {
+        if (Routine *Callee = An.routineContaining(*T)) {
           ++N.DirectCallSites;
           AddEdge(R.get(), Callee);
         }
@@ -59,16 +58,16 @@ CallGraph CallGraph::build(Executable &Exec) {
         // Statically initialized function-pointer cell: the initial value
         // gives a (may-)callee.
         std::optional<uint32_t> Init =
-            Exec.fetchWord(Site.Resolution.CellAddr);
-        if (Init && Exec.isTextAddr(*Init)) {
-          if (Routine *Callee = Exec.routineContaining(*Init)) {
+            An.fetchWord(Site.Resolution.CellAddr);
+        if (Init && An.isTextAddr(*Init)) {
+          if (Routine *Callee = An.routineContaining(*Init)) {
             ++N.ResolvedIndirectSites;
             AddEdge(R.get(), Callee);
           }
         }
       } else if (Site.Resolution.K == IndirectResolution::Kind::Literal) {
         if (Routine *Callee =
-                Exec.routineContaining(Site.Resolution.Targets[0])) {
+                An.routineContaining(Site.Resolution.Targets[0])) {
           ++N.ResolvedIndirectSites;
           AddEdge(R.get(), Callee);
         }

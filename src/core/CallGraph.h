@@ -34,8 +34,8 @@ public:
     unsigned ResolvedIndirectSites = 0; ///< Via statically known cells.
   };
 
-  /// Builds the graph (runs readContents and per-routine CFGs as needed).
-  static CallGraph build(Executable &Exec);
+  /// Builds the graph over a finished analysis (readContents() has run).
+  static CallGraph build(const Analysis &An);
 
   const Node *node(const Routine *R) const;
   const std::vector<Node> &nodes() const { return Nodes; }

@@ -20,9 +20,9 @@ static_assert(std::is_trivially_destructible_v<BasicBlock>,
 static_assert(std::is_trivially_destructible_v<Edge>,
               "Edge must stay trivially destructible (arena-placed)");
 
-Cfg::Cfg(Routine &ParentRoutine, const TargetInfo &Target)
+Cfg::Cfg(const Routine &ParentRoutine, const TargetInfo &Target)
     : Parent(ParentRoutine), Target(Target),
-      OpsTable(&ParentRoutine.executable().pool().operands()) {}
+      OpsTable(&ParentRoutine.analysis().pool().operands()) {}
 
 Cfg::~Cfg() = default;
 
@@ -88,97 +88,6 @@ void BasicBlock::removePred(Edge *E) {
 BasicBlock *Cfg::blockAt(Addr A) const {
   auto It = ByAddr.find(A);
   return It == ByAddr.end() ? nullptr : It->second;
-}
-
-void Edge::addCodeAlong(SnippetPtr Snippet) {
-  assert(Parent && "edge not attached to a graph");
-  Parent->addCodeOnEdge(this, std::move(Snippet));
-}
-
-void Cfg::addCodeBefore(BasicBlock *Block, unsigned InstIndex,
-                        SnippetPtr Snippet) {
-  assert(Block->editable() && "block is not editable");
-  assert(InstIndex < Block->size() && "instruction index out of range");
-  Edit E;
-  E.K = Edit::Kind::Before;
-  E.Block = Block;
-  E.InstIndex = InstIndex;
-  E.Snippet = std::move(Snippet);
-  E.Seq = NextSeq++;
-  Edits.push_back(std::move(E));
-}
-
-void Cfg::addCodeAfter(BasicBlock *Block, unsigned InstIndex,
-                       SnippetPtr Snippet) {
-  assert(Block->editable() && "block is not editable");
-  assert(InstIndex < Block->size() && "instruction index out of range");
-  assert(!(InstIndex + 1 == Block->size() && Block->terminator()) &&
-         "cannot add code after a control transfer; use an edge instead");
-  Edit E;
-  E.K = Edit::Kind::After;
-  E.Block = Block;
-  E.InstIndex = InstIndex;
-  E.Snippet = std::move(Snippet);
-  E.Seq = NextSeq++;
-  Edits.push_back(std::move(E));
-}
-
-void Cfg::addCodeOnEdge(Edge *EdgePtr, SnippetPtr Snippet) {
-  assert(EdgePtr->editable() && "edge is not editable");
-  Edit E;
-  E.K = Edit::Kind::OnEdge;
-  E.E = EdgePtr;
-  E.Snippet = std::move(Snippet);
-  E.Seq = NextSeq++;
-  Edits.push_back(std::move(E));
-}
-
-void Cfg::replaceInst(BasicBlock *Block, unsigned InstIndex,
-                      MachWord NewWord) {
-  assert(Block->editable() && "block is not editable");
-  assert(InstIndex < Block->size() && "instruction index out of range");
-  const CfgInst &Old = Block->insts()[InstIndex];
-  assert(Target.classify(NewWord) != InstCategory::Invalid &&
-         "replacement must be a valid instruction");
-  if (Old.Inst->isControlTransfer()) {
-    // A transfer may only be replaced by one with identical control
-    // structure: same category, conditionality, delay behaviour, and
-    // static target (register renamings of compare-and-branch forms).
-    assert(Target.classify(NewWord) == Target.classify(Old.Inst->word()) &&
-           Target.isConditional(NewWord) ==
-               Target.isConditional(Old.Inst->word()) &&
-           Target.delayBehavior(NewWord) == Old.Inst->delayBehavior() &&
-           Target.directTarget(NewWord, Old.OrigAddr) ==
-               Old.Inst->directTarget(Old.OrigAddr) &&
-           "replacement transfer changes control flow");
-    assert(Old.Inst->kind() != InstKind::IndirectJump &&
-           Old.Inst->kind() != InstKind::IndirectCall &&
-           Old.Inst->kind() != InstKind::Return &&
-           "indirect transfers cannot be replaced");
-  } else {
-    assert(!Target.hasDelaySlot(NewWord) &&
-           "a non-transfer cannot become a transfer");
-  }
-  Edit E;
-  E.K = Edit::Kind::Replace;
-  E.Block = Block;
-  E.InstIndex = InstIndex;
-  E.NewWord = NewWord;
-  E.Seq = NextSeq++;
-  Edits.push_back(std::move(E));
-}
-
-void Cfg::deleteInst(BasicBlock *Block, unsigned InstIndex) {
-  assert(Block->editable() && "block is not editable");
-  assert(InstIndex < Block->size() && "instruction index out of range");
-  assert(!Block->insts()[InstIndex].Inst->isControlTransfer() &&
-         "control transfers cannot be deleted");
-  Edit E;
-  E.K = Edit::Kind::Delete;
-  E.Block = Block;
-  E.InstIndex = InstIndex;
-  E.Seq = NextSeq++;
-  Edits.push_back(std::move(E));
 }
 
 Cfg::Stats Cfg::stats() const {

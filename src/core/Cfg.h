@@ -21,10 +21,11 @@
 ///    bound the graph.
 ///
 /// Blocks and edges that transfer control out of the routine are marked
-/// uneditable (§3.3 reports 15–20% of them are). Edits — deleting
-/// instructions, adding snippets before/after an instruction or along an
-/// edge — accumulate in a batch and are applied when the edited routine is
-/// produced (§3.3.1).
+/// uneditable (§3.3 reports 15–20% of them are). A graph is analysis: once
+/// built it never changes. Edits — deleting instructions, adding snippets
+/// before/after an instruction or along an edge — name its blocks and
+/// edges but accumulate in the edit session (core/Executable.h), a batch
+/// applied when the edited routine is produced (§3.3.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,18 +96,16 @@ public:
   BasicBlock *dst() const { return Dst; }
   EdgeKind kind() const { return Kind; }
   bool editable() const { return Editable; }
-  void setUneditable() { Editable = false; }
-
-  /// Adds foreign code along this edge (the paper's add_code_along).
-  /// Asserts the edge is editable.
-  void addCodeAlong(SnippetPtr Snippet);
 
   /// Owning graph (set at creation).
   Cfg *parent() const { return Parent; }
 
 private:
   friend class Cfg;
+  friend class CfgBuilder;
   friend struct VerifierTestAccess; ///< Negative tests corrupt graphs.
+  void setUneditable() { Editable = false; }
+
   unsigned Id;
   BasicBlock *Src;
   BasicBlock *Dst;
@@ -125,6 +124,7 @@ public:
 
   unsigned id() const { return Id; }
   BlockKind kind() const { return Kind; }
+  const Cfg &parent() const { return *Parent; }
 
   /// Address of the block's first instruction; for pseudo and surrogate
   /// blocks, the address they are anchored at.
@@ -145,7 +145,6 @@ public:
   std::span<Edge *const> pred() const { return {PredArr, PredCount}; }
 
   bool editable() const { return Editable; }
-  void setUneditable() { Editable = false; }
 
   /// The control transfer terminating this block, if any.
   const Instruction *terminator() const;
@@ -159,6 +158,7 @@ private:
   friend class CfgBuilder;
   friend struct VerifierTestAccess; ///< Negative tests corrupt graphs.
 
+  void setUneditable() { Editable = false; }
   void addSucc(Edge *E, BumpArena &Arena);
   void addPred(Edge *E, BumpArena &Arena);
   void removePred(Edge *E);
@@ -210,25 +210,26 @@ struct IndirectSite {
   IndirectResolution Resolution;
 };
 
-/// A pending modification, accumulated until the routine is produced.
+/// A pending modification, accumulated by the edit session until the
+/// routine is produced. Edits at one point apply in the order they were
+/// made.
 struct Edit {
   enum class Kind : uint8_t { Before, After, OnEdge, Delete, Replace };
   Kind K = Kind::Before;
-  BasicBlock *Block = nullptr;
+  const BasicBlock *Block = nullptr;
   unsigned InstIndex = 0;
-  Edge *E = nullptr;
+  const Edge *E = nullptr;
   SnippetPtr Snippet;
   MachWord NewWord = 0; ///< Replacement word (Kind::Replace).
-  unsigned Seq = 0; ///< Application order among edits at the same point.
 };
 
 /// The control-flow graph of one routine.
 class Cfg {
 public:
-  Cfg(Routine &Parent, const TargetInfo &Target);
+  Cfg(const Routine &Parent, const TargetInfo &Target);
   ~Cfg();
 
-  Routine &routine() const { return Parent; }
+  const Routine &routine() const { return Parent; }
   const TargetInfo &target() const { return Target; }
 
   /// Blocks and edges in creation order, bump-allocated from this graph's
@@ -247,9 +248,6 @@ public:
   /// The owning pool's interned-operand table (null only for graphs built
   /// outside an executable, which analyses fall back from).
   const InternedPairTable *operandTable() const { return OpsTable; }
-
-  /// Arena holding the graph's blocks, edges, and adjacency arrays.
-  BumpArena &arena() { return IR; }
 
   const std::vector<BasicBlock *> &entryBlocks() const { return Entries; }
   BasicBlock *exitBlock() const { return Exit; }
@@ -277,28 +275,6 @@ public:
     return InterJumps;
   }
 
-  // --- Editing (batch; see §3.3.1) ---------------------------------------
-
-  void addCodeBefore(BasicBlock *Block, unsigned InstIndex,
-                     SnippetPtr Snippet);
-  void addCodeAfter(BasicBlock *Block, unsigned InstIndex, SnippetPtr Snippet);
-  void addCodeOnEdge(Edge *E, SnippetPtr Snippet);
-  void deleteInst(BasicBlock *Block, unsigned InstIndex);
-
-  /// Replaces a non-transfer instruction with \p NewWord (also required to
-  /// be a non-transfer) — the capability the paper contrasts with ATOM,
-  /// which "does not permit existing instructions to be modified".
-  void replaceInst(BasicBlock *Block, unsigned InstIndex, MachWord NewWord);
-
-  const std::vector<Edit> &edits() const { return Edits; }
-  bool edited() const { return !Edits.empty(); }
-
-  /// Discards every pending edit, returning the graph to its just-built
-  /// state. Edits are a batch applied at write time — the graph itself is
-  /// never mutated by them — so after clearing, the same analyzed CFG can
-  /// host a fresh batch (eel-serve reuses cached analyses this way).
-  void clearEdits() { Edits.clear(); }
-
   // --- Lookup helpers ------------------------------------------------------
 
   /// Block whose first instruction is at \p A (Normal blocks only).
@@ -318,7 +294,6 @@ public:
 
 private:
   friend class CfgBuilder;
-  friend class Routine;
   friend struct VerifierTestAccess; ///< Negative tests corrupt graphs.
 
   BasicBlock *newBlock(BlockKind Kind, Addr Anchor);
@@ -329,7 +304,7 @@ private:
   /// contiguous in the flat array.
   void appendInst(BasicBlock *Block, const Instruction *I, Addr OrigAddr);
 
-  Routine &Parent;
+  const Routine &Parent;
   const TargetInfo &Target;
   /// 4 KiB chunks: most routines' graphs fit in one (36 MB of graphs for
   /// 10k routines). Larger chunks would mostly sit reserved, and their
@@ -350,8 +325,6 @@ private:
   std::string UnsupportedReason;
   std::vector<IndirectSite> IndirectSites;
   std::vector<std::pair<BasicBlock *, Addr>> InterJumps;
-  std::vector<Edit> Edits;
-  unsigned NextSeq = 0;
 };
 
 inline std::span<const CfgInst> BasicBlock::insts() const {
@@ -369,7 +342,7 @@ inline const Instruction *BasicBlock::terminator() const {
 }
 
 /// Builds the CFG for \p R. Defined in CfgBuild.cpp.
-std::unique_ptr<Cfg> buildCfg(Routine &R);
+std::unique_ptr<Cfg> buildCfg(const Routine &R);
 
 } // namespace eel
 

@@ -33,8 +33,8 @@ namespace eel {
 /// One-shot builder for a routine's CFG.
 class CfgBuilder {
 public:
-  explicit CfgBuilder(Routine &R)
-      : R(R), Exec(R.executable()), Target(Exec.target()),
+  explicit CfgBuilder(const Routine &R)
+      : R(R), An(R.analysis()), Target(An.target()),
         Graph(std::make_unique<Cfg>(R, Target)) {}
 
   std::unique_ptr<Cfg> build();
@@ -43,10 +43,10 @@ private:
   const Instruction *instAt(Addr A) {
     if (!R.contains(A) || (A & 3))
       return nullptr;
-    std::optional<MachWord> W = Exec.fetchWord(A);
+    std::optional<MachWord> W = An.fetchWord(A);
     if (!W)
       return nullptr;
-    return Exec.pool().getAt(A, *W);
+    return An.pool().getAt(A, *W);
   }
 
   void discover(std::vector<Addr> Roots, bool Speculative);
@@ -59,10 +59,17 @@ private:
   /// exit block (recording the external target).
   BasicBlock *destFor(BasicBlock *From, Addr Target, bool &External);
 
+  /// Kind of the edge that ends a Taken or UncondJump path: ExitInterJump
+  /// when the target lies outside the routine, after which every register
+  /// may be read.
+  static EdgeKind pathKind(EdgeKind K, bool External) {
+    return External ? EdgeKind::ExitInterJump : K;
+  }
+
   BasicBlock *makeDelayBlock(Addr TransferAddr);
 
-  Routine &R;
-  Executable &Exec;
+  const Routine &R;
+  const Analysis &An;
   const TargetInfo &Target;
   std::unique_ptr<Cfg> Graph;
 
@@ -100,7 +107,7 @@ BasicBlock *CfgBuilder::makeDelayBlock(Addr TransferAddr) {
     // NDEBUG build and substitute a nop rather than dereference null.
     assert(false && "delay slot outside routine");
     Graph->ReachedInvalid = true;
-    DI = Exec.pool().get(Target.nopWord());
+    DI = An.pool().get(Target.nopWord());
   }
   BasicBlock *DB = Graph->newBlock(BlockKind::DelaySlot, DelayAddr);
   Graph->appendInst(DB, DI, DelayAddr);
@@ -208,10 +215,10 @@ void CfgBuilder::discover(std::vector<Addr> Roots, bool Speculative) {
         // On the inference path the fixpoint already resolved this site;
         // reusing its answer keeps stripped-analysis CFGs bit-identical to
         // what inference decided, independent of threading.
-        if (const IndirectResolution *Pre = Exec.inferredSite(A))
+        if (const IndirectResolution *Pre = An.inferredSite(A))
           Indirect.emplace(A, *Pre);
         else
-          Indirect.emplace(A, resolveIndirect(Exec, R, A));
+          Indirect.emplace(A, resolveIndirect(An, R, A));
       }
       break;
     case InstKind::Return:
@@ -219,9 +226,9 @@ void CfgBuilder::discover(std::vector<Addr> Roots, bool Speculative) {
     case InstKind::IndirectJump: {
       if (Indirect.count(A))
         break;
-      const IndirectResolution *Pre = Exec.inferredSite(A);
-      IndirectResolution Res = Pre ? *Pre : resolveIndirect(Exec, R, A);
-      if (Exec.options().DisableSlicing)
+      const IndirectResolution *Pre = An.inferredSite(A);
+      IndirectResolution Res = Pre ? *Pre : resolveIndirect(An, R, A);
+      if (An.options().DisableSlicing)
         Res.K = IndirectResolution::Kind::Unanalyzable;
       if (Res.K == IndirectResolution::Kind::DispatchTable) {
         // All targets must be intra-routine to use the precise CFG; a
@@ -301,7 +308,8 @@ void CfgBuilder::connectBlock(BasicBlock *B) {
       Graph->newEdge(B, TakenPred, EdgeKind::Taken);
     }
     BasicBlock *TakenDst = destFor(TakenPred, T, External);
-    Edge *TE = Graph->newEdge(TakenPred, TakenDst, EdgeKind::Taken);
+    Edge *TE = Graph->newEdge(TakenPred, TakenDst,
+                              pathKind(EdgeKind::Taken, External));
     if (External) {
       TE->setUneditable();
       if (TakenPred != B)
@@ -333,7 +341,8 @@ void CfgBuilder::connectBlock(BasicBlock *B) {
     Addr T = *I->directTarget(A);
     if (!HasDelay || Delay == DelayBehavior::AnnulAlways) {
       BasicBlock *Dst = destFor(B, T, External);
-      Edge *E = Graph->newEdge(B, Dst, EdgeKind::UncondJump);
+      Edge *E =
+          Graph->newEdge(B, Dst, pathKind(EdgeKind::UncondJump, External));
       if (External)
         E->setUneditable();
       return;
@@ -341,7 +350,8 @@ void CfgBuilder::connectBlock(BasicBlock *B) {
     BasicBlock *DelayB = makeDelayBlock(A);
     Graph->newEdge(B, DelayB, EdgeKind::UncondJump);
     BasicBlock *Dst = destFor(DelayB, T, External);
-    Edge *E = Graph->newEdge(DelayB, Dst, EdgeKind::UncondJump);
+    Edge *E =
+        Graph->newEdge(DelayB, Dst, pathKind(EdgeKind::UncondJump, External));
     if (External) {
       E->setUneditable();
       DelayB->setUneditable();
@@ -425,7 +435,8 @@ void CfgBuilder::connectBlock(BasicBlock *B) {
       if (HasDelay)
         Graph->newEdge(B, Pred, EdgeKind::UncondJump)->setUneditable();
       BasicBlock *Dst = destFor(Pred, Site.Resolution.Targets[0], External);
-      Graph->newEdge(Pred, Dst, EdgeKind::UncondJump)->setUneditable();
+      Graph->newEdge(Pred, Dst, pathKind(EdgeKind::UncondJump, External))
+          ->setUneditable();
       break;
     }
     case IndirectResolution::Kind::CellPointer:
@@ -512,7 +523,7 @@ std::unique_ptr<Cfg> CfgBuilder::build() {
   return std::move(Graph);
 }
 
-std::unique_ptr<Cfg> eel::buildCfg(Routine &R) {
+std::unique_ptr<Cfg> eel::buildCfg(const Routine &R) {
   EEL_TRACE_SCOPE("cfg_build", "routine", R.name());
   CfgBuilder Builder(R);
   std::unique_ptr<Cfg> G = Builder.build();

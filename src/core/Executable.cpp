@@ -14,30 +14,40 @@
 
 using namespace eel;
 
-Executable::Executable(SxfFile ImageIn)
-    : Executable(std::move(ImageIn), Options()) {}
-
-Executable::Executable(SxfFile ImageIn, Options OptsIn)
-    : Image(std::move(ImageIn)), Opts(OptsIn),
-      Target(targetFor(Image.Arch)), Pool(Target) {
-  // Construction is a quiescent point, so flipping the process-wide trace
-  // gate here is safe. Only enable — never disable — so one untraced
-  // Executable can't silence another's active trace.
-  if (Opts.Trace)
-    traceSetEnabled(true);
-  // Same one-way rule for the log gate: Off leaves the process-wide level
-  // where another Executable (or the embedding daemon) set it.
-  if (Opts.Log != LogLevel::Off)
-    logSetLevel(Opts.Log);
-  // Fresh data (counters, tables) goes after the highest existing segment.
+/// Fresh data (counters, tables) goes after the highest existing segment.
+static Addr firstFreeDataAddr(const SxfFile &Image) {
   Addr High = 0;
   for (const SxfSegment &Seg : Image.Segments)
     High = std::max(High, Seg.VAddr + Seg.MemSize);
-  NextDataAddr = (High + 15) & ~15u;
+  return (High + 15) & ~15u;
+}
+
+Analysis::Analysis(SxfFile ImageIn, Options OptsIn)
+    : Image(std::move(ImageIn)), Opts(OptsIn),
+      Target(targetFor(Image.Arch)), Pool(Target) {
+  // Only enable — never disable — so one untraced analysis can't silence
+  // another's active trace.
+  if (Opts.Trace)
+    traceSetEnabled(true);
+  // Same one-way rule for the log gate: Off leaves the process-wide level
+  // where another run (or the embedding daemon) set it.
+  if (Opts.Log != LogLevel::Off)
+    logSetLevel(Opts.Log);
   // One decode-index slot per text word: the per-address probe that makes
   // repeat decoding of the same address a single load.
   if (const SxfSegment *Text = Image.segment(SegKind::Text))
     Pool.attachDecodeIndex(Text->VAddr, Text->Bytes.size() / 4);
+}
+
+Analysis::~Analysis() = default;
+
+Executable::Executable(SxfFile ImageIn, Options OptsIn)
+    : Owned(std::make_shared<Analysis>(std::move(ImageIn), OptsIn)),
+      An(Owned), NextDataAddr(firstFreeDataAddr(An->image())) {}
+
+Executable::Executable(std::shared_ptr<const Analysis> Shared)
+    : An(std::move(Shared)), NextDataAddr(firstFreeDataAddr(An->image())) {
+  assert(An->analyzed() && "a shared analysis must be finished");
 }
 
 Executable::~Executable() = default;
@@ -66,35 +76,32 @@ Expected<std::unique_ptr<Executable>> Executable::openImage(SxfFile Image,
   return std::make_unique<Executable>(std::move(Image), Opts);
 }
 
-Expected<std::unique_ptr<Executable>>
-Executable::open(const std::string &Path) {
-  return open(Path, Options());
+Expected<bool> Executable::readContents() {
+  if (!Owned)
+    return true;
+  return Owned->readContents();
 }
 
-Expected<std::unique_ptr<Executable>> Executable::openImage(SxfFile Image) {
-  return openImage(std::move(Image), Options());
-}
-
-unsigned Executable::effectiveThreads() const {
+unsigned Analysis::effectiveThreads() const {
   if (Opts.Threads != 0)
     return Opts.Threads;
   unsigned HW = std::thread::hardware_concurrency();
   return HW ? HW : 1;
 }
 
-Addr Executable::textBase() const {
+Addr Analysis::textBase() const {
   const SxfSegment *Text = Image.segment(SegKind::Text);
   assert(Text && "executable has no text segment");
   return Text->VAddr;
 }
 
-Addr Executable::textEnd() const {
+Addr Analysis::textEnd() const {
   const SxfSegment *Text = Image.segment(SegKind::Text);
   assert(Text && "executable has no text segment");
   return Text->VAddr + static_cast<Addr>(Text->Bytes.size());
 }
 
-std::optional<uint32_t> Executable::inferredCellValue(Addr Cell) const {
+std::optional<uint32_t> Analysis::inferredCellValue(Addr Cell) const {
   auto It = std::lower_bound(
       InferredCells.begin(), InferredCells.end(), Cell,
       [](const std::pair<Addr, uint32_t> &E, Addr A) { return E.first < A; });
@@ -103,17 +110,17 @@ std::optional<uint32_t> Executable::inferredCellValue(Addr Cell) const {
   return It->second;
 }
 
-const IndirectResolution *Executable::inferredSite(Addr JumpAddr) const {
+const IndirectResolution *Analysis::inferredSite(Addr JumpAddr) const {
   auto It = InferredSites.find(JumpAddr);
   return It == InferredSites.end() ? nullptr : &It->second;
 }
 
-uint8_t Executable::inferredConfidence(Addr RoutineStart) const {
+uint8_t Analysis::inferredConfidence(Addr RoutineStart) const {
   auto It = InferredConfidence.find(RoutineStart);
   return It == InferredConfidence.end() ? 0 : It->second;
 }
 
-Routine *Executable::routineContaining(Addr A) const {
+Routine *Analysis::routineContaining(Addr A) const {
   // The last routine starting at or below A is the only one that can
   // contain it (see the sorted, disjoint invariant in Executable.h).
   auto It = std::upper_bound(
@@ -127,14 +134,14 @@ Routine *Executable::routineContaining(Addr A) const {
   return R->contains(A) ? R : nullptr;
 }
 
-Routine *Executable::findRoutine(const std::string &Name) const {
+Routine *Analysis::findRoutine(const std::string &Name) const {
   for (const auto &R : Routines)
     if (R->name() == Name)
       return R.get();
   return nullptr;
 }
 
-std::vector<Routine *> Executable::hiddenRoutines() const {
+std::vector<Routine *> Analysis::hiddenRoutines() const {
   std::vector<Routine *> Result;
   for (const auto &R : Routines)
     if (R->hidden() && !R->isData())
@@ -142,21 +149,98 @@ std::vector<Routine *> Executable::hiddenRoutines() const {
   return Result;
 }
 
-void Executable::resetEdits() {
-  for (const auto &R : Routines)
-    if (Cfg *Graph = R->cachedCfg())
-      Graph->clearEdits();
-  AppendedData.clear();
-  AddedRoutines.clear();
-  // Recompute the fresh-data base exactly as construction did, so a
-  // reused analysis hands appendData the same addresses a cold run would
-  // (byte-identity of cached-analysis output depends on it).
-  Addr High = 0;
-  for (const SxfSegment &Seg : Image.Segments)
-    High = std::max(High, Seg.VAddr + Seg.MemSize);
-  NextDataAddr = (High + 15) & ~15u;
-  AddrMap.clear();
-  Stats = EditStats();
+std::span<const Edit> Executable::edits(const Cfg &G) const {
+  auto It = Batches.find(&G);
+  if (It == Batches.end())
+    return {};
+  return It->second;
+}
+
+void Executable::addEdit(Edit E) {
+  const Cfg *G = E.E ? E.E->parent() : &E.Block->parent();
+  Batches[G].push_back(std::move(E));
+}
+
+void Executable::addCodeBefore(const BasicBlock *Block, unsigned InstIndex,
+                               SnippetPtr Snippet) {
+  assert(Block->editable() && "block is not editable");
+  assert(InstIndex < Block->size() && "instruction index out of range");
+  Edit E;
+  E.K = Edit::Kind::Before;
+  E.Block = Block;
+  E.InstIndex = InstIndex;
+  E.Snippet = std::move(Snippet);
+  addEdit(std::move(E));
+}
+
+void Executable::addCodeAfter(const BasicBlock *Block, unsigned InstIndex,
+                              SnippetPtr Snippet) {
+  assert(Block->editable() && "block is not editable");
+  assert(InstIndex < Block->size() && "instruction index out of range");
+  assert(!(InstIndex + 1 == Block->size() && Block->terminator()) &&
+         "cannot add code after a control transfer; use an edge instead");
+  Edit E;
+  E.K = Edit::Kind::After;
+  E.Block = Block;
+  E.InstIndex = InstIndex;
+  E.Snippet = std::move(Snippet);
+  addEdit(std::move(E));
+}
+
+void Executable::addCodeAlong(const Edge *EdgePtr, SnippetPtr Snippet) {
+  assert(EdgePtr->editable() && "edge is not editable");
+  Edit E;
+  E.K = Edit::Kind::OnEdge;
+  E.E = EdgePtr;
+  E.Snippet = std::move(Snippet);
+  addEdit(std::move(E));
+}
+
+void Executable::replaceInst(const BasicBlock *Block, unsigned InstIndex,
+                             MachWord NewWord) {
+  assert(Block->editable() && "block is not editable");
+  assert(InstIndex < Block->size() && "instruction index out of range");
+  [[maybe_unused]] const TargetInfo &Target = target();
+  [[maybe_unused]] const CfgInst &Old = Block->insts()[InstIndex];
+  assert(Target.classify(NewWord) != InstCategory::Invalid &&
+         "replacement must be a valid instruction");
+  if (Old.Inst->isControlTransfer()) {
+    // A transfer may only be replaced by one with identical control
+    // structure: same category, conditionality, delay behaviour, and
+    // static target (register renamings of compare-and-branch forms).
+    assert(Target.classify(NewWord) == Target.classify(Old.Inst->word()) &&
+           Target.isConditional(NewWord) ==
+               Target.isConditional(Old.Inst->word()) &&
+           Target.delayBehavior(NewWord) == Old.Inst->delayBehavior() &&
+           Target.directTarget(NewWord, Old.OrigAddr) ==
+               Old.Inst->directTarget(Old.OrigAddr) &&
+           "replacement transfer changes control flow");
+    assert(Old.Inst->kind() != InstKind::IndirectJump &&
+           Old.Inst->kind() != InstKind::IndirectCall &&
+           Old.Inst->kind() != InstKind::Return &&
+           "indirect transfers cannot be replaced");
+  } else {
+    assert(!Target.hasDelaySlot(NewWord) &&
+           "a non-transfer cannot become a transfer");
+  }
+  Edit E;
+  E.K = Edit::Kind::Replace;
+  E.Block = Block;
+  E.InstIndex = InstIndex;
+  E.NewWord = NewWord;
+  addEdit(std::move(E));
+}
+
+void Executable::deleteInst(const BasicBlock *Block, unsigned InstIndex) {
+  assert(Block->editable() && "block is not editable");
+  assert(InstIndex < Block->size() && "instruction index out of range");
+  assert(!Block->insts()[InstIndex].Inst->isControlTransfer() &&
+         "control transfers cannot be deleted");
+  Edit E;
+  E.K = Edit::Kind::Delete;
+  E.Block = Block;
+  E.InstIndex = InstIndex;
+  addEdit(std::move(E));
 }
 
 Addr Executable::appendData(uint32_t Bytes, unsigned Align,

@@ -5,15 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The top of EEL's abstraction stack (§3.1): an executable file whose
-/// contents can be examined, analyzed, edited, and written back out. A tool
-/// opens an executable, calls readContents() to run the symbol-refinement
-/// and routine-discovery analysis, edits routines through their CFGs, and
-/// calls writeEditedExecutable() to produce a new image in which control
-/// flows correctly despite deleted instructions and added foreign code.
+/// The top of EEL's abstraction stack (§3.1), in two halves:
+///
+///  * Analysis, the read-only half: the image, its options and target, the
+///    instruction pool, and what readContents() learns from them — routine
+///    discovery, every routine's CFG, slices and liveness, and the
+///    eel-infer facts. It is frozen once readContents() returns, so any
+///    number of edit sessions may share one (eel-serve caches them).
+///  * Executable, one edit session over an analysis. A tool opens an
+///    executable, calls readContents(), edits routines through their CFGs
+///    — the edits accumulate here, a pending batch per routine (§3.3.1),
+///    never in the graphs — and calls writeEditedExecutable() to produce a
+///    new image in which control flows correctly despite deleted
+///    instructions and added foreign code. A one-shot tool's Executable
+///    owns a fresh Analysis and never sees the split.
 ///
 /// The editor:
-///  * re-lays out every routine, applying accumulated CFG edits and folding
+///  * re-lays out every routine, applying its pending edits and folding
 ///    unedited delay slots back (§3.3.1);
 ///  * retargets all direct calls, branches, and inter-routine jumps;
 ///  * rewrites dispatch tables found by slicing to point at edited
@@ -38,7 +46,9 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace eel {
@@ -46,7 +56,11 @@ namespace eel {
 struct InferOptions;
 struct InferResult;
 
-class Executable {
+/// The read-only half of an executable: the image and everything
+/// readContents() derives from it. Only readContents() mutates it, and it
+/// returns at once after the first call, so a finished analysis is safe to
+/// share across threads and edit sessions.
+class Analysis {
 public:
   struct Options {
     /// Rewrite data words that equal instruction addresses (function
@@ -110,36 +124,24 @@ public:
     LogLevel Log = LogLevel::Off;
   };
 
-  explicit Executable(SxfFile Image);
-  Executable(SxfFile Image, Options Opts);
-  ~Executable();
-
-  /// Opens an executable file: reads and validates the SXF image (the full
-  /// hostile-input validation in SxfFile::deserialize), requires a text
-  /// segment, and returns the ready-to-analyze Executable. All failures —
-  /// I/O, malformed image, no text — come back as structured Errors with
-  /// the path attached; nothing on this path aborts. This is the entry
-  /// point tools should use for untrusted files.
-  static Expected<std::unique_ptr<Executable>> open(const std::string &Path,
-                                                    Options Opts);
-  static Expected<std::unique_ptr<Executable>> open(const std::string &Path);
-
-  /// Same, for an image already decoded or built in memory. Runs
-  /// SxfFile::validate() before accepting it.
-  static Expected<std::unique_ptr<Executable>> openImage(SxfFile Image,
-                                                         Options Opts);
-  static Expected<std::unique_ptr<Executable>> openImage(SxfFile Image);
+  /// Flips the process-wide trace and log gates the options ask for
+  /// (one-way: never disables). Construction is a quiescent point.
+  Analysis(SxfFile Image, Options Opts);
+  ~Analysis();
+  Analysis(const Analysis &) = delete;
+  Analysis &operator=(const Analysis &) = delete;
 
   const SxfFile &image() const { return Image; }
   const TargetInfo &target() const { return Target; }
   const Options &options() const { return Opts; }
-  InstructionPool &pool() { return Pool; }
+  /// The decode cache. Decoding only memoizes, and the pool is
+  /// thread-safe, so a shared analysis hands it out as is.
+  InstructionPool &pool() const { return Pool; }
 
   /// Resolved worker count for the parallel phases: Options::Threads, with
   /// 0 mapped to std::thread::hardware_concurrency().
   unsigned effectiveThreads() const;
 
-  Addr startAddress() const { return Image.Entry; }
   Addr textBase() const;
   Addr textEnd() const;
   bool isTextAddr(Addr A) const { return A >= textBase() && A < textEnd(); }
@@ -147,16 +149,14 @@ public:
   /// Word fetch from the image (text or initialized data).
   std::optional<MachWord> fetchWord(Addr A) const { return Image.readWord(A); }
 
-  // --- Analysis -------------------------------------------------------------
-
   /// Runs symbol-table refinement and routine discovery (§3.1 stages 1–4),
   /// then the "analyze" phase: every code routine's CFG, slices, and (where
   /// layout will need it) liveness, fanned out over effectiveThreads().
-  /// Idempotent. Returns an error (instead of asserting) when the image is
-  /// not analyzable — e.g. it has no text segment; callers holding images
-  /// from Executable::open()/openImage() may ignore the result, since those
-  /// constructors already validated it.
+  /// Idempotent; after it returns nothing in the analysis changes again.
+  /// Returns an error (instead of asserting) when the image is not
+  /// analyzable — e.g. it has no text segment.
   Expected<bool> readContents();
+  bool analyzed() const { return Analyzed; }
 
   const std::vector<std::unique_ptr<Routine>> &routines() const {
     return Routines;
@@ -176,8 +176,7 @@ public:
   // --- Inference (eel-infer) -------------------------------------------------
   // When the image is stripped (or Options::NoSymbols is set), readContents
   // degrades from symbol refinement to the fixpoint inference pass in
-  // analysis/Infer.h. Its results are analysis state, not edits: they
-  // survive resetEdits() and feed both the slicing oracle and CfgBuild.
+  // analysis/Infer.h. Its facts feed both the slicing oracle and CfgBuild.
 
   /// True when routine discovery ran the eel-infer fixpoint.
   bool inferenceUsed() const { return InferenceRan; }
@@ -197,6 +196,101 @@ public:
   /// analysis/InferFacts.h InferConfidence value (1 low .. 3 high).
   uint8_t inferredConfidence(Addr RoutineStart) const;
 
+private:
+  /// The fixpoint installs constant-cell facts round by round (the slicing
+  /// oracle must see round N's cells during round N+1's resolutions).
+  friend InferResult inferLayout(Analysis &, const InferOptions &);
+
+  /// §3.1 stages 1–4: builds the sorted routine map (readContents'
+  /// "symbol_refine" phase).
+  void refineRoutines();
+
+  SxfFile Image;
+  Options Opts;
+  const TargetInfo &Target;
+  mutable InstructionPool Pool;
+  bool Analyzed = false;
+  std::vector<std::unique_ptr<Routine>> Routines;
+
+  // eel-infer results (readContents fills these on the inference path).
+  bool InferenceRan = false;
+  /// Constant code-pointer/table-base cells, sorted by cell address.
+  std::vector<std::pair<Addr, uint32_t>> InferredCells;
+  /// Fixpoint-resolved indirect sites, keyed by jump address.
+  std::map<Addr, IndirectResolution> InferredSites;
+  /// Per-routine confidence, keyed by routine start address.
+  std::map<Addr, uint8_t> InferredConfidence;
+};
+
+/// One edit session: the pending edits, added data and routines, and the
+/// results of writing them out, over an Analysis it may share.
+class Executable {
+public:
+  using Options = Analysis::Options;
+
+  explicit Executable(SxfFile Image, Options Opts = {});
+  /// A session over an analysis whose readContents() has returned (asserted),
+  /// shared with any number of other sessions.
+  explicit Executable(std::shared_ptr<const Analysis> Shared);
+  ~Executable();
+
+  /// Opens an executable file: reads and validates the SXF image (the full
+  /// hostile-input validation in SxfFile::deserialize), requires a text
+  /// segment, and returns the ready-to-analyze Executable. All failures —
+  /// I/O, malformed image, no text — come back as structured Errors with
+  /// the path attached; nothing on this path aborts. This is the entry
+  /// point tools should use for untrusted files.
+  static Expected<std::unique_ptr<Executable>> open(const std::string &Path,
+                                                    Options Opts = {});
+
+  /// Same, for an image already decoded or built in memory. Runs
+  /// SxfFile::validate() before accepting it.
+  static Expected<std::unique_ptr<Executable>> openImage(SxfFile Image,
+                                                         Options Opts = {});
+
+  const Analysis &analysis() const { return *An; }
+  /// The analysis, for further sessions to share once readContents() has
+  /// returned.
+  std::shared_ptr<const Analysis> sharedAnalysis() const { return An; }
+
+  /// Runs the analysis (Analysis::readContents); a no-op for a session
+  /// over a finished one.
+  Expected<bool> readContents();
+
+  // Shorthands for the analysis accessors every tool uses.
+  const SxfFile &image() const { return An->image(); }
+  const TargetInfo &target() const { return An->target(); }
+  const std::vector<std::unique_ptr<Routine>> &routines() const {
+    return An->routines();
+  }
+  Routine *findRoutine(const std::string &Name) const {
+    return An->findRoutine(Name);
+  }
+
+  // --- Editing (a pending batch per routine; §3.3.1) -----------------------
+  // Edits name blocks and edges of the analysis' graphs, which they never
+  // change: layout applies each routine's batch, in the order it was made,
+  // when writeEditedExecutable() produces the routine.
+
+  void addCodeBefore(const BasicBlock *Block, unsigned InstIndex,
+                     SnippetPtr Snippet);
+  void addCodeAfter(const BasicBlock *Block, unsigned InstIndex,
+                    SnippetPtr Snippet);
+  /// Adds foreign code along \p E (the paper's add_code_along). Asserts
+  /// the edge is editable.
+  void addCodeAlong(const Edge *E, SnippetPtr Snippet);
+  void deleteInst(const BasicBlock *Block, unsigned InstIndex);
+
+  /// Replaces a non-transfer instruction with \p NewWord (also required to
+  /// be a non-transfer) — the capability the paper contrasts with ATOM,
+  /// which "does not permit existing instructions to be modified".
+  void replaceInst(const BasicBlock *Block, unsigned InstIndex,
+                   MachWord NewWord);
+
+  /// The pending batch for graph \p G, in the order its edits were made.
+  std::span<const Edit> edits(const Cfg &G) const;
+  bool edited(const Cfg &G) const { return !edits(G).empty(); }
+
   // --- Additions ---------------------------------------------------------------
 
   /// Reserves \p Bytes of fresh data space (e.g. profile counters);
@@ -213,23 +307,14 @@ public:
 
   // --- Output ---------------------------------------------------------------
 
-  /// Reverts every accumulated edit — CFG edit batches, appended data,
-  /// added routines, the address map, and edit statistics — returning the
-  /// executable to its just-analyzed state. The expensive analysis results
-  /// (routine discovery, CFGs, liveness, slices) survive untouched, so a
-  /// long-lived process (eel-serve) can cache an analyzed Executable and
-  /// run many independent edit+write passes over it, each byte-identical
-  /// to a cold open+analyze+edit run of the same tool.
-  void resetEdits();
-
   /// Produces the edited executable. After this succeeds, editedAddr()
-  /// maps original instruction addresses into the new image.
+  /// maps original instruction addresses into the new image. One call per
+  /// session: the translation table it appends is session data.
   Expected<SxfFile> writeEditedExecutable();
 
   /// Edited address of original instruction address \p A; asserts the
   /// mapping exists (writeEditedExecutable must have succeeded).
   Addr editedAddr(Addr A) const;
-  bool hasEditedAddr(Addr A) const { return AddrMap.count(A) != 0; }
 
   /// The full original→edited instruction address map of the last
   /// writeEditedExecutable() call (the verifier checks images against it).
@@ -258,26 +343,15 @@ public:
   const EditStats &editStats() const { return Stats; }
 
 private:
-  friend class EditedWriter;
-  /// The fixpoint installs constant-cell facts round by round (the slicing
-  /// oracle must see round N's cells during round N+1's resolutions).
-  friend InferResult inferLayout(Executable &, const InferOptions &);
+  /// Appends \p E to the batch of the graph that owns its block or edge.
+  void addEdit(Edit E);
 
-  SxfFile Image;
-  Options Opts;
-  const TargetInfo &Target;
-  InstructionPool Pool;
-  bool Analyzed = false;
-  std::vector<std::unique_ptr<Routine>> Routines;
+  /// The one-shot path's analysis, which readContents() runs; null for a
+  /// session over a shared, finished analysis.
+  std::shared_ptr<Analysis> Owned;
+  std::shared_ptr<const Analysis> An;
 
-  // eel-infer results (readContents fills these on the inference path).
-  bool InferenceRan = false;
-  /// Constant code-pointer/table-base cells, sorted by cell address.
-  std::vector<std::pair<Addr, uint32_t>> InferredCells;
-  /// Fixpoint-resolved indirect sites, keyed by jump address.
-  std::map<Addr, IndirectResolution> InferredSites;
-  /// Per-routine confidence, keyed by routine start address.
-  std::map<Addr, uint8_t> InferredConfidence;
+  std::unordered_map<const Cfg *, std::vector<Edit>> Batches;
 
   struct DataBlob {
     Addr Address;

@@ -35,8 +35,8 @@ struct InstEditList {
 /// Lays out one routine.
 class RoutineLayouter {
 public:
-  explicit RoutineLayouter(Routine &R)
-      : R(R), Exec(R.executable()), Target(Exec.target()),
+  RoutineLayouter(const Executable &Exec, const Routine &R)
+      : R(R), Exec(Exec), An(Exec.analysis()), Target(An.target()),
         ExtentBase(R.startAddr()),
         Mapped((R.endAddr() - R.startAddr()) / 4, false) {}
 
@@ -78,7 +78,7 @@ private:
   }
 
   MachWord origWordAt(Addr A) const {
-    std::optional<MachWord> W = Exec.fetchWord(A);
+    std::optional<MachWord> W = An.fetchWord(A);
     assert(W && "instruction address outside image");
     return *W;
   }
@@ -141,6 +141,14 @@ private:
     return nullptr;
   }
 
+  /// The successor edge of \p B along a Taken or UncondJump path: the
+  /// edge of kind \p K, or the ExitInterJump that ends the path when its
+  /// target lies outside the routine.
+  static const Edge *pathEdgeOf(const BasicBlock *B, EdgeKind K) {
+    const Edge *E = edgeOfKind(B, K);
+    return E ? E : edgeOfKind(B, EdgeKind::ExitInterJump);
+  }
+
   /// The external target recorded for an edge into the exit block.
   Addr externalTargetOf(const BasicBlock *From) const {
     for (const auto &[Block, TargetAddr] : Graph->interJumps())
@@ -149,11 +157,12 @@ private:
     unreachable("no external target recorded for block");
   }
 
-  Routine &R;
-  Executable &Exec;
+  const Routine &R;
+  const Executable &Exec; ///< The session whose batches are applied.
+  const Analysis &An;
   const TargetInfo &Target;
-  Cfg *Graph = nullptr;
-  Liveness *Live = nullptr; ///< Owned (and cached) by the routine.
+  const Cfg *Graph = nullptr;
+  const Liveness *Live = nullptr; ///< Owned by the routine.
   RoutineLayout Out;
 
   std::map<const BasicBlock *, std::vector<InstEditList>> BlockEdits;
@@ -190,7 +199,7 @@ private:
 } // namespace
 
 void RoutineLayouter::gatherEdits() {
-  for (const Edit &E : Graph->edits()) {
+  for (const Edit &E : Exec.edits(*Graph)) {
     switch (E.K) {
     case Edit::Kind::OnEdge:
       EdgeEdits[E.E].push_back(&E);
@@ -213,19 +222,6 @@ void RoutineLayouter::gatherEdits() {
       break;
     }
     }
-  }
-  // Stable application order by sequence number.
-  auto BySeq = [](const Edit *A, const Edit *B) { return A->Seq < B->Seq; };
-  for (auto &[Block, Lists] : BlockEdits) {
-    (void)Block;
-    for (InstEditList &L : Lists) {
-      std::sort(L.Before.begin(), L.Before.end(), BySeq);
-      std::sort(L.After.begin(), L.After.end(), BySeq);
-    }
-  }
-  for (auto &[EdgePtr, List] : EdgeEdits) {
-    (void)EdgePtr;
-    std::sort(List.begin(), List.end(), BySeq);
   }
 }
 
@@ -377,7 +373,7 @@ void RoutineLayouter::noteMaterialization(const Instruction *I,
                           static_cast<uint32_t>(Cur.Imm))
                        : (static_cast<uint32_t>(Prev.Imm) +
                           static_cast<uint32_t>(Cur.Imm));
-  if (!Exec.isTextAddr(Value))
+  if (!An.isTextAddr(Value))
     return;
   Out.Relocs.push_back({Reloc::Kind::AddrHi, WordIndex - 1, Value, 0});
   Out.Relocs.push_back({Reloc::Kind::AddrLo, WordIndex, Value, 0});
@@ -476,13 +472,13 @@ Expected<bool> RoutineLayouter::lowerBranch(const BasicBlock *B,
 
   // Taken path: B --Taken--> delay block --Taken--> destination on a
   // delay-slot machine; B --Taken--> destination directly otherwise.
-  const Edge *ToTaken = edgeOfKind(B, EdgeKind::Taken);
+  const Edge *ToTaken = pathEdgeOf(B, EdgeKind::Taken);
   assert(ToTaken && "branch block without taken edge");
   const BasicBlock *TakenDelay = nullptr;
   const Edge *TakenOut = ToTaken;
   if (HasDelay) {
     TakenDelay = ToTaken->dst();
-    TakenOut = edgeOfKind(TakenDelay, EdgeKind::Taken);
+    TakenOut = pathEdgeOf(TakenDelay, EdgeKind::Taken);
     assert(TakenOut && "taken delay block without outgoing edge");
   }
   const BasicBlock *TakenDest =
@@ -508,7 +504,7 @@ Expected<bool> RoutineLayouter::lowerBranch(const BasicBlock *B,
                                : pathHasCode(ToFall, FallDelay, FallOut);
 
   if (!TakenEdited && !FallEdited &&
-      (!HasDelay || !Exec.options().DisableDelayFolding)) {
+      (!HasDelay || !An.options().DisableDelayFolding)) {
     // Re-emit the branch in place, folding the delay instruction back into
     // the slot (§3.3.1) when the machine has one.
     unsigned At = here();
@@ -562,7 +558,7 @@ Expected<bool> RoutineLayouter::lowerJump(const BasicBlock *B,
   // CFG shape: a single edge from the jump block to the destination.
   bool Direct = !HasDelay || AnnulAlways;
 
-  const Edge *First = edgeOfKind(B, EdgeKind::UncondJump);
+  const Edge *First = pathEdgeOf(B, EdgeKind::UncondJump);
   assert(First && "jump block without outgoing edge");
 
   const BasicBlock *DelayB = nullptr;
@@ -572,7 +568,7 @@ Expected<bool> RoutineLayouter::lowerJump(const BasicBlock *B,
     DestB = First->dst();
   } else {
     DelayB = First->dst();
-    Second = edgeOfKind(DelayB, EdgeKind::UncondJump);
+    Second = pathEdgeOf(DelayB, EdgeKind::UncondJump);
     assert(Second && "jump delay block without outgoing edge");
     DestB = Second->dst();
   }
@@ -586,7 +582,7 @@ Expected<bool> RoutineLayouter::lowerJump(const BasicBlock *B,
   // An unedited retargetable jump is re-emitted in place; on a delay-slot
   // machine that keeps (folds) its delay instruction.
   if (!Edited &&
-      (!HasDelay || (!AnnulAlways && !Exec.options().DisableDelayFolding))) {
+      (!HasDelay || (!AnnulAlways && !An.options().DisableDelayFolding))) {
     std::optional<MachWord> CanRetarget =
         Target.retargetDirect(I->word(), 0, 0x1000);
     if (CanRetarget) {
@@ -770,7 +766,7 @@ Expected<bool> RoutineLayouter::runVerbatim() {
   (void)Parser;
   const Instruction *Prev = nullptr;
   for (Addr A = R.startAddr(); A + 4 <= R.endAddr(); A += 4) {
-    std::optional<MachWord> WOpt = Exec.fetchWord(A);
+    std::optional<MachWord> WOpt = An.fetchWord(A);
     if (!WOpt)
       break;
     MachWord W = *WOpt;
@@ -781,13 +777,13 @@ Expected<bool> RoutineLayouter::runVerbatim() {
       Prev = nullptr;
       continue; // pure data: no decoding, no relocations
     }
-    const Instruction *I = Exec.pool().getAt(A, W);
+    const Instruction *I = An.pool().getAt(A, W);
     // Cross-routine direct transfers must follow their targets. To avoid
     // corrupting data that happens to decode as a transfer, only words
     // whose target is a routine entry point are patched.
     std::optional<Addr> T = I->directTarget(A);
     if (T && !R.contains(*T)) {
-      Routine *Dest = Exec.routineContaining(*T);
+      Routine *Dest = An.routineContaining(*T);
       bool IsEntry = false;
       if (Dest)
         for (Addr E : Dest->entryPoints())
@@ -834,11 +830,11 @@ Expected<RoutineLayout> RoutineLayouter::run() {
   }
 
   Graph = R.controlFlowGraph();
-  bool WantTranslation = Exec.options().EnableRuntimeTranslation;
+  bool WantTranslation = An.options().EnableRuntimeTranslation;
   bool MustVerbatim =
       Graph->unsupported() || (!Graph->complete() && !WantTranslation);
   if (MustVerbatim) {
-    if (Graph->edited())
+    if (Exec.edited(*Graph))
       return Error("routine '" + R.name() + "' cannot be edited: " +
                    (Graph->unsupported() ? Graph->unsupportedReason()
                                          : "unanalyzable control flow and "
@@ -889,9 +885,10 @@ Expected<RoutineLayout> RoutineLayouter::run() {
   return std::move(Out);
 }
 
-Expected<RoutineLayout> eel::layoutRoutine(Routine &R) {
+Expected<RoutineLayout> eel::layoutRoutine(const Executable &Exec,
+                                           const Routine &R) {
   EEL_TRACE_SCOPE("layout_routine", "routine", R.name());
-  RoutineLayouter L(R);
+  RoutineLayouter L(Exec, R);
   Expected<RoutineLayout> Out = L.run();
   if (!Out.hasError())
     bumpHistogram("layout.words_per_routine", Out.value().Code.size());

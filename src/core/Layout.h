@@ -99,9 +99,11 @@ struct RoutineLayout {
   unsigned SnippetCCSaves = 0;
 };
 
-/// Lays out \p R, applying its CFG's accumulated edits. Fails when a
-/// snippet cannot be instantiated or an edited routine is unsupported.
-Expected<RoutineLayout> layoutRoutine(Routine &R);
+/// Lays out \p R, applying the batch \p Exec accumulated for its CFG.
+/// Fails when a snippet cannot be instantiated or an edited routine is
+/// unsupported.
+Expected<RoutineLayout> layoutRoutine(const Executable &Exec,
+                                      const Routine &R);
 
 } // namespace eel
 

@@ -63,31 +63,34 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
     return Read.error();
   Stats = EditStats();
   AddrMap.clear();
+  const SxfFile &Image = An->image();
+  const TargetInfo &Target = An->target();
+  const Options &Opts = An->options();
+  const std::vector<std::unique_ptr<Routine>> &Routines = An->routines();
 
   EEL_TRACE_SCOPE("writeEditedExecutable");
   // One span per numbered phase below, sequential and non-overlapping:
   // starting a phase ends the previous one.
-  std::optional<TraceSpan> PhaseSpan;
-  auto BeginPhase = [&PhaseSpan](const char *Name) {
-    PhaseSpan.reset();
-    PhaseSpan.emplace(Name);
-  };
+  TracePhases Phase;
 
   const asmkit::InstParser &Parser = asmkit::instParserFor(Image.Arch);
 
   // --- 1. Lay out every routine --------------------------------------------
   // Per-routine layout is independent across routines (readContents has
-  // already built the CFGs, slices, and liveness it reads), so it fans out
-  // over the pool. Results land in per-index slots and are merged in index
-  // order below, which makes placement, the address map, and the reported
-  // error (the lowest-index failure) the same at every width.
-  BeginPhase("write.layout");
-  const unsigned NThreads = effectiveThreads();
+  // already built the CFGs, slices, and liveness it reads, and each reads
+  // only its own batch), so it fans out over the pool. Results land in
+  // per-index slots and are merged in index order below, which makes
+  // placement, the address map, and the reported error (the lowest-index
+  // failure) the same at every width.
+  Phase.begin("write.layout");
+  const unsigned NThreads = An->effectiveThreads();
   const size_t NumRoutines = Routines.size();
   std::vector<std::optional<Expected<RoutineLayout>>> LaidOut(NumRoutines);
-  parallelForEach(NThreads, NumRoutines, [this, &LaidOut](size_t Index) {
-    LaidOut[Index].emplace(layoutRoutine(*Routines[Index]));
-  });
+  parallelForEach(NThreads, NumRoutines,
+                  [this, &Routines, &LaidOut](size_t Index) {
+                    LaidOut[Index].emplace(
+                        layoutRoutine(*this, *Routines[Index]));
+                  });
 
   std::vector<PlacedRoutine> Placed;
   bool NeedTranslator = false;
@@ -102,7 +105,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
     NeedTranslator |= P.Layout.NeedsTranslator;
     if (P.Layout.Verbatim)
       ++Stats.RoutinesVerbatim;
-    else if (R.cachedCfg() && R.cachedCfg()->edited())
+    else if (R.controlFlowGraph() && edited(*R.controlFlowGraph()))
       ++Stats.RoutinesEdited;
     Stats.DelaySlotsFolded += P.Layout.DelayFolded;
     Stats.DelaySlotsMaterialized += P.Layout.DelayMaterialized;
@@ -117,8 +120,8 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   // that original and edited instruction addresses never collide: the
   // run-time translator can then distinguish untranslated original
   // addresses (in its table) from values that were already rewritten.
-  BeginPhase("write.place");
-  Addr NewTextBase = (textEnd() + 0xFFFu) & ~0xFFFu;
+  Phase.begin("write.place");
+  Addr NewTextBase = (An->textEnd() + 0xFFFu) & ~0xFFFu;
   Addr Cursor = NewTextBase;
   for (PlacedRoutine &P : Placed) {
     P.Base = Cursor;
@@ -132,7 +135,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   AddrMap.seal();
 
   // --- 3. Translation table and translator ----------------------------------
-  BeginPhase("write.translator");
+  Phase.begin("write.translator");
   Addr TranslatorAddr = 0;
   std::vector<MachWord> TranslatorCode;
   Addr TableAddr = 0;
@@ -156,7 +159,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   }
 
   // --- 4. Tool-added routines -------------------------------------------------
-  BeginPhase("write.added_routines");
+  Phase.begin("write.added_routines");
   std::vector<std::vector<MachWord>> AddedCode;
   for (AddedRoutine &Added : AddedRoutines) {
     Added.PlacedAddr = Cursor;
@@ -193,7 +196,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
 
   uint8_t *TextBuf = nullptr; // non-null selects the zero-copy accessors
   if (!Opts.LegacyWriter) {
-    BeginPhase("write.emit");
+    Phase.begin("write.emit");
     TextSeg.Bytes.resize(static_cast<size_t>(Cursor - NewTextBase));
     TextBuf = TextSeg.Bytes.data();
     parallelForEach(NThreads, Placed.size(),
@@ -237,12 +240,12 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   // each worker writes only its own routine's words and reads the shared
   // sealed map. Per-routine translation-site counts and error messages are
   // merged in index order, so the result is the same at every width.
-  BeginPhase("write.reloc_patch");
+  Phase.begin("write.reloc_patch");
   std::vector<unsigned> SiteCounts(Placed.size(), 0);
   std::vector<std::string> PatchErrors(Placed.size());
   parallelForEach(
       NThreads, Placed.size(),
-      [this, &Placed, &SiteCounts, &PatchErrors, &Parser, &LoadWord,
+      [this, &Target, &Placed, &SiteCounts, &PatchErrors, &Parser, &LoadWord,
        &StoreWord, TranslatorAddr](size_t Index) {
         PlacedRoutine &P = Placed[Index];
         for (const Reloc &Rl : P.Layout.Relocs) {
@@ -304,7 +307,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   }
 
   // --- 6. Snippet call-backs ------------------------------------------------------
-  BeginPhase("write.callbacks");
+  Phase.begin("write.callbacks");
   for (PlacedRoutine &P : Placed) {
     for (PendingCallback &CB : P.Layout.Callbacks) {
       SnippetInstance &Inst = CB.Instance;
@@ -320,7 +323,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   // --- 7. Build the output image ----------------------------------------------------
   if (Opts.LegacyWriter) {
     // Seed emission path: serialize the patched word vectors byte by byte.
-    BeginPhase("write.emit");
+    Phase.begin("write.emit");
     auto AppendWords = [&TextSeg](const std::vector<MachWord> &Words) {
       for (MachWord W : Words) {
         TextSeg.Bytes.push_back(static_cast<uint8_t>(W));
@@ -335,7 +338,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
     for (const auto &Words : AddedCode)
       AppendWords(Words);
   }
-  BeginPhase("write.image");
+  Phase.begin("write.image");
   TextSeg.MemSize = static_cast<uint32_t>(TextSeg.Bytes.size());
   Out.Segments.push_back(std::move(TextSeg));
 
@@ -394,9 +397,9 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   // with relocation information, when available"); otherwise fall back to
   // the heuristic whole-segment scan, which can mistake an integer for a
   // code pointer.
-  BeginPhase("write.data_pointers");
+  Phase.begin("write.data_pointers");
   if (Opts.RewriteDataPointers && !Image.Relocs.empty()) {
-    Addr TB = textBase(), TE = textEnd();
+    Addr TB = An->textBase(), TE = An->textEnd();
     for (const SxfReloc &Reloc : Image.Relocs) {
       if (Reloc.Kind != RelocKind::Word32)
         continue;
@@ -423,7 +426,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
       for (size_t Off = 0; Off + 4 <= Seg.Bytes.size(); Off += 4) {
         Addr A = Seg.VAddr + static_cast<Addr>(Off);
         uint32_t W = *Out.readWord(A);
-        if (!isTextAddr(W))
+        if (!An->isTextAddr(W))
           continue;
         auto It = AddrMap.find(W);
         if (It == AddrMap.end())
@@ -435,7 +438,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   }
 
   // --- 9. Dispatch-table rewriting --------------------------------------------------
-  BeginPhase("write.dispatch_tables");
+  Phase.begin("write.dispatch_tables");
   for (const PlacedRoutine &P : Placed) {
     for (const TableFix &Fix : P.Layout.TableFixes) {
       const SxfSegment *Seg = Image.segmentContaining(Fix.TableAddr);
@@ -472,7 +475,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   }
 
   // --- 10. Symbols and entry point --------------------------------------------------
-  BeginPhase("write.symbols");
+  Phase.begin("write.symbols");
   // Binding of the first original symbol with each name (the one
   // SxfFile::findSymbol returns: emplace keeps the first).
   std::unordered_map<std::string_view, SymBinding> BindingOf;
@@ -498,7 +501,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
                            SymKind::Routine, SymBinding::Local});
   // Non-text symbols (data objects) keep their addresses.
   for (const SxfSymbol &Sym : Image.Symbols)
-    if (Sym.Value < textBase() || Sym.Value >= textEnd())
+    if (Sym.Value < An->textBase() || Sym.Value >= An->textEnd())
       Out.Symbols.push_back(Sym);
 
   auto EntryIt = AddrMap.find(Image.Entry);
@@ -507,7 +510,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   Out.Entry = EntryIt->second;
 
   // --- 11. Optional verification gate -----------------------------------------------
-  BeginPhase("write.verify_gate");
+  Phase.begin("write.verify_gate");
   if (Opts.Verify) {
     // The gate runs the re-analysis-free profile (passes 1-4); full
     // translation validation re-disassembles the output and is a separate

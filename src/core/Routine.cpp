@@ -12,7 +12,7 @@
 
 using namespace eel;
 
-Routine::Routine(Executable &Parent, std::string Name, Addr Lo, Addr Hi)
+Routine::Routine(const Analysis &Parent, std::string Name, Addr Lo, Addr Hi)
     : Parent(Parent), Name(std::move(Name)), Lo(Lo), Hi(Hi) {
   Entries.push_back(Lo);
 }
@@ -25,21 +25,4 @@ void Routine::addEntryPoint(Addr A) {
     return;
   Entries.push_back(A);
   std::sort(Entries.begin(), Entries.end());
-}
-
-Cfg *Routine::controlFlowGraph() {
-  if (!Graph)
-    Graph = buildCfg(*this);
-  return Graph.get();
-}
-
-Liveness *Routine::liveness() {
-  if (!Live)
-    Live = std::make_unique<Liveness>(*controlFlowGraph());
-  return Live.get();
-}
-
-void Routine::deleteControlFlowGraph() {
-  Live.reset(); // refers into the graph; must go first
-  Graph.reset();
 }

@@ -8,8 +8,11 @@
 /// Routines (§3.2): named entities in the text segment that hold
 /// instructions and data. A routine records what symbol-table refinement
 /// learned about it (extent, entry points, whether it was hidden or is
-/// really a data table) and provides the interface to EEL's control-flow
-/// analysis and editing facility through its CFG.
+/// really a data table) and holds the results of EEL's control-flow
+/// analysis: its CFG and liveness. A routine belongs to an Analysis and is
+/// read-only once readContents() returns; tools edit it through the CFG's
+/// blocks and edges, but the edits live in the edit session
+/// (core/Executable.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,16 +27,16 @@
 
 namespace eel {
 
-class Executable;
+class Analysis;
 class Liveness;
 
 class Routine {
 public:
   // Both out-of-line: the Liveness member is incomplete here.
-  Routine(Executable &Parent, std::string Name, Addr Lo, Addr Hi);
+  Routine(const Analysis &Parent, std::string Name, Addr Lo, Addr Hi);
   ~Routine();
 
-  Executable &executable() const { return Parent; }
+  const Analysis &analysis() const { return Parent; }
   const std::string &name() const { return Name; }
 
   /// Extent [startAddr, endAddr) in the text segment.
@@ -44,7 +47,6 @@ public:
 
   /// Entry points, in increasing address order; the first is startAddr().
   const std::vector<Addr> &entryPoints() const { return Entries; }
-  void addEntryPoint(Addr A);
 
   /// True if the routine was discovered by analysis rather than named by a
   /// symbol (a "hidden routine", §3.1).
@@ -54,26 +56,23 @@ public:
   /// table carrying a routine-like symbol, §3.1).
   bool isData() const { return IsData; }
 
-  /// Builds (or returns the cached) control-flow graph.
-  Cfg *controlFlowGraph();
+  /// The control-flow graph readContents() built; null for a data
+  /// routine, which has none.
+  Cfg *controlFlowGraph() const { return Graph.get(); }
 
-  /// Builds (or returns the cached) live-register analysis over the CFG.
-  /// Sound to cache across edits: edits accumulate separately and do not
-  /// change the graph's blocks or edges until layout applies them.
-  Liveness *liveness();
-
-  /// Discards the CFG, its liveness, and any accumulated edits (the
-  /// paper's delete_control_flow_graph, used to bound memory while
-  /// iterating).
-  void deleteControlFlowGraph();
-
-  /// Whether a CFG has been built and edited (queried by the editor).
-  Cfg *cachedCfg() const { return Graph.get(); }
+  /// The live-register analysis over the CFG, computed by readContents()
+  /// for every routine layout edits; null where layout copies the routine
+  /// verbatim (data, an unsupported graph, or unresolved indirect jumps
+  /// with run-time translation off). Edits never invalidate it: they
+  /// accumulate in the edit session, not in the graph.
+  Liveness *liveness() const { return Live.get(); }
 
 private:
-  friend class Executable;
+  friend class Analysis;
 
-  Executable &Parent;
+  void addEntryPoint(Addr A);
+
+  const Analysis &Parent;
   std::string Name;
   Addr Lo, Hi;
   std::vector<Addr> Entries;

@@ -20,7 +20,7 @@ namespace {
 /// Shared walk state: decoded instructions and join points of one routine.
 class Slicer {
 public:
-  Slicer(Executable &Exec, Routine &R) : Exec(Exec), R(R) {
+  Slicer(const Analysis &An, const Routine &R) : An(An), R(R) {
     // Branch/jump targets inside the routine are join points: walking a
     // definition past one would merge paths we know nothing about.
     for (Addr A = R.startAddr(); A + 4 <= R.endAddr(); A += 4) {
@@ -40,10 +40,10 @@ public:
   const Instruction *instAt(Addr A) {
     if (!R.contains(A) || (A & 3))
       return nullptr;
-    std::optional<MachWord> W = Exec.fetchWord(A);
+    std::optional<MachWord> W = An.fetchWord(A);
     if (!W)
       return nullptr;
-    return Exec.pool().getAt(A, *W);
+    return An.pool().getAt(A, *W);
   }
 
   /// Value of \p Reg immediately before the instruction at \p At.
@@ -65,7 +65,7 @@ private:
   SymValue foldCell(SymValue V) {
     if (V.K != SymValue::Kind::CellLoad)
       return V;
-    std::optional<uint32_t> Known = Exec.inferredCellValue(V.CellAddr);
+    std::optional<uint32_t> Known = An.inferredCellValue(V.CellAddr);
     if (!Known)
       return V;
     Folds.push_back({V.CellAddr, *Known});
@@ -75,8 +75,8 @@ private:
     return Out;
   }
 
-  Executable &Exec;
-  Routine &R;
+  const Analysis &An;
+  const Routine &R;
   std::set<Addr> Joins;
   std::vector<std::pair<Addr, uint32_t>> Folds;
 
@@ -153,7 +153,7 @@ SymValue Slicer::value(Addr At, unsigned Reg, unsigned Depth) {
       case InstKind::IndirectCall:
         // Falls through. A call clobbers caller-saved registers though.
         if (I->kind() != InstKind::Branch) {
-          const RegSet &Clobbered = Exec.target().conventions().CallerSaved;
+          const RegSet &Clobbered = An.target().conventions().CallerSaved;
           if (Clobbered.contains(Reg))
             return Unknown;
         }
@@ -264,27 +264,28 @@ SymValue Slicer::value(Addr At, unsigned Reg, unsigned Depth) {
   return Unknown;
 }
 
-SymValue eel::backwardSlice(Executable &Exec, Routine &R, Addr At,
+SymValue eel::backwardSlice(const Analysis &An, const Routine &R, Addr At,
                             unsigned Reg) {
   bumpStat("eel.slice.queries");
-  Slicer S(Exec, R);
+  Slicer S(An, R);
   return S.value(At, Reg, 0);
 }
 
 /// Looks backwards from \p JumpAddr for a comparison bounding \p IdxReg:
 /// a cc-setting subtract (SPARC cmp) or a set-less-than (MIPS slti) with an
 /// immediate. Returns the exclusive upper bound on the index, if found.
-static std::optional<unsigned> findBoundsCheck(Executable &Exec, Routine &R,
+static std::optional<unsigned> findBoundsCheck(const Analysis &An,
+                                               const Routine &R,
                                                Addr JumpAddr,
                                                unsigned IdxReg) {
   unsigned Steps = 0;
   Addr A = JumpAddr;
   while (A > R.startAddr() && Steps++ < 48) {
     A -= 4;
-    std::optional<MachWord> W = Exec.fetchWord(A);
+    std::optional<MachWord> W = An.fetchWord(A);
     if (!W)
       return std::nullopt;
-    const Instruction *I = Exec.pool().getAt(A, *W);
+    const Instruction *I = An.pool().getAt(A, *W);
     DataOp Op = I->dataOp();
     if (Op.Kind == DataOpKind::Sub && Op.SetsCC && Op.HasImm &&
         Op.Rs1 == IdxReg && Op.Imm >= 0)
@@ -298,16 +299,17 @@ static std::optional<unsigned> findBoundsCheck(Executable &Exec, Routine &R,
 
 /// True when the block before the jump pops the frame (the tail-call
 /// idiom: deallocate, then jump to the callee).
-static bool looksLikeTailCall(Executable &Exec, Routine &R, Addr JumpAddr) {
-  unsigned SP = Exec.target().conventions().StackPointer;
+static bool looksLikeTailCall(const Analysis &An, const Routine &R,
+                              Addr JumpAddr) {
+  unsigned SP = An.target().conventions().StackPointer;
   unsigned Steps = 0;
   Addr A = JumpAddr;
   while (A > R.startAddr() && Steps++ < 16) {
     A -= 4;
-    std::optional<MachWord> W = Exec.fetchWord(A);
+    std::optional<MachWord> W = An.fetchWord(A);
     if (!W)
       return false;
-    DataOp Op = Exec.pool().getAt(A, *W)->dataOp();
+    DataOp Op = An.pool().getAt(A, *W)->dataOp();
     if (Op.Kind == DataOpKind::Add && Op.Rd == SP && Op.Rs1 == SP &&
         Op.HasImm && Op.Imm > 0)
       return true;
@@ -338,23 +340,23 @@ static SymValue sliceJumpTarget(Slicer &S, const IndirectTargetInfo &Info,
 }
 
 /// Decodes the IndirectInst at \p JumpAddr; asserts it is one.
-static const IndirectInst *indirectAt(Executable &Exec, Addr JumpAddr) {
-  std::optional<MachWord> W = Exec.fetchWord(JumpAddr);
+static const IndirectInst *indirectAt(const Analysis &An, Addr JumpAddr) {
+  std::optional<MachWord> W = An.fetchWord(JumpAddr);
   assert(W && "indirect jump outside image");
-  const auto *Jump = dyn_cast<IndirectInst>(Exec.pool().getAt(JumpAddr, *W));
+  const auto *Jump = dyn_cast<IndirectInst>(An.pool().getAt(JumpAddr, *W));
   assert(Jump && "resolveIndirect on a non-indirect instruction");
   return Jump;
 }
 
-IndirectResolution eel::resolveIndirect(Executable &Exec, Routine &R,
+IndirectResolution eel::resolveIndirect(const Analysis &An, const Routine &R,
                                         Addr JumpAddr) {
   // The pipeline's only entry into slicing — backwardSlice() calls nested
   // here would double-count, so the span lives here alone.
   EEL_TRACE_SCOPE("slice.resolve_indirect", "routine", R.name());
   IndirectResolution Res;
-  const IndirectTargetInfo &Info = indirectAt(Exec, JumpAddr)->targetInfo();
+  const IndirectTargetInfo &Info = indirectAt(An, JumpAddr)->targetInfo();
 
-  Slicer S(Exec, R);
+  Slicer S(An, R);
   SymValue Target = sliceJumpTarget(S, Info, JumpAddr);
 
   switch (Target.K) {
@@ -368,7 +370,7 @@ IndirectResolution eel::resolveIndirect(Executable &Exec, Routine &R,
       for (const auto &[Cell, Value] : S.folds())
         if (Value == Target.Const)
           Res.CellAddr = Cell;
-      Res.TailCallIdiom = looksLikeTailCall(Exec, R, JumpAddr);
+      Res.TailCallIdiom = looksLikeTailCall(An, R, JumpAddr);
       bumpStat("eel.slice.inferred_literal");
     }
     bumpStat("eel.slice.literal");
@@ -381,13 +383,13 @@ IndirectResolution eel::resolveIndirect(Executable &Exec, Routine &R,
     // Enumerate entries while they are plausible code addresses; refine
     // with a bounds check on the (pre-scaling) index register when found.
     std::optional<unsigned> Bound =
-        findBoundsCheck(Exec, R, JumpAddr, Target.OrigReg);
+        findBoundsCheck(An, R, JumpAddr, Target.OrigReg);
     unsigned Limit = Bound ? *Bound : 1024u;
     std::vector<Addr> Targets;
     for (unsigned Idx = 0; Idx < Limit; ++Idx) {
       std::optional<uint32_t> Entry =
-          Exec.fetchWord(Res.TableAddr + 4 * Idx);
-      if (!Entry || !Exec.isTextAddr(*Entry) || (*Entry & 3))
+          An.fetchWord(Res.TableAddr + 4 * Idx);
+      if (!Entry || !An.isTextAddr(*Entry) || (*Entry & 3))
         break;
       Targets.push_back(*Entry);
     }
@@ -407,7 +409,7 @@ IndirectResolution eel::resolveIndirect(Executable &Exec, Routine &R,
   case SymValue::Kind::CellLoad:
     Res.K = IndirectResolution::Kind::CellPointer;
     Res.CellAddr = Target.CellAddr;
-    Res.TailCallIdiom = looksLikeTailCall(Exec, R, JumpAddr);
+    Res.TailCallIdiom = looksLikeTailCall(An, R, JumpAddr);
     bumpStat("eel.slice.cells");
     return Res;
 
@@ -416,37 +418,37 @@ IndirectResolution eel::resolveIndirect(Executable &Exec, Routine &R,
   }
 
   Res.K = IndirectResolution::Kind::Unanalyzable;
-  Res.TailCallIdiom = looksLikeTailCall(Exec, R, JumpAddr);
+  Res.TailCallIdiom = looksLikeTailCall(An, R, JumpAddr);
   bumpStat("eel.slice.unanalyzable");
   return Res;
 }
 
-TableEvidence eel::tableEvidence(Executable &Exec, Routine &R,
+TableEvidence eel::tableEvidence(const Analysis &An, const Routine &R,
                                  Addr JumpAddr) {
   TableEvidence Ev;
-  const IndirectTargetInfo &Info = indirectAt(Exec, JumpAddr)->targetInfo();
-  Slicer S(Exec, R);
+  const IndirectTargetInfo &Info = indirectAt(An, JumpAddr)->targetInfo();
+  Slicer S(An, R);
   SymValue Target = sliceJumpTarget(S, Info, JumpAddr);
   if (Target.K != SymValue::Kind::TableLoad)
     return Ev;
   Ev.HasTable = true;
   Ev.Base = Target.Base;
   Ev.Shift = Target.Shift;
-  Ev.Bound = findBoundsCheck(Exec, R, JumpAddr, Target.OrigReg);
+  Ev.Bound = findBoundsCheck(An, R, JumpAddr, Target.OrigReg);
   Ev.ViaConstantCell = S.usedOracle();
   return Ev;
 }
 
-std::optional<Addr> eel::storeTargetAddr(Executable &Exec, Routine &R,
+std::optional<Addr> eel::storeTargetAddr(const Analysis &An, const Routine &R,
                                          Addr StoreAddr) {
-  std::optional<MachWord> W = Exec.fetchWord(StoreAddr);
+  std::optional<MachWord> W = An.fetchWord(StoreAddr);
   if (!W)
     return std::nullopt;
-  const auto *Mem = dyn_cast<MemoryInst>(Exec.pool().getAt(StoreAddr, *W));
+  const auto *Mem = dyn_cast<MemoryInst>(An.pool().getAt(StoreAddr, *W));
   if (!Mem || !Mem->memOp().IsStore)
     return std::nullopt;
   const MemOp &M = Mem->memOp();
-  Slicer S(Exec, R);
+  Slicer S(An, R);
   SymValue BaseV = S.value(StoreAddr, M.AddrBase, 0);
   if (BaseV.K != SymValue::Kind::Const)
     return std::nullopt;

@@ -23,7 +23,7 @@
 /// number; the paper's own count on real Solaris binaries was 138).
 ///
 /// When eel-infer has proven code-pointer cells constant
-/// (Executable::inferredCellValue), the slice folds loads from those cells
+/// (Analysis::inferredCellValue), the slice folds loads from those cells
 /// into constants — turning the cell-jump idiom into a Literal and a
 /// table-base-through-memory idiom into a DispatchTable. Resolutions that
 /// needed such facts carry IndirectResolution::Inferred.
@@ -37,7 +37,7 @@
 
 namespace eel {
 
-class Executable;
+class Analysis;
 class Routine;
 
 /// Symbolic value of a register at a program point, produced by the
@@ -63,11 +63,12 @@ struct SymValue {
 /// Computes the value of \p Reg immediately before the instruction at
 /// \p At, walking backwards within \p R (stopping conservatively at join
 /// points and unmodelled definitions).
-SymValue backwardSlice(Executable &Exec, Routine &R, Addr At, unsigned Reg);
+SymValue backwardSlice(const Analysis &An, const Routine &R, Addr At,
+                       unsigned Reg);
 
 /// Resolves the indirect transfer at \p JumpAddr (which must decode to an
 /// IndirectInst) using backwardSlice plus table-bounds discovery.
-IndirectResolution resolveIndirect(Executable &Exec, Routine &R,
+IndirectResolution resolveIndirect(const Analysis &An, const Routine &R,
                                    Addr JumpAddr);
 
 /// The table-idiom evidence the slice gathered at one indirect jump,
@@ -81,14 +82,15 @@ struct TableEvidence {
   std::optional<unsigned> Bound; ///< Exclusive index bound, when checked.
   bool ViaConstantCell = false; ///< Base came through the cell oracle.
 };
-TableEvidence tableEvidence(Executable &Exec, Routine &R, Addr JumpAddr);
+TableEvidence tableEvidence(const Analysis &An, const Routine &R,
+                            Addr JumpAddr);
 
 /// The statically known address written by the store at \p StoreAddr, if
 /// the slice can prove one (sethi/or- or lui/ori-materialized bases, with
 /// any constant index folded in). Used by eel-infer's cell-constancy rule
 /// to show a store cannot alias a code-pointer cell. Returns nullopt for
 /// unprovable addresses and for non-store instructions.
-std::optional<Addr> storeTargetAddr(Executable &Exec, Routine &R,
+std::optional<Addr> storeTargetAddr(const Analysis &An, const Routine &R,
                                     Addr StoreAddr);
 
 } // namespace eel

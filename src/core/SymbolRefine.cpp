@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Implements Executable::readContents(): the §3.1 analysis that refines an
+/// Implements Analysis::readContents(): the §3.1 analysis that refines an
 /// unreliable symbol table into an accurate routine map.
 ///
 ///   Stage 1  Read the symbol table; drop duplicate, temporary, and
@@ -44,6 +44,7 @@
 #include "core/Executable.h"
 
 #include "analysis/Infer.h"
+#include "core/Liveness.h"
 #include "support/Metrics.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
@@ -98,7 +99,7 @@ private:
 
 /// Follows control flow from \p Entries within [Lo, Hi), recording reached
 /// instruction addresses. Returns false if a reachable word is invalid.
-static bool scanReachable(Executable &Exec, const std::vector<Addr> &Entries,
+static bool scanReachable(const Analysis &An, const std::vector<Addr> &Entries,
                           Addr Lo, Addr Hi, ReachedWords &Reached) {
   bool AllValid = true;
   Reached.reset(Lo, Hi);
@@ -108,12 +109,12 @@ static bool scanReachable(Executable &Exec, const std::vector<Addr> &Entries,
     Worklist.pop_back();
     if (A < Lo || A >= Hi || (A & 3) || Reached.contains(A))
       continue;
-    std::optional<MachWord> W = Exec.fetchWord(A);
+    std::optional<MachWord> W = An.fetchWord(A);
     if (!W) {
       AllValid = false;
       continue;
     }
-    const Instruction *I = Exec.pool().getAt(A, *W);
+    const Instruction *I = An.pool().getAt(A, *W);
     Reached.insert(A);
     if (isa<InvalidInst>(I)) {
       AllValid = false;
@@ -127,10 +128,10 @@ static bool scanReachable(Executable &Exec, const std::vector<Addr> &Entries,
     if (I->hasDelaySlot() &&
         I->delayBehavior() != DelayBehavior::AnnulAlways &&
         A + 4 < Hi) {
-      std::optional<MachWord> DW = Exec.fetchWord(A + 4);
+      std::optional<MachWord> DW = An.fetchWord(A + 4);
       if (DW) {
         Reached.insert(A + 4);
-        if (isa<InvalidInst>(Exec.pool().getAt(A + 4, *DW)))
+        if (isa<InvalidInst>(An.pool().getAt(A + 4, *DW)))
           AllValid = false;
       }
     }
@@ -167,7 +168,7 @@ static bool scanReachable(Executable &Exec, const std::vector<Addr> &Entries,
   return AllValid;
 }
 
-Expected<bool> Executable::readContents() {
+Expected<bool> Analysis::readContents() {
   if (Analyzed)
     return true;
   if (!Image.segment(SegKind::Text))
@@ -176,10 +177,41 @@ Expected<bool> Executable::readContents() {
   Analyzed = true;
 
   EEL_TRACE_SCOPE("readContents");
-  // Stages 1-4 below are the symbol-refinement analysis proper; the
-  // per-routine analyses at the end are their own "analyze" phase.
-  std::optional<TraceSpan> RefineSpan(std::in_place, "symbol_refine");
+  // Stages 1-4 are the symbol-refinement analysis proper; the per-routine
+  // analyses after them are their own "analyze" phase.
+  {
+    EEL_TRACE_SCOPE("symbol_refine");
+    refineRoutines();
+  }
+  bumpHistogram("refine.routines_per_image", Routines.size());
 
+  // --- Per-routine analysis ------------------------------------------------
+  // The remaining per-routine analyses — CFG construction with delay-slot
+  // normalization, backward slicing of indirect-jump sites (both inside
+  // buildCfg), and liveness — are independent across routines, so they fan
+  // out over the pool now (inline, in index order, at width 1). Each
+  // routine is touched by exactly one worker; the cross-routine state
+  // (instruction pool, stat registry) is sharded. Every width runs this
+  // same schedule. Nothing builds lazily afterwards, which is what lets
+  // edit sessions share the finished analysis.
+  EEL_TRACE_SCOPE("analyze", "routines", uint64_t(Routines.size()));
+  bool WantTranslation = Opts.EnableRuntimeTranslation;
+  parallelForEach(effectiveThreads(), Routines.size(),
+                  [this, WantTranslation](size_t Index) {
+                    Routine &R = *Routines[Index];
+                    if (R.isData())
+                      return; // layout copies data verbatim, no CFG
+                    R.Graph = buildCfg(R);
+                    // Mirror layoutRoutine's condition so exactly the
+                    // analyses layout needs run here.
+                    if (!R.Graph->unsupported() &&
+                        (R.Graph->complete() || WantTranslation))
+                      R.Live = std::make_unique<Liveness>(*R.Graph);
+                  });
+  return true;
+}
+
+void Analysis::refineRoutines() {
   const Addr TB = textBase();
   const Addr TE = textEnd();
 
@@ -231,7 +263,7 @@ Expected<bool> Executable::readContents() {
     // entries, constant code-pointer cells, and indirect-site resolutions
     // from the bytes alone (analysis/Infer.h). Its seeds subsume the old
     // naive stage 2 — entry point, first text address, call targets — and
-    // its cell/site facts persist on the Executable, where backward
+    // its cell/site facts persist on the analysis, where backward
     // slicing and CFG construction consult them.
     InferResult Inferred = inferLayout(*this);
     InferenceRan = true;
@@ -344,30 +376,4 @@ Expected<bool> Executable::readContents() {
                const std::unique_ptr<Routine> &B) {
               return A->startAddr() < B->startAddr();
             });
-  RefineSpan.reset();
-  bumpHistogram("refine.routines_per_image", Routines.size());
-
-  // --- Per-routine analysis ------------------------------------------------
-  // The remaining per-routine analyses — CFG construction with delay-slot
-  // normalization, backward slicing of indirect-jump sites (both inside
-  // buildCfg), and liveness — are independent across routines, so they fan
-  // out over the pool now (inline, in index order, at width 1) and later
-  // edits and layout find them cached. Each routine is touched by exactly
-  // one worker; the cross-routine state (instruction pool, stat registry)
-  // is sharded. Every width runs this same schedule.
-  EEL_TRACE_SCOPE("analyze", "routines", uint64_t(Routines.size()));
-  bool WantTranslation = Opts.EnableRuntimeTranslation;
-  parallelForEach(effectiveThreads(), Routines.size(),
-                  [this, WantTranslation](size_t Index) {
-                    Routine &R = *Routines[Index];
-                    if (R.isData())
-                      return; // layout copies data verbatim, no CFG
-                    Cfg *G = R.controlFlowGraph();
-                    // Mirror layoutRoutine's condition so exactly the
-                    // analyses layout needs run here.
-                    if (!G->unsupported() &&
-                        (G->complete() || WantTranslation))
-                      R.liveness();
-                  });
-  return true;
 }

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <optional>
 #include <thread>
 
 using namespace eel;
@@ -42,7 +43,7 @@ uint64_t unixMillisNow() {
 
 // --- AnalysisCache ----------------------------------------------------------
 
-std::unique_ptr<Executable> AnalysisCache::claim(uint64_t Key) {
+std::shared_ptr<const Analysis> AnalysisCache::find(uint64_t Key) {
   std::lock_guard<std::mutex> G(M);
   auto It = Index.find(Key);
   if (It == Index.end()) {
@@ -50,27 +51,20 @@ std::unique_ptr<Executable> AnalysisCache::claim(uint64_t Key) {
     return nullptr;
   }
   ++Hits;
-  std::unique_ptr<Executable> Exec = std::move(It->second->Exec);
-  CurrentBytes -= It->second->ImageBytes;
-  Lru.erase(It->second);
-  Index.erase(It);
-  return Exec;
+  Lru.splice(Lru.begin(), Lru, It->second);
+  return It->second->An;
 }
 
-void AnalysisCache::insert(uint64_t Key, std::unique_ptr<Executable> Exec,
+void AnalysisCache::insert(uint64_t Key, std::shared_ptr<const Analysis> An,
                            uint64_t ImageBytes) {
   if (Capacity == 0)
     return;
   std::lock_guard<std::mutex> G(M);
-  auto It = Index.find(Key);
-  if (It != Index.end()) {
-    // A concurrent cold run of the same request beat us here; the newer
-    // executable replaces it (both are just-analyzed, either is fine).
-    CurrentBytes -= It->second->ImageBytes;
-    Lru.erase(It->second);
-    Index.erase(It);
-  }
-  Lru.push_front(Entry{Key, std::move(Exec), ImageBytes});
+  // A concurrent cold run of the same image got here first; the two
+  // analyses are identical, so keep the resident one.
+  if (Index.count(Key))
+    return;
+  Lru.push_front(Entry{Key, std::move(An), ImageBytes});
   Index[Key] = Lru.begin();
   CurrentBytes += ImageBytes;
   while (Lru.size() > Capacity) {
@@ -270,7 +264,7 @@ ServeResponse EditService::handle(const ServeRequest &Req) {
   auto W = std::make_shared<Waiter>();
   ServeTool ToolV = Tool.value();
   bool Accepted = Pool.trySubmit([this, &Req, ToolV, W, Rid] {
-    ServeResponse R = process(Req, ToolV, Rid);
+    ServeResponse R = runPipeline(Req, ToolV, Rid);
     std::lock_guard<std::mutex> G(W->M);
     W->Resp = std::move(R);
     W->Done = true;
@@ -287,48 +281,44 @@ ServeResponse EditService::handle(const ServeRequest &Req) {
   return std::move(W->Resp);
 }
 
-ServeResponse EditService::process(const ServeRequest &Req, ServeTool Tool,
-                                   uint64_t Rid) {
-  // The pool worker executing this request adopts its id; spans and log
-  // records from here down (and from parallelForEach helpers, which
-  // propagate the submitter's id) all correlate.
-  TraceRequestScope RidScope(Rid);
-  if (Req.WantMetrics) {
-    // Isolated run: exclusive so the scope's registry reset sees no
-    // concurrent recorders, and the envelope's metrics cover exactly
-    // this request.
-    std::unique_lock<std::shared_mutex> G(MetricsM);
-    MetricsScope Scope(/*EnableTrace=*/true);
-    return runPipeline(Req, Tool, /*CaptureMetrics=*/true, Rid);
-  }
-  std::shared_lock<std::shared_mutex> G(MetricsM);
-  return runPipeline(Req, Tool, /*CaptureMetrics=*/false, Rid);
-}
-
 ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
-                                       bool CaptureMetrics, uint64_t Rid) {
+                                       uint64_t Rid) {
   auto Start = std::chrono::steady_clock::now();
+  // The pool worker running this request adopts its context: spans and
+  // log records from here down (and from parallelForEach helpers, which
+  // inherit it) carry the id, and a WantMetrics request's counters,
+  // histograms and spans land in its own sink, whatever runs beside it.
+  std::optional<MetricsSink> Sink;
+  if (Req.WantMetrics)
+    Sink.emplace();
+  TraceRequestScope RequestScope(Rid, Sink ? &*Sink : nullptr);
 
   Executable::Options EOpts;
   EOpts.Threads = Req.Threads;
   EOpts.Verify = Req.Verify;
   EOpts.LegacyWriter = Req.LegacyWriter;
-  // Never through Options::Trace: the constructor's gate flip is one-way
-  // (single-shot semantics); the per-request gate is MetricsScope's.
+  // Never through Options::Trace: the analysis' gate flip is one-way and
+  // process-wide; a request traces through its sink.
   EOpts.Trace = false;
 
   uint64_t ImageHash = fnv1a64(Req.ImageBytes.data(), Req.ImageBytes.size());
   uint64_t ToolDigest = fnv1a64(std::string_view(Req.ToolSpec));
   uint64_t OptsDigest = optionsDigest(EOpts);
-  uint64_t Key = provenanceKey(ImageHash, ToolDigest, OptsDigest);
+  // The analysis depends on the image and the options, not on the tool,
+  // whose edits stay in this request's own Executable.
+  uint64_t Key = provenanceKey(ImageHash, /*ToolDigest=*/0, OptsDigest);
 
+  // Every request edits through a fresh Executable: over the cached
+  // analysis on a hit, over the one it just analyzed (and cached) on a
+  // miss.
   auto AnalyzeStart = std::chrono::steady_clock::now();
-  std::unique_ptr<Executable> Exec = Cache.claim(Key);
-  bool CacheHit = Exec != nullptr;
+  std::unique_ptr<Executable> Exec;
+  std::shared_ptr<const Analysis> Cached = Cache.find(Key);
+  bool CacheHit = Cached != nullptr;
   EEL_LOG(LogLevel::Debug, "serve.cache",
           logStr("result", CacheHit ? "hit" : "miss"), logNum("key", Key));
   if (CacheHit) {
-    Exec->resetEdits();
+    Exec = std::make_unique<Executable>(std::move(Cached));
   } else {
     Expected<SxfFile> Image = SxfFile::deserialize(Req.ImageBytes);
     if (Image.hasError())
@@ -341,6 +331,7 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
     Expected<bool> Read = Exec->readContents();
     if (Read.hasError())
       return errorResponse(Read.error(), Rid);
+    Cache.insert(Key, Exec->sharedAnalysis(), Req.ImageBytes.size());
   }
   AnalyzeHist.record(elapsedUs(AnalyzeStart));
 
@@ -370,11 +361,8 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
 
   auto WriteStart = std::chrono::steady_clock::now();
   Expected<SxfFile> Edited = Exec->writeEditedExecutable();
-  if (Edited.hasError()) {
-    // The executable's edit state is suspect after a failed write; drop
-    // it rather than reinsert.
+  if (Edited.hasError())
     return errorResponse(Edited.error(), Rid);
-  }
 
   ServeResponse Resp;
   Resp.Status = ServeStatus::Ok;
@@ -382,7 +370,6 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
   Resp.EditedImage = Edited.value().serialize();
   WriteHist.record(elapsedUs(WriteStart));
   Executable::EditStats ES = Exec->editStats();
-  Cache.insert(Key, std::move(Exec), Req.ImageBytes.size());
 
   uint64_t LatencyUs = elapsedUs(Start);
   Counters.Ok.fetch_add(1, std::memory_order_relaxed);
@@ -391,7 +378,8 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
           logNum("latency_us", LatencyUs),
           logNum("cache_hit", CacheHit ? 1 : 0),
           logNum("edited_image_bytes", Resp.EditedImage.size()));
-  maybeCaptureSlow(Rid, LatencyUs, Req.ToolSpec, ImageHash, CacheHit);
+  maybeCaptureSlow(Rid, LatencyUs, Req.ToolSpec, ImageHash, CacheHit,
+                   Sink ? &*Sink : nullptr);
 
   RunReport Report("eel-serve");
   Report.addInput("<request>", ImageHash, Req.ImageBytes.size());
@@ -402,10 +390,9 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
   Report.addOption("legacy_writer", Req.LegacyWriter);
   Report.addOption("metrics", Req.WantMetrics);
   AnalysisCache::Stats CS = Cache.stats();
-  if (CaptureMetrics) {
-    Report.captureMetrics();
+  if (Sink) {
+    Report.captureMetrics(*Sink);
     Report.addCounters(cumulativeCounters(CS));
-    Report.capturePhases(TraceCollector::instance().drain());
   }
   JsonWriter S(/*Indent=*/false);
   S.beginObject();
@@ -450,16 +437,22 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
 
 void EditService::maybeCaptureSlow(uint64_t Rid, uint64_t LatencyUs,
                                    const std::string &ToolSpec,
-                                   uint64_t ImageHash, bool CacheHit) {
+                                   uint64_t ImageHash, bool CacheHit,
+                                   const MetricsSink *Sink) {
   if (!Limits.SlowRequestUs || LatencyUs <= Limits.SlowRequestUs ||
       Limits.ExemplarCapacity == 0)
     return;
-  // Drain is safe mid-load (per-ring locks); keep only this request's
-  // spans. Other requests' spans stay in the rings untouched.
+  // A request with a sink holds all of its spans there. Otherwise drain
+  // the collector (safe mid-load: per-ring locks) and keep only this
+  // request's spans; other requests' spans stay in the rings untouched.
   std::vector<TraceEvent> Mine;
-  for (TraceEvent &Ev : TraceCollector::instance().drain())
-    if (Ev.RequestId == Rid)
-      Mine.push_back(std::move(Ev));
+  if (Sink) {
+    Mine = Sink->spans();
+  } else {
+    for (TraceEvent &Ev : TraceCollector::instance().drain())
+      if (Ev.RequestId == Rid)
+        Mine.push_back(std::move(Ev));
+  }
 
   SlowExemplar Ex;
   Ex.RequestId = Rid;

@@ -12,16 +12,17 @@
 /// edited image.
 ///
 /// The service fixes the three single-shot-lifetime assumptions the
-/// one-shot tools never exercised:
+/// one-shot tools never exercised, and shares no mutable edit state
+/// between requests:
 ///
-///  * Analysis is cached, content-addressed. The expensive work —
-///    routine discovery, CFG construction, liveness, slicing — depends
-///    only on (image bytes, options), and edits are a batch the graphs
-///    apply at write time, so a re-submitted image can reuse a fully
-///    analyzed Executable via Executable::resetEdits() and pay only for
-///    instrument + layout + write. The cache key is provenanceKey(image
-///    hash, tool digest, options digest) — never the image hash alone
-///    (analysis/Report.h explains why).
+///  * Analysis is cached, content-addressed, and shared read-only. The
+///    expensive work — routine discovery, CFG construction, liveness,
+///    slicing — depends only on (image bytes, options) and is frozen once
+///    readContents() returns (core/Executable.h), so every request runs
+///    instrument + layout + write through its own fresh Executable over
+///    the cached Analysis, concurrently with any other request over it.
+///    The cache key folds the image hash and the options digest; the tool
+///    is not part of it, since edits never reach the analysis.
 ///
 ///  * Admission control bounds the damage of a flood: too many in-flight
 ///    requests, an oversized image, or an unknown tool spec produce a
@@ -29,12 +30,13 @@
 ///    ThreadPool::trySubmit so a saturated pool rejects instead of
 ///    running requests inline on the acceptor thread.
 ///
-///  * Metrics are scoped per request. A request with WantMetrics runs
-///    isolated (exclusive lock + support/Metrics.h MetricsScope, which
-///    resets every registry), so its envelope's pipeline counters,
-///    histograms, and phase tree cover exactly that request. The
-///    cumulative `serve.*` counters never live in the registries: the
-///    service counts them itself and adds them to the envelope.
+///  * Metrics are scoped per request. A request with WantMetrics records
+///    into its own support/Metrics.h MetricsSink, installed through its
+///    request scope, so its envelope's pipeline counters, histograms, and
+///    phase tree cover exactly that request while other requests run
+///    beside it. The cumulative `serve.*` counters never live in the
+///    registries: the service counts them itself and adds them to the
+///    envelope.
 ///
 /// The operational layer: every request carries a 64-bit RequestId
 /// (client-supplied or daemon-minted) stamped on its spans, log records,
@@ -43,9 +45,9 @@
 /// counts) and records latency/per-phase durations into AtomicHistograms,
 /// each service its own, so an ELSt status frame
 /// (handleFrame/handleStatus) can snapshot a live, saturated daemon
-/// without touching the metrics-isolation lock, the sharded registries,
-/// or admission control — scrapes never block behind an edit and never
-/// consume an in-flight slot. Requests slower than
+/// without touching the sharded registries or admission control —
+/// scrapes never block behind an edit and never consume an in-flight
+/// slot. Requests slower than
 /// ServeLimits::SlowRequestUs drain their spans into a bounded
 /// worst-N exemplar ring (Chrome trace JSON keyed by RequestId),
 /// fetchable through the same status frame.
@@ -65,7 +67,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -79,8 +80,8 @@ struct ServeLimits {
   /// Largest request image accepted, in bytes (pre-decode, so a hostile
   /// length can't size an allocation). 0 disables the bound.
   uint64_t MaxImageBytes = 64u << 20;
-  /// Analyzed-Executable cache capacity, in entries. 0 disables caching
-  /// entirely (every request runs cold) — the bench's cold baseline.
+  /// Analysis cache capacity, in entries. 0 disables caching entirely
+  /// (every request runs cold) — the bench's cold baseline.
   size_t CacheCapacity = 16;
   /// Worker threads of the dispatch pool requests run on. 0 picks a small
   /// default from hardware concurrency.
@@ -95,27 +96,26 @@ struct ServeLimits {
   size_t ExemplarCapacity = 4;
 };
 
-/// Content-addressed LRU cache of analyzed Executables.
+/// Content-addressed LRU cache of finished, read-only analyses.
 ///
-/// Entries are claimed, not borrowed: a hit removes the entry and hands
-/// the caller exclusive ownership, because an Executable is single-writer
-/// state (edits, the address map). After the edit+write finishes the
-/// caller reinserts it as most-recently-used. A second identical request
-/// arriving while the first holds the entry simply misses and runs cold —
-/// no blocking, and both insert (the duplicate replaces, it never forks
-/// the entry).
+/// A hit hands out a shared reference and leaves the entry in place,
+/// touched as most recently used; any number of requests edit over one
+/// entry at once, each through its own Executable. An entry evicted while
+/// requests still use it lives until the last of them finishes. Two
+/// requests that miss on one key together both analyze; the first insert
+/// wins.
 class AnalysisCache {
 public:
   explicit AnalysisCache(size_t Capacity) : Capacity(Capacity) {}
 
-  /// Removes and returns the entry for \p Key, or null on miss.
-  std::unique_ptr<Executable> claim(uint64_t Key);
+  /// The analysis cached under \p Key, or null on miss.
+  std::shared_ptr<const Analysis> find(uint64_t Key);
 
-  /// Inserts \p Exec as most-recently-used under \p Key, replacing any
-  /// existing entry and evicting from the LRU end beyond capacity. With
-  /// capacity 0 the executable is simply dropped. \p ImageBytes is the
+  /// Inserts \p An as most-recently-used under \p Key, unless an
+  /// (identical) entry is already there, and evicts from the LRU end
+  /// beyond capacity; with capacity 0 it drops \p An. \p ImageBytes is the
   /// source image size the entry stands for, feeding the bytes gauge.
-  void insert(uint64_t Key, std::unique_ptr<Executable> Exec,
+  void insert(uint64_t Key, std::shared_ptr<const Analysis> An,
               uint64_t ImageBytes);
 
   struct Stats {
@@ -133,7 +133,7 @@ public:
 private:
   struct Entry {
     uint64_t Key;
-    std::unique_ptr<Executable> Exec;
+    std::shared_ptr<const Analysis> An;
     uint64_t ImageBytes;
   };
   using LruList = std::list<Entry>;
@@ -202,10 +202,9 @@ public:
   std::vector<uint8_t> handleFrame(const std::vector<uint8_t> &Payload);
 
   /// Answers one control-plane scrape. Lock-light by construction: reads
-  /// the atomic counter mirror, AtomicHistograms, cache stats, and pool
-  /// gauges — never MetricsM, never admission control — so a scrape
-  /// returns promptly even while a WantMetrics edit holds the registries
-  /// exclusively or the daemon is saturated.
+  /// the service's atomic counters, AtomicHistograms, cache stats, and
+  /// pool gauges — never admission control — so a scrape returns promptly
+  /// even while the daemon is saturated.
   StatusResponse handleStatus(const StatusRequest &Req);
 
   /// Snapshot of the retained slow-request exemplars, worst first.
@@ -216,7 +215,7 @@ public:
   AnalysisCache::Stats cacheStats() const { return Cache.stats(); }
 
 private:
-  friend struct ServeTestAccess; ///< Tests park requests on MetricsM.
+  friend struct ServeTestAccess; ///< Tests occupy the dispatch pool.
 
   /// The service's cumulative counters: the one source for both the scrape
   /// and WantMetrics envelopes. Plain atomics, so either reads them
@@ -230,18 +229,17 @@ private:
     std::atomic<uint64_t> SlowCaptured{0};
   };
 
-  ServeResponse process(const ServeRequest &Req, ServeTool Tool,
-                        uint64_t Rid);
   ServeResponse runPipeline(const ServeRequest &Req, ServeTool Tool,
-                            bool CaptureMetrics, uint64_t Rid);
+                            uint64_t Rid);
   ServeResponse reject(ErrorCode Code, const std::string &Message,
                        uint64_t Rid);
   ServeResponse errorResponse(const Error &E, uint64_t Rid);
   /// Captures a slow request's spans into the exemplar ring (worst-N by
-  /// latency, guarded by ExemplarM).
+  /// latency, guarded by ExemplarM): from \p Sink when the request had
+  /// one, else from the process-wide collector.
   void maybeCaptureSlow(uint64_t Rid, uint64_t LatencyUs,
                         const std::string &ToolSpec, uint64_t ImageHash,
-                        bool CacheHit);
+                        bool CacheHit, const MetricsSink *Sink);
   /// Renders the JSON status snapshot (an eel-report/1 envelope).
   std::string statusJson(const StatusRequest &Req);
   /// Renders the Prometheus text snapshot.
@@ -256,11 +254,6 @@ private:
   AnalysisCache Cache;
   ThreadPool Pool;
   std::atomic<unsigned> InFlight{0};
-  /// Metrics-isolation lock around runPipeline: WantMetrics requests hold
-  /// it exclusively (their MetricsScope resets the registries, which
-  /// tolerates no concurrent recorders), all other requests hold it
-  /// shared. Admission and scrapes touch no registry and never take it.
-  std::shared_mutex MetricsM;
 
   ServiceCounters Counters;
   AtomicHistogram LatencyHist;    ///< serve.latency_us (Ok requests).

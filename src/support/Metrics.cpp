@@ -7,8 +7,6 @@
 #include "support/Metrics.h"
 
 #include "support/Json.h"
-#include "support/Stats.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <map>
@@ -87,12 +85,7 @@ HistogramRegistry::Shard &HistogramRegistry::localShard() {
 }
 
 void HistogramRegistry::record(const std::string &Name, uint64_t Value) {
-  Cell &C = localShard().Cells[Name];
-  ++C.Count;
-  C.Sum += Value;
-  C.Min = std::min(C.Min, Value);
-  C.Max = std::max(C.Max, Value);
-  ++C.Buckets[histogramBucket(Value)];
+  localShard().Cells[Name].record(Value);
 }
 
 std::vector<HistogramSnapshot> HistogramRegistry::snapshot() const {
@@ -104,12 +97,7 @@ std::vector<HistogramSnapshot> HistogramRegistry::snapshot() const {
         continue;
       HistogramSnapshot &S = Merged[Name];
       S.Name = Name;
-      S.Count += Cell.Count;
-      S.Sum += Cell.Sum;
-      S.Min = std::min(S.Min, Cell.Min);
-      S.Max = std::max(S.Max, Cell.Max);
-      for (unsigned I = 0; I < HistogramBuckets; ++I)
-        S.Buckets[I] += Cell.Buckets[I];
+      S.merge(Cell);
     }
   }
   std::vector<HistogramSnapshot> Out;
@@ -125,15 +113,8 @@ HistogramSnapshot HistogramRegistry::read(const std::string &Name) const {
   S.Name = Name;
   for (const auto &Shard : Shards) {
     auto It = Shard->Cells.find(Name);
-    if (It == Shard->Cells.end() || It->second.Count == 0)
-      continue;
-    const Cell &C = It->second;
-    S.Count += C.Count;
-    S.Sum += C.Sum;
-    S.Min = std::min(S.Min, C.Min);
-    S.Max = std::max(S.Max, C.Max);
-    for (unsigned I = 0; I < HistogramBuckets; ++I)
-      S.Buckets[I] += C.Buckets[I];
+    if (It != Shard->Cells.end())
+      S.merge(It->second);
   }
   return S;
 }
@@ -142,18 +123,66 @@ void HistogramRegistry::resetAll() {
   std::lock_guard<std::mutex> Lock(M);
   for (const auto &Shard : Shards)
     for (auto &[Name, C] : Shard->Cells)
-      C = Cell{};
+      C = HistogramSnapshot{};
 }
 
-MetricsScope::MetricsScope(bool EnableTrace)
-    : TraceWasEnabled(traceEnabled()) {
-  StatRegistry::instance().resetAll();
-  HistogramRegistry::instance().resetAll();
-  TraceCollector::instance().reset();
-  traceSetEnabled(EnableTrace);
+void eel::bumpHistogram(const std::string &Name, uint64_t Value) {
+  if (MetricsSink *Sink = requestSink())
+    Sink->recordHistogram(Name, Value);
+  else
+    HistogramRegistry::instance().record(Name, Value);
 }
 
-MetricsScope::~MetricsScope() { traceSetEnabled(TraceWasEnabled); }
+void MetricsSink::addCounter(const std::string &Name, uint64_t Delta) {
+  std::lock_guard<std::mutex> Lock(M);
+  Counters[Name] += Delta;
+}
+
+void MetricsSink::recordHistogram(const std::string &Name, uint64_t Value) {
+  std::lock_guard<std::mutex> Lock(M);
+  HistogramSnapshot &S = Histograms[Name];
+  S.Name = Name;
+  S.record(Value);
+}
+
+void MetricsSink::recordSpan(TraceEvent Ev) {
+  // A dense per-thread id (the sink's own numbering; the collector's ring
+  // ids mean nothing here) and a sink-wide push order, which keeps each
+  // thread's completion order as the phase tree's tie-breaker.
+  static std::atomic<uint32_t> NextTid{0};
+  thread_local uint32_t Tid = NextTid.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> Lock(M);
+  Ev.Tid = Tid;
+  Ev.Seq = PushedSpans;
+  if (Spans.size() < SpanCapacity)
+    Spans.push_back(std::move(Ev));
+  else
+    Spans[PushedSpans % SpanCapacity] = std::move(Ev);
+  ++PushedSpans;
+}
+
+std::vector<std::pair<std::string, uint64_t>> MetricsSink::counters() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return {Counters.begin(), Counters.end()};
+}
+
+std::vector<HistogramSnapshot> MetricsSink::histograms() const {
+  std::lock_guard<std::mutex> Lock(M);
+  std::vector<HistogramSnapshot> Out;
+  for (const auto &[Name, Snap] : Histograms)
+    Out.push_back(Snap);
+  return Out;
+}
+
+std::vector<TraceEvent> MetricsSink::spans() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return Spans;
+}
+
+uint64_t MetricsSink::droppedSpans() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return PushedSpans > SpanCapacity ? PushedSpans - SpanCapacity : 0;
+}
 
 std::string eel::metricsJson(const std::vector<HistogramSnapshot> &Snaps) {
   JsonWriter W(/*Indent=*/false);

@@ -20,6 +20,11 @@
 /// duration: phase time comes from trace spans, and eel-serve keeps its
 /// latencies in its own AtomicHistograms.
 ///
+/// A long-lived process keeps requests apart with MetricsSink, a
+/// request-owned sink installed through the request scope: bumpStat,
+/// bumpHistogram and trace spans of that request land in it, and the
+/// process-wide registries never see them.
+///
 /// Exporters: metricsJson() (embedded in run reports) and
 /// metricsPrometheus() (text exposition format with cumulative
 /// `_bucket{le=...}` series) cover machine ingestion on both sides of the
@@ -30,10 +35,14 @@
 #ifndef EEL_SUPPORT_METRICS_H
 #define EEL_SUPPORT_METRICS_H
 
+#include "support/Trace.h"
+
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -70,6 +79,25 @@ struct HistogramSnapshot {
   uint64_t Max = 0;
   uint64_t Buckets[HistogramBuckets] = {};
 
+  /// Adds one sample.
+  void record(uint64_t V) {
+    ++Count;
+    Sum += V;
+    Min = std::min(Min, V);
+    Max = std::max(Max, V);
+    ++Buckets[histogramBucket(V)];
+  }
+
+  /// Adds every sample of \p O (the merge of per-thread shards).
+  void merge(const HistogramSnapshot &O) {
+    Count += O.Count;
+    Sum += O.Sum;
+    Min = std::min(Min, O.Min);
+    Max = std::max(Max, O.Max);
+    for (unsigned I = 0; I < HistogramBuckets; ++I)
+      Buckets[I] += O.Buckets[I];
+  }
+
   /// Upper bound of the bucket holding the q-quantile sample (q in [0,1]).
   /// Coarse by construction — log buckets — but deterministic.
   uint64_t quantileUpperBound(double Q) const;
@@ -87,8 +115,8 @@ struct HistogramSnapshot {
 /// no shards, no merge points. The live-scrape complement of
 /// HistogramRegistry: eel-serve records request latency and per-phase
 /// durations here so an ELSt status frame can snapshot them mid-load
-/// without the registry's quiescence contract (and without touching the
-/// per-request MetricsScope lock). All operations are relaxed; a snapshot
+/// without the registry's quiescence contract. All operations are
+/// relaxed; a snapshot
 /// taken during a record may be off by the in-flight sample, which is
 /// fine for operational gauges.
 class AtomicHistogram {
@@ -151,15 +179,8 @@ public:
   void resetAll();
 
 private:
-  struct Cell {
-    uint64_t Count = 0;
-    uint64_t Sum = 0;
-    uint64_t Min = std::numeric_limits<uint64_t>::max();
-    uint64_t Max = 0;
-    uint64_t Buckets[HistogramBuckets] = {};
-  };
   struct Shard {
-    std::unordered_map<std::string, Cell> Cells;
+    std::unordered_map<std::string, HistogramSnapshot> Cells;
   };
 
   Shard &localShard();
@@ -168,40 +189,45 @@ private:
   std::vector<std::unique_ptr<Shard>> Shards;
 };
 
-/// Convenience mirror of bumpStat() for histograms.
-inline void bumpHistogram(const std::string &Name, uint64_t Value) {
-  HistogramRegistry::instance().record(Name, Value);
-}
+/// Mirror of bumpStat() for histograms: records into the calling
+/// request's metrics sink when one is installed, else this thread's
+/// registry shard.
+void bumpHistogram(const std::string &Name, uint64_t Value);
 
-/// Per-request metrics scope for long-lived processes (eel-serve).
-///
-/// The sharded StatRegistry / HistogramRegistry / TraceCollector
-/// accumulate for the life of the process — correct for one-shot tools,
-/// but in a daemon the second request's envelope would contain the first
-/// request's counters, histogram samples, and trace spans. Constructing a
-/// MetricsScope at the start of a request resets all three, so metrics
-/// captured inside the scope cover exactly the enclosed work. Nothing is
-/// exempt: eel-serve's cumulative counters live in the service itself,
-/// not in the registries.
-///
-/// The scope also owns the trace gate for its lifetime: pass
-/// \p EnableTrace true to record spans for this request, and destruction
-/// restores the gate to its pre-scope state — fixing the single-shot
-/// assumption that whoever enabled tracing never needed to turn it off.
-///
-/// Quiescence contract: construct and destroy only while no other thread
-/// is running instrumented pipeline work (eel-serve holds its metrics
-/// lock exclusively around isolated requests).
-class MetricsScope {
+/// One request's metrics, for a long-lived process (eel-serve): counters,
+/// histograms and trace spans, owned by the request instead of the
+/// process. Installed through TraceRequestScope (support/Trace.h) — the
+/// thread-local scope that carries the request id, which parallelForEach
+/// hands to its helpers — it receives every bumpStat, bumpHistogram and
+/// TraceSpan of the request, and traceEnabled() is true while it is
+/// installed. Nothing global is reset, and concurrent requests never see
+/// each other's work, so no lock serializes them. One mutex guards the
+/// sink: only requests that ask for metrics install one. Spans are bounded
+/// like a trace ring: past SpanCapacity the oldest are overwritten and
+/// counted as dropped.
+class MetricsSink {
 public:
-  explicit MetricsScope(bool EnableTrace = false);
-  ~MetricsScope();
+  static constexpr size_t SpanCapacity = TraceCollector::RingCapacity;
 
-  MetricsScope(const MetricsScope &) = delete;
-  MetricsScope &operator=(const MetricsScope &) = delete;
+  void addCounter(const std::string &Name, uint64_t Delta);
+  void recordHistogram(const std::string &Name, uint64_t Value);
+  void recordSpan(TraceEvent Ev);
+
+  /// Counters, sorted by name.
+  std::vector<std::pair<std::string, uint64_t>> counters() const;
+  /// Histograms, sorted by name.
+  std::vector<HistogramSnapshot> histograms() const;
+  /// Retained spans, in no particular order (each carries Tid and Seq).
+  std::vector<TraceEvent> spans() const;
+  /// Spans overwritten because the sink's ring wrapped.
+  uint64_t droppedSpans() const;
 
 private:
-  bool TraceWasEnabled;
+  mutable std::mutex M;
+  std::map<std::string, uint64_t> Counters;
+  std::map<std::string, HistogramSnapshot> Histograms;
+  std::vector<TraceEvent> Spans; ///< Ring of SpanCapacity, filled lazily.
+  uint64_t PushedSpans = 0;
 };
 
 /// Renders \p Snaps as a JSON array of histogram objects (name, count,

@@ -6,6 +6,9 @@
 
 #include "support/Stats.h"
 
+#include "support/Metrics.h"
+#include "support/Trace.h"
+
 #include <algorithm>
 #include <map>
 
@@ -63,4 +66,11 @@ std::vector<std::pair<std::string, uint64_t>> StatRegistry::snapshot() const {
     for (const auto &Entry : Shard->Counters)
       Merged[Entry.first] += Entry.second;
   return {Merged.begin(), Merged.end()};
+}
+
+void eel::bumpStat(const std::string &Name, uint64_t Delta) {
+  if (MetricsSink *Sink = requestSink())
+    Sink->addCounter(Name, Delta);
+  else
+    StatRegistry::instance().counter(Name) += Delta;
 }

@@ -22,6 +22,11 @@
 /// only from trace spans (support/Trace.h), so whole snapshots compare
 /// equal across thread counts with no exempt names.
 ///
+/// The registry is the process-wide sink, which one-shot tools read. A
+/// request of a long-lived process may install its own MetricsSink
+/// (support/Metrics.h); bumpStat then records there instead, and the
+/// registry never sees that request's work.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EEL_SUPPORT_STATS_H
@@ -75,11 +80,10 @@ private:
   std::vector<std::unique_ptr<Shard>> Shards;
 };
 
-/// Convenience: increments the named counter by \p Delta (this thread's
-/// shard; lock-free once the shard exists).
-inline void bumpStat(const std::string &Name, uint64_t Delta = 1) {
-  StatRegistry::instance().counter(Name) += Delta;
-}
+/// Increments the named counter by \p Delta: in the calling request's
+/// metrics sink when one is installed, else in this thread's registry
+/// shard (lock-free once the shard exists).
+void bumpStat(const std::string &Name, uint64_t Delta = 1);
 
 } // namespace eel
 

@@ -230,13 +230,15 @@ void eel::parallelForEach(unsigned Threads, size_t N,
 
   unsigned Helpers = std::min(Participants - 1, Pool.workerCount());
   State->ActiveHelpers.store(Helpers, std::memory_order_release);
-  // Helpers inherit the submitter's request id so spans (and log records)
-  // from pool workers correlate to the request that fanned out; the scope
-  // restores whatever id the worker thread had before this task.
+  // Helpers inherit the submitter's request context, so spans, log records
+  // and (with a metrics sink) counters from pool workers land with the
+  // request that fanned out; the scope restores whatever context the
+  // worker thread had before this task.
   uint64_t Rid = traceRequestId();
+  MetricsSink *Sink = requestSink();
   for (unsigned I = 0; I < Helpers; ++I)
-    Pool.submit([State, Drain, I, Rid] {
-      TraceRequestScope RequestScope(Rid);
+    Pool.submit([State, Drain, I, Rid, Sink] {
+      TraceRequestScope RequestScope(Rid, Sink);
       {
         // Occupancy span: must close (and hit the ring) before the
         // ActiveHelpers decrement that the caller treats as quiescence,

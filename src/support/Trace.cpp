@@ -7,6 +7,7 @@
 #include "support/Trace.h"
 
 #include "support/Json.h"
+#include "support/Metrics.h"
 
 #include <algorithm>
 #include <chrono>
@@ -16,20 +17,13 @@ using namespace eel;
 namespace eel {
 namespace trace_detail {
 std::atomic<bool> Enabled{false};
+constinit thread_local RequestContext CurrentRequest;
 } // namespace trace_detail
 } // namespace eel
 
 void eel::traceSetEnabled(bool On) {
   trace_detail::Enabled.store(On, std::memory_order_relaxed);
 }
-
-namespace {
-thread_local uint64_t CurrentRequestId = 0;
-} // namespace
-
-uint64_t eel::traceRequestId() { return CurrentRequestId; }
-
-void eel::traceSetRequestId(uint64_t Rid) { CurrentRequestId = Rid; }
 
 TraceCollector &TraceCollector::instance() {
   static TraceCollector Collector;
@@ -134,7 +128,10 @@ uint64_t TraceCollector::droppedCount() const {
 
 void TraceSpan::end() {
   Ev.EndNs = TraceCollector::nowNs();
-  TraceCollector::instance().record(std::move(Ev));
+  if (Sink)
+    Sink->recordSpan(std::move(Ev));
+  else
+    TraceCollector::instance().record(std::move(Ev));
 }
 
 std::string eel::renderChromeTrace(const std::vector<TraceEvent> &Events) {

@@ -16,13 +16,22 @@
 /// every worker's writes).
 ///
 /// Two gates keep the cost out of production runs:
-///  - a runtime flag (traceSetEnabled / Executable::Options::Trace); when
-///    off, the span constructor is a single relaxed atomic load and the
-///    destructor a branch — no clock reads, no allocation, no ring writes;
+///  - a runtime flag (traceSetEnabled / Executable::Options::Trace), or a
+///    request's metrics sink (below); when neither is on, the span
+///    constructor is a relaxed atomic load and a thread-local load, and
+///    the destructor a branch — no clock reads, no allocation, no ring
+///    writes;
 ///  - the EEL_TRACE_DISABLED compile-time macro, which turns every
-///    EEL_TRACE_SCOPE into ((void)0).
+///    EEL_TRACE_SCOPE into ((void)0) and every TracePhases into a no-op,
+///    so tracing compiles out entirely.
 /// bench_overhead asserts the compiled-in-but-disabled path costs <1% of
 /// pipeline time.
+///
+/// A long-lived process (eel-serve) tags each request's work with a
+/// TraceRequestScope: a thread-local request id and optional MetricsSink,
+/// which parallelForEach hands to its helpers. While a sink is installed,
+/// spans (and bumpStat/bumpHistogram) record into it instead of the
+/// process-wide collector and registries.
 ///
 /// Spans carry nanosecond timestamps from one process-wide steady-clock
 /// epoch. renderChromeTrace() exports the drained spans as Chrome
@@ -41,19 +50,35 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace eel {
 
+class MetricsSink; // support/Metrics.h
+
 namespace trace_detail {
 extern std::atomic<bool> Enabled;
+/// The calling thread's request (see TraceRequestScope).
+struct RequestContext {
+  uint64_t Id = 0;
+  MetricsSink *Sink = nullptr;
+};
+extern constinit thread_local RequestContext CurrentRequest;
 } // namespace trace_detail
 
-/// True when span recording is on. Relaxed: the flag only toggles at
-/// quiescent points (Executable construction, tests), never mid-pipeline.
+/// The calling thread's request metrics sink, or null (the process-wide
+/// collector and registries).
+inline MetricsSink *requestSink() { return trace_detail::CurrentRequest.Sink; }
+
+/// True when span recording is on: process-wide, or for the calling
+/// thread's request while it has a metrics sink installed. Relaxed: the
+/// process flag only toggles at quiescent points (Analysis construction,
+/// tests), never mid-pipeline.
 inline bool traceEnabled() {
-  return trace_detail::Enabled.load(std::memory_order_relaxed);
+  return trace_detail::Enabled.load(std::memory_order_relaxed) ||
+         requestSink() != nullptr;
 }
 
 /// Turns span recording on or off process-wide. Call only from quiescent
@@ -63,26 +88,24 @@ void traceSetEnabled(bool On);
 /// The calling thread's current request id (0 = none). Every span recorded
 /// while an id is set carries it, and structured log records stamp it, so
 /// one request can be correlated across connection thread, pool workers
-/// (parallelForEach propagates the submitter's id into helper bodies), log
-/// lines, and exported Chrome traces.
-uint64_t traceRequestId();
+/// (parallelForEach propagates the submitter's context into helper
+/// bodies), log lines, and exported Chrome traces.
+inline uint64_t traceRequestId() { return trace_detail::CurrentRequest.Id; }
 
-/// Sets the calling thread's request id. Prefer TraceRequestScope.
-void traceSetRequestId(uint64_t Rid);
-
-/// RAII: sets the calling thread's request id for the enclosing scope and
-/// restores the previous id on exit (scopes nest).
+/// RAII: sets the calling thread's request id and metrics sink for the
+/// enclosing scope and restores the previous ones on exit (scopes nest).
 class TraceRequestScope {
 public:
-  explicit TraceRequestScope(uint64_t Rid) : Saved(traceRequestId()) {
-    traceSetRequestId(Rid);
+  explicit TraceRequestScope(uint64_t Rid, MetricsSink *Sink = nullptr)
+      : Saved(trace_detail::CurrentRequest) {
+    trace_detail::CurrentRequest = {Rid, Sink};
   }
-  ~TraceRequestScope() { traceSetRequestId(Saved); }
+  ~TraceRequestScope() { trace_detail::CurrentRequest = Saved; }
   TraceRequestScope(const TraceRequestScope &) = delete;
   TraceRequestScope &operator=(const TraceRequestScope &) = delete;
 
 private:
-  uint64_t Saved;
+  trace_detail::RequestContext Saved;
 };
 
 /// One completed span. Duration is EndNs - StartNs; both are nanoseconds
@@ -164,9 +187,9 @@ private:
   std::vector<std::unique_ptr<Ring>> Rings;
 };
 
-/// RAII span: stamps the start on construction, records into the ring on
-/// destruction. All constructors no-op (no clock read) when tracing is
-/// runtime-disabled.
+/// RAII span: stamps the start on construction, records into the ring (or
+/// the request's sink) on destruction. All constructors no-op (no clock
+/// read) when tracing is runtime-disabled.
 class TraceSpan {
 public:
   explicit TraceSpan(const char *Name) {
@@ -213,6 +236,7 @@ public:
 private:
   void begin(const char *Name) {
     Live = true;
+    Sink = requestSink();
     Ev.Name = Name;
     Ev.RequestId = traceRequestId();
     Ev.StartNs = TraceCollector::nowNs();
@@ -220,7 +244,25 @@ private:
   void end();
 
   bool Live = false;
+  MetricsSink *Sink = nullptr; ///< Where end() records; null = collector.
   TraceEvent Ev;
+};
+
+/// Sequential, non-overlapping phase spans over one scope: begin() ends the
+/// current phase's span and opens the next, and destruction ends the last.
+class TracePhases {
+public:
+#ifdef EEL_TRACE_DISABLED
+  void begin(const char *) {}
+#else
+  void begin(const char *Name) {
+    Current.reset();
+    Current.emplace(Name);
+  }
+
+private:
+  std::optional<TraceSpan> Current;
+#endif
 };
 
 /// Renders \p Events as a Chrome trace-event JSON document (the

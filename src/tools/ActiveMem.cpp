@@ -99,7 +99,7 @@ void ActiveMemory::instrument() {
         // A memory reference whose base or index register is one the
         // snippet cannot read transparently does not exist on our targets;
         // instrument unconditionally.
-        G->addCodeBefore(Block, I, makeCacheTestSnippet(Mem->memOp()));
+        Exec.addCodeBefore(Block, I, makeCacheTestSnippet(Mem->memOp()));
         ++Sites;
       }
     }

@@ -32,7 +32,7 @@ unsigned DeadCodeEliminator::run() {
                          !Inst->writes().empty() &&
                          (Inst->writes() & LiveNow).empty();
         if (Deletable) {
-          G->deleteInst(Block, static_cast<unsigned>(I));
+          Exec.deleteInst(Block, static_cast<unsigned>(I));
           ++Removed;
           // A deleted instruction contributes neither uses nor defs.
           continue;

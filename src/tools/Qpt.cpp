@@ -58,8 +58,8 @@ void Qpt2Profiler::instrument() {
         Info.K = CounterInfo::Kind::Block;
         Info.BlockAnchor = Block->anchor();
         Addr Counter = NewCounter(Info);
-        G->addCodeBefore(Block, 0,
-                         makeCounterIncrementSnippet(Target, Counter));
+        Exec.addCodeBefore(Block, 0,
+                           makeCounterIncrementSnippet(Target, Counter));
       }
       if (!Opts.CountEdges)
         continue;
@@ -77,7 +77,7 @@ void Qpt2Profiler::instrument() {
         Info.Edge = E->kind();
         Info.DestAnchor = E->dst()->anchor();
         Addr Counter = NewCounter(Info);
-        E->addCodeAlong(makeCounterIncrementSnippet(Target, Counter));
+        Exec.addCodeAlong(E, makeCounterIncrementSnippet(Target, Counter));
       }
     }
   }

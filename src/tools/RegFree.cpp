@@ -26,10 +26,10 @@ RegFreeResult eel::freeRegisterEverywhere(Executable &Exec, unsigned Reg) {
       // Verbatim routines cannot be rewritten; they must not use Reg.
       bool Uses = false;
       for (Addr A = R->startAddr(); A + 4 <= R->endAddr(); A += 4) {
-        std::optional<MachWord> W = Exec.fetchWord(A);
+        std::optional<MachWord> W = Exec.analysis().fetchWord(A);
         if (!W)
           break;
-        const Instruction *I = Exec.pool().getAt(A, *W);
+        const Instruction *I = Exec.analysis().pool().getAt(A, *W);
         if (I->reads().contains(Reg) || I->writes().contains(Reg))
           Uses = true;
       }
@@ -129,7 +129,7 @@ RegFreeResult eel::freeRegisterEverywhere(Executable &Exec, unsigned Reg) {
       continue;
     }
     for (const Planned &P : Plan)
-      G->replaceInst(P.Block, P.Index, P.NewWord);
+      Exec.replaceInst(P.Block, P.Index, P.NewWord);
     if (!Plan.empty()) {
       ++Result.RoutinesRewritten;
       Result.InstructionsRewritten += static_cast<unsigned>(Plan.size());

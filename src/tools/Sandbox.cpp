@@ -109,7 +109,7 @@ void Sandboxer::instrument() {
         const auto *Mem = dyn_cast<MemoryInst>(Block->insts()[I].Inst);
         if (!Mem || !Mem->isStore())
           continue;
-        G->addCodeBefore(Block, I, makeStoreGuard(Mem->memOp()));
+        Exec.addCodeBefore(Block, I, makeStoreGuard(Mem->memOp()));
         ++Sites;
       }
     }

@@ -71,7 +71,7 @@ void MemoryTracer::instrument(bool Loads, bool Stores) {
           continue;
         if ((Mem->isLoad() && !Loads) || (Mem->isStore() && !Stores))
           continue;
-        G->addCodeBefore(Block, I, makeTraceSnippet(Mem->memOp()));
+        Exec.addCodeBefore(Block, I, makeTraceSnippet(Mem->memOp()));
         ++Sites;
       }
     }

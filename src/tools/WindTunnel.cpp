@@ -75,7 +75,8 @@ void CycleCounter::instrument() {
           for (Edge *E : Block->succ()) {
             if (E->kind() != EdgeKind::Taken || !E->editable())
               continue;
-            E->addCodeAlong(makeAddSnippet(1, /*WithQuantumCheck=*/false));
+            Exec.addCodeAlong(E,
+                              makeAddSnippet(1, /*WithQuantumCheck=*/false));
             ++EdgeIncrements;
           }
           break;
@@ -94,12 +95,12 @@ void CycleCounter::instrument() {
         if (!Weight)
           return;
         if (FirstSegment) {
-          G->addCodeBefore(Block, 0,
-                           makeAddSnippet(Weight, Quantum != 0));
+          Exec.addCodeBefore(Block, 0,
+                             makeAddSnippet(Weight, Quantum != 0));
           FirstSegment = false;
         } else {
-          G->addCodeAfter(Block, LastSyscall,
-                          makeAddSnippet(Weight, Quantum != 0));
+          Exec.addCodeAfter(Block, LastSyscall,
+                            makeAddSnippet(Weight, Quantum != 0));
         }
       };
       for (unsigned I = 0; I < Block->size(); ++I) {

@@ -301,9 +301,10 @@ TEST(DecodeIndexTest, GetAtAgreesWithGetAndIsPointerStable) {
   SxfFile File = generateWorkload(TargetArch::Srisc, corpusMember(24, false));
   Executable Exec((SxfFile(File)));
   Exec.readContents();
-  InstructionPool &Pool = Exec.pool();
-  for (Addr A = Exec.textBase(); A < Exec.textEnd(); A += 4) {
-    std::optional<MachWord> W = Exec.fetchWord(A);
+  const Analysis &An = Exec.analysis();
+  InstructionPool &Pool = An.pool();
+  for (Addr A = An.textBase(); A < An.textEnd(); A += 4) {
+    std::optional<MachWord> W = An.fetchWord(A);
     ASSERT_TRUE(W.has_value());
     const Instruction *ByAddr = Pool.getAt(A, *W);
     const Instruction *ByWord = Pool.get(*W);

@@ -82,8 +82,8 @@ main:
   EXPECT_TRUE(G->complete());
   expectNoDelayBlocks(Exec);
 
-  Addr BranchAddr = Exec.textBase() + 4;
-  BasicBlock *BranchBlock = G->blockAt(Exec.textBase());
+  Addr BranchAddr = Exec.analysis().textBase() + 4;
+  BasicBlock *BranchBlock = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(BranchBlock, nullptr);
   ASSERT_EQ(BranchBlock->succ().size(), 2u);
   const Edge *Taken = nullptr, *NotTaken = nullptr;
@@ -122,7 +122,7 @@ f:
   expectNoDelayBlocks(Exec);
   EXPECT_EQ(countBlocks(G, BlockKind::CallSurrogate), 1u);
 
-  BasicBlock *CallBlock = G->blockAt(Exec.textBase());
+  BasicBlock *CallBlock = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(CallBlock, nullptr);
   ASSERT_EQ(CallBlock->succ().size(), 1u);
   const Edge *ToSurrogate = CallBlock->succ()[0];
@@ -134,7 +134,7 @@ f:
   // The continuation block is the instruction after the call, not A+8.
   ASSERT_EQ(ToSurrogate->dst()->succ().size(), 1u);
   EXPECT_EQ(ToSurrogate->dst()->succ()[0]->dst()->anchor(),
-            Exec.textBase() + 4);
+            Exec.analysis().textBase() + 4);
 }
 
 // Regression for the indirect-jump path: case edges hang off the jump
@@ -251,15 +251,15 @@ counter: .word 0
   Addr CounterAddr = Exec.image().findSymbol("counter")->Value;
   const TargetInfo &T = Exec.target();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
-  BasicBlock *LoopBlock = G->blockAt(Exec.textBase() + 8);
+  BasicBlock *LoopBlock = G->blockAt(Exec.analysis().textBase() + 8);
   ASSERT_NE(LoopBlock, nullptr);
   std::vector<MachWord> Body;
   T.emitLoadConst(1, CounterAddr, Body);
   T.emitLoadWord(2, 1, 0, Body);
   T.emitAddImm(2, 2, 1, Body);
   T.emitStoreWord(2, 1, 0, Body);
-  G->addCodeBefore(LoopBlock, 0,
-                   std::make_shared<CodeSnippet>(Body, RegSet{1, 2}));
+  Exec.addCodeBefore(LoopBlock, 0,
+                     std::make_shared<CodeSnippet>(Body, RegSet{1, 2}));
 
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasValue())

@@ -94,7 +94,7 @@ helper:
   EXPECT_EQ(Exec.routines()[1]->name(), "helper");
   EXPECT_EQ(Exec.routines()[0]->endAddr(),
             Exec.routines()[1]->startAddr());
-  EXPECT_TRUE(Exec.hiddenRoutines().empty());
+  EXPECT_TRUE(Exec.analysis().hiddenRoutines().empty());
 }
 
 TEST(SymbolRefine, DropsInternalDebugAndTempLabels) {
@@ -185,7 +185,7 @@ start:
     Names.push_back(R->name());
   EXPECT_EQ(Names, (std::vector<std::string>{"r0", "r1", "r2", "r3", "r4",
                                              "r5", "r6", "start"}));
-  EXPECT_TRUE(Exec.hiddenRoutines().empty());
+  EXPECT_TRUE(Exec.analysis().hiddenRoutines().empty());
 }
 
 TEST(SymbolRefine, HiddenRoutineDiscovery) {
@@ -209,7 +209,7 @@ secret:
 fptr: .word secret
 )");
   Exec.readContents();
-  std::vector<Routine *> Hidden = Exec.hiddenRoutines();
+  std::vector<Routine *> Hidden = Exec.analysis().hiddenRoutines();
   ASSERT_EQ(Hidden.size(), 1u);
   Routine *Main = Exec.findRoutine("main");
   ASSERT_NE(Main, nullptr);
@@ -335,12 +335,13 @@ TEST(RoutineMap, SortedDisjointAndLookupMatchesLinearScan) {
               return R.get();
           return nullptr;
         };
-        std::vector<Addr> Probes = {Exec.textBase() - 4, Exec.textEnd(),
+        const Analysis &An = Exec.analysis();
+        std::vector<Addr> Probes = {An.textBase() - 4, An.textEnd(),
                                     Exec.image().segment(SegKind::Data)->VAddr};
-        for (Addr A = Exec.textBase(); A < Exec.textEnd(); A += 4)
+        for (Addr A = An.textBase(); A < An.textEnd(); A += 4)
           Probes.push_back(A);
         for (Addr A : Probes)
-          EXPECT_EQ(Exec.routineContaining(A), Linear(A)) << "addr " << A;
+          EXPECT_EQ(An.routineContaining(A), Linear(A)) << "addr " << A;
       }
     }
   }
@@ -385,7 +386,7 @@ main:
 )");
   Exec.readContents();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
-  BasicBlock *BranchBlock = G->blockAt(Exec.textBase());
+  BasicBlock *BranchBlock = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(BranchBlock, nullptr);
   ASSERT_EQ(BranchBlock->succ().size(), 2u);
   const Edge *Taken = nullptr, *NotTaken = nullptr;
@@ -403,7 +404,7 @@ main:
   // Not-taken edge goes directly to the fallthrough block: the add is NOT
   // on that path.
   EXPECT_EQ(NotTaken->dst()->kind(), BlockKind::Normal);
-  EXPECT_EQ(NotTaken->dst()->anchor(), Exec.textBase() + 12);
+  EXPECT_EQ(NotTaken->dst()->anchor(), Exec.analysis().textBase() + 12);
 }
 
 TEST(CfgTest, NonAnnulledBranchDuplicatesDelay) {
@@ -421,7 +422,7 @@ main:
 )");
   Exec.readContents();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
-  BasicBlock *BranchBlock = G->blockAt(Exec.textBase());
+  BasicBlock *BranchBlock = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(BranchBlock, nullptr);
   unsigned DelayCopies = 0;
   for (const Edge *E : BranchBlock->succ())
@@ -446,7 +447,7 @@ f:
   Exec.readContents();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
   EXPECT_EQ(countBlocks(G, BlockKind::CallSurrogate), 1u);
-  BasicBlock *CallBlock = G->blockAt(Exec.textBase());
+  BasicBlock *CallBlock = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(CallBlock, nullptr);
   const Edge *ToDelay = CallBlock->succ()[0];
   EXPECT_EQ(ToDelay->dst()->kind(), BlockKind::DelaySlot);
@@ -627,8 +628,8 @@ main:
   Exec.readContents();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
   Dominators Doms(*G);
-  BasicBlock *Head = G->blockAt(Exec.textBase());
-  BasicBlock *LoopBody = G->blockAt(Exec.textBase() + 4);
+  BasicBlock *Head = G->blockAt(Exec.analysis().textBase());
+  BasicBlock *LoopBody = G->blockAt(Exec.analysis().textBase() + 4);
   ASSERT_NE(Head, nullptr);
   ASSERT_NE(LoopBody, nullptr);
   EXPECT_TRUE(Doms.dominates(Head, LoopBody));
@@ -658,7 +659,7 @@ main:
   Exec.readContents();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
   Liveness Live(*G);
-  BasicBlock *Body = G->blockAt(Exec.textBase());
+  BasicBlock *Body = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(Body, nullptr);
   // Before the add: o4 and o5 are live; o3 is not.
   RegSet AtAdd = Live.liveBefore(Body, 2);
@@ -696,7 +697,7 @@ f:
   Exec.readContents();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
   Liveness Live(*G);
-  BasicBlock *First = G->blockAt(Exec.textBase());
+  BasicBlock *First = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(First, nullptr);
   // After the cmp (before the call): CC is live — it is read by `be` after
   // the call returns. (SRISC calls preserve CC in this world? No: CC is
@@ -722,8 +723,8 @@ main:
 )");
   Exec.readContents();
   Routine *Main = Exec.findRoutine("main");
-  Addr JumpAddr = Exec.textBase() + 8;
-  SymValue V = backwardSlice(Exec, *Main, JumpAddr, 9);
+  Addr JumpAddr = Exec.analysis().textBase() + 8;
+  SymValue V = backwardSlice(Exec.analysis(), *Main, JumpAddr, 9);
   EXPECT_EQ(V.K, SymValue::Kind::Const);
   EXPECT_EQ(V.Const, (0x123u << 10) | 0x45u);
 }
@@ -750,8 +751,8 @@ main:
 )");
   Exec.readContents();
   Routine *Main = Exec.findRoutine("main");
-  Addr JoinJump = Exec.textBase() + 24;
-  SymValue V = backwardSlice(Exec, *Main, JoinJump, 9);
+  Addr JoinJump = Exec.analysis().textBase() + 24;
+  SymValue V = backwardSlice(Exec.analysis(), *Main, JoinJump, 9);
   // Walking back from the jump crosses the .Ljoin label (a join point)
   // before... actually the set is immediately before the join label, so
   // the definition found is path-dependent. Conservatively Unknown OR the

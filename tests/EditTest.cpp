@@ -226,9 +226,9 @@ TEST(SnippetEdit, CountBeforeInstruction) {
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
   // Count executions of the loop body's first instruction.
-  BasicBlock *LoopHead = G->blockAt(Exec.textBase() + 8);
+  BasicBlock *LoopHead = G->blockAt(Exec.analysis().textBase() + 8);
   ASSERT_NE(LoopHead, nullptr);
-  G->addCodeBefore(LoopHead, 0, makeCounterSnippet(Exec.target(), Counter));
+  Exec.addCodeBefore(LoopHead, 0, makeCounterSnippet(Exec.target(), Counter));
 
   EditedRun R = runBoth(Exec);
   expectSameBehavior(R);
@@ -251,9 +251,9 @@ TEST(SnippetEdit, CountAlongBranchEdges) {
   ASSERT_NE(BranchBlock, nullptr);
   for (Edge *E : BranchBlock->succ()) {
     if (E->kind() == EdgeKind::Taken)
-      E->addCodeAlong(makeCounterSnippet(Exec.target(), TakenCounter));
+      Exec.addCodeAlong(E, makeCounterSnippet(Exec.target(), TakenCounter));
     if (E->kind() == EdgeKind::NotTaken)
-      E->addCodeAlong(makeCounterSnippet(Exec.target(), FallCounter));
+      Exec.addCodeAlong(E, makeCounterSnippet(Exec.target(), FallCounter));
   }
 
   EditedRun R = runBoth(Exec);
@@ -287,7 +287,7 @@ main:
   Addr Counter = Exec.appendData(4, 4, "counter");
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
-  BasicBlock *Body = G->blockAt(Exec.textBase());
+  BasicBlock *Body = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(Body, nullptr);
   // A CC-clobbering counting snippet (uses subcc to do its addition).
   std::vector<MachWord> Words;
@@ -299,7 +299,7 @@ main:
   T.emitStoreWord(2, 1, 0, Words);
   auto Snip = std::make_shared<CodeSnippet>(Words, RegSet{1, 2});
   Snip->setClobbersCC(true);
-  G->addCodeBefore(Body, 2, Snip);
+  Exec.addCodeBefore(Body, 2, Snip);
 
   EditedRun R = runBoth(Exec);
   expectSameBehavior(R);
@@ -332,13 +332,13 @@ TEST(SnippetEdit, HighRegisterPressureSpills) {
   Addr Counter = Exec.appendData(4, 4, "counter");
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
-  BasicBlock *Body = G->blockAt(Exec.textBase());
+  BasicBlock *Body = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(Body, nullptr);
   // Find the "mov 0, %o0" instruction index (28 defs before it).
   unsigned InsertAt = 28;
   ASSERT_EQ(Body->insts()[InsertAt].Inst->dataOp().Kind, DataOpKind::Or);
-  G->addCodeBefore(Body, InsertAt,
-                   makeCounterSnippet(Exec.target(), Counter));
+  Exec.addCodeBefore(Body, InsertAt,
+                     makeCounterSnippet(Exec.target(), Counter));
 
   EditedRun R = runBoth(Exec);
   expectSameBehavior(R);
@@ -359,9 +359,9 @@ main:
   Exec.readContents();
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
-  BasicBlock *Body = G->blockAt(Exec.textBase());
+  BasicBlock *Body = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(Body, nullptr);
-  G->deleteInst(Body, 1);
+  Exec.deleteInst(Body, 1);
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasValue()) << Edited.error().message();
   RunResult R = runToCompletion(Edited.value());
@@ -374,7 +374,7 @@ TEST(SnippetEdit, TaggedSnippetAndCallback) {
   Addr Counter = Exec.appendData(4, 4, "counter");
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
-  BasicBlock *Body = G->blockAt(Exec.textBase());
+  BasicBlock *Body = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(Body, nullptr);
 
   // Build the snippet with a placeholder constant, then patch the counter
@@ -402,12 +402,12 @@ TEST(SnippetEdit, TaggedSnippetAndCallback) {
     // Placeholders were rebound to real registers.
     EXPECT_NE(Inst.RegMap[1], 1u);
   });
-  G->addCodeBefore(Body, 0, Snip);
+  Exec.addCodeBefore(Body, 0, Snip);
 
   EditedRun R = runBoth(Exec);
   expectSameBehavior(R);
   EXPECT_TRUE(CallbackRan);
-  EXPECT_GE(CallbackAddr, Exec.textBase());
+  EXPECT_GE(CallbackAddr, Exec.analysis().textBase());
   EXPECT_EQ(counterAfterRun(R.EditedFile, Counter), 1u);
 }
 
@@ -476,7 +476,7 @@ fptr: .word landing + 1
   Cfg *G = LandingR->controlFlowGraph();
   BasicBlock *Landing = G->blockAt(LandingR->startAddr());
   ASSERT_NE(Landing, nullptr);
-  G->addCodeBefore(Landing, 0, makeCounterSnippet(Exec.target(), Counter));
+  Exec.addCodeBefore(Landing, 0, makeCounterSnippet(Exec.target(), Counter));
 
   EditedRun R = runBoth(Exec);
   expectSameBehavior(R);
@@ -577,7 +577,7 @@ table: .word .Lcase0, .Lcase1, .Lcase2, .Lcase3
   for (Edge *E : ToDelay->dst()->succ()) {
     Addr C = Exec.appendData(4, 4, "case" + std::to_string(CaseIndex++));
     Counters.push_back(C);
-    E->addCodeAlong(makeCounterSnippet(Exec.target(), C));
+    Exec.addCodeAlong(E, makeCounterSnippet(Exec.target(), C));
   }
   ASSERT_EQ(Counters.size(), 4u);
 
@@ -651,7 +651,7 @@ main:
 obj: .word 7
 )",
                                 Layout));
-  ASSERT_LT(Exec.textEnd(), Layout.DataBase);
+  ASSERT_LT(Exec.analysis().textEnd(), Layout.DataBase);
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasError());
   EXPECT_EQ(Edited.error().code(), ErrorCode::SegmentOverlap);

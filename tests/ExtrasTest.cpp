@@ -236,7 +236,8 @@ leafy:
 .align 4
 fptr: .word leafy
 )"));
-  CallGraph CG = CallGraph::build(Exec);
+  Exec.readContents();
+  CallGraph CG = CallGraph::build(Exec.analysis());
   Routine *Main = Exec.findRoutine("main");
   const CallGraph::Node *N = CG.node(Main);
   ASSERT_NE(N, nullptr);

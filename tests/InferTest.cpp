@@ -55,7 +55,8 @@ std::string layoutFingerprint(Executable &Exec) {
   for (const auto &R : Exec.routines()) {
     FP += R->name() + ":" + std::to_string(R->startAddr()) + "-" +
           std::to_string(R->endAddr()) + (R->isData() ? ":data" : "") +
-          ":c" + std::to_string(Exec.inferredConfidence(R->startAddr())) +
+          ":c" +
+          std::to_string(Exec.analysis().inferredConfidence(R->startAddr())) +
           "\n";
     if (R->isData())
       continue;
@@ -69,7 +70,6 @@ std::string layoutFingerprint(Executable &Exec) {
       }
       FP += "\n";
     }
-    R->deleteControlFlowGraph();
   }
   return FP;
 }
@@ -96,7 +96,7 @@ TEST(InferDeterminism, ThreadsAndConsecutiveRuns) {
       O.Threads = Threads;
       Executable Exec(SxfFile(File), O);
       Exec.readContents();
-      EXPECT_TRUE(Exec.inferenceUsed());
+      EXPECT_TRUE(Exec.analysis().inferenceUsed());
       return layoutFingerprint(Exec);
     };
     std::string Serial = Run(1);
@@ -121,7 +121,7 @@ TEST(InferRecovery, StrippedCellTailCalls) {
 
   Executable Exec(strippedCopy(File));
   Exec.readContents();
-  ASSERT_TRUE(Exec.inferenceUsed());
+  ASSERT_TRUE(Exec.analysis().inferenceUsed());
   unsigned Jumps = 0, Recovered = 0;
   for (const auto &R : Exec.routines()) {
     if (R->isData())
@@ -140,7 +140,6 @@ TEST(InferRecovery, StrippedCellTailCalls) {
             << "bogus inferred target " << Site.Resolution.Targets[0];
       }
     }
-    R->deleteControlFlowGraph();
   }
   EXPECT_GT(Jumps, 0u);
   EXPECT_EQ(Recovered, Jumps) << "some cell tail calls stayed unanalyzable";
@@ -173,7 +172,6 @@ TEST(InferRecovery, MangledDispatchTables) {
           if (Site.Resolution.K == IndirectResolution::Kind::DispatchTable)
             ++SymboledAnalyzed;
         }
-        R->deleteControlFlowGraph();
       }
     }
     EXPECT_GT(SymboledJumps, 0u);
@@ -199,7 +197,6 @@ TEST(InferRecovery, MangledDispatchTables) {
           EXPECT_GE(Site.Resolution.Targets.size(), 4u);
         }
       }
-      R->deleteControlFlowGraph();
     }
     EXPECT_EQ(Jumps, SymboledJumps);
     EXPECT_EQ(Recovered, Jumps)
@@ -234,7 +231,6 @@ TEST(InferExclusion, InterleavedDataDoesNotPoisonCellFacts) {
             Site.Resolution.Inferred)
           ++Recovered;
       }
-      R->deleteControlFlowGraph();
     }
     EXPECT_GT(Jumps, 0u);
     EXPECT_EQ(Recovered, Jumps)
@@ -263,9 +259,10 @@ TEST(InferBoundaries, InferredStartsAreRealStarts) {
 }
 
 TEST(InferBoundaries, ResultInvariants) {
-  Executable Exec(strippedCopy(
-      generateWorkload(TargetArch::Srisc, adversarial(9, TargetArch::Srisc))));
-  InferResult Result = inferLayout(Exec);
+  SxfFile File =
+      generateWorkload(TargetArch::Srisc, adversarial(9, TargetArch::Srisc));
+  Analysis An(strippedCopy(File), Analysis::Options());
+  InferResult Result = inferLayout(An);
   ASSERT_FALSE(Result.Routines.empty());
   EXPECT_GE(Result.Stats.Rounds, 1u);
   EXPECT_LE(Result.Stats.Rounds, 8u);
@@ -278,7 +275,7 @@ TEST(InferBoundaries, ResultInvariants) {
     }
   }
   // Running it twice yields identical facts.
-  InferResult Again = inferLayout(Exec);
+  InferResult Again = inferLayout(An);
   ASSERT_EQ(Again.Routines.size(), Result.Routines.size());
   for (size_t I = 0; I < Result.Routines.size(); ++I) {
     EXPECT_EQ(Again.Routines[I].Lo, Result.Routines[I].Lo);
@@ -300,13 +297,13 @@ TEST(InferOptions, NoSymbolsForcesInference) {
   {
     Executable Exec((SxfFile(File)));
     Exec.readContents();
-    EXPECT_FALSE(Exec.inferenceUsed());
+    EXPECT_FALSE(Exec.analysis().inferenceUsed());
   }
   Executable::Options O;
   O.NoSymbols = true;
   Executable Exec(SxfFile(File), O);
   Exec.readContents();
-  EXPECT_TRUE(Exec.inferenceUsed());
+  EXPECT_TRUE(Exec.analysis().inferenceUsed());
   bool SawInferredName = false;
   for (const auto &R : Exec.routines())
     if (R->name() == "entry" || R->name().rfind("proc_", 0) == 0)
@@ -325,7 +322,7 @@ TEST(InferVm, EditedStrippedAdversarialIdentity) {
       O.Verify = true;
       Executable Exec(SxfFile(File), O);
       Exec.readContents();
-      ASSERT_TRUE(Exec.inferenceUsed());
+      ASSERT_TRUE(Exec.analysis().inferenceUsed());
       RunResult Original = runToCompletion(File);
       Expected<SxfFile> Edited = Exec.writeEditedExecutable();
       ASSERT_FALSE(Edited.hasError())

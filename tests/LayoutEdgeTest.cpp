@@ -51,13 +51,13 @@ main:
   // Instrument both edges.
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
   Addr C1 = Exec.appendData(4, 4, "c1"), C2 = Exec.appendData(4, 4, "c2");
-  BasicBlock *B = G->blockAt(Exec.textBase());
+  BasicBlock *B = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(B, nullptr);
   ASSERT_EQ(B->succ().size(), 2u);
-  B->succ()[0]->addCodeAlong(
-      makeCounterIncrementSnippet(Exec.target(), C1));
-  B->succ()[1]->addCodeAlong(
-      makeCounterIncrementSnippet(Exec.target(), C2));
+  Exec.addCodeAlong(B->succ()[0],
+                    makeCounterIncrementSnippet(Exec.target(), C1));
+  Exec.addCodeAlong(B->succ()[1],
+                    makeCounterIncrementSnippet(Exec.target(), C2));
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasValue()) << Edited.error().message();
   Machine M(Edited.value());
@@ -146,7 +146,7 @@ cell: .word 0
   Addr Cell = Exec.image().findSymbol("cell")->Value;
   const TargetInfo &T = Exec.target();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
-  BasicBlock *B = G->blockAt(Exec.textBase());
+  BasicBlock *B = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(B, nullptr);
 
   auto Add5 = [&] {
@@ -165,8 +165,8 @@ cell: .word 0
     T.emitStoreWord(2, 1, 0, W);
     return std::make_shared<CodeSnippet>(W, RegSet{1, 2});
   }();
-  G->addCodeBefore(B, 0, Add5);
-  G->addCodeBefore(B, 0, Double);
+  Exec.addCodeBefore(B, 0, Add5);
+  Exec.addCodeBefore(B, 0, Double);
 
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasValue());
@@ -191,9 +191,9 @@ main:
 )"));
   Exec.readContents();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
-  BasicBlock *Target = G->blockAt(Exec.textBase() + 12);
+  BasicBlock *Target = G->blockAt(Exec.analysis().textBase() + 12);
   ASSERT_NE(Target, nullptr);
-  G->deleteInst(Target, 0);
+  Exec.deleteInst(Target, 0);
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasValue());
   // o0 is never set to 7; add sees whatever o0 was (0 at startup) + 2.
@@ -229,8 +229,8 @@ body_alt:
   Cfg *G = Compute->controlFlowGraph();
   BasicBlock *Alt = G->blockAt(Compute->entryPoints()[1]);
   ASSERT_NE(Alt, nullptr);
-  G->addCodeBefore(Alt, 0,
-                   makeCounterIncrementSnippet(Exec.target(), Counter));
+  Exec.addCodeBefore(Alt, 0,
+                     makeCounterIncrementSnippet(Exec.target(), Counter));
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasValue()) << Edited.error().message();
   Machine M(Edited.value());
@@ -261,10 +261,10 @@ main:
   Exec.readContents();
   Addr Counter = Exec.appendData(4, 4, "ctr");
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
-  BasicBlock *B = G->blockAt(Exec.textBase());
+  BasicBlock *B = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(B, nullptr);
-  G->addCodeBefore(B, 0,
-                   makeCounterIncrementSnippet(Exec.target(), Counter));
+  Exec.addCodeBefore(B, 0,
+                     makeCounterIncrementSnippet(Exec.target(), Counter));
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasValue());
   RunResult After = runToCompletion(Edited.value());

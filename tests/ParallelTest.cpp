@@ -207,8 +207,8 @@ PipelineResult runPipeline(TargetArch Arch, const WorkloadOptions &WOpts,
     T.emitLoadWord(RegB, RegA, 0, Body);
     T.emitAddImm(RegB, RegB, 1, Body);
     T.emitStoreWord(RegB, RegA, 0, Body);
-    G->addCodeBefore(First, 0,
-                     std::make_shared<CodeSnippet>(Body, RegSet{RegA, RegB}));
+    Exec.addCodeBefore(
+        First, 0, std::make_shared<CodeSnippet>(Body, RegSet{RegA, RegB}));
   }
 
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();

@@ -6,13 +6,12 @@
 ///
 /// \file
 /// The edit service end to end: wire-protocol round-trips and hostile
-/// frames, content-addressed cache hit/miss/eviction (including the
-/// provenance rule that tool spec and options are part of the key),
-/// admission-control rejections with structured envelopes, byte identity
-/// of warm hits and of concurrent identical submissions, thread-count
-/// determinism through the service, per-request metrics isolation, and
-/// the Executable::resetEdits() mechanism that makes analysis reuse
-/// sound.
+/// frames, content-addressed cache hit/miss/eviction (options are part of
+/// the key, the tool is not), admission-control rejections with
+/// structured envelopes, byte identity of warm hits, of concurrent
+/// identical submissions and of concurrent edit sessions over one shared
+/// analysis, thread-count determinism through the service, and
+/// per-request metrics sinks that stay exact beside other traffic.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +22,7 @@
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "tools/Qpt.h"
+#include "tools/Tracer.h"
 #include "vm/Machine.h"
 #include "workload/Generator.h"
 
@@ -31,16 +31,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <shared_mutex>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace eel {
 
-/// Befriended by EditService: lets a test hold the metrics lock so an
-/// admitted request waits in process() for as long as the test needs.
+/// Befriended by EditService: lets a test occupy the dispatch pool, so an
+/// admitted request waits in its queue for as long as the test needs.
 struct ServeTestAccess {
-  static std::shared_mutex &metricsLock(EditService &S) { return S.MetricsM; }
+  static ThreadPool &dispatchPool(EditService &S) { return S.Pool; }
 };
 
 } // namespace eel
@@ -77,6 +78,46 @@ JsonValue parseEnvelope(const ServeResponse &Resp) {
   Expected<JsonValue> Doc = parseJson(Resp.EnvelopeJson);
   EXPECT_TRUE(Doc.hasValue()) << Resp.EnvelopeJson;
   return Doc.hasValue() ? Doc.takeValue() : JsonValue();
+}
+
+/// The five tool specs the service accepts.
+const char *const ToolSpecs[] = {"null", "qpt:blocks", "qpt:edges",
+                                  "qpt:all", "tracer"};
+
+/// Instruments \p Exec as the service does for \p Spec (the service's
+/// tracer capacity is a fixed 4096 entries). The returned tool must
+/// outlive the write, as in the service.
+std::shared_ptr<void> instrumentLike(Executable &Exec,
+                                     const std::string &Spec) {
+  if (Spec == "null")
+    return nullptr;
+  if (Spec == "tracer") {
+    auto Tracer = std::make_shared<MemoryTracer>(Exec, 4096);
+    Tracer->instrument();
+    return Tracer;
+  }
+  Qpt2Profiler::Options QOpts;
+  QOpts.CountBlocks = Spec != "qpt:edges";
+  QOpts.CountEdges = Spec != "qpt:blocks";
+  auto Qpt = std::make_shared<Qpt2Profiler>(Exec, QOpts);
+  Qpt->instrument();
+  return Qpt;
+}
+
+/// A cold single-shot edit: open, analyze, instrument, write.
+std::vector<uint8_t> coldEdit(const std::vector<uint8_t> &Bytes,
+                              const std::string &Spec) {
+  Expected<SxfFile> Image = SxfFile::deserialize(Bytes);
+  EXPECT_TRUE(Image.hasValue());
+  Executable::Options EOpts;
+  EOpts.Threads = 1;
+  Executable Exec(Image.takeValue(), EOpts);
+  EXPECT_TRUE(Exec.readContents().hasValue());
+  std::shared_ptr<void> Tool = instrumentLike(Exec, Spec);
+  Expected<SxfFile> Edited = Exec.writeEditedExecutable();
+  EXPECT_TRUE(Edited.hasValue()) << Edited.error().describe();
+  return Edited.hasValue() ? Edited.value().serialize()
+                           : std::vector<uint8_t>();
 }
 
 } // namespace
@@ -166,38 +207,38 @@ TEST(ServeProtocol, HostileFramesGetTaxonomyCodes) {
   EXPECT_EQ(R5.error().code(), ErrorCode::ImplausibleCount);
 }
 
-// --- resetEdits: the mechanism that makes analysis reuse sound --------------
+// --- One shared analysis, many edit sessions -------------------------------
 
-TEST(ServeReset, ResetEditsMakesRepeatWritesByteIdentical) {
-  WorkloadOptions WOpts;
-  WOpts.Seed = 11;
-  WOpts.Routines = 8;
-  WOpts.SwitchPercent = 30;
-  SxfFile Image = generateWorkload(TargetArch::Srisc, WOpts);
+TEST(ServeShare, ConcurrentSessionsOverOneAnalysisMatchCold) {
+  // Two Executables over one finished analysis, instrumented and written
+  // on two threads at once: the analysis is read-only, each session owns
+  // its edits, so each output is byte-identical to a cold run.
+  for (TargetArch Arch : AllTargetArches) {
+    std::vector<uint8_t> Bytes = makeImage(11, 8, Arch);
+    Executable::Options EOpts;
+    EOpts.Threads = 2;
+    Expected<SxfFile> Image = SxfFile::deserialize(Bytes);
+    ASSERT_TRUE(Image.hasValue());
+    Executable First(Image.takeValue(), EOpts);
+    ASSERT_TRUE(First.readContents().hasValue());
+    std::shared_ptr<const Analysis> Shared = First.sharedAnalysis();
 
-  Executable::Options EOpts;
-  EOpts.Threads = 1;
-  Expected<std::unique_ptr<Executable>> Opened =
-      Executable::openImage(std::move(Image), EOpts);
-  ASSERT_TRUE(Opened.hasValue());
-  Executable &Exec = *Opened.value();
-  ASSERT_TRUE(Exec.readContents().hasValue());
-
-  std::vector<uint8_t> First;
-  {
-    Qpt2Profiler Qpt(Exec);
-    Qpt.instrument();
-    Expected<SxfFile> Edited = Exec.writeEditedExecutable();
-    ASSERT_TRUE(Edited.hasValue()) << Edited.error().describe();
-    First = Edited.value().serialize();
-  }
-  Exec.resetEdits();
-  {
-    Qpt2Profiler Qpt(Exec);
-    Qpt.instrument();
-    Expected<SxfFile> Edited = Exec.writeEditedExecutable();
-    ASSERT_TRUE(Edited.hasValue()) << Edited.error().describe();
-    EXPECT_EQ(Edited.value().serialize(), First);
+    const std::string Specs[2] = {"qpt:all", "tracer"};
+    std::vector<uint8_t> Out[2];
+    std::vector<std::thread> Sessions;
+    for (unsigned I = 0; I < 2; ++I)
+      Sessions.emplace_back([&, I] {
+        Executable Exec(Shared);
+        std::shared_ptr<void> Tool = instrumentLike(Exec, Specs[I]);
+        Expected<SxfFile> Edited = Exec.writeEditedExecutable();
+        ASSERT_TRUE(Edited.hasValue()) << Edited.error().describe();
+        Out[I] = Edited.value().serialize();
+      });
+    for (std::thread &T : Sessions)
+      T.join();
+    for (unsigned I = 0; I < 2; ++I)
+      EXPECT_EQ(Out[I], coldEdit(Bytes, Specs[I]))
+          << "arch=" << static_cast<int>(Arch) << " spec=" << Specs[I];
   }
 }
 
@@ -236,32 +277,28 @@ TEST(ServeCache, HitMissEvictionAccounting) {
   EXPECT_EQ(S.Entries, 1u);
 }
 
-TEST(ServeCache, DifferentToolSpecsMissEachOther) {
-  // Satellite 2: the key is provenanceKey(image, tool, options), so the
-  // same image under two tools must not share a cache entry — and the
-  // outputs prove it (qpt instruments, null does not).
-  EditService Service(ServeLimits{});
-  std::vector<uint8_t> Image = makeImage(3);
-
-  ServeResponse Null1 = Service.handle(makeRequest(Image, "null"));
-  ASSERT_EQ(Null1.Status, ServeStatus::Ok);
-  ServeResponse Qpt1 = Service.handle(makeRequest(Image, "qpt:all"));
-  ASSERT_EQ(Qpt1.Status, ServeStatus::Ok);
-  EXPECT_FALSE(summaryField(parseEnvelope(Qpt1), "cache_hit")->B);
-  EXPECT_NE(Qpt1.EditedImage, Null1.EditedImage);
-
-  AnalysisCache::Stats S = Service.cacheStats();
-  EXPECT_EQ(S.Hits, 0u);
-  EXPECT_EQ(S.Misses, 2u);
-  EXPECT_EQ(S.Entries, 2u);
-
-  // Each spec then hits its own entry and reproduces its own bytes.
-  ServeResponse Null2 = Service.handle(makeRequest(Image, "null"));
-  ServeResponse Qpt2 = Service.handle(makeRequest(Image, "qpt:all"));
-  EXPECT_TRUE(summaryField(parseEnvelope(Null2), "cache_hit")->B);
-  EXPECT_TRUE(summaryField(parseEnvelope(Qpt2), "cache_hit")->B);
-  EXPECT_EQ(Null2.EditedImage, Null1.EditedImage);
-  EXPECT_EQ(Qpt2.EditedImage, Qpt1.EditedImage);
+TEST(ServeCache, ToolSpecsShareOneAnalysisAndMatchCold) {
+  // The analysis does not depend on the tool, so the five specs on one
+  // image share one cache entry: one miss, then hits. Every response, the
+  // miss included, equals a cold single-shot edit with that spec.
+  for (TargetArch Arch : AllTargetArches) {
+    EditService Service(ServeLimits{});
+    std::vector<uint8_t> Image = makeImage(3, 10, Arch);
+    for (int Round = 0; Round < 2; ++Round)
+      for (const char *Spec : ToolSpecs) {
+        ServeResponse R = Service.handle(makeRequest(Image, Spec));
+        ASSERT_EQ(R.Status, ServeStatus::Ok) << R.EnvelopeJson;
+        bool First = Round == 0 && std::string(Spec) == ToolSpecs[0];
+        EXPECT_EQ(summaryField(parseEnvelope(R), "cache_hit")->B, !First)
+            << Spec;
+        EXPECT_EQ(R.EditedImage, coldEdit(Image, Spec))
+            << "arch=" << static_cast<int>(Arch) << " spec=" << Spec;
+      }
+    AnalysisCache::Stats S = Service.cacheStats();
+    EXPECT_EQ(S.Misses, 1u);
+    EXPECT_EQ(S.Hits, 2 * std::size(ToolSpecs) - 1);
+    EXPECT_EQ(S.Entries, 1u);
+  }
 }
 
 TEST(ServeCache, DifferentOptionsMissEachOther) {
@@ -333,12 +370,34 @@ TEST(ServeAdmission, UnknownToolSpecRejected) {
 TEST(ServeAdmission, SaturationRejectsWithRetryableCode) {
   ServeLimits Limits;
   Limits.MaxInFlight = 1;
+  Limits.DispatchWorkers = 1;
   EditService Service(Limits);
-  // Park the admitted blocker on purpose: with the metrics lock held
-  // exclusively here, it takes the one in-flight slot and then waits in
-  // process() until the lock is released.
-  std::unique_lock<std::shared_mutex> Park(
-      ServeTestAccess::metricsLock(Service));
+  // Park the admitted blocker on purpose: a task parked on the service's
+  // only dispatch worker keeps it busy, so the blocker takes the one
+  // in-flight slot and then waits in the dispatch queue until the parked
+  // task is released. The blocker starts only once the worker is parked:
+  // a worker pops its own deque LIFO, so a blocker queued first would run
+  // first.
+  std::mutex ParkM;
+  std::condition_variable ParkCV;
+  bool Occupied = false, Released = false;
+  ServeTestAccess::dispatchPool(Service).submit([&] {
+    std::unique_lock<std::mutex> L(ParkM);
+    Occupied = true;
+    ParkCV.notify_all();
+    ParkCV.wait(L, [&] { return Released; });
+  });
+  {
+    std::unique_lock<std::mutex> L(ParkM);
+    ParkCV.wait(L, [&] { return Occupied; });
+  }
+  auto Release = [&] {
+    {
+      std::lock_guard<std::mutex> L(ParkM);
+      Released = true;
+    }
+    ParkCV.notify_all();
+  };
   std::thread Blocker([&] {
     ServeResponse R = Service.handle(makeRequest(makeImage(6, 4)));
     EXPECT_EQ(R.Status, ServeStatus::Ok);
@@ -367,7 +426,7 @@ TEST(ServeAdmission, SaturationRejectsWithRetryableCode) {
                 "server_saturated");
     }
   }
-  Park.unlock();
+  Release();
   Blocker.join();
   EXPECT_TRUE(SawRejection);
 }
@@ -406,7 +465,7 @@ TEST(ServeConcurrency, ConcurrentIdenticalSubmissionsAreByteIdentical) {
     EXPECT_EQ(Responses[I].EditedImage, Responses[0].EditedImage)
         << "request " << I;
   }
-  // Every submission was served (hit or claimed-miss, never dropped).
+  // Every submission was served (a hit or a miss, never dropped).
   AnalysisCache::Stats S = Service.cacheStats();
   EXPECT_EQ(S.Hits + S.Misses, uint64_t(N));
 }
@@ -472,6 +531,62 @@ TEST(ServeMetrics, BackToBackEnvelopesAreIsolated) {
   ASSERT_NE(Req1, nullptr);
   ASSERT_NE(Req2, nullptr);
   EXPECT_GT(Req2->asNumber(), Req1->asNumber());
+}
+
+TEST(ServeMetrics, SinkMatchesSoloColdRunBesidePlainTraffic) {
+  // A WantMetrics request records into its own sink, so plain requests
+  // running beside it — their counters, histograms and spans going to the
+  // process-wide registries at the same time — change nothing in its
+  // envelope: counters and histograms equal those of the same request
+  // served alone. Caching is off, so every request analyzes (cold).
+  ServeLimits Limits;
+  Limits.CacheCapacity = 0;
+  for (unsigned Threads : {1u, 4u}) {
+    ServeRequest Req = makeRequest(makeImage(60, 12), "qpt:all");
+    Req.Threads = Threads;
+    Req.WantMetrics = true;
+    auto pipelineMetrics = [](const ServeResponse &R) {
+      JsonValue Doc = parseEnvelope(R);
+      JsonValue Counters;
+      Counters.K = JsonValue::Kind::Object;
+      if (const JsonValue *C = Doc.find("counters"))
+        for (const auto &[Name, Value] : C->Obj)
+          if (Name.rfind("serve.", 0) != 0)
+            Counters.Obj.emplace_back(Name, Value);
+      const JsonValue *Hists = Doc.find("histograms");
+      return std::make_pair(dumpJson(Counters),
+                            Hists ? dumpJson(*Hists) : std::string());
+    };
+
+    std::pair<std::string, std::string> Solo;
+    {
+      EditService Alone(Limits);
+      ServeResponse R = Alone.handle(Req);
+      ASSERT_EQ(R.Status, ServeStatus::Ok);
+      Solo = pipelineMetrics(R);
+    }
+    ASSERT_NE(Solo.first.find("eel.cfg.built"), std::string::npos);
+    ASSERT_NE(Solo.second.find("cfg.blocks_per_routine"), std::string::npos);
+
+    EditService Service(Limits);
+    std::atomic<bool> Stop{false};
+    std::vector<std::thread> Traffic;
+    for (unsigned W = 0; W < 3; ++W)
+      Traffic.emplace_back([&, W] {
+        ServeRequest Plain = makeRequest(makeImage(61 + W, 12), "qpt:edges");
+        Plain.Threads = Threads;
+        while (!Stop.load(std::memory_order_relaxed))
+          EXPECT_EQ(Service.handle(Plain).Status, ServeStatus::Ok);
+      });
+    for (int I = 0; I < 3; ++I) {
+      ServeResponse R = Service.handle(Req);
+      ASSERT_EQ(R.Status, ServeStatus::Ok);
+      EXPECT_EQ(pipelineMetrics(R), Solo) << "threads=" << Threads;
+    }
+    Stop.store(true, std::memory_order_relaxed);
+    for (std::thread &T : Traffic)
+      T.join();
+  }
 }
 
 TEST(ServeMetrics, EnvelopeCarriesProvenanceAndParses) {
@@ -726,9 +841,8 @@ TEST(ServeStatus, SnapshotCarriesLiveCounters) {
 
 TEST(ServeStatus, ScrapeNeverBlocksBehindEdits) {
   // The scrape path must stay answerable while edits are in flight —
-  // including WantMetrics edits that hold the metrics-isolation lock
-  // exclusively. Workers hammer the service; the main thread scrapes
-  // continuously and every scrape must succeed and parse.
+  // WantMetrics edits included. Workers hammer the service; the main
+  // thread scrapes continuously and every scrape must succeed and parse.
   EditService Service(ServeLimits{});
   constexpr unsigned Workers = 4, PerWorker = 6;
   std::atomic<bool> Done{false};
@@ -809,8 +923,10 @@ TEST(ServeSlow, ExemplarCapturedWithRequestId) {
     const JsonValue *Events = Trace.value().find("traceEvents");
     ASSERT_NE(Events, nullptr);
     ASSERT_TRUE(Events->isArray());
+#ifndef EEL_TRACE_DISABLED
     ASSERT_FALSE(Events->Arr.empty())
         << "a slow request must retain its spans";
+#endif
     // Every span in the exemplar belongs to this request.
     for (const JsonValue &Ev : Events->Arr) {
       const JsonValue *Args = Ev.find("args");
@@ -847,11 +963,11 @@ TEST(ServeSlow, ThresholdZeroCapturesNothing) {
 // --- Metrics-scope gap regression -------------------------------------------
 
 TEST(ServeMetrics, CumulativeCountersSurviveScopedRequests) {
-  // Cache evictions and admission rejections that land *while a
-  // WantMetrics request's scope is live* must still be counted: the scope
-  // resets the registries, and serve.* counters live in the service. With
-  // a capacity-1 cache, back-to-back scoped requests for two images evict
-  // each other; a rejection rides along.
+  // Cache evictions and admission rejections around WantMetrics requests
+  // must still be counted: a request's sink holds only its own pipeline
+  // work, and serve.* counters live in the service. With a capacity-1
+  // cache, back-to-back metrics requests for two images evict each
+  // other; a rejection rides along.
   ServeLimits Limits;
   Limits.CacheCapacity = 1;
   EditService Service(Limits);

@@ -533,10 +533,10 @@ main:
 )"));
   Exec.readContents();
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
-  BasicBlock *B = G->blockAt(Exec.textBase());
+  BasicBlock *B = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(B, nullptr);
   using namespace srisc;
-  G->replaceInst(B, 1, encodeArithImm(Op3Sub, 8, 8, 3));
+  Exec.replaceInst(B, 1, encodeArithImm(Op3Sub, 8, 8, 3));
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   ASSERT_TRUE(Edited.hasValue());
   EXPECT_EQ(runToCompletion(Edited.value()).ExitCode, 7); // 10 - 3

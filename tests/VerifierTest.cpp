@@ -49,6 +49,9 @@ struct VerifierTestAccess {
   static void retargetAsymmetric(Edge *E, BasicBlock *NewDst) {
     E->Dst = NewDst;
   }
+
+  /// Relabels \p E (the "tail jump read as a return" defect).
+  static void setKind(Edge *E, EdgeKind K) { E->Kind = K; }
 };
 
 } // namespace eel
@@ -246,6 +249,43 @@ TEST(Verifier, Pass1FlagsEdgeIntoMidBlock) {
   VerifyOptions Opts;
   Opts.CheckDelay = Opts.CheckScavenge = false;
   Opts.Threads = 1;
+  DiagnosticReport Report = verifyIR(Exec, Opts);
+  EXPECT_TRUE(Report.has(VerifyPass::CfgWellFormed, DiagSeverity::Error))
+      << Report.renderText();
+}
+
+// A tail jump out of the routine must reach Exit as an ExitInterJump:
+// liveness reads the edge kind, and an ordinary jump edge into Exit gets
+// the return-live set, which leaves argument registers looking dead.
+TEST(Verifier, Pass1FlagsNonExitEdgeIntoExit) {
+  WorkloadOptions Options;
+  Options.Seed = 303;
+  Options.Routines = 12;
+  Options.TailCallPercent = 35;
+  SxfFile File = generateWorkload(TargetArch::Mrisc, Options);
+  File.strip();
+  Executable::Options EOpts;
+  EOpts.Threads = 1;
+  Executable Exec(std::move(File), EOpts);
+  ASSERT_TRUE(Exec.readContents().hasValue());
+
+  VerifyOptions Opts;
+  Opts.CheckDelay = Opts.CheckScavenge = false;
+  Opts.Threads = 1;
+  DiagnosticReport Clean = verifyIR(Exec, Opts);
+  EXPECT_FALSE(Clean.hasErrors()) << Clean.renderText();
+
+  Edge *TailJump = nullptr;
+  for (const auto &R : Exec.routines()) {
+    Cfg *G = R->controlFlowGraph();
+    if (!G || G->unsupported())
+      continue;
+    for (Edge *E : G->exitBlock()->pred())
+      if (E->kind() == EdgeKind::ExitInterJump && !TailJump)
+        TailJump = E;
+  }
+  ASSERT_NE(TailJump, nullptr) << "no tail jump leaves a routine";
+  VerifierTestAccess::setKind(TailJump, EdgeKind::UncondJump);
   DiagnosticReport Report = verifyIR(Exec, Opts);
   EXPECT_TRUE(Report.has(VerifyPass::CfgWellFormed, DiagSeverity::Error))
       << Report.renderText();

@@ -97,7 +97,8 @@ TEST(Workload, CallGraphIsAcyclicDag) {
   WorkloadOptions Opts;
   Opts.Seed = 11;
   Executable Exec(generateWorkload(TargetArch::Srisc, Opts));
-  CallGraph CG = CallGraph::build(Exec);
+  Exec.readContents();
+  CallGraph CG = CallGraph::build(Exec.analysis());
   Routine *Main = Exec.findRoutine("main");
   ASSERT_NE(Main, nullptr);
   const CallGraph::Node *MainNode = CG.node(Main);

@@ -77,7 +77,7 @@ bool reportInference(const std::string &Path, const SxfFile &Image,
   E.readContents();
   for (const auto &R : E.routines()) {
     auto C = static_cast<InferConfidence>(
-        E.inferredConfidence(R->startAddr()));
+        E.analysis().inferredConfidence(R->startAddr()));
     char Buf[96];
     std::snprintf(Buf, sizeof(Buf),
                   "inferred %s extent of %u bytes, confidence %s",

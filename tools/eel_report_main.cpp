@@ -193,7 +193,8 @@ int main(int argc, char **argv) {
   Report.setProvenance(ImageHash, fnv1a64(std::string_view("")),
                        optionsDigest(EOpts));
   Report.addOption("threads", uint64_t(Config.Threads));
-  Report.addOption("effective_threads", uint64_t(Exec.effectiveThreads()));
+  Report.addOption("effective_threads",
+                   uint64_t(Exec.analysis().effectiveThreads()));
   Report.addOption("verify", Config.Verify);
   Report.addOption("rewrite_data_pointers", EOpts.RewriteDataPointers);
   Report.addOption("runtime_translation", EOpts.EnableRuntimeTranslation);
