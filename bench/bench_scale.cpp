@@ -19,9 +19,14 @@
 /// host speed can swing by more than the effect measured. Each phase's
 /// exponent is the least-squares slope of log time against log image
 /// bytes. Gate (full mode): every phase that takes >= 5% of the largest
-/// pass has an exponent <= 1.2. A final 12k-routine row records the
-/// structured SegmentOverlap error the writer returns once edited text
-/// would run into the data segment.
+/// pass has an exponent <= 1.2.
+///
+/// The largest image also runs at Threads = 4 in every repetition, beside
+/// its Threads = 1 pass, and records its phase tree and speedup@<size>
+/// (minimum pass at 1 thread over minimum pass at 4). Gate (full mode):
+/// speedup >= 1.8. A final 12k-routine row records the structured
+/// SegmentOverlap error the writer returns once edited text would run
+/// into the data segment.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,9 +80,9 @@ bool drainInto(std::vector<TraceEvent> &Events) {
   return true;
 }
 
-bool runPass(const std::vector<uint8_t> &Bytes, Pass &P) {
+bool runPass(const std::vector<uint8_t> &Bytes, unsigned Threads, Pass &P) {
   Executable::Options Opts;
-  Opts.Threads = 1;
+  Opts.Threads = Threads;
   Opts.Trace = true;
   std::vector<TraceEvent> Events;
   TraceCollector::instance().reset();
@@ -136,6 +141,8 @@ int main(int argc, char **argv) {
       Smoke ? std::vector<unsigned>{50, 100}
             : std::vector<unsigned>{1000, 2000, 4000, 8000};
   const unsigned Reps = Smoke ? 1 : 5;
+  constexpr unsigned WideThreads = 4;
+  constexpr double MinSpeedup = 1.8;
 
   printHeader("Per-phase growth with image size (Threads = 1, min of reps)");
   std::printf("srisc gcc-style + symbol pathologies, seed 1, %u rep(s) per "
@@ -144,21 +151,24 @@ int main(int argc, char **argv) {
   std::printf("%-9s %9s %12s %10s %9s\n", "routines", "refined", "image bytes",
               "pass ms", "MB/s");
 
-  // Repetitions interleave the sizes, so a slow spell of the host lands on
-  // every size rather than inflating one of them.
+  // Repetitions interleave the sizes and widths, so a slow spell of the
+  // host lands on every size rather than inflating one of them. Index
+  // Sizes.size() is the largest image at WideThreads.
   std::vector<std::vector<uint8_t>> Images;
   for (unsigned N : Sizes)
     Images.push_back(imageOf(N));
-  std::vector<PhaseTimes> Best(Sizes.size());
-  std::vector<double> BestPass(Sizes.size(), 1e300);
-  std::vector<size_t> Refined(Sizes.size());
+  const size_t Wide = Sizes.size();
+  std::vector<PhaseTimes> Best(Wide + 1);
+  std::vector<double> BestPass(Wide + 1, 1e300);
+  std::vector<size_t> Refined(Wide + 1);
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-    for (size_t I = 0; I < Sizes.size(); ++I) {
+    for (size_t I = 0; I <= Wide; ++I) {
+      const size_t Image = std::min(I, Wide - 1);
       Pass P;
-      if (!runPass(Images[I], P))
+      if (!runPass(Images[Image], I == Wide ? WideThreads : 1, P))
         return 1;
       if (!P.Error.empty()) {
-        std::fprintf(stderr, "FAIL: %u routines: %s\n", Sizes[I],
+        std::fprintf(stderr, "FAIL: %u routines: %s\n", Sizes[Image],
                      P.Error.c_str());
         return 1;
       }
@@ -167,6 +177,15 @@ int main(int argc, char **argv) {
       for (const auto &[Name, Ms] : P.Phases)
         Best[I][Name] = Best[I].count(Name) ? std::min(Best[I][Name], Ms) : Ms;
     }
+  }
+  const PhaseTimes WideBest = std::move(Best.back());
+  const double WidePass = BestPass.back();
+  Best.pop_back();
+  BestPass.pop_back();
+  if (Refined.back() != Refined[Wide - 1]) {
+    std::fprintf(stderr, "FAIL: %zu routines at Threads = %u, %zu at 1\n",
+                 Refined.back(), WideThreads, Refined[Wide - 1]);
+    return 1;
   }
   std::vector<double> Bytes;
   for (size_t I = 0; I < Sizes.size(); ++I) {
@@ -218,6 +237,31 @@ int main(int argc, char **argv) {
     Sink.metric(Name + "_exponent", Exp, "x");
   }
 
+  // The largest image at WideThreads against Threads = 1. Worker-thread
+  // spans nest under their pool.worker span, so the phases the calling
+  // thread fans out read as wall time at both widths.
+  const std::string Largest = std::to_string(Sizes.back());
+  const std::string WideTag = "_t" + std::to_string(WideThreads);
+  const double Speedup = BestPass.back() / WidePass;
+  printHeader("Largest image at Threads = 1 and 4 (ms, min of reps)");
+  std::printf("%-58s %9s %9s %8s\n", "phase", "threads 1", "threads 4",
+              "speedup");
+  std::printf("%-58s %9.2f %9.2f %7.2fx\n", "pass", BestPass.back(), WidePass,
+              Speedup);
+  for (const auto &[Name, WideMs] : WideBest) {
+    auto Serial = Best.back().find(Name);
+    if (Serial == Best.back().end() ||
+        Serial->second < 0.05 * BestPass.back())
+      continue;
+    std::printf("%-58s %9.2f %9.2f %7.2fx\n", Name.c_str(), Serial->second,
+                WideMs, Serial->second / WideMs);
+  }
+  for (const auto &[Name, WideMs] : WideBest)
+    Sink.metric(Name + "_ms@" + Largest + WideTag, WideMs, "ms");
+  Sink.metric("pass_ms@" + Largest + WideTag, WidePass, "ms");
+  Sink.metric("speedup@" + Largest, Speedup, "x");
+  const bool SpeedupOk = Speedup >= MinSpeedup;
+
   // Past 8k routines the edited text no longer fits below the data
   // segment; the writer must say so rather than emit an invalid image.
   // Untraced: this row records an outcome, not phase times.
@@ -241,7 +285,7 @@ int main(int argc, char **argv) {
     }
   }
 
-  Sink.metric("gate_pass", GateOk ? 1 : 0, "bool");
+  Sink.metric("gate_pass", GateOk && SpeedupOk ? 1 : 0, "bool");
   if (Smoke) {
     std::printf("gate: skipped (--smoke)\n");
     return 0;
@@ -251,8 +295,15 @@ int main(int argc, char **argv) {
                          "grows faster than n^1.2\n");
     return 1;
   }
+  if (!SpeedupOk) {
+    std::fprintf(stderr, "FAIL: %u threads are %.2fx faster than 1 on the "
+                         "largest image, below %.1fx\n",
+                 WideThreads, Speedup, MinSpeedup);
+    return 1;
+  }
   std::printf("gate: all %u phases with >= 5%% of the largest pass have "
-              "exponent <= 1.2 — PASS\n",
-              Gated);
+              "exponent <= 1.2, and %u threads are %.2fx faster than 1 "
+              "(>= %.1fx) — PASS\n",
+              Gated, WideThreads, Speedup, MinSpeedup);
   return 0;
 }

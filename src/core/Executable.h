@@ -151,12 +151,22 @@ public:
 
   /// Runs symbol-table refinement and routine discovery (§3.1 stages 1–4),
   /// then the "analyze" phase: every code routine's CFG, slices, and (where
-  /// layout will need it) liveness, fanned out over effectiveThreads().
-  /// Idempotent; after it returns nothing in the analysis changes again.
-  /// Returns an error (instead of asserting) when the image is not
-  /// analyzable — e.g. it has no text segment.
+  /// layout will need it) liveness. Everything fans out over
+  /// effectiveThreads() except stage 1, stage 2's eel-infer fixpoint and
+  /// the merges: the transfer scan decodes each text word once, in chunks
+  /// of ScanChunkWords, filling the pool's decode index; stage 3 looks up
+  /// chunks of transfer sites; stage 4 walks each routine and its chain of
+  /// hidden tails as one task. Results merge in chunk or routine order, so
+  /// the routine map is the same at every width. Idempotent; after it
+  /// returns nothing in the analysis changes again. Returns an error
+  /// (instead of asserting) when the image is not analyzable — e.g. it has
+  /// no text segment.
   Expected<bool> readContents();
   bool analyzed() const { return Analyzed; }
+
+  /// Text words per task of the transfer scan, and transfer sites per task
+  /// of stage 3. A few-hundred-routine image spans several chunks.
+  static constexpr size_t ScanChunkWords = 2048;
 
   const std::vector<std::unique_ptr<Routine>> &routines() const {
     return Routines;
@@ -165,8 +175,9 @@ public:
   /// which relies on an invariant of refinement: routine extents are
   /// pairwise disjoint, and routines() is sorted by start address whenever
   /// a lookup can run. Routines are built from sorted candidates before
-  /// stage 3 looks them up; stage 4 appends hidden routines out of order
-  /// but looks none up, and readContents() sorts again before returning.
+  /// stage 3's tasks look them up (stage 3 only appends entry points);
+  /// stage 4's tasks cut hidden routines from tails and look none up, and
+  /// readContents() sorts once the discovered routines are merged.
   Routine *routineContaining(Addr A) const;
   Routine *findRoutine(const std::string &Name) const;
 

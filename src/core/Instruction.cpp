@@ -128,22 +128,18 @@ void InstructionPool::attachDecodeIndex(Addr TextBase, size_t WordCount) {
 }
 
 const Instruction *InstructionPool::getAt(Addr A, MachWord Word) {
-  if (DecodeIndex && !(A & 3) && A >= IndexBase) {
-    size_t Slot = (A - IndexBase) / 4;
-    if (Slot < IndexWords) {
-      if (const Instruction *I =
-              DecodeIndex[Slot].load(std::memory_order_acquire)) {
-        assert(I->word() == Word && "decode index out of sync with image");
-        return I;
-      }
-      const Instruction *I = get(Word);
-      // Racing decoders of the same address publish the same pointer (the
-      // flyweight invariant), so the store order is immaterial.
-      DecodeIndex[Slot].store(I, std::memory_order_release);
-      return I;
-    }
+  std::atomic<const Instruction *> *Slot = slotFor(A);
+  if (!Slot)
+    return get(Word);
+  if (const Instruction *I = Slot->load(std::memory_order_acquire)) {
+    assert(I->word() == Word && "decode index out of sync with image");
+    return I;
   }
-  return get(Word);
+  const Instruction *I = get(Word);
+  // Racing decoders of the same address publish the same pointer (the
+  // flyweight invariant), so the store order is immaterial.
+  Slot->store(I, std::memory_order_release);
+  return I;
 }
 
 uint64_t InstructionPool::allocated() const {

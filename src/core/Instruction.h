@@ -290,7 +290,9 @@ private:
 /// On the decode hot path the per-word hash probe is replaced by a dense
 /// per-address index: attachDecodeIndex() reserves one atomic slot per
 /// text word, and getAt() resolves (addr - textBase) / 4 with a single
-/// lock-free load after first decode.
+/// lock-free load after first decode. readContents' transfer scan is the
+/// first decoder of every text word: it fills the whole index through
+/// chunk-local WordMemos before any other analysis decodes.
 class InstructionPool {
 public:
   explicit InstructionPool(const TargetInfo &Target)
@@ -309,6 +311,31 @@ public:
   /// later decode is one acquire load, no lock, no hashing.
   const Instruction *getAt(Addr A, MachWord Word);
 
+  /// One decoder's private word→instruction memo in front of get(): a scan
+  /// that meets the same words over and over takes a shard lock about once
+  /// per distinct word, not once per address. Direct-mapped, so a colliding
+  /// word evicts the older one (a forgotten word costs one more get()). It
+  /// is a local of one scan chunk, never shared and never a thread_local,
+  /// so it cannot outlive the pool whose instructions it holds.
+  class WordMemo {
+    friend class InstructionPool;
+    static constexpr unsigned Bits = 10;
+    std::array<const Instruction *, size_t(1) << Bits> Slots{};
+  };
+
+  /// First decode of text address \p A: getAt() with \p Memo answering
+  /// repeated words before the shard lock. Publishes into A's index slot
+  /// without reading it first.
+  const Instruction *getAt(Addr A, MachWord Word, WordMemo &Memo) {
+    const Instruction *&Cached =
+        Memo.Slots[MachWord(Word * 0x9E3779B9u) >> (32 - WordMemo::Bits)];
+    if (!Cached || Cached->word() != Word)
+      Cached = get(Word);
+    if (std::atomic<const Instruction *> *Slot = slotFor(A))
+      Slot->store(Cached, std::memory_order_release);
+    return Cached;
+  }
+
   const TargetInfo &target() const { return Target; }
   uint64_t allocated() const;
 
@@ -326,6 +353,14 @@ private:
   size_t shardIndexFor(MachWord Word) const {
     // Multiplicative hash: opcode bits cluster, so mix before masking.
     return (Word * 0x9E3779B9u >> 16) & (ShardCount - 1);
+  }
+
+  /// \p A's decode-index slot, or nullptr when the index does not cover it.
+  std::atomic<const Instruction *> *slotFor(Addr A) {
+    if (!DecodeIndex || (A & 3) || A < IndexBase)
+      return nullptr;
+    size_t Slot = (A - IndexBase) / 4;
+    return Slot < IndexWords ? &DecodeIndex[Slot] : nullptr;
   }
 
   const TargetInfo &Target;

@@ -21,11 +21,13 @@
 #include "asmkit/TargetAsm.h"
 #include "core/Layout.h"
 #include "core/Translate.h"
+#include "support/BitOps.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 
@@ -37,23 +39,8 @@ struct PlacedRoutine {
   Routine *R = nullptr;
   RoutineLayout Layout;
   Addr Base = 0;
+  size_t MapAt = 0; ///< First slot of its entries in the address map.
 };
-
-// The zero-copy emitter writes machine words straight into the final text
-// buffer; all word accesses go through these so the image is little-endian
-// regardless of host byte order.
-inline void storeLE32(uint8_t *Ptr, MachWord W) {
-  Ptr[0] = static_cast<uint8_t>(W);
-  Ptr[1] = static_cast<uint8_t>(W >> 8);
-  Ptr[2] = static_cast<uint8_t>(W >> 16);
-  Ptr[3] = static_cast<uint8_t>(W >> 24);
-}
-
-inline MachWord loadLE32(const uint8_t *Ptr) {
-  return static_cast<MachWord>(Ptr[0]) | (static_cast<MachWord>(Ptr[1]) << 8) |
-         (static_cast<MachWord>(Ptr[2]) << 16) |
-         (static_cast<MachWord>(Ptr[3]) << 24);
-}
 
 } // namespace
 
@@ -123,14 +110,27 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   Phase.begin("write.place");
   Addr NewTextBase = (An->textEnd() + 0xFFFu) & ~0xFFFu;
   Addr Cursor = NewTextBase;
+  size_t MapEntries = 0;
   for (PlacedRoutine &P : Placed) {
     P.Base = Cursor;
     Cursor += static_cast<Addr>(P.Layout.Code.size() * 4);
-    for (const auto &[Orig, WordIndex] : P.Layout.AddrMap)
-      AddrMap.append(Orig, P.Base + 4 * WordIndex);
+    P.MapAt = MapEntries;
+    MapEntries += P.Layout.AddrMap.size();
   }
-  // First mapping wins for any key mapped by more than one routine, same
-  // as the seed's std::map::emplace; the sealed map then serves concurrent
+  // With bases and slots fixed by the prefix sums above, each routine
+  // fills its own stretch of the map, in placement order at every width.
+  std::span<FlatAddrMap::value_type> MapSlots =
+      AddrMap.appendSlots(MapEntries);
+  parallelForEach(NThreads, Placed.size(), [&Placed, MapSlots](size_t Index) {
+    const PlacedRoutine &P = Placed[Index];
+    FlatAddrMap::value_type *Slot = MapSlots.data() + P.MapAt;
+    for (const auto &[Orig, WordIndex] : P.Layout.AddrMap)
+      *Slot++ = {Orig, P.Base + 4 * WordIndex};
+  });
+  // Routines are placed in start order with disjoint extents, and each
+  // layout's map is sorted, so the entries arrive sorted and seal() skips
+  // its sort. It still drops duplicates (first mapping wins, same as the
+  // seed's std::map::emplace); the sealed map then serves concurrent
   // binary-search lookups from the patch workers below.
   AddrMap.seal();
 
@@ -521,5 +521,10 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
                    std::to_string(Report.errorCount()) + " error(s)):\n" +
                    Report.renderText());
   }
+
+  // --- 12. Release ---------------------------------------------------------------
+  // Every local declared after Phase (the layouts above all) is destroyed
+  // before it on return, so the teardown is timed under its own span.
+  Phase.begin("write.release");
   return Out;
 }

@@ -8,8 +8,6 @@
 
 #include "core/Liveness.h"
 
-#include <algorithm>
-
 using namespace eel;
 
 Routine::Routine(const Analysis &Parent, std::string Name, Addr Lo, Addr Hi)
@@ -18,11 +16,3 @@ Routine::Routine(const Analysis &Parent, std::string Name, Addr Lo, Addr Hi)
 }
 
 Routine::~Routine() = default;
-
-void Routine::addEntryPoint(Addr A) {
-  assert(contains(A) && "entry point outside routine extent");
-  if (std::find(Entries.begin(), Entries.end(), A) != Entries.end())
-    return;
-  Entries.push_back(A);
-  std::sort(Entries.begin(), Entries.end());
-}

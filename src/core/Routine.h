@@ -70,8 +70,6 @@ public:
 private:
   friend class Analysis;
 
-  void addEntryPoint(Addr A);
-
   const Analysis &Parent;
   std::string Name;
   Addr Lo, Hi;

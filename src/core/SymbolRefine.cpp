@@ -31,13 +31,26 @@
 ///            analyzed in turn and may itself contribute entry points.
 ///
 /// Cost, for W text words, S direct transfer sites, C candidate labels and
-/// R routines: one linear scan of the text finds the sites (O(W)). Stage 1
-/// sorts the non-call sites by (destination, source) once and decides each
-/// candidate with one binary search (O((S + C) log S)). Stage 3 makes two
-/// routineContaining() binary searches per site (O(S log R)); they rely on
-/// the routine map being sorted by start with disjoint extents. Stage 4
-/// marks reached words in a byte-per-word map of the extent, reused across
-/// routines, so it is linear in the words of each extent.
+/// R routines, and what fans out over effectiveThreads():
+///   - The transfer scan, O(W), is the first decoder of every text word.
+///     Chunks of Analysis::ScanChunkWords words are tasks; each decodes
+///     through a chunk-local memo, so it takes a pool shard lock about once
+///     per distinct word of the chunk, and publishes every word into the
+///     pool's decode index, so later stages and the analyze phase decode
+///     text with one load. Site lists are concatenated in chunk order.
+///   - Stage 1 (serial) sorts the non-call sites by (destination, source)
+///     once and decides each candidate with one binary search,
+///     O((S + C) log S).
+///   - Stage 3: chunks of sites make two routineContaining() binary
+///     searches per site, O(S log R), and collect (entry, routine) pairs;
+///     one sort and one pass then build every routine's entry list.
+///   - Stage 4: one task per routine marks reached words in a byte-per-word
+///     map of its extent, linear in the extent's words, then does the same
+///     down its chain of hidden tails. Discovered routines merge in index
+///     order, and one final sort restores the routine map.
+/// The binary searches rely on the routine-map invariant (Executable.h):
+/// sorted by start, disjoint extents. Every merge is in chunk or routine
+/// order, so the routine map is the same at every width.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,6 +58,7 @@
 
 #include "analysis/Infer.h"
 #include "core/Liveness.h"
+#include "support/BitOps.h"
 #include "support/Metrics.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
@@ -67,7 +81,7 @@ struct TransferSite {
 
 /// The instruction words of one extent [Lo, Hi) that scanReachable reached:
 /// a byte per word, plus the only two facts stage 4 reads from the set.
-/// One instance serves every routine in turn, so its storage is reused.
+/// One instance serves a routine and then each hidden tail cut from it.
 class ReachedWords {
 public:
   void reset(Addr LoIn, Addr Hi) {
@@ -94,6 +108,23 @@ private:
   size_t Count = 0;
   Addr Highest = 0;
 };
+
+/// Runs Body(Lo, Hi, Out) over consecutive chunks of [0, N), each
+/// Analysis::ScanChunkWords long, fanned out over \p Threads, and
+/// concatenates the chunks' outputs in chunk order: what one serial pass
+/// over [0, N) produces, at every width.
+template <typename T, typename BodyT>
+std::vector<T> collectChunks(unsigned Threads, size_t N, BodyT Body) {
+  constexpr size_t Chunk = Analysis::ScanChunkWords;
+  std::vector<std::vector<T>> Parts((N + Chunk - 1) / Chunk);
+  parallelForEach(Threads, Parts.size(), [&Parts, &Body, N](size_t C) {
+    Body(C * Chunk, std::min(N, (C + 1) * Chunk), Parts[C]);
+  });
+  std::vector<T> Out;
+  for (std::vector<T> &Part : Parts)
+    Out.insert(Out.end(), Part.begin(), Part.end());
+  return Out;
+}
 
 } // namespace
 
@@ -214,33 +245,42 @@ Expected<bool> Analysis::readContents() {
 void Analysis::refineRoutines() {
   const Addr TB = textBase();
   const Addr TE = textEnd();
+  const unsigned NThreads = effectiveThreads();
 
   // Linear scan of the text segment for direct transfers (used by stages
-  // 1–3). Data decoded as instructions contributes bogus sites; the later
-  // stages are designed to tolerate that.
-  std::vector<TransferSite> Transfers;
-  for (Addr A = TB; A + 4 <= TE; A += 4) {
-    std::optional<MachWord> W = fetchWord(A);
-    if (!W)
-      break;
-    const Instruction *I = Pool.get(*W);
-    std::optional<Addr> T;
-    bool IsCall = false;
-    switch (I->kind()) {
-    case InstKind::Call:
-      T = I->directTarget(A);
-      IsCall = true;
-      break;
-    case InstKind::Branch:
-    case InstKind::Jump:
-      T = I->directTarget(A);
-      break;
-    default:
-      break;
-    }
-    if (T && *T >= TB && *T < TE && (*T & 3) == 0)
-      Transfers.push_back({A, *T, IsCall});
-  }
+  // 1–3). It is the first decoder of every text word: each chunk decodes
+  // through its own memo and publishes every word into the pool's decode
+  // index, so every later decode of text is one load. Data decoded as
+  // instructions contributes bogus sites; the later stages are designed
+  // to tolerate that.
+  const uint8_t *Text = Image.segment(SegKind::Text)->Bytes.data();
+  const std::vector<TransferSite> Transfers = collectChunks<TransferSite>(
+      NThreads, (TE - TB) / 4,
+      [this, TB, TE, Text](size_t Lo, size_t Hi,
+                           std::vector<TransferSite> &Sites) {
+        InstructionPool::WordMemo Memo;
+        for (size_t Word = Lo; Word < Hi; ++Word) {
+          Addr A = TB + 4 * static_cast<Addr>(Word);
+          const Instruction *I =
+              Pool.getAt(A, loadLE32(Text + 4 * Word), Memo);
+          std::optional<Addr> T;
+          bool IsCall = false;
+          switch (I->kind()) {
+          case InstKind::Call:
+            T = I->directTarget(A);
+            IsCall = true;
+            break;
+          case InstKind::Branch:
+          case InstKind::Jump:
+            T = I->directTarget(A);
+            break;
+          default:
+            break;
+          }
+          if (T && *T >= TB && *T < TE && (*T & 3) == 0)
+            Sites.push_back({A, *T, IsCall});
+        }
+      });
 
   // --- Stage 1 / Stage 2: initial candidate set ---------------------------
   std::map<Addr, std::string> Candidates;
@@ -315,60 +355,80 @@ void Analysis::refineRoutines() {
   }
 
   // --- Stage 3: entry points from inter-routine transfers -------------------
-  for (const TransferSite &Site : Transfers) {
-    Routine *From = routineContaining(Site.From);
-    Routine *To = routineContaining(Site.To);
-    if (!From || !To || From == To)
-      continue;
-    if (Site.To != To->startAddr())
-      To->addEntryPoint(Site.To);
-  }
+  // Chunks of sites look both ends up in the sorted routine map (read-only
+  // here) and collect (entry, routine) pairs. Extents are disjoint, so one
+  // sort by entry also groups the pairs by routine: each routine's list
+  // is then built sorted and unique in one pass, behind its start.
+  std::vector<std::pair<Addr, Routine *>> NewEntries =
+      collectChunks<std::pair<Addr, Routine *>>(
+          NThreads, Transfers.size(),
+          [this, &Transfers](size_t Lo, size_t Hi,
+                             std::vector<std::pair<Addr, Routine *>> &Out) {
+            for (size_t I = Lo; I < Hi; ++I) {
+              const TransferSite &Site = Transfers[I];
+              Routine *From = routineContaining(Site.From);
+              Routine *To = routineContaining(Site.To);
+              if (From && To && From != To && Site.To != To->startAddr())
+                Out.emplace_back(Site.To, To);
+            }
+          });
+  auto ByEntry = [](const std::pair<Addr, Routine *> &A,
+                    const std::pair<Addr, Routine *> &B) {
+    return A.first < B.first;
+  };
+  std::sort(NewEntries.begin(), NewEntries.end(), ByEntry);
+  NewEntries.erase(std::unique(NewEntries.begin(), NewEntries.end(),
+                               [](const auto &A, const auto &B) {
+                                 return A.first == B.first;
+                               }),
+                   NewEntries.end());
+  for (const auto &[Entry, R] : NewEntries)
+    R->Entries.push_back(Entry);
 
   // --- Stage 4: reachability, data detection, hidden-routine discovery -----
-  // Process newly created routines too (a discovered routine may itself
-  // have an unreachable tail).
-  ReachedWords Reached;
-  for (size_t Index = 0; Index < Routines.size(); ++Index) {
-    Routine &R = *Routines[Index];
-    bool AllValid =
-        scanReachable(*this, R.entryPoints(), R.startAddr(), R.endAddr(),
-                      Reached);
-    if (Reached.size() == 0 ||
-        (!AllValid && Reached.size() <= R.entryPoints().size())) {
-      // Every entry lands on data: this "routine" is a data table.
-      R.IsData = true;
-      bumpStat("eel.refine.data_tables");
-      continue;
-    }
-    Addr HighWater = Reached.highest() + 4;
-    // Unreachable instructions at the end comprise another routine.
-    if (HighWater + 4 <= R.endAddr()) {
-      Addr TailLo = HighWater;
-      std::optional<MachWord> W = fetchWord(TailLo);
-      if (W) {
-        auto Hidden = std::make_unique<Routine>(
-            *this, "hidden_" + std::to_string(TailLo), TailLo, R.endAddr());
-        Hidden->Hidden = true;
-        R.Hi = TailLo;
-        // Entry points previously attributed to R that now fall in the
-        // tail move to the hidden routine.
-        std::vector<Addr> Moved;
-        for (Addr E : R.Entries)
-          if (E >= TailLo)
-            Moved.push_back(E);
-        if (!Moved.empty()) {
-          R.Entries.erase(
-              std::remove_if(R.Entries.begin(), R.Entries.end(),
-                             [TailLo](Addr E) { return E >= TailLo; }),
-              R.Entries.end());
-          for (Addr E : Moved)
-            Hidden->addEntryPoint(E);
-        }
-        bumpStat("eel.refine.hidden_routines");
-        Routines.push_back(std::move(Hidden));
+  // One task per original routine: its reachability walk, then the walk of
+  // the hidden routine cut from its tail, and so on down the chain (a
+  // discovered routine may itself have an unreachable tail). A task
+  // touches only its own chain; the discovered routines are merged in
+  // index order, and the final sort puts them in place.
+  std::vector<std::vector<std::unique_ptr<Routine>>> Discovered(
+      Routines.size());
+  parallelForEach(NThreads, Routines.size(), [this, &Discovered](size_t Index) {
+    ReachedWords Reached;
+    for (Routine *R = Routines[Index].get(); R;) {
+      bool AllValid = scanReachable(*this, R->Entries, R->Lo, R->Hi, Reached);
+      if (Reached.size() == 0 ||
+          (!AllValid && Reached.size() <= R->Entries.size())) {
+        // Every entry lands on data: this "routine" is a data table.
+        R->IsData = true;
+        bumpStat("eel.refine.data_tables");
+        return;
       }
+      // Unreachable instructions at the end comprise another routine.
+      Addr TailLo = Reached.highest() + 4;
+      if (TailLo + 4 > R->Hi || !fetchWord(TailLo))
+        return;
+      auto Hidden = std::make_unique<Routine>(
+          *this, "hidden_" + std::to_string(TailLo), TailLo, R->Hi);
+      Hidden->Hidden = true;
+      R->Hi = TailLo;
+      // Entry points of R that fall in the tail move to the hidden
+      // routine: a sorted suffix, placed behind its own start.
+      auto Moved = std::lower_bound(R->Entries.begin(), R->Entries.end(),
+                                    TailLo);
+      Hidden->Entries.insert(
+          Hidden->Entries.end(),
+          Moved + (Moved != R->Entries.end() && *Moved == TailLo),
+          R->Entries.end());
+      R->Entries.erase(Moved, R->Entries.end());
+      bumpStat("eel.refine.hidden_routines");
+      R = Hidden.get();
+      Discovered[Index].push_back(std::move(Hidden));
     }
-  }
+  });
+  for (std::vector<std::unique_ptr<Routine>> &Chain : Discovered)
+    for (std::unique_ptr<Routine> &R : Chain)
+      Routines.push_back(std::move(R));
 
   // Keep routines sorted by address for deterministic iteration.
   std::sort(Routines.begin(), Routines.end(),

@@ -20,6 +20,22 @@
 
 namespace eel {
 
+/// The 32-bit word stored little-endian at \p Ptr: image words are
+/// little-endian whatever the host's byte order.
+inline uint32_t loadLE32(const uint8_t *Ptr) {
+  return static_cast<uint32_t>(Ptr[0]) | (static_cast<uint32_t>(Ptr[1]) << 8) |
+         (static_cast<uint32_t>(Ptr[2]) << 16) |
+         (static_cast<uint32_t>(Ptr[3]) << 24);
+}
+
+/// Stores \p W little-endian at \p Ptr.
+inline void storeLE32(uint8_t *Ptr, uint32_t W) {
+  Ptr[0] = static_cast<uint8_t>(W);
+  Ptr[1] = static_cast<uint8_t>(W >> 8);
+  Ptr[2] = static_cast<uint8_t>(W >> 16);
+  Ptr[3] = static_cast<uint8_t>(W >> 24);
+}
+
 /// Extracts bits [Lo, Hi] (inclusive, Lo <= Hi <= 31) of \p Word.
 constexpr uint32_t extractBits(uint32_t Word, unsigned Lo, unsigned Hi) {
   assert(Lo <= Hi && Hi < 32 && "malformed bit range");

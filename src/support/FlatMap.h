@@ -7,14 +7,14 @@
 /// \file
 /// A sorted-vector map from 32-bit addresses to 32-bit values, replacing
 /// the red-black trees on the writer's hot paths. The original→edited
-/// address map is built append-mostly in placement order, sealed once, and
+/// address map is filled in placement order, in parallel, sealed once, and
 /// then probed millions of times by the parallel relocation-patch phase —
 /// a binary search over a contiguous array beats pointer-chasing a
 /// std::map node per probe, and iteration (the run-time translation table
 /// is this map serialized) is a linear walk.
 ///
 /// seal() reproduces std::map::emplace semantics exactly: entries are kept
-/// in key order and, among duplicates of a key, the first appended wins.
+/// in key order and, among duplicates of a key, the first in order wins.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +25,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -43,20 +44,27 @@ public:
     Sealed = true; // empty is trivially sorted
   }
 
-  /// Appends (\p Key, \p Value); lookups require seal() afterwards.
-  void append(uint32_t Key, uint32_t Value) {
-    Entries.emplace_back(Key, Value);
+  /// Appends \p N zeroed entries and returns them for the caller to fill
+  /// in place, from any number of threads as long as each writes its own
+  /// slots; lookups require seal() afterwards. The span is valid until
+  /// the next appendSlots() or clear().
+  std::span<value_type> appendSlots(size_t N) {
+    Entries.resize(Entries.size() + N);
     Sealed = false;
+    return std::span<value_type>(Entries).last(N);
   }
 
-  /// Sorts and deduplicates (first append of a key wins, matching
-  /// std::map::emplace). Idempotent.
+  /// Sorts and deduplicates (the first entry of a key wins, matching
+  /// std::map::emplace). Input already in key order, as the writer's is,
+  /// skips the sort. Idempotent.
   void seal() {
     if (Sealed)
       return;
-    std::stable_sort(
-        Entries.begin(), Entries.end(),
-        [](const value_type &A, const value_type &B) { return A.first < B.first; });
+    auto ByKey = [](const value_type &A, const value_type &B) {
+      return A.first < B.first;
+    };
+    if (!std::is_sorted(Entries.begin(), Entries.end(), ByKey))
+      std::stable_sort(Entries.begin(), Entries.end(), ByKey);
     Entries.erase(std::unique(Entries.begin(), Entries.end(),
                               [](const value_type &A, const value_type &B) {
                                 return A.first == B.first;

@@ -11,8 +11,10 @@
 /// tests run the full pipeline — readContents, deterministic edits, and
 /// writeEditedExecutable — at Threads = 1 and Threads = 8 over SRISC, MRISC
 /// and ARISC workloads, including the DisableSlicing / DisableDelayFolding
-/// ablations, and compare byte-for-byte. Also unit-tests the thread pool's
-/// parallelForEach (exactly-once coverage, nesting).
+/// ablations, and compare byte-for-byte; one case also compares the
+/// routine maps of multi-chunk images at Threads = 1, 2 and 8. Also
+/// unit-tests the thread pool's parallelForEach (exactly-once coverage,
+/// nesting).
 ///
 /// Registered under the ctest label `par` so a -DEEL_SANITIZE=thread build
 /// can run just these under TSan: `ctest -L par`.
@@ -163,27 +165,44 @@ TEST(ThreadPoolTest, ShardedStatsMergeAcrossThreads) {
 
 // --- Pipeline determinism ---------------------------------------------------------
 
+/// What §3.1 refinement decided about one routine.
+struct RoutineFacts {
+  std::string Name;
+  Addr Lo = 0, Hi = 0;
+  std::vector<Addr> Entries;
+  bool Hidden = false, Data = false;
+  bool operator==(const RoutineFacts &) const = default;
+};
+
 /// Everything the pipeline produces that must be schedule-independent.
 struct PipelineResult {
   std::vector<uint8_t> Bytes; ///< Serialized edited image.
   Executable::EditStats Stats;
   std::vector<std::pair<std::string, uint64_t>> Counters; ///< Full snapshot.
+  std::vector<RoutineFacts> Routines; ///< The routine map, in order.
+  size_t TextWords = 0;
   SxfFile EditedFile;
   SxfFile OriginalFile;
 };
 
-/// Runs the full pipeline at the given thread count: generate, analyze,
-/// apply a deterministic edit to every supported routine (a counter bump
-/// before its first instruction), and write the edited executable.
-PipelineResult runPipeline(TargetArch Arch, const WorkloadOptions &WOpts,
-                           Executable::Options EOpts, unsigned Threads) {
+/// Runs the full pipeline on \p Original at the given thread count:
+/// analyze, apply a deterministic edit to every supported routine (a
+/// counter bump before its first instruction), and write the edited
+/// executable.
+PipelineResult runPipeline(SxfFile Original, Executable::Options EOpts,
+                           unsigned Threads) {
   EOpts.Threads = Threads;
   StatRegistry::instance().resetAll();
 
   PipelineResult Result;
-  Result.OriginalFile = generateWorkload(Arch, WOpts);
+  Result.OriginalFile = std::move(Original);
   Executable Exec(Result.OriginalFile, EOpts);
   Exec.readContents();
+  const Analysis &An = Exec.analysis();
+  Result.TextWords = (An.textEnd() - An.textBase()) / 4;
+  for (const auto &R : Exec.routines())
+    Result.Routines.push_back({R->name(), R->startAddr(), R->endAddr(),
+                               R->entryPoints(), R->hidden(), R->isData()});
 
   for (const auto &R : Exec.routines()) {
     if (R->isData())
@@ -223,8 +242,14 @@ PipelineResult runPipeline(TargetArch Arch, const WorkloadOptions &WOpts,
   return Result;
 }
 
+PipelineResult runPipeline(TargetArch Arch, const WorkloadOptions &WOpts,
+                           Executable::Options EOpts, unsigned Threads) {
+  return runPipeline(generateWorkload(Arch, WOpts), EOpts, Threads);
+}
+
 void expectIdentical(const PipelineResult &Serial,
                      const PipelineResult &Parallel) {
+  EXPECT_TRUE(Serial.Routines == Parallel.Routines) << "routine maps differ";
   EXPECT_EQ(Serial.Bytes, Parallel.Bytes) << "edited images differ";
 
   const Executable::EditStats &A = Serial.Stats, &B = Parallel.Stats;
@@ -297,6 +322,69 @@ TEST(ParallelDeterminism, DisableDelayFoldingAblation) {
   PipelineResult Parallel =
       runPipeline(TargetArch::Srisc, bigWorkload(), E, 8);
   expectIdentical(Serial, Parallel);
+}
+
+TEST(ParallelDeterminism, ChunkedRefinementMatchesAcrossWidths) {
+  // Images large enough that the transfer scan and stage 3 split into
+  // several chunks and stage 4 into hundreds of tasks, in every compiler
+  // style refinement distinguishes: the routine map, the edited bytes and
+  // the whole counter snapshot must not depend on the width. The
+  // pathologies style also loses two consecutive routine names in every
+  // five, so calls into those routines land inside their predecessor and
+  // stage 3 gives it several extra entry points, found in many chunks.
+  struct Style {
+    const char *Name;
+    unsigned TailCallPercent;
+    bool Pathologies;
+    bool Strip;
+  };
+  const Style Styles[] = {{"gcc", 0, false, false},
+                          {"sunpro", 35, false, false},
+                          {"stripped_gcc", 0, false, true},
+                          {"pathologies", 0, true, false}};
+  size_t MultiEntry = 0, Hidden = 0, Data = 0;
+  for (TargetArch Arch : AllTargetArches) {
+    for (const Style &S : Styles) {
+      SCOPED_TRACE(std::string("arch=") +
+                   std::to_string(static_cast<int>(Arch)) +
+                   " style=" + S.Name);
+      WorkloadOptions W;
+      W.Seed = 11;
+      W.Routines = 300;
+      W.SegmentsPerRoutine = 6;
+      W.TailCallPercent = S.TailCallPercent;
+      W.SymbolPathologies = S.Pathologies;
+      W.AnnulledBranches = Arch == TargetArch::Srisc; // SRISC-only idiom
+      SxfFile File = generateWorkload(Arch, W);
+      if (S.Strip)
+        File.strip();
+      if (S.Pathologies) {
+        std::vector<SxfSymbol> Kept;
+        unsigned Seen = 0;
+        for (const SxfSymbol &Sym : File.Symbols)
+          if (Sym.Kind != SymKind::Routine || Sym.Value == File.Entry ||
+              ++Seen % 5 > 1)
+            Kept.push_back(Sym);
+        File.Symbols = std::move(Kept);
+      }
+      Executable::Options E;
+      PipelineResult Serial = runPipeline(File, E, 1);
+      ASSERT_GE(Serial.TextWords, 4 * Analysis::ScanChunkWords);
+      for (const RoutineFacts &R : Serial.Routines) {
+        MultiEntry += R.Entries.size() > 2;
+        Hidden += R.Hidden;
+        Data += R.Data;
+      }
+      for (unsigned Threads : {2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(Threads));
+        expectIdentical(Serial, runPipeline(File, E, Threads));
+      }
+    }
+  }
+  // The merges under test all had something to merge.
+  EXPECT_GT(MultiEntry, 0u);
+  EXPECT_GT(Hidden, 0u);
+  EXPECT_GT(Data, 0u);
 }
 
 TEST(ParallelDeterminism, EditedProgramStillBehaves) {
