@@ -9,19 +9,17 @@
 /// it replaced, and the zero-copy writer against the seed byte-push path:
 ///
 ///   - row walk: a liveness-style backward mask fold over every block.
-///     The SoA side does what core/Liveness.cpp does — resolve rowOps()
-///     through the interned table into flat mask arrays once per solve,
-///     then iterate over contiguous uint64 rows — versus chasing each
-///     row's Instruction pointer for reads()/writes() on every fixpoint
-///     round, which is what the pointer-linked IR forced. Reported in
+///     The SoA side does what core/Liveness.cpp does — copy each row's
+///     masks out of its Instruction into flat arrays once per solve, then
+///     iterate over contiguous uint64 rows — versus chasing each row's
+///     Instruction pointer for reads()/writes() on every fixpoint round,
+///     which is what the pointer-linked IR forced. Reported in
 ///     instructions/second over the iterated fold.
 ///   - edit+write: the full pipeline with the default zero-copy emission
 ///     versus Options::LegacyWriter, with an unconditional byte-identity
 ///     assertion between the two images (the legacy path is kept in tree
 ///     precisely to be this oracle; a mismatch exits nonzero).
-///   - arena/interning statistics: flyweight-pool arena bytes and the
-///     interned-operand dedup ratio, showing why rows carry a 32-bit
-///     index instead of two 64-bit masks.
+///   - arena statistics: CFG rows and the decode tables' arena bytes.
 ///
 /// `--smoke` (stripped before benchmark::Initialize, like --json) shrinks
 /// the workload and repetition counts to one short iteration for the
@@ -32,7 +30,6 @@
 #include "bench/BenchUtil.h"
 #include "core/Executable.h"
 #include "core/Routine.h"
-#include "support/Arena.h"
 
 #include <benchmark/benchmark.h>
 
@@ -67,18 +64,10 @@ AnalyzedFile analyze(const SxfFile &File) {
       A.Graphs.push_back(G);
   for (const Cfg *G : A.Graphs) {
     std::span<const CfgInst> Rows = G->instRows();
-    std::span<const uint32_t> Ops = G->rowOps();
-    const InternedPairTable *Table = G->operandTable();
     std::vector<uint64_t> Reads(Rows.size()), Writes(Rows.size());
     for (size_t I = 0; I < Rows.size(); ++I) {
-      if (Table && Ops[I] != Instruction::NoOpIndex) {
-        InternedPairTable::Pair P = Table->get(Ops[I]);
-        Reads[I] = P.First;
-        Writes[I] = P.Second;
-      } else {
-        Reads[I] = Rows[I].Inst->reads().mask();
-        Writes[I] = Rows[I].Inst->writes().mask();
-      }
+      Reads[I] = Rows[I].Inst->reads().mask();
+      Writes[I] = Rows[I].Inst->writes().mask();
     }
     A.Reads.push_back(std::move(Reads));
     A.Writes.push_back(std::move(Writes));
@@ -223,7 +212,7 @@ int main(int argc, char **argv) {
   for (const SxfFile &File : Files)
     Suite.push_back(analyze(File));
 
-  // Warm-up (decode-index population), then measure each walk.
+  // Warm-up, then measure each walk.
   uint64_t Warm = 0;
   for (const AnalyzedFile &A : Suite)
     for (size_t GI = 0; GI < A.Graphs.size(); ++GI) {
@@ -235,7 +224,7 @@ int main(int argc, char **argv) {
   double PtrIps = walkInstrsPerSec(Suite, ptrWalkOne, WalkReps);
   double WalkSpeedup = PtrIps > 0.0 ? RowIps / PtrIps : 0.0;
   std::printf("%-24s %15s\n", "walk", "instrs/sec");
-  std::printf("%-24s %15.3e\n", "SoA rows + interned ops", RowIps);
+  std::printf("%-24s %15.3e\n", "SoA rows + flat masks", RowIps);
   std::printf("%-24s %15.3e\n", "pointer chase", PtrIps);
   std::printf("%-24s %14.2fx\n", "row-walk speedup", WalkSpeedup);
   Sink.metric("soa_walk_ips", RowIps, "instrs/s");
@@ -267,28 +256,19 @@ int main(int argc, char **argv) {
   Sink.metric("legacy_suite_ms", LegacyMs, "ms");
   Sink.metric("writer_speedup", WriterSpeedup, "x");
 
-  printHeader("Arena and interned-operand statistics");
+  printHeader("Arena statistics");
 
-  uint64_t PoolArenaBytes = 0, OpPairs = 0, RowCount = 0;
+  uint64_t PoolArenaBytes = 0, RowCount = 0;
   for (const AnalyzedFile &A : Suite) {
-    InstructionPool &Pool = A.Exec->analysis().pool();
-    PoolArenaBytes += Pool.arenaBytes();
-    OpPairs += Pool.operands().size();
+    PoolArenaBytes += A.Exec->analysis().pool().arenaBytes();
     for (const Cfg *G : A.Graphs)
       RowCount += G->instRows().size();
   }
-  double DedupRatio =
-      OpPairs > 0 ? static_cast<double>(RowCount) / static_cast<double>(OpPairs)
-                  : 0.0;
   std::printf("CFG rows:                 %llu\n",
               static_cast<unsigned long long>(RowCount));
-  std::printf("distinct operand pairs:   %llu  (%.1f rows/pair)\n",
-              static_cast<unsigned long long>(OpPairs), DedupRatio);
-  std::printf("pool arena bytes:         %llu\n",
+  std::printf("decode table arena bytes: %llu\n",
               static_cast<unsigned long long>(PoolArenaBytes));
   Sink.metric("cfg_rows", static_cast<double>(RowCount), "rows");
-  Sink.metric("operand_pairs", static_cast<double>(OpPairs), "pairs");
-  Sink.metric("operand_dedup_ratio", DedupRatio, "rows/pair");
   Sink.metric("pool_arena_bytes", static_cast<double>(PoolArenaBytes),
               "bytes");
 
@@ -297,7 +277,7 @@ int main(int argc, char **argv) {
                  "FAIL: zero-copy writer diverged from the legacy oracle\n");
     return 1;
   }
-  std::printf("\nrows resolve operands by 32-bit interned index; the legacy\n"
-              "writer stays in tree as the byte-identity oracle above.\n");
+  std::printf("\nthe legacy writer stays in tree as the byte-identity oracle "
+              "above.\n");
   return 0;
 }

@@ -239,7 +239,7 @@ int main(int argc, char **argv) {
 
   // Zero-copy emission against the seed byte-push writer it replaced, on
   // the same instrumented edit. The legacy path is retained in tree as
-  // the byte-identity oracle (asserted in bench_ir and bench_parallel);
+  // the byte-identity oracle (asserted in bench_ir and ArenaTest);
   // here the two are timed against each other with the same min-of-N
   // estimator as the verify gate above.
   printHeader("Zero-copy emission vs legacy byte-push writer");

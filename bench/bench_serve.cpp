@@ -130,7 +130,7 @@ int main(int argc, char **argv) {
   for (const std::vector<uint8_t> &Image : Images) {
     ServeRequest Req = makeRequest(Image, "null");
     ServeResponse Resp;
-    requestMillis(ColdService, Req, &Resp); // Warm-up (flyweight pools).
+    requestMillis(ColdService, Req, &Resp); // Warm-up.
     for (unsigned R = 0; R < Reps; ++R) {
       ColdTotal += requestMillis(ColdService, Req, &Resp);
       ++ColdRuns;

@@ -8,9 +8,9 @@
 /// Reproduces the §3.4 claim: "EEL allocates only one instruction to
 /// represent all instances of a particular machine instruction. Typically,
 /// this optimization reduces the number of allocated EEL instructions by a
-/// factor of four." We decode entire suites through an InstructionPool and
-/// report requested/allocated ratios, plus decode throughput with and
-/// without the pool.
+/// factor of four." We decode each suite's concatenated text into one
+/// DecodeTable and report the ratio of text words to instruction objects,
+/// plus decode throughput with and without the table's sharing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,11 +27,10 @@ static void BM_PooledDecode(benchmark::State &State) {
       generateWorkload(TargetArch::Srisc, suiteMember(false, 5, 48));
   const SxfSegment *Text = File.segment(SegKind::Text);
   for (auto _ : State) {
-    InstructionPool Pool(sriscTarget());
+    DecodeTable Table(sriscTarget(), Text->VAddr, Text->Bytes, 1);
     uint64_t Sum = 0;
     for (size_t Off = 0; Off + 4 <= Text->Bytes.size(); Off += 4)
-      Sum += static_cast<uint64_t>(
-          Pool.get(*File.readWord(Text->VAddr + Off))->kind());
+      Sum += static_cast<uint64_t>(Table.at(Text->VAddr + Off)->kind());
     benchmark::DoNotOptimize(Sum);
   }
 }
@@ -62,28 +61,27 @@ int main(int argc, char **argv) {
   std::printf("%-10s %12s %12s %8s\n", "target", "requested", "allocated",
               "ratio");
   for (TargetArch Arch : AllTargetArches) {
-    // One request per text word submitted; the pool itself counts only
-    // what it allocates.
-    InstructionPool Pool(targetFor(Arch));
-    uint64_t Requested = 0;
+    // The suite's text words, end to end: one table over them shares
+    // instructions across the whole suite.
+    std::vector<uint8_t> Words;
     for (const SxfFile &File : makeSuite(Arch, false, 10, 32)) {
-      const SxfSegment *Text = File.segment(SegKind::Text);
-      for (size_t Off = 0; Off + 4 <= Text->Bytes.size(); Off += 4) {
-        Pool.get(*File.readWord(Text->VAddr + Off));
-        ++Requested;
-      }
+      const std::vector<uint8_t> &Text = File.segment(SegKind::Text)->Bytes;
+      Words.insert(Words.end(), Text.begin(), Text.end() - Text.size() % 4);
     }
+    DecodeTable Table(targetFor(Arch), 0, Words, 1);
+    uint64_t Requested = Words.size() / 4;
+    uint64_t Allocated = Table.distinct();
     const char *ArchName = Arch == TargetArch::Srisc   ? "srisc"
                            : Arch == TargetArch::Mrisc ? "mrisc"
                                                        : "arisc";
-    double Ratio = static_cast<double>(Requested) /
-                   static_cast<double>(Pool.allocated());
+    double Ratio =
+        static_cast<double>(Requested) / static_cast<double>(Allocated);
     std::printf("%-10s %12llu %12llu %7.2fx\n", ArchName,
                 static_cast<unsigned long long>(Requested),
-                static_cast<unsigned long long>(Pool.allocated()), Ratio);
+                static_cast<unsigned long long>(Allocated), Ratio);
     Sink.metric(std::string("flyweight_ratio_") + ArchName, Ratio, "x");
     Sink.metric(std::string("instructions_allocated_") + ArchName,
-                static_cast<double>(Pool.allocated()), "count");
+                static_cast<double>(Allocated), "count");
   }
   std::printf("\npaper: the flyweight cuts allocations ~4x\n");
   return 0;

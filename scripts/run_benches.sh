@@ -42,7 +42,6 @@ OBSERVABILITY_BENCHES=(
   bench_active_memory
   bench_overhead
   bench_ablation
-  bench_parallel
   bench_load
 )
 

@@ -30,10 +30,9 @@ void infer::scanText(InferContext &Ctx) {
   Ctx.Plausible.assign((Ctx.TE - Ctx.TB) / 4, false);
 
   for (Addr A = Ctx.TB; A + 4 <= Ctx.TE; A += 4) {
-    std::optional<MachWord> W = An.fetchWord(A);
-    if (!W)
+    const Instruction *I = An.instAt(A);
+    if (!I)
       break;
-    const Instruction *I = An.pool().getAt(A, *W);
     if (isa<InvalidInst>(I)) {
       ++Ctx.Stats.ImplausibleWords;
       continue; // R1: a data-in-text seed, never code
@@ -163,10 +162,9 @@ void infer::computeReachable(InferContext &Ctx) {
     Worklist.pop_back();
     if (A < Ctx.TB || A + 4 > Ctx.TE || (A & 3) || Mark(A))
       continue;
-    std::optional<MachWord> W = An.fetchWord(A);
-    if (!W)
+    const Instruction *I = An.instAt(A);
+    if (!I)
       continue;
-    const Instruction *I = An.pool().getAt(A, *W);
     if (isa<InvalidInst>(I))
       continue; // an entry vote landed on data; the scan stops here
     if (!I->isControlTransfer()) {

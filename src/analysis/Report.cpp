@@ -102,7 +102,6 @@ std::string eel::canonicalOptionsString(const Executable::Options &Opts) {
   };
   Flag("rewrite_data_pointers", Opts.RewriteDataPointers);
   Flag("runtime_translation", Opts.EnableRuntimeTranslation);
-  Flag("translate_indirect_calls", Opts.TranslateIndirectCalls);
   Flag("disable_slicing", Opts.DisableSlicing);
   Flag("disable_delay_folding", Opts.DisableDelayFolding);
   S += "threads=" + std::to_string(Opts.Threads) + ";";

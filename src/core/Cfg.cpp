@@ -6,7 +6,6 @@
 
 #include "core/Cfg.h"
 
-#include "core/Executable.h"
 #include "core/Routine.h"
 
 #include <algorithm>
@@ -21,8 +20,7 @@ static_assert(std::is_trivially_destructible_v<Edge>,
               "Edge must stay trivially destructible (arena-placed)");
 
 Cfg::Cfg(const Routine &ParentRoutine, const TargetInfo &Target)
-    : Parent(ParentRoutine), Target(Target),
-      OpsTable(&ParentRoutine.analysis().pool().operands()) {}
+    : Parent(ParentRoutine), Target(Target) {}
 
 Cfg::~Cfg() = default;
 
@@ -51,7 +49,6 @@ void Cfg::appendInst(BasicBlock *Block, const Instruction *I, Addr OrigAddr) {
   assert(Block->FirstRow + Block->NumRows == Rows.size() &&
          "blocks must be filled in creation order to keep rows contiguous");
   Rows.push_back({I, OrigAddr});
-  RowOps.push_back(I->opIndex());
   ++Block->NumRows;
 }
 

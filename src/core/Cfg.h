@@ -241,14 +241,6 @@ public:
   /// occurrences are the contiguous slice [firstInstr(), +size()).
   std::span<const CfgInst> instRows() const { return Rows; }
 
-  /// Per-row interned-operand indices, parallel to instRows(); resolve
-  /// through operandTable() (Pair::First = reads mask, Second = writes).
-  std::span<const uint32_t> rowOps() const { return RowOps; }
-
-  /// The owning pool's interned-operand table (null only for graphs built
-  /// outside an executable, which analyses fall back from).
-  const InternedPairTable *operandTable() const { return OpsTable; }
-
   const std::vector<BasicBlock *> &entryBlocks() const { return Entries; }
   BasicBlock *exitBlock() const { return Exit; }
 
@@ -313,8 +305,6 @@ private:
   std::vector<BasicBlock *> Blocks;
   std::vector<Edge *> Edges;
   std::vector<CfgInst> Rows;
-  std::vector<uint32_t> RowOps;
-  const InternedPairTable *OpsTable = nullptr;
   std::vector<BasicBlock *> Entries;
   BasicBlock *Exit = nullptr;
   std::unordered_map<Addr, BasicBlock *> ByAddr;

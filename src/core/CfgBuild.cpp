@@ -41,12 +41,7 @@ public:
 
 private:
   const Instruction *instAt(Addr A) {
-    if (!R.contains(A) || (A & 3))
-      return nullptr;
-    std::optional<MachWord> W = An.fetchWord(A);
-    if (!W)
-      return nullptr;
-    return An.pool().getAt(A, *W);
+    return R.contains(A) ? An.instAt(A) : nullptr;
   }
 
   void discover(std::vector<Addr> Roots, bool Speculative);
@@ -101,14 +96,10 @@ BasicBlock *CfgBuilder::destFor(BasicBlock *From, Addr TargetAddr,
 BasicBlock *CfgBuilder::makeDelayBlock(Addr TransferAddr) {
   Addr DelayAddr = TransferAddr + 4;
   const Instruction *DI = instAt(DelayAddr);
-  if (!DI) {
-    // Discovery rejects transfers whose delay slot leaves the routine, so
-    // this is unreachable from well-formed input; stay defensive for the
-    // NDEBUG build and substitute a nop rather than dereference null.
-    assert(false && "delay slot outside routine");
-    Graph->ReachedInvalid = true;
-    DI = An.pool().get(Target.nopWord());
-  }
+  // Discovery visits only transfers whose delay slot decodes inside the
+  // routine, and blocks hold only visited words.
+  if (!DI)
+    unreachable("delay slot outside routine");
   BasicBlock *DB = Graph->newBlock(BlockKind::DelaySlot, DelayAddr);
   Graph->appendInst(DB, DI, DelayAddr);
   return DB;

@@ -22,9 +22,9 @@ static Addr firstFreeDataAddr(const SxfFile &Image) {
   return (High + 15) & ~15u;
 }
 
-Analysis::Analysis(SxfFile ImageIn, Options OptsIn)
-    : Image(std::move(ImageIn)), Opts(OptsIn),
-      Target(targetFor(Image.Arch)), Pool(Target) {
+/// Flips the process-wide gates \p Opts asks for and returns them, so the
+/// decode table's span records under an analysis that turns tracing on.
+static Analysis::Options openGates(Analysis::Options Opts) {
   // Only enable — never disable — so one untraced analysis can't silence
   // another's active trace.
   if (Opts.Trace)
@@ -33,11 +33,22 @@ Analysis::Analysis(SxfFile ImageIn, Options OptsIn)
   // where another run (or the embedding daemon) set it.
   if (Opts.Log != LogLevel::Off)
     logSetLevel(Opts.Log);
-  // One decode-index slot per text word: the per-address probe that makes
-  // repeat decoding of the same address a single load.
-  if (const SxfSegment *Text = Image.segment(SegKind::Text))
-    Pool.attachDecodeIndex(Text->VAddr, Text->Bytes.size() / 4);
+  return Opts;
 }
+
+/// The decode table of \p Image's text segment (empty without one).
+static DecodeTable decodeText(const SxfFile &Image, const TargetInfo &Target,
+                              unsigned Threads) {
+  const SxfSegment *Text = Image.segment(SegKind::Text);
+  if (!Text)
+    return DecodeTable(Target, 0, {}, Threads);
+  return DecodeTable(Target, Text->VAddr, Text->Bytes, Threads);
+}
+
+Analysis::Analysis(SxfFile ImageIn, Options OptsIn)
+    : Image(std::move(ImageIn)), Opts(openGates(OptsIn)),
+      Target(targetFor(Image.Arch)),
+      Pool(decodeText(Image, Target, effectiveThreads())) {}
 
 Analysis::~Analysis() = default;
 

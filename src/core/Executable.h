@@ -8,10 +8,10 @@
 /// The top of EEL's abstraction stack (§3.1), in two halves:
 ///
 ///  * Analysis, the read-only half: the image, its options and target, the
-///    instruction pool, and what readContents() learns from them — routine
-///    discovery, every routine's CFG, slices and liveness, and the
-///    eel-infer facts. It is frozen once readContents() returns, so any
-///    number of edit sessions may share one (eel-serve caches them).
+///    decode table built from its text, and what readContents() learns from
+///    them — routine discovery, every routine's CFG, slices and liveness,
+///    and the eel-infer facts. It is frozen once readContents() returns, so
+///    any number of edit sessions may share one (eel-serve caches them).
 ///  * Executable, one edit session over an analysis. A tool opens an
 ///    executable, calls readContents(), edits routines through their CFGs
 ///    — the edits accumulate here, a pending batch per routine (§3.3.1),
@@ -71,9 +71,6 @@ public:
     /// jumps (§3.3). When off, routines with such jumps are copied
     /// verbatim and cannot be edited.
     bool EnableRuntimeTranslation = true;
-    /// Also route indirect calls through the translator (normally pointer
-    /// rewriting suffices for them).
-    bool TranslateIndirectCalls = false;
     /// Ablation: ignore slicing results for indirect jumps, forcing every
     /// one through run-time translation. Measures how much §3.3's slicing
     /// buys ("EEL's slicing makes run-time translation a rare occurrence").
@@ -125,7 +122,9 @@ public:
   };
 
   /// Flips the process-wide trace and log gates the options ask for
-  /// (one-way: never disables). Construction is a quiescent point.
+  /// (one-way: never disables), then decodes the text into the decode
+  /// table (the "decode" phase), fanned out over effectiveThreads().
+  /// Construction is a quiescent point.
   Analysis(SxfFile Image, Options Opts);
   ~Analysis();
   Analysis(const Analysis &) = delete;
@@ -134,9 +133,12 @@ public:
   const SxfFile &image() const { return Image; }
   const TargetInfo &target() const { return Target; }
   const Options &options() const { return Opts; }
-  /// The decode cache. Decoding only memoizes, and the pool is
-  /// thread-safe, so a shared analysis hands it out as is.
-  InstructionPool &pool() const { return Pool; }
+  /// The flyweight decode table of the text, frozen since construction.
+  const DecodeTable &pool() const { return Pool; }
+
+  /// The instruction at text address \p A: one load from the decode
+  /// table. Null outside the text and between its words.
+  const Instruction *instAt(Addr A) const { return Pool.at(A); }
 
   /// Resolved worker count for the parallel phases: Options::Threads, with
   /// 0 mapped to std::thread::hardware_concurrency().
@@ -153,14 +155,13 @@ public:
   /// then the "analyze" phase: every code routine's CFG, slices, and (where
   /// layout will need it) liveness. Everything fans out over
   /// effectiveThreads() except stage 1, stage 2's eel-infer fixpoint and
-  /// the merges: the transfer scan decodes each text word once, in chunks
-  /// of ScanChunkWords, filling the pool's decode index; stage 3 looks up
-  /// chunks of transfer sites; stage 4 walks each routine and its chain of
-  /// hidden tails as one task. Results merge in chunk or routine order, so
-  /// the routine map is the same at every width. Idempotent; after it
-  /// returns nothing in the analysis changes again. Returns an error
-  /// (instead of asserting) when the image is not analyzable — e.g. it has
-  /// no text segment.
+  /// the merges: the transfer scan reads the decode table in chunks of
+  /// ScanChunkWords words; stage 3 looks up chunks of transfer sites;
+  /// stage 4 walks each routine and its chain of hidden tails as one task.
+  /// Results merge in chunk or routine order, so the routine map is the
+  /// same at every width. Idempotent; after it returns nothing in the
+  /// analysis changes again. Returns an error (instead of asserting) when
+  /// the image is not analyzable — e.g. it has no text segment.
   Expected<bool> readContents();
   bool analyzed() const { return Analyzed; }
 
@@ -219,7 +220,7 @@ private:
   SxfFile Image;
   Options Opts;
   const TargetInfo &Target;
-  mutable InstructionPool Pool;
+  const DecodeTable Pool;
   bool Analyzed = false;
   std::vector<std::unique_ptr<Routine>> Routines;
 

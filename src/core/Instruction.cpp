@@ -6,8 +6,13 @@
 
 #include "core/Instruction.h"
 
+#include "support/BitOps.h"
 #include "support/Error.h"
 #include "support/Stats.h"
+#include "support/ThreadPool.h"
+#include "support/Trace.h"
+
+#include <algorithm>
 
 using namespace eel;
 
@@ -33,7 +38,6 @@ namespace {
 template <template <typename> class MakeT, typename Result, typename... Extra>
 Result buildInstruction(const TargetInfo &Target, MachWord Word,
                         Extra &&...E) {
-  bumpStat("eel.inst.allocated");
   switch (Target.classify(Word)) {
   case InstCategory::Invalid:
     return MakeT<InvalidInst>()(std::forward<Extra>(E)..., Target, Word);
@@ -85,68 +89,107 @@ template <typename T> struct MakeInArena {
   template <typename... Args>
   Instruction *operator()(BumpArena &Arena, Args &&...A) {
     // Placement-new outside BumpArena::create: the virtual destructor
-    // makes instructions formally non-trivially-destructible, but pool
+    // makes instructions formally non-trivially-destructible, but table
     // instructions own nothing and are deliberately never destroyed.
     return new (Arena.allocate(sizeof(T), alignof(T)))
         T(std::forward<Args>(A)...);
   }
 };
 
+/// Numbers the distinct words among the \p N words at \p Text in order of
+/// first appearance: Ids[I] is word I's number, Words[Id] the word.
+struct WordNumbers {
+  std::vector<uint32_t> Ids;
+  std::vector<MachWord> Words;
+};
+
+WordNumbers numberWords(const uint8_t *Text, size_t N) {
+  // Open addressing with linear probing; a slot holds a word and its
+  // number + 1 (0 = empty), and the table doubles at half load.
+  struct Slot {
+    MachWord Word = 0;
+    uint32_t Id = 0;
+  };
+  WordNumbers R;
+  R.Ids.resize(N);
+  unsigned Bits = 10;
+  std::vector<Slot> Slots(size_t(1) << Bits);
+  auto Home = [&Bits](MachWord W) {
+    // Multiplicative hash: opcode bits cluster, so mix before taking bits.
+    return size_t(MachWord(W * 0x9E3779B9u) >> (32 - Bits));
+  };
+  auto Find = [&Slots, &Home](MachWord W) -> Slot & {
+    size_t H = Home(W);
+    while (Slots[H].Id && Slots[H].Word != W)
+      H = (H + 1) & (Slots.size() - 1);
+    return Slots[H];
+  };
+  for (size_t I = 0; I < N; ++I) {
+    MachWord W = loadLE32(Text + 4 * I);
+    Slot &S = Find(W);
+    if (!S.Id) {
+      R.Words.push_back(W);
+      S = {W, static_cast<uint32_t>(R.Words.size())};
+    }
+    R.Ids[I] = S.Id - 1;
+    if (2 * R.Words.size() > Slots.size()) {
+      ++Bits;
+      Slots.assign(size_t(1) << Bits, Slot());
+      for (size_t Id = 0; Id < R.Words.size(); ++Id)
+        Find(R.Words[Id]) = {R.Words[Id], static_cast<uint32_t>(Id + 1)};
+    }
+  }
+  return R;
+}
+
+/// Word numbers, and text words, per task of the decode table's build.
+constexpr size_t TaskWords = 4096;
+
+/// Runs Body(Lo, Hi) over consecutive tasks of TaskWords indices covering
+/// [0, N), fanned out over \p Threads.
+template <typename BodyT>
+void forTasks(unsigned Threads, size_t N, BodyT Body) {
+  parallelForEach(Threads, (N + TaskWords - 1) / TaskWords,
+                  [N, &Body](size_t T) {
+                    Body(T * TaskWords, std::min(N, (T + 1) * TaskWords));
+                  });
+}
+
 } // namespace
 
 std::unique_ptr<Instruction> eel::makeInstruction(const TargetInfo &Target,
                                                   MachWord Word) {
+  bumpStat("eel.inst.allocated");
   return buildInstruction<MakeUnique, std::unique_ptr<Instruction>>(Target,
                                                                     Word);
 }
 
-Instruction *eel::makeInstructionIn(BumpArena &Arena, const TargetInfo &Target,
-                                    MachWord Word) {
-  return buildInstruction<MakeInArena, Instruction *>(Target, Word, Arena);
+DecodeTable::DecodeTable(const TargetInfo &Target, Addr BaseIn,
+                         std::span<const uint8_t> Text, unsigned Threads)
+    : Base(BaseIn) {
+  EEL_TRACE_SCOPE("decode", "words", uint64_t(Text.size() / 4));
+  const WordNumbers Numbers = numberWords(Text.data(), Text.size() / 4);
+  Distinct = Numbers.Words.size();
+  std::vector<const Instruction *> Insts(Distinct);
+  Arenas = std::vector<BumpArena>((Distinct + TaskWords - 1) / TaskWords);
+  forTasks(Threads, Distinct, [&](size_t Lo, size_t Hi) {
+    BumpArena &Arena = Arenas[Lo / TaskWords];
+    for (size_t Id = Lo; Id < Hi; ++Id)
+      Insts[Id] = buildInstruction<MakeInArena, Instruction *>(
+          Target, Numbers.Words[Id], Arena);
+  });
+  ByAddr.resize(Numbers.Ids.size());
+  forTasks(Threads, ByAddr.size(), [&](size_t Lo, size_t Hi) {
+    for (size_t I = Lo; I < Hi; ++I)
+      ByAddr[I] = Insts[Numbers.Ids[I]];
+  });
+  if (Distinct)
+    bumpStat("eel.inst.allocated", Distinct);
 }
 
-const Instruction *InstructionPool::get(MachWord Word) {
-  size_t ShardIdx = shardIndexFor(Word);
-  ShardedBumpArena::Shard &S = Arenas.shard(ShardIdx);
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto &Map = Maps[ShardIdx];
-  auto It = Map.find(Word);
-  if (It != Map.end())
-    return It->second;
-  // Constructed under the shard lock: exactly one Instruction per word.
-  Instruction *Inst = makeInstructionIn(S.Arena, Target, Word);
-  Inst->OpIdx = Ops.intern(Inst->reads().mask(), Inst->writes().mask());
-  Map.emplace(Word, Inst);
-  return Inst;
-}
-
-void InstructionPool::attachDecodeIndex(Addr TextBase, size_t WordCount) {
-  IndexBase = TextBase;
-  IndexWords = WordCount;
-  DecodeIndex =
-      std::make_unique<std::atomic<const Instruction *>[]>(WordCount);
-}
-
-const Instruction *InstructionPool::getAt(Addr A, MachWord Word) {
-  std::atomic<const Instruction *> *Slot = slotFor(A);
-  if (!Slot)
-    return get(Word);
-  if (const Instruction *I = Slot->load(std::memory_order_acquire)) {
-    assert(I->word() == Word && "decode index out of sync with image");
-    return I;
-  }
-  const Instruction *I = get(Word);
-  // Racing decoders of the same address publish the same pointer (the
-  // flyweight invariant), so the store order is immaterial.
-  Slot->store(I, std::memory_order_release);
-  return I;
-}
-
-uint64_t InstructionPool::allocated() const {
-  uint64_t Total = 0;
-  for (size_t I = 0; I < ShardCount; ++I) {
-    std::lock_guard<std::mutex> Lock(Arenas.shard(I).M);
-    Total += Maps[I].size();
-  }
+size_t DecodeTable::arenaBytes() const {
+  size_t Total = 0;
+  for (const BumpArena &Arena : Arenas)
+    Total += Arena.bytesAllocated();
   return Total;
 }

@@ -17,9 +17,9 @@
 /// conventions, exactly where the paper resolves SPARC's jmpl overloads.
 ///
 /// As in EEL, only one instruction object exists per distinct machine word
-/// (per pool); the paper reports this flyweight cuts allocations by ~4x,
-/// which bench_sharing reproduces. PC-dependent inquiries therefore take
-/// the address as a parameter.
+/// (per decode table); the paper reports this flyweight cuts allocations
+/// by ~4x, which bench_sharing reproduces. PC-dependent inquiries
+/// therefore take the address as a parameter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,12 +30,10 @@
 #include "support/Arena.h"
 #include "support/Casting.h"
 
-#include <array>
-#include <atomic>
 #include <memory>
-#include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 namespace eel {
 
@@ -104,20 +102,12 @@ public:
     return Target.disassemble(Word, PC);
   }
 
-  /// Index of this instruction's (reads, writes) pair in its pool's
-  /// interned-operand table (InstructionPool::operands()), or NoOpIndex
-  /// for instructions built outside a pool. Analyses walking flat CFG rows
-  /// resolve operands through the table instead of chasing this object.
-  static constexpr uint32_t NoOpIndex = 0xFFFFFFFFu;
-  uint32_t opIndex() const { return OpIdx; }
-
   static bool classof(const Instruction *) { return true; }
 
 protected:
   Instruction(InstKind Kind, const TargetInfo &Target, MachWord Word);
 
 private:
-  friend class InstructionPool;
   InstKind Kind;
   MachWord Word;
   const TargetInfo &Target;
@@ -125,7 +115,6 @@ private:
   bool DelaySlot = false;
   DelayBehavior Delay = DelayBehavior::None;
   bool Conditional = false;
-  uint32_t OpIdx = NoOpIndex;
 };
 
 /// A word that does not decode: probably data (§3.1 stage 4 uses these to
@@ -271,117 +260,52 @@ private:
   std::optional<unsigned> Number;
 };
 
-/// Flyweight pool: one Instruction per distinct machine word. Lookups do
-/// no accounting; construction bumps "eel.inst.allocated" (Table 1), and
-/// bench_sharing sets allocated() against the words it submits itself.
+/// The flyweight decode table (§3.4): one Instruction per distinct machine
+/// word of a text segment, and one entry per text word pointing at its
+/// word's instruction. Analysis builds it once, at construction, and it
+/// never changes again, so any number of threads read it without a lock:
+/// at() is a bounds check and one load.
 ///
-/// Thread-safe: the word→instruction maps are split into shards folded
-/// into a sharded bump arena — shard i's mutex guards both its map and the
-/// arena chunk its instructions are placed in, so routine-analysis workers
-/// decoding disjoint words rarely contend and never serialize on one
-/// global lock. Instructions are immutable once constructed, so the
-/// returned pointers can be shared freely across threads; holding the
-/// shard lock through construction guarantees exactly one Instruction per
-/// word (allocated() stays equal whatever the thread count — the flyweight
-/// invariant bench_sharing measures). Pool instructions are arena-placed
-/// and never individually destroyed (they own nothing); they die with the
-/// pool.
-///
-/// On the decode hot path the per-word hash probe is replaced by a dense
-/// per-address index: attachDecodeIndex() reserves one atomic slot per
-/// text word, and getAt() resolves (addr - textBase) / 4 with a single
-/// lock-free load after first decode. readContents' transfer scan is the
-/// first decoder of every text word: it fills the whole index through
-/// chunk-local WordMemos before any other analysis decodes.
-class InstructionPool {
+/// The build gives the same table at every width. A serial pass numbers
+/// the distinct words in order of first appearance; tasks of 4,096
+/// numbers then construct their instructions, each task into an arena of
+/// its own; and tasks of 4,096 addresses fill the entries. It bumps
+/// "eel.inst.allocated" (Table 1) once, by the distinct count.
+/// Instructions own nothing and are never destroyed; they die with the
+/// table's arenas.
+class DecodeTable {
 public:
-  explicit InstructionPool(const TargetInfo &Target)
-      : Target(Target), Arenas(ShardCount) {}
+  /// Decodes the whole words of \p Text, which is loaded at \p Base,
+  /// fanning construction out over \p Threads.
+  DecodeTable(const TargetInfo &Target, Addr Base,
+              std::span<const uint8_t> Text, unsigned Threads);
 
-  /// Returns the shared instruction for \p Word (creating it on first use).
-  const Instruction *get(MachWord Word);
-
-  /// Reserves the dense decode index for text addresses
-  /// [TextBase, TextBase + 4 * WordCount). Call before concurrent decoding
-  /// (Executable's constructor does).
-  void attachDecodeIndex(Addr TextBase, size_t WordCount);
-
-  /// get(Word) for the word fetched from text address \p A: first decode
-  /// of an address publishes the instruction into its index slot; every
-  /// later decode is one acquire load, no lock, no hashing.
-  const Instruction *getAt(Addr A, MachWord Word);
-
-  /// One decoder's private word→instruction memo in front of get(): a scan
-  /// that meets the same words over and over takes a shard lock about once
-  /// per distinct word, not once per address. Direct-mapped, so a colliding
-  /// word evicts the older one (a forgotten word costs one more get()). It
-  /// is a local of one scan chunk, never shared and never a thread_local,
-  /// so it cannot outlive the pool whose instructions it holds.
-  class WordMemo {
-    friend class InstructionPool;
-    static constexpr unsigned Bits = 10;
-    std::array<const Instruction *, size_t(1) << Bits> Slots{};
-  };
-
-  /// First decode of text address \p A: getAt() with \p Memo answering
-  /// repeated words before the shard lock. Publishes into A's index slot
-  /// without reading it first.
-  const Instruction *getAt(Addr A, MachWord Word, WordMemo &Memo) {
-    const Instruction *&Cached =
-        Memo.Slots[MachWord(Word * 0x9E3779B9u) >> (32 - WordMemo::Bits)];
-    if (!Cached || Cached->word() != Word)
-      Cached = get(Word);
-    if (std::atomic<const Instruction *> *Slot = slotFor(A))
-      Slot->store(Cached, std::memory_order_release);
-    return Cached;
+  /// The instruction at \p A, or nullptr when \p A is not a whole number
+  /// of words into the text.
+  const Instruction *at(Addr A) const {
+    Addr Off = A - Base;
+    if ((Off & 3) || Off / 4 >= ByAddr.size())
+      return nullptr;
+    return ByAddr[Off / 4];
   }
 
-  const TargetInfo &target() const { return Target; }
-  uint64_t allocated() const;
+  /// Instruction objects in the table: the number of distinct words.
+  size_t distinct() const { return Distinct; }
 
-  /// Interned (reads, writes) register-mask pairs: Pair::First is the
-  /// reads mask, Pair::Second the writes mask, indexed by
-  /// Instruction::opIndex().
-  const InternedPairTable &operands() const { return Ops; }
-
-  /// Payload bytes bump-allocated for pool instructions.
-  size_t arenaBytes() const { return Arenas.bytesAllocated(); }
+  /// Payload bytes of the arenas holding the instructions.
+  size_t arenaBytes() const;
 
 private:
-  static constexpr size_t ShardCount = 64; ///< Power of two.
-
-  size_t shardIndexFor(MachWord Word) const {
-    // Multiplicative hash: opcode bits cluster, so mix before masking.
-    return (Word * 0x9E3779B9u >> 16) & (ShardCount - 1);
-  }
-
-  /// \p A's decode-index slot, or nullptr when the index does not cover it.
-  std::atomic<const Instruction *> *slotFor(Addr A) {
-    if (!DecodeIndex || (A & 3) || A < IndexBase)
-      return nullptr;
-    size_t Slot = (A - IndexBase) / 4;
-    return Slot < IndexWords ? &DecodeIndex[Slot] : nullptr;
-  }
-
-  const TargetInfo &Target;
-  ShardedBumpArena Arenas; ///< Shard i's mutex also guards Maps[i].
-  std::array<std::unordered_map<MachWord, const Instruction *>, ShardCount>
-      Maps;
-  InternedPairTable Ops;
-
-  Addr IndexBase = 0;
-  size_t IndexWords = 0;
-  std::unique_ptr<std::atomic<const Instruction *>[]> DecodeIndex;
+  Addr Base;
+  std::vector<const Instruction *> ByAddr;
+  size_t Distinct = 0;
+  std::vector<BumpArena> Arenas;
 };
 
-/// Builds the right subclass for \p Word — the Figure 6 factory.
+/// Builds the right subclass for \p Word — the Figure 6 factory. Each call
+/// bumps "eel.inst.allocated".
 std::unique_ptr<Instruction> makeInstruction(const TargetInfo &Target,
                                              MachWord Word);
-
-/// Arena-placing variant of the factory: the instruction lives until the
-/// arena dies and is never destroyed (pool instructions own no resources).
-Instruction *makeInstructionIn(BumpArena &Arena, const TargetInfo &Target,
-                               MachWord Word);
 
 } // namespace eel
 

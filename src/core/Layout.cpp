@@ -766,18 +766,17 @@ Expected<bool> RoutineLayouter::runVerbatim() {
   (void)Parser;
   const Instruction *Prev = nullptr;
   for (Addr A = R.startAddr(); A + 4 <= R.endAddr(); A += 4) {
-    std::optional<MachWord> WOpt = An.fetchWord(A);
-    if (!WOpt)
+    const Instruction *I = An.instAt(A);
+    if (!I)
       break;
-    MachWord W = *WOpt;
+    MachWord W = I->word();
     mapAddr(A);
     unsigned At = here();
     emitWord(W);
     if (R.isData()) {
       Prev = nullptr;
-      continue; // pure data: no decoding, no relocations
+      continue; // pure data: no relocations
     }
-    const Instruction *I = An.pool().getAt(A, W);
     // Cross-routine direct transfers must follow their targets. To avoid
     // corrupting data that happens to decode as a transfer, only words
     // whose target is a routine entry point are patched.

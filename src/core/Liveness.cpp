@@ -42,22 +42,14 @@ void Liveness::compute(const Cfg &G) {
   In.assign(N, RegSet());
   Out.assign(N, RegSet());
 
-  // Resolve each row's operand masks once up front through the interned
-  // table: the backward scans below then run over two dense uint64 arrays
+  // Copy each row's operand masks out of its Instruction once up front:
+  // the backward scans below then run over two dense uint64 arrays
   // instead of chasing an Instruction pointer per row per fixpoint round.
-  std::span<const uint32_t> RowOps = G.rowOps();
-  const InternedPairTable *Ops = G.operandTable();
-  std::vector<uint64_t> RowReads(RowOps.size()), RowWrites(RowOps.size());
-  for (size_t I = 0; I < RowOps.size(); ++I) {
-    if (Ops && RowOps[I] != Instruction::NoOpIndex) {
-      InternedPairTable::Pair P = Ops->get(RowOps[I]);
-      RowReads[I] = P.First;
-      RowWrites[I] = P.Second;
-    } else {
-      const Instruction *Inst = G.instRows()[I].Inst;
-      RowReads[I] = Inst->reads().mask();
-      RowWrites[I] = Inst->writes().mask();
-    }
+  std::span<const CfgInst> Rows = G.instRows();
+  std::vector<uint64_t> RowReads(Rows.size()), RowWrites(Rows.size());
+  for (size_t I = 0; I < Rows.size(); ++I) {
+    RowReads[I] = Rows[I].Inst->reads().mask();
+    RowWrites[I] = Rows[I].Inst->writes().mask();
   }
 
   bool Changed = true;

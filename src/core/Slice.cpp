@@ -38,12 +38,7 @@ public:
   }
 
   const Instruction *instAt(Addr A) {
-    if (!R.contains(A) || (A & 3))
-      return nullptr;
-    std::optional<MachWord> W = An.fetchWord(A);
-    if (!W)
-      return nullptr;
-    return An.pool().getAt(A, *W);
+    return R.contains(A) ? An.instAt(A) : nullptr;
   }
 
   /// Value of \p Reg immediately before the instruction at \p At.
@@ -282,10 +277,9 @@ static std::optional<unsigned> findBoundsCheck(const Analysis &An,
   Addr A = JumpAddr;
   while (A > R.startAddr() && Steps++ < 48) {
     A -= 4;
-    std::optional<MachWord> W = An.fetchWord(A);
-    if (!W)
+    const Instruction *I = An.instAt(A);
+    if (!I)
       return std::nullopt;
-    const Instruction *I = An.pool().getAt(A, *W);
     DataOp Op = I->dataOp();
     if (Op.Kind == DataOpKind::Sub && Op.SetsCC && Op.HasImm &&
         Op.Rs1 == IdxReg && Op.Imm >= 0)
@@ -306,10 +300,10 @@ static bool looksLikeTailCall(const Analysis &An, const Routine &R,
   Addr A = JumpAddr;
   while (A > R.startAddr() && Steps++ < 16) {
     A -= 4;
-    std::optional<MachWord> W = An.fetchWord(A);
-    if (!W)
+    const Instruction *I = An.instAt(A);
+    if (!I)
       return false;
-    DataOp Op = An.pool().getAt(A, *W)->dataOp();
+    DataOp Op = I->dataOp();
     if (Op.Kind == DataOpKind::Add && Op.Rd == SP && Op.Rs1 == SP &&
         Op.HasImm && Op.Imm > 0)
       return true;
@@ -341,9 +335,9 @@ static SymValue sliceJumpTarget(Slicer &S, const IndirectTargetInfo &Info,
 
 /// Decodes the IndirectInst at \p JumpAddr; asserts it is one.
 static const IndirectInst *indirectAt(const Analysis &An, Addr JumpAddr) {
-  std::optional<MachWord> W = An.fetchWord(JumpAddr);
-  assert(W && "indirect jump outside image");
-  const auto *Jump = dyn_cast<IndirectInst>(An.pool().getAt(JumpAddr, *W));
+  const Instruction *I = An.instAt(JumpAddr);
+  assert(I && "indirect jump outside the text");
+  const auto *Jump = dyn_cast<IndirectInst>(I);
   assert(Jump && "resolveIndirect on a non-indirect instruction");
   return Jump;
 }
@@ -441,10 +435,10 @@ TableEvidence eel::tableEvidence(const Analysis &An, const Routine &R,
 
 std::optional<Addr> eel::storeTargetAddr(const Analysis &An, const Routine &R,
                                          Addr StoreAddr) {
-  std::optional<MachWord> W = An.fetchWord(StoreAddr);
-  if (!W)
+  const Instruction *I = An.instAt(StoreAddr);
+  if (!I)
     return std::nullopt;
-  const auto *Mem = dyn_cast<MemoryInst>(An.pool().getAt(StoreAddr, *W));
+  const auto *Mem = dyn_cast<MemoryInst>(I);
   if (!Mem || !Mem->memOp().IsStore)
     return std::nullopt;
   const MemOp &M = Mem->memOp();

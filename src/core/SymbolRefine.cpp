@@ -32,12 +32,10 @@
 ///
 /// Cost, for W text words, S direct transfer sites, C candidate labels and
 /// R routines, and what fans out over effectiveThreads():
-///   - The transfer scan, O(W), is the first decoder of every text word.
-///     Chunks of Analysis::ScanChunkWords words are tasks; each decodes
-///     through a chunk-local memo, so it takes a pool shard lock about once
-///     per distinct word of the chunk, and publishes every word into the
-///     pool's decode index, so later stages and the analyze phase decode
-///     text with one load. Site lists are concatenated in chunk order.
+///   - The transfer scan, O(W), reads every text word's instruction from
+///     the decode table, which the analysis built at construction.
+///     Chunks of Analysis::ScanChunkWords words are tasks; site lists are
+///     concatenated in chunk order.
 ///   - Stage 1 (serial) sorts the non-call sites by (destination, source)
 ///     once and decides each candidate with one binary search,
 ///     O((S + C) log S).
@@ -58,7 +56,6 @@
 
 #include "analysis/Infer.h"
 #include "core/Liveness.h"
-#include "support/BitOps.h"
 #include "support/Metrics.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
@@ -140,12 +137,11 @@ static bool scanReachable(const Analysis &An, const std::vector<Addr> &Entries,
     Worklist.pop_back();
     if (A < Lo || A >= Hi || (A & 3) || Reached.contains(A))
       continue;
-    std::optional<MachWord> W = An.fetchWord(A);
-    if (!W) {
+    const Instruction *I = An.instAt(A);
+    if (!I) {
       AllValid = false;
       continue;
     }
-    const Instruction *I = An.pool().getAt(A, *W);
     Reached.insert(A);
     if (isa<InvalidInst>(I)) {
       AllValid = false;
@@ -159,10 +155,9 @@ static bool scanReachable(const Analysis &An, const std::vector<Addr> &Entries,
     if (I->hasDelaySlot() &&
         I->delayBehavior() != DelayBehavior::AnnulAlways &&
         A + 4 < Hi) {
-      std::optional<MachWord> DW = An.fetchWord(A + 4);
-      if (DW) {
+      if (const Instruction *DI = An.instAt(A + 4)) {
         Reached.insert(A + 4);
-        if (isa<InvalidInst>(An.pool().getAt(A + 4, *DW)))
+        if (isa<InvalidInst>(DI))
           AllValid = false;
       }
     }
@@ -221,10 +216,10 @@ Expected<bool> Analysis::readContents() {
   // normalization, backward slicing of indirect-jump sites (both inside
   // buildCfg), and liveness — are independent across routines, so they fan
   // out over the pool now (inline, in index order, at width 1). Each
-  // routine is touched by exactly one worker; the cross-routine state
-  // (instruction pool, stat registry) is sharded. Every width runs this
-  // same schedule. Nothing builds lazily afterwards, which is what lets
-  // edit sessions share the finished analysis.
+  // routine is touched by exactly one worker; the decode table is frozen
+  // and the stat registry sharded. Every width runs this same schedule.
+  // Nothing builds lazily afterwards, which is what lets edit sessions
+  // share the finished analysis.
   EEL_TRACE_SCOPE("analyze", "routines", uint64_t(Routines.size()));
   bool WantTranslation = Opts.EnableRuntimeTranslation;
   parallelForEach(effectiveThreads(), Routines.size(),
@@ -248,21 +243,15 @@ void Analysis::refineRoutines() {
   const unsigned NThreads = effectiveThreads();
 
   // Linear scan of the text segment for direct transfers (used by stages
-  // 1–3). It is the first decoder of every text word: each chunk decodes
-  // through its own memo and publishes every word into the pool's decode
-  // index, so every later decode of text is one load. Data decoded as
-  // instructions contributes bogus sites; the later stages are designed
-  // to tolerate that.
-  const uint8_t *Text = Image.segment(SegKind::Text)->Bytes.data();
+  // 1–3), read from the decode table. Data decoded as instructions
+  // contributes bogus sites; the later stages are designed to tolerate
+  // that.
   const std::vector<TransferSite> Transfers = collectChunks<TransferSite>(
       NThreads, (TE - TB) / 4,
-      [this, TB, TE, Text](size_t Lo, size_t Hi,
-                           std::vector<TransferSite> &Sites) {
-        InstructionPool::WordMemo Memo;
+      [this, TB, TE](size_t Lo, size_t Hi, std::vector<TransferSite> &Sites) {
         for (size_t Word = Lo; Word < Hi; ++Word) {
           Addr A = TB + 4 * static_cast<Addr>(Word);
-          const Instruction *I =
-              Pool.getAt(A, loadLE32(Text + 4 * Word), Memo);
+          const Instruction *I = instAt(A);
           std::optional<Addr> T;
           bool IsCall = false;
           switch (I->kind()) {

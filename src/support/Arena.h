@@ -11,16 +11,8 @@
 /// allocate and nothing to destroy — objects placed in an arena must be
 /// trivially destructible, which the flat IR types are by construction.
 ///
-/// ShardedBumpArena splits a process-wide arena into independently locked
-/// shards; the instruction flyweight pool keys shards by machine word so
-/// decode workers on disjoint words neither contend on a lock nor false-
-/// share an allocation cursor.
-///
-/// InternedPairTable is the append-only dedup table behind the interned
-/// operand sets: writers intern under a mutex, readers resolve an index
-/// lock-free through acquire-loaded chunk pointers. Entries are immutable
-/// and never move once published, so indices stay valid for the table's
-/// lifetime.
+/// The decode table (core/Instruction.h) places its flyweight instructions
+/// in arenas too, one per construction task, so building it takes no lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,23 +20,18 @@
 #define EEL_SUPPORT_ARENA_H
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 namespace eel {
 
-/// Chunked bump allocator. Not thread-safe; wrap in ShardedBumpArena (or an
-/// external lock) for concurrent use.
+/// Chunked bump allocator. Not thread-safe: concurrent users each own one.
 class BumpArena {
 public:
   static constexpr size_t DefaultChunkBytes = 16384;
@@ -137,128 +124,6 @@ private:
   size_t ChunkSize;
   size_t Allocated = 0;
   std::vector<Chunk> Chunks;
-};
-
-/// A bump arena split into independently locked shards. Callers pick a
-/// shard by key, lock it, and may keep per-shard side tables (the
-/// instruction pool keeps its word→instruction maps here) under the same
-/// lock, folding what used to be separate shard containers into the
-/// allocator.
-class ShardedBumpArena {
-public:
-  struct Shard {
-    explicit Shard(size_t ChunkBytes) : Arena(ChunkBytes) {}
-    mutable std::mutex M;
-    BumpArena Arena;
-  };
-
-  explicit ShardedBumpArena(size_t ShardCountIn,
-                            size_t ChunkBytes = BumpArena::DefaultChunkBytes) {
-    assert(ShardCountIn && (ShardCountIn & (ShardCountIn - 1)) == 0 &&
-           "shard count not a power of 2");
-    Shards.reserve(ShardCountIn);
-    for (size_t I = 0; I < ShardCountIn; ++I)
-      Shards.push_back(std::make_unique<Shard>(ChunkBytes));
-  }
-
-  size_t shardCount() const { return Shards.size(); }
-
-  Shard &shard(size_t Index) {
-    assert(Index < Shards.size() && "shard index out of range");
-    return *Shards[Index];
-  }
-  const Shard &shard(size_t Index) const { return *Shards[Index]; }
-
-  /// Shard for \p Key: multiplicative hash, since caller keys (machine
-  /// words) cluster in their low opcode bits.
-  Shard &shardFor(uint64_t Key) {
-    return *Shards[(Key * 0x9E3779B97F4A7C15ull >> 32) &
-                   (Shards.size() - 1)];
-  }
-
-  /// Sum of payload bytes across shards (takes each shard lock briefly).
-  size_t bytesAllocated() const {
-    size_t Total = 0;
-    for (const auto &S : Shards) {
-      std::lock_guard<std::mutex> Lock(S->M);
-      Total += S->Arena.bytesAllocated();
-    }
-    return Total;
-  }
-
-private:
-  std::vector<std::unique_ptr<Shard>> Shards;
-};
-
-/// Append-only dedup table of (first, second) 64-bit pairs. intern() takes
-/// the table mutex; get() is lock-free and safe concurrently with intern()
-/// because chunks are published with release stores and never reallocated.
-class InternedPairTable {
-public:
-  struct Pair {
-    uint64_t First = 0;
-    uint64_t Second = 0;
-  };
-
-  InternedPairTable() = default;
-  InternedPairTable(const InternedPairTable &) = delete;
-  InternedPairTable &operator=(const InternedPairTable &) = delete;
-  ~InternedPairTable() {
-    for (auto &C : Chunks)
-      delete[] C.load(std::memory_order_relaxed);
-  }
-
-  /// Index of (\p First, \p Second), inserting on first sight.
-  uint32_t intern(uint64_t First, uint64_t Second) {
-    std::lock_guard<std::mutex> Lock(M);
-    uint64_t Key = First * 0x9E3779B97F4A7C15ull ^ Second;
-    auto [It, Inserted] = Index.try_emplace(Key, 0);
-    if (!Inserted) {
-      // Verify against the rare 64-bit mixing collision.
-      Pair P = get(It->second);
-      if (P.First == First && P.Second == Second)
-        return It->second;
-      // Collision: fall back to a linear probe over all entries.
-      uint32_t N = Count.load(std::memory_order_relaxed);
-      for (uint32_t I = 0; I < N; ++I) {
-        Pair Q = get(I);
-        if (Q.First == First && Q.Second == Second)
-          return I;
-      }
-    }
-    uint32_t Idx = Count.load(std::memory_order_relaxed);
-    assert(Idx < ChunkEntries * MaxChunks && "interned-pair table full");
-    size_t ChunkIdx = Idx / ChunkEntries;
-    Pair *C = Chunks[ChunkIdx].load(std::memory_order_acquire);
-    if (!C) {
-      C = new Pair[ChunkEntries];
-      Chunks[ChunkIdx].store(C, std::memory_order_release);
-    }
-    C[Idx % ChunkEntries] = {First, Second};
-    Count.store(Idx + 1, std::memory_order_release);
-    It->second = Idx;
-    return Idx;
-  }
-
-  /// Resolves an index returned by intern(). Lock-free.
-  Pair get(uint32_t Idx) const {
-    assert(Idx < Count.load(std::memory_order_acquire) &&
-           "interned-pair index out of range");
-    const Pair *C = Chunks[Idx / ChunkEntries].load(std::memory_order_acquire);
-    return C[Idx % ChunkEntries];
-  }
-
-  /// Number of distinct pairs interned so far.
-  uint32_t size() const { return Count.load(std::memory_order_acquire); }
-
-private:
-  static constexpr size_t ChunkEntries = 512;
-  static constexpr size_t MaxChunks = 4096; ///< 2M distinct pairs.
-
-  std::array<std::atomic<Pair *>, MaxChunks> Chunks{};
-  std::atomic<uint32_t> Count{0};
-  std::mutex M;
-  std::unordered_map<uint64_t, uint32_t> Index;
 };
 
 } // namespace eel

@@ -9,9 +9,10 @@
 /// editing pipeline fans out on. EEL's per-routine analyses — CFG
 /// construction with delay-slot normalization, liveness, backward slicing
 /// of indirect jumps, and routine layout — are independent across routines,
-/// so whole-executable throughput scales with cores once the two pieces of
-/// cross-routine state (the instruction flyweight pool and the statistics
-/// registry) are sharded.
+/// so whole-executable throughput scales with cores: the instructions they
+/// share come from a decode table frozen before they start, and the one
+/// piece of cross-routine mutable state, the statistics registry, is
+/// sharded.
 ///
 /// Scheduling model: each worker owns a deque; submissions are distributed
 /// round-robin; a worker pops its own deque LIFO and steals FIFO from

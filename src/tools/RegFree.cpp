@@ -26,10 +26,9 @@ RegFreeResult eel::freeRegisterEverywhere(Executable &Exec, unsigned Reg) {
       // Verbatim routines cannot be rewritten; they must not use Reg.
       bool Uses = false;
       for (Addr A = R->startAddr(); A + 4 <= R->endAddr(); A += 4) {
-        std::optional<MachWord> W = Exec.analysis().fetchWord(A);
-        if (!W)
+        const Instruction *I = Exec.analysis().instAt(A);
+        if (!I)
           break;
-        const Instruction *I = Exec.analysis().pool().getAt(A, *W);
         if (I->reads().contains(Reg) || I->writes().contains(Reg))
           Uses = true;
       }

@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests EEL's analysis layers: instruction abstraction and flyweight pool,
+/// Tests EEL's analysis layers: instruction abstraction and decode table,
 /// symbol-table refinement (§3.1), CFG construction and delay-slot
 /// normalization (§3.3, Figure 3), dominators/loops/liveness, and indirect
 /// jump resolution by slicing. Editing end-to-end is covered in EditTest.
@@ -18,6 +18,7 @@
 #include "core/Liveness.h"
 #include "core/Slice.h"
 #include "isa/SriscEncoding.h"
+#include "support/BitOps.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -64,13 +65,25 @@ TEST(InstructionTest, FactoryResolvesJmplOverloads) {
 
 TEST(InstructionTest, FlyweightSharing) {
   using namespace srisc;
-  InstructionPool Pool(sriscTarget());
-  const Instruction *A = Pool.get(encodeArithReg(Op3Add, 1, 2, 3));
-  const Instruction *B = Pool.get(encodeArithReg(Op3Add, 1, 2, 3));
-  const Instruction *C = Pool.get(encodeArithReg(Op3Add, 1, 2, 4));
+  // Three text words at 0x1000, the first two equal.
+  std::vector<uint8_t> Text(12);
+  storeLE32(&Text[0], encodeArithReg(Op3Add, 1, 2, 3));
+  storeLE32(&Text[4], encodeArithReg(Op3Add, 1, 2, 3));
+  storeLE32(&Text[8], encodeArithReg(Op3Add, 1, 2, 4));
+  DecodeTable Table(sriscTarget(), 0x1000, Text, /*Threads=*/1);
+  const Instruction *A = Table.at(0x1000);
+  const Instruction *B = Table.at(0x1004);
+  const Instruction *C = Table.at(0x1008);
+  ASSERT_NE(A, nullptr);
+  ASSERT_NE(C, nullptr);
   EXPECT_EQ(A, B);
   EXPECT_NE(A, C);
-  EXPECT_EQ(Pool.allocated(), 2u);
+  EXPECT_EQ(C->word(), encodeArithReg(Op3Add, 1, 2, 4));
+  EXPECT_EQ(Table.distinct(), 2u);
+  // Outside the text and between its words there is no instruction.
+  EXPECT_EQ(Table.at(0x0FFC), nullptr);
+  EXPECT_EQ(Table.at(0x100C), nullptr);
+  EXPECT_EQ(Table.at(0x1002), nullptr);
 }
 
 // --- Symbol refinement (§3.1) ---------------------------------------------------

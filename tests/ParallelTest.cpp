@@ -12,7 +12,8 @@
 /// writeEditedExecutable — at Threads = 1 and Threads = 8 over SRISC, MRISC
 /// and ARISC workloads, including the DisableSlicing / DisableDelayFolding
 /// ablations, and compare byte-for-byte; one case also compares the
-/// routine maps of multi-chunk images at Threads = 1, 2 and 8. Also
+/// routine maps of multi-chunk images at Threads = 1, 2 and 8, and another
+/// checks the decode table of the same images at those widths. Also
 /// unit-tests the thread pool's parallelForEach (exactly-once coverage,
 /// nesting).
 ///
@@ -22,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Executable.h"
+#include "support/BitOps.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "vm/Machine.h"
@@ -32,6 +34,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 using namespace eel;
@@ -324,49 +327,120 @@ TEST(ParallelDeterminism, DisableDelayFoldingAblation) {
   expectIdentical(Serial, Parallel);
 }
 
+/// A compiler style §3.1 refinement distinguishes.
+struct Style {
+  const char *Name;
+  unsigned TailCallPercent;
+  bool Pathologies;
+  bool Strip;
+};
+const Style Styles[] = {{"gcc", 0, false, false},
+                        {"sunpro", 35, false, false},
+                        {"stripped_gcc", 0, false, true},
+                        {"pathologies", 0, true, false}};
+
+/// A 300-routine image of \p Arch in style \p S: several scan chunks of
+/// text. The pathologies style also loses two consecutive routine names
+/// in every five.
+SxfFile styledImage(TargetArch Arch, const Style &S) {
+  WorkloadOptions W;
+  W.Seed = 11;
+  W.Routines = 300;
+  W.SegmentsPerRoutine = 6;
+  W.TailCallPercent = S.TailCallPercent;
+  W.SymbolPathologies = S.Pathologies;
+  W.AnnulledBranches = Arch == TargetArch::Srisc; // SRISC-only idiom
+  SxfFile File = generateWorkload(Arch, W);
+  if (S.Strip)
+    File.strip();
+  if (S.Pathologies) {
+    std::vector<SxfSymbol> Kept;
+    unsigned Seen = 0;
+    for (const SxfSymbol &Sym : File.Symbols)
+      if (Sym.Kind != SymKind::Routine || Sym.Value == File.Entry ||
+          ++Seen % 5 > 1)
+        Kept.push_back(Sym);
+    File.Symbols = std::move(Kept);
+  }
+  return File;
+}
+
+std::string styleTrace(TargetArch Arch, const Style &S) {
+  return std::string("arch=") + std::to_string(static_cast<int>(Arch)) +
+         " style=" + S.Name;
+}
+
+TEST(ParallelDeterminism, DecodeTableMatchesTextAtEveryWidth) {
+  // The decode table an analysis builds at construction, at every width:
+  // each text address's instruction carries the image's word there,
+  // equal words share one object, the objects number the distinct text
+  // words and eel.inst.allocated counts exactly those, and instAt() has
+  // nothing outside the text or between its words.
+  for (TargetArch Arch : AllTargetArches) {
+    for (const Style &S : Styles) {
+      SCOPED_TRACE(styleTrace(Arch, S));
+      SxfFile File = styledImage(Arch, S);
+      for (unsigned Threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE("threads=" + std::to_string(Threads));
+        StatRegistry::instance().resetAll();
+        Executable::Options E;
+        E.Threads = Threads;
+        Analysis An(SxfFile(File), E);
+        std::unordered_map<MachWord, const Instruction *> ByWord;
+        for (Addr A = An.textBase(); A < An.textEnd(); A += 4) {
+          const Instruction *I = An.instAt(A);
+          ASSERT_NE(I, nullptr);
+          ASSERT_EQ(I->word(), *File.readWord(A));
+          EXPECT_EQ(ByWord.emplace(I->word(), I).first->second, I);
+        }
+        EXPECT_EQ(An.pool().distinct(), ByWord.size());
+        EXPECT_EQ(StatRegistry::instance().read("eel.inst.allocated"),
+                  ByWord.size());
+        EXPECT_EQ(An.instAt(An.textBase() - 4), nullptr);
+        EXPECT_EQ(An.instAt(An.textEnd()), nullptr);
+        EXPECT_EQ(An.instAt(An.textBase() + 2), nullptr);
+        EXPECT_EQ(An.instAt(An.textEnd() - 1), nullptr);
+      }
+    }
+  }
+  // A text of 12,288 pseudo-random words, each twice: enough distinct
+  // words that construction, too, runs as several tasks.
+  std::vector<uint8_t> Text(8 * 3 * 4096);
+  uint32_t X = 2463534242u;
+  for (size_t I = 0; I < Text.size(); I += 8) {
+    X ^= X << 13;
+    X ^= X >> 17;
+    X ^= X << 5;
+    storeLE32(&Text[I], X);
+    storeLE32(&Text[I + 4], X);
+  }
+  for (TargetArch Arch : AllTargetArches)
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("random text, threads=" + std::to_string(Threads));
+      DecodeTable Table(targetFor(Arch), 0x1000, Text, Threads);
+      EXPECT_EQ(Table.distinct(), Text.size() / 8);
+      for (Addr A = 0x1000; A < 0x1000 + Text.size(); A += 8) {
+        const Instruction *I = Table.at(A);
+        ASSERT_NE(I, nullptr);
+        ASSERT_EQ(I->word(), loadLE32(&Text[A - 0x1000]));
+        ASSERT_EQ(Table.at(A + 4), I);
+      }
+    }
+}
+
 TEST(ParallelDeterminism, ChunkedRefinementMatchesAcrossWidths) {
   // Images large enough that the transfer scan and stage 3 split into
   // several chunks and stage 4 into hundreds of tasks, in every compiler
   // style refinement distinguishes: the routine map, the edited bytes and
-  // the whole counter snapshot must not depend on the width. The
-  // pathologies style also loses two consecutive routine names in every
-  // five, so calls into those routines land inside their predecessor and
-  // stage 3 gives it several extra entry points, found in many chunks.
-  struct Style {
-    const char *Name;
-    unsigned TailCallPercent;
-    bool Pathologies;
-    bool Strip;
-  };
-  const Style Styles[] = {{"gcc", 0, false, false},
-                          {"sunpro", 35, false, false},
-                          {"stripped_gcc", 0, false, true},
-                          {"pathologies", 0, true, false}};
+  // the whole counter snapshot must not depend on the width. In the
+  // pathologies style calls into the unnamed routines land inside their
+  // predecessor, and stage 3 gives it several extra entry points, found
+  // in many chunks.
   size_t MultiEntry = 0, Hidden = 0, Data = 0;
   for (TargetArch Arch : AllTargetArches) {
     for (const Style &S : Styles) {
-      SCOPED_TRACE(std::string("arch=") +
-                   std::to_string(static_cast<int>(Arch)) +
-                   " style=" + S.Name);
-      WorkloadOptions W;
-      W.Seed = 11;
-      W.Routines = 300;
-      W.SegmentsPerRoutine = 6;
-      W.TailCallPercent = S.TailCallPercent;
-      W.SymbolPathologies = S.Pathologies;
-      W.AnnulledBranches = Arch == TargetArch::Srisc; // SRISC-only idiom
-      SxfFile File = generateWorkload(Arch, W);
-      if (S.Strip)
-        File.strip();
-      if (S.Pathologies) {
-        std::vector<SxfSymbol> Kept;
-        unsigned Seen = 0;
-        for (const SxfSymbol &Sym : File.Symbols)
-          if (Sym.Kind != SymKind::Routine || Sym.Value == File.Entry ||
-              ++Seen % 5 > 1)
-            Kept.push_back(Sym);
-        File.Symbols = std::move(Kept);
-      }
+      SCOPED_TRACE(styleTrace(Arch, S));
+      SxfFile File = styledImage(Arch, S);
       Executable::Options E;
       PipelineResult Serial = runPipeline(File, E, 1);
       ASSERT_GE(Serial.TextWords, 4 * Analysis::ScanChunkWords);
