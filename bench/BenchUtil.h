@@ -84,7 +84,7 @@ inline void printHeader(const char *Title) {
 ///    "metrics": [{"name": ..., "value": ..., "unit": ...}, ...]}
 ///
 /// scripts/run_benches.sh runs every bench this way and splices the
-/// per-bench documents into BENCH_observability.json / BENCH_ir.json.
+/// per-bench documents into the BENCH_*.json suite files.
 /// The `bench-smoke` build target passes --smoke; benches that do heavy
 /// headline work shrink workloads and repetition counts when smoke() is
 /// set (and skip throughput assertions — a smoke rep proves the bench

@@ -237,47 +237,6 @@ int main(int argc, char **argv) {
     Sink.metric("verify_gate_overhead", (On / Off - 1.0) * 100.0, "percent");
   }
 
-  // Zero-copy emission against the seed byte-push writer it replaced, on
-  // the same instrumented edit. The legacy path is retained in tree as
-  // the byte-identity oracle (asserted in bench_ir and ArenaTest);
-  // here the two are timed against each other with the same min-of-N
-  // estimator as the verify gate above.
-  printHeader("Zero-copy emission vs legacy byte-push writer");
-  {
-    SxfFile File =
-        generateWorkload(TargetArch::Srisc, suiteMember(false, 13, 24));
-    auto editAndWrite = [&File](bool Legacy) {
-      Executable::Options Opts;
-      Opts.LegacyWriter = Legacy;
-      Executable Exec(SxfFile(File), Opts);
-      Qpt2Profiler Profiler(Exec);
-      Profiler.instrument();
-      benchmark::DoNotOptimize(Exec.writeEditedExecutable().hasValue());
-    };
-    using Clock = std::chrono::steady_clock;
-    const int Reps = Smoke ? 2 : 30;
-    auto fastestRep = [&](bool Legacy) {
-      double Best = 1e9;
-      for (int I = 0; I < Reps; ++I) {
-        auto T0 = Clock::now();
-        editAndWrite(Legacy);
-        auto T1 = Clock::now();
-        Best = std::min(Best, std::chrono::duration<double>(T1 - T0).count());
-      }
-      return Best;
-    };
-    editAndWrite(false); // warm up before timing either side
-    editAndWrite(true);
-    double ZeroCopy = fastestRep(false);
-    double Legacy = fastestRep(true);
-    std::printf("  edit+write, zero-copy:  %8.3f ms\n", ZeroCopy * 1e3);
-    std::printf("  edit+write, legacy:     %8.3f ms\n", Legacy * 1e3);
-    std::printf("  zero-copy gain:         %8.2fx\n", Legacy / ZeroCopy);
-    Sink.metric("zero_copy_edit_ms", ZeroCopy * 1e3, "ms");
-    Sink.metric("legacy_edit_ms", Legacy * 1e3, "ms");
-    Sink.metric("zero_copy_gain", Legacy / ZeroCopy, "x");
-  }
-
   // Tracing compiled in but disabled must be invisible: a disabled
   // EEL_TRACE_SCOPE is one relaxed atomic load and a branch, paid once
   // per span site the pipeline passes. The bench measures that per-site
@@ -314,25 +273,24 @@ int main(int argc, char **argv) {
 
     SxfFile File =
         generateWorkload(TargetArch::Srisc, suiteMember(false, 13, 24));
-    auto editOnce = [&File](bool Trace) {
-      Executable::Options Opts;
-      Opts.Trace = Trace;
-      Executable Exec(SxfFile(File), Opts);
+    auto editOnce = [&File] {
+      Executable Exec((SxfFile(File)));
       Qpt2Profiler Profiler(Exec);
       Profiler.instrument();
       benchmark::DoNotOptimize(Exec.writeEditedExecutable().hasValue());
     };
     // Count the span sites one edit crosses.
     TraceCollector::instance().reset();
-    editOnce(true);
+    traceSetEnabled(true);
+    editOnce();
     traceSetEnabled(false);
     uint64_t Sites = TraceCollector::instance().drain().size();
     // Time the same edit with tracing disabled (the shipping default).
-    editOnce(false);
+    editOnce();
     double BestEditNs = 1e18;
     for (int Rep = 0; Rep < (Smoke ? 2 : 10); ++Rep) {
       auto T0 = Clock::now();
-      editOnce(false);
+      editOnce();
       auto T1 = Clock::now();
       BestEditNs = std::min(
           BestEditNs, std::chrono::duration<double, std::nano>(T1 - T0).count());

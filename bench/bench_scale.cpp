@@ -87,9 +87,9 @@ bool drainInto(std::vector<TraceEvent> &Events) {
 bool runPass(const std::vector<uint8_t> &Bytes, unsigned Threads, Pass &P) {
   Executable::Options Opts;
   Opts.Threads = Threads;
-  Opts.Trace = true;
   std::vector<TraceEvent> Events;
   TraceCollector::instance().reset();
+  traceSetEnabled(true);
   auto Start = std::chrono::steady_clock::now();
   Expected<std::unique_ptr<Executable>> Opened =
       Executable::openImage(SxfFile::deserialize(Bytes).takeValue(), Opts);

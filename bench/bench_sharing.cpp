@@ -27,7 +27,7 @@ static void BM_PooledDecode(benchmark::State &State) {
       generateWorkload(TargetArch::Srisc, suiteMember(false, 5, 48));
   const SxfSegment *Text = File.segment(SegKind::Text);
   for (auto _ : State) {
-    DecodeTable Table(sriscTarget(), Text->VAddr, Text->Bytes, 1);
+    DecodeTable Table(sriscTarget(), Text->VAddr, Text->Bytes);
     uint64_t Sum = 0;
     for (size_t Off = 0; Off + 4 <= Text->Bytes.size(); Off += 4)
       Sum += static_cast<uint64_t>(Table.at(Text->VAddr + Off)->kind());
@@ -68,7 +68,7 @@ int main(int argc, char **argv) {
       const std::vector<uint8_t> &Text = File.segment(SegKind::Text)->Bytes;
       Words.insert(Words.end(), Text.begin(), Text.end() - Text.size() % 4);
     }
-    DecodeTable Table(targetFor(Arch), 0, Words, 1);
+    DecodeTable Table(targetFor(Arch), 0, Words);
     uint64_t Requested = Words.size() / 4;
     uint64_t Allocated = Table.distinct();
     const char *ArchName = Arch == TargetArch::Srisc   ? "srisc"

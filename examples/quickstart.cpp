@@ -60,9 +60,8 @@ int main(int argc, char **argv) {
   // Instrument: FOREACH_ROUTINE { FOREACH_BB { if (1 < succ size)
   // FOREACH_EDGE e->add_code_along(incr_count(num)); } }  (Figure 1).
   // Tracing on, so the run-report summary below has a phase tree.
-  Executable::Options ExecOptions;
-  ExecOptions.Trace = true;
-  Executable Exec(std::move(File), ExecOptions);
+  traceSetEnabled(true);
+  Executable Exec(std::move(File));
   Qpt2Profiler::Options ProfilerOptions;
   ProfilerOptions.CountBlocks = false;
   Qpt2Profiler Profiler(Exec, ProfilerOptions);

@@ -7,9 +7,6 @@
 #   BENCH_observability.json
 #     {"schema": "eel-bench/1", "suite": "observability",
 #      "benches": [<one object per bench, see bench/BenchUtil.h>]}
-#   BENCH_ir.json
-#     {"schema": "eel-bench/1", "suite": "ir", "benches": [...]}
-#       (the arena/SoA IR and zero-copy-writer benches)
 #   BENCH_serve.json
 #     {"schema": "eel-bench/1", "suite": "serve", "benches": [...]}
 #       (the eel-serve edit-service latency/throughput/caching bench)
@@ -45,10 +42,6 @@ OBSERVABILITY_BENCHES=(
   bench_load
 )
 
-IR_BENCHES=(
-  bench_ir
-)
-
 SERVE_BENCHES=(
   bench_serve
 )
@@ -57,16 +50,16 @@ SCALE_BENCHES=(
   bench_scale
 )
 
-for B in "${OBSERVABILITY_BENCHES[@]}" "${IR_BENCHES[@]}" \
-         "${SERVE_BENCHES[@]}" "${SCALE_BENCHES[@]}"; do
+for B in "${OBSERVABILITY_BENCHES[@]}" "${SERVE_BENCHES[@]}" \
+         "${SCALE_BENCHES[@]}"; do
   if [ ! -x "$BENCH_DIR/$B" ]; then
     echo "error: $BENCH_DIR/$B not built (cmake --build \"$BUILD_DIR\" -j)" >&2
     exit 1
   fi
 done
 
-for B in "${OBSERVABILITY_BENCHES[@]}" "${IR_BENCHES[@]}" \
-         "${SERVE_BENCHES[@]}" "${SCALE_BENCHES[@]}"; do
+for B in "${OBSERVABILITY_BENCHES[@]}" "${SERVE_BENCHES[@]}" \
+         "${SCALE_BENCHES[@]}"; do
   echo "== $B"
   "$BENCH_DIR/$B" --json="$TMP_DIR/$B.json" \
     --benchmark_min_time=0.05 > "$TMP_DIR/$B.log"
@@ -96,7 +89,6 @@ write_suite() {
 
 write_suite observability "$REPO_ROOT/BENCH_observability.json" \
   "${OBSERVABILITY_BENCHES[@]}"
-write_suite ir "$REPO_ROOT/BENCH_ir.json" "${IR_BENCHES[@]}"
 write_suite serve "$REPO_ROOT/BENCH_serve.json" "${SERVE_BENCHES[@]}"
 write_suite scale "$REPO_ROOT/BENCH_scale.json" "${SCALE_BENCHES[@]}"
 

@@ -100,17 +100,12 @@ std::string eel::canonicalOptionsString(const Executable::Options &Opts) {
     S += Key;
     S += V ? "=1;" : "=0;";
   };
-  Flag("rewrite_data_pointers", Opts.RewriteDataPointers);
   Flag("runtime_translation", Opts.EnableRuntimeTranslation);
   Flag("disable_slicing", Opts.DisableSlicing);
   Flag("disable_delay_folding", Opts.DisableDelayFolding);
   S += "threads=" + std::to_string(Opts.Threads) + ";";
-  Flag("legacy_writer", Opts.LegacyWriter);
   Flag("verify", Opts.Verify);
-  Flag("trace", Opts.Trace);
   Flag("no_symbols", Opts.NoSymbols);
-  S += "log_level=" +
-       std::to_string(static_cast<unsigned>(Opts.Log)) + ";";
   return S;
 }
 

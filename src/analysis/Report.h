@@ -54,10 +54,10 @@ inline uint64_t fnv1a64(std::string_view S) {
 }
 
 /// Canonical, stable rendering of every Executable::Options field, in
-/// declaration order (`rewrite_data_pointers=1;...;trace=0`). Two option
-/// sets produce the same string iff they configure identical pipelines —
-/// the digestable identity of "how" a run was configured, alongside the
-/// image hash's "what".
+/// declaration order (`runtime_translation=1;...;no_symbols=0;`). Two
+/// option sets produce the same string iff they configure identical
+/// pipelines — the digestable identity of "how" a run was configured,
+/// alongside the image hash's "what".
 std::string canonicalOptionsString(const Executable::Options &Opts);
 
 /// Digest of an option set, for provenance records and cache keys.

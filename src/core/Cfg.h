@@ -248,8 +248,6 @@ public:
   /// control-flow knowledge; the editor then adds run-time translation so
   /// control still reaches the correct edited instruction (§3.3).
   bool complete() const { return Complete; }
-  bool exotic() const { return Exotic; }
-  bool reachedInvalid() const { return ReachedInvalid; }
 
   /// True when the routine cannot be edited at all (data reached from an
   /// entry, a delayed transfer inside a delay slot, or control running off

@@ -7,7 +7,6 @@
 #include "core/Executable.h"
 
 #include "support/Error.h"
-#include "support/Trace.h"
 
 #include <algorithm>
 #include <thread>
@@ -22,33 +21,17 @@ static Addr firstFreeDataAddr(const SxfFile &Image) {
   return (High + 15) & ~15u;
 }
 
-/// Flips the process-wide gates \p Opts asks for and returns them, so the
-/// decode table's span records under an analysis that turns tracing on.
-static Analysis::Options openGates(Analysis::Options Opts) {
-  // Only enable — never disable — so one untraced analysis can't silence
-  // another's active trace.
-  if (Opts.Trace)
-    traceSetEnabled(true);
-  // Same one-way rule for the log gate: Off leaves the process-wide level
-  // where another run (or the embedding daemon) set it.
-  if (Opts.Log != LogLevel::Off)
-    logSetLevel(Opts.Log);
-  return Opts;
-}
-
 /// The decode table of \p Image's text segment (empty without one).
-static DecodeTable decodeText(const SxfFile &Image, const TargetInfo &Target,
-                              unsigned Threads) {
+static DecodeTable decodeText(const SxfFile &Image, const TargetInfo &Target) {
   const SxfSegment *Text = Image.segment(SegKind::Text);
   if (!Text)
-    return DecodeTable(Target, 0, {}, Threads);
-  return DecodeTable(Target, Text->VAddr, Text->Bytes, Threads);
+    return DecodeTable(Target, 0, {});
+  return DecodeTable(Target, Text->VAddr, Text->Bytes);
 }
 
 Analysis::Analysis(SxfFile ImageIn, Options OptsIn)
-    : Image(std::move(ImageIn)), Opts(openGates(OptsIn)),
-      Target(targetFor(Image.Arch)),
-      Pool(decodeText(Image, Target, effectiveThreads())) {}
+    : Image(std::move(ImageIn)), Opts(OptsIn), Target(targetFor(Image.Arch)),
+      Pool(decodeText(Image, Target)) {}
 
 Analysis::~Analysis() = default;
 

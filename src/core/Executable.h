@@ -26,8 +26,9 @@
 ///  * retargets all direct calls, branches, and inter-routine jumps;
 ///  * rewrites dispatch tables found by slicing to point at edited
 ///    locations, plus known code-pointer cells;
-///  * optionally scans the data segment for words that are code addresses
-///    and rewrites them (function pointers);
+///  * rewrites data words that point at code (function pointers): exactly
+///    the words the image's relocations name, or, for an image without
+///    relocations, every data word that equals a code address;
 ///  * appends a run-time translation routine and a sorted original→edited
 ///    address table for indirect jumps the analysis could not resolve,
 ///    so "run-time code ensures that control passes to the correct edited
@@ -41,7 +42,6 @@
 
 #include "core/Routine.h"
 #include "support/FlatMap.h"
-#include "support/Log.h"
 #include "sxf/Sxf.h"
 
 #include <map>
@@ -63,10 +63,6 @@ struct InferResult;
 class Analysis {
 public:
   struct Options {
-    /// Rewrite data words that equal instruction addresses (function
-    /// pointers). Precise rewrites (dispatch tables, cells found by
-    /// slicing) always happen; this enables the whole-segment scan.
-    bool RewriteDataPointers = true;
     /// Emit the run-time translation fallback for unanalyzable indirect
     /// jumps (§3.3). When off, routines with such jumps are copied
     /// verbatim and cannot be edited.
@@ -86,12 +82,6 @@ public:
     /// statistics, and span names (bar pool.worker occupancy spans) are
     /// identical across all settings.
     unsigned Threads = 0;
-    /// Use the seed (pre-arena) emission path: serialize each routine's
-    /// words into the text segment byte by byte after patching, instead of
-    /// the zero-copy preallocated-buffer writer. Kept as the byte-identity
-    /// reference oracle; bench_overhead measures the two against each
-    /// other.
-    bool LegacyWriter = false;
     /// Run the static verifier (analysis/Verifier.h) over every emitted
     /// image; writeEditedExecutable() fails with the findings if any check
     /// reports an error. The gate runs the re-analysis-free profile
@@ -100,31 +90,18 @@ public:
     /// only a few percent to the write path; full translation validation
     /// is the explicit verifyEdit()/eel-lint step. Off by default.
     bool Verify = false;
-    /// Enable span tracing (support/Trace.h) for this run: every pipeline
-    /// phase records RAII spans into per-thread rings, drainable at
-    /// quiescent points and exportable as Chrome trace-event JSON. The
-    /// flag is process-wide (it flips the global trace gate at
-    /// construction); disabled, the instrumentation costs <1% of pipeline
-    /// time (asserted by bench_overhead). Off by default.
-    bool Trace = false;
     /// Distrust the symbol table entirely: readContents() discards symbols
     /// and derives routine boundaries, entry points, and dispatch facts
     /// with the eel-infer fixpoint (analysis/Infer.h), exactly as it does
     /// automatically for stripped images. Lets tools cross-check lying
     /// symbol tables against heuristic inference (eel-lint --stripped).
     bool NoSymbols = false;
-    /// Structured-logging threshold (support/Log.h) for this run. Like
-    /// Trace, this is a process-wide one-way enable: any value other than
-    /// Off lowers the global log gate at construction; Off (the default)
-    /// leaves the current gate alone. Disabled-mode cost is a relaxed
-    /// load per EEL_LOG site (<0.1%, asserted by bench_overhead).
-    LogLevel Log = LogLevel::Off;
   };
 
-  /// Flips the process-wide trace and log gates the options ask for
-  /// (one-way: never disables), then decodes the text into the decode
-  /// table (the "decode" phase), fanned out over effectiveThreads().
-  /// Construction is a quiescent point.
+  /// Decodes the text into the decode table (the "decode" phase). Spans
+  /// and log records follow the process-wide gates (traceSetEnabled,
+  /// logSetLevel), which no option changes. Construction is a quiescent
+  /// point.
   Analysis(SxfFile Image, Options Opts);
   ~Analysis();
   Analysis(const Analysis &) = delete;

@@ -9,10 +9,7 @@
 #include "support/BitOps.h"
 #include "support/Error.h"
 #include "support/Stats.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
-
-#include <algorithm>
 
 using namespace eel;
 
@@ -142,19 +139,6 @@ WordNumbers numberWords(const uint8_t *Text, size_t N) {
   return R;
 }
 
-/// Word numbers, and text words, per task of the decode table's build.
-constexpr size_t TaskWords = 4096;
-
-/// Runs Body(Lo, Hi) over consecutive tasks of TaskWords indices covering
-/// [0, N), fanned out over \p Threads.
-template <typename BodyT>
-void forTasks(unsigned Threads, size_t N, BodyT Body) {
-  parallelForEach(Threads, (N + TaskWords - 1) / TaskWords,
-                  [N, &Body](size_t T) {
-                    Body(T * TaskWords, std::min(N, (T + 1) * TaskWords));
-                  });
-}
-
 } // namespace
 
 std::unique_ptr<Instruction> eel::makeInstruction(const TargetInfo &Target,
@@ -165,31 +149,18 @@ std::unique_ptr<Instruction> eel::makeInstruction(const TargetInfo &Target,
 }
 
 DecodeTable::DecodeTable(const TargetInfo &Target, Addr BaseIn,
-                         std::span<const uint8_t> Text, unsigned Threads)
+                         std::span<const uint8_t> Text)
     : Base(BaseIn) {
   EEL_TRACE_SCOPE("decode", "words", uint64_t(Text.size() / 4));
   const WordNumbers Numbers = numberWords(Text.data(), Text.size() / 4);
   Distinct = Numbers.Words.size();
   std::vector<const Instruction *> Insts(Distinct);
-  Arenas = std::vector<BumpArena>((Distinct + TaskWords - 1) / TaskWords);
-  forTasks(Threads, Distinct, [&](size_t Lo, size_t Hi) {
-    BumpArena &Arena = Arenas[Lo / TaskWords];
-    for (size_t Id = Lo; Id < Hi; ++Id)
-      Insts[Id] = buildInstruction<MakeInArena, Instruction *>(
-          Target, Numbers.Words[Id], Arena);
-  });
+  for (size_t Id = 0; Id < Distinct; ++Id)
+    Insts[Id] = buildInstruction<MakeInArena, Instruction *>(
+        Target, Numbers.Words[Id], Arena);
   ByAddr.resize(Numbers.Ids.size());
-  forTasks(Threads, ByAddr.size(), [&](size_t Lo, size_t Hi) {
-    for (size_t I = Lo; I < Hi; ++I)
-      ByAddr[I] = Insts[Numbers.Ids[I]];
-  });
+  for (size_t I = 0; I < ByAddr.size(); ++I)
+    ByAddr[I] = Insts[Numbers.Ids[I]];
   if (Distinct)
     bumpStat("eel.inst.allocated", Distinct);
-}
-
-size_t DecodeTable::arenaBytes() const {
-  size_t Total = 0;
-  for (const BumpArena &Arena : Arenas)
-    Total += Arena.bytesAllocated();
-  return Total;
 }

@@ -266,19 +266,17 @@ private:
 /// never changes again, so any number of threads read it without a lock:
 /// at() is a bounds check and one load.
 ///
-/// The build gives the same table at every width. A serial pass numbers
-/// the distinct words in order of first appearance; tasks of 4,096
-/// numbers then construct their instructions, each task into an arena of
-/// its own; and tasks of 4,096 addresses fill the entries. It bumps
+/// The build is serial: one pass numbers the distinct words in order of
+/// first appearance, one loop constructs their instructions into the
+/// table's arena, and one loop fills the entries. It bumps
 /// "eel.inst.allocated" (Table 1) once, by the distinct count.
 /// Instructions own nothing and are never destroyed; they die with the
-/// table's arenas.
+/// table's arena.
 class DecodeTable {
 public:
-  /// Decodes the whole words of \p Text, which is loaded at \p Base,
-  /// fanning construction out over \p Threads.
+  /// Decodes the whole words of \p Text, which is loaded at \p Base.
   DecodeTable(const TargetInfo &Target, Addr Base,
-              std::span<const uint8_t> Text, unsigned Threads);
+              std::span<const uint8_t> Text);
 
   /// The instruction at \p A, or nullptr when \p A is not a whole number
   /// of words into the text.
@@ -292,14 +290,11 @@ public:
   /// Instruction objects in the table: the number of distinct words.
   size_t distinct() const { return Distinct; }
 
-  /// Payload bytes of the arenas holding the instructions.
-  size_t arenaBytes() const;
-
 private:
   Addr Base;
   std::vector<const Instruction *> ByAddr;
   size_t Distinct = 0;
-  std::vector<BumpArena> Arenas;
+  BumpArena Arena;
 };
 
 /// Builds the right subclass for \p Word — the Figure 6 factory. Each call

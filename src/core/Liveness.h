@@ -44,10 +44,6 @@ public:
   /// preserve exactly these).
   RegSet liveOnEdge(const Edge *E) const;
 
-  /// All registers this target has (general registers plus condition
-  /// codes), the universe for "dead register" computations.
-  RegSet allRegs() const { return All; }
-
 private:
   RegSet transferCall(const BasicBlock *B, RegSet LiveOutSet) const;
   void compute(const Cfg &G);

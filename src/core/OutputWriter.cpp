@@ -178,15 +178,10 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   }
 
   // --- 5. Emit text, patch relocations, run call-backs ----------------------
-  // The default path is zero-copy: placement (phase 2) fixed the exact text
-  // size, so one contiguous buffer is allocated up front, every routine's
-  // words are emitted directly at their placed offsets, and relocation
-  // patching and snippet call-backs then operate in place on that buffer.
-  // The legacy (seed) path patches each routine's word vector first and
-  // serializes them byte by byte afterwards. Both orders write the same
-  // values to the same words — the patches depend only on the frozen
-  // address map and placement, never on neighbouring emitted bytes — so
-  // the images are byte-identical; tests assert this on a full corpus.
+  // Placement (phase 2) fixed the exact text size, so one buffer is
+  // allocated up front, every routine's words are emitted directly at
+  // their placed offsets, and relocation patching and snippet call-backs
+  // then operate in place on that buffer.
   SxfFile Out;
   Out.Arch = Image.Arch;
 
@@ -194,46 +189,28 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   TextSeg.Kind = SegKind::Text;
   TextSeg.VAddr = NewTextBase;
 
-  uint8_t *TextBuf = nullptr; // non-null selects the zero-copy accessors
-  if (!Opts.LegacyWriter) {
-    Phase.begin("write.emit");
-    TextSeg.Bytes.resize(static_cast<size_t>(Cursor - NewTextBase));
-    TextBuf = TextSeg.Bytes.data();
-    parallelForEach(NThreads, Placed.size(),
-                    [&Placed, TextBuf, NewTextBase](size_t Index) {
-                      const PlacedRoutine &P = Placed[Index];
-                      uint8_t *Dst = TextBuf + (P.Base - NewTextBase);
-                      for (MachWord W : P.Layout.Code) {
-                        storeLE32(Dst, W);
-                        Dst += 4;
-                      }
-                    });
-    if (!TranslatorCode.empty()) {
-      uint8_t *Dst = TextBuf + (TranslatorAddr - NewTextBase);
-      for (MachWord W : TranslatorCode) {
-        storeLE32(Dst, W);
-        Dst += 4;
-      }
+  Phase.begin("write.emit");
+  TextSeg.Bytes.resize(static_cast<size_t>(Cursor - NewTextBase));
+  uint8_t *const TextBuf = TextSeg.Bytes.data();
+  auto Emit = [TextBuf, NewTextBase](Addr At,
+                                     const std::vector<MachWord> &Words) {
+    uint8_t *Dst = TextBuf + (At - NewTextBase);
+    for (MachWord W : Words) {
+      storeLE32(Dst, W);
+      Dst += 4;
     }
-    for (size_t I = 0; I < AddedCode.size(); ++I) {
-      uint8_t *Dst = TextBuf + (AddedRoutines[I].PlacedAddr - NewTextBase);
-      for (MachWord W : AddedCode[I]) {
-        storeLE32(Dst, W);
-        Dst += 4;
-      }
-    }
-  }
-
-  auto LoadWord = [&](const PlacedRoutine &P, unsigned WI) -> MachWord {
-    if (TextBuf)
-      return loadLE32(TextBuf + (P.Base - NewTextBase) + size_t(4) * WI);
-    return P.Layout.Code[WI];
   };
-  auto StoreWord = [&](PlacedRoutine &P, unsigned WI, MachWord W) {
-    if (TextBuf)
-      storeLE32(TextBuf + (P.Base - NewTextBase) + size_t(4) * WI, W);
-    else
-      P.Layout.Code[WI] = W;
+  parallelForEach(NThreads, Placed.size(), [&Placed, &Emit](size_t Index) {
+    Emit(Placed[Index].Base, Placed[Index].Layout.Code);
+  });
+  if (!TranslatorCode.empty())
+    Emit(TranslatorAddr, TranslatorCode);
+  for (size_t I = 0; I < AddedCode.size(); ++I)
+    Emit(AddedRoutines[I].PlacedAddr, AddedCode[I]);
+
+  // Word \p WI of placed routine \p P, in the text buffer.
+  auto WordAt = [TextBuf, NewTextBase](const PlacedRoutine &P, unsigned WI) {
+    return TextBuf + (P.Base - NewTextBase) + size_t(4) * WI;
   };
 
   // Per-routine and independent once the address map is frozen (phase 2):
@@ -245,12 +222,12 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   std::vector<std::string> PatchErrors(Placed.size());
   parallelForEach(
       NThreads, Placed.size(),
-      [this, &Target, &Placed, &SiteCounts, &PatchErrors, &Parser, &LoadWord,
-       &StoreWord, TranslatorAddr](size_t Index) {
-        PlacedRoutine &P = Placed[Index];
+      [this, &Target, &Placed, &SiteCounts, &PatchErrors, &Parser, &WordAt,
+       TranslatorAddr](size_t Index) {
+        const PlacedRoutine &P = Placed[Index];
         for (const Reloc &Rl : P.Layout.Relocs) {
           Addr PC = P.Base + 4 * Rl.WordIndex;
-          MachWord Word = LoadWord(P, Rl.WordIndex);
+          MachWord Word = loadLE32(WordAt(P, Rl.WordIndex));
           switch (Rl.K) {
           case Reloc::Kind::CallTo:
           case Reloc::Kind::JumpTo: {
@@ -297,7 +274,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
             Word = Parser.applyImmLo(Word, TranslatorAddr);
             break;
           }
-          StoreWord(P, Rl.WordIndex, Word);
+          storeLE32(WordAt(P, Rl.WordIndex), Word);
         }
       });
   for (size_t Index = 0; Index < Placed.size(); ++Index) {
@@ -313,31 +290,16 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
       SnippetInstance &Inst = CB.Instance;
       Inst.StartAddr = P.Base + 4 * CB.WordIndex;
       for (size_t I = 0; I < Inst.Words.size(); ++I)
-        Inst.Words[I] = LoadWord(P, CB.WordIndex + static_cast<unsigned>(I));
+        Inst.Words[I] =
+            loadLE32(WordAt(P, CB.WordIndex + static_cast<unsigned>(I)));
       CB.Snippet->callback()(Inst);
       for (size_t I = 0; I < Inst.Words.size(); ++I)
-        StoreWord(P, CB.WordIndex + static_cast<unsigned>(I), Inst.Words[I]);
+        storeLE32(WordAt(P, CB.WordIndex + static_cast<unsigned>(I)),
+                  Inst.Words[I]);
     }
   }
 
   // --- 7. Build the output image ----------------------------------------------------
-  if (Opts.LegacyWriter) {
-    // Seed emission path: serialize the patched word vectors byte by byte.
-    Phase.begin("write.emit");
-    auto AppendWords = [&TextSeg](const std::vector<MachWord> &Words) {
-      for (MachWord W : Words) {
-        TextSeg.Bytes.push_back(static_cast<uint8_t>(W));
-        TextSeg.Bytes.push_back(static_cast<uint8_t>(W >> 8));
-        TextSeg.Bytes.push_back(static_cast<uint8_t>(W >> 16));
-        TextSeg.Bytes.push_back(static_cast<uint8_t>(W >> 24));
-      }
-    };
-    for (const PlacedRoutine &P : Placed)
-      AppendWords(P.Layout.Code);
-    AppendWords(TranslatorCode);
-    for (const auto &Words : AddedCode)
-      AppendWords(Words);
-  }
   Phase.begin("write.image");
   TextSeg.MemSize = static_cast<uint32_t>(TextSeg.Bytes.size());
   Out.Segments.push_back(std::move(TextSeg));
@@ -398,7 +360,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   // the heuristic whole-segment scan, which can mistake an integer for a
   // code pointer.
   Phase.begin("write.data_pointers");
-  if (Opts.RewriteDataPointers && !Image.Relocs.empty()) {
+  if (!Image.Relocs.empty()) {
     Addr TB = An->textBase(), TE = An->textEnd();
     for (const SxfReloc &Reloc : Image.Relocs) {
       if (Reloc.Kind != RelocKind::Word32)
@@ -411,7 +373,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
       Out.writeWord(Reloc.Site, It->second);
       ++Stats.DataPointersRewritten;
     }
-  } else if (Opts.RewriteDataPointers) {
+  } else {
     for (SxfSegment &Seg : Out.Segments) {
       if (Seg.Kind != SegKind::Data)
         continue;
@@ -461,7 +423,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
     }
     // Constant code-pointer cells behind inferred Literal jumps: precise,
     // unconditional rewrites (idempotent with the phase-8 pointer scan,
-    // which writes the same edited address when enabled).
+    // which writes the same edited address).
     for (const CellFix &Fix : P.Layout.CellFixes) {
       const SxfSegment *Seg = Image.segmentContaining(Fix.Cell);
       if (!Seg || Seg->Kind == SegKind::Text)

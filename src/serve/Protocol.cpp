@@ -17,8 +17,6 @@ std::vector<uint8_t> eel::encodeRequest(const ServeRequest &Req) {
   uint8_t Flags = 0;
   if (Req.Verify)
     Flags |= ServeFlagVerify;
-  if (Req.LegacyWriter)
-    Flags |= ServeFlagLegacyWriter;
   if (Req.WantMetrics)
     Flags |= ServeFlagMetrics;
   W.writeU8(Flags);
@@ -49,13 +47,11 @@ Expected<ServeRequest> eel::decodeRequest(const std::vector<uint8_t> &Payload) {
         .atOffset(4)
         .inField("version");
   uint8_t Flags = R.readU8();
-  if (!R.failed() &&
-      (Flags & ~(ServeFlagVerify | ServeFlagLegacyWriter | ServeFlagMetrics)))
+  if (!R.failed() && (Flags & ~(ServeFlagVerify | ServeFlagMetrics)))
     return Error(ErrorCode::BadHeader, "reserved flag bits set")
         .atOffset(5)
         .inField("flags");
   Req.Verify = (Flags & ServeFlagVerify) != 0;
-  Req.LegacyWriter = (Flags & ServeFlagLegacyWriter) != 0;
   Req.WantMetrics = (Flags & ServeFlagMetrics) != 0;
   Req.RequestId = R.readU64();
   Req.Threads = R.readU32();

@@ -70,13 +70,13 @@ constexpr uint32_t StatusResponseMagic = 0x72534c45u; // "ELSr"
 /// Version 2: request_id on edit frames, plus the ELSt/ELSr status pair.
 constexpr uint8_t ServeProtocolVersion = 2;
 
-/// Request flag bits (the `flags` byte).
+/// Request flag bits (the `flags` byte). Bit 1 and bits 3-7 are
+/// reserved: a request setting any of them is rejected.
 enum : uint8_t {
-  ServeFlagVerify = 1u << 0,       ///< Run the verifier gate on the write.
-  ServeFlagLegacyWriter = 1u << 1, ///< Use the byte-push reference writer.
-  ServeFlagMetrics = 1u << 2,      ///< Per-request counters/histograms and
-                                   ///< a phase tree in the envelope (the
-                                   ///< request runs isolated; see Serve.h).
+  ServeFlagVerify = 1u << 0,  ///< Run the verifier gate on the write.
+  ServeFlagMetrics = 1u << 2, ///< Per-request counters/histograms and a
+                              ///< phase tree in the envelope, recorded
+                              ///< into the request's own sink (Serve.h).
 };
 
 /// One edit request: which tool to run, how, and over what image.
@@ -84,7 +84,6 @@ struct ServeRequest {
   std::string ToolSpec;            ///< e.g. "qpt:edges", "tracer", "null".
   uint32_t Threads = 1;            ///< Executable::Options::Threads.
   bool Verify = false;
-  bool LegacyWriter = false;
   bool WantMetrics = false;
   /// Client-chosen correlation id; 0 asks the daemon to mint one. The
   /// effective id is echoed in the response frame and envelope and stamped

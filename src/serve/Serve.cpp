@@ -149,9 +149,8 @@ EditService::EditService(ServeLimits LimitsIn)
                                        std::thread::hardware_concurrency()))),
       StartedAt(std::chrono::steady_clock::now()) {
   // Exemplar capture needs spans: turn the process-wide trace gate on for
-  // the service's lifetime. One-way (never off in the destructor) under
-  // the same rule as Executable::Options::Trace — another service or test
-  // may still be relying on it.
+  // the service's lifetime. One-way (never off in the destructor): another
+  // service or test may still be relying on it.
   if (Limits.SlowRequestUs)
     traceSetEnabled(true);
   EEL_LOG(LogLevel::Info, "serve.start",
@@ -296,10 +295,6 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
   Executable::Options EOpts;
   EOpts.Threads = Req.Threads;
   EOpts.Verify = Req.Verify;
-  EOpts.LegacyWriter = Req.LegacyWriter;
-  // Never through Options::Trace: the analysis' gate flip is one-way and
-  // process-wide; a request traces through its sink.
-  EOpts.Trace = false;
 
   uint64_t ImageHash = fnv1a64(Req.ImageBytes.data(), Req.ImageBytes.size());
   uint64_t ToolDigest = fnv1a64(std::string_view(Req.ToolSpec));
@@ -387,7 +382,6 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
   Report.addOption("tool", Req.ToolSpec);
   Report.addOption("threads", uint64_t(Req.Threads));
   Report.addOption("verify", Req.Verify);
-  Report.addOption("legacy_writer", Req.LegacyWriter);
   Report.addOption("metrics", Req.WantMetrics);
   AnalysisCache::Stats CS = Cache.stats();
   if (Sink) {

@@ -12,7 +12,7 @@
 /// trivially destructible, which the flat IR types are by construction.
 ///
 /// The decode table (core/Instruction.h) places its flyweight instructions
-/// in arenas too, one per construction task, so building it takes no lock.
+/// in an arena too.
 ///
 //===----------------------------------------------------------------------===//
 

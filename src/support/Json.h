@@ -96,7 +96,6 @@ public:
     std::snprintf(Buf, sizeof(Buf), "%.6g", V);
     raw(Buf);
   }
-  void valueNull() { raw("null"); }
   /// Hex-formatted integer emitted as a JSON string ("0x1a2b").
   void valueHex(uint64_t V) {
     char Buf[24];

@@ -67,12 +67,6 @@ namespace log_detail {
 extern std::atomic<uint8_t> Level;
 } // namespace log_detail
 
-/// Current process-wide threshold.
-inline LogLevel logLevel() {
-  return static_cast<LogLevel>(
-      log_detail::Level.load(std::memory_order_relaxed));
-}
-
 /// True when a record at \p L would be admitted by the level gate. This is
 /// the entire disabled-mode cost of EEL_LOG: one relaxed load and a
 /// compare.

@@ -16,11 +16,10 @@
 /// every worker's writes).
 ///
 /// Two gates keep the cost out of production runs:
-///  - a runtime flag (traceSetEnabled / Executable::Options::Trace), or a
-///    request's metrics sink (below); when neither is on, the span
-///    constructor is a relaxed atomic load and a thread-local load, and
-///    the destructor a branch — no clock reads, no allocation, no ring
-///    writes;
+///  - a process-wide runtime flag (traceSetEnabled), or a request's
+///    metrics sink (below); when neither is on, the span constructor is a
+///    relaxed atomic load and a thread-local load, and the destructor a
+///    branch — no clock reads, no allocation, no ring writes;
 ///  - the EEL_TRACE_DISABLED compile-time macro, which turns every
 ///    EEL_TRACE_SCOPE into ((void)0) and every TracePhases into a no-op,
 ///    so tracing compiles out entirely.

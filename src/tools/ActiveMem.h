@@ -42,7 +42,6 @@ public:
   void instrument();
 
   unsigned sitesInstrumented() const { return Sites; }
-  unsigned sitesSkipped() const { return Skipped; }
 
   /// Simulation results, read from a finished run's memory.
   uint64_t accesses(const VmMemory &Memory) const;
@@ -57,7 +56,6 @@ private:
   Addr AccessCounter = 0;
   Addr MissCounter = 0;
   unsigned Sites = 0;
-  unsigned Skipped = 0;
 };
 
 } // namespace eel

@@ -111,7 +111,6 @@ void CycleCounter::instrument() {
         LastSyscall = I;
       }
       Charge(SegmentStart, Block->size(), /*Tail=*/true);
-      ++Blocks;
     }
   }
 }

@@ -42,7 +42,6 @@ public:
 
   uint64_t cycles(const VmMemory &Memory) const;
   uint64_t quantumExpirations(const VmMemory &Memory) const;
-  unsigned blocksInstrumented() const { return Blocks; }
   unsigned edgeIncrements() const { return EdgeIncrements; }
 
 private:
@@ -53,7 +52,6 @@ private:
   Addr CycleCell = 0;
   Addr NextQuantumCell = 0;
   Addr ExpirationsCell = 0;
-  unsigned Blocks = 0;
   unsigned EdgeIncrements = 0;
 };
 

@@ -11,19 +11,21 @@
 ///  * BumpArena growth, alignment, oversized-chunk handling, and reset;
 ///  * InstrIdx/BlockIdx handle round-trips: every block's insts() span is
 ///    exactly its [firstInstr(), +size()) slice of Cfg::instRows();
-///  * byte identity of the zero-copy writer against Options::LegacyWriter
-///    over the workload corpus, and 1-vs-8-thread determinism of the
-///    zero-copy path.
+///  * the zero-copy writer over the workload corpus: every edited image
+///    passes the full five-pass verifier and behaves like the original in
+///    the VM, and 1 and 8 threads write the same bytes.
 ///
 /// Registered under the ctest label `ir` so a -DEEL_SANITIZE build can run
 /// just these: `ctest -L ir`.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "analysis/Verifier.h"
 #include "core/Executable.h"
 #include "core/Routine.h"
 #include "support/Arena.h"
 #include "tools/Qpt.h"
+#include "vm/Machine.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -141,13 +143,12 @@ TEST(FlatIrTest, BlockSpansTileTheRowArray) {
   EXPECT_GT(GraphsChecked, 0u);
 }
 
-// --- Writer byte identity and determinism -----------------------------------------
+// --- Writer correctness and determinism -------------------------------------------
 
 std::vector<uint8_t> editedImage(const SxfFile &File, unsigned Threads,
-                                 bool Legacy, bool Instrument) {
+                                 bool Instrument) {
   Executable::Options Opts;
   Opts.Threads = Threads;
-  Opts.LegacyWriter = Legacy;
   Executable Exec(SxfFile(File), Opts);
   Exec.readContents();
   if (Instrument) {
@@ -161,31 +162,42 @@ std::vector<uint8_t> editedImage(const SxfFile &File, unsigned Threads,
   return Edited.value().serialize();
 }
 
-TEST(ZeroCopyWriterTest, ByteIdenticalToLegacyWriterAcrossCorpus) {
+TEST(ZeroCopyWriterTest, CorpusImagesPassFullVerification) {
+  // The full verifier re-disassembles each written image (pass 5) and
+  // checks it against the edit that produced it; the VM run checks the
+  // program still does what the original did.
   for (TargetArch Arch : AllTargetArches)
     for (uint64_t Seed : {31u, 32u, 33u})
       for (bool Sunpro : {false, true})
         for (bool Instrument : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "arch " << static_cast<int>(Arch) << " seed "
+                       << Seed << " sunpro " << Sunpro << " instrumented "
+                       << Instrument);
           SxfFile File = generateWorkload(Arch, corpusMember(Seed, Sunpro));
-          std::vector<uint8_t> ZeroCopy =
-              editedImage(File, 1, /*Legacy=*/false, Instrument);
-          std::vector<uint8_t> Legacy =
-              editedImage(File, 1, /*Legacy=*/true, Instrument);
-          ASSERT_FALSE(ZeroCopy.empty());
-          EXPECT_EQ(ZeroCopy, Legacy)
-              << "arch " << (Arch == TargetArch::Srisc ? "srisc" : "mrisc")
-              << " seed " << Seed << " sunpro " << Sunpro << " instrumented "
-              << Instrument;
+          Executable Exec((SxfFile(File)));
+          ASSERT_FALSE(Exec.readContents().hasError());
+          if (Instrument) {
+            Qpt2Profiler Profiler(Exec);
+            Profiler.instrument();
+          }
+          Expected<SxfFile> Edited = Exec.writeEditedExecutable();
+          ASSERT_TRUE(Edited.hasValue()) << Edited.error().describe();
+          DiagnosticReport Report = verifyEdit(Exec, Edited.value());
+          EXPECT_EQ(Report.errorCount(), 0u) << Report.renderText();
+          RunResult Orig = runToCompletion(File);
+          RunResult After = runToCompletion(Edited.value());
+          EXPECT_EQ(After.Reason, StopReason::Exited);
+          EXPECT_EQ(After.ExitCode, Orig.ExitCode);
+          EXPECT_EQ(After.Output, Orig.Output);
         }
 }
 
 TEST(ZeroCopyWriterTest, ThreadCountDoesNotChangeOutput) {
   for (uint64_t Seed : {41u, 42u}) {
     SxfFile File = generateWorkload(TargetArch::Srisc, corpusMember(Seed, true));
-    std::vector<uint8_t> Serial =
-        editedImage(File, 1, /*Legacy=*/false, /*Instrument=*/true);
-    std::vector<uint8_t> Parallel =
-        editedImage(File, 8, /*Legacy=*/false, /*Instrument=*/true);
+    std::vector<uint8_t> Serial = editedImage(File, 1, /*Instrument=*/true);
+    std::vector<uint8_t> Parallel = editedImage(File, 8, /*Instrument=*/true);
     ASSERT_FALSE(Serial.empty());
     EXPECT_EQ(Serial, Parallel) << "seed " << Seed;
   }

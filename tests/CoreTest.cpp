@@ -70,7 +70,7 @@ TEST(InstructionTest, FlyweightSharing) {
   storeLE32(&Text[0], encodeArithReg(Op3Add, 1, 2, 3));
   storeLE32(&Text[4], encodeArithReg(Op3Add, 1, 2, 3));
   storeLE32(&Text[8], encodeArithReg(Op3Add, 1, 2, 4));
-  DecodeTable Table(sriscTarget(), 0x1000, Text, /*Threads=*/1);
+  DecodeTable Table(sriscTarget(), 0x1000, Text);
   const Instruction *A = Table.at(0x1000);
   const Instruction *B = Table.at(0x1004);
   const Instruction *C = Table.at(0x1008);

@@ -403,8 +403,8 @@ TEST(ParallelDeterminism, DecodeTableMatchesTextAtEveryWidth) {
       }
     }
   }
-  // A text of 12,288 pseudo-random words, each twice: enough distinct
-  // words that construction, too, runs as several tasks.
+  // A text of 12,288 pseudo-random words, each twice: more distinct words
+  // than one arena chunk holds instructions.
   std::vector<uint8_t> Text(8 * 3 * 4096);
   uint32_t X = 2463534242u;
   for (size_t I = 0; I < Text.size(); I += 8) {
@@ -414,18 +414,18 @@ TEST(ParallelDeterminism, DecodeTableMatchesTextAtEveryWidth) {
     storeLE32(&Text[I], X);
     storeLE32(&Text[I + 4], X);
   }
-  for (TargetArch Arch : AllTargetArches)
-    for (unsigned Threads : {1u, 2u, 8u}) {
-      SCOPED_TRACE("random text, threads=" + std::to_string(Threads));
-      DecodeTable Table(targetFor(Arch), 0x1000, Text, Threads);
-      EXPECT_EQ(Table.distinct(), Text.size() / 8);
-      for (Addr A = 0x1000; A < 0x1000 + Text.size(); A += 8) {
-        const Instruction *I = Table.at(A);
-        ASSERT_NE(I, nullptr);
-        ASSERT_EQ(I->word(), loadLE32(&Text[A - 0x1000]));
-        ASSERT_EQ(Table.at(A + 4), I);
-      }
+  for (TargetArch Arch : AllTargetArches) {
+    SCOPED_TRACE("random text, arch=" +
+                 std::to_string(static_cast<int>(Arch)));
+    DecodeTable Table(targetFor(Arch), 0x1000, Text);
+    EXPECT_EQ(Table.distinct(), Text.size() / 8);
+    for (Addr A = 0x1000; A < 0x1000 + Text.size(); A += 8) {
+      const Instruction *I = Table.at(A);
+      ASSERT_NE(I, nullptr);
+      ASSERT_EQ(I->word(), loadLE32(&Text[A - 0x1000]));
+      ASSERT_EQ(Table.at(A + 4), I);
     }
+  }
 }
 
 TEST(ParallelDeterminism, ChunkedRefinementMatchesAcrossWidths) {

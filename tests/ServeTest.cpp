@@ -136,7 +136,6 @@ TEST(ServeProtocol, RequestRoundTrip) {
   EXPECT_EQ(Back.value().ToolSpec, "qpt:edges");
   EXPECT_EQ(Back.value().Threads, 4u);
   EXPECT_TRUE(Back.value().Verify);
-  EXPECT_FALSE(Back.value().LegacyWriter);
   EXPECT_TRUE(Back.value().WantMetrics);
   EXPECT_EQ(Back.value().ImageBytes, Req.ImageBytes);
 }
@@ -170,12 +169,14 @@ TEST(ServeProtocol, HostileFramesGetTaxonomyCodes) {
   ASSERT_TRUE(R2.hasError());
   EXPECT_EQ(R2.error().code(), ErrorCode::BadHeader);
 
-  // Reserved flag bits.
-  std::vector<uint8_t> BadFlags = Good;
-  BadFlags[5] = 0x80;
-  Expected<ServeRequest> R3 = decodeRequest(BadFlags);
-  ASSERT_TRUE(R3.hasError());
-  EXPECT_EQ(R3.error().code(), ErrorCode::BadHeader);
+  // Reserved flag bits: bit 1 and bits 3-7.
+  for (uint8_t Reserved : {0x02, 0x08, 0x80}) {
+    std::vector<uint8_t> BadFlags = Good;
+    BadFlags[5] = Reserved;
+    Expected<ServeRequest> R3 = decodeRequest(BadFlags);
+    ASSERT_TRUE(R3.hasError()) << "flags 0x" << std::hex << int(Reserved);
+    EXPECT_EQ(R3.error().code(), ErrorCode::BadHeader);
+  }
 
   // Truncation at every prefix length must produce Truncated or
   // ImplausibleCount, never a crash or acceptance.

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "asmkit/Assembler.h"
+#include "isa/AriscEncoding.h"
 #include "isa/Descriptions.h"
 #include "isa/MriscEncoding.h"
 #include "isa/SriscEncoding.h"
@@ -276,6 +277,14 @@ TEST(SpawnEquivalence, MriscRandomSweep) {
     expectSameAnalysis(Hand, Spawn, static_cast<MachWord>(R.next()));
 }
 
+TEST(SpawnEquivalence, AriscRandomSweep) {
+  const TargetInfo &Hand = ariscTarget();
+  const TargetInfo &Spawn = spawnAriscTarget();
+  Rng R(2026);
+  for (int I = 0; I < 30000; ++I)
+    expectSameAnalysis(Hand, Spawn, static_cast<MachWord>(R.next()));
+}
+
 TEST(SpawnEquivalence, SriscStructuredSweep) {
   // Random words rarely hit rare-but-valid encodings; enumerate the
   // structured space: every op3, cond, annul bit, i bit.
@@ -319,6 +328,37 @@ TEST(SpawnEquivalence, MriscStructuredSweep) {
         // R-type: shamt often must be zero for validity.
         expectSameAnalysis(Hand, Spawn, insertBits(W, 6, 10, 0));
         expectSameAnalysis(Hand, Spawn, insertBits(W, 21, 25, 0));
+      }
+    }
+  }
+}
+
+TEST(SpawnEquivalence, AriscStructuredSweep) {
+  // Every major opcode with random fills. A random fill rarely encodes a
+  // valid operate, jmp, sys or ldih word, so those also run with the
+  // bits they must leave clear zeroed (for operate, the func field's
+  // high bits, which reaches every defined func).
+  const TargetInfo &Hand = ariscTarget();
+  const TargetInfo &Spawn = spawnAriscTarget();
+  Rng R(9);
+  for (uint32_t Op = 0; Op < 64; ++Op) {
+    for (int I = 0; I < 200; ++I) {
+      MachWord W = static_cast<MachWord>(R.next());
+      W = insertBits(W, 26, 31, Op);
+      expectSameAnalysis(Hand, Spawn, W);
+      switch (Op) {
+      case arisc::OpOperate:
+        expectSameAnalysis(Hand, Spawn, insertBits(W, 4, 10, 0));
+        break;
+      case arisc::OpJmp:
+        expectSameAnalysis(Hand, Spawn, insertBits(W, 0, 15, 0));
+        break;
+      case arisc::OpSys:
+        expectSameAnalysis(Hand, Spawn, insertBits(W, 16, 25, 0));
+        break;
+      case arisc::OpLdih:
+        expectSameAnalysis(Hand, Spawn, insertBits(W, 21, 25, 0));
+        break;
       }
     }
   }

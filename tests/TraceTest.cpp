@@ -75,7 +75,7 @@ PipelineArtifacts runTracedPipeline(unsigned Threads) {
 
   Executable::Options EOpts;
   EOpts.Threads = Threads;
-  EOpts.Trace = true;
+  traceSetEnabled(true);
   Executable Exec(std::move(File), EOpts);
   Expected<bool> Read = Exec.readContents();
   EXPECT_FALSE(Read.hasError());
@@ -228,7 +228,7 @@ TEST(Determinism, LayoutBuildsNoAnalysisAtAnyWidth) {
     TraceCollector::instance().reset();
     Executable::Options EOpts;
     EOpts.Threads = Threads;
-    EOpts.Trace = true;
+    traceSetEnabled(true);
     Executable Exec(SxfFile(File), EOpts);
     ASSERT_FALSE(Exec.readContents().hasError());
     ASSERT_FALSE(Exec.writeEditedExecutable().hasError());

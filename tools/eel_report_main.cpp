@@ -153,10 +153,10 @@ int main(int argc, char **argv) {
   StatRegistry::instance().resetAll();
   HistogramRegistry::instance().resetAll();
   TraceCollector::instance().reset();
+  traceSetEnabled(true);
 
   Executable::Options EOpts;
   EOpts.Threads = Config.Threads;
-  EOpts.Trace = true;
   Expected<std::unique_ptr<Executable>> Opened =
       Executable::openImage(std::move(Image), EOpts);
   if (Opened.hasError()) {
@@ -196,7 +196,6 @@ int main(int argc, char **argv) {
   Report.addOption("effective_threads",
                    uint64_t(Exec.analysis().effectiveThreads()));
   Report.addOption("verify", Config.Verify);
-  Report.addOption("rewrite_data_pointers", EOpts.RewriteDataPointers);
   Report.addOption("runtime_translation", EOpts.EnableRuntimeTranslation);
   Report.captureMetrics();
   std::vector<TraceEvent> Spans = TraceCollector::instance().drain();
