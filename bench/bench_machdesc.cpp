@@ -17,8 +17,9 @@
 ///    though the spawn-generated code ran at the same speed."
 ///
 /// Rows: description lines vs handwritten-backend lines vs generated-file
-/// lines, per target; benchmarks compare handwritten and spawn-derived
-/// decode+classify+reads/writes throughput.
+/// lines, per target; decode() nanoseconds per word for the handwritten
+/// and the (uncached) spawn-derived target on the same sampled words; and
+/// the spawn decode table against its linear matcher.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 
 using namespace eel;
@@ -54,10 +56,9 @@ std::vector<MachWord> sampleWords(TargetArch Arch, unsigned Count) {
 uint64_t analyzeAll(const TargetInfo &T, const std::vector<MachWord> &Words) {
   uint64_t Sum = 0;
   for (MachWord W : Words) {
-    Sum += static_cast<uint64_t>(T.classify(W));
-    Sum += T.reads(W).mask();
-    Sum += T.writes(W).mask();
-    Sum += static_cast<uint64_t>(T.hasDelaySlot(W));
+    DecodedWord D = T.decode(W);
+    Sum += static_cast<uint64_t>(D.Category) + D.Reads.mask() +
+           D.Writes.mask() + static_cast<uint64_t>(D.Delay);
   }
   return Sum;
 }
@@ -72,10 +73,11 @@ static void BM_HandwrittenAnalysis(benchmark::State &State) {
 BENCHMARK(BM_HandwrittenAnalysis)->Unit(benchmark::kMillisecond);
 
 static void BM_SpawnAnalysis(benchmark::State &State) {
+  // Every decode() interprets the word's RTL afresh: the spawn target keeps
+  // no per-word cache, so this times the description-derived analysis
+  // itself on the same words as BM_HandwrittenAnalysis.
   std::vector<MachWord> Words = sampleWords(TargetArch::Srisc, 20000);
   const TargetInfo &T = spawn::spawnSriscTarget();
-  analyzeAll(T, Words); // warm the per-word summary cache, as spawn's
-                        // generated code would be specialized up front
   for (auto _ : State)
     benchmark::DoNotOptimize(analyzeAll(T, Words));
 }
@@ -158,9 +160,43 @@ int main(int argc, char **argv) {
   std::printf("\npaper: SPARC 145-line description vs 2,268 handwritten "
               "vs 6,178 generated;\nMIPS description 128 lines. Expected "
               "shape: description << handwritten < generated.\n");
-  std::printf("\n§5 speed claim: compare BM_HandwrittenAnalysis vs "
-              "BM_SpawnAnalysis above\n(spawn-generated analysis should be "
-              "the same order of magnitude).\n");
+
+  // §5's speed claim, measured per word: decode() on the handwritten
+  // backend against the uncached spawn target, on the same sampled words.
+  printHeader("§5: decode() cost per word, handwritten vs spawn-derived");
+  std::printf("%-8s %12s %12s %10s\n", "target", "hand ns", "spawn ns",
+              "ratio");
+  unsigned DecodeWords = Sink.smoke() ? 2000 : 20000;
+  for (TargetArch Arch : AllTargetArches) {
+    std::vector<MachWord> Words = sampleWords(Arch, DecodeWords);
+    auto NsPerWord = [&Words](const TargetInfo &T, unsigned Reps) {
+      double Best = 0;
+      for (unsigned R = 0; R < 3; ++R) {
+        auto Start = std::chrono::steady_clock::now();
+        uint64_t Sum = 0;
+        for (unsigned I = 0; I < Reps; ++I)
+          Sum += analyzeAll(T, Words);
+        double Ns = std::chrono::duration<double, std::nano>(
+                        std::chrono::steady_clock::now() - Start)
+                        .count() /
+                    (double(Reps) * Words.size());
+        benchmark::DoNotOptimize(Sum);
+        Best = R == 0 ? Ns : std::min(Best, Ns);
+      }
+      return Best;
+    };
+    const char *Name = targetFor(Arch).name();
+    double HandNs = NsPerWord(targetFor(Arch), Sink.smoke() ? 1 : 20);
+    double SpawnNs = NsPerWord(spawn::spawnTargetFor(Arch), 1);
+    std::printf("%-8s %12.1f %12.1f %9.0fx\n", Name, HandNs, SpawnNs,
+                HandNs > 0 ? SpawnNs / HandNs : 0.0);
+    Sink.metric(std::string("decode_ns_hand_") + Name, HandNs, "ns");
+    Sink.metric(std::string("decode_ns_spawn_") + Name, SpawnNs, "ns");
+  }
+  std::printf("\npaper §5: the spawn-generated code \"ran at the same "
+              "speed\" as the handwritten.\nHere the spawn target "
+              "interprets RTL per word; a compiled decode() per ISA\nis "
+              "what replacing the handwritten decoders needs.\n");
 
   // Decode throughput: the compiled decode table vs the bucketed linear
   // scan it replaced, with a byte-identity check — the table must agree

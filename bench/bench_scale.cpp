@@ -158,8 +158,11 @@ int main(int argc, char **argv) {
 
   // Repetitions interleave the sizes and widths, so a slow spell of the
   // host lands on every size rather than inflating one of them. Run
-  // Sizes.size() + W is the largest image at Widths[W]; it follows the
-  // largest image's Threads = 1 run, whose bytes it must reproduce.
+  // Sizes.size() + W is the largest image at Widths[W]; its bytes must
+  // reproduce the largest image's Threads = 1 run. Odd repetitions run the
+  // largest image's widths in reverse order, so no width's rows always
+  // follow the same pass (the allocator state a pass leaves behind is the
+  // next pass's starting point).
   std::vector<std::vector<uint8_t>> Images;
   for (unsigned N : Sizes)
     Images.push_back(imageOf(N));
@@ -170,7 +173,9 @@ int main(int argc, char **argv) {
   std::vector<size_t> Refined(Runs);
   std::vector<uint8_t> Reference;
   for (unsigned Rep = 0; Rep < Reps; ++Rep) {
-    for (size_t I = 0; I < Runs; ++I) {
+    for (size_t K = 0; K < Runs; ++K) {
+      const size_t I =
+          Rep % 2 == 1 && K >= Largest ? Runs - 1 - (K - Largest) : K;
       const size_t Image = std::min(I, Largest);
       const unsigned Threads = I > Largest ? Widths[I - Sizes.size()] : 1;
       Pass P;
@@ -181,9 +186,9 @@ int main(int argc, char **argv) {
                      P.Error.c_str());
         return 1;
       }
-      if (I == Largest) {
-        Reference = std::move(P.Bytes);
-      } else if (I > Largest && P.Bytes != Reference) {
+      if (Reference.empty() && I == Largest) {
+        Reference = std::move(P.Bytes); // repetition 0 runs it first
+      } else if (I >= Largest && P.Bytes != Reference) {
         std::fprintf(stderr, "FAIL: %u routines at Threads = %u edit to "
                              "other bytes than at Threads = 1\n",
                      Sizes[Image], Threads);

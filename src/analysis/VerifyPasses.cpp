@@ -513,14 +513,15 @@ void eel::verify::checkDelaySlotsImage(RoutineCheckContext &Ctx) {
       std::optional<MachWord> NewW = Ctx.Edited->readWord(MappedA->second);
       if (!NewW)
         continue;
-      if (Target.classify(*NewW) != InstCategory::BranchDirect ||
-          Target.isConditional(*NewW) != Term->isConditional()) {
+      DecodedWord New = Target.decode(*NewW);
+      if (New.Category != InstCategory::BranchDirect ||
+          New.Conditional != Term->isConditional()) {
         Ctx.diag(VerifyPass::DelaySlot, DiagSeverity::Error, Id,
                  MappedA->second, true,
                  "re-laid-out branch changed instruction shape");
         continue;
       }
-      if (Target.delayBehavior(*NewW) != Term->delayBehavior()) {
+      if (New.Delay != Term->delayBehavior()) {
         Ctx.diag(VerifyPass::DelaySlot, DiagSeverity::Error, Id,
                  MappedA->second, true,
                  "re-laid-out branch changed its annul behavior");
@@ -664,13 +665,14 @@ std::optional<Addr> followStub(const SxfFile &Edited, const TargetInfo &Target,
       Bad = true;
       return std::nullopt;
     }
-    InstCategory Cat = Target.classify(*W);
+    DecodedWord D = Target.decode(*W);
+    InstCategory Cat = D.Category;
     if (Cat == InstCategory::BranchDirect || Cat == InstCategory::JumpDirect) {
-      if (Target.isConditional(*W)) {
+      if (D.Conditional) {
         Opaque = true; // conditional edge code; cannot follow statically
         return std::nullopt;
       }
-      return Target.directTarget(*W, At);
+      return D.directTarget(At);
     }
     if (Cat == InstCategory::IndirectJump || Cat == InstCategory::Invalid) {
       Opaque = Cat == InstCategory::IndirectJump;
@@ -707,7 +709,7 @@ void eel::verify::checkLayoutConsistency(RoutineCheckContext &Ctx) {
       std::optional<MachWord> W = Exec.analysis().fetchWord(A);
       if (!W)
         break;
-      std::optional<Addr> T = Target.directTarget(*W, A);
+      std::optional<Addr> T = Target.decode(*W).directTarget(A);
       if (!T || R.contains(*T))
         continue;
       Routine *Dest = Exec.analysis().routineContaining(*T);
@@ -721,7 +723,7 @@ void eel::verify::checkLayoutConsistency(RoutineCheckContext &Ctx) {
       Ctx.check();
       std::optional<MachWord> NewW = Ctx.Edited->readWord(*NewPC);
       std::optional<Addr> Resolved =
-          NewW ? Target.directTarget(*NewW, *NewPC) : std::nullopt;
+          NewW ? Target.decode(*NewW).directTarget(*NewPC) : std::nullopt;
       if (!Resolved || *Resolved != *NewT)
         Ctx.diag(VerifyPass::LayoutConsistency, DiagSeverity::Error, -1,
                  *NewPC, true,
@@ -756,14 +758,17 @@ void eel::verify::checkLayoutConsistency(RoutineCheckContext &Ctx) {
       continue;
     Ctx.check();
     std::optional<MachWord> NewW = Ctx.Edited->readWord(*NewPC);
-    if (!NewW || Target.classify(*NewW) != InstCategory::CallDirect) {
+    std::optional<DecodedWord> New;
+    if (NewW)
+      New = Target.decode(*NewW);
+    if (!New || New->Category != InstCategory::CallDirect) {
       Ctx.diag(VerifyPass::LayoutConsistency, DiagSeverity::Error,
                static_cast<int>(B->id()), *NewPC, true,
                "edited image does not hold a call at the call's mapped "
                "address");
       continue;
     }
-    std::optional<Addr> Resolved = Target.directTarget(*NewW, *NewPC);
+    std::optional<Addr> Resolved = New->directTarget(*NewPC);
     if (!Resolved || *Resolved != *NewT)
       Ctx.diag(VerifyPass::LayoutConsistency, DiagSeverity::Error,
                static_cast<int>(B->id()), *NewPC, true,
@@ -779,8 +784,8 @@ void eel::verify::checkLayoutConsistency(RoutineCheckContext &Ctx) {
     if (B->kind() != BlockKind::Normal || Touched.count(B))
       continue;
     for (unsigned I = 1; I < B->size(); ++I) {
-      DataOp Prev = B->insts()[I - 1].Inst->dataOp();
-      DataOp Cur = B->insts()[I].Inst->dataOp();
+      const DataOp &Prev = B->insts()[I - 1].Inst->dataOp();
+      const DataOp &Cur = B->insts()[I].Inst->dataOp();
       if (Prev.Kind != DataOpKind::LoadImmHi)
         continue;
       if ((Cur.Kind != DataOpKind::Or && Cur.Kind != DataOpKind::Add) ||
@@ -805,7 +810,7 @@ void eel::verify::checkLayoutConsistency(RoutineCheckContext &Ctx) {
       std::optional<MachWord> W2 = Ctx.Edited->readWord(*NewLo);
       if (!W1 || !W2)
         continue;
-      DataOp D1 = Target.dataOp(*W1), D2 = Target.dataOp(*W2);
+      DataOp D1 = Target.decode(*W1).Op, D2 = Target.decode(*W2).Op;
       bool Ok = D1.Kind == DataOpKind::LoadImmHi && D2.HasImm &&
                 (D2.Kind == DataOpKind::Or || D2.Kind == DataOpKind::Add);
       uint32_t Got = 0;

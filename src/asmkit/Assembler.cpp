@@ -501,7 +501,7 @@ Expected<SxfFile> Driver::run(const std::string &Source) {
     case FixupKind::PcRelative: {
       Addr PC = sectionBase(PF.Sec) + PF.Offset;
       std::optional<MachWord> Retargeted =
-          Target.retargetDirect(Old, PC, Value);
+          retargetDirect(Target.decode(Old), Old, PC, Value);
       if (!Retargeted)
         return Error("line " + std::to_string(PF.Line) +
                      ": branch target out of range");

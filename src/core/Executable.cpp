@@ -194,28 +194,25 @@ void Executable::replaceInst(const BasicBlock *Block, unsigned InstIndex,
                              MachWord NewWord) {
   assert(Block->editable() && "block is not editable");
   assert(InstIndex < Block->size() && "instruction index out of range");
-  [[maybe_unused]] const TargetInfo &Target = target();
   [[maybe_unused]] const CfgInst &Old = Block->insts()[InstIndex];
-  assert(Target.classify(NewWord) != InstCategory::Invalid &&
+  [[maybe_unused]] const DecodedWord New = target().decode(NewWord);
+  [[maybe_unused]] const DecodedWord &Prev = Old.Inst->decoded();
+  assert(New.Category != InstCategory::Invalid &&
          "replacement must be a valid instruction");
   if (Old.Inst->isControlTransfer()) {
     // A transfer may only be replaced by one with identical control
     // structure: same category, conditionality, delay behaviour, and
     // static target (register renamings of compare-and-branch forms).
-    assert(Target.classify(NewWord) == Target.classify(Old.Inst->word()) &&
-           Target.isConditional(NewWord) ==
-               Target.isConditional(Old.Inst->word()) &&
-           Target.delayBehavior(NewWord) == Old.Inst->delayBehavior() &&
-           Target.directTarget(NewWord, Old.OrigAddr) ==
-               Old.Inst->directTarget(Old.OrigAddr) &&
+    assert(New.Category == Prev.Category &&
+           New.Conditional == Prev.Conditional && New.Delay == Prev.Delay &&
+           New.directTarget(Old.OrigAddr) == Prev.directTarget(Old.OrigAddr) &&
            "replacement transfer changes control flow");
     assert(Old.Inst->kind() != InstKind::IndirectJump &&
            Old.Inst->kind() != InstKind::IndirectCall &&
            Old.Inst->kind() != InstKind::Return &&
            "indirect transfers cannot be replaced");
   } else {
-    assert(!Target.hasDelaySlot(NewWord) &&
-           "a non-transfer cannot become a transfer");
+    assert(!New.hasDelaySlot() && "a non-transfer cannot become a transfer");
   }
   Edit E;
   E.K = Edit::Kind::Replace;

@@ -15,61 +15,50 @@ using namespace eel;
 
 Instruction::~Instruction() = default;
 
-Instruction::Instruction(InstKind Kind, const TargetInfo &Target,
-                         MachWord Word)
-    : Kind(Kind), Word(Word), Target(Target) {
-  // One decode pass gathers every per-word fact (backends override
-  // decodeMeta with a single-classify implementation).
-  TargetInfo::InstMeta Meta = Target.decodeMeta(Word);
-  Reads = Meta.Reads;
-  Writes = Meta.Writes;
-  DelaySlot = Meta.HasDelaySlot;
-  Delay = Meta.Delay;
-  Conditional = Meta.Conditional;
-}
-
 namespace {
 
-/// Shared factory skeleton: invokes Make<T>(args...) with the subclass
-/// matching the word's category.
+/// Shared factory skeleton: decodes \p Word once and invokes
+/// Make<T>(args...) with the subclass matching its category.
 template <template <typename> class MakeT, typename Result, typename... Extra>
 Result buildInstruction(const TargetInfo &Target, MachWord Word,
                         Extra &&...E) {
-  switch (Target.classify(Word)) {
+  const DecodedWord D = Target.decode(Word);
+  switch (D.Category) {
   case InstCategory::Invalid:
-    return MakeT<InvalidInst>()(std::forward<Extra>(E)..., Target, Word);
+    return MakeT<InvalidInst>()(std::forward<Extra>(E)..., Target, Word, D);
   case InstCategory::Computation:
-    return MakeT<ComputationInst>()(std::forward<Extra>(E)..., Target, Word);
+    return MakeT<ComputationInst>()(std::forward<Extra>(E)..., Target, Word, D);
   case InstCategory::Load:
     return MakeT<MemoryInst>()(std::forward<Extra>(E)..., InstKind::Load,
-                               Target, Word);
+                               Target, Word, D);
   case InstCategory::Store:
     return MakeT<MemoryInst>()(std::forward<Extra>(E)..., InstKind::Store,
-                               Target, Word);
+                               Target, Word, D);
   case InstCategory::LoadStore:
     return MakeT<MemoryInst>()(std::forward<Extra>(E)..., InstKind::LoadStore,
-                               Target, Word);
+                               Target, Word, D);
   case InstCategory::BranchDirect:
-    return MakeT<BranchInst>()(std::forward<Extra>(E)..., Target, Word);
+    return MakeT<BranchInst>()(std::forward<Extra>(E)..., Target, Word, D);
   case InstCategory::JumpDirect:
-    return MakeT<JumpInst>()(std::forward<Extra>(E)..., Target, Word);
+    return MakeT<JumpInst>()(std::forward<Extra>(E)..., Target, Word, D);
   case InstCategory::CallDirect:
-    return MakeT<CallInst>()(std::forward<Extra>(E)..., Target, Word);
+    return MakeT<CallInst>()(std::forward<Extra>(E)..., Target, Word, D);
   case InstCategory::System:
-    return MakeT<SystemCallInst>()(std::forward<Extra>(E)..., Target, Word);
+    return MakeT<SystemCallInst>()(std::forward<Extra>(E)..., Target, Word, D);
   case InstCategory::IndirectJump: {
     // Resolve the overloaded uses by convention (Figure 6 of the paper):
     // writing the link register makes it a call; jumping through the link
     // register at the conventional offset makes it a return.
     const TargetConventions &Conv = Target.conventions();
-    IndirectTargetInfo Info = *Target.indirectTarget(Word);
+    const IndirectTargetInfo &Info = D.Indirect;
     if (Info.LinkReg == Conv.LinkReg && Conv.LinkReg != 0)
-      return MakeT<IndirectCallInst>()(std::forward<Extra>(E)..., Target,
-                                       Word);
+      return MakeT<IndirectCallInst>()(std::forward<Extra>(E)...,
+                                       Target, Word, D);
     if (Info.LinkReg == 0 && !Info.HasIndex && Info.BaseReg == Conv.LinkReg &&
         Info.Offset == Conv.ReturnOffset)
-      return MakeT<ReturnInst>()(std::forward<Extra>(E)..., Target, Word);
-    return MakeT<IndirectJumpInst>()(std::forward<Extra>(E)..., Target, Word);
+      return MakeT<ReturnInst>()(std::forward<Extra>(E)..., Target, Word, D);
+    return MakeT<IndirectJumpInst>()(std::forward<Extra>(E)...,
+                                     Target, Word, D);
   }
   }
   unreachable("unhandled instruction category");

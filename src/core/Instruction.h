@@ -11,10 +11,11 @@
 /// methods about their effect on program state, so tools analyze EEL
 /// instructions in place of machine instructions.
 ///
-/// Construction mirrors Figure 6: the target layer supplies the raw
-/// category, and the three overloaded uses of an indirect jump (indirect
-/// call, return, jump) are resolved here using the target's calling
-/// conventions, exactly where the paper resolves SPARC's jmpl overloads.
+/// Construction mirrors Figure 6: the target layer decodes the word once
+/// (TargetInfo::decode), and the three overloaded uses of an indirect jump
+/// (indirect call, return, jump) are resolved here using the target's
+/// calling conventions, exactly where the paper resolves SPARC's jmpl
+/// overloads. Every inquiry below reads that one decoded answer.
 ///
 /// As in EEL, only one instruction object exists per distinct machine word
 /// (per decode table); the paper reports this flyweight cuts allocations
@@ -63,13 +64,16 @@ public:
   MachWord word() const { return Word; }
   const TargetInfo &target() const { return Target; }
 
-  /// Registers read / written (condition codes included as RegIdCC).
-  const RegSet &reads() const { return Reads; }
-  const RegSet &writes() const { return Writes; }
+  /// The target's whole answer about this word.
+  const DecodedWord &decoded() const { return D; }
 
-  bool hasDelaySlot() const { return DelaySlot; }
-  DelayBehavior delayBehavior() const { return Delay; }
-  bool isConditional() const { return Conditional; }
+  /// Registers read / written (condition codes included as RegIdCC).
+  const RegSet &reads() const { return D.Reads; }
+  const RegSet &writes() const { return D.Writes; }
+
+  bool hasDelaySlot() const { return D.hasDelaySlot(); }
+  DelayBehavior delayBehavior() const { return D.Delay; }
+  bool isConditional() const { return D.Conditional; }
 
   bool isControlTransfer() const {
     switch (Kind) {
@@ -92,11 +96,11 @@ public:
 
   /// Static target of a direct transfer executed at \p PC.
   std::optional<Addr> directTarget(Addr PC) const {
-    return Target.directTarget(Word, PC);
+    return D.directTarget(PC);
   }
 
   /// Dataflow shape for slicing (DataOpKind::None when inexpressible).
-  DataOp dataOp() const { return Target.dataOp(Word); }
+  const DataOp &dataOp() const { return D.Op; }
 
   std::string disassemble(Addr PC) const {
     return Target.disassemble(Word, PC);
@@ -105,24 +109,23 @@ public:
   static bool classof(const Instruction *) { return true; }
 
 protected:
-  Instruction(InstKind Kind, const TargetInfo &Target, MachWord Word);
+  Instruction(InstKind Kind, const TargetInfo &Target, MachWord Word,
+              const DecodedWord &D)
+      : Target(Target), Word(Word), Kind(Kind), D(D) {}
 
 private:
-  InstKind Kind;
-  MachWord Word;
   const TargetInfo &Target;
-  RegSet Reads, Writes;
-  bool DelaySlot = false;
-  DelayBehavior Delay = DelayBehavior::None;
-  bool Conditional = false;
+  MachWord Word;
+  InstKind Kind;
+  DecodedWord D;
 };
 
 /// A word that does not decode: probably data (§3.1 stage 4 uses these to
 /// find data tables masquerading as routines).
 class InvalidInst : public Instruction {
 public:
-  InvalidInst(const TargetInfo &T, MachWord W)
-      : Instruction(InstKind::Invalid, T, W) {}
+  InvalidInst(const TargetInfo &T, MachWord W, const DecodedWord &D)
+      : Instruction(InstKind::Invalid, T, W, D) {}
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::Invalid;
   }
@@ -131,8 +134,8 @@ public:
 /// Ordinary computation.
 class ComputationInst : public Instruction {
 public:
-  ComputationInst(const TargetInfo &T, MachWord W)
-      : Instruction(InstKind::Computation, T, W) {}
+  ComputationInst(const TargetInfo &T, MachWord W, const DecodedWord &D)
+      : Instruction(InstKind::Computation, T, W, D) {}
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::Computation;
   }
@@ -141,21 +144,19 @@ public:
 /// Loads, stores, and combined accesses.
 class MemoryInst : public Instruction {
 public:
-  MemoryInst(InstKind Kind, const TargetInfo &T, MachWord W)
-      : Instruction(Kind, T, W), Mem(*T.memOp(W)) {}
+  MemoryInst(InstKind Kind, const TargetInfo &T,
+             MachWord W, const DecodedWord &D)
+      : Instruction(Kind, T, W, D) {}
 
-  const MemOp &memOp() const { return Mem; }
-  bool isLoad() const { return Mem.IsLoad; }
-  bool isStore() const { return Mem.IsStore; }
-  unsigned width() const { return Mem.Width; }
+  const MemOp &memOp() const { return decoded().Mem; }
+  bool isLoad() const { return memOp().IsLoad; }
+  bool isStore() const { return memOp().IsStore; }
+  unsigned width() const { return memOp().Width; }
 
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::Load || I->kind() == InstKind::Store ||
            I->kind() == InstKind::LoadStore;
   }
-
-private:
-  MemOp Mem;
 };
 
 /// Common base of all control transfers.
@@ -170,8 +171,8 @@ public:
 /// Conditional PC-relative branch.
 class BranchInst : public ControlInst {
 public:
-  BranchInst(const TargetInfo &T, MachWord W)
-      : ControlInst(InstKind::Branch, T, W) {}
+  BranchInst(const TargetInfo &T, MachWord W, const DecodedWord &D)
+      : ControlInst(InstKind::Branch, T, W, D) {}
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::Branch;
   }
@@ -180,8 +181,8 @@ public:
 /// Unconditional direct jump.
 class JumpInst : public ControlInst {
 public:
-  JumpInst(const TargetInfo &T, MachWord W)
-      : ControlInst(InstKind::Jump, T, W) {}
+  JumpInst(const TargetInfo &T, MachWord W, const DecodedWord &D)
+      : ControlInst(InstKind::Jump, T, W, D) {}
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::Jump;
   }
@@ -190,8 +191,8 @@ public:
 /// Direct call.
 class CallInst : public ControlInst {
 public:
-  CallInst(const TargetInfo &T, MachWord W)
-      : ControlInst(InstKind::Call, T, W) {}
+  CallInst(const TargetInfo &T, MachWord W, const DecodedWord &D)
+      : ControlInst(InstKind::Call, T, W, D) {}
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::Call;
   }
@@ -200,25 +201,23 @@ public:
 /// Base of register-target transfers; exposes the address computation.
 class IndirectInst : public ControlInst {
 public:
-  IndirectInst(InstKind Kind, const TargetInfo &T, MachWord W)
-      : ControlInst(Kind, T, W), Info(*T.indirectTarget(W)) {}
+  IndirectInst(InstKind Kind, const TargetInfo &T,
+               MachWord W, const DecodedWord &D)
+      : ControlInst(Kind, T, W, D) {}
 
-  const IndirectTargetInfo &targetInfo() const { return Info; }
+  const IndirectTargetInfo &targetInfo() const { return decoded().Indirect; }
 
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::IndirectJump ||
            I->kind() == InstKind::IndirectCall ||
            I->kind() == InstKind::Return;
   }
-
-private:
-  IndirectTargetInfo Info;
 };
 
 class IndirectJumpInst : public IndirectInst {
 public:
-  IndirectJumpInst(const TargetInfo &T, MachWord W)
-      : IndirectInst(InstKind::IndirectJump, T, W) {}
+  IndirectJumpInst(const TargetInfo &T, MachWord W, const DecodedWord &D)
+      : IndirectInst(InstKind::IndirectJump, T, W, D) {}
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::IndirectJump;
   }
@@ -226,8 +225,8 @@ public:
 
 class IndirectCallInst : public IndirectInst {
 public:
-  IndirectCallInst(const TargetInfo &T, MachWord W)
-      : IndirectInst(InstKind::IndirectCall, T, W) {}
+  IndirectCallInst(const TargetInfo &T, MachWord W, const DecodedWord &D)
+      : IndirectInst(InstKind::IndirectCall, T, W, D) {}
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::IndirectCall;
   }
@@ -235,8 +234,8 @@ public:
 
 class ReturnInst : public IndirectInst {
 public:
-  ReturnInst(const TargetInfo &T, MachWord W)
-      : IndirectInst(InstKind::Return, T, W) {}
+  ReturnInst(const TargetInfo &T, MachWord W, const DecodedWord &D)
+      : IndirectInst(InstKind::Return, T, W, D) {}
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::Return;
   }
@@ -244,20 +243,16 @@ public:
 
 class SystemCallInst : public Instruction {
 public:
-  SystemCallInst(const TargetInfo &T, MachWord W)
-      : Instruction(InstKind::SystemCall, T, W),
-        Number(T.syscallNumber(W)) {}
+  SystemCallInst(const TargetInfo &T, MachWord W, const DecodedWord &D)
+      : Instruction(InstKind::SystemCall, T, W, D) {}
 
   /// Trap number when it is an immediate field (as Figure 6 extracts the
   /// SPARC trap literal); nullopt when register-carried.
-  std::optional<unsigned> number() const { return Number; }
+  std::optional<unsigned> number() const { return decoded().TrapNumber; }
 
   static bool classof(const Instruction *I) {
     return I->kind() == InstKind::SystemCall;
   }
-
-private:
-  std::optional<unsigned> Number;
 };
 
 /// The flyweight decode table (§3.4): one Instruction per distinct machine

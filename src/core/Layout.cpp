@@ -359,13 +359,13 @@ void RoutineLayouter::noteMaterialization(const Instruction *I,
   // address, and arrange to rewrite them to the edited address. This is
   // how statically materialized code pointers (including the literal-jump
   // idiom §3.3 mentions) keep working after code moves.
-  DataOp Cur = I->dataOp();
+  const DataOp &Cur = I->dataOp();
   if (Cur.Kind != DataOpKind::Or && Cur.Kind != DataOpKind::Add)
     return;
   if (!Cur.HasImm || Cur.Rd != Cur.Rs1 || WordIndex == 0)
     return;
   MachWord PrevWord = Out.Code[WordIndex - 1];
-  DataOp Prev = Target.dataOp(PrevWord);
+  DataOp Prev = Target.decode(PrevWord).Op;
   if (Prev.Kind != DataOpKind::LoadImmHi || Prev.Rd != Cur.Rd)
     return;
   uint32_t Value = Cur.Kind == DataOpKind::Or
@@ -584,7 +584,7 @@ Expected<bool> RoutineLayouter::lowerJump(const BasicBlock *B,
   if (!Edited &&
       (!HasDelay || (!AnnulAlways && !An.options().DisableDelayFolding))) {
     std::optional<MachWord> CanRetarget =
-        Target.retargetDirect(I->word(), 0, 0x1000);
+        retargetDirect(I->decoded(), I->word(), 0, 0x1000);
     if (CanRetarget) {
       unsigned At = here();
       emitWord(terminatorWord(B, Term));
@@ -801,7 +801,7 @@ Expected<bool> RoutineLayouter::runVerbatim() {
       // since the whole routine moves.
       if (T && R.contains(*T)) {
         std::optional<MachWord> SameRel =
-            Target.retargetDirect(W, A + 0x1000, *T + 0x1000);
+            retargetDirect(I->decoded(), W, A + 0x1000, *T + 0x1000);
         if (!SameRel || *SameRel != W) {
           Reloc Rl;
           Rl.K = Reloc::Kind::JumpTo;

@@ -235,7 +235,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
             if (It == AddrMap.end())
               break; // bogus transfer decoded from data: leave untouched
             std::optional<MachWord> New =
-                Target.retargetDirect(Word, PC, It->second);
+                retargetDirect(Target.decode(Word), Word, PC, It->second);
             if (!New) {
               PatchErrors[Index] = "routine '" + P.R->name() +
                                    "': edited transfer target out of range";
@@ -247,7 +247,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
           case Reloc::Kind::Internal: {
             Addr Dest = P.Base + 4 * Rl.DestWordIndex;
             std::optional<MachWord> New =
-                Target.retargetDirect(Word, PC, Dest);
+                retargetDirect(Target.decode(Word), Word, PC, Dest);
             if (!New) {
               PatchErrors[Index] = "routine '" + P.R->name() +
                                    "': internal transfer out of range";

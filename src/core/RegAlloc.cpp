@@ -13,23 +13,21 @@
 
 using namespace eel;
 
-Expected<ScavengePlan> eel::planScavenge(const TargetInfo &Target,
-                                         const CodeSnippet &Snippet,
-                                         const RegSet &Live) {
+/// The plan for \p Snippet, whose body words \p Body decodes.
+static Expected<ScavengePlan> planFor(const TargetInfo &Target,
+                                      const CodeSnippet &Snippet,
+                                      const std::vector<DecodedWord> &Body,
+                                      const RegSet &Live) {
   const TargetConventions &Conv = Target.conventions();
 
   // Registers the body names literally (reads or writes) that are not
   // placeholders must keep their identity; they cannot receive a
   // placeholder assignment.
   RegSet LiterallyUsed;
-  for (MachWord W : Snippet.body()) {
-    for (unsigned Reg : Target.reads(W))
+  for (const DecodedWord &D : Body)
+    for (unsigned Reg : D.Reads | D.Writes)
       if (Reg < 32)
         LiterallyUsed.insert(Reg);
-    for (unsigned Reg : Target.writes(W))
-      if (Reg < 32)
-        LiterallyUsed.insert(Reg);
-  }
   LiterallyUsed.remove(Snippet.regsToAllocate());
 
   RegSet Universe;
@@ -86,11 +84,28 @@ Expected<ScavengePlan> eel::planScavenge(const TargetInfo &Target,
   return Plan;
 }
 
+/// Decodes each body word once, for both the plan and the renaming.
+static std::vector<DecodedWord> decodeBody(const TargetInfo &Target,
+                                           const CodeSnippet &Snippet) {
+  std::vector<DecodedWord> Body;
+  Body.reserve(Snippet.body().size());
+  for (MachWord W : Snippet.body())
+    Body.push_back(Target.decode(W));
+  return Body;
+}
+
+Expected<ScavengePlan> eel::planScavenge(const TargetInfo &Target,
+                                         const CodeSnippet &Snippet,
+                                         const RegSet &Live) {
+  return planFor(Target, Snippet, decodeBody(Target, Snippet), Live);
+}
+
 Expected<SnippetInstance> eel::instantiateSnippet(const TargetInfo &Target,
                                                   const CodeSnippet &Snippet,
                                                   const RegSet &Live) {
   bumpStat("eel.snippet.instances");
-  Expected<ScavengePlan> Planned = planScavenge(Target, Snippet, Live);
+  const std::vector<DecodedWord> Body = decodeBody(Target, Snippet);
+  Expected<ScavengePlan> Planned = planFor(Target, Snippet, Body, Live);
   if (Planned.hasError())
     return Planned.error();
   const ScavengePlan &Plan = Planned.value();
@@ -130,11 +145,9 @@ Expected<SnippetInstance> eel::instantiateSnippet(const TargetInfo &Target,
   Inst.BodyBegin = static_cast<unsigned>(Inst.Words.size());
 
   // Body with placeholders rewritten.
-  auto Map = [&Inst](unsigned Reg) -> unsigned {
-    return Reg < 32 ? Inst.RegMap[Reg] : Reg;
-  };
-  for (MachWord W : Snippet.body()) {
-    std::optional<MachWord> New = Target.rewriteRegisters(W, Map);
+  for (size_t I = 0; I < Body.size(); ++I) {
+    std::optional<MachWord> New =
+        rewriteRegisters(Body[I], Snippet.body()[I], Inst.RegMap);
     if (!New)
       return Error("snippet instruction cannot be register-rewritten");
     Inst.Words.push_back(*New);

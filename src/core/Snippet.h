@@ -35,7 +35,7 @@ struct SnippetInstance {
   std::vector<MachWord> Words;
   /// Map from placeholder register number to assigned register; identity
   /// for registers not in the snippet's allocation set.
-  std::array<uint8_t, 32> RegMap;
+  RegisterMap RegMap;
   unsigned SpillCount = 0;    ///< Registers spilled to satisfy allocation.
   bool SavedCC = false;       ///< Condition codes saved/restored around it.
   Addr StartAddr = 0;         ///< Final placement (known at callback time).

@@ -7,9 +7,9 @@
 /// \file
 /// The handwritten machine-specific layer for ARISC, the Alpha-like third
 /// target. Its distinguishing property is the *absence* of delay slots:
-/// every control transfer takes effect immediately, so this backend answers
-/// "no" to every delay query and its emit helpers produce single-word
-/// transfers with no trailing nop. Any machine-independent code that still
+/// every control transfer takes effect immediately, so its decode() never
+/// reports a delay slot and its emit helpers produce single-word transfers
+/// with no trailing nop. Any machine-independent code that still
 /// works correctly on ARISC genuinely contains no SPARC-isms.
 ///
 //===----------------------------------------------------------------------===//
@@ -23,6 +23,18 @@
 
 using namespace eel;
 using namespace eel::arisc;
+
+/// A word displacement in bits [0, Hi], relative to the next instruction.
+static DirectShape nextPcRelative(unsigned Hi, int32_t DispWords) {
+  DirectShape S;
+  S.HasField = true;
+  S.Signed = true;
+  S.Shift = 2;
+  S.Field = {0, static_cast<uint8_t>(Hi)};
+  S.Bias = 4;
+  S.Value = 4 + static_cast<uint32_t>(DispWords) * 4;
+  return S;
+}
 
 namespace {
 
@@ -63,382 +75,131 @@ public:
     return Names[Reg];
   }
 
-  InstCategory classify(MachWord W) const override {
-    switch (fieldOp(W)) {
-    case OpOperate:
-      return fieldFunc(W) <= FnCmplt ? InstCategory::Computation
-                                     : InstCategory::Invalid;
-    case OpAddi:
-    case OpAndi:
-    case OpOri:
-    case OpXori:
-    case OpSlli:
-    case OpSrli:
-    case OpSrai:
-    case OpCmplti:
-      return InstCategory::Computation;
-    case OpLdih:
-      return fieldRa(W) == 0 ? InstCategory::Computation
-                             : InstCategory::Invalid;
-    case OpLdw:
-    case OpLdb:
-    case OpLdbu:
-    case OpLdh:
-    case OpLdhu:
-      return InstCategory::Load;
-    case OpStw:
-    case OpStb:
-    case OpSth:
-      return InstCategory::Store;
-    case OpBeq:
-    case OpBne:
-    case OpBlt:
-    case OpBle:
-      return InstCategory::BranchDirect;
-    case OpBr:
-      return InstCategory::JumpDirect;
-    case OpBsr:
-      return InstCategory::CallDirect;
-    case OpJmp:
-      return fieldUimm16(W) == 0 ? InstCategory::IndirectJump
-                                 : InstCategory::Invalid;
-    case OpSys:
-      return fieldRa(W) == 0 && fieldRb(W) == 0 ? InstCategory::System
-                                                : InstCategory::Invalid;
-    default:
-      return InstCategory::Invalid;
-    }
-  }
-
-  RegSet reads(MachWord W) const override {
-    RegSet R;
-    auto AddReg = [&R](unsigned Reg) {
-      if (Reg != RegZero)
-        R.insert(Reg);
-    };
-    if (classify(W) == InstCategory::Invalid)
-      return R;
-    switch (fieldOp(W)) {
-    case OpOperate:
-      AddReg(fieldRa(W));
-      AddReg(fieldRb(W));
-      return R;
-    case OpLdih:
-    case OpBr:
-    case OpBsr:
-      return R;
-    case OpBeq:
-    case OpBne:
-    case OpBlt:
-    case OpBle:
-      AddReg(fieldRa(W));
-      AddReg(fieldRb(W));
-      return R;
-    case OpStw:
-    case OpStb:
-    case OpSth:
-      AddReg(fieldRa(W)); // stored value
-      AddReg(fieldRb(W)); // base
-      return R;
-    case OpLdw:
-    case OpLdb:
-    case OpLdbu:
-    case OpLdh:
-    case OpLdhu:
-    case OpJmp:
-      AddReg(fieldRb(W)); // base
-      return R;
-    case OpSys:
-      // Trap convention: number is an immediate; arguments in a0-a2.
-      return RegSet{16, 17, 18};
-    default: // ALU-immediate forms read ra.
-      AddReg(fieldRa(W));
-      return R;
-    }
-  }
-
-  RegSet writes(MachWord W) const override {
-    RegSet R;
-    auto AddReg = [&R](unsigned Reg) {
-      if (Reg != RegZero)
-        R.insert(Reg);
-    };
-    if (classify(W) == InstCategory::Invalid)
-      return R;
-    switch (fieldOp(W)) {
-    case OpOperate:
-      AddReg(fieldRc(W));
-      return R;
-    case OpBeq:
-    case OpBne:
-    case OpBlt:
-    case OpBle:
-    case OpBr:
-    case OpStw:
-    case OpStb:
-    case OpSth:
-      return R;
-    case OpBsr:
-      R.insert(RegRA);
-      return R;
-    case OpJmp:
-      AddReg(fieldRa(W)); // link, when nonzero
-      return R;
-    case OpSys:
-      R.insert(RegV0);
-      return R;
-    case OpLdw:
-    case OpLdb:
-    case OpLdbu:
-    case OpLdh:
-    case OpLdhu:
-      AddReg(fieldRa(W)); // loaded-into register
-      return R;
-    default: // ALU-immediate and ldih write rb.
-      AddReg(fieldRb(W));
-      return R;
-    }
-  }
-
-  bool hasDelaySlot(MachWord W) const override {
-    (void)W;
-    return false; // the defining ARISC property
-  }
-
-  DelayBehavior delayBehavior(MachWord W) const override {
-    (void)W;
-    return DelayBehavior::None;
-  }
-
-  bool isConditional(MachWord W) const override {
-    switch (fieldOp(W)) {
-    case OpBeq:
-    case OpBne:
-    case OpBlt:
-    case OpBle:
-      return true;
-    default:
-      return false;
-    }
-  }
-
-  InstMeta decodeMeta(MachWord W) const override {
-    // Single-decode path: no ARISC transfer has a delay slot, so only the
-    // conditional bit varies with the category.
-    InstMeta M;
-    M.Category = classify(W);
-    if (M.Category == InstCategory::Invalid)
-      return M;
-    M.Reads = reads(W);
-    M.Writes = writes(W);
-    M.Conditional = M.Category == InstCategory::BranchDirect;
-    return M;
-  }
-
-  std::optional<Addr> directTarget(MachWord W, Addr PC) const override {
-    switch (classify(W)) {
-    case InstCategory::BranchDirect:
-      return PC + 4 + static_cast<Addr>(fieldSimm16(W) * 4);
-    case InstCategory::JumpDirect:
-    case InstCategory::CallDirect:
-      // All ARISC transfers are PC-relative; no MRISC-style region jumps.
-      return PC + 4 + static_cast<Addr>(fieldSdisp26(W) * 4);
-    default:
-      return std::nullopt;
-    }
-  }
-
-  std::optional<IndirectTargetInfo> indirectTarget(MachWord W) const override {
-    if (classify(W) != InstCategory::IndirectJump)
-      return std::nullopt;
-    IndirectTargetInfo Info;
-    Info.BaseReg = fieldRb(W);
-    Info.Offset = 0;
-    Info.LinkReg = fieldRa(W);
-    return Info;
-  }
-
-  DataOp dataOp(MachWord W) const override {
-    DataOp Op;
-    if (classify(W) != InstCategory::Computation)
-      return Op;
-    if (fieldOp(W) == OpOperate) {
-      switch (fieldFunc(W)) {
-      case FnAdd:
-        Op.Kind = DataOpKind::Add;
-        break;
-      case FnSub:
-        Op.Kind = DataOpKind::Sub;
-        break;
-      case FnAnd:
-        Op.Kind = DataOpKind::And;
-        break;
-      case FnOr:
-        Op.Kind = DataOpKind::Or;
-        break;
-      case FnXor:
-        Op.Kind = DataOpKind::Xor;
-        break;
-      case FnSll:
-        Op.Kind = DataOpKind::Sll;
-        break;
-      case FnSrl:
-        Op.Kind = DataOpKind::Srl;
-        break;
-      case FnSra:
-        Op.Kind = DataOpKind::Sra;
-        break;
-      case FnMul:
-        Op.Kind = DataOpKind::Mul;
-        break;
-      case FnDiv:
-        Op.Kind = DataOpKind::Div;
-        break;
-      case FnRem:
-        Op.Kind = DataOpKind::Rem;
-        break;
-      case FnCmplt:
-        Op.Kind = DataOpKind::SetLess;
-        break;
-      default:
-        return Op;
-      }
-      Op.Rd = fieldRc(W);
-      Op.Rs1 = fieldRa(W);
-      Op.Rs2 = fieldRb(W);
-      return Op;
-    }
-    switch (fieldOp(W)) {
-    case OpLdih:
-      Op.Kind = DataOpKind::LoadImmHi;
-      Op.Rd = fieldRb(W);
-      Op.HasImm = true;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W) << 16);
-      return Op;
-    case OpAddi:
-      Op.Kind = DataOpKind::Add;
-      Op.Imm = fieldSimm16(W);
-      break;
-    case OpCmplti:
-      Op.Kind = DataOpKind::SetLess;
-      Op.Imm = fieldSimm16(W);
-      break;
-    case OpAndi:
-      Op.Kind = DataOpKind::And;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W));
-      break;
-    case OpOri:
-      Op.Kind = DataOpKind::Or;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W));
-      break;
-    case OpXori:
-      Op.Kind = DataOpKind::Xor;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W));
-      break;
-    case OpSlli:
-      Op.Kind = DataOpKind::Sll;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W));
-      break;
-    case OpSrli:
-      Op.Kind = DataOpKind::Srl;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W));
-      break;
-    case OpSrai:
-      Op.Kind = DataOpKind::Sra;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W));
-      break;
-    default:
-      return Op;
-    }
-    Op.Rd = fieldRb(W);
-    Op.Rs1 = fieldRa(W);
-    Op.HasImm = true;
-    return Op;
-  }
-
-  std::optional<MemOp> memOp(MachWord W) const override {
-    InstCategory Cat = classify(W);
-    if (Cat != InstCategory::Load && Cat != InstCategory::Store)
-      return std::nullopt;
-    MemOp M;
-    M.IsLoad = Cat == InstCategory::Load;
-    M.IsStore = !M.IsLoad;
-    switch (fieldOp(W)) {
-    case OpLdb:
-    case OpLdbu:
-    case OpStb:
-      M.Width = 1;
-      break;
-    case OpLdh:
-    case OpLdhu:
-    case OpSth:
-      M.Width = 2;
-      break;
-    default:
-      M.Width = 4;
-      break;
-    }
-    M.SignExtendLoad = fieldOp(W) == OpLdb || fieldOp(W) == OpLdh;
-    M.AddrBase = fieldRb(W);
-    M.Offset = fieldSimm16(W);
-    M.DataReg = fieldRa(W);
-    return M;
-  }
-
-  std::optional<unsigned> syscallNumber(MachWord W) const override {
-    if (classify(W) != InstCategory::System)
-      return std::nullopt;
-    return fieldUimm16(W);
-  }
-
-  std::optional<MachWord> retargetDirect(MachWord W, Addr NewPC,
-                                         Addr NewTarget) const override {
-    int64_t DispWords = (static_cast<int64_t>(NewTarget) -
-                         (static_cast<int64_t>(NewPC) + 4)) /
-                        4;
-    switch (classify(W)) {
-    case InstCategory::BranchDirect:
-      if (!fitsSigned(DispWords, 16))
-        return std::nullopt;
-      return insertBits(W, 0, 15, static_cast<uint32_t>(DispWords));
-    case InstCategory::JumpDirect:
-    case InstCategory::CallDirect:
-      if (!fitsSigned(DispWords, 26))
-        return std::nullopt;
-      return insertBits(W, 0, 25, static_cast<uint32_t>(DispWords));
-    default:
-      return std::nullopt;
-    }
-  }
-
-  std::optional<MachWord>
-  rewriteRegisters(MachWord W,
-                   const std::function<unsigned(unsigned)> &Map) const override {
-    auto MapField = [&](MachWord Word, unsigned Lo, unsigned Hi) {
-      unsigned NewReg = Map(extractBits(Word, Lo, Hi));
-      assert(NewReg < 32 && "register map produced a bad id");
-      return insertBits(Word, Lo, Hi, NewReg);
-    };
-    switch (fieldOp(W)) {
+  DecodedWord decode(MachWord W) const override {
+    // No ARISC word has a delay slot: Delay stays None throughout.
+    DecodedWord D;
+    uint32_t Op = fieldOp(W);
+    switch (Op) {
     case OpOperate: {
-      MachWord Out = MapField(W, 21, 25);
-      Out = MapField(Out, 16, 20);
-      return MapField(Out, 11, 15);
+      static const DataOpKind Kinds[] = {
+          DataOpKind::Add, DataOpKind::Sub, DataOpKind::And,
+          DataOpKind::Or,  DataOpKind::Xor, DataOpKind::Sll,
+          DataOpKind::Srl, DataOpKind::Sra, DataOpKind::Mul,
+          DataOpKind::Div, DataOpKind::Rem, DataOpKind::SetLess};
+      if (fieldFunc(W) > FnCmplt)
+        return D; // invalid
+      D.Category = InstCategory::Computation;
+      D.readsField(W, 21, 25);
+      D.readsField(W, 16, 20);
+      D.writesField(W, 11, 15);
+      D.Op.Kind = Kinds[fieldFunc(W)];
+      D.Op.Rd = fieldRc(W);
+      D.Op.Rs1 = fieldRa(W);
+      D.Op.Rs2 = fieldRb(W);
+      return D;
+    }
+    case OpAddi:
+    case OpAndi:
+    case OpOri:
+    case OpXori:
+    case OpSlli:
+    case OpSrli:
+    case OpSrai:
+    case OpCmplti: {
+      static const DataOpKind Kinds[] = {
+          DataOpKind::Add, DataOpKind::And, DataOpKind::Or,
+          DataOpKind::Xor, DataOpKind::Sll, DataOpKind::Srl,
+          DataOpKind::Sra, DataOpKind::SetLess};
+      D.Category = InstCategory::Computation;
+      D.readsField(W, 21, 25);
+      D.writesField(W, 16, 20);
+      D.Op.Kind = Kinds[Op - OpAddi];
+      D.Op.Rd = fieldRb(W);
+      D.Op.Rs1 = fieldRa(W);
+      D.Op.HasImm = true;
+      D.Op.Imm = Op == OpAddi || Op == OpCmplti
+                     ? fieldSimm16(W)
+                     : static_cast<int32_t>(fieldUimm16(W));
+      return D;
     }
     case OpLdih:
-      // Only rb is a register; ra is a fixed zero field.
-      return MapField(W, 16, 20);
-    case OpBr:
-      return W;
-    case OpBsr:
-      return Map(RegRA) == RegRA ? std::optional<MachWord>(W) : std::nullopt;
-    case OpSys:
-      return W;
-    default: {
-      // Everything else (ALU-immediate, memory, branches, jmp) uses ra + rb.
-      MachWord Out = MapField(W, 21, 25);
-      return MapField(Out, 16, 20);
+      if (fieldRa(W) != 0)
+        return D; // invalid: ra is a fixed zero field
+      D.Category = InstCategory::Computation;
+      D.writesField(W, 16, 20);
+      D.Op.Kind = DataOpKind::LoadImmHi;
+      D.Op.Rd = fieldRb(W);
+      D.Op.HasImm = true;
+      D.Op.Imm = static_cast<int32_t>(fieldUimm16(W) << 16);
+      return D;
+    case OpLdw:
+    case OpLdb:
+    case OpLdbu:
+    case OpLdh:
+    case OpLdhu:
+    case OpStw:
+    case OpStb:
+    case OpSth: {
+      MemOp &M = D.Mem;
+      M.IsStore = Op >= OpStw;
+      M.IsLoad = !M.IsStore;
+      M.Width = Op == OpLdb || Op == OpLdbu || Op == OpStb   ? 1
+                : Op == OpLdh || Op == OpLdhu || Op == OpSth ? 2
+                                                             : 4;
+      M.SignExtendLoad = Op == OpLdb || Op == OpLdh;
+      M.AddrBase = fieldRb(W);
+      M.Offset = fieldSimm16(W);
+      M.DataReg = fieldRa(W);
+      D.Category = M.IsLoad ? InstCategory::Load : InstCategory::Store;
+      D.readsField(W, 16, 20);
+      if (M.IsStore)
+        D.readsField(W, 21, 25); // stored value
+      else
+        D.writesField(W, 21, 25);
+      return D;
     }
+    case OpBeq:
+    case OpBne:
+    case OpBlt:
+    case OpBle:
+      D.Category = InstCategory::BranchDirect;
+      D.Conditional = true;
+      D.readsField(W, 21, 25);
+      D.readsField(W, 16, 20);
+      D.Direct = nextPcRelative(15, fieldSimm16(W));
+      return D;
+    case OpBr:
+    case OpBsr:
+      // All ARISC transfers are PC-relative; no MRISC-style region jumps.
+      D.Category =
+          Op == OpBr ? InstCategory::JumpDirect : InstCategory::CallDirect;
+      if (Op == OpBsr) {
+        D.Writes.insert(RegRA);
+        D.FixedRegs.insert(RegRA); // implicit: cannot be renamed
+      }
+      D.Direct = nextPcRelative(25, fieldSdisp26(W));
+      return D;
+    case OpJmp:
+      if (fieldUimm16(W) != 0)
+        return D; // invalid
+      D.Category = InstCategory::IndirectJump;
+      D.readsField(W, 16, 20);
+      D.writesField(W, 21, 25); // link, when nonzero
+      D.Indirect.BaseReg = fieldRb(W);
+      D.Indirect.LinkReg = fieldRa(W);
+      return D;
+    case OpSys:
+      if (fieldRa(W) != 0 || fieldRb(W) != 0)
+        return D; // invalid
+      // Trap arguments and results follow the conventions; the number is
+      // an immediate, like SRISC's.
+      D.Category = InstCategory::System;
+      D.Reads = Conv.SyscallReads;
+      D.Writes = Conv.SyscallWrites;
+      D.TrapNumber = fieldUimm16(W);
+      return D;
+    default:
+      return D; // invalid
     }
   }
 

@@ -91,435 +91,110 @@ public:
     return Names[Reg];
   }
 
-  InstCategory classify(MachWord W) const override {
-    switch (fieldOp(W)) {
+  DecodedWord decode(MachWord W) const override {
+    DecodedWord D;
+    uint32_t Op = fieldOp(W);
+    switch (Op) {
     case OpRType:
-      if (!isValidRType(W))
-        return InstCategory::Invalid;
-      switch (fieldFunct(W)) {
-      case FnJr:
-      case FnJalr:
-        return InstCategory::IndirectJump;
-      case FnSyscall:
-        return InstCategory::System;
-      default:
-        return InstCategory::Computation;
-      }
+      if (isValidRType(W))
+        decodeRType(W, D);
+      return D;
     case OpJ:
-      return InstCategory::JumpDirect;
     case OpJal:
-      return InstCategory::CallDirect;
-    case OpBeq:
-    case OpBne:
-      return InstCategory::BranchDirect;
+      D.Category =
+          Op == OpJ ? InstCategory::JumpDirect : InstCategory::CallDirect;
+      D.Delay = DelayBehavior::Always;
+      if (Op == OpJal) {
+        D.Writes.insert(RegRA);
+        D.FixedRegs.insert(RegRA); // implicit: cannot be renamed
+      }
+      // Absolute within the current 256 MB region.
+      D.Direct.Region = true;
+      D.Direct.RegionMask = 0xF0000000u;
+      D.Direct.HasField = true;
+      D.Direct.Shift = 2;
+      D.Direct.Field = {0, 25};
+      D.Direct.Value = fieldIndex26(W) << 2;
+      return D;
     case OpBlez:
     case OpBgtz:
-      return fieldRt(W) == 0 ? InstCategory::BranchDirect
-                             : InstCategory::Invalid;
+      if (fieldRt(W) != 0)
+        return D; // invalid: rt is a fixed zero field
+      [[fallthrough]];
+    case OpBeq:
+    case OpBne:
+      D.Category = InstCategory::BranchDirect;
+      D.Conditional = true;
+      D.Delay = DelayBehavior::Always;
+      D.readsField(W, 21, 25);
+      if (Op == OpBeq || Op == OpBne)
+        D.readsField(W, 16, 20);
+      // MIPS branch displacements are relative to the delay slot.
+      D.Direct.HasField = true;
+      D.Direct.Signed = true;
+      D.Direct.Shift = 2;
+      D.Direct.Field = {0, 15};
+      D.Direct.Bias = 4;
+      D.Direct.Value = 4 + static_cast<uint32_t>(fieldSimm16(W)) * 4;
+      return D;
+    case OpLui:
+      if (fieldRs(W) != 0)
+        return D; // invalid: rs is a fixed zero field
+      D.Category = InstCategory::Computation;
+      D.writesField(W, 16, 20);
+      D.Op.Kind = DataOpKind::LoadImmHi;
+      D.Op.Rd = fieldRt(W);
+      D.Op.HasImm = true;
+      D.Op.Imm = static_cast<int32_t>(fieldUimm16(W) << 16);
+      return D;
     case OpAddi:
     case OpSlti:
     case OpAndi:
     case OpOri:
     case OpXori:
-      return InstCategory::Computation;
-    case OpLui:
-      return fieldRs(W) == 0 ? InstCategory::Computation
-                             : InstCategory::Invalid;
+      D.Category = InstCategory::Computation;
+      D.readsField(W, 21, 25);
+      D.writesField(W, 16, 20);
+      D.Op.Kind = Op == OpAddi   ? DataOpKind::Add
+                  : Op == OpSlti ? DataOpKind::SetLess
+                  : Op == OpAndi ? DataOpKind::And
+                  : Op == OpOri  ? DataOpKind::Or
+                                 : DataOpKind::Xor;
+      D.Op.Rd = fieldRt(W);
+      D.Op.Rs1 = fieldRs(W);
+      D.Op.HasImm = true;
+      D.Op.Imm = Op == OpAddi || Op == OpSlti
+                     ? fieldSimm16(W)
+                     : static_cast<int32_t>(fieldUimm16(W));
+      return D;
     case OpLb:
     case OpLh:
     case OpLw:
     case OpLbu:
     case OpLhu:
-      return InstCategory::Load;
     case OpSb:
     case OpSh:
-    case OpSw:
-      return InstCategory::Store;
+    case OpSw: {
+      MemOp &M = D.Mem;
+      M.IsStore = Op >= OpSb;
+      M.IsLoad = !M.IsStore;
+      M.Width = Op == OpLb || Op == OpLbu || Op == OpSb   ? 1
+                : Op == OpLh || Op == OpLhu || Op == OpSh ? 2
+                                                          : 4;
+      M.SignExtendLoad = Op == OpLb || Op == OpLh;
+      M.AddrBase = fieldRs(W);
+      M.Offset = fieldSimm16(W);
+      M.DataReg = fieldRt(W);
+      D.Category = M.IsLoad ? InstCategory::Load : InstCategory::Store;
+      D.readsField(W, 21, 25);
+      if (M.IsStore)
+        D.readsField(W, 16, 20); // stored value
+      else
+        D.writesField(W, 16, 20);
+      return D;
+    }
     default:
-      return InstCategory::Invalid;
-    }
-  }
-
-  RegSet reads(MachWord W) const override {
-    RegSet R;
-    auto AddReg = [&R](unsigned Reg) {
-      if (Reg != RegZero)
-        R.insert(Reg);
-    };
-    if (classify(W) == InstCategory::Invalid)
-      return R;
-    switch (fieldOp(W)) {
-    case OpRType:
-      switch (fieldFunct(W)) {
-      case FnSll:
-      case FnSrl:
-      case FnSra:
-        AddReg(fieldRt(W));
-        return R;
-      case FnJr:
-        AddReg(fieldRs(W));
-        return R;
-      case FnJalr:
-        AddReg(fieldRs(W));
-        return R;
-      case FnSyscall:
-        // Trap convention: number in v0, arguments in a0-a2.
-        return RegSet{RegV0, 4, 5, 6};
-      default:
-        AddReg(fieldRs(W));
-        AddReg(fieldRt(W));
-        return R;
-      }
-    case OpJ:
-    case OpJal:
-      return R;
-    case OpBeq:
-    case OpBne:
-      AddReg(fieldRs(W));
-      AddReg(fieldRt(W));
-      return R;
-    case OpBlez:
-    case OpBgtz:
-      AddReg(fieldRs(W));
-      return R;
-    case OpLui:
-      return R;
-    case OpSb:
-    case OpSh:
-    case OpSw:
-      AddReg(fieldRs(W));
-      AddReg(fieldRt(W)); // stored value
-      return R;
-    default: // ALU-immediate and loads read the base/source register.
-      AddReg(fieldRs(W));
-      return R;
-    }
-  }
-
-  RegSet writes(MachWord W) const override {
-    RegSet R;
-    auto AddReg = [&R](unsigned Reg) {
-      if (Reg != RegZero)
-        R.insert(Reg);
-    };
-    if (classify(W) == InstCategory::Invalid)
-      return R;
-    switch (fieldOp(W)) {
-    case OpRType:
-      switch (fieldFunct(W)) {
-      case FnJr:
-        return R;
-      case FnJalr:
-        AddReg(fieldRd(W));
-        return R;
-      case FnSyscall:
-        R.insert(RegV0);
-        return R;
-      default:
-        AddReg(fieldRd(W));
-        return R;
-      }
-    case OpJ:
-      return R;
-    case OpJal:
-      R.insert(RegRA);
-      return R;
-    case OpBeq:
-    case OpBne:
-    case OpBlez:
-    case OpBgtz:
-    case OpSb:
-    case OpSh:
-    case OpSw:
-      return R;
-    default: // ALU-immediate, lui, loads write rt.
-      AddReg(fieldRt(W));
-      return R;
-    }
-  }
-
-  bool hasDelaySlot(MachWord W) const override {
-    switch (classify(W)) {
-    case InstCategory::BranchDirect:
-    case InstCategory::JumpDirect:
-    case InstCategory::CallDirect:
-    case InstCategory::IndirectJump:
-      return true;
-    default:
-      return false;
-    }
-  }
-
-  DelayBehavior delayBehavior(MachWord W) const override {
-    return hasDelaySlot(W) ? DelayBehavior::Always : DelayBehavior::None;
-  }
-
-  bool isConditional(MachWord W) const override {
-    switch (fieldOp(W)) {
-    case OpBeq:
-    case OpBne:
-    case OpBlez:
-    case OpBgtz:
-      return classify(W) == InstCategory::BranchDirect;
-    default:
-      return false;
-    }
-  }
-
-  InstMeta decodeMeta(MachWord W) const override {
-    // Single-decode path: every MRISC transfer has an unconditionally
-    // executed delay slot, so the category determines the delay facts.
-    InstMeta M;
-    M.Category = classify(W);
-    if (M.Category == InstCategory::Invalid)
-      return M;
-    M.Reads = reads(W);
-    M.Writes = writes(W);
-    switch (M.Category) {
-    case InstCategory::BranchDirect:
-      M.Conditional = true;
-      [[fallthrough]];
-    case InstCategory::JumpDirect:
-    case InstCategory::CallDirect:
-    case InstCategory::IndirectJump:
-      M.HasDelaySlot = true;
-      M.Delay = DelayBehavior::Always;
-      break;
-    default:
-      break;
-    }
-    return M;
-  }
-
-  std::optional<Addr> directTarget(MachWord W, Addr PC) const override {
-    switch (classify(W)) {
-    case InstCategory::BranchDirect:
-      // MIPS branch displacements are relative to the delay slot.
-      return PC + 4 + static_cast<Addr>(fieldSimm16(W) * 4);
-    case InstCategory::JumpDirect:
-    case InstCategory::CallDirect:
-      return (PC & 0xF0000000u) | (fieldIndex26(W) << 2);
-    default:
-      return std::nullopt;
-    }
-  }
-
-  std::optional<IndirectTargetInfo> indirectTarget(MachWord W) const override {
-    if (classify(W) != InstCategory::IndirectJump)
-      return std::nullopt;
-    IndirectTargetInfo Info;
-    Info.BaseReg = fieldRs(W);
-    Info.Offset = 0;
-    Info.LinkReg = fieldFunct(W) == FnJalr ? fieldRd(W) : 0;
-    return Info;
-  }
-
-  DataOp dataOp(MachWord W) const override {
-    DataOp Op;
-    if (classify(W) != InstCategory::Computation)
-      return Op;
-    if (fieldOp(W) == OpRType) {
-      uint32_t Funct = fieldFunct(W);
-      switch (Funct) {
-      case FnSll:
-      case FnSrl:
-      case FnSra:
-        Op.Kind = Funct == FnSll   ? DataOpKind::Sll
-                  : Funct == FnSrl ? DataOpKind::Srl
-                                   : DataOpKind::Sra;
-        Op.Rd = fieldRd(W);
-        Op.Rs1 = fieldRt(W);
-        Op.HasImm = true;
-        Op.Imm = static_cast<int32_t>(fieldShamt(W));
-        return Op;
-      case FnSllv:
-        Op.Kind = DataOpKind::Sll;
-        break;
-      case FnSrlv:
-        Op.Kind = DataOpKind::Srl;
-        break;
-      case FnSrav:
-        Op.Kind = DataOpKind::Sra;
-        break;
-      case FnMul:
-        Op.Kind = DataOpKind::Mul;
-        break;
-      case FnDiv:
-        Op.Kind = DataOpKind::Div;
-        break;
-      case FnRem:
-        Op.Kind = DataOpKind::Rem;
-        break;
-      case FnAdd:
-        Op.Kind = DataOpKind::Add;
-        break;
-      case FnSub:
-        Op.Kind = DataOpKind::Sub;
-        break;
-      case FnAnd:
-        Op.Kind = DataOpKind::And;
-        break;
-      case FnOr:
-        Op.Kind = DataOpKind::Or;
-        break;
-      case FnXor:
-        Op.Kind = DataOpKind::Xor;
-        break;
-      case FnSlt:
-        Op.Kind = DataOpKind::SetLess;
-        break;
-      default:
-        return Op;
-      }
-      Op.Rd = fieldRd(W);
-      if (Funct == FnSllv || Funct == FnSrlv || Funct == FnSrav) {
-        // Variable shifts: rd := rt shifted by rs.
-        Op.Rs1 = fieldRt(W);
-        Op.Rs2 = fieldRs(W);
-      } else {
-        Op.Rs1 = fieldRs(W);
-        Op.Rs2 = fieldRt(W);
-      }
-      return Op;
-    }
-    switch (fieldOp(W)) {
-    case OpLui:
-      Op.Kind = DataOpKind::LoadImmHi;
-      Op.Rd = fieldRt(W);
-      Op.HasImm = true;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W) << 16);
-      return Op;
-    case OpAddi:
-      Op.Kind = DataOpKind::Add;
-      Op.Imm = fieldSimm16(W);
-      break;
-    case OpSlti:
-      Op.Kind = DataOpKind::SetLess;
-      Op.Imm = fieldSimm16(W);
-      break;
-    case OpAndi:
-      Op.Kind = DataOpKind::And;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W));
-      break;
-    case OpOri:
-      Op.Kind = DataOpKind::Or;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W));
-      break;
-    case OpXori:
-      Op.Kind = DataOpKind::Xor;
-      Op.Imm = static_cast<int32_t>(fieldUimm16(W));
-      break;
-    default:
-      return Op;
-    }
-    Op.Rd = fieldRt(W);
-    Op.Rs1 = fieldRs(W);
-    Op.HasImm = true;
-    return Op;
-  }
-
-  std::optional<MemOp> memOp(MachWord W) const override {
-    InstCategory Cat = classify(W);
-    if (Cat != InstCategory::Load && Cat != InstCategory::Store)
-      return std::nullopt;
-    MemOp M;
-    M.IsLoad = Cat == InstCategory::Load;
-    M.IsStore = !M.IsLoad;
-    switch (fieldOp(W)) {
-    case OpLb:
-    case OpLbu:
-    case OpSb:
-      M.Width = 1;
-      break;
-    case OpLh:
-    case OpLhu:
-    case OpSh:
-      M.Width = 2;
-      break;
-    default:
-      M.Width = 4;
-      break;
-    }
-    M.SignExtendLoad = fieldOp(W) == OpLb || fieldOp(W) == OpLh;
-    M.AddrBase = fieldRs(W);
-    M.Offset = fieldSimm16(W);
-    M.DataReg = fieldRt(W);
-    return M;
-  }
-
-  std::optional<unsigned> syscallNumber(MachWord W) const override {
-    // The trap number lives in v0, not in an instruction field.
-    (void)W;
-    return std::nullopt;
-  }
-
-  std::optional<MachWord> retargetDirect(MachWord W, Addr NewPC,
-                                         Addr NewTarget) const override {
-    switch (classify(W)) {
-    case InstCategory::BranchDirect: {
-      int64_t DispWords = (static_cast<int64_t>(NewTarget) -
-                           (static_cast<int64_t>(NewPC) + 4)) /
-                          4;
-      if (!fitsSigned(DispWords, 16))
-        return std::nullopt;
-      return insertBits(W, 0, 15, static_cast<uint32_t>(DispWords));
-    }
-    case InstCategory::JumpDirect:
-    case InstCategory::CallDirect:
-      if ((NewPC & 0xF0000000u) != (NewTarget & 0xF0000000u))
-        return std::nullopt;
-      return insertBits(W, 0, 25, NewTarget >> 2);
-    default:
-      return std::nullopt;
-    }
-  }
-
-  std::optional<MachWord>
-  rewriteRegisters(MachWord W,
-                   const std::function<unsigned(unsigned)> &Map) const override {
-    auto MapField = [&](MachWord Word, unsigned Lo, unsigned Hi) {
-      unsigned NewReg = Map(extractBits(Word, Lo, Hi));
-      assert(NewReg < 32 && "register map produced a bad id");
-      return insertBits(Word, Lo, Hi, NewReg);
-    };
-    switch (fieldOp(W)) {
-    case OpRType:
-      switch (fieldFunct(W)) {
-      case FnSyscall:
-        return W;
-      case FnJr:
-        return MapField(W, 21, 25);
-      case FnJalr: {
-        MachWord Out = MapField(W, 21, 25);
-        return MapField(Out, 11, 15);
-      }
-      case FnSll:
-      case FnSrl:
-      case FnSra: {
-        MachWord Out = MapField(W, 16, 20);
-        return MapField(Out, 11, 15);
-      }
-      default: {
-        MachWord Out = MapField(W, 21, 25);
-        Out = MapField(Out, 16, 20);
-        return MapField(Out, 11, 15);
-      }
-      }
-    case OpJ:
-      return W;
-    case OpBlez:
-    case OpBgtz:
-      // Only rs is a register; rt is a fixed zero field.
-      return MapField(W, 21, 25);
-    case OpJal:
-      return Map(RegRA) == RegRA ? std::optional<MachWord>(W) : std::nullopt;
-    case OpLui: {
-      return MapField(W, 16, 20);
-    }
-    default: {
-      MachWord Out = MapField(W, 21, 25);
-      return MapField(Out, 16, 20);
-    }
+      return D; // invalid
     }
   }
 
@@ -654,10 +329,97 @@ public:
   std::string disassemble(MachWord W, Addr PC) const override;
 
 private:
+  void decodeRType(MachWord W, DecodedWord &D) const;
+
   TargetConventions Conv;
 };
 
 } // namespace
+
+void MriscTarget::decodeRType(MachWord W, DecodedWord &D) const {
+  uint32_t Funct = fieldFunct(W);
+  switch (Funct) {
+  case FnJr:
+  case FnJalr:
+    D.Category = InstCategory::IndirectJump;
+    D.Delay = DelayBehavior::Always;
+    D.readsField(W, 21, 25);
+    D.Indirect.BaseReg = fieldRs(W);
+    if (Funct == FnJalr) {
+      D.writesField(W, 11, 15);
+      D.Indirect.LinkReg = fieldRd(W);
+    }
+    return;
+  case FnSyscall:
+    // The number (v0) and arguments follow the trap conventions.
+    D.Category = InstCategory::System;
+    D.Reads = Conv.SyscallReads;
+    D.Writes = Conv.SyscallWrites;
+    return;
+  }
+  DataOp &Op = D.Op;
+  switch (Funct) {
+  case FnSll:
+  case FnSllv:
+    Op.Kind = DataOpKind::Sll;
+    break;
+  case FnSrl:
+  case FnSrlv:
+    Op.Kind = DataOpKind::Srl;
+    break;
+  case FnSra:
+  case FnSrav:
+    Op.Kind = DataOpKind::Sra;
+    break;
+  case FnMul:
+    Op.Kind = DataOpKind::Mul;
+    break;
+  case FnDiv:
+    Op.Kind = DataOpKind::Div;
+    break;
+  case FnRem:
+    Op.Kind = DataOpKind::Rem;
+    break;
+  case FnAdd:
+    Op.Kind = DataOpKind::Add;
+    break;
+  case FnSub:
+    Op.Kind = DataOpKind::Sub;
+    break;
+  case FnAnd:
+    Op.Kind = DataOpKind::And;
+    break;
+  case FnOr:
+    Op.Kind = DataOpKind::Or;
+    break;
+  case FnXor:
+    Op.Kind = DataOpKind::Xor;
+    break;
+  case FnSlt:
+    Op.Kind = DataOpKind::SetLess;
+    break;
+  }
+  D.Category = InstCategory::Computation;
+  D.writesField(W, 11, 15);
+  D.readsField(W, 16, 20);
+  Op.Rd = fieldRd(W);
+  if (Funct == FnSll || Funct == FnSrl || Funct == FnSra) {
+    // Immediate shifts: rd := rt shifted by shamt.
+    Op.Rs1 = fieldRt(W);
+    Op.HasImm = true;
+    Op.Imm = static_cast<int32_t>(fieldShamt(W));
+    return;
+  }
+  D.readsField(W, 21, 25);
+  if (Funct == FnSllv || Funct == FnSrlv || Funct == FnSrav) {
+    // Variable shifts: rd := rt shifted by rs.
+    Op.Rs1 = fieldRt(W);
+    Op.Rs2 = fieldRs(W);
+  } else {
+    Op.Rs1 = fieldRs(W);
+    Op.Rs2 = fieldRt(W);
+  }
+}
 
 std::string MriscTarget::disassemble(MachWord W, Addr PC) const {
   char Buf[128];
@@ -792,16 +554,4 @@ std::string MriscTarget::disassemble(MachWord W, Addr PC) const {
 const TargetInfo &eel::mriscTarget() {
   static MriscTarget Target;
   return Target;
-}
-
-const TargetInfo &eel::targetFor(TargetArch Arch) {
-  switch (Arch) {
-  case TargetArch::Srisc:
-    return sriscTarget();
-  case TargetArch::Mrisc:
-    return mriscTarget();
-  case TargetArch::Arisc:
-    return ariscTarget();
-  }
-  unreachable("unknown target architecture");
 }

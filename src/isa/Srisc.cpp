@@ -24,63 +24,127 @@
 using namespace eel;
 using namespace eel::srisc;
 
-TargetInfo::~TargetInfo() = default;
-
-TargetInfo::InstMeta TargetInfo::decodeMeta(MachWord Word) const {
-  // Generic fallback: one virtual call per fact, each re-decoding the
-  // word. Backends override this with a single-decode version.
-  InstMeta M;
-  M.Category = classify(Word);
-  M.Reads = reads(Word);
-  M.Writes = writes(Word);
-  M.HasDelaySlot = hasDelaySlot(Word);
-  M.Delay = delayBehavior(Word);
-  M.Conditional = isConditional(Word);
-  return M;
-}
-
-static bool isValidArithOp3(uint32_t Op3) {
+/// The dataflow kind of an ALU op3, or None when \p Op3 is not one.
+static DataOpKind aluKind(uint32_t Op3) {
   switch (Op3) {
   case Op3Add:
-  case Op3And:
-  case Op3Or:
-  case Op3Xor:
-  case Op3Sub:
-  case Op3Sll:
-  case Op3Srl:
-  case Op3Sra:
-  case Op3Smul:
-  case Op3Sdiv:
-  case Op3Srem:
   case Op3AddCC:
+    return DataOpKind::Add;
+  case Op3And:
   case Op3AndCC:
+    return DataOpKind::And;
+  case Op3Or:
   case Op3OrCC:
+    return DataOpKind::Or;
+  case Op3Xor:
   case Op3XorCC:
+    return DataOpKind::Xor;
+  case Op3Sub:
   case Op3SubCC:
-  case Op3RdCC:
-  case Op3WrCC:
-  case Op3Jmpl:
-  case Op3Sys:
-    return true;
+    return DataOpKind::Sub;
+  case Op3Sll:
+    return DataOpKind::Sll;
+  case Op3Srl:
+    return DataOpKind::Srl;
+  case Op3Sra:
+    return DataOpKind::Sra;
+  case Op3Smul:
+    return DataOpKind::Mul;
+  case Op3Sdiv:
+    return DataOpKind::Div;
+  case Op3Srem:
+    return DataOpKind::Rem;
   default:
-    return false;
+    return DataOpKind::None;
   }
 }
 
-static bool isValidMemOp3(uint32_t Op3) {
+/// A PC-relative word displacement in bits [0, Hi].
+static DirectShape pcRelative(unsigned Hi, int32_t DispWords) {
+  DirectShape S;
+  S.HasField = true;
+  S.Signed = true;
+  S.Shift = 2;
+  S.Field = {0, static_cast<uint8_t>(Hi)};
+  S.Value = static_cast<uint32_t>(DispWords) * 4;
+  return S;
+}
+
+/// rs1 and, in the register form, rs2: the format-3 source operands.
+static void readsOperands(MachWord W, DecodedWord &D) {
+  D.readsField(W, 14, 18);
+  if (!fieldI(W))
+    D.readsField(W, 0, 4);
+}
+
+static void decodeBranch(MachWord W, DecodedWord &D) {
+  uint32_t C = fieldCond(W);
+  bool Annul = fieldAnnul(W);
+  if (C == CondN) {
+    // `bn` never transfers control. With the annul bit it skips the next
+    // instruction: a direct transfer to PC+8 with no displacement field.
+    // Without it, it occupies a delay slot in hardware, but since it
+    // neither branches nor annuls it is a computation that changes nothing.
+    if (!Annul) {
+      D.Category = InstCategory::Computation;
+      return;
+    }
+    D.Category = InstCategory::JumpDirect;
+    D.Delay = DelayBehavior::AnnulAlways;
+    D.Direct.Value = 8;
+    D.Direct.Bias = 8;
+    return;
+  }
+  D.Direct = pcRelative(21, fieldDisp22(W));
+  if (C == CondA) {
+    D.Category = InstCategory::JumpDirect;
+    D.Delay = Annul ? DelayBehavior::AnnulAlways : DelayBehavior::Always;
+    return;
+  }
+  D.Category = InstCategory::BranchDirect;
+  D.Conditional = true;
+  D.Reads.insert(RegIdCC);
+  D.Delay = Annul ? DelayBehavior::AnnulUntaken : DelayBehavior::Always;
+}
+
+static void decodeMem(MachWord W, DecodedWord &D) {
+  uint32_t Op3 = fieldOp3(W);
+  MemOp &M = D.Mem;
   switch (Op3) {
   case Op3Ld:
-  case Op3Ldub:
-  case Op3Lduh:
-  case Op3Ldsb:
-  case Op3Ldsh:
   case Op3St:
-  case Op3Stb:
+    M.Width = 4;
+    break;
+  case Op3Lduh:
+  case Op3Ldsh:
   case Op3Sth:
-    return true;
+    M.Width = 2;
+    break;
+  case Op3Ldub:
+  case Op3Ldsb:
+  case Op3Stb:
+    M.Width = 1;
+    break;
   default:
-    return false;
+    return; // invalid
   }
+  M.IsStore = Op3 >= Op3St;
+  M.IsLoad = !M.IsStore;
+  M.SignExtendLoad = Op3 == Op3Ldsb || Op3 == Op3Ldsh;
+  M.AddrBase = fieldRs1(W);
+  if (fieldI(W)) {
+    M.Offset = fieldSimm13(W);
+  } else {
+    M.HasIndex = true;
+    M.AddrIndex = fieldRs2(W);
+  }
+  M.DataReg = fieldRd(W);
+  D.Category = M.IsLoad ? InstCategory::Load : InstCategory::Store;
+  readsOperands(W, D);
+  if (M.IsStore)
+    D.readsField(W, 25, 29); // stored value
+  else
+    D.writesField(W, 25, 29);
 }
 
 namespace {
@@ -124,411 +188,34 @@ public:
     return Buf;
   }
 
-  InstCategory classify(MachWord W) const override {
+  DecodedWord decode(MachWord W) const override {
+    DecodedWord D;
     switch (fieldOp(W)) {
     case OpFormat2:
-      switch (fieldOp2(W)) {
-      case Op2Sethi:
-        return InstCategory::Computation;
-      case Op2Bicc: {
-        uint32_t C = fieldCond(W);
-        if (C == CondN)
-          // `bn` never transfers control; with the annul bit it skips the
-          // next instruction, which is a (direct) control transfer to PC+8.
-          return fieldAnnul(W) ? InstCategory::JumpDirect
-                               : InstCategory::Computation;
-        // `ba` is an unconditional transfer; conditional branches keep the
-        // BranchDirect category.
-        return C == CondA ? InstCategory::JumpDirect
-                          : InstCategory::BranchDirect;
+      if (fieldOp2(W) == Op2Sethi) {
+        D.Category = InstCategory::Computation;
+        D.writesField(W, 25, 29);
+        D.Op.Kind = DataOpKind::LoadImmHi;
+        D.Op.Rd = fieldRd(W);
+        D.Op.HasImm = true;
+        D.Op.Imm = static_cast<int32_t>(fieldImm22(W) << 10);
+      } else if (fieldOp2(W) == Op2Bicc) {
+        decodeBranch(W, D);
       }
-      default:
-        return InstCategory::Invalid;
-      }
+      return D;
     case OpCall:
-      return InstCategory::CallDirect;
-    case OpArith: {
-      uint32_t Op3 = fieldOp3(W);
-      if (Op3 == Op3Jmpl)
-        return InstCategory::IndirectJump;
-      if (Op3 == Op3Sys)
-        return fieldI(W) ? InstCategory::System : InstCategory::Invalid;
-      return isValidArithOp3(Op3) ? InstCategory::Computation
-                                  : InstCategory::Invalid;
-    }
-    case OpMem: {
-      uint32_t Op3 = fieldOp3(W);
-      if (!isValidMemOp3(Op3))
-        return InstCategory::Invalid;
-      return Op3 >= Op3St ? InstCategory::Store : InstCategory::Load;
-    }
-    }
-    unreachable("2-bit field out of range");
-  }
-
-  RegSet reads(MachWord W) const override {
-    RegSet R;
-    auto AddReg = [&R](unsigned Reg) {
-      if (Reg != RegZero)
-        R.insert(Reg);
-    };
-    if (classify(W) == InstCategory::Invalid)
-      return R;
-    switch (fieldOp(W)) {
-    case OpFormat2:
-      if (fieldOp2(W) == Op2Bicc && fieldCond(W) != CondA &&
-          fieldCond(W) != CondN)
-        R.insert(RegIdCC);
-      return R;
-    case OpCall:
-      return R;
-    case OpArith: {
-      uint32_t Op3 = fieldOp3(W);
-      if (Op3 == Op3Sys) {
-        // Trap convention: arguments in o0-o2 (see §4 of the paper: call and
-        // trap conventions live outside the machine description).
-        return RegSet{8, 9, 10};
-      }
-      if (Op3 == Op3RdCC) {
-        R.insert(RegIdCC);
-        return R;
-      }
-      AddReg(fieldRs1(W));
-      if (Op3 != Op3WrCC && !fieldI(W))
-        AddReg(fieldRs2(W));
-      return R;
-    }
-    case OpMem: {
-      AddReg(fieldRs1(W));
-      if (!fieldI(W))
-        AddReg(fieldRs2(W));
-      if (fieldOp3(W) >= Op3St)
-        AddReg(fieldRd(W)); // stored value
-      return R;
-    }
-    }
-    unreachable("2-bit field out of range");
-  }
-
-  RegSet writes(MachWord W) const override {
-    RegSet R;
-    auto AddReg = [&R](unsigned Reg) {
-      if (Reg != RegZero)
-        R.insert(Reg);
-    };
-    if (classify(W) == InstCategory::Invalid)
-      return R;
-    switch (fieldOp(W)) {
-    case OpFormat2:
-      if (fieldOp2(W) == Op2Sethi)
-        AddReg(fieldRd(W));
-      return R;
-    case OpCall:
-      R.insert(RegLink);
-      return R;
-    case OpArith: {
-      uint32_t Op3 = fieldOp3(W);
-      if (Op3 == Op3Sys) {
-        R.insert(8); // trap return value in o0
-        return R;
-      }
-      if (Op3 == Op3WrCC) {
-        R.insert(RegIdCC);
-        return R;
-      }
-      AddReg(fieldRd(W));
-      if (Op3 >= Op3AddCC && Op3 <= Op3SubCC)
-        R.insert(RegIdCC);
-      return R;
-    }
+      D.Category = InstCategory::CallDirect;
+      D.Delay = DelayBehavior::Always;
+      D.Writes.insert(RegLink);
+      D.FixedRegs.insert(RegLink); // implicit: cannot be renamed
+      D.Direct = pcRelative(29, fieldDisp30(W));
+      return D;
+    case OpArith:
+      decodeArith(W, D);
+      return D;
     case OpMem:
-      if (fieldOp3(W) < Op3St)
-        AddReg(fieldRd(W));
-      return R;
-    }
-    unreachable("2-bit field out of range");
-  }
-
-  bool hasDelaySlot(MachWord W) const override {
-    switch (classify(W)) {
-    case InstCategory::BranchDirect:
-    case InstCategory::JumpDirect:
-    case InstCategory::CallDirect:
-    case InstCategory::IndirectJump:
-      return true;
-    default:
-      // `bn` without annul classifies as Computation but still occupies a
-      // delay slot in hardware; since it neither branches nor annuls, the
-      // "delay" instruction is simply the next sequential instruction and
-      // needs no special treatment.
-      return false;
-    }
-  }
-
-  DelayBehavior delayBehavior(MachWord W) const override {
-    if (!hasDelaySlot(W))
-      return DelayBehavior::None;
-    if (fieldOp(W) == OpFormat2 && fieldOp2(W) == Op2Bicc) {
-      uint32_t C = fieldCond(W);
-      if (!fieldAnnul(W))
-        return DelayBehavior::Always;
-      if (C == CondA || C == CondN)
-        return DelayBehavior::AnnulAlways;
-      return DelayBehavior::AnnulUntaken;
-    }
-    return DelayBehavior::Always; // call, jmpl
-  }
-
-  bool isConditional(MachWord W) const override {
-    if (fieldOp(W) != OpFormat2 || fieldOp2(W) != Op2Bicc)
-      return false;
-    uint32_t C = fieldCond(W);
-    return C != CondA && C != CondN;
-  }
-
-  InstMeta decodeMeta(MachWord W) const override {
-    // Single-decode path: classify once and derive the delay-slot facts
-    // from the category and raw fields instead of re-classifying per query.
-    InstMeta M;
-    M.Category = classify(W);
-    if (M.Category == InstCategory::Invalid)
-      return M;
-    M.Reads = reads(W);
-    M.Writes = writes(W);
-    switch (M.Category) {
-    case InstCategory::BranchDirect:
-    case InstCategory::JumpDirect:
-    case InstCategory::CallDirect:
-    case InstCategory::IndirectJump:
-      M.HasDelaySlot = true;
-      if (fieldOp(W) == OpFormat2 && fieldOp2(W) == Op2Bicc) {
-        uint32_t C = fieldCond(W);
-        if (!fieldAnnul(W))
-          M.Delay = DelayBehavior::Always;
-        else if (C == CondA || C == CondN)
-          M.Delay = DelayBehavior::AnnulAlways;
-        else
-          M.Delay = DelayBehavior::AnnulUntaken;
-      } else {
-        M.Delay = DelayBehavior::Always; // call, jmpl
-      }
-      break;
-    default:
-      break;
-    }
-    M.Conditional = isConditional(W);
-    return M;
-  }
-
-  std::optional<Addr> directTarget(MachWord W, Addr PC) const override {
-    switch (classify(W)) {
-    case InstCategory::BranchDirect:
-    case InstCategory::JumpDirect: {
-      if (fieldCond(W) == CondN)
-        return PC + 8; // bn,a skips the delay slot
-      return PC + static_cast<Addr>(fieldDisp22(W) * 4);
-    }
-    case InstCategory::CallDirect:
-      return PC + static_cast<Addr>(fieldDisp30(W) * 4);
-    default:
-      return std::nullopt;
-    }
-  }
-
-  std::optional<IndirectTargetInfo> indirectTarget(MachWord W) const override {
-    if (classify(W) != InstCategory::IndirectJump)
-      return std::nullopt;
-    IndirectTargetInfo Info;
-    Info.BaseReg = fieldRs1(W);
-    if (fieldI(W)) {
-      Info.Offset = fieldSimm13(W);
-    } else {
-      Info.HasIndex = true;
-      Info.IndexReg = fieldRs2(W);
-    }
-    Info.LinkReg = fieldRd(W);
-    return Info;
-  }
-
-  DataOp dataOp(MachWord W) const override {
-    DataOp Op;
-    if (fieldOp(W) == OpFormat2 && fieldOp2(W) == Op2Sethi) {
-      Op.Kind = DataOpKind::LoadImmHi;
-      Op.Rd = fieldRd(W);
-      Op.HasImm = true;
-      Op.Imm = static_cast<int32_t>(fieldImm22(W) << 10);
-      return Op;
-    }
-    if (fieldOp(W) != OpArith)
-      return Op;
-    switch (fieldOp3(W)) {
-    case Op3Add:
-      Op.Kind = DataOpKind::Add;
-      break;
-    case Op3And:
-      Op.Kind = DataOpKind::And;
-      break;
-    case Op3Or:
-      Op.Kind = DataOpKind::Or;
-      break;
-    case Op3Xor:
-      Op.Kind = DataOpKind::Xor;
-      break;
-    case Op3Sub:
-      Op.Kind = DataOpKind::Sub;
-      break;
-    case Op3Sll:
-      Op.Kind = DataOpKind::Sll;
-      break;
-    case Op3Srl:
-      Op.Kind = DataOpKind::Srl;
-      break;
-    case Op3Sra:
-      Op.Kind = DataOpKind::Sra;
-      break;
-    case Op3Smul:
-      Op.Kind = DataOpKind::Mul;
-      break;
-    case Op3Sdiv:
-      Op.Kind = DataOpKind::Div;
-      break;
-    case Op3Srem:
-      Op.Kind = DataOpKind::Rem;
-      break;
-    case Op3AddCC:
-      Op.Kind = DataOpKind::Add;
-      Op.SetsCC = true;
-      break;
-    case Op3AndCC:
-      Op.Kind = DataOpKind::And;
-      Op.SetsCC = true;
-      break;
-    case Op3OrCC:
-      Op.Kind = DataOpKind::Or;
-      Op.SetsCC = true;
-      break;
-    case Op3XorCC:
-      Op.Kind = DataOpKind::Xor;
-      Op.SetsCC = true;
-      break;
-    case Op3SubCC:
-      Op.Kind = DataOpKind::Sub;
-      Op.SetsCC = true;
-      break;
-    default:
-      return Op; // jmpl, sys, rdcc, wrcc, invalid: not simple dataflow
-    }
-    Op.Rd = fieldRd(W);
-    Op.Rs1 = fieldRs1(W);
-    if (fieldI(W)) {
-      Op.HasImm = true;
-      Op.Imm = fieldSimm13(W);
-    } else {
-      Op.Rs2 = fieldRs2(W);
-    }
-    return Op;
-  }
-
-  std::optional<MemOp> memOp(MachWord W) const override {
-    if (fieldOp(W) != OpMem || !isValidMemOp3(fieldOp3(W)))
-      return std::nullopt;
-    MemOp M;
-    uint32_t Op3 = fieldOp3(W);
-    M.IsLoad = Op3 < Op3St;
-    M.IsStore = !M.IsLoad;
-    switch (Op3) {
-    case Op3Ld:
-    case Op3St:
-      M.Width = 4;
-      break;
-    case Op3Lduh:
-    case Op3Ldsh:
-    case Op3Sth:
-      M.Width = 2;
-      break;
-    default:
-      M.Width = 1;
-      break;
-    }
-    M.SignExtendLoad = Op3 == Op3Ldsb || Op3 == Op3Ldsh;
-    M.AddrBase = fieldRs1(W);
-    if (fieldI(W)) {
-      M.Offset = fieldSimm13(W);
-    } else {
-      M.HasIndex = true;
-      M.AddrIndex = fieldRs2(W);
-    }
-    M.DataReg = fieldRd(W);
-    return M;
-  }
-
-  std::optional<unsigned> syscallNumber(MachWord W) const override {
-    if (classify(W) != InstCategory::System)
-      return std::nullopt;
-    // Trap numbers are small non-negative values in the low 13 bits.
-    return extractBits(W, 0, 12);
-  }
-
-  std::optional<MachWord> retargetDirect(MachWord W, Addr NewPC,
-                                         Addr NewTarget) const override {
-    int64_t DispBytes =
-        static_cast<int64_t>(NewTarget) - static_cast<int64_t>(NewPC);
-    assert(DispBytes % 4 == 0 && "misaligned branch target");
-    int64_t DispWords = DispBytes / 4;
-    switch (classify(W)) {
-    case InstCategory::BranchDirect:
-    case InstCategory::JumpDirect:
-      if (fieldCond(W) == CondN)
-        return std::nullopt; // target is implicit (PC+8), not encodable
-      if (!fitsSigned(DispWords, 22))
-        return std::nullopt;
-      return insertBits(W, 0, 21, static_cast<uint32_t>(DispWords));
-    case InstCategory::CallDirect:
-      if (!fitsSigned(DispWords, 30))
-        return std::nullopt;
-      return insertBits(W, 0, 29, static_cast<uint32_t>(DispWords));
-    default:
-      return std::nullopt;
-    }
-  }
-
-  std::optional<MachWord>
-  rewriteRegisters(MachWord W,
-                   const std::function<unsigned(unsigned)> &Map) const override {
-    auto MapField = [&](MachWord Word, unsigned Lo, unsigned Hi) {
-      unsigned NewReg = Map(extractBits(Word, Lo, Hi));
-      assert(NewReg < 32 && "register map produced a bad id");
-      return insertBits(Word, Lo, Hi, NewReg);
-    };
-    switch (fieldOp(W)) {
-    case OpFormat2:
-      if (fieldOp2(W) == Op2Sethi)
-        return MapField(W, 25, 29); // rd
-      return W;                     // branches name no registers
-    case OpCall:
-      // The link register is implicit and cannot be renamed.
-      return Map(RegLink) == RegLink ? std::optional<MachWord>(W)
-                                     : std::nullopt;
-    case OpArith: {
-      uint32_t Op3 = fieldOp3(W);
-      if (Op3 == Op3Sys)
-        return W; // traps use fixed conventional registers
-      MachWord Out = W;
-      if (Op3 != Op3WrCC)
-        Out = MapField(Out, 25, 29); // rd
-      if (Op3 != Op3RdCC)
-        Out = MapField(Out, 14, 18); // rs1
-      if (Op3 != Op3RdCC && Op3 != Op3WrCC && !fieldI(W))
-        Out = MapField(Out, 0, 4); // rs2
-      return Out;
-    }
-    case OpMem: {
-      MachWord Out = MapField(W, 25, 29);
-      Out = MapField(Out, 14, 18);
-      if (!fieldI(W))
-        Out = MapField(Out, 0, 4);
-      return Out;
-    }
+      decodeMem(W, D);
+      return D;
     }
     unreachable("2-bit field out of range");
   }
@@ -657,10 +344,70 @@ public:
   std::string disassemble(MachWord W, Addr PC) const override;
 
 private:
+  void decodeArith(MachWord W, DecodedWord &D) const;
+
   TargetConventions Conv;
 };
 
 } // namespace
+
+void SriscTarget::decodeArith(MachWord W, DecodedWord &D) const {
+  uint32_t Op3 = fieldOp3(W);
+  switch (Op3) {
+  case Op3Jmpl:
+    D.Category = InstCategory::IndirectJump;
+    D.Delay = DelayBehavior::Always;
+    D.Indirect.BaseReg = fieldRs1(W);
+    if (fieldI(W)) {
+      D.Indirect.Offset = fieldSimm13(W);
+    } else {
+      D.Indirect.HasIndex = true;
+      D.Indirect.IndexReg = fieldRs2(W);
+    }
+    D.Indirect.LinkReg = fieldRd(W);
+    readsOperands(W, D);
+    D.writesField(W, 25, 29);
+    return;
+  case Op3Sys:
+    if (!fieldI(W))
+      return; // invalid
+    // Trap arguments and results follow the conventions (§4: they live
+    // outside the machine description); the number is the low 13 bits.
+    D.Category = InstCategory::System;
+    D.Reads = Conv.SyscallReads;
+    D.Writes = Conv.SyscallWrites;
+    D.TrapNumber = extractBits(W, 0, 12);
+    return;
+  case Op3RdCC:
+    D.Category = InstCategory::Computation;
+    D.Reads.insert(RegIdCC);
+    D.writesField(W, 25, 29);
+    return;
+  case Op3WrCC:
+    D.Category = InstCategory::Computation;
+    D.readsField(W, 14, 18);
+    D.Writes.insert(RegIdCC);
+    return;
+  }
+  DataOp &Op = D.Op;
+  Op.Kind = aluKind(Op3);
+  if (Op.Kind == DataOpKind::None)
+    return; // invalid
+  D.Category = InstCategory::Computation;
+  readsOperands(W, D);
+  D.writesField(W, 25, 29);
+  Op.SetsCC = Op3 >= Op3AddCC;
+  if (Op.SetsCC)
+    D.Writes.insert(RegIdCC);
+  Op.Rd = fieldRd(W);
+  Op.Rs1 = fieldRs1(W);
+  if (fieldI(W)) {
+    Op.HasImm = true;
+    Op.Imm = fieldSimm13(W);
+  } else {
+    Op.Rs2 = fieldRs2(W);
+  }
+}
 
 std::string SriscTarget::disassemble(MachWord W, Addr PC) const {
   char Buf[128];

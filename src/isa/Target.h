@@ -7,21 +7,28 @@
 /// \file
 /// The boundary between machine-independent EEL and architecture-specific
 /// code, mirroring §4 of the paper. Everything above this interface (CFGs,
-/// analyses, editing, tools) is written once; below it live two handwritten
-/// backends (SRISC, a SPARC-like ISA with annulled delay slots; MRISC, a
-/// MIPS-like ISA) and a third implementation generated by `spawn` from a
-/// machine description. The benchmark suite cross-checks the spawn-derived
-/// implementation against the handwritten ones.
+/// analyses, editing, tools) is written once; below it live three
+/// handwritten backends (SRISC, a SPARC-like ISA with annulled delay slots;
+/// MRISC, a MIPS-like ISA; ARISC, an Alpha-like ISA without delay slots) and
+/// a fourth implementation derived by `spawn` from a machine description.
+///
+/// A backend answers one analytical question per word, `decode()`, whose
+/// DecodedWord holds every fact EEL asks about it. Target evaluation,
+/// retargeting and register renaming are machine-independent functions of
+/// that answer, so what a port writes by hand is `decode()`, its
+/// conventions, snippet code generation, `regName` and `disassemble`. The
+/// test suite compares the spawn-derived and handwritten answers whole.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EEL_ISA_TARGET_H
 #define EEL_ISA_TARGET_H
 
+#include "support/BitOps.h"
 #include "support/RegSet.h"
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -31,7 +38,7 @@ namespace eel {
 /// A 32-bit virtual address in the simulated machine.
 using Addr = uint32_t;
 
-/// A raw 32-bit machine instruction word. Both targets use fixed-width
+/// A raw 32-bit machine instruction word. Every target uses fixed-width
 /// 32-bit encodings, like the RISC machines the paper targets.
 using MachWord = uint32_t;
 
@@ -92,36 +99,39 @@ enum class DataOpKind : uint8_t {
 
 struct DataOp {
   DataOpKind Kind = DataOpKind::None;
-  unsigned Rd = 0;
-  unsigned Rs1 = 0;
+  uint8_t Rd = 0;
+  uint8_t Rs1 = 0;
+  uint8_t Rs2 = 0;     ///< Second operand register when !HasImm.
   bool HasImm = false;
+  bool SetsCC = false; ///< Also writes the condition codes (SRISC *cc forms).
   int32_t Imm = 0;     ///< Second operand when HasImm (full value for
                        ///  LoadImmHi, already shifted).
-  unsigned Rs2 = 0;    ///< Second operand register when !HasImm.
-  bool SetsCC = false; ///< Also writes the condition codes (SRISC *cc forms).
+  bool operator==(const DataOp &) const = default;
 };
 
 /// Address computation and access shape of a memory instruction.
 struct MemOp {
   bool IsLoad = false;
   bool IsStore = false;
-  unsigned Width = 0;      ///< Access size in bytes (1, 2, or 4).
+  uint8_t Width = 0;       ///< Access size in bytes (1, 2, or 4).
   bool SignExtendLoad = false;
-  unsigned AddrBase = 0;   ///< Base register.
+  uint8_t AddrBase = 0;    ///< Base register.
   bool HasIndex = false;
-  unsigned AddrIndex = 0;  ///< Index register when HasIndex.
+  uint8_t AddrIndex = 0;   ///< Index register when HasIndex.
+  uint8_t DataReg = 0;     ///< Loaded-into / stored-from register.
   int32_t Offset = 0;      ///< Immediate displacement when !HasIndex.
-  unsigned DataReg = 0;    ///< Loaded-into / stored-from register.
+  bool operator==(const MemOp &) const = default;
 };
 
 /// Shape of an indirect control transfer (SRISC jmpl, MIPS jr/jalr).
 struct IndirectTargetInfo {
-  unsigned BaseReg = 0;
+  uint8_t BaseReg = 0;
   bool HasIndex = false;
-  unsigned IndexReg = 0;
+  uint8_t IndexReg = 0;
+  uint8_t LinkReg = 0; ///< Register receiving the return PC; 0 (the
+                       ///  hard-zero register) means no live link.
   int32_t Offset = 0;
-  unsigned LinkReg = 0; ///< Register receiving the return PC; 0 (the
-                        ///  hard-zero register) means no live link.
+  bool operator==(const IndirectTargetInfo &) const = default;
 };
 
 /// Per-target calling/trap conventions that the machine description cannot
@@ -142,6 +152,121 @@ struct TargetConventions {
   RegSet SyscallWrites;      ///< Registers a trap instruction writes.
 };
 
+/// A contiguous bit field [Lo, Hi] of an instruction word.
+struct BitRange {
+  uint8_t Lo = 0;
+  uint8_t Hi = 0;
+  bool operator==(const BitRange &) const = default;
+};
+
+/// How a direct transfer's target follows from its word and PC, and how a
+/// new target is encoded back into the word.
+struct DirectShape {
+  bool Region = false;   ///< target = (PC & RegionMask) | Value (MRISC j);
+                         ///  otherwise target = PC + Value.
+  bool HasField = false; ///< Value = Bias + (Field << Shift), so the word
+                         ///  can be retargeted; false for implicit targets.
+  bool Signed = false;   ///< Field is sign-extended.
+  uint8_t Shift = 0;
+  BitRange Field;
+  uint32_t Value = 0;    ///< This word's displacement (or region offset).
+  uint32_t RegionMask = 0;
+  int32_t Bias = 0;
+  bool operator==(const DirectShape &) const = default;
+};
+
+/// Everything EEL asks about one machine word, answered by one
+/// TargetInfo::decode() call. Facts that do not apply to the word's
+/// category stay zero, so two decoders' answers compare with ==.
+struct DecodedWord {
+  /// User-provided so that GCC zeroes the members one by one, in vector
+  /// stores; an aggregate this size is cleared with `rep stos`, which
+  /// doubled the cost of decode() on every snippet word.
+  DecodedWord() {}
+
+  // Liveness and CFG construction read these first.
+  RegSet Reads, Writes; ///< Including RegIdCC; never the hard-zero register.
+  InstCategory Category = InstCategory::Invalid;
+  DelayBehavior Delay = DelayBehavior::None; ///< None: no delay slot.
+  bool Conditional = false;
+  uint8_t NumRegFields = 0;
+  DirectShape Direct;           ///< Direct transfers only.
+
+  IndirectTargetInfo Indirect;  ///< IndirectJump only.
+  DataOp Op;                    ///< Kind None when not simple dataflow.
+  MemOp Mem;                    ///< Loads and stores only.
+  std::optional<unsigned> TrapNumber; ///< System, when an immediate field.
+
+  /// Fields holding register numbers, ascending by Lo, and registers the
+  /// word names implicitly (a call's link); renaming rewrites the former
+  /// and must keep the latter.
+  static constexpr unsigned MaxRegFields = 3;
+  std::array<BitRange, MaxRegFields> RegFields{};
+  RegSet FixedRegs;
+
+  bool operator==(const DecodedWord &) const = default;
+
+  bool hasDelaySlot() const { return Delay != DelayBehavior::None; }
+
+  bool isDirectTransfer() const {
+    return Category == InstCategory::BranchDirect ||
+           Category == InstCategory::JumpDirect ||
+           Category == InstCategory::CallDirect;
+  }
+
+  /// Target of a direct transfer executed at \p PC.
+  std::optional<Addr> directTarget(Addr PC) const {
+    if (!isDirectTransfer())
+      return std::nullopt;
+    return Direct.Region ? (PC & Direct.RegionMask) | Direct.Value
+                         : PC + Direct.Value;
+  }
+
+  // Decoder helpers: the register named by bits [Lo, Hi] of \p W is read
+  // or written, and the field is renamable. Register 0 is the hard zero on
+  // every target and is never reported.
+  void readsField(MachWord W, unsigned Lo, unsigned Hi) {
+    addRegField(Lo, Hi);
+    if (unsigned Reg = extractBits(W, Lo, Hi))
+      Reads.insert(Reg);
+  }
+  void writesField(MachWord W, unsigned Lo, unsigned Hi) {
+    addRegField(Lo, Hi);
+    if (unsigned Reg = extractBits(W, Lo, Hi))
+      Writes.insert(Reg);
+  }
+  void addRegField(unsigned Lo, unsigned Hi) {
+    for (unsigned I = 0; I < NumRegFields; ++I)
+      if (RegFields[I].Lo == Lo)
+        return;
+    if (NumRegFields == MaxRegFields)
+      tooManyRegFields();
+    unsigned At = NumRegFields++;
+    for (; At > 0 && RegFields[At - 1].Lo > Lo; --At)
+      RegFields[At] = RegFields[At - 1];
+    RegFields[At] = {static_cast<uint8_t>(Lo), static_cast<uint8_t>(Hi)};
+  }
+
+private:
+  [[noreturn]] static void tooManyRegFields();
+};
+
+/// Re-encodes the direct transfer \p Word, decoded as \p D, to reach
+/// \p NewTarget when executed at \p NewPC. Returns nullopt if the word has
+/// no displacement field or the target does not fit it, in which case the
+/// layout engine substitutes a longer-span sequence (§3.3.1).
+std::optional<MachWord> retargetDirect(const DecodedWord &D, MachWord Word,
+                                       Addr NewPC, Addr NewTarget);
+
+/// A renaming of the general registers: register R becomes Map[R].
+using RegisterMap = std::array<uint8_t, 32>;
+
+/// Rewrites every register field of \p Word, decoded as \p D, through
+/// \p Map (snippet register allocation, register liberation). Returns
+/// nullopt if \p Map moves a register the word names implicitly.
+std::optional<MachWord> rewriteRegisters(const DecodedWord &D, MachWord Word,
+                                         const RegisterMap &Map);
+
 /// Abstract interface to one machine's instruction set. One instance exists
 /// per target (they are stateless); `spawnTarget()` builds an equivalent
 /// instance from a machine description at run time.
@@ -153,7 +278,7 @@ public:
   virtual const char *name() const = 0;
   virtual const TargetConventions &conventions() const = 0;
 
-  /// Number of general registers (32 for both targets). Register id 32 is
+  /// Number of general registers (32 on every target). Register id 32 is
   /// the condition-code register on targets that have one.
   virtual unsigned numRegisters() const = 0;
   virtual bool hasConditionCodes() const = 0;
@@ -161,67 +286,14 @@ public:
   /// Printable register name (for the disassembler and diagnostics).
   virtual std::string regName(unsigned Reg) const = 0;
 
-  // --- Decoding and classification -------------------------------------
-
-  virtual InstCategory classify(MachWord Word) const = 0;
-
-  /// Registers read / written, including the condition-code pseudo-register
-  /// (id RegIdCC). The hard-zero register is never reported written.
-  virtual RegSet reads(MachWord Word) const = 0;
-  virtual RegSet writes(MachWord Word) const = 0;
-
-  virtual bool hasDelaySlot(MachWord Word) const = 0;
-  virtual DelayBehavior delayBehavior(MachWord Word) const = 0;
-  virtual bool isConditional(MachWord Word) const = 0;
-
   /// Whether this architecture architecturally places a delay slot after its
-  /// control transfers. An ISA-level property (per-word hasDelaySlot refines
-  /// it per encoding); false on ARISC, true on SRISC/MRISC. The spawn-derived
-  /// target answers from the description's `;` delay marks.
+  /// control transfers. An ISA-level property (a word's DecodedWord::Delay
+  /// refines it per encoding); false on ARISC, true on SRISC/MRISC. The
+  /// spawn-derived target answers from the description's `;` delay marks.
   virtual bool branchDelaySlots() const = 0;
 
-  /// Everything Instruction construction needs about a word, gathered in
-  /// one call. The default composes the individual queries (re-classifying
-  /// the word for each); backends override it with a single-decode version
-  /// so building a flyweight costs one pass over the encoding.
-  struct InstMeta {
-    InstCategory Category = InstCategory::Invalid;
-    RegSet Reads, Writes;
-    DelayBehavior Delay = DelayBehavior::None;
-    bool HasDelaySlot = false;
-    bool Conditional = false;
-  };
-  virtual InstMeta decodeMeta(MachWord Word) const;
-
-  /// Target of a direct control transfer at \p PC, if this is one.
-  virtual std::optional<Addr> directTarget(MachWord Word, Addr PC) const = 0;
-
-  /// Shape of an indirect transfer; nullopt unless category IndirectJump.
-  virtual std::optional<IndirectTargetInfo>
-  indirectTarget(MachWord Word) const = 0;
-
-  /// Dataflow description for the slicer; Kind == None when inexpressible.
-  virtual DataOp dataOp(MachWord Word) const = 0;
-
-  /// Memory shape; nullopt unless a load/store.
-  virtual std::optional<MemOp> memOp(MachWord Word) const = 0;
-
-  /// Trap number of a System instruction when it is an immediate field.
-  virtual std::optional<unsigned> syscallNumber(MachWord Word) const = 0;
-
-  // --- Re-encoding (used by the editor) ---------------------------------
-
-  /// Re-encodes a direct transfer to target \p NewTarget when executed at
-  /// \p NewPC. Returns nullopt if the displacement does not fit, in which
-  /// case the layout engine substitutes a longer-span sequence (§3.3.1).
-  virtual std::optional<MachWord>
-  retargetDirect(MachWord Word, Addr NewPC, Addr NewTarget) const = 0;
-
-  /// Rewrites every register field through \p Map (used for snippet register
-  /// allocation). Returns nullopt if any field cannot be rewritten.
-  virtual std::optional<MachWord>
-  rewriteRegisters(MachWord Word,
-                   const std::function<unsigned(unsigned)> &Map) const = 0;
+  /// Everything EEL asks about \p Word, in one pass over its encoding.
+  virtual DecodedWord decode(MachWord Word) const = 0;
 
   // --- Code generation helpers for snippets and stubs --------------------
 

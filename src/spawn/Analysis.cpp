@@ -43,7 +43,7 @@ public:
   WordAnalyzer(const MachineDesc &Desc, MachWord Word)
       : Desc(Desc), Word(Word) {}
 
-  InstSummary run();
+  DecodedWord run();
 
 private:
   // --- Expression helpers ------------------------------------------------
@@ -68,6 +68,10 @@ private:
 
   /// Records fields used as register indices in \p E.
   void collectRegIndexFields(const ExprP &E);
+  void addRegField(const std::string &FieldName);
+
+  /// The signed or unsigned value of field \p Name in the word.
+  int64_t fieldValue(const std::string &Name, bool Signed) const;
 
   std::optional<Affine> linearize(const ExprP &E);
 
@@ -81,7 +85,7 @@ private:
 
   const MachineDesc &Desc;
   MachWord Word;
-  InstSummary Summary;
+  DecodedWord Summary;
   std::map<std::string, ExprP> Locals;
 
   // Facts accumulated by the walk.
@@ -252,12 +256,25 @@ void WordAnalyzer::collectReads(const ExprP &E) {
   }
 }
 
+void WordAnalyzer::addRegField(const std::string &FieldName) {
+  const FieldDef *F = Desc.field(FieldName);
+  assert(F && "register-index field unknown");
+  Summary.addRegField(F->Lo, F->Hi);
+}
+
+int64_t WordAnalyzer::fieldValue(const std::string &Name, bool Signed) const {
+  const FieldDef *F = Desc.field(Name);
+  assert(F && "unknown field survived parsing");
+  uint32_t Raw = Desc.fieldValue(*F, Word);
+  return Signed ? signExtend(Raw, F->width()) : static_cast<int64_t>(Raw);
+}
+
 void WordAnalyzer::collectRegIndexFields(const ExprP &E) {
   if (!E)
     return;
   if (E->K == Expr::Kind::Reg) {
     if (!E->Args.empty() && E->Args[0]->K == Expr::Kind::Field)
-      Summary.RegIndexFields.push_back(E->Args[0]->Name);
+      addRegField(E->Args[0]->Name);
     return;
   }
   for (const ExprP &Arg : E->Args)
@@ -412,9 +429,9 @@ void WordAnalyzer::walkStmt(const Stmt &S, bool UnderGuard) {
     collectReads(Rhs);
     collectRegIndexFields(Rhs);
     if (!IndexWasConst)
-      Summary.RegIndexFields.push_back(Lhs.Args[0]->Name);
+      addRegField(Lhs.Args[0]->Name);
     else if (Desc.RegFiles[Lhs.FileIndex].Count != 0)
-      Summary.ImplicitRegWrites.push_back(Number);
+      Summary.FixedRegs.insert(Number);
     RegAssigns.push_back({Lhs.FileIndex, Number, Rhs, UnderGuard,
                           IndexWasConst});
     return;
@@ -468,29 +485,12 @@ void WordAnalyzer::walkStmts(const std::vector<StmtP> &Stmts,
     walkStmt(*S, UnderGuard);
 }
 
-Addr TargetShape::evaluate(const MachineDesc &Desc, MachWord Word,
-                           Addr PC) const {
-  int64_t FieldPart = 0;
-  if (HasField) {
-    const FieldDef *F = Desc.field(FieldName);
-    assert(F && "target shape names unknown field");
-    uint32_t Raw = Desc.fieldValue(*F, Word);
-    int64_t Value = FieldSigned ? signExtend(Raw, F->width())
-                                : static_cast<int64_t>(Raw);
-    FieldPart = Value << Shift;
-  }
-  if (K == Kind::Region)
-    return (PC & RegionMask) |
-           static_cast<Addr>(static_cast<int64_t>(Bias) + FieldPart);
-  return static_cast<Addr>(static_cast<int64_t>(PC) + Bias + FieldPart);
-}
-
-InstSummary WordAnalyzer::run() {
-  Summary.PatternIndex = Desc.decode(Word);
-  if (Summary.PatternIndex < 0)
+DecodedWord WordAnalyzer::run() {
+  int PatternIndex = Desc.decode(Word);
+  if (PatternIndex < 0)
     return Summary; // Invalid
 
-  const InstPattern &Pattern = Desc.Patterns[Summary.PatternIndex];
+  const InstPattern &Pattern = Desc.Patterns[PatternIndex];
   const Semantics &Sem = Desc.Sems[Pattern.SemIndex];
   walkStmts(Sem.Before, /*UnderGuard=*/false);
   walkStmts(Sem.After, /*UnderGuard=*/false);
@@ -515,20 +515,24 @@ InstSummary WordAnalyzer::run() {
         A && A->RegTerms.empty() && (A->PcCoef == 1 || A->HasRegion);
     if (IsDirect) {
       // Direct transfer.
-      TargetShape Shape;
-      Shape.K = A->HasRegion ? TargetShape::Kind::Region
-                             : TargetShape::Kind::PcRelative;
+      DirectShape &Shape = Summary.Direct;
+      Shape.Region = A->HasRegion;
       Shape.RegionMask = A->RegionMask;
-      Shape.Bias = A->Bias;
+      Shape.Bias = static_cast<int32_t>(A->Bias);
+      int64_t Value = A->Bias;
       if (!A->FieldTerms.empty()) {
         assert(A->FieldTerms.size() == 1 &&
                "direct target uses several fields");
+        const Affine::FieldTerm &T = A->FieldTerms[0];
+        const FieldDef *F = Desc.field(T.Name);
         Shape.HasField = true;
-        Shape.FieldName = A->FieldTerms[0].Name;
-        Shape.Shift = A->FieldTerms[0].Shift;
-        Shape.FieldSigned = A->FieldTerms[0].Signed;
+        Shape.Field = {static_cast<uint8_t>(F->Lo),
+                       static_cast<uint8_t>(F->Hi)};
+        Shape.Shift = static_cast<uint8_t>(T.Shift);
+        Shape.Signed = T.Signed;
+        Value += fieldValue(T.Name, T.Signed) << T.Shift;
       }
-      Summary.Direct = Shape;
+      Shape.Value = static_cast<uint32_t>(Value);
       Summary.Conditional = Pc->Conditional;
       if (Pc->Conditional) {
         Summary.Category = InstCategory::BranchDirect;
@@ -543,7 +547,7 @@ InstSummary WordAnalyzer::run() {
     } else {
       // Indirect transfer through registers.
       Summary.Category = InstCategory::IndirectJump;
-      IndirectTargetInfo Info;
+      IndirectTargetInfo &Info = Summary.Indirect;
       if (A && !A->RegTerms.empty()) {
         Info.BaseReg = A->RegTerms[0].Index;
         if (A->RegTerms.size() > 1) {
@@ -551,29 +555,20 @@ InstSummary WordAnalyzer::run() {
           Info.IndexReg = A->RegTerms[1].Index;
         } else {
           int64_t Offset = A->Bias;
-          for (const Affine::FieldTerm &T : A->FieldTerms) {
-            const FieldDef *F = Desc.field(T.Name);
-            uint32_t Raw = Desc.fieldValue(*F, Word);
-            int64_t V = T.Signed ? signExtend(Raw, F->width())
-                                 : static_cast<int64_t>(Raw);
-            Offset += V << T.Shift;
-          }
+          for (const Affine::FieldTerm &T : A->FieldTerms)
+            Offset += fieldValue(T.Name, T.Signed) << T.Shift;
           Info.Offset = static_cast<int32_t>(Offset);
         }
       }
       for (const RegAssign &RA : RegAssigns)
         if (Desc.RegFiles[RA.FileIndex].Count != 0 && containsPc(RA.Rhs))
           Info.LinkReg = RA.Number;
-      Summary.Indirect = Info;
-      Summary.Conditional = Pc->Conditional;
     }
   } else if (AnnulAlways) {
     // Annul without a transfer skips the delay slot: a jump to PC+8.
     Summary.Category = InstCategory::JumpDirect;
-    TargetShape Shape;
-    Shape.K = TargetShape::Kind::PcRelative;
-    Shape.Bias = 8;
-    Summary.Direct = Shape;
+    Summary.Direct.Bias = 8;
+    Summary.Direct.Value = 8;
   } else {
     Summary.Category = InstCategory::Computation;
   }
@@ -588,7 +583,6 @@ InstSummary WordAnalyzer::run() {
   case InstCategory::JumpDirect:
   case InstCategory::CallDirect:
   case InstCategory::IndirectJump:
-    Summary.HasDelaySlot = Sem.HasDelayMark;
     if (!Sem.HasDelayMark)
       Summary.Delay = DelayBehavior::None;
     else if (AnnulAlways)
@@ -599,7 +593,6 @@ InstSummary WordAnalyzer::run() {
       Summary.Delay = DelayBehavior::Always;
     break;
   default:
-    Summary.HasDelaySlot = false;
     Summary.Delay = DelayBehavior::None;
     break;
   }
@@ -619,7 +612,7 @@ InstSummary WordAnalyzer::run() {
       }
     }
     if (Main && !Main->Conditional) {
-      DataOp &Op = Summary.DOp;
+      DataOp &Op = Summary.Op;
       Op.Rd = Main->Number;
       Op.SetsCC = SetsCC;
       const ExprP &Rhs = Main->Rhs;
@@ -677,7 +670,7 @@ InstSummary WordAnalyzer::run() {
       // If the shape is unrecognized, Kind stays None but Rd may be set;
       // normalize so callers can test Kind alone.
       if (Op.Kind == DataOpKind::None)
-        Summary.DOp = DataOp();
+        Summary.Op = DataOp();
     }
   }
 
@@ -694,13 +687,8 @@ InstSummary WordAnalyzer::run() {
       M.AddrIndex = A->RegTerms[1].Index;
     } else {
       int64_t Offset = A->Bias;
-      for (const Affine::FieldTerm &T : A->FieldTerms) {
-        const FieldDef *F = Desc.field(T.Name);
-        uint32_t Raw = Desc.fieldValue(*F, Word);
-        int64_t V = T.Signed ? signExtend(Raw, F->width())
-                             : static_cast<int64_t>(Raw);
-        Offset += V << T.Shift;
-      }
+      for (const Affine::FieldTerm &T : A->FieldTerms)
+        Offset += fieldValue(T.Name, T.Signed) << T.Shift;
       M.Offset = static_cast<int32_t>(Offset);
     }
     return true;
@@ -716,7 +704,7 @@ InstSummary WordAnalyzer::run() {
       M.SignExtendLoad = MemReads[0].SignExtend;
       M.DataReg = RA.Number;
       if (FillAddr(M, MemReads[0].AddrExpr))
-        Summary.MOp = M;
+        Summary.Mem = M;
     }
   } else if (Summary.Category == InstCategory::Store && MemW) {
     MemOp M;
@@ -725,13 +713,13 @@ InstSummary WordAnalyzer::run() {
     if (MemW->Rhs->K == Expr::Kind::Reg)
       M.DataReg = regNumber(*MemW->Rhs);
     if (FillAddr(M, MemW->AddrExpr))
-      Summary.MOp = M;
+      Summary.Mem = M;
   }
 
   return Summary;
 }
 
-InstSummary spawn::analyzeWord(const MachineDesc &Desc, MachWord Word) {
+DecodedWord spawn::analyzeWord(const MachineDesc &Desc, MachWord Word) {
   WordAnalyzer Analyzer(Desc, Word);
   return Analyzer.run();
 }

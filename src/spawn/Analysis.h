@@ -8,7 +8,8 @@
 /// Derives everything a TargetInfo must answer about one machine word from
 /// the word's RTL semantics: classification, register reads/writes, delay
 /// behaviour, direct/indirect transfer shapes, dataflow and memory shapes,
-/// and the instruction fields that hold register numbers. This is the
+/// and the instruction fields that hold register numbers — the same
+/// DecodedWord a handwritten backend's decode() fills. This is the
 /// machine-independent core of spawn — the paper's claim that classification,
 /// register sets, literal values, and even "the computation in most
 /// instructions" fall out of a concise description is reproduced here.
@@ -21,53 +22,15 @@
 #include "isa/Target.h"
 #include "spawn/MachineDesc.h"
 
-#include <optional>
-#include <string>
-#include <vector>
-
 namespace eel {
 namespace spawn {
 
-/// Normal form of a direct control-transfer target expression.
-struct TargetShape {
-  enum class Kind : uint8_t {
-    PcRelative, ///< target = PC + Bias + (field << Shift)
-    Region,     ///< target = (PC & RegionMask) | (Bias + (field << Shift))
-  };
-  Kind K = Kind::PcRelative;
-  int64_t Bias = 0;
-  uint32_t RegionMask = 0;
-  bool HasField = false;
-  std::string FieldName;
-  unsigned Shift = 0;
-  bool FieldSigned = false;
-
-  /// Evaluates the concrete target for a word at \p PC.
-  Addr evaluate(const MachineDesc &Desc, MachWord Word, Addr PC) const;
-};
-
-/// Everything derivable about one concrete instruction word.
-struct InstSummary {
-  int PatternIndex = -1; ///< -1 for invalid encodings.
-  InstCategory Category = InstCategory::Invalid;
-  RegSet Reads, Writes;
-  bool HasDelaySlot = false;
-  DelayBehavior Delay = DelayBehavior::None;
-  bool Conditional = false;
-  std::optional<TargetShape> Direct;
-  std::optional<IndirectTargetInfo> Indirect;
-  DataOp DOp;
-  std::optional<MemOp> MOp;
-  std::optional<unsigned> TrapNumber; ///< Only when a constant field.
-  std::vector<std::string> RegIndexFields; ///< Fields holding register nos.
-  std::vector<unsigned> ImplicitRegWrites; ///< Constant-register writes
-                                           ///  (e.g. a call's link register).
-};
-
-/// Analyzes one word. Never fails: undecodable words yield an Invalid
-/// summary; malformed semantics abort (they indicate a broken description,
-/// which MachineDesc::finalize should have caught).
-InstSummary analyzeWord(const MachineDesc &Desc, MachWord Word);
+/// Analyzes one word into the DecodedWord a TargetInfo answers, before
+/// the trap conventions (which the description does not know) are laid
+/// over it. Never fails: undecodable words yield an Invalid answer;
+/// malformed semantics abort (they indicate a broken description, which
+/// MachineDesc::finalize should have caught).
+DecodedWord analyzeWord(const MachineDesc &Desc, MachWord Word);
 
 } // namespace spawn
 } // namespace eel

@@ -7,10 +7,8 @@
 #include "spawn/SpawnTarget.h"
 
 #include "isa/Descriptions.h"
-#include "support/BitOps.h"
 #include "support/Error.h"
 
-#include <algorithm>
 #include <set>
 
 using namespace eel;
@@ -20,16 +18,6 @@ SpawnTarget::SpawnTarget(std::shared_ptr<const MachineDesc> Desc,
                          const TargetInfo &CodegenDelegate)
     : Desc(std::move(Desc)), Delegate(CodegenDelegate) {
   DisplayName = this->Desc->ArchName + "-spawn";
-}
-
-const InstSummary &SpawnTarget::summary(MachWord Word) const {
-  auto It = Cache.find(Word);
-  if (It != Cache.end())
-    return *It->second;
-  auto Summary = std::make_unique<InstSummary>(analyzeWord(*Desc, Word));
-  const InstSummary &Ref = *Summary;
-  Cache.emplace(Word, std::move(Summary));
-  return Ref;
 }
 
 TargetArch SpawnTarget::arch() const { return Delegate.arch(); }
@@ -53,117 +41,20 @@ std::string SpawnTarget::regName(unsigned Reg) const {
   return Delegate.regName(Reg);
 }
 
-InstCategory SpawnTarget::classify(MachWord Word) const {
-  return summary(Word).Category;
-}
-
-RegSet SpawnTarget::reads(MachWord Word) const {
-  const InstSummary &S = summary(Word);
-  // Trap conventions live outside the description (paper §4).
-  if (S.Category == InstCategory::System)
-    return conventions().SyscallReads;
-  return S.Reads;
-}
-
-RegSet SpawnTarget::writes(MachWord Word) const {
-  const InstSummary &S = summary(Word);
-  if (S.Category == InstCategory::System)
-    return conventions().SyscallWrites;
-  return S.Writes;
-}
-
-bool SpawnTarget::hasDelaySlot(MachWord Word) const {
-  return summary(Word).HasDelaySlot;
-}
-
-DelayBehavior SpawnTarget::delayBehavior(MachWord Word) const {
-  return summary(Word).Delay;
-}
-
-bool SpawnTarget::isConditional(MachWord Word) const {
-  const InstSummary &S = summary(Word);
-  return S.Conditional && S.Category == InstCategory::BranchDirect;
-}
-
 bool SpawnTarget::branchDelaySlots() const {
   // Derived from the description, not the delegate: the architecture has
   // delay slots iff some semantic expression carries a `;` delay mark.
   return Desc->hasDelayMarks();
 }
 
-std::optional<Addr> SpawnTarget::directTarget(MachWord Word, Addr PC) const {
-  const InstSummary &S = summary(Word);
-  if (!S.Direct)
-    return std::nullopt;
-  return S.Direct->evaluate(*Desc, Word, PC);
-}
-
-std::optional<IndirectTargetInfo>
-SpawnTarget::indirectTarget(MachWord Word) const {
-  return summary(Word).Indirect;
-}
-
-DataOp SpawnTarget::dataOp(MachWord Word) const { return summary(Word).DOp; }
-
-std::optional<MemOp> SpawnTarget::memOp(MachWord Word) const {
-  return summary(Word).MOp;
-}
-
-std::optional<unsigned> SpawnTarget::syscallNumber(MachWord Word) const {
-  return summary(Word).TrapNumber;
-}
-
-std::optional<MachWord> SpawnTarget::retargetDirect(MachWord Word, Addr NewPC,
-                                                    Addr NewTarget) const {
-  const InstSummary &S = summary(Word);
-  if (!S.Direct || !S.Direct->HasField)
-    return std::nullopt;
-  const TargetShape &Shape = *S.Direct;
-  const FieldDef *F = Desc->field(Shape.FieldName);
-  assert(F && "target shape names unknown field");
-  int64_t Needed;
-  if (Shape.K == TargetShape::Kind::Region) {
-    if ((NewPC & Shape.RegionMask) != (NewTarget & Shape.RegionMask))
-      return std::nullopt;
-    Needed = static_cast<int64_t>(NewTarget & ~Shape.RegionMask) - Shape.Bias;
-  } else {
-    Needed = static_cast<int64_t>(NewTarget) - static_cast<int64_t>(NewPC) -
-             Shape.Bias;
+DecodedWord SpawnTarget::decode(MachWord Word) const {
+  DecodedWord D = analyzeWord(*Desc, Word);
+  // Trap conventions live outside the description (paper §4).
+  if (D.Category == InstCategory::System) {
+    D.Reads = conventions().SyscallReads;
+    D.Writes = conventions().SyscallWrites;
   }
-  assert((Needed & ((int64_t(1) << Shape.Shift) - 1)) == 0 &&
-         "misaligned branch target");
-  int64_t FieldVal = Needed >> Shape.Shift;
-  if (Shape.FieldSigned ? !fitsSigned(FieldVal, F->width())
-                        : !fitsUnsigned(static_cast<uint64_t>(FieldVal),
-                                        F->width()))
-    return std::nullopt;
-  MachWord NewWord =
-      insertBits(Word, F->Lo, F->Hi, static_cast<uint32_t>(FieldVal));
-  assert(Desc->decode(NewWord) == S.PatternIndex &&
-         "retargeting changed the instruction's identity");
-  return NewWord;
-}
-
-std::optional<MachWord> SpawnTarget::rewriteRegisters(
-    MachWord Word, const std::function<unsigned(unsigned)> &Map) const {
-  const InstSummary &S = summary(Word);
-  if (S.PatternIndex < 0)
-    return Word; // invalid encodings are left alone
-  for (unsigned ImplicitReg : S.ImplicitRegWrites)
-    if (Map(ImplicitReg) != ImplicitReg)
-      return std::nullopt;
-  MachWord Out = Word;
-  std::set<std::string> Seen;
-  for (const std::string &FieldName : S.RegIndexFields) {
-    if (!Seen.insert(FieldName).second)
-      continue;
-    const FieldDef *F = Desc->field(FieldName);
-    assert(F && "register-index field unknown");
-    unsigned NewReg = Map(Desc->fieldValue(*F, Word));
-    assert(NewReg < 32 && "register map produced a bad id");
-    Out = insertBits(Out, F->Lo, F->Hi, NewReg);
-  }
-  return Out;
+  return D;
 }
 
 MachWord SpawnTarget::nopWord() const { return Delegate.nopWord(); }
@@ -230,10 +121,10 @@ bool SpawnTarget::emitRestoreCC(unsigned ScratchReg,
 }
 
 std::string SpawnTarget::disassemble(MachWord Word, Addr PC) const {
-  const InstSummary &S = summary(Word);
-  if (S.PatternIndex < 0)
+  int PatternIndex = Desc->decode(Word);
+  if (PatternIndex < 0)
     return "<invalid>";
-  const InstPattern &P = Desc->Patterns[S.PatternIndex];
+  const InstPattern &P = Desc->Patterns[PatternIndex];
   std::string Out = P.Name;
   // Append unconstrained fields for context.
   std::set<std::string> Constrained;

@@ -76,9 +76,9 @@ RegFreeResult eel::freeRegisterEverywhere(Executable &Exec, unsigned Reg) {
       continue;
     }
 
-    auto Map = [Reg, Substitute](unsigned R2) {
-      return R2 == Reg ? Substitute : R2;
-    };
+    RegisterMap Map;
+    for (unsigned R2 = 0; R2 < Map.size(); ++R2)
+      Map[R2] = static_cast<uint8_t>(R2 == Reg ? Substitute : R2);
     // Collect every replacement first; apply only if the whole routine can
     // be rewritten (edits cannot be rolled back once accumulated).
     struct Planned {
@@ -113,7 +113,7 @@ RegFreeResult eel::freeRegisterEverywhere(Executable &Exec, unsigned Reg) {
         if (Failed)
           break;
         std::optional<MachWord> New =
-            Target.rewriteRegisters(Inst->word(), Map);
+            rewriteRegisters(Inst->decoded(), Inst->word(), Map);
         if (!New) {
           Failed = true;
           break;

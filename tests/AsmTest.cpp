@@ -67,14 +67,14 @@ done:
   const TargetInfo &T = sriscTarget();
   Addr Base = File.segment(SegKind::Text)->VAddr;
   // ba done: done is at word index 6.
-  EXPECT_EQ(T.directTarget(textWord(File, 0), Base),
+  EXPECT_EQ(T.decode(textWord(File, 0)).directTarget(Base),
             std::optional<Addr>(Base + 24));
   // be,a loop at index 2 targets itself.
   MachWord Be = textWord(File, 2);
   EXPECT_EQ(fieldAnnul(Be), 1u);
-  EXPECT_EQ(T.directTarget(Be, Base + 8), std::optional<Addr>(Base + 8));
+  EXPECT_EQ(T.decode(Be).directTarget(Base + 8), std::optional<Addr>(Base + 8));
   // call main at index 4.
-  EXPECT_EQ(T.directTarget(textWord(File, 4), Base + 16),
+  EXPECT_EQ(T.decode(textWord(File, 4)).directTarget(Base + 16),
             std::optional<Addr>(Base));
 }
 
@@ -240,18 +240,18 @@ done:
   const TargetInfo &T = mriscTarget();
   Addr Base = File.segment(SegKind::Text)->VAddr;
   Addr Done = File.findSymbol("done")->Value;
-  EXPECT_EQ(T.directTarget(textWord(File, 0), Base),
+  EXPECT_EQ(T.decode(textWord(File, 0)).directTarget(Base),
             std::optional<Addr>(Done));
-  EXPECT_EQ(T.directTarget(textWord(File, 2), Base + 8),
+  EXPECT_EQ(T.decode(textWord(File, 2)).directTarget(Base + 8),
             std::optional<Addr>(Base));
-  EXPECT_EQ(T.directTarget(textWord(File, 4), Base + 16),
+  EXPECT_EQ(T.decode(textWord(File, 4)).directTarget(Base + 16),
             std::optional<Addr>(Done));
-  EXPECT_EQ(T.directTarget(textWord(File, 6), Base + 24),
+  EXPECT_EQ(T.decode(textWord(File, 6)).directTarget(Base + 24),
             std::optional<Addr>(Done));
-  EXPECT_EQ(T.classify(textWord(File, 8)), InstCategory::CallDirect);
+  EXPECT_EQ(T.decode(textWord(File, 8)).Category, InstCategory::CallDirect);
   // b expands to beq $zero, $zero.
-  EXPECT_EQ(T.classify(textWord(File, 10)), InstCategory::BranchDirect);
-  EXPECT_EQ(T.directTarget(textWord(File, 10), Base + 40),
+  EXPECT_EQ(T.decode(textWord(File, 10)).Category, InstCategory::BranchDirect);
+  EXPECT_EQ(T.decode(textWord(File, 10)).directTarget(Base + 40),
             std::optional<Addr>(Done));
   // li of a value > 16 bits expands to lui+ori.
   EXPECT_EQ(textWord(File, 13), encodeIType(OpLui, 0, 2, 1));

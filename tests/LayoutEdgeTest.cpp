@@ -90,7 +90,8 @@ main:
   Addr BlAddr = File.segment(SegKind::Text)->VAddr + 16;
   Addr AddAddr = File.segment(SegKind::Text)->VAddr + 8;
   MachWord Bl = *File.readWord(BlAddr);
-  std::optional<MachWord> Patched = T.retargetDirect(Bl, BlAddr, AddAddr);
+  std::optional<MachWord> Patched =
+      retargetDirect(T.decode(Bl), Bl, BlAddr, AddAddr);
   ASSERT_TRUE(Patched.has_value());
   ASSERT_TRUE(File.writeWord(BlAddr, *Patched));
   // Semantics: o4 increments until 3 (once as delay, twice via the loop:

@@ -502,9 +502,10 @@ TEST(RegFree, FreesARegisterProgramWide) {
     unsigned Uses = 0;
     for (size_t Off = 0; Off + 4 <= Text->Bytes.size(); Off += 4) {
       MachWord W = *Edited.value().readWord(Text->VAddr + Off);
-      if (T.classify(W) == InstCategory::Invalid)
+      DecodedWord D = T.decode(W);
+      if (D.Category == InstCategory::Invalid)
         continue;
-      if (T.reads(W).contains(Reg) || T.writes(W).contains(Reg))
+      if (D.Reads.contains(Reg) || D.Writes.contains(Reg))
         ++Uses;
     }
     EXPECT_EQ(Uses, 0u) << "arch=" << static_cast<int>(Arch);
