@@ -13,8 +13,8 @@
 ///  * the cost of run-time address translation on tail-call-heavy
 ///    (sunpro-style) programs — the §3.3 fallback in action;
 ///  * sandboxing (SFI) overhead, the paper's first application class;
-///  * the Options::Verify gate's share of the write it runs in, from the
-///    gated runs' own spans;
+///  * the Options::Verify gate's share of the write it runs in, and each
+///    verifier pass's share of the gate, from the gated runs' own spans;
 ///  * the observability tax: EEL_TRACE_SCOPE compiled in but disabled
 ///    must cost under 1% of the edit path (asserted — this bench exits
 ///    nonzero on regression);
@@ -39,7 +39,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -199,7 +201,10 @@ int main(int argc, char **argv) {
   // runs' own spans: write.verify_gate over its enclosing
   // writeEditedExecutable span, per run, median over the runs. Both spans
   // come from the same pass, so a slow spell of the host scales them
-  // together instead of landing on one of two separate timed runs.
+  // together instead of landing on one of two separate timed runs. The
+  // same runs split the gate among the passes it runs: each pass's spans
+  // inside the gate, summed over the routines and the worker threads the
+  // gate fans out to, over the sum for all four passes.
   printHeader("Options::Verify gate: share of the gated write (spans)");
 #ifdef EEL_TRACE_DISABLED
   std::printf("  tracing compiled out: not measured\n");
@@ -208,7 +213,11 @@ int main(int argc, char **argv) {
     SxfFile File =
         generateWorkload(TargetArch::Srisc, suiteMember(false, 13, 24));
     const int Reps = Smoke ? 3 : 31;
+    const char *const Passes[] = {"cfg_wellformed", "delay_slot",
+                                  "scavenge_audit", "layout_consistency"};
+    constexpr size_t NumPasses = std::size(Passes);
     std::vector<double> Shares, GateMs, WriteMs;
+    std::vector<double> PassFracs[NumPasses];
     for (int I = 0; I < Reps; ++I) {
       Executable::Options Opts;
       Opts.Verify = true;
@@ -240,6 +249,24 @@ int main(int argc, char **argv) {
       GateMs.push_back(G);
       WriteMs.push_back(W);
       Shares.push_back(100.0 * G / W);
+      double PassNs[NumPasses] = {}, AllPassNs = 0;
+      for (const TraceEvent &Ev : Events) {
+        std::string_view Name = Ev.Name;
+        if (!Name.starts_with("verify.") || Ev.StartNs < Gate->StartNs ||
+            Ev.EndNs > Gate->EndNs)
+          continue;
+        for (size_t P = 0; P < NumPasses; ++P)
+          if (Name.substr(7) == Passes[P]) {
+            PassNs[P] += double(Ev.EndNs - Ev.StartNs);
+            AllPassNs += double(Ev.EndNs - Ev.StartNs);
+          }
+      }
+      if (AllPassNs == 0) {
+        std::printf("  FAIL: no verifier pass span inside the gate\n");
+        return 1;
+      }
+      for (size_t P = 0; P < NumPasses; ++P)
+        PassFracs[P].push_back(PassNs[P] / AllPassNs);
     }
     auto Median = [](std::vector<double> V) {
       std::sort(V.begin(), V.end());
@@ -253,6 +280,13 @@ int main(int argc, char **argv) {
                 Share, Reps, *std::min_element(Shares.begin(), Shares.end()),
                 *std::max_element(Shares.begin(), Shares.end()));
     Sink.metric("verify_gate_overhead", Share, "percent");
+    for (size_t P = 0; P < NumPasses; ++P) {
+      double Frac = Median(PassFracs[P]);
+      std::printf("  %-18s share of pass time (median): %6.3f\n", Passes[P],
+                  Frac);
+      Sink.metric(std::string("verify_gate_") + Passes[P] + "_frac", Frac,
+                  "fraction");
+    }
   }
 #endif
 

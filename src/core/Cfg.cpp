@@ -25,11 +25,16 @@ Cfg::Cfg(const Routine &ParentRoutine, const TargetInfo &Target)
 Cfg::~Cfg() = default;
 
 BasicBlock *Cfg::newBlock(BlockKind Kind, Addr Anchor) {
+  if (Kind == BlockKind::Normal) {
+    assert(NumNormal == Blocks.size() &&
+           "normal blocks must precede every other block");
+    assert((NumNormal == 0 || Blocks[NumNormal - 1]->anchor() < Anchor) &&
+           "normal blocks must be created in ascending address order");
+    ++NumNormal;
+  }
   BasicBlock *Ptr = IR.create<BasicBlock>(
       *this, static_cast<unsigned>(Blocks.size()), Kind, Anchor);
   Blocks.push_back(Ptr);
-  if (Kind == BlockKind::Normal)
-    ByAddr[Anchor] = Ptr;
   return Ptr;
 }
 
@@ -83,8 +88,11 @@ void BasicBlock::removePred(Edge *E) {
 }
 
 BasicBlock *Cfg::blockAt(Addr A) const {
-  auto It = ByAddr.find(A);
-  return It == ByAddr.end() ? nullptr : It->second;
+  auto Normals = std::span(Blocks).first(NumNormal);
+  auto It = std::partition_point(
+      Normals.begin(), Normals.end(),
+      [A](const BasicBlock *B) { return B->anchor() < A; });
+  return It != Normals.end() && (*It)->anchor() == A ? *It : nullptr;
 }
 
 Cfg::Stats Cfg::stats() const {

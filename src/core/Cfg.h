@@ -21,11 +21,14 @@
 ///    bound the graph.
 ///
 /// Blocks and edges that transfer control out of the routine are marked
-/// uneditable (§3.3 reports 15–20% of them are). A graph is analysis: once
-/// built it never changes. Edits — deleting instructions, adding snippets
-/// before/after an instruction or along an edge — name its blocks and
-/// edges but accumulate in the edit session (core/Executable.h), a batch
-/// applied when the edited routine is produced (§3.3.1).
+/// uneditable (§3.3 reports 15–20% of them are). Normal blocks come first
+/// in blocks(), in strictly ascending address order, so a graph needs no
+/// address index: blockAt() is a binary search over that prefix. A graph
+/// is analysis: once built it never changes. Edits — deleting
+/// instructions, adding snippets before/after an instruction or along an
+/// edge — name its blocks and edges but accumulate in the edit session
+/// (core/Executable.h), a batch applied when the edited routine is
+/// produced (§3.3.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +43,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace eel {
@@ -233,8 +235,10 @@ public:
   const TargetInfo &target() const { return Target; }
 
   /// Blocks and edges in creation order, bump-allocated from this graph's
-  /// arena; index position equals id().
+  /// arena; index position equals id(). The first normalBlockCount()
+  /// blocks are the Normal ones, in strictly ascending anchor order.
   const std::vector<BasicBlock *> &blocks() const { return Blocks; }
+  unsigned normalBlockCount() const { return NumNormal; }
   const std::vector<Edge *> &edges() const { return Edges; }
 
   /// The flat instruction rows, in block-emission order: each block's
@@ -267,7 +271,8 @@ public:
 
   // --- Lookup helpers ------------------------------------------------------
 
-  /// Block whose first instruction is at \p A (Normal blocks only).
+  /// Block whose first instruction is at \p A (Normal blocks only): a
+  /// binary search over the normal-block prefix of blocks().
   BasicBlock *blockAt(Addr A) const;
 
   /// Statistics used by the §3.3/§5 benchmarks.
@@ -286,6 +291,8 @@ private:
   friend class CfgBuilder;
   friend struct VerifierTestAccess; ///< Negative tests corrupt graphs.
 
+  /// Normal blocks must be created before any other kind, in strictly
+  /// ascending anchor order (asserted): blockAt() relies on it.
   BasicBlock *newBlock(BlockKind Kind, Addr Anchor);
   Edge *newEdge(BasicBlock *Src, BasicBlock *Dst, EdgeKind Kind);
 
@@ -305,7 +312,7 @@ private:
   std::vector<CfgInst> Rows;
   std::vector<BasicBlock *> Entries;
   BasicBlock *Exit = nullptr;
-  std::unordered_map<Addr, BasicBlock *> ByAddr;
+  unsigned NumNormal = 0;
   bool Complete = true;
   bool Exotic = false;
   bool ReachedInvalid = false;

@@ -12,6 +12,12 @@
 /// along which they execute (Figure 3), calls get zero-length surrogate
 /// blocks, and everything that leaves the routine is marked uneditable.
 ///
+/// The builder's state is flat and linear in the routine's extent: one
+/// flag byte per word (visited, leader, delay slot consumed) replaces sets
+/// of addresses, blocks are formed by one scan of those bytes in address
+/// order, and every block lookup is Cfg::blockAt's binary search over the
+/// normal blocks. No tree or hash node is allocated per word or block.
+///
 //===----------------------------------------------------------------------===//
 
 #include "core/Cfg.h"
@@ -23,8 +29,7 @@
 #include "support/Stats.h"
 #include "support/Trace.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 
 using namespace eel;
 
@@ -35,16 +40,44 @@ class CfgBuilder {
 public:
   explicit CfgBuilder(const Routine &R)
       : R(R), An(R.analysis()), Target(An.target()),
-        Graph(std::make_unique<Cfg>(R, Target)) {}
+        Graph(std::make_unique<Cfg>(R, Target)),
+        Base(R.startAddr() & ~Addr(3)),
+        Flags((size_t(R.endAddr()) - Base + 3) / 4, 0) {}
 
   std::unique_ptr<Cfg> build();
 
 private:
+  /// Per-word state, one byte for each aligned word of the extent.
+  enum WordFlag : uint8_t {
+    Visited = 1,       ///< Discovered as an instruction of the routine.
+    Leader = 2,        ///< Starts a block (a transfer target or entry).
+    DelayConsumed = 4, ///< The delay slot of a visited transfer.
+    CaseSeen = 8,      ///< Already a case of the dispatch being connected.
+  };
+
   const Instruction *instAt(Addr A) {
     return R.contains(A) ? An.instAt(A) : nullptr;
   }
 
-  void discover(std::vector<Addr> Roots, bool Speculative);
+  /// The flag byte of \p A, or null when \p A is misaligned or outside
+  /// the extent (no flag is ever recorded for such an address).
+  uint8_t *flagsAt(Addr A) {
+    return R.contains(A) && !(A & 3) ? &Flags[(A - Base) / 4] : nullptr;
+  }
+  bool hasFlag(Addr A, WordFlag F) {
+    const uint8_t *P = flagsAt(A);
+    return P && (*P & F);
+  }
+  void setFlag(Addr A, WordFlag F) {
+    if (uint8_t *P = flagsAt(A))
+      *P |= F;
+  }
+  void clearFlag(Addr A, WordFlag F) {
+    if (uint8_t *P = flagsAt(A))
+      *P &= static_cast<uint8_t>(~F);
+  }
+
+  void discover(std::span<const Addr> Roots, bool Speculative);
   void coverRemainder();
   void formBlocks();
   void connect();
@@ -63,15 +96,20 @@ private:
 
   BasicBlock *makeDelayBlock(Addr TransferAddr);
 
+  /// The resolution recorded for the indirect transfer at \p A.
+  const IndirectResolution &resolutionAt(Addr A) const;
+
   const Routine &R;
   const Analysis &An;
   const TargetInfo &Target;
   std::unique_ptr<Cfg> Graph;
 
-  std::set<Addr> Leaders;
-  std::set<Addr> Visited;
-  std::set<Addr> DelayConsumed;
-  std::map<Addr, IndirectResolution> Indirect;
+  Addr Base; ///< Address of the word Flags[0] describes.
+  std::vector<uint8_t> Flags;
+  std::vector<Addr> Worklist;
+  /// Indirect transfers in discovery order; sorted by address before the
+  /// graph is connected.
+  std::vector<std::pair<Addr, IndirectResolution>> Indirect;
 };
 
 } // namespace eel
@@ -105,21 +143,22 @@ BasicBlock *CfgBuilder::makeDelayBlock(Addr TransferAddr) {
   return DB;
 }
 
-void CfgBuilder::discover(std::vector<Addr> Roots, bool Speculative) {
-  std::vector<Addr> Worklist(std::move(Roots));
+void CfgBuilder::discover(std::span<const Addr> Roots, bool Speculative) {
+  Worklist.assign(Roots.begin(), Roots.end());
   for (Addr E : Worklist)
-    Leaders.insert(E);
+    setFlag(E, Leader);
 
   auto Schedule = [&](Addr A) { Worklist.push_back(A); };
   auto ScheduleLeader = [&](Addr A) {
-    Leaders.insert(A);
+    setFlag(A, Leader);
     Worklist.push_back(A);
   };
 
   while (!Worklist.empty()) {
     Addr A = Worklist.back();
     Worklist.pop_back();
-    if (!R.contains(A) || (A & 3) || Visited.count(A))
+    uint8_t *F = flagsAt(A);
+    if (!F || (*F & Visited))
       continue;
     const Instruction *I = instAt(A);
     if (!I) {
@@ -127,7 +166,6 @@ void CfgBuilder::discover(std::vector<Addr> Roots, bool Speculative) {
         Graph->ReachedInvalid = true;
       continue;
     }
-    Visited.insert(A);
     if (isa<InvalidInst>(I)) {
       // Invalid words are data, not instructions. Hitting one from a
       // proven-reachable path poisons the routine; hitting one while
@@ -135,10 +173,10 @@ void CfgBuilder::discover(std::vector<Addr> Roots, bool Speculative) {
       // thread of exploration.
       if (!Speculative)
         Graph->ReachedInvalid = true;
-      Visited.erase(A);
       continue;
     }
     if (!I->isControlTransfer()) {
+      *F |= Visited;
       if (R.contains(A + 4)) {
         Schedule(A + 4);
       } else if (!Speculative) {
@@ -158,20 +196,19 @@ void CfgBuilder::discover(std::vector<Addr> Roots, bool Speculative) {
           Graph->Unsupported = true;
           Graph->UnsupportedReason = "delay slot outside the routine";
         }
-        Visited.erase(A);
         continue;
       }
-      DelayConsumed.insert(DelayAddr);
+      setFlag(DelayAddr, DelayConsumed);
       if (DI->isControlTransfer())
         Graph->Exotic = true; // delayed transfer in a delay slot
       if (isa<InvalidInst>(DI) &&
           I->delayBehavior() != DelayBehavior::AnnulAlways) {
         if (!Speculative)
           Graph->ReachedInvalid = true;
-        Visited.erase(A);
         continue;
       }
     }
+    *F |= Visited;
 
     // First address past the transfer and its (possible) delay slot: the
     // branch fallthrough / call continuation. On delay-slot machines this
@@ -202,21 +239,19 @@ void CfgBuilder::discover(std::vector<Addr> Roots, bool Speculative) {
         Graph->Unsupported = true;
         Graph->UnsupportedReason = "call continuation outside the routine";
       }
-      if (I->kind() == InstKind::IndirectCall && !Indirect.count(A)) {
+      if (I->kind() == InstKind::IndirectCall) {
         // On the inference path the fixpoint already resolved this site;
         // reusing its answer keeps stripped-analysis CFGs bit-identical to
         // what inference decided, independent of threading.
         if (const IndirectResolution *Pre = An.inferredSite(A))
-          Indirect.emplace(A, *Pre);
+          Indirect.emplace_back(A, *Pre);
         else
-          Indirect.emplace(A, resolveIndirect(An, R, A));
+          Indirect.emplace_back(A, resolveIndirect(An, R, A));
       }
       break;
     case InstKind::Return:
       break;
     case InstKind::IndirectJump: {
-      if (Indirect.count(A))
-        break;
       const IndirectResolution *Pre = An.inferredSite(A);
       IndirectResolution Res = Pre ? *Pre : resolveIndirect(An, R, A);
       if (An.options().DisableSlicing)
@@ -239,7 +274,7 @@ void CfgBuilder::discover(std::vector<Addr> Roots, bool Speculative) {
         if (R.contains(T))
           ScheduleLeader(T);
       }
-      Indirect.emplace(A, std::move(Res));
+      Indirect.emplace_back(A, std::move(Res));
       break;
     }
     default:
@@ -250,22 +285,29 @@ void CfgBuilder::discover(std::vector<Addr> Roots, bool Speculative) {
 
 void CfgBuilder::formBlocks() {
   BasicBlock *Current = nullptr;
-  Addr Expected = 0;
-  for (Addr A : Visited) {
+  for (size_t W = 0; W < Flags.size(); ++W) {
+    if (!(Flags[W] & Visited)) {
+      Current = nullptr; // a gap ends the block
+      continue;
+    }
+    Addr A = Base + 4 * static_cast<Addr>(W);
     const Instruction *I = instAt(A);
-    assert(I && !isa<InvalidInst>(I) && "visited set holds instructions");
-    if (!Current || A != Expected || Leaders.count(A)) {
+    assert(I && !isa<InvalidInst>(I) && "visited words hold instructions");
+    if (!Current || (Flags[W] & Leader))
       Current = Graph->newBlock(BlockKind::Normal, A);
-      Leaders.insert(A); // every block start acts as a leader from here on
-    }
     Graph->appendInst(Current, I, A);
-    if (I->isControlTransfer()) {
+    if (I->isControlTransfer())
       Current = nullptr; // block ends; the delay word is not part of it
-      Expected = 0;
-    } else {
-      Expected = A + 4;
-    }
   }
+}
+
+const IndirectResolution &CfgBuilder::resolutionAt(Addr A) const {
+  auto It = std::lower_bound(
+      Indirect.begin(), Indirect.end(), A,
+      [](const auto &Entry, Addr Key) { return Entry.first < Key; });
+  assert(It != Indirect.end() && It->first == A &&
+         "indirect transfer without a resolution");
+  return It->second;
 }
 
 void CfgBuilder::connectBlock(BasicBlock *B) {
@@ -374,7 +416,7 @@ void CfgBuilder::connectBlock(BasicBlock *B) {
       Site.Block = B;
       Site.JumpAddr = A;
       Site.IsCall = true;
-      Site.Resolution = Indirect.at(A);
+      Site.Resolution = resolutionAt(A);
       Graph->IndirectSites.push_back(std::move(Site));
     }
     return;
@@ -395,7 +437,7 @@ void CfgBuilder::connectBlock(BasicBlock *B) {
     IndirectSite Site;
     Site.Block = B;
     Site.JumpAddr = A;
-    Site.Resolution = Indirect.at(A);
+    Site.Resolution = resolutionAt(A);
     // With a delay slot, every outgoing path runs through one shared delay
     // block; without one, the case/exit edges leave the jump block itself.
     BasicBlock *Pred = B;
@@ -407,10 +449,7 @@ void CfgBuilder::connectBlock(BasicBlock *B) {
     case IndirectResolution::Kind::DispatchTable: {
       if (HasDelay)
         Graph->newEdge(B, Pred, EdgeKind::SwitchCase)->setUneditable();
-      std::set<Addr> Seen;
       for (Addr T : Site.Resolution.Targets) {
-        if (!Seen.insert(T).second)
-          continue; // duplicate table entries share one CFG edge
         BasicBlock *Dst = Graph->blockAt(T);
         if (!Dst) {
           // A table entry pointing at data or a misaligned word; discovery
@@ -418,8 +457,13 @@ void CfgBuilder::connectBlock(BasicBlock *B) {
           Graph->ReachedInvalid = true;
           continue;
         }
+        if (hasFlag(T, CaseSeen))
+          continue; // duplicate table entries share one CFG edge
+        setFlag(T, CaseSeen);
         Graph->newEdge(Pred, Dst, EdgeKind::SwitchCase);
       }
+      for (Addr T : Site.Resolution.Targets)
+        clearFlag(T, CaseSeen);
       break;
     }
     case IndirectResolution::Kind::Literal: {
@@ -452,13 +496,10 @@ void CfgBuilder::connect() {
   Graph->Exit = Graph->newBlock(BlockKind::Exit, R.endAddr());
   Graph->Exit->setUneditable();
 
-  // Snapshot: connectBlock appends delay/surrogate blocks while iterating.
-  std::vector<BasicBlock *> Normals;
-  for (BasicBlock *Block : Graph->Blocks)
-    if (Block->kind() == BlockKind::Normal)
-      Normals.push_back(Block);
-  for (BasicBlock *B : Normals)
-    connectBlock(B);
+  // By index: connectBlock appends delay and surrogate blocks after the
+  // normal prefix while this loop runs.
+  for (unsigned I = 0; I < Graph->NumNormal; ++I)
+    connectBlock(Graph->Blocks[I]);
 
   // Entry pseudo blocks.
   for (Addr E : R.entryPoints()) {
@@ -489,19 +530,18 @@ void CfgBuilder::coverRemainder() {
   // treated as a potential block: it is then laid out and retargeted like
   // ordinary code, and the run-time translator can deliver control to it.
   for (Addr A = R.startAddr(); A + 4 <= R.endAddr(); A += 4) {
-    if (Visited.count(A) || DelayConsumed.count(A))
+    if (hasFlag(A, Visited) || hasFlag(A, DelayConsumed))
       continue;
     const Instruction *I = instAt(A);
     if (!I || isa<InvalidInst>(I))
       continue;
-    discover({A}, /*Speculative=*/true);
+    discover({&A, 1}, /*Speculative=*/true);
   }
 }
 
 std::unique_ptr<Cfg> CfgBuilder::build() {
   bumpStat("eel.cfg.built");
-  discover(std::vector<Addr>(R.entryPoints().begin(), R.entryPoints().end()),
-           /*Speculative=*/false);
+  discover(R.entryPoints(), /*Speculative=*/false);
   bool Unresolved = false;
   for (const auto &[A, Res] : Indirect)
     if (Res.K == IndirectResolution::Kind::CellPointer ||
@@ -509,6 +549,9 @@ std::unique_ptr<Cfg> CfgBuilder::build() {
       Unresolved = true;
   if (Unresolved && !Graph->Unsupported)
     coverRemainder();
+  // Each word is visited at most once, so addresses are already distinct.
+  std::sort(Indirect.begin(), Indirect.end(),
+            [](const auto &X, const auto &Y) { return X.first < Y.first; });
   formBlocks();
   connect();
   return std::move(Graph);
@@ -523,10 +566,8 @@ std::unique_ptr<Cfg> eel::buildCfg(const Routine &R) {
   bumpStat("eel.cfg.blocks", G->blocks().size());
   bumpStat("eel.cfg.edges", G->edges().size());
   // Per-routine shape distributions, deterministic across thread counts.
-  size_t Insts = 0;
-  for (const auto &B : G->blocks())
-    Insts += B->size();
+  // Every row belongs to exactly one block.
   bumpHistogram("cfg.blocks_per_routine", G->blocks().size());
-  bumpHistogram("cfg.insts_per_routine", Insts);
+  bumpHistogram("cfg.insts_per_routine", G->instRows().size());
   return G;
 }

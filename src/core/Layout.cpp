@@ -3,6 +3,17 @@
 // Part of the EEL reproduction project.
 //
 //===----------------------------------------------------------------------===//
+///
+/// \file
+/// Lays out one routine at a time (§3.3.1). Every piece of per-routine
+/// bookkeeping is a flat array indexed by what it is keyed on: block
+/// offsets, external targets and indirect sites by block id, instruction
+/// edits by instruction row, edge edits by edge id, and the address-map
+/// dedup bits by word of the extent. The edit arrays are sized only when
+/// the session edits the routine, so laying out an unedited routine costs
+/// time linear in its words and blocks and allocates no node per either.
+///
+//===----------------------------------------------------------------------===//
 
 #include "core/Layout.h"
 
@@ -17,7 +28,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <map>
 
 using namespace eel;
 
@@ -65,16 +75,24 @@ private:
   }
   /// Sorts the flat address map by original address, keeping the first
   /// mapping of any key that slipped past the extent bitmask (exactly
-  /// std::map::emplace's first-wins semantics).
+  /// std::map::emplace's first-wins semantics). A map already strictly
+  /// increasing, as an unedited routine's usually is, holds no duplicate
+  /// and is left as it is.
   void sealAddrMap() {
-    std::stable_sort(
-        Out.AddrMap.begin(), Out.AddrMap.end(),
-        [](const auto &L, const auto &R) { return L.first < R.first; });
-    Out.AddrMap.erase(std::unique(Out.AddrMap.begin(), Out.AddrMap.end(),
-                                  [](const auto &L, const auto &R) {
-                                    return L.first == R.first;
-                                  }),
-                      Out.AddrMap.end());
+    auto &M = Out.AddrMap;
+    auto NotIncreasing = [](const auto &L, const auto &R) {
+      return L.first >= R.first;
+    };
+    if (std::adjacent_find(M.begin(), M.end(), NotIncreasing) == M.end())
+      return;
+    std::stable_sort(M.begin(), M.end(), [](const auto &L, const auto &R) {
+      return L.first < R.first;
+    });
+    M.erase(std::unique(M.begin(), M.end(),
+                        [](const auto &L, const auto &R) {
+                          return L.first == R.first;
+                        }),
+            M.end());
   }
 
   MachWord origWordAt(Addr A) const {
@@ -83,17 +101,15 @@ private:
     return *W;
   }
 
-  // --- Edit bookkeeping ------------------------------------------------------
+  // --- Per-block state and edit bookkeeping ---------------------------------
 
-  void gatherEdits();
+  /// Indexes the graph's blocks and the session's edits of this routine.
+  void indexGraph();
   const InstEditList *editsFor(const BasicBlock *B, unsigned InstIndex) const;
   const std::vector<const Edit *> *editsFor(const Edge *E) const;
-  bool edgeHasCode(const Edge *E) const {
-    const auto *List = editsFor(E);
-    return List && !List->empty();
-  }
+  bool edgeHasCode(const Edge *E) const { return editsFor(E) != nullptr; }
   bool blockHasEdits(const BasicBlock *B) const {
-    return BlockEdits.count(B) != 0;
+    return Blocks[B->id()].Edited;
   }
 
   // --- Emission helpers --------------------------------------------------------
@@ -151,10 +167,10 @@ private:
 
   /// The external target recorded for an edge into the exit block.
   Addr externalTargetOf(const BasicBlock *From) const {
-    for (const auto &[Block, TargetAddr] : Graph->interJumps())
-      if (Block == From)
-        return TargetAddr;
-    unreachable("no external target recorded for block");
+    const std::optional<Addr> &T = Blocks[From->id()].External;
+    if (!T)
+      unreachable("no external target recorded for block");
+    return *T;
   }
 
   const Routine &R;
@@ -165,8 +181,22 @@ private:
   const Liveness *Live = nullptr; ///< Owned by the routine.
   RoutineLayout Out;
 
-  std::map<const BasicBlock *, std::vector<InstEditList>> BlockEdits;
-  std::map<const Edge *, std::vector<const Edit *>> EdgeEdits;
+  /// What layout knows about one block of the graph.
+  struct BlockState {
+    unsigned Offset = UINT_MAX;         ///< First word; Normal blocks only.
+    std::optional<Addr> External;       ///< Its interJumps() target.
+    const IndirectSite *Site = nullptr; ///< The indirect site it ends.
+    /// A case edge into it, recorded by the dispatch lowered last; valid
+    /// for a dispatch only when the edge's source is that dispatch's.
+    const Edge *CaseEdge = nullptr;
+    bool Edited = false; ///< Named by an instruction edit.
+  };
+  std::vector<BlockState> Blocks; ///< By block id.
+  /// The session's edits of this graph, by instruction row (a block's
+  /// instruction I is row firstInstr() + I) and by edge id; both empty
+  /// when the routine is not edited.
+  std::vector<InstEditList> InstEdits;
+  std::vector<std::vector<const Edit *>> EdgeEdits;
 
   /// Stub requests, emitted after all blocks.
   struct StubRequest {
@@ -188,7 +218,6 @@ private:
     const BasicBlock *DestBlock;
   };
   std::vector<PendingInternal> Internals;
-  std::map<const BasicBlock *, unsigned> BlockOffset;
 
   /// One bit per word of the routine extent: whether its address has been
   /// mapped already (mapAddr dedup + remainder-loop membership).
@@ -198,45 +227,51 @@ private:
 
 } // namespace
 
-void RoutineLayouter::gatherEdits() {
-  for (const Edit &E : Exec.edits(*Graph)) {
-    switch (E.K) {
-    case Edit::Kind::OnEdge:
-      EdgeEdits[E.E].push_back(&E);
-      break;
-    default: {
-      std::vector<InstEditList> &Lists = BlockEdits[E.Block];
-      if (Lists.size() < E.Block->size())
-        Lists.resize(E.Block->size());
-      InstEditList &L = Lists[E.InstIndex];
-      if (E.K == Edit::Kind::Before) {
-        L.Before.push_back(&E);
-      } else if (E.K == Edit::Kind::After) {
-        L.After.push_back(&E);
-      } else if (E.K == Edit::Kind::Replace) {
-        L.Replaced = true;
-        L.Replacement = E.NewWord;
-      } else {
-        L.Deleted = true;
-      }
-      break;
+void RoutineLayouter::indexGraph() {
+  Blocks.resize(Graph->blocks().size());
+  // At most one of each per block: a block ends with one transfer.
+  for (const auto &[Block, TargetAddr] : Graph->interJumps())
+    Blocks[Block->id()].External = TargetAddr;
+  for (const IndirectSite &S : Graph->indirectSites())
+    Blocks[S.Block->id()].Site = &S;
+
+  std::span<const Edit> Batch = Exec.edits(*Graph);
+  if (Batch.empty())
+    return;
+  InstEdits.resize(Graph->instRows().size());
+  EdgeEdits.resize(Graph->edges().size());
+  for (const Edit &E : Batch) {
+    if (E.K == Edit::Kind::OnEdge) {
+      EdgeEdits[E.E->id()].push_back(&E);
+      continue;
     }
+    Blocks[E.Block->id()].Edited = true;
+    InstEditList &L = InstEdits[E.Block->firstInstr() + E.InstIndex];
+    if (E.K == Edit::Kind::Before) {
+      L.Before.push_back(&E);
+    } else if (E.K == Edit::Kind::After) {
+      L.After.push_back(&E);
+    } else if (E.K == Edit::Kind::Replace) {
+      L.Replaced = true;
+      L.Replacement = E.NewWord;
+    } else {
+      L.Deleted = true;
     }
   }
 }
 
 const InstEditList *RoutineLayouter::editsFor(const BasicBlock *B,
                                               unsigned InstIndex) const {
-  auto It = BlockEdits.find(B);
-  if (It == BlockEdits.end() || InstIndex >= It->second.size())
+  if (InstEdits.empty() || InstIndex >= B->size())
     return nullptr;
-  return &It->second[InstIndex];
+  return &InstEdits[B->firstInstr() + InstIndex];
 }
 
 const std::vector<const Edit *> *
 RoutineLayouter::editsFor(const Edge *E) const {
-  auto It = EdgeEdits.find(E);
-  return It == EdgeEdits.end() ? nullptr : &It->second;
+  if (EdgeEdits.empty() || EdgeEdits[E->id()].empty())
+    return nullptr;
+  return &EdgeEdits[E->id()];
 }
 
 Expected<bool> RoutineLayouter::emitSnippet(const Edit &E,
@@ -380,7 +415,7 @@ void RoutineLayouter::noteMaterialization(const Instruction *I,
 }
 
 Expected<bool> RoutineLayouter::emitBlock(const BasicBlock *B) {
-  BlockOffset[B] = here();
+  Blocks[B->id()].Offset = here();
   for (unsigned I = 0; I < B->size(); ++I) {
     const CfgInst &CI = B->insts()[I];
     bool IsTerminator = I + 1 == B->size() && CI.Inst->isControlTransfer();
@@ -655,11 +690,9 @@ Expected<bool> RoutineLayouter::lowerIndirect(const BasicBlock *B,
                                               const CfgInst &Term) {
   Addr A = Term.OrigAddr;
   const Instruction *I = Term.Inst;
-  const IndirectSite *Site = nullptr;
-  for (const IndirectSite &S : Graph->indirectSites())
-    if (S.Block == B && S.JumpAddr == A)
-      Site = &S;
-  assert(Site && "indirect jump without a recorded site");
+  const IndirectSite *Site = Blocks[B->id()].Site;
+  assert(Site && Site->JumpAddr == A &&
+         "indirect jump without a recorded site");
 
   bool HasDelay = I->hasDelaySlot();
 
@@ -679,6 +712,9 @@ Expected<bool> RoutineLayouter::lowerIndirect(const BasicBlock *B,
       assert(ToDelay && "dispatch block without delay edge");
       CaseSrc = ToDelay->dst();
     }
+    for (const Edge *E : CaseSrc->succ())
+      if (E->dst()->kind() == BlockKind::Normal)
+        Blocks[E->dst()->id()].CaseEdge = E;
     TableFix Fix;
     Fix.TableAddr = Site->Resolution.TableAddr;
     size_t FixIndex = Out.TableFixes.size();
@@ -686,9 +722,10 @@ Expected<bool> RoutineLayouter::lowerIndirect(const BasicBlock *B,
          ++EntryIdx) {
       Addr T = Site->Resolution.Targets[EntryIdx];
       const Edge *CaseEdge = nullptr;
-      for (const Edge *E : CaseSrc->succ())
-        if (E->dst()->kind() == BlockKind::Normal && E->dst()->anchor() == T)
-          CaseEdge = E;
+      if (const BasicBlock *Dst = Graph->blockAt(T))
+        CaseEdge = Blocks[Dst->id()].CaseEdge;
+      if (CaseEdge && CaseEdge->src() != CaseSrc)
+        CaseEdge = nullptr; // recorded for another dispatch
       TableEntryFix EF;
       EF.OrigTarget = T;
       if (CaseEdge && edgeHasCode(CaseEdge)) {
@@ -819,6 +856,8 @@ Expected<bool> RoutineLayouter::runVerbatim() {
 }
 
 Expected<RoutineLayout> RoutineLayouter::run() {
+  // Every word of the extent is emitted once, plus any edit's code.
+  Out.Code.reserve(Mapped.size());
   // Data "routines" (tables with routine-like symbols) are copied as-is.
   if (R.isData()) {
     Expected<bool> Result = runVerbatim();
@@ -845,14 +884,12 @@ Expected<RoutineLayout> RoutineLayouter::run() {
     return std::move(Out);
   }
 
-  gatherEdits();
+  indexGraph();
   Live = R.liveness();
 
-  // Normal blocks were created in ascending address order by the builder.
-  for (const BasicBlock *Block : Graph->blocks()) {
-    if (Block->kind() != BlockKind::Normal)
-      continue;
-    Expected<bool> Result = emitBlock(Block);
+  // The normal blocks lead blocks() in ascending address order.
+  for (unsigned I = 0; I < Graph->normalBlockCount(); ++I) {
+    Expected<bool> Result = emitBlock(Graph->blocks()[I]);
     if (Result.hasError())
       return Result.error();
   }
@@ -872,12 +909,12 @@ Expected<RoutineLayout> RoutineLayouter::run() {
 
   // Resolve internal transfers now that all offsets are final.
   for (const PendingInternal &P : Internals) {
-    auto It = BlockOffset.find(P.DestBlock);
-    assert(It != BlockOffset.end() && "destination block was not emitted");
+    unsigned Offset = Blocks[P.DestBlock->id()].Offset;
+    assert(Offset != UINT_MAX && "destination block was not emitted");
     Reloc Rl;
     Rl.K = Reloc::Kind::Internal;
     Rl.WordIndex = P.WordIndex;
-    Rl.DestWordIndex = It->second;
+    Rl.DestWordIndex = Offset;
     Out.Relocs.push_back(Rl);
   }
   sealAddrMap();

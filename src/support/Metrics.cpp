@@ -84,8 +84,8 @@ HistogramRegistry::Shard &HistogramRegistry::localShard() {
   return *Local;
 }
 
-void HistogramRegistry::record(const std::string &Name, uint64_t Value) {
-  localShard().Cells[Name].record(Value);
+void HistogramRegistry::record(std::string_view Name, uint64_t Value) {
+  slotFor(localShard().Cells, Name).record(Value);
 }
 
 std::vector<HistogramSnapshot> HistogramRegistry::snapshot() const {
@@ -107,10 +107,10 @@ std::vector<HistogramSnapshot> HistogramRegistry::snapshot() const {
   return Out;
 }
 
-HistogramSnapshot HistogramRegistry::read(const std::string &Name) const {
+HistogramSnapshot HistogramRegistry::read(std::string_view Name) const {
   std::lock_guard<std::mutex> Lock(M);
   HistogramSnapshot S;
-  S.Name = Name;
+  S.Name = std::string(Name);
   for (const auto &Shard : Shards) {
     auto It = Shard->Cells.find(Name);
     if (It != Shard->Cells.end())
@@ -126,22 +126,23 @@ void HistogramRegistry::resetAll() {
       C = HistogramSnapshot{};
 }
 
-void eel::bumpHistogram(const std::string &Name, uint64_t Value) {
+void eel::bumpHistogram(std::string_view Name, uint64_t Value) {
   if (MetricsSink *Sink = requestSink())
     Sink->recordHistogram(Name, Value);
   else
     HistogramRegistry::instance().record(Name, Value);
 }
 
-void MetricsSink::addCounter(const std::string &Name, uint64_t Delta) {
+void MetricsSink::addCounter(std::string_view Name, uint64_t Delta) {
   std::lock_guard<std::mutex> Lock(M);
-  Counters[Name] += Delta;
+  slotFor(Counters, Name) += Delta;
 }
 
-void MetricsSink::recordHistogram(const std::string &Name, uint64_t Value) {
+void MetricsSink::recordHistogram(std::string_view Name, uint64_t Value) {
   std::lock_guard<std::mutex> Lock(M);
-  HistogramSnapshot &S = Histograms[Name];
-  S.Name = Name;
+  HistogramSnapshot &S = slotFor(Histograms, Name);
+  if (S.Name.empty())
+    S.Name = std::string(Name);
   S.record(Value);
 }
 

@@ -35,6 +35,7 @@
 #ifndef EEL_SUPPORT_METRICS_H
 #define EEL_SUPPORT_METRICS_H
 
+#include "support/Stats.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -46,7 +47,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace eel {
@@ -164,14 +165,14 @@ public:
 
   /// Records \p Value into the calling thread's shard of histogram
   /// \p Name (lock-free once the shard exists).
-  void record(const std::string &Name, uint64_t Value);
+  void record(std::string_view Name, uint64_t Value);
 
   /// Merged snapshots of all histograms, sorted by name. Call from
   /// quiescent points only (no concurrent recorders).
   std::vector<HistogramSnapshot> snapshot() const;
 
   /// Merged snapshot of one histogram; Count == 0 when absent.
-  HistogramSnapshot read(const std::string &Name) const;
+  HistogramSnapshot read(std::string_view Name) const;
 
   /// Zeroes every histogram in every shard. Call from quiescent points
   /// only. Shards themselves are never freed (cached thread-local
@@ -180,7 +181,7 @@ public:
 
 private:
   struct Shard {
-    std::unordered_map<std::string, HistogramSnapshot> Cells;
+    StringMap<HistogramSnapshot> Cells;
   };
 
   Shard &localShard();
@@ -192,7 +193,7 @@ private:
 /// Mirror of bumpStat() for histograms: records into the calling
 /// request's metrics sink when one is installed, else this thread's
 /// registry shard.
-void bumpHistogram(const std::string &Name, uint64_t Value);
+void bumpHistogram(std::string_view Name, uint64_t Value);
 
 /// One request's metrics, for a long-lived process (eel-serve): counters,
 /// histograms and trace spans, owned by the request instead of the
@@ -209,8 +210,8 @@ class MetricsSink {
 public:
   static constexpr size_t SpanCapacity = TraceCollector::RingCapacity;
 
-  void addCounter(const std::string &Name, uint64_t Delta);
-  void recordHistogram(const std::string &Name, uint64_t Value);
+  void addCounter(std::string_view Name, uint64_t Delta);
+  void recordHistogram(std::string_view Name, uint64_t Value);
   void recordSpan(TraceEvent Ev);
 
   /// Counters, sorted by name.
@@ -224,8 +225,8 @@ public:
 
 private:
   mutable std::mutex M;
-  std::map<std::string, uint64_t> Counters;
-  std::map<std::string, HistogramSnapshot> Histograms;
+  std::map<std::string, uint64_t, std::less<>> Counters;
+  std::map<std::string, HistogramSnapshot, std::less<>> Histograms;
   std::vector<TraceEvent> Spans; ///< Ring of SpanCapacity, filled lazily.
   uint64_t PushedSpans = 0;
 };

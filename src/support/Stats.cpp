@@ -35,13 +35,13 @@ StatRegistry::Shard &StatRegistry::localShard() {
   return *Local;
 }
 
-uint64_t &StatRegistry::counter(const std::string &Name) {
+uint64_t &StatRegistry::counter(std::string_view Name) {
   // unordered_map references stay valid across rehashing, so handing the
   // slot out by reference is safe for the thread that owns the shard.
-  return localShard().Counters[Name];
+  return slotFor(localShard().Counters, Name);
 }
 
-uint64_t StatRegistry::read(const std::string &Name) const {
+uint64_t StatRegistry::read(std::string_view Name) const {
   std::lock_guard<std::mutex> Lock(M);
   uint64_t Total = 0;
   for (const auto &Shard : Shards) {
@@ -68,7 +68,7 @@ std::vector<std::pair<std::string, uint64_t>> StatRegistry::snapshot() const {
   return {Merged.begin(), Merged.end()};
 }
 
-void eel::bumpStat(const std::string &Name, uint64_t Delta) {
+void eel::bumpStat(std::string_view Name, uint64_t Delta) {
   if (MetricsSink *Sink = requestSink())
     Sink->addCounter(Name, Delta);
   else

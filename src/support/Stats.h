@@ -27,6 +27,9 @@
 /// (support/Metrics.h); bumpStat then records there instead, and the
 /// registry never sees that request's work.
 ///
+/// Names are looked up by std::string_view (a transparent hash), so a bump
+/// allocates only the first time a shard or sink sees a name.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef EEL_SUPPORT_STATS_H
@@ -36,10 +39,35 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 namespace eel {
+
+/// Hash for string-keyed maps probed by std::string_view: with
+/// std::equal_to<> it makes find() take a view, so a lookup builds no
+/// std::string.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view S) const noexcept {
+    return std::hash<std::string_view>{}(S);
+  }
+};
+
+/// String-keyed unordered map with allocation-free lookups by view.
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringViewHash, std::equal_to<>>;
+
+/// The slot of \p Name in \p Map, created from \p Name only when absent.
+template <typename MapT>
+typename MapT::mapped_type &slotFor(MapT &Map, std::string_view Name) {
+  auto It = Map.find(Name);
+  if (It == Map.end())
+    It = Map.emplace(std::string(Name), typename MapT::mapped_type{}).first;
+  return It->second;
+}
 
 /// Process-wide registry of named counters, sharded per thread. Shards are
 /// created on a thread's first bump and retained for the life of the
@@ -54,11 +82,11 @@ public:
   /// only this thread's increments and stays valid for the process's
   /// lifetime, but reading it does not observe other threads' bumps — use
   /// read() for merged totals.
-  uint64_t &counter(const std::string &Name);
+  uint64_t &counter(std::string_view Name);
 
   /// Merged total of \p Name across all shards; missing counters read as
   /// zero. Call from quiescent points only (no concurrent bumpers).
-  uint64_t read(const std::string &Name) const;
+  uint64_t read(std::string_view Name) const;
 
   /// Resets every counter in every shard to zero. Call from quiescent
   /// points only.
@@ -71,7 +99,7 @@ public:
 
 private:
   struct Shard {
-    std::unordered_map<std::string, uint64_t> Counters;
+    StringMap<uint64_t> Counters;
   };
 
   Shard &localShard();
@@ -83,7 +111,7 @@ private:
 /// Increments the named counter by \p Delta: in the calling request's
 /// metrics sink when one is installed, else in this thread's registry
 /// shard (lock-free once the shard exists).
-void bumpStat(const std::string &Name, uint64_t Delta = 1);
+void bumpStat(std::string_view Name, uint64_t Delta = 1);
 
 } // namespace eel
 

@@ -75,12 +75,14 @@ size_t ThreadPool::queueCapacity() const {
 bool ThreadPool::inPoolTask() const { return CurrentTaskPool == this; }
 
 void ThreadPool::enqueue(std::function<void()> Task, unsigned Count) {
+  // Count the task before any worker can see it: runTask's decrement
+  // would otherwise be able to land first and wrap the count.
+  PendingTasks.fetch_add(1, std::memory_order_release);
   size_t Slot = NextSubmit.fetch_add(1, std::memory_order_relaxed) % Count;
   {
     std::lock_guard<std::mutex> Lock(Workers[Slot]->M);
     Workers[Slot]->Tasks.push_back(std::move(Task));
   }
-  PendingTasks.fetch_add(1, std::memory_order_release);
   WakeCV.notify_one();
 }
 

@@ -86,14 +86,16 @@ public:
   /// rejection instead of queueing without bound.
   bool trySubmit(std::function<void()> Task);
 
-  /// Soft bound on queued-but-unstarted tasks; 0 disables the bound.
+  /// Soft bound on submitted-but-unfinished tasks; 0 disables the bound.
   /// Concurrent submitters may overshoot by one task each (the check is
   /// optimistic), which is fine for backpressure purposes.
   void setQueueCapacity(size_t Cap);
   size_t queueCapacity() const;
 
-  /// Tasks enqueued but not yet started. Approximate under concurrency;
-  /// exported as a pool-occupancy gauge by the eel-serve scrape frame.
+  /// Tasks submitted but not yet finished (queued or running); counted
+  /// before a task becomes visible to any worker, so it never wraps.
+  /// Approximate under concurrency; exported as a pool-occupancy gauge by
+  /// the eel-serve scrape frame.
   size_t pendingTasks() const {
     return PendingTasks.load(std::memory_order_relaxed);
   }

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace eel;
 
 namespace {
@@ -620,6 +622,79 @@ f:
   // bgtz is a non-annulled conditional: its delay nop is duplicated.
   unsigned DelayBlocks = countBlocks(G, BlockKind::DelaySlot);
   EXPECT_GE(DelayBlocks, 3u); // 2 branch copies + jal + jr(s)
+}
+
+TEST(CfgTest, BlockAtAndNormalPrefix) {
+  // The graph keeps no address index: its Normal blocks lead blocks() in
+  // strictly ascending anchor order, and blockAt() binary-searches them.
+  // Checked on every routine of every ISA and symbol-table style: each
+  // anchor finds its block, and every other word of the extent, every
+  // misaligned address and the words just outside the extent find none.
+  struct Style {
+    const char *Name;
+    unsigned TailCallPercent;
+    bool Pathologies;
+    bool Strip;
+  };
+  const Style Styles[] = {{"gcc", 0, false, false},
+                          {"sunpro", 35, false, false},
+                          {"stripped", 0, false, true},
+                          {"pathologies", 0, true, false}};
+  for (TargetArch Arch : AllTargetArches) {
+    for (const Style &S : Styles) {
+      SCOPED_TRACE(std::string("arch=") +
+                   std::to_string(static_cast<int>(Arch)) +
+                   " style=" + S.Name);
+      WorkloadOptions W;
+      W.Seed = 11;
+      W.Routines = 30;
+      W.SwitchPercent = 35;
+      W.TailCallPercent = S.TailCallPercent;
+      W.SymbolPathologies = S.Pathologies;
+      SxfFile File = generateWorkload(Arch, W);
+      if (S.Strip)
+        File.strip();
+      Executable Exec((SxfFile(File)));
+      ASSERT_FALSE(Exec.readContents().hasError());
+      unsigned Graphs = 0;
+      for (const auto &R : Exec.routines()) {
+        const Cfg *G = R->controlFlowGraph();
+        if (!G)
+          continue;
+        ++Graphs;
+        SCOPED_TRACE("routine " + R->name());
+        const auto &Blocks = G->blocks();
+        unsigned Prefix = 0;
+        while (Prefix < Blocks.size() &&
+               Blocks[Prefix]->kind() == BlockKind::Normal)
+          ++Prefix;
+        EXPECT_EQ(G->normalBlockCount(), Prefix);
+        for (size_t I = Prefix; I < Blocks.size(); ++I)
+          EXPECT_NE(Blocks[I]->kind(), BlockKind::Normal)
+              << "normal block " << I << " after the prefix";
+        std::set<Addr> Anchors;
+        for (unsigned I = 0; I < Prefix; ++I) {
+          Addr A = Blocks[I]->anchor();
+          if (I > 0) {
+            EXPECT_LT(Blocks[I - 1]->anchor(), A) << "block " << I;
+          }
+          EXPECT_EQ(G->blockAt(A), Blocks[I]) << "anchor " << A;
+          Anchors.insert(A);
+        }
+        for (Addr A = R->startAddr(); A < R->endAddr(); A += 4) {
+          if (!Anchors.count(A)) {
+            EXPECT_EQ(G->blockAt(A), nullptr) << "word " << A;
+          }
+          for (Addr Off : {1u, 2u, 3u})
+            EXPECT_EQ(G->blockAt(A + Off), nullptr) << "address " << A + Off;
+        }
+        EXPECT_EQ(G->blockAt(R->startAddr() - 4), nullptr);
+        EXPECT_EQ(G->blockAt(R->endAddr()), nullptr);
+        EXPECT_EQ(G->blockAt(R->endAddr() + 4), nullptr);
+      }
+      EXPECT_GT(Graphs, 0u);
+    }
+  }
 }
 
 // --- Dominators, loops, liveness ----------------------------------------------------

@@ -158,6 +158,54 @@ TEST(ThreadPoolTest, TrySubmitRejectsOnWorkerlessPool) {
   EXPECT_FALSE(Ran);
 }
 
+TEST(ThreadPoolTest, PendingCountNeverWrapsUnderClosedLoopSubmits) {
+  // A task must be counted before any worker can take it: counted after
+  // the push, a worker could run and finish it first, and the decrement
+  // would wrap the count to SIZE_MAX, so every trySubmit until the late
+  // increment landed saw a saturated queue. Each submitter keeps one tiny
+  // task outstanding and submits the next as soon as it has run; a task
+  // signals before its own decrement, so at most two per submitter are
+  // ever counted, far below the capacity.
+  constexpr unsigned Submitters = 4, PerSubmitter = 20000;
+  constexpr size_t Bound = 2 * Submitters;
+  ThreadPool Pool(3);
+  Pool.setQueueCapacity(64 * Bound);
+
+  std::atomic<bool> Stop{false};
+  std::atomic<size_t> MaxSeen{0};
+  std::thread Watcher([&] {
+    while (!Stop.load(std::memory_order_acquire)) {
+      size_t P = Pool.pendingTasks();
+      if (P > MaxSeen.load(std::memory_order_relaxed))
+        MaxSeen.store(P, std::memory_order_relaxed);
+    }
+  });
+
+  std::atomic<unsigned> Rejected{0};
+  std::vector<std::thread> Threads;
+  for (unsigned S = 0; S < Submitters; ++S)
+    Threads.emplace_back([&] {
+      for (unsigned I = 0; I < PerSubmitter; ++I) {
+        auto Done = std::make_shared<std::atomic<bool>>(false);
+        if (!Pool.trySubmit(
+                [Done] { Done->store(true, std::memory_order_release); })) {
+          Rejected.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        while (!Done->load(std::memory_order_acquire))
+          std::this_thread::yield();
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  Stop.store(true, std::memory_order_release);
+  Watcher.join();
+
+  EXPECT_EQ(Rejected.load(), 0u)
+      << "trySubmit rejected with at most " << Bound << " tasks outstanding";
+  EXPECT_LE(MaxSeen.load(), Bound) << "pendingTasks() read " << MaxSeen.load();
+}
+
 TEST(ThreadPoolTest, ShardedStatsMergeAcrossThreads) {
   StatRegistry &Reg = StatRegistry::instance();
   uint64_t Before = Reg.read("test.parallel_bumps");
