@@ -15,6 +15,7 @@
 ///  * sandboxing (SFI) overhead, the paper's first application class;
 ///  * the Options::Verify gate's share of the write it runs in, and each
 ///    verifier pass's share of the gate, from the gated runs' own spans;
+///  * what one qpt2 snippet site costs in instrument() and write.layout;
 ///  * the observability tax: EEL_TRACE_SCOPE compiled in but disabled
 ///    must cost under 1% of the edit path (asserted — this bench exits
 ///    nonzero on regression);
@@ -287,6 +288,67 @@ int main(int argc, char **argv) {
       Sink.metric(std::string("verify_gate_") + Passes[P] + "_frac", Frac,
                   "fraction");
     }
+  }
+#endif
+
+  // The cost of a snippet site on qpt2's path (§3.5): the serial
+  // instrument() walk that makes the edits, and the write.layout phase
+  // that instantiates them, each per snippet placed. Threads = 1, as in
+  // the spec_qpt workload; one gcc-style image per ISA; median over reps.
+  printHeader("qpt2 snippet sites: nanoseconds per site (Threads = 1)");
+#ifdef EEL_TRACE_DISABLED
+  std::printf("  tracing compiled out: not measured\n");
+#else
+  {
+    std::vector<SxfFile> Images;
+    for (TargetArch Arch : AllTargetArches)
+      Images.push_back(generateWorkload(Arch, suiteMember(false, 31, 150)));
+    const int Reps = Smoke ? 3 : 15;
+    std::vector<double> InstrumentNs, LayoutNs;
+    uint64_t Sites = 0;
+    for (int Rep = 0; Rep < Reps; ++Rep) {
+      double Instrument = 0, Layout = 0;
+      Sites = 0;
+      for (const SxfFile &File : Images) {
+        Executable::Options Opts;
+        Opts.Threads = 1;
+        Executable Exec(SxfFile(File), Opts);
+        Exec.readContents();
+        Qpt2Profiler Profiler(Exec);
+        auto T0 = std::chrono::steady_clock::now();
+        Profiler.instrument();
+        Instrument += std::chrono::duration<double, std::nano>(
+                          std::chrono::steady_clock::now() - T0)
+                          .count();
+        TraceCollector::instance().reset();
+        traceSetEnabled(true);
+        Expected<SxfFile> Edited = Exec.writeEditedExecutable();
+        traceSetEnabled(false);
+        if (Edited.hasError()) {
+          std::printf("  FAIL: qpt2 edit failed: %s\n",
+                      Edited.error().message().c_str());
+          return 1;
+        }
+        for (const TraceEvent &Ev : TraceCollector::instance().drain())
+          if (std::string_view(Ev.Name) == "write.layout")
+            Layout += double(Ev.EndNs - Ev.StartNs);
+        Sites += Exec.editStats().SnippetInstances;
+      }
+      InstrumentNs.push_back(Instrument / double(Sites));
+      LayoutNs.push_back(Layout / double(Sites));
+    }
+    auto Median = [](std::vector<double> V) {
+      std::sort(V.begin(), V.end());
+      return V[V.size() / 2];
+    };
+    std::printf("  snippet sites per pass:     %8llu\n",
+                static_cast<unsigned long long>(Sites));
+    std::printf("  instrument() per site:      %8.1f ns (median of %d)\n",
+                Median(InstrumentNs), Reps);
+    std::printf("  write.layout per site:      %8.1f ns (median of %d)\n",
+                Median(LayoutNs), Reps);
+    Sink.metric("qpt2_instrument_ns_per_site", Median(InstrumentNs), "ns");
+    Sink.metric("qpt2_layout_ns_per_site", Median(LayoutNs), "ns");
   }
 #endif
 

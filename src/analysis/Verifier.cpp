@@ -152,7 +152,7 @@ void eel::auditScavengeSite(const TargetInfo &Target,
                             Addr A, DiagnosticReport &Report) {
   // Re-run the allocator's decision procedure exactly as the pipeline does,
   // with the live set the pipeline used, then judge its grants against the
-  // independent truth. planScavenge is the same code instantiateSnippet
+  // independent truth. planScavenge is the same code placeSnippet
   // realizes, minus the emission, so the audit stays cheap enough for the
   // writeEditedExecutable() gate.
   Expected<ScavengePlan> Plan = planScavenge(Target, Snippet, LiveUsed);

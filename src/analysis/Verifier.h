@@ -103,7 +103,7 @@ DiagnosticReport lintImage(const SxfFile &Image, const VerifyOptions &Opts = {})
 RegSet auditLiveBefore(Routine &R, const BasicBlock *B, unsigned InstIndex);
 
 /// The site-level scavenging check: re-plans \p Snippet's allocation
-/// (planScavenge, the decision procedure instantiateSnippet realizes)
+/// (planScavenge, the decision procedure placeSnippet realizes)
 /// against the live set the pipeline used (\p LiveUsed) and reports an
 /// error if any register granted to the snippet without a spill is live
 /// according to the independently computed truth (\p LiveTruth). Exposed

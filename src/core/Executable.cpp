@@ -235,18 +235,11 @@ void Executable::deleteInst(const BasicBlock *Block, unsigned InstIndex) {
 }
 
 Addr Executable::appendData(uint32_t Bytes, unsigned Align,
-                            const std::string &Name,
                             std::vector<uint8_t> Initial) {
   assert(Align && (Align & (Align - 1)) == 0 && "alignment not a power of 2");
-  assert(Initial.empty() || Initial.size() <= Bytes);
+  assert(Initial.size() <= Bytes);
   NextDataAddr = (NextDataAddr + Align - 1) & ~(Align - 1);
-  DataBlob Blob;
-  Blob.Address = NextDataAddr;
-  Blob.Size = Bytes;
-  Blob.Align = Align;
-  Blob.Name = Name;
-  Blob.Initial = std::move(Initial);
-  AppendedData.push_back(std::move(Blob));
+  AppendedData.push_back({NextDataAddr, std::move(Initial)});
   NextDataAddr += Bytes;
   return AppendedData.back().Address;
 }

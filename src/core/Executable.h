@@ -283,10 +283,10 @@ public:
 
   // --- Additions ---------------------------------------------------------------
 
-  /// Reserves \p Bytes of fresh data space (e.g. profile counters);
-  /// returns its address. Contents are zero-initialized in the edited
-  /// image unless \p Initial is provided.
-  Addr appendData(uint32_t Bytes, unsigned Align, const std::string &Name,
+  /// Reserves \p Bytes of fresh data space aligned to \p Align (e.g.
+  /// profile counters); returns its address. Contents are zero-initialized
+  /// in the edited image unless \p Initial is provided.
+  Addr appendData(uint32_t Bytes, unsigned Align,
                   std::vector<uint8_t> Initial = {});
 
   /// Adds a new routine given as assembly text; it is assembled at its
@@ -343,11 +343,10 @@ private:
 
   std::unordered_map<const Cfg *, std::vector<Edit>> Batches;
 
+  /// Appended data with initial bytes; the rest of [the first blob's
+  /// address, NextDataAddr) is zero in the edited image.
   struct DataBlob {
     Addr Address;
-    uint32_t Size;
-    unsigned Align;
-    std::string Name;
     std::vector<uint8_t> Initial;
   };
   std::vector<DataBlob> AppendedData;

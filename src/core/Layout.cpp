@@ -7,11 +7,13 @@
 /// \file
 /// Lays out one routine at a time (§3.3.1). Every piece of per-routine
 /// bookkeeping is a flat array indexed by what it is keyed on: block
-/// offsets, external targets and indirect sites by block id, instruction
-/// edits by instruction row, edge edits by edge id, and the address-map
-/// dedup bits by word of the extent. The edit arrays are sized only when
-/// the session edits the routine, so laying out an unedited routine costs
-/// time linear in its words and blocks and allocates no node per either.
+/// offsets, external targets and indirect sites by block id, the session's
+/// edits by instruction row and by edge id, and the address-map dedup bits
+/// by word of the extent. The edit index is built only when the session
+/// edits the routine, so laying out an unedited routine costs time linear
+/// in its words and blocks and allocates no node per either. A snippet
+/// site allocates nothing: placeSnippet appends its words to the routine's
+/// code, and its statistics are recorded once per routine.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,15 +30,20 @@
 
 #include <algorithm>
 #include <climits>
+#include <numeric>
+#include <optional>
 
 using namespace eel;
 
 namespace {
 
-/// Edits grouped per instruction of one block.
-struct InstEditList {
-  std::vector<const Edit *> Before;
-  std::vector<const Edit *> After;
+using EditList = std::span<const Edit *const>;
+
+/// The session's edits of one instruction: the snippets before and after
+/// it, each in the order they were made, and whether it is deleted or
+/// replaced.
+struct InstEdits {
+  EditList Before, After;
   bool Deleted = false;
   bool Replaced = false;
   MachWord Replacement = 0;
@@ -103,11 +110,12 @@ private:
 
   // --- Per-block state and edit bookkeeping ---------------------------------
 
-  /// Indexes the graph's blocks and the session's edits of this routine.
-  void indexGraph();
-  const InstEditList *editsFor(const BasicBlock *B, unsigned InstIndex) const;
-  const std::vector<const Edit *> *editsFor(const Edge *E) const;
-  bool edgeHasCode(const Edge *E) const { return editsFor(E) != nullptr; }
+  /// Indexes the graph's blocks and the session's edits of this routine;
+  /// returns how many words the edits' snippet bodies hold.
+  size_t indexGraph();
+  InstEdits editsFor(const BasicBlock *B, unsigned InstIndex) const;
+  EditList editsFor(const Edge *E) const;
+  bool edgeHasCode(const Edge *E) const { return !editsFor(E).empty(); }
   bool blockHasEdits(const BasicBlock *B) const {
     return Blocks[B->id()].Edited;
   }
@@ -115,6 +123,7 @@ private:
   // --- Emission helpers --------------------------------------------------------
 
   Expected<bool> emitSnippet(const Edit &E, const RegSet &LiveSet);
+  Expected<bool> emitSnippets(EditList Edits, const RegSet &LiveSet);
   Expected<bool> emitEdgeCode(const Edge *E);
   Expected<bool> emitDelayBlockInline(const BasicBlock *DB);
   /// Emits edge1 code, the delay block (with edits), then edge2 code.
@@ -192,11 +201,24 @@ private:
     bool Edited = false; ///< Named by an instruction edit.
   };
   std::vector<BlockState> Blocks; ///< By block id.
-  /// The session's edits of this graph, by instruction row (a block's
-  /// instruction I is row firstInstr() + I) and by edge id; both empty
-  /// when the routine is not edited.
-  std::vector<InstEditList> InstEdits;
-  std::vector<std::vector<const Edit *>> EdgeEdits;
+  /// The session's edits of this graph, counting-sorted by key in the
+  /// order they were made: a block's instruction I is row
+  /// R = firstInstr() + I, with keys 3R (before it), 3R + 1 (after it) and
+  /// 3R + 2 (replace or delete it); edge E has key 3 * rows + E->id(). The
+  /// edits of key K are EditOrder[EditStart[K], EditStart[K + 1]). Both
+  /// are empty when the routine is not edited.
+  std::vector<const Edit *> EditOrder;
+  std::vector<unsigned> EditStart;
+  EditList editsOfKey(size_t Key) const {
+    if (EditStart.empty())
+      return {};
+    return EditList(EditOrder.data() + EditStart[Key],
+                    EditOrder.data() + EditStart[Key + 1]);
+  }
+
+  /// Scavenging statistics of the snippets placed so far; engaged by the
+  /// first one, so a routine without snippets records nothing.
+  std::optional<ScavengeTally> Tally;
 
   /// Stub requests, emitted after all blocks.
   struct StubRequest {
@@ -227,7 +249,7 @@ private:
 
 } // namespace
 
-void RoutineLayouter::indexGraph() {
+size_t RoutineLayouter::indexGraph() {
   Blocks.resize(Graph->blocks().size());
   // At most one of each per block: a block ends with one transfer.
   for (const auto &[Block, TargetAddr] : Graph->interJumps())
@@ -237,69 +259,88 @@ void RoutineLayouter::indexGraph() {
 
   std::span<const Edit> Batch = Exec.edits(*Graph);
   if (Batch.empty())
-    return;
-  InstEdits.resize(Graph->instRows().size());
-  EdgeEdits.resize(Graph->edges().size());
-  for (const Edit &E : Batch) {
-    if (E.K == Edit::Kind::OnEdge) {
-      EdgeEdits[E.E->id()].push_back(&E);
-      continue;
+    return 0;
+  const size_t EdgeBase = 3 * Graph->instRows().size();
+  auto KeyOf = [&](const Edit &E) -> size_t {
+    switch (E.K) {
+    case Edit::Kind::OnEdge:
+      return EdgeBase + E.E->id();
+    case Edit::Kind::Before:
+      return 3 * (E.Block->firstInstr() + E.InstIndex);
+    case Edit::Kind::After:
+      return 3 * (E.Block->firstInstr() + E.InstIndex) + 1;
+    case Edit::Kind::Replace:
+    case Edit::Kind::Delete:
+      return 3 * (E.Block->firstInstr() + E.InstIndex) + 2;
     }
-    Blocks[E.Block->id()].Edited = true;
-    InstEditList &L = InstEdits[E.Block->firstInstr() + E.InstIndex];
-    if (E.K == Edit::Kind::Before) {
-      L.Before.push_back(&E);
-    } else if (E.K == Edit::Kind::After) {
-      L.After.push_back(&E);
-    } else if (E.K == Edit::Kind::Replace) {
-      L.Replaced = true;
-      L.Replacement = E.NewWord;
-    } else {
+    unreachable("unknown edit kind");
+  };
+  // A stable counting sort: count key K's edits at K + 2, so that after the
+  // prefix sum EditStart[K + 1] is where key K starts; placing each edit
+  // at its key's cursor, in batch order, advances EditStart[K + 1] to key
+  // K's end, which is where key K + 1 starts.
+  EditStart.assign(EdgeBase + Graph->edges().size() + 2, 0);
+  size_t BatchWords = 0;
+  for (const Edit &E : Batch) {
+    ++EditStart[KeyOf(E) + 2];
+    if (E.Snippet)
+      BatchWords += E.Snippet->body().size();
+    if (E.K != Edit::Kind::OnEdge)
+      Blocks[E.Block->id()].Edited = true;
+  }
+  std::partial_sum(EditStart.begin(), EditStart.end(), EditStart.begin());
+  EditOrder.resize(Batch.size());
+  for (const Edit &E : Batch)
+    EditOrder[EditStart[KeyOf(E) + 1]++] = &E;
+  return BatchWords;
+}
+
+InstEdits RoutineLayouter::editsFor(const BasicBlock *B,
+                                    unsigned InstIndex) const {
+  InstEdits L;
+  if (EditStart.empty() || InstIndex >= B->size())
+    return L;
+  const size_t Key = 3 * (B->firstInstr() + InstIndex);
+  L.Before = editsOfKey(Key);
+  L.After = editsOfKey(Key + 1);
+  for (const Edit *E : editsOfKey(Key + 2)) {
+    if (E->K == Edit::Kind::Delete) {
       L.Deleted = true;
+    } else {
+      L.Replaced = true;
+      L.Replacement = E->NewWord;
     }
   }
+  return L;
 }
 
-const InstEditList *RoutineLayouter::editsFor(const BasicBlock *B,
-                                              unsigned InstIndex) const {
-  if (InstEdits.empty() || InstIndex >= B->size())
-    return nullptr;
-  return &InstEdits[B->firstInstr() + InstIndex];
-}
-
-const std::vector<const Edit *> *
-RoutineLayouter::editsFor(const Edge *E) const {
-  if (EdgeEdits.empty() || EdgeEdits[E->id()].empty())
-    return nullptr;
-  return &EdgeEdits[E->id()];
+EditList RoutineLayouter::editsFor(const Edge *E) const {
+  return editsOfKey(3 * Graph->instRows().size() + E->id());
 }
 
 Expected<bool> RoutineLayouter::emitSnippet(const Edit &E,
                                             const RegSet &LiveSet) {
-  Expected<SnippetInstance> Inst =
-      instantiateSnippet(Target, *E.Snippet, LiveSet);
-  if (Inst.hasError())
-    return Inst.error();
-  PendingCallback CB;
-  CB.Snippet = E.Snippet;
-  CB.Instance = Inst.takeValue();
-  CB.WordIndex = here();
-  for (MachWord W : CB.Instance.Words)
-    emitWord(W);
-  ++Out.SnippetInstances;
-  Out.SnippetSpills += CB.Instance.SpillCount;
-  Out.SnippetCCSaves += CB.Instance.SavedCC ? 1 : 0;
-  if (E.Snippet->callback())
-    Out.Callbacks.push_back(std::move(CB));
+  const unsigned At = here();
+  SnippetInstance Site;
+  Expected<bool> Placed =
+      placeSnippet(Target, *E.Snippet, LiveSet, Out.Code, Site);
+  if (Placed.hasError())
+    return Placed.error();
+  if (!Tally)
+    Tally.emplace();
+  Tally->add(Site);
+  if (E.Snippet->callback()) {
+    // The writer hands the instance to the callback once the routine is
+    // placed, with its words re-read from the patched image.
+    Site.Words.assign(Out.Code.begin() + At, Out.Code.end());
+    Out.Callbacks.push_back({E.Snippet, std::move(Site), At});
+  }
   return true;
 }
 
-Expected<bool> RoutineLayouter::emitEdgeCode(const Edge *E) {
-  const auto *List = editsFor(E);
-  if (!List)
-    return true;
-  RegSet LiveSet = Live->liveOnEdge(E);
-  for (const Edit *Ed : *List) {
+Expected<bool> RoutineLayouter::emitSnippets(EditList Edits,
+                                             const RegSet &LiveSet) {
+  for (const Edit *Ed : Edits) {
     Expected<bool> Result = emitSnippet(*Ed, LiveSet);
     if (Result.hasError())
       return Result;
@@ -307,27 +348,27 @@ Expected<bool> RoutineLayouter::emitEdgeCode(const Edge *E) {
   return true;
 }
 
+Expected<bool> RoutineLayouter::emitEdgeCode(const Edge *E) {
+  EditList Edits = editsFor(E);
+  if (Edits.empty())
+    return true;
+  return emitSnippets(Edits, Live->liveOnEdge(E));
+}
+
 Expected<bool> RoutineLayouter::emitDelayBlockInline(const BasicBlock *DB) {
   assert(DB->size() == 1 && "delay blocks hold exactly one instruction");
   const CfgInst &CI = DB->insts()[0];
-  const InstEditList *L = editsFor(DB, 0);
+  const InstEdits L = editsFor(DB, 0);
   mapAddr(CI.OrigAddr);
-  if (L) {
-    for (const Edit *Ed : L->Before) {
-      Expected<bool> Result = emitSnippet(*Ed, Live->liveBefore(DB, 0));
-      if (Result.hasError())
-        return Result;
-    }
+  if (!L.Before.empty()) {
+    Expected<bool> Result = emitSnippets(L.Before, Live->liveBefore(DB, 0));
+    if (Result.hasError())
+      return Result;
   }
-  if (!L || !L->Deleted)
-    emitWord(L && L->Replaced ? L->Replacement : CI.Inst->word());
-  if (L) {
-    for (const Edit *Ed : L->After) {
-      Expected<bool> Result = emitSnippet(*Ed, Live->liveAfter(DB, 0));
-      if (Result.hasError())
-        return Result;
-    }
-  }
+  if (!L.Deleted)
+    emitWord(L.Replaced ? L.Replacement : CI.Inst->word());
+  if (!L.After.empty())
+    return emitSnippets(L.After, Live->liveAfter(DB, 0));
   return true;
 }
 
@@ -379,12 +420,9 @@ void RoutineLayouter::retargetTo(unsigned WordIndex,
 void RoutineLayouter::emitJumpTo(const BasicBlock *DestBlock,
                                  Addr ExternalDest) {
   unsigned At = here();
-  std::vector<MachWord> Words;
-  bool Ok = Target.emitJump(0, 0, Words);
+  bool Ok = Target.emitJump(0, 0, Out.Code);
   assert(Ok && "zero-displacement jump must encode");
   (void)Ok;
-  for (MachWord W : Words)
-    emitWord(W);
   retargetTo(At, DestBlock, ExternalDest);
 }
 
@@ -423,26 +461,28 @@ Expected<bool> RoutineLayouter::emitBlock(const BasicBlock *B) {
       return lowerTerminator(B, I);
 
     mapAddr(CI.OrigAddr);
-    const InstEditList *L = editsFor(B, I);
-    if (L) {
-      for (const Edit *Ed : L->Before) {
-        Expected<bool> Result = emitSnippet(*Ed, Live->liveBefore(B, I));
-        if (Result.hasError())
-          return Result;
-      }
-    }
-    if (!L || !L->Deleted) {
+    if (!blockHasEdits(B)) { // the common case: the word goes out as it is
       unsigned At = here();
-      emitWord(L && L->Replaced ? L->Replacement : CI.Inst->word());
-      if (!L || !L->Replaced)
+      emitWord(CI.Inst->word());
+      noteMaterialization(CI.Inst, At);
+      continue;
+    }
+    const InstEdits L = editsFor(B, I);
+    if (!L.Before.empty()) {
+      Expected<bool> Result = emitSnippets(L.Before, Live->liveBefore(B, I));
+      if (Result.hasError())
+        return Result;
+    }
+    if (!L.Deleted) {
+      unsigned At = here();
+      emitWord(L.Replaced ? L.Replacement : CI.Inst->word());
+      if (!L.Replaced)
         noteMaterialization(CI.Inst, At);
     }
-    if (L) {
-      for (const Edit *Ed : L->After) {
-        Expected<bool> Result = emitSnippet(*Ed, Live->liveAfter(B, I));
-        if (Result.hasError())
-          return Result;
-      }
+    if (!L.After.empty()) {
+      Expected<bool> Result = emitSnippets(L.After, Live->liveAfter(B, I));
+      if (Result.hasError())
+        return Result;
     }
   }
   // Block ends without a transfer: a fallthrough edge (possibly carrying
@@ -461,17 +501,15 @@ Expected<bool> RoutineLayouter::lowerTerminator(const BasicBlock *B,
   const CfgInst &Term = B->insts()[InstIndex];
   mapAddr(Term.OrigAddr);
   // Code before a control transfer executes on every path through it.
-  const InstEditList *L = editsFor(B, InstIndex);
-  if (L) {
-    assert(L->After.empty() && !L->Deleted &&
-           "control transfers cannot be deleted or post-instrumented");
-    // L->Replaced is consumed by terminatorWord() in the lowering helpers.
-    for (const Edit *Ed : L->Before) {
-      Expected<bool> Result =
-          emitSnippet(*Ed, Live->liveBefore(B, InstIndex));
-      if (Result.hasError())
-        return Result;
-    }
+  const InstEdits L = editsFor(B, InstIndex);
+  assert(L.After.empty() && !L.Deleted &&
+         "control transfers cannot be deleted or post-instrumented");
+  // L.Replaced is consumed by terminatorWord() in the lowering helpers.
+  if (!L.Before.empty()) {
+    Expected<bool> Result =
+        emitSnippets(L.Before, Live->liveBefore(B, InstIndex));
+    if (Result.hasError())
+      return Result;
   }
   switch (Term.Inst->kind()) {
   case InstKind::Branch:
@@ -492,10 +530,8 @@ Expected<bool> RoutineLayouter::lowerTerminator(const BasicBlock *B,
 
 MachWord RoutineLayouter::terminatorWord(const BasicBlock *B,
                                          const CfgInst &Term) const {
-  const InstEditList *L = editsFor(B, B->size() - 1);
-  if (L && L->Replaced)
-    return L->Replacement;
-  return Term.Inst->word();
+  const InstEdits L = editsFor(B, B->size() - 1);
+  return L.Replaced ? L.Replacement : Term.Inst->word();
 }
 
 Expected<bool> RoutineLayouter::lowerBranch(const BasicBlock *B,
@@ -798,6 +834,7 @@ Expected<bool> RoutineLayouter::emitStubs() {
 
 Expected<bool> RoutineLayouter::runVerbatim() {
   Out.Verbatim = true;
+  Out.Code.reserve(Mapped.size()); // every word of the extent, once
   bumpStat("eel.layout.verbatim");
   const asmkit::InstParser &Parser = asmkit::instParserFor(Target.arch());
   (void)Parser;
@@ -856,8 +893,6 @@ Expected<bool> RoutineLayouter::runVerbatim() {
 }
 
 Expected<RoutineLayout> RoutineLayouter::run() {
-  // Every word of the extent is emitted once, plus any edit's code.
-  Out.Code.reserve(Mapped.size());
   // Data "routines" (tables with routine-like symbols) are copied as-is.
   if (R.isData()) {
     Expected<bool> Result = runVerbatim();
@@ -884,7 +919,8 @@ Expected<RoutineLayout> RoutineLayouter::run() {
     return std::move(Out);
   }
 
-  indexGraph();
+  // Every word of the extent is emitted once, plus the edits' code.
+  Out.Code.reserve(Mapped.size() + indexGraph());
   Live = R.liveness();
 
   // The normal blocks lead blocks() in ascending address order.
@@ -918,6 +954,12 @@ Expected<RoutineLayout> RoutineLayouter::run() {
     Out.Relocs.push_back(Rl);
   }
   sealAddrMap();
+  if (Tally) {
+    Tally->record();
+    Out.SnippetInstances = Tally->Instances;
+    Out.SnippetSpills = Tally->Spills;
+    Out.SnippetCCSaves = Tally->CCSaves;
+  }
   return std::move(Out);
 }
 

@@ -95,6 +95,10 @@ void Liveness::compute(const Cfg &G) {
 
 RegSet Liveness::liveBefore(const BasicBlock *B, unsigned InstIndex) const {
   assert(InstIndex <= B->insts().size() && "index out of range");
+  // The fixpoint already walked the whole block (a call surrogate's
+  // transfer included) into its live-in set.
+  if (InstIndex == 0)
+    return In[B->id()];
   RegSet Live = Out[B->id()];
   if (B->kind() == BlockKind::CallSurrogate)
     return transferCall(B, Live);

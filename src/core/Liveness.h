@@ -36,7 +36,8 @@ public:
   RegSet liveOut(const BasicBlock *B) const { return Out[B->id()]; }
 
   /// Registers live immediately before / after instruction \p InstIndex of
-  /// \p B (i.e. the sets snippets inserted there must preserve).
+  /// \p B (i.e. the sets snippets inserted there must preserve). Before
+  /// instruction 0 is liveIn(B), read without walking the block.
   RegSet liveBefore(const BasicBlock *B, unsigned InstIndex) const;
   RegSet liveAfter(const BasicBlock *B, unsigned InstIndex) const;
 

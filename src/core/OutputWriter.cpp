@@ -142,7 +142,7 @@ Expected<SxfFile> Executable::writeEditedExecutable() {
   unsigned TableCount = 0;
   if (NeedTranslator && Opts.EnableRuntimeTranslation) {
     TableCount = static_cast<unsigned>(AddrMap.size());
-    TableAddr = appendData(TableCount * 8, 8, "__eel_translation_table");
+    TableAddr = appendData(TableCount * 8, 8);
     TranslatorAddr = Cursor;
     Expected<SxfFile> Assembled = assembleProgram(
         Image.Arch, translatorAsm(Target, TableAddr, TableCount),

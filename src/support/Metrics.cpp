@@ -88,6 +88,11 @@ void HistogramRegistry::record(std::string_view Name, uint64_t Value) {
   slotFor(localShard().Cells, Name).record(Value);
 }
 
+void HistogramRegistry::record(std::string_view Name,
+                               const HistogramSnapshot &Samples) {
+  slotFor(localShard().Cells, Name).merge(Samples);
+}
+
 std::vector<HistogramSnapshot> HistogramRegistry::snapshot() const {
   std::lock_guard<std::mutex> Lock(M);
   std::map<std::string, HistogramSnapshot> Merged;
@@ -133,6 +138,14 @@ void eel::bumpHistogram(std::string_view Name, uint64_t Value) {
     HistogramRegistry::instance().record(Name, Value);
 }
 
+void eel::bumpHistogram(std::string_view Name,
+                        const HistogramSnapshot &Samples) {
+  if (MetricsSink *Sink = requestSink())
+    Sink->recordHistogram(Name, Samples);
+  else
+    HistogramRegistry::instance().record(Name, Samples);
+}
+
 void MetricsSink::addCounter(std::string_view Name, uint64_t Delta) {
   std::lock_guard<std::mutex> Lock(M);
   slotFor(Counters, Name) += Delta;
@@ -144,6 +157,15 @@ void MetricsSink::recordHistogram(std::string_view Name, uint64_t Value) {
   if (S.Name.empty())
     S.Name = std::string(Name);
   S.record(Value);
+}
+
+void MetricsSink::recordHistogram(std::string_view Name,
+                                  const HistogramSnapshot &Samples) {
+  std::lock_guard<std::mutex> Lock(M);
+  HistogramSnapshot &S = slotFor(Histograms, Name);
+  if (S.Name.empty())
+    S.Name = std::string(Name);
+  S.merge(Samples);
 }
 
 void MetricsSink::recordSpan(TraceEvent Ev) {

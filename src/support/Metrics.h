@@ -166,6 +166,8 @@ public:
   /// Records \p Value into the calling thread's shard of histogram
   /// \p Name (lock-free once the shard exists).
   void record(std::string_view Name, uint64_t Value);
+  /// Adds every sample of \p Samples the same way.
+  void record(std::string_view Name, const HistogramSnapshot &Samples);
 
   /// Merged snapshots of all histograms, sorted by name. Call from
   /// quiescent points only (no concurrent recorders).
@@ -194,6 +196,9 @@ private:
 /// request's metrics sink when one is installed, else this thread's
 /// registry shard.
 void bumpHistogram(std::string_view Name, uint64_t Value);
+/// The same for every sample of \p Samples at once (its Name is ignored):
+/// the histogram ends up as if each had been recorded on its own.
+void bumpHistogram(std::string_view Name, const HistogramSnapshot &Samples);
 
 /// One request's metrics, for a long-lived process (eel-serve): counters,
 /// histograms and trace spans, owned by the request instead of the
@@ -212,6 +217,7 @@ public:
 
   void addCounter(std::string_view Name, uint64_t Delta);
   void recordHistogram(std::string_view Name, uint64_t Value);
+  void recordHistogram(std::string_view Name, const HistogramSnapshot &Samples);
   void recordSpan(TraceEvent Ev);
 
   /// Counters, sorted by name.

@@ -22,9 +22,9 @@ ActiveMemory::ActiveMemory(Executable &Exec, CacheConfig Config)
     : Exec(Exec), Config(Config) {
   // Tag table initialized to an impossible tag (all ones).
   std::vector<uint8_t> Init(Config.Lines * 4, 0xFF);
-  TagsBase = Exec.appendData(Config.Lines * 4, 8, "am_tags", std::move(Init));
-  AccessCounter = Exec.appendData(4, 4, "am_accesses");
-  MissCounter = Exec.appendData(4, 4, "am_misses");
+  TagsBase = Exec.appendData(Config.Lines * 4, 8, std::move(Init));
+  AccessCounter = Exec.appendData(4, 4);
+  MissCounter = Exec.appendData(4, 4);
 }
 
 SnippetPtr ActiveMemory::makeCacheTestSnippet(const MemOp &M) const {

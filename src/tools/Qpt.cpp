@@ -11,6 +11,7 @@ using namespace eel;
 SnippetPtr eel::makeCounterIncrementSnippet(const TargetInfo &Target,
                                             Addr CounterAddr) {
   std::vector<MachWord> Body;
+  Body.reserve(5); // at most a two-word constant, load, add and store
   const unsigned RegA = 1, RegB = 2; // placeholders, rebound per site
   Target.emitLoadConst(RegA, CounterAddr, Body);
   Target.emitLoadWord(RegB, RegA, 0, Body);
@@ -45,9 +46,8 @@ void Qpt2Profiler::instrument() {
 
     auto NewCounter = [&](CounterInfo Info) {
       Info.Routine = R->name();
-      Info.CounterAddr = Exec.appendData(
-          4, 4, "qpt_ctr" + std::to_string(Counters.size()));
-      Counters.push_back(Info);
+      Info.CounterAddr = Exec.appendData(4, 4);
+      Counters.push_back(std::move(Info));
       return Counters.back().CounterAddr;
     };
 
@@ -57,7 +57,7 @@ void Qpt2Profiler::instrument() {
         CounterInfo Info;
         Info.K = CounterInfo::Kind::Block;
         Info.BlockAnchor = Block->anchor();
-        Addr Counter = NewCounter(Info);
+        Addr Counter = NewCounter(std::move(Info));
         Exec.addCodeBefore(Block, 0,
                            makeCounterIncrementSnippet(Target, Counter));
       }
@@ -76,7 +76,7 @@ void Qpt2Profiler::instrument() {
           Info.TermAddr = Block->insts().back().OrigAddr;
         Info.Edge = E->kind();
         Info.DestAnchor = E->dst()->anchor();
-        Addr Counter = NewCounter(Info);
+        Addr Counter = NewCounter(std::move(Info));
         Exec.addCodeAlong(E, makeCounterIncrementSnippet(Target, Counter));
       }
     }

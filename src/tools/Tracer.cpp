@@ -15,10 +15,9 @@ static std::vector<uint8_t> wordBytes(uint32_t V) {
 
 MemoryTracer::MemoryTracer(Executable &Exec, uint32_t CapacityEntries)
     : Exec(Exec), Capacity(CapacityEntries) {
-  Buffer = Exec.appendData(Capacity * 4, 8, "trace_buf");
-  PtrCell = Exec.appendData(4, 4, "trace_ptr", wordBytes(Buffer));
-  EndCell = Exec.appendData(4, 4, "trace_end",
-                            wordBytes(Buffer + Capacity * 4));
+  Buffer = Exec.appendData(Capacity * 4, 8);
+  PtrCell = Exec.appendData(4, 4, wordBytes(Buffer));
+  EndCell = Exec.appendData(4, 4, wordBytes(Buffer + Capacity * 4));
 }
 
 SnippetPtr MemoryTracer::makeTraceSnippet(const MemOp &M) const {

@@ -18,7 +18,7 @@ CycleCounter::CycleCounter(Executable &Exec, uint32_t Quantum)
   std::vector<uint8_t> Init(12, 0);
   Init[4] = static_cast<uint8_t>(Quantum);
   Init[5] = static_cast<uint8_t>(Quantum >> 8);
-  CycleCell = Exec.appendData(12, 8, "wwt_cells", std::move(Init));
+  CycleCell = Exec.appendData(12, 8, std::move(Init));
   NextQuantumCell = CycleCell + 4;
   ExpirationsCell = CycleCell + 8;
 }

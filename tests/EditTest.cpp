@@ -222,7 +222,7 @@ f:
 TEST(SnippetEdit, CountBeforeInstruction) {
   Executable Exec(assembleOrDie(TargetArch::Srisc, LoopProgram));
   Exec.readContents();
-  Addr Counter = Exec.appendData(4, 4, "counter");
+  Addr Counter = Exec.appendData(4, 4);
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
   // Count executions of the loop body's first instruction.
@@ -238,8 +238,8 @@ TEST(SnippetEdit, CountBeforeInstruction) {
 TEST(SnippetEdit, CountAlongBranchEdges) {
   Executable Exec(assembleOrDie(TargetArch::Srisc, LoopProgram));
   Exec.readContents();
-  Addr TakenCounter = Exec.appendData(4, 4, "taken");
-  Addr FallCounter = Exec.appendData(4, 4, "fall");
+  Addr TakenCounter = Exec.appendData(4, 4);
+  Addr FallCounter = Exec.appendData(4, 4);
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
   // The ble's block: find its taken / not-taken edges.
@@ -284,7 +284,7 @@ main:
   nop
 )"));
   Exec.readContents();
-  Addr Counter = Exec.appendData(4, 4, "counter");
+  Addr Counter = Exec.appendData(4, 4);
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
   BasicBlock *Body = G->blockAt(Exec.analysis().textBase());
@@ -329,7 +329,7 @@ TEST(SnippetEdit, HighRegisterPressureSpills) {
   Source += "  sys 0\n  ret\n  nop\n";
   Executable Exec(assembleOrDie(TargetArch::Srisc, Source));
   Exec.readContents();
-  Addr Counter = Exec.appendData(4, 4, "counter");
+  Addr Counter = Exec.appendData(4, 4);
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
   BasicBlock *Body = G->blockAt(Exec.analysis().textBase());
@@ -371,7 +371,7 @@ main:
 TEST(SnippetEdit, TaggedSnippetAndCallback) {
   Executable Exec(assembleOrDie(TargetArch::Srisc, LoopProgram));
   Exec.readContents();
-  Addr Counter = Exec.appendData(4, 4, "counter");
+  Addr Counter = Exec.appendData(4, 4);
   Routine *Main = Exec.findRoutine("main");
   Cfg *G = Main->controlFlowGraph();
   BasicBlock *Body = G->blockAt(Exec.analysis().textBase());
@@ -469,7 +469,7 @@ landing:
 fptr: .word landing + 1
 )"));
   Exec.readContents();
-  Addr Counter = Exec.appendData(4, 4, "counter");
+  Addr Counter = Exec.appendData(4, 4);
   // `landing` carries a symbol, so it is its own routine; instrument it.
   Routine *LandingR = Exec.findRoutine("landing");
   ASSERT_NE(LandingR, nullptr);
@@ -573,9 +573,8 @@ table: .word .Lcase0, .Lcase1, .Lcase2, .Lcase3
     if (E->kind() == EdgeKind::SwitchCase)
       ToDelay = E;
   ASSERT_NE(ToDelay, nullptr);
-  unsigned CaseIndex = 0;
   for (Edge *E : ToDelay->dst()->succ()) {
-    Addr C = Exec.appendData(4, 4, "case" + std::to_string(CaseIndex++));
+    Addr C = Exec.appendData(4, 4);
     Counters.push_back(C);
     Exec.addCodeAlong(E, makeCounterSnippet(Exec.target(), C));
   }

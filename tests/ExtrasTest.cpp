@@ -17,12 +17,15 @@
 #include "asmkit/Assembler.h"
 #include "core/CallGraph.h"
 #include "core/Executable.h"
+#include "core/Liveness.h"
 #include "core/RegAlloc.h"
 #include "core/Translate.h"
 #include "isa/SriscEncoding.h"
 #include "spawn/Codegen.h"
 #include "spawn/SpawnTarget.h"
 #include "support/FileIO.h"
+#include "support/Rng.h"
+#include "tools/Qpt.h"
 #include "vm/Machine.h"
 #include "workload/Generator.h"
 
@@ -204,6 +207,217 @@ TEST(RegAllocUnit, CCSaveOnlyWhenLive) {
   ASSERT_TRUE(LiveCC.hasValue());
   EXPECT_TRUE(LiveCC.value().SavedCC);
   EXPECT_EQ(LiveCC.value().Words.size(), Dead.value().Words.size() + 2);
+}
+
+namespace {
+
+/// qpt2's counter snippet, a condition-code clobbering snippet and one with
+/// three placeholders, for \p T.
+std::vector<SnippetPtr> scavengeSubjects(const TargetInfo &T) {
+  std::vector<SnippetPtr> Out;
+  Out.push_back(makeCounterIncrementSnippet(T, 0x400010));
+  std::vector<MachWord> Body;
+  T.emitAddImm(1, 1, 7, Body);
+  auto Clobber = std::make_shared<CodeSnippet>(Body, RegSet{1});
+  Clobber->setClobbersCC(true);
+  Out.push_back(Clobber);
+  std::vector<unsigned> P = choosePlaceholderRegs(T, 3, RegSet());
+  Body.clear();
+  T.emitLoadConst(P[0], 0x400020, Body);
+  T.emitLoadWord(P[1], P[0], 0, Body);
+  T.emitAddReg(P[2], P[1], P[1], Body);
+  T.emitStoreWord(P[2], P[0], 0, Body);
+  Out.push_back(
+      std::make_shared<CodeSnippet>(Body, RegSet{P[0], P[1], P[2]}));
+  return Out;
+}
+
+/// Checks \p Inst against what the allocator's contract says it must be
+/// for \p Snip at a site where \p Live is live, rebuilt independently:
+/// grants go dead registers ascending, then spilled ones ascending, to the
+/// placeholders (ascending) and then the CC scratch register; the words are
+/// the spill stores, the CC save, the renamed body, the CC restore and the
+/// reloads in reverse.
+void expectContract(const TargetInfo &T, const CodeSnippet &Snip,
+                    const RegSet &Live, const SnippetInstance &Inst) {
+  EXPECT_EQ(Inst.SavedCC, Snip.clobbersCC() && T.hasConditionCodes() &&
+                              Live.contains(RegIdCC));
+  EXPECT_EQ((Inst.Granted - Inst.Spilled) & Live, RegSet());
+  EXPECT_EQ(Inst.Spilled - Inst.Granted, RegSet());
+  EXPECT_EQ(Inst.Spilled - Live, RegSet());
+  EXPECT_EQ(Inst.SpillCount, Inst.Spilled.size());
+  std::vector<unsigned> Order, Spilled;
+  for (unsigned Reg : Inst.Granted - Inst.Spilled)
+    Order.push_back(Reg);
+  for (unsigned Reg : Inst.Spilled) {
+    Order.push_back(Reg);
+    Spilled.push_back(Reg);
+  }
+  size_t Placeholders = Snip.regsToAllocate().size();
+  ASSERT_EQ(Order.size(), Placeholders + (Inst.SavedCC ? 1 : 0));
+
+  RegisterMap Map;
+  for (unsigned Reg = 0; Reg < 32; ++Reg)
+    Map[Reg] = static_cast<uint8_t>(Reg);
+  size_t Next = 0;
+  for (unsigned Placeholder : Snip.regsToAllocate())
+    Map[Placeholder] = static_cast<uint8_t>(Order[Next++]);
+  EXPECT_EQ(Inst.RegMap, Map);
+
+  const unsigned SP = T.conventions().StackPointer;
+  auto Slot = [](size_t I) {
+    return SnippetSpillBase - static_cast<int32_t>(4 * I) - 4;
+  };
+  std::vector<MachWord> Want;
+  for (size_t I = 0; I < Spilled.size(); ++I)
+    T.emitStoreWord(Spilled[I], SP, Slot(I), Want);
+  if (Inst.SavedCC)
+    T.emitSaveCC(Order[Placeholders], Want);
+  EXPECT_EQ(Inst.BodyBegin, Want.size());
+  for (MachWord W : Snip.body())
+    Want.push_back(*rewriteRegisters(T.decode(W), W, Map));
+  if (Inst.SavedCC)
+    T.emitRestoreCC(Order[Placeholders], Want);
+  for (size_t I = Spilled.size(); I-- > 0;)
+    T.emitLoadWord(Spilled[I], SP, Slot(I), Want);
+  EXPECT_EQ(Inst.Words, Want);
+}
+
+} // namespace
+
+TEST(RegAllocUnit, OneInstantiationPathOnEveryIsa) {
+  // instantiateSnippet is a wrapper over placeSnippet, the path layout
+  // appends to a routine's code through: both must give the same site,
+  // and that site must be the one the contract describes.
+  for (TargetArch Arch : AllTargetArches) {
+    const TargetInfo &T = targetFor(Arch);
+    SCOPED_TRACE(T.name());
+    RegSet AllLive;
+    for (unsigned Reg = 1; Reg < T.numRegisters(); ++Reg)
+      AllLive.insert(Reg);
+    std::vector<RegSet> LiveSets = {RegSet(), AllLive};
+    if (T.hasConditionCodes()) {
+      LiveSets.push_back(RegSet{RegIdCC});
+      LiveSets.push_back(AllLive | RegSet{RegIdCC});
+    }
+    // Random sets, and nearly full ones that leave a site one or two dead
+    // registers, so grants mix dead and spilled registers.
+    Rng R(0x5EED + static_cast<unsigned>(Arch));
+    for (unsigned I = 0; I < 80; ++I) {
+      RegSet Live = RegSet::fromMask(R.next() & AllLive.mask());
+      if (I % 2) {
+        Live = AllLive;
+        for (unsigned Dead = 1 + I % 4 / 2; Dead-- > 0;)
+          Live.remove(1 + static_cast<unsigned>(R.below(31)));
+      }
+      if (T.hasConditionCodes() && R.below(2))
+        Live.insert(RegIdCC);
+      LiveSets.push_back(Live);
+    }
+
+    unsigned Mixed = 0;
+    for (const SnippetPtr &Snip : scavengeSubjects(T)) {
+      for (const RegSet &Live : LiveSets) {
+        Expected<SnippetInstance> Inst = instantiateSnippet(T, *Snip, Live);
+        ASSERT_TRUE(Inst.hasValue()) << Inst.error().message();
+        const SnippetInstance &Want = Inst.value();
+        expectContract(T, *Snip, Live, Want);
+        if (Live == AllLive) {
+          EXPECT_EQ(Want.SpillCount, Snip->regsToAllocate().size());
+        }
+        if (!Want.Spilled.empty() && Want.Granted != Want.Spilled)
+          ++Mixed;
+
+        // Layout's call: the site appends after code already emitted.
+        std::vector<MachWord> Code = {T.nopWord(), T.nopWord()};
+        SnippetInstance Site;
+        ASSERT_TRUE(placeSnippet(T, *Snip, Live, Code, Site).hasValue());
+        ASSERT_GE(Code.size(), 2u);
+        EXPECT_EQ(std::vector<MachWord>(Code.begin() + 2, Code.end()),
+                  Want.Words);
+        EXPECT_EQ(Site.RegMap, Want.RegMap);
+        EXPECT_EQ(Site.BodyBegin, Want.BodyBegin);
+        EXPECT_EQ(Site.Granted, Want.Granted);
+        EXPECT_EQ(Site.Spilled, Want.Spilled);
+        EXPECT_EQ(Site.SpillCount, Want.SpillCount);
+        EXPECT_EQ(Site.SavedCC, Want.SavedCC);
+
+        // The verifier's audit re-plans the same decision.
+        Expected<ScavengePlan> Plan = planScavenge(T, *Snip, Live);
+        ASSERT_TRUE(Plan.hasValue());
+        EXPECT_EQ(Plan.value().GrantedSet, Want.Granted);
+        EXPECT_EQ(Plan.value().SpilledSet, Want.Spilled);
+        EXPECT_EQ(Plan.value().NeedCCSave, Want.SavedCC);
+      }
+    }
+    EXPECT_GT(Mixed, 0u) << "no site was granted both dead and spilled "
+                            "registers";
+  }
+}
+
+TEST(RegAllocUnit, LayoutPlacesWhatInstantiateSnippetBuilds) {
+  // The sites layout places in a routine's code, seen through each
+  // snippet's callback, equal instantiateSnippet's at the live set of the
+  // site: before a block's first instruction (walked here from the
+  // block's live-out set) and along an edge.
+  for (TargetArch Arch : AllTargetArches) {
+    const TargetInfo &T = targetFor(Arch);
+    SCOPED_TRACE(T.name());
+    WorkloadOptions W;
+    W.Seed = 7;
+    W.Routines = 12;
+    W.SwitchPercent = 30;
+    Executable Exec(generateWorkload(Arch, W));
+    ASSERT_TRUE(Exec.readContents().hasValue());
+    unsigned Sites = 0, Checked = 0;
+    auto AddSite = [&](RegSet Live, auto Add) {
+      SnippetPtr Snip = makeCounterIncrementSnippet(T, 0x400010 + 4 * Sites);
+      const CodeSnippet *Raw = Snip.get();
+      Snip->setCallback([&T, &Checked, Raw, Live](SnippetInstance &Inst) {
+        Expected<SnippetInstance> Want = instantiateSnippet(T, *Raw, Live);
+        ASSERT_TRUE(Want.hasValue());
+        EXPECT_EQ(Inst.Words, Want.value().Words);
+        EXPECT_EQ(Inst.RegMap, Want.value().RegMap);
+        EXPECT_EQ(Inst.BodyBegin, Want.value().BodyBegin);
+        EXPECT_EQ(Inst.Granted, Want.value().Granted);
+        EXPECT_EQ(Inst.Spilled, Want.value().Spilled);
+        EXPECT_EQ(Inst.SpillCount, Want.value().SpillCount);
+        EXPECT_EQ(Inst.SavedCC, Want.value().SavedCC);
+        ++Checked;
+      });
+      Add(std::move(Snip));
+      ++Sites;
+    };
+    for (const auto &R : Exec.routines()) {
+      if (R->isData())
+        continue;
+      Cfg *G = R->controlFlowGraph();
+      if (G->unsupported())
+        continue;
+      const Liveness &L = *R->liveness();
+      for (const BasicBlock *B : G->blocks()) {
+        if (B->kind() == BlockKind::Normal && B->editable()) {
+          RegSet Live = L.liveOut(B);
+          for (size_t I = B->size(); I-- > 0;) {
+            Live.remove(B->insts()[I].Inst->writes());
+            Live |= B->insts()[I].Inst->reads();
+          }
+          EXPECT_EQ(L.liveBefore(B, 0), Live);
+          AddSite(Live, [&](SnippetPtr S) { Exec.addCodeBefore(B, 0, S); });
+        }
+        if (B->succ().size() > 1)
+          for (const Edge *E : B->succ())
+            if (E->editable())
+              AddSite(L.liveOnEdge(E),
+                      [&](SnippetPtr S) { Exec.addCodeAlong(E, S); });
+      }
+    }
+    ASSERT_GT(Sites, 0u);
+    Expected<SxfFile> Edited = Exec.writeEditedExecutable();
+    ASSERT_TRUE(Edited.hasValue()) << Edited.error().message();
+    EXPECT_EQ(Checked, Sites);
+    EXPECT_EQ(Exec.editStats().SnippetInstances, Sites);
+  }
 }
 
 // --- Call graph over indirect edges --------------------------------------------------------

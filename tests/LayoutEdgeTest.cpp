@@ -50,7 +50,7 @@ main:
   Exec.readContents();
   // Instrument both edges.
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
-  Addr C1 = Exec.appendData(4, 4, "c1"), C2 = Exec.appendData(4, 4, "c2");
+  Addr C1 = Exec.appendData(4, 4), C2 = Exec.appendData(4, 4);
   BasicBlock *B = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(B, nullptr);
   ASSERT_EQ(B->succ().size(), 2u);
@@ -176,6 +176,74 @@ cell: .word 0
   EXPECT_EQ(M.memory().readWord(Cell), 10u); // (0+5)*2, not (0*2)+5
 }
 
+TEST(LayoutEdge, EditOrderingAtOnePointAfterAndAlongEdges) {
+  // The same guarantee for code after an instruction and along an edge,
+  // with the batch interleaving the edits of several points, so the
+  // layouter's index must keep each point's edits in batch order. Snippet
+  // D shifts digit D into a cell (cell = cell * 16 + D): the cell spells
+  // the order in which the snippets ran.
+  Executable Exec(assembleOrDie(TargetArch::Srisc, R"(
+.text
+main:
+  mov 1, %o1
+  cmp %o1, 0
+  bne .Ltaken
+  nop
+  mov 2, %o1
+.Ltaken:
+  mov 0, %o0
+  sys 0
+  ret
+  nop
+.data
+.align 4
+cell: .word 0
+)"));
+  Exec.readContents();
+  Addr Cell = Exec.image().findSymbol("cell")->Value;
+  const TargetInfo &T = Exec.target();
+  Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
+  BasicBlock *B = G->blockAt(Exec.analysis().textBase());
+  ASSERT_NE(B, nullptr);
+  ASSERT_EQ(B->size(), 3u); // mov, cmp, bne
+  const Edge *Taken = nullptr, *NotTaken = nullptr;
+  for (const Edge *E : B->succ()) {
+    if (E->kind() == EdgeKind::Taken)
+      Taken = E;
+    else if (E->kind() == EdgeKind::NotTaken)
+      NotTaken = E;
+  }
+  ASSERT_NE(Taken, nullptr);
+  ASSERT_NE(NotTaken, nullptr);
+
+  auto ShiftIn = [&](unsigned Digit) {
+    std::vector<MachWord> W;
+    T.emitLoadConst(1, Cell, W);
+    T.emitLoadWord(2, 1, 0, W);
+    T.emitAluImm(DataOpKind::Sll, 2, 2, 4, W);
+    T.emitAddImm(2, 2, static_cast<int32_t>(Digit), W);
+    T.emitStoreWord(2, 1, 0, W);
+    return std::make_shared<CodeSnippet>(W, RegSet{1, 2});
+  };
+  // Runs as 1 2 (before mov), 3 4 (after mov), 5 6 (after cmp), 7 8
+  // (along the taken edge); the not-taken edge's 9 never runs.
+  Exec.addCodeAlong(Taken, ShiftIn(7));
+  Exec.addCodeBefore(B, 0, ShiftIn(1));
+  Exec.addCodeAfter(B, 1, ShiftIn(5));
+  Exec.addCodeAfter(B, 0, ShiftIn(3));
+  Exec.addCodeAlong(NotTaken, ShiftIn(9));
+  Exec.addCodeAlong(Taken, ShiftIn(8));
+  Exec.addCodeBefore(B, 0, ShiftIn(2));
+  Exec.addCodeAfter(B, 1, ShiftIn(6));
+  Exec.addCodeAfter(B, 0, ShiftIn(4));
+
+  Expected<SxfFile> Edited = Exec.writeEditedExecutable();
+  ASSERT_TRUE(Edited.hasValue()) << Edited.error().message();
+  Machine M(Edited.value());
+  M.run();
+  EXPECT_EQ(M.memory().readWord(Cell), 0x12345678u);
+}
+
 TEST(LayoutEdge, DeletedJumpTargetFallsThrough) {
   Executable Exec(assembleOrDie(TargetArch::Srisc, R"(
 .text
@@ -226,7 +294,7 @@ body_alt:
   ASSERT_NE(Compute, nullptr);
   ASSERT_EQ(Compute->entryPoints().size(), 2u);
   // Count executions of the second entry's block.
-  Addr Counter = Exec.appendData(4, 4, "entry2");
+  Addr Counter = Exec.appendData(4, 4);
   Cfg *G = Compute->controlFlowGraph();
   BasicBlock *Alt = G->blockAt(Compute->entryPoints()[1]);
   ASSERT_NE(Alt, nullptr);
@@ -260,7 +328,7 @@ main:
   RunResult Original = runToCompletion(Exec.image());
   EXPECT_EQ(Original.ExitCode, 3);
   Exec.readContents();
-  Addr Counter = Exec.appendData(4, 4, "ctr");
+  Addr Counter = Exec.appendData(4, 4);
   Cfg *G = Exec.findRoutine("main")->controlFlowGraph();
   BasicBlock *B = G->blockAt(Exec.analysis().textBase());
   ASSERT_NE(B, nullptr);

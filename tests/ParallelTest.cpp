@@ -24,8 +24,11 @@
 
 #include "core/Executable.h"
 #include "support/BitOps.h"
+#include "support/Metrics.h"
 #include "support/Stats.h"
 #include "support/ThreadPool.h"
+#include "support/Trace.h"
+#include "tools/Qpt.h"
 #include "vm/Machine.h"
 #include "workload/Generator.h"
 
@@ -269,7 +272,7 @@ PipelineResult runPipeline(SxfFile Original, Executable::Options EOpts,
       }
     if (!First)
       continue;
-    Addr Counter = Exec.appendData(4, 4, "ctr_" + R->name());
+    Addr Counter = Exec.appendData(4, 4);
     std::vector<MachWord> Body;
     const unsigned RegA = 1, RegB = 2;
     const TargetInfo &T = Exec.target();
@@ -520,6 +523,74 @@ TEST(ParallelDeterminism, EditedProgramStillBehaves) {
             static_cast<int>(Edited.Reason));
   EXPECT_EQ(Original.ExitCode, Edited.ExitCode);
   EXPECT_EQ(Original.Output, Edited.Output);
+}
+
+TEST(ParallelDeterminism, SnippetStatsCountEveryPlacedSite) {
+  // Layout records eel.snippet.* and scavenge.*_per_site once per routine,
+  // from a tally of its sites: the totals must still be those of one
+  // record per placed snippet, at every width. Every qpt2 site is granted
+  // exactly its counter snippet's two placeholders.
+  auto CounterOf = [](const MetricsSink &Sink, std::string_view Name) {
+    for (const auto &[N, V] : Sink.counters())
+      if (N == Name)
+        return V;
+    return uint64_t(0);
+  };
+  auto HistogramOf = [](const MetricsSink &Sink, std::string_view Name) {
+    for (const HistogramSnapshot &H : Sink.histograms())
+      if (H.Name == Name)
+        return H;
+    return HistogramSnapshot();
+  };
+  for (TargetArch Arch : AllTargetArches)
+    for (unsigned Threads : {1u, 4u}) {
+      SCOPED_TRACE(testing::Message() << "arch " << static_cast<int>(Arch)
+                                      << ", threads " << Threads);
+      WorkloadOptions W = bigWorkload();
+      W.TailCallPercent = 0;
+      Executable::Options Opts;
+      Opts.Threads = Threads;
+      MetricsSink Sink;
+      uint64_t Placed = 0;
+      Executable::EditStats Stats;
+      {
+        TraceRequestScope Scope(1, &Sink);
+        Executable Exec(generateWorkload(Arch, W), Opts);
+        Qpt2Profiler Profiler(Exec);
+        Profiler.instrument();
+        Expected<SxfFile> Edited = Exec.writeEditedExecutable();
+        ASSERT_TRUE(Edited.hasValue()) << Edited.error().message();
+        Placed = Profiler.counters().size();
+        Stats = Exec.editStats();
+      }
+      ASSERT_GT(Placed, 0u);
+      EXPECT_EQ(Stats.SnippetInstances, Placed);
+      EXPECT_EQ(CounterOf(Sink, "eel.snippet.instances"), Placed);
+      EXPECT_EQ(CounterOf(Sink, "eel.snippet.spills"), Stats.SnippetSpills);
+      EXPECT_EQ(CounterOf(Sink, "eel.snippet.ccsaves"), Stats.SnippetCCSaves);
+      HistogramSnapshot Granted =
+          HistogramOf(Sink, "scavenge.granted_per_site");
+      EXPECT_EQ(Granted.Count, Placed);
+      EXPECT_EQ(Granted.Sum, 2 * Placed);
+      HistogramSnapshot Spilled =
+          HistogramOf(Sink, "scavenge.spilled_per_site");
+      EXPECT_EQ(Spilled.Count, Placed);
+      EXPECT_EQ(Spilled.Sum, Stats.SnippetSpills);
+    }
+
+  // A pass that places no snippet records no snippet statistic at all.
+  MetricsSink Sink;
+  {
+    TraceRequestScope Scope(1, &Sink);
+    Executable::Options Opts;
+    Opts.Threads = 4;
+    Executable Exec(generateWorkload(TargetArch::Srisc, bigWorkload()), Opts);
+    ASSERT_TRUE(Exec.writeEditedExecutable().hasValue());
+  }
+  for (const auto &[Name, Value] : Sink.counters())
+    EXPECT_FALSE(Name.starts_with("eel.snippet.")) << Name << " = " << Value;
+  for (const HistogramSnapshot &H : Sink.histograms())
+    EXPECT_FALSE(H.Name.starts_with("scavenge.")) << H.Name;
 }
 
 } // namespace
