@@ -70,12 +70,11 @@ main:
                 B->editable() ? "" : " [uneditable]");
     for (const CfgInst &CI : B->insts())
       std::printf("    %05x: %s\n", CI.OrigAddr,
-                  CI.Inst->disassemble(CI.OrigAddr).c_str());
+                  T.disassemble(CI.Inst->word(), CI.OrigAddr).c_str());
     for (const Edge *E : B->succ())
       std::printf("    -> block %u%s\n", E->dst()->id(),
                   E->editable() ? "" : " [uneditable]");
   }
-  (void)T;
   std::printf("the `add` appears only on the taken path, as in Figure 3\n");
 }
 

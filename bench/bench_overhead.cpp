@@ -242,7 +242,8 @@ int main(int argc, char **argv) {
       }
       if (!Gate || !Write || Gate->StartNs < Write->StartNs ||
           Gate->EndNs > Write->EndNs) {
-        std::printf("  FAIL: no write.verify_gate span inside the write\n");
+        std::fprintf(stderr,
+                     "FAIL: no write.verify_gate span inside the write\n");
         return 1;
       }
       double G = double(Gate->EndNs - Gate->StartNs) / 1e6;
@@ -263,7 +264,7 @@ int main(int argc, char **argv) {
           }
       }
       if (AllPassNs == 0) {
-        std::printf("  FAIL: no verifier pass span inside the gate\n");
+        std::fprintf(stderr, "FAIL: no verifier pass span inside the gate\n");
         return 1;
       }
       for (size_t P = 0; P < NumPasses; ++P)
@@ -325,8 +326,8 @@ int main(int argc, char **argv) {
         Expected<SxfFile> Edited = Exec.writeEditedExecutable();
         traceSetEnabled(false);
         if (Edited.hasError()) {
-          std::printf("  FAIL: qpt2 edit failed: %s\n",
-                      Edited.error().message().c_str());
+          std::fprintf(stderr, "FAIL: qpt2 edit failed: %s\n",
+                       Edited.error().message().c_str());
           return 1;
         }
         for (const TraceEvent &Ev : TraceCollector::instance().drain())

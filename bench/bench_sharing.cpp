@@ -43,9 +43,9 @@ static void BM_UnpooledDecode(benchmark::State &State) {
   for (auto _ : State) {
     uint64_t Sum = 0;
     for (size_t Off = 0; Off + 4 <= Text->Bytes.size(); Off += 4) {
-      auto Inst =
+      Instruction Inst =
           makeInstruction(sriscTarget(), *File.readWord(Text->VAddr + Off));
-      Sum += static_cast<uint64_t>(Inst->kind());
+      Sum += static_cast<uint64_t>(Inst.kind());
     }
     benchmark::DoNotOptimize(Sum);
   }

@@ -27,6 +27,7 @@ using namespace eel;
 static void dumpRoutine(Routine &R) {
   std::printf("\n--- CFG of %s ---\n", R.name().c_str());
   Cfg *G = R.controlFlowGraph();
+  const TargetInfo &Target = G->target();
   std::printf("complete=%s%s%s\n", G->complete() ? "yes" : "no",
               G->unsupported() ? " UNSUPPORTED: " : "",
               G->unsupported() ? G->unsupportedReason().c_str() : "");
@@ -43,7 +44,7 @@ static void dumpRoutine(Routine &R) {
                 B->editable() ? "" : "[uneditable]");
     for (const CfgInst &CI : B->insts())
       std::printf("    %05x: %s\n", CI.OrigAddr,
-                  CI.Inst->disassemble(CI.OrigAddr).c_str());
+                  Target.disassemble(CI.Inst->word(), CI.OrigAddr).c_str());
     if (B->kind() == BlockKind::CallSurrogate) {
       if (std::optional<Addr> T = B->callTarget())
         std::printf("    (callee at 0x%x)\n", *T);

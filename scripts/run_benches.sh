@@ -61,8 +61,15 @@ done
 for B in "${OBSERVABILITY_BENCHES[@]}" "${SERVE_BENCHES[@]}" \
          "${SCALE_BENCHES[@]}"; do
   echo "== $B"
+  # A failing bench's FAIL: lines go to stderr; its table, captured below,
+  # would die with TMP_DIR, so print it before exiting.
   "$BENCH_DIR/$B" --json="$TMP_DIR/$B.json" \
-    --benchmark_min_time=0.05 > "$TMP_DIR/$B.log"
+    --benchmark_min_time=0.05 > "$TMP_DIR/$B.log" || {
+    STATUS=$?
+    echo "error: $B exited with status $STATUS; its standard output:" >&2
+    cat "$TMP_DIR/$B.log" >&2
+    exit "$STATUS"
+  }
 done
 
 # Splice the single-line per-bench documents into one suite envelope.

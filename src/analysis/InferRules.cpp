@@ -33,7 +33,7 @@ void infer::scanText(InferContext &Ctx) {
     const Instruction *I = An.instAt(A);
     if (!I)
       break;
-    if (isa<InvalidInst>(I)) {
+    if (I->kind() == InstKind::Invalid) {
       ++Ctx.Stats.ImplausibleWords;
       continue; // R1: a data-in-text seed, never code
     }
@@ -55,8 +55,8 @@ void infer::scanText(InferContext &Ctx) {
 
     // R2c: store sites, pre-classified by base register. Stack- and
     // frame-relative stores write locals; they cannot alias a global cell.
-    if (const auto *Mem = dyn_cast<MemoryInst>(I)) {
-      const MemOp &M = Mem->memOp();
+    if (I->isMemoryReference()) {
+      const MemOp &M = I->memOp();
       if (M.IsStore) {
         StoreFact F;
         F.At = A;
@@ -165,7 +165,7 @@ void infer::computeReachable(InferContext &Ctx) {
     const Instruction *I = An.instAt(A);
     if (!I)
       continue;
-    if (isa<InvalidInst>(I))
+    if (I->kind() == InstKind::Invalid)
       continue; // an entry vote landed on data; the scan stops here
     if (!I->isControlTransfer()) {
       Worklist.push_back(A + 4);

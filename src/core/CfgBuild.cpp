@@ -166,7 +166,7 @@ void CfgBuilder::discover(std::span<const Addr> Roots, bool Speculative) {
         Graph->ReachedInvalid = true;
       continue;
     }
-    if (isa<InvalidInst>(I)) {
+    if (I->kind() == InstKind::Invalid) {
       // Invalid words are data, not instructions. Hitting one from a
       // proven-reachable path poisons the routine; hitting one while
       // speculatively covering the unreached remainder just ends that
@@ -201,7 +201,7 @@ void CfgBuilder::discover(std::span<const Addr> Roots, bool Speculative) {
       setFlag(DelayAddr, DelayConsumed);
       if (DI->isControlTransfer())
         Graph->Exotic = true; // delayed transfer in a delay slot
-      if (isa<InvalidInst>(DI) &&
+      if (DI->kind() == InstKind::Invalid &&
           I->delayBehavior() != DelayBehavior::AnnulAlways) {
         if (!Speculative)
           Graph->ReachedInvalid = true;
@@ -292,7 +292,8 @@ void CfgBuilder::formBlocks() {
     }
     Addr A = Base + 4 * static_cast<Addr>(W);
     const Instruction *I = instAt(A);
-    assert(I && !isa<InvalidInst>(I) && "visited words hold instructions");
+    assert(I && I->kind() != InstKind::Invalid &&
+           "visited words hold instructions");
     if (!Current || (Flags[W] & Leader))
       Current = Graph->newBlock(BlockKind::Normal, A);
     Graph->appendInst(Current, I, A);
@@ -533,7 +534,7 @@ void CfgBuilder::coverRemainder() {
     if (hasFlag(A, Visited) || hasFlag(A, DelayConsumed))
       continue;
     const Instruction *I = instAt(A);
-    if (!I || isa<InvalidInst>(I))
+    if (!I || I->kind() == InstKind::Invalid)
       continue;
     discover({&A, 1}, /*Speculative=*/true);
   }

@@ -13,74 +13,55 @@
 
 using namespace eel;
 
-Instruction::~Instruction() = default;
-
-namespace {
-
-/// Shared factory skeleton: decodes \p Word once and invokes
-/// Make<T>(args...) with the subclass matching its category.
-template <template <typename> class MakeT, typename Result, typename... Extra>
-Result buildInstruction(const TargetInfo &Target, MachWord Word,
-                        Extra &&...E) {
-  const DecodedWord D = Target.decode(Word);
+/// The kind of a word decoded as \p D: its category, with the overloaded
+/// uses of an indirect jump resolved by convention (Figure 6 of the
+/// paper). Writing the link register makes it a call; jumping through the
+/// link register at the conventional offset makes it a return.
+static InstKind kindOf(const TargetInfo &Target, const DecodedWord &D) {
   switch (D.Category) {
   case InstCategory::Invalid:
-    return MakeT<InvalidInst>()(std::forward<Extra>(E)..., Target, Word, D);
+    return InstKind::Invalid;
   case InstCategory::Computation:
-    return MakeT<ComputationInst>()(std::forward<Extra>(E)..., Target, Word, D);
+    return InstKind::Computation;
   case InstCategory::Load:
-    return MakeT<MemoryInst>()(std::forward<Extra>(E)..., InstKind::Load,
-                               Target, Word, D);
+    return InstKind::Load;
   case InstCategory::Store:
-    return MakeT<MemoryInst>()(std::forward<Extra>(E)..., InstKind::Store,
-                               Target, Word, D);
+    return InstKind::Store;
   case InstCategory::LoadStore:
-    return MakeT<MemoryInst>()(std::forward<Extra>(E)..., InstKind::LoadStore,
-                               Target, Word, D);
+    return InstKind::LoadStore;
   case InstCategory::BranchDirect:
-    return MakeT<BranchInst>()(std::forward<Extra>(E)..., Target, Word, D);
+    return InstKind::Branch;
   case InstCategory::JumpDirect:
-    return MakeT<JumpInst>()(std::forward<Extra>(E)..., Target, Word, D);
+    return InstKind::Jump;
   case InstCategory::CallDirect:
-    return MakeT<CallInst>()(std::forward<Extra>(E)..., Target, Word, D);
+    return InstKind::Call;
   case InstCategory::System:
-    return MakeT<SystemCallInst>()(std::forward<Extra>(E)..., Target, Word, D);
+    return InstKind::SystemCall;
   case InstCategory::IndirectJump: {
-    // Resolve the overloaded uses by convention (Figure 6 of the paper):
-    // writing the link register makes it a call; jumping through the link
-    // register at the conventional offset makes it a return.
     const TargetConventions &Conv = Target.conventions();
     const IndirectTargetInfo &Info = D.Indirect;
     if (Info.LinkReg == Conv.LinkReg && Conv.LinkReg != 0)
-      return MakeT<IndirectCallInst>()(std::forward<Extra>(E)...,
-                                       Target, Word, D);
+      return InstKind::IndirectCall;
     if (Info.LinkReg == 0 && !Info.HasIndex && Info.BaseReg == Conv.LinkReg &&
         Info.Offset == Conv.ReturnOffset)
-      return MakeT<ReturnInst>()(std::forward<Extra>(E)..., Target, Word, D);
-    return MakeT<IndirectJumpInst>()(std::forward<Extra>(E)...,
-                                     Target, Word, D);
+      return InstKind::Return;
+    return InstKind::IndirectJump;
   }
   }
   unreachable("unhandled instruction category");
 }
 
-template <typename T> struct MakeUnique {
-  template <typename... Args>
-  std::unique_ptr<Instruction> operator()(Args &&...A) {
-    return std::make_unique<T>(std::forward<Args>(A)...);
-  }
-};
+Instruction::Instruction(const TargetInfo &Target, MachWord Word)
+    : Word(Word), D(Target.decode(Word)) {
+  Kind = kindOf(Target, D);
+}
 
-template <typename T> struct MakeInArena {
-  template <typename... Args>
-  Instruction *operator()(BumpArena &Arena, Args &&...A) {
-    // Placement-new outside BumpArena::create: the virtual destructor
-    // makes instructions formally non-trivially-destructible, but table
-    // instructions own nothing and are deliberately never destroyed.
-    return new (Arena.allocate(sizeof(T), alignof(T)))
-        T(std::forward<Args>(A)...);
-  }
-};
+Instruction eel::makeInstruction(const TargetInfo &Target, MachWord Word) {
+  bumpStat("eel.inst.allocated");
+  return Instruction(Target, Word);
+}
+
+namespace {
 
 /// Numbers the distinct words among the \p N words at \p Text in order of
 /// first appearance: Ids[I] is word I's number, Words[Id] the word.
@@ -130,26 +111,17 @@ WordNumbers numberWords(const uint8_t *Text, size_t N) {
 
 } // namespace
 
-std::unique_ptr<Instruction> eel::makeInstruction(const TargetInfo &Target,
-                                                  MachWord Word) {
-  bumpStat("eel.inst.allocated");
-  return buildInstruction<MakeUnique, std::unique_ptr<Instruction>>(Target,
-                                                                    Word);
-}
-
 DecodeTable::DecodeTable(const TargetInfo &Target, Addr BaseIn,
                          std::span<const uint8_t> Text)
     : Base(BaseIn) {
   EEL_TRACE_SCOPE("decode", "words", uint64_t(Text.size() / 4));
   const WordNumbers Numbers = numberWords(Text.data(), Text.size() / 4);
-  Distinct = Numbers.Words.size();
-  std::vector<const Instruction *> Insts(Distinct);
-  for (size_t Id = 0; Id < Distinct; ++Id)
-    Insts[Id] = buildInstruction<MakeInArena, Instruction *>(
-        Target, Numbers.Words[Id], Arena);
+  Insts.reserve(Numbers.Words.size());
+  for (MachWord Word : Numbers.Words)
+    Insts.emplace_back(Target, Word);
   ByAddr.resize(Numbers.Ids.size());
   for (size_t I = 0; I < ByAddr.size(); ++I)
-    ByAddr[I] = Insts[Numbers.Ids[I]];
-  if (Distinct)
-    bumpStat("eel.inst.allocated", Distinct);
+    ByAddr[I] = &Insts[Numbers.Ids[I]];
+  if (!Insts.empty())
+    bumpStat("eel.inst.allocated", Insts.size());
 }

@@ -797,14 +797,12 @@ Expected<bool> RoutineLayouter::lowerIndirect(const BasicBlock *B,
     // Run-time translation (§3.3).
     Out.NeedsTranslator = true;
     bumpStat("eel.translate.sites");
-    const auto *Ind = cast<IndirectInst>(I);
     MachWord DelayWord = Target.nopWord();
     if (HasDelay) {
       mapAddr(A + 4); // the delay instruction is emitted inside the site
       DelayWord = origWordAt(A + 4);
     }
-    return emitTranslationSite(Target, *Ind, DelayWord, Out.Code,
-                               Out.Relocs);
+    return emitTranslationSite(Target, *I, DelayWord, Out.Code, Out.Relocs);
   }
   }
   unreachable("unhandled resolution kind");

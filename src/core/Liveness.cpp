@@ -43,7 +43,7 @@ void Liveness::compute(const Cfg &G) {
   Out.assign(N, RegSet());
 
   // The backward scans read each row's masks where its Instruction keeps
-  // them: the decode table packs instructions into one arena, and copying
+  // them: the decode table packs instructions into one vector, and copying
   // the masks into flat arrays first measured slower, not faster.
   std::span<const CfgInst> Rows = G.instRows();
 

@@ -165,8 +165,8 @@ SymValue Slicer::value(Addr At, unsigned Reg, unsigned Depth) {
     DataOp Op = I->dataOp();
     if (Op.Kind == DataOpKind::None) {
       // Perhaps a load: the table or cell idiom.
-      if (const auto *Mem = dyn_cast<MemoryInst>(I)) {
-        const MemOp &M = Mem->memOp();
+      if (I->isMemoryReference()) {
+        const MemOp &M = I->memOp();
         if (!M.IsLoad || M.Width != 4 || M.DataReg != Reg)
           return Unknown;
         SymValue BaseV = value(A, M.AddrBase, Depth + 1);
@@ -333,13 +333,14 @@ static SymValue sliceJumpTarget(Slicer &S, const IndirectTargetInfo &Info,
   return Target;
 }
 
-/// Decodes the IndirectInst at \p JumpAddr; asserts it is one.
-static const IndirectInst *indirectAt(const Analysis &An, Addr JumpAddr) {
+/// The address computation of the indirect transfer at \p JumpAddr;
+/// asserts it is one.
+static const IndirectTargetInfo &indirectAt(const Analysis &An,
+                                            Addr JumpAddr) {
   const Instruction *I = An.instAt(JumpAddr);
   assert(I && "indirect jump outside the text");
-  const auto *Jump = dyn_cast<IndirectInst>(I);
-  assert(Jump && "resolveIndirect on a non-indirect instruction");
-  return Jump;
+  assert(I->isIndirect() && "resolveIndirect on a non-indirect instruction");
+  return I->indirectInfo();
 }
 
 IndirectResolution eel::resolveIndirect(const Analysis &An, const Routine &R,
@@ -348,7 +349,7 @@ IndirectResolution eel::resolveIndirect(const Analysis &An, const Routine &R,
   // here would double-count, so the span lives here alone.
   EEL_TRACE_SCOPE("slice.resolve_indirect", "routine", R.name());
   IndirectResolution Res;
-  const IndirectTargetInfo &Info = indirectAt(An, JumpAddr)->targetInfo();
+  const IndirectTargetInfo &Info = indirectAt(An, JumpAddr);
 
   Slicer S(An, R);
   SymValue Target = sliceJumpTarget(S, Info, JumpAddr);
@@ -420,7 +421,7 @@ IndirectResolution eel::resolveIndirect(const Analysis &An, const Routine &R,
 TableEvidence eel::tableEvidence(const Analysis &An, const Routine &R,
                                  Addr JumpAddr) {
   TableEvidence Ev;
-  const IndirectTargetInfo &Info = indirectAt(An, JumpAddr)->targetInfo();
+  const IndirectTargetInfo &Info = indirectAt(An, JumpAddr);
   Slicer S(An, R);
   SymValue Target = sliceJumpTarget(S, Info, JumpAddr);
   if (Target.K != SymValue::Kind::TableLoad)
@@ -438,10 +439,9 @@ std::optional<Addr> eel::storeTargetAddr(const Analysis &An, const Routine &R,
   const Instruction *I = An.instAt(StoreAddr);
   if (!I)
     return std::nullopt;
-  const auto *Mem = dyn_cast<MemoryInst>(I);
-  if (!Mem || !Mem->memOp().IsStore)
+  if (!I->isMemoryReference() || !I->memOp().IsStore)
     return std::nullopt;
-  const MemOp &M = Mem->memOp();
+  const MemOp &M = I->memOp();
   Slicer S(An, R);
   SymValue BaseV = S.value(StoreAddr, M.AddrBase, 0);
   if (BaseV.K != SymValue::Kind::Const)

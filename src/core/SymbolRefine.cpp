@@ -143,7 +143,7 @@ static bool scanReachable(const Analysis &An, const std::vector<Addr> &Entries,
       continue;
     }
     Reached.insert(A);
-    if (isa<InvalidInst>(I)) {
+    if (I->kind() == InstKind::Invalid) {
       AllValid = false;
       continue;
     }
@@ -157,7 +157,7 @@ static bool scanReachable(const Analysis &An, const std::vector<Addr> &Entries,
         A + 4 < Hi) {
       if (const Instruction *DI = An.instAt(A + 4)) {
         Reached.insert(A + 4);
-        if (isa<InvalidInst>(DI))
+        if (DI->kind() == InstKind::Invalid)
           AllValid = false;
       }
     }

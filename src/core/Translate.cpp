@@ -10,6 +10,7 @@
 #include "isa/MriscEncoding.h"
 #include "isa/SriscEncoding.h"
 
+#include <cassert>
 #include <cstdarg>
 #include <cstdio>
 
@@ -26,17 +27,14 @@ static std::string formatAsm(const char *Format, ...) {
 }
 
 Expected<bool> eel::emitTranslationSite(const TargetInfo &Target,
-                                        const IndirectInst &Jump,
+                                        const Instruction &Jump,
                                         MachWord DelayWord,
                                         std::vector<MachWord> &Code,
                                         std::vector<Reloc> &Relocs) {
-  const IndirectTargetInfo &Info = Jump.targetInfo();
-  const Instruction *Delay = nullptr;
+  assert(Jump.isIndirect() && "translation site for a direct transfer");
+  const IndirectTargetInfo &Info = Jump.indirectInfo();
   // The caller passes the raw delay word; decode it for conflict checks.
-  // (Allocating through the pool is unnecessary for this one-off check.)
-  std::unique_ptr<Instruction> DelayOwned =
-      makeInstruction(Target, DelayWord);
-  Delay = DelayOwned.get();
+  const Instruction Delay = makeInstruction(Target, DelayWord);
 
   if (Target.arch() == TargetArch::Srisc) {
     using namespace srisc;
@@ -50,14 +48,14 @@ Expected<bool> eel::emitTranslationSite(const TargetInfo &Target,
     // the target value is captured (the original computes its target at
     // issue time, before the delay slot runs).
     bool DelayIsNop = DelayWord == Target.nopWord();
-    bool DelayTouchesProtocol = Delay->reads().contains(G1) ||
-                                Delay->reads().contains(G2) ||
-                                Delay->writes().contains(G1) ||
-                                Delay->writes().contains(G2);
+    bool DelayTouchesProtocol = Delay.reads().contains(G1) ||
+                                Delay.reads().contains(G2) ||
+                                Delay.writes().contains(G1) ||
+                                Delay.writes().contains(G2);
     bool DelayWritesSources =
-        Delay->writes().contains(Info.BaseReg) ||
-        (Info.HasIndex && Delay->writes().contains(Info.IndexReg));
-    if (Delay->isControlTransfer())
+        Delay.writes().contains(Info.BaseReg) ||
+        (Info.HasIndex && Delay.writes().contains(Info.IndexReg));
+    if (Delay.isControlTransfer())
       return Error("delayed transfer in the delay slot of an indirect jump");
 
     // Capture the target first: st g1; add base,op2,g1. Reading base/index
@@ -100,10 +98,10 @@ Expected<bool> eel::emitTranslationSite(const TargetInfo &Target,
     if (Rd == P0 || Rd == P1)
       return Error("indirect transfer links through a protocol register");
     if (DelayWord != Target.nopWord()) {
-      if (Delay->isControlTransfer())
+      if (Delay.isControlTransfer())
         return Error("delayed transfer in the delay slot of an indirect jump");
-      if (Delay->reads().contains(P0) || Delay->reads().contains(P1) ||
-          Delay->writes().contains(P0) || Delay->writes().contains(P1))
+      if (Delay.reads().contains(P0) || Delay.reads().contains(P1) ||
+          Delay.writes().contains(P0) || Delay.writes().contains(P1))
         return Error("delay instruction uses translation protocol registers");
     }
 
@@ -132,10 +130,10 @@ Expected<bool> eel::emitTranslationSite(const TargetInfo &Target,
   unsigned Rd = Info.LinkReg;
   if (Rd == K0 || Rd == K1)
     return Error("indirect transfer links through a protocol register");
-  if (Delay->isControlTransfer())
+  if (Delay.isControlTransfer())
     return Error("delayed transfer in the delay slot of an indirect jump");
-  if (Delay->reads().contains(K0) || Delay->reads().contains(K1) ||
-      Delay->writes().contains(K0) || Delay->writes().contains(K1))
+  if (Delay.reads().contains(K0) || Delay.reads().contains(K1) ||
+      Delay.writes().contains(K0) || Delay.writes().contains(K1))
     return Error("delay instruction uses translation protocol registers");
 
   Code.push_back(encodeRType(Info.BaseReg, 0, K0, 0, FnOr)); // k0 = target

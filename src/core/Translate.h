@@ -15,14 +15,22 @@
 /// register and the condition codes.
 ///
 /// Protocols (machine-specific, like all EEL run-time code):
-///  * SRISC — target in %g1 with the caller's %g1/%g2 saved in the stack
-///    red zone at [sp-64]/[sp-68]; the translator spills %g3-%g6 and the
-///    condition codes below that and restores everything before jumping.
+///  * SRISC — target in %g1, translator entered through %g2, with the
+///    caller's %g1/%g2 saved in the stack red zone at [sp-64]/[sp-68]; the
+///    translator spills %g3-%g6 and the condition codes below that and
+///    restores everything before jumping.
 ///  * MRISC — target in $k0, translator entered through $k1; $k0/$k1/$gp
 ///    are reserved registers no generated code uses, and $at/$t8/$t9 are
 ///    saved in the red zone.
+///  * ARISC — target in $t14, translator entered through $at; no value is
+///    live in either across an indirect jump, so the site saves nothing,
+///    and the translator saves $t10-$t13 in the red zone. There is no
+///    delay slot.
 ///
-/// A translation miss exits with status 127 (control left the known code).
+/// A target missing from the table is taken as already edited, and the
+/// translator jumps straight to it (`.Lmiss`; `.Lout` on ARISC): that is
+/// how code pointers and return addresses the writer already rewrote get
+/// through, since edited and original text occupy disjoint ranges.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,12 +47,12 @@
 namespace eel {
 
 /// Emits the site sequence replacing the indirect transfer \p Jump (whose
-/// original delay-slot instruction is \p DelayWord). Appends code to
-/// \p Code and TranslatorHi/TranslatorLo relocations to \p Relocs.
-/// Fails when the delay instruction conflicts with the protocol registers
-/// in an unresolvable way.
+/// original delay-slot instruction is \p DelayWord; a nop on ARISC).
+/// Appends code to \p Code and TranslatorHi/TranslatorLo relocations to
+/// \p Relocs. Fails when the delay instruction conflicts with the protocol
+/// registers in an unresolvable way.
 Expected<bool> emitTranslationSite(const TargetInfo &Target,
-                                   const IndirectInst &Jump,
+                                   const Instruction &Jump,
                                    MachWord DelayWord,
                                    std::vector<MachWord> &Code,
                                    std::vector<Reloc> &Relocs);

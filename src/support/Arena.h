@@ -11,9 +11,6 @@
 /// allocate and nothing to destroy — objects placed in an arena must be
 /// trivially destructible, which the flat IR types are by construction.
 ///
-/// The decode table (core/Instruction.h) places its flyweight instructions
-/// in an arena too.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef EEL_SUPPORT_ARENA_H

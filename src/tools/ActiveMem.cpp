@@ -92,14 +92,12 @@ void ActiveMemory::instrument() {
         continue;
       for (unsigned I = 0; I < Block->size(); ++I) {
         const Instruction *Inst = Block->insts()[I].Inst;
-        const auto *Mem = dyn_cast<MemoryInst>(Inst);
-        if (!Mem) {
+        if (!Inst->isMemoryReference())
           continue;
-        }
         // A memory reference whose base or index register is one the
         // snippet cannot read transparently does not exist on our targets;
         // instrument unconditionally.
-        Exec.addCodeBefore(Block, I, makeCacheTestSnippet(Mem->memOp()));
+        Exec.addCodeBefore(Block, I, makeCacheTestSnippet(Inst->memOp()));
         ++Sites;
       }
     }

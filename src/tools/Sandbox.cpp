@@ -106,10 +106,10 @@ void Sandboxer::instrument() {
       if (!Block->editable())
         continue;
       for (unsigned I = 0; I < Block->size(); ++I) {
-        const auto *Mem = dyn_cast<MemoryInst>(Block->insts()[I].Inst);
-        if (!Mem || !Mem->isStore())
+        const Instruction *Inst = Block->insts()[I].Inst;
+        if (!Inst->isMemoryReference() || !Inst->memOp().IsStore)
           continue;
-        Exec.addCodeBefore(Block, I, makeStoreGuard(Mem->memOp()));
+        Exec.addCodeBefore(Block, I, makeStoreGuard(Inst->memOp()));
         ++Sites;
       }
     }

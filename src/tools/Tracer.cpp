@@ -65,12 +65,13 @@ void MemoryTracer::instrument(bool Loads, bool Stores) {
       if (!Block->editable())
         continue;
       for (unsigned I = 0; I < Block->size(); ++I) {
-        const auto *Mem = dyn_cast<MemoryInst>(Block->insts()[I].Inst);
-        if (!Mem)
+        const Instruction *Inst = Block->insts()[I].Inst;
+        if (!Inst->isMemoryReference())
           continue;
-        if ((Mem->isLoad() && !Loads) || (Mem->isStore() && !Stores))
+        const MemOp &M = Inst->memOp();
+        if ((M.IsLoad && !Loads) || (M.IsStore && !Stores))
           continue;
-        Exec.addCodeBefore(Block, I, makeTraceSnippet(Mem->memOp()));
+        Exec.addCodeBefore(Block, I, makeTraceSnippet(M));
         ++Sites;
       }
     }

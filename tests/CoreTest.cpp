@@ -12,12 +12,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "WordSamples.h"
+
 #include "asmkit/Assembler.h"
 #include "core/Dominators.h"
 #include "core/Executable.h"
 #include "core/Liveness.h"
 #include "core/Slice.h"
+#include "isa/Descriptions.h"
 #include "isa/SriscEncoding.h"
+#include "spawn/SpawnTarget.h"
 #include "support/BitOps.h"
 #include "workload/Generator.h"
 
@@ -50,19 +54,116 @@ TEST(InstructionTest, FactoryResolvesJmplOverloads) {
   using namespace srisc;
   const TargetInfo &T = sriscTarget();
   // jmpl with rd = %o7: an indirect call.
-  auto ICall = makeInstruction(T, encodeJmplImm(15, 9, 0));
-  EXPECT_EQ(ICall->kind(), InstKind::IndirectCall);
-  EXPECT_TRUE(isa<IndirectInst>(ICall.get()));
-  EXPECT_TRUE(isa<ControlInst>(ICall.get()));
+  EXPECT_EQ(Instruction(T, encodeJmplImm(15, 9, 0)).kind(),
+            InstKind::IndirectCall);
   // jmpl %o7+8, %g0: a return.
-  auto Ret = makeInstruction(T, encodeJmplImm(0, 15, 8));
-  EXPECT_EQ(Ret->kind(), InstKind::Return);
+  EXPECT_EQ(Instruction(T, encodeJmplImm(0, 15, 8)).kind(), InstKind::Return);
   // jmpl %o2+0, %g0: a plain indirect jump.
-  auto Jump = makeInstruction(T, encodeJmplImm(0, 10, 0));
-  EXPECT_EQ(Jump->kind(), InstKind::IndirectJump);
-  // Dyn-cast dispatch works across the hierarchy.
-  EXPECT_NE(dyn_cast<IndirectJumpInst>(Jump.get()), nullptr);
-  EXPECT_EQ(dyn_cast<ReturnInst>(Jump.get()), nullptr);
+  EXPECT_EQ(Instruction(T, encodeJmplImm(0, 10, 0)).kind(),
+            InstKind::IndirectJump);
+}
+
+namespace {
+
+/// The kind of a word decoded as \p D on \p T, derived from the category
+/// and the conventions without the constructor's help.
+InstKind expectedKind(const TargetInfo &T, const DecodedWord &D) {
+  const TargetConventions &C = T.conventions();
+  const IndirectTargetInfo &J = D.Indirect;
+  switch (D.Category) {
+  case InstCategory::Invalid: return InstKind::Invalid;
+  case InstCategory::Computation: return InstKind::Computation;
+  case InstCategory::Load: return InstKind::Load;
+  case InstCategory::Store: return InstKind::Store;
+  case InstCategory::LoadStore: return InstKind::LoadStore;
+  case InstCategory::BranchDirect: return InstKind::Branch;
+  case InstCategory::JumpDirect: return InstKind::Jump;
+  case InstCategory::CallDirect: return InstKind::Call;
+  case InstCategory::System: return InstKind::SystemCall;
+  case InstCategory::IndirectJump:
+    if (C.LinkReg != 0 && J.LinkReg == C.LinkReg)
+      return InstKind::IndirectCall;
+    if (J.LinkReg == 0 && !J.HasIndex && J.BaseReg == C.LinkReg &&
+        J.Offset == C.ReturnOffset)
+      return InstKind::Return;
+    return InstKind::IndirectJump;
+  }
+  return InstKind::Invalid;
+}
+
+/// SRISC whose calls return to the link register itself (return offset
+/// 0), so that a jump through the link plus an index register (offset 0)
+/// differs from a return by its index alone.
+class LinkReturnSrisc : public spawn::SpawnTarget {
+public:
+  LinkReturnSrisc()
+      : SpawnTarget(spawn::parseMachineDescription(sriscDescription()).value(),
+                    sriscTarget()),
+        Conv(sriscTarget().conventions()) {
+    Conv.ReturnOffset = 0;
+  }
+  const TargetConventions &conventions() const override { return Conv; }
+
+private:
+  TargetConventions Conv;
+};
+
+} // namespace
+
+TEST(InstructionTest, KindSweepOnEveryIsa) {
+  for (TargetArch Arch : AllTargetArches) {
+    const TargetInfo &T = targetFor(Arch);
+    for (const std::vector<MachWord> &Words :
+         {randomWords(Arch), structuredWords(Arch)}) {
+      for (MachWord W : Words) {
+        const Instruction I(T, W);
+        const DecodedWord D = T.decode(W);
+        // Streamed only when an assertion fails.
+        auto Where = [&] {
+          return testing::Message() << "word 0x" << std::hex << W << " ["
+                                    << T.disassemble(W, 0) << "]";
+        };
+        ASSERT_EQ(I.kind(), expectedKind(T, D)) << Where();
+        ASSERT_EQ(I.kind() == InstKind::Invalid,
+                  D.Category == InstCategory::Invalid)
+            << Where();
+        ASSERT_EQ(I.memOp(), D.Mem) << Where();
+        ASSERT_EQ(I.indirectInfo(), D.Indirect) << Where();
+        ASSERT_EQ(I.trapNumber(), D.TrapNumber) << Where();
+        ASSERT_EQ(I.dataOp(), D.Op) << Where();
+      }
+    }
+  }
+
+  auto KindOf = [](const TargetInfo &T, MachWord W) {
+    return Instruction(T, W).kind();
+  };
+  // MRISC: jr $ra returns; jalr linking $ra calls.
+  const TargetInfo &M = mriscTarget();
+  EXPECT_EQ(KindOf(M, mrisc::encodeRType(mrisc::RegRA, 0, 0, 0, mrisc::FnJr)),
+            InstKind::Return);
+  EXPECT_EQ(
+      KindOf(M, mrisc::encodeRType(25, 0, mrisc::RegRA, 0, mrisc::FnJalr)),
+      InstKind::IndirectCall);
+  // ARISC: ret returns; jmp $ra, ($rb) calls.
+  EXPECT_EQ(KindOf(ariscTarget(), arisc::encodeJmp(0, arisc::RegRA)),
+            InstKind::Return);
+  EXPECT_EQ(KindOf(ariscTarget(), arisc::encodeJmp(arisc::RegRA, 2)),
+            InstKind::IndirectCall);
+  // SRISC: through %o7 with an index register, or past the return
+  // offset, is no return.
+  const TargetInfo &S = sriscTarget();
+  EXPECT_EQ(KindOf(S, srisc::encodeJmplReg(0, srisc::RegLink, 1)),
+            InstKind::IndirectJump);
+  EXPECT_EQ(KindOf(S, srisc::encodeJmplImm(0, srisc::RegLink, 12)),
+            InstKind::IndirectJump);
+  // With a return offset of 0, only the index register tells the two
+  // apart.
+  const LinkReturnSrisc Zero;
+  EXPECT_EQ(KindOf(Zero, srisc::encodeJmplImm(0, srisc::RegLink, 0)),
+            InstKind::Return);
+  EXPECT_EQ(KindOf(Zero, srisc::encodeJmplReg(0, srisc::RegLink, 1)),
+            InstKind::IndirectJump);
 }
 
 TEST(InstructionTest, FlyweightSharing) {

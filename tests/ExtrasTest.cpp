@@ -113,26 +113,22 @@ TEST(Translator, SiteRejectsProtocolConflicts) {
   // relocated into the translation sequence.
   using namespace srisc;
   const TargetInfo &T = sriscTarget();
-  auto Jump = makeInstruction(T, 0x81C28000u /* jmpl %o2+%g0? */);
-  // Build a well-formed jmpl %o2+0, %g0 instead of a magic constant.
-  auto JumpInst = makeInstruction(T, [&] {
-    std::vector<MachWord> W;
-    T.emitIndirectJump(10, W);
-    return W[0];
-  }());
-  const auto *Ind = dyn_cast<IndirectInst>(JumpInst.get());
-  ASSERT_NE(Ind, nullptr);
+  // jmpl %o2+0, %g0.
+  std::vector<MachWord> Words;
+  T.emitIndirectJump(10, Words);
+  const Instruction Jump(T, Words[0]);
+  ASSERT_TRUE(Jump.isIndirect());
   std::vector<MachWord> Code;
   std::vector<Reloc> Relocs;
   // Delay uses %g1 (protocol register): rejected.
   std::vector<MachWord> Bad;
   T.emitAddImm(1, 1, 4, Bad);
   EXPECT_TRUE(
-      emitTranslationSite(T, *Ind, Bad[0], Code, Relocs).hasError());
+      emitTranslationSite(T, Jump, Bad[0], Code, Relocs).hasError());
   // A nop delay is fine and produces the hi/lo translator relocations.
   Code.clear();
   Relocs.clear();
-  EXPECT_TRUE(emitTranslationSite(T, *Ind, T.nopWord(), Code, Relocs)
+  EXPECT_TRUE(emitTranslationSite(T, Jump, T.nopWord(), Code, Relocs)
                   .hasValue());
   unsigned HiLo = 0;
   for (const Reloc &R : Relocs)

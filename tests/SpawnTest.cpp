@@ -14,10 +14,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "WordSamples.h"
+
 #include "asmkit/Assembler.h"
-#include "isa/AriscEncoding.h"
 #include "isa/Descriptions.h"
-#include "isa/MriscEncoding.h"
 #include "isa/SriscEncoding.h"
 #include "spawn/Codegen.h"
 #include "spawn/Eval.h"
@@ -208,122 +208,47 @@ std::string describe(const DecodedWord &D) {
 
 namespace {
 
-/// Requires the spawn-derived and handwritten decode() answers for \p W to
-/// be equal, whole: every fact, the direct-target shape and the register
-/// fields, so retargetDirect and rewriteRegisters agree too.
-void expectSameAnalysis(const TargetInfo &Hand, const TargetInfo &Spawn,
-                        MachWord W) {
-  DecodedWord H = Hand.decode(W), S = Spawn.decode(W);
-  if (H == S)
-    return;
-  ADD_FAILURE() << "word=0x" << std::hex << W << " ["
-                << Hand.disassemble(W, 0) << "]\n  hand:  " << describe(H)
-                << "\n  spawn: " << describe(S);
+/// Requires the spawn-derived and handwritten decode() answers for every
+/// word of \p Words to be equal, whole: every fact, the direct-target
+/// shape and the register fields, so retargetDirect and rewriteRegisters
+/// agree too.
+void expectSameAnalysis(TargetArch Arch, const std::vector<MachWord> &Words) {
+  const TargetInfo &Hand = targetFor(Arch);
+  const TargetInfo &Spawn = spawnTargetFor(Arch);
+  for (MachWord W : Words) {
+    DecodedWord H = Hand.decode(W), S = Spawn.decode(W);
+    if (H == S)
+      continue;
+    ADD_FAILURE() << "word=0x" << std::hex << W << " ["
+                  << Hand.disassemble(W, 0) << "]\n  hand:  " << describe(H)
+                  << "\n  spawn: " << describe(S);
+  }
 }
 
 } // namespace
 
 TEST(SpawnEquivalence, SriscRandomSweep) {
-  const TargetInfo &Hand = sriscTarget();
-  const TargetInfo &Spawn = spawnSriscTarget();
-  Rng R(2024);
-  for (int I = 0; I < 30000; ++I)
-    expectSameAnalysis(Hand, Spawn, static_cast<MachWord>(R.next()));
+  expectSameAnalysis(TargetArch::Srisc, randomWords(TargetArch::Srisc));
 }
 
 TEST(SpawnEquivalence, MriscRandomSweep) {
-  const TargetInfo &Hand = mriscTarget();
-  const TargetInfo &Spawn = spawnMriscTarget();
-  Rng R(2025);
-  for (int I = 0; I < 30000; ++I)
-    expectSameAnalysis(Hand, Spawn, static_cast<MachWord>(R.next()));
+  expectSameAnalysis(TargetArch::Mrisc, randomWords(TargetArch::Mrisc));
 }
 
 TEST(SpawnEquivalence, AriscRandomSweep) {
-  const TargetInfo &Hand = ariscTarget();
-  const TargetInfo &Spawn = spawnAriscTarget();
-  Rng R(2026);
-  for (int I = 0; I < 30000; ++I)
-    expectSameAnalysis(Hand, Spawn, static_cast<MachWord>(R.next()));
+  expectSameAnalysis(TargetArch::Arisc, randomWords(TargetArch::Arisc));
 }
 
 TEST(SpawnEquivalence, SriscStructuredSweep) {
-  // Random words rarely hit rare-but-valid encodings; enumerate the
-  // structured space: every op3, cond, annul bit, i bit.
-  const TargetInfo &Hand = sriscTarget();
-  const TargetInfo &Spawn = spawnSriscTarget();
-  Rng R(7);
-  for (uint32_t Op3 = 0; Op3 < 64; ++Op3) {
-    for (int I = 0; I < 40; ++I) {
-      MachWord W = static_cast<MachWord>(R.next());
-      W = insertBits(W, 30, 31, srisc::OpArith);
-      W = insertBits(W, 19, 24, Op3);
-      expectSameAnalysis(Hand, Spawn, W);
-      W = insertBits(W, 30, 31, srisc::OpMem);
-      expectSameAnalysis(Hand, Spawn, W);
-    }
-  }
-  for (uint32_t Cond = 0; Cond < 16; ++Cond) {
-    for (uint32_t A = 0; A < 2; ++A) {
-      for (int I = 0; I < 20; ++I) {
-        MachWord W = static_cast<MachWord>(R.next());
-        W = insertBits(W, 30, 31, srisc::OpFormat2);
-        W = insertBits(W, 22, 24, srisc::Op2Bicc);
-        W = insertBits(W, 25, 28, Cond);
-        W = insertBits(W, 29, 29, A);
-        expectSameAnalysis(Hand, Spawn, W);
-      }
-    }
-  }
+  expectSameAnalysis(TargetArch::Srisc, structuredWords(TargetArch::Srisc));
 }
 
 TEST(SpawnEquivalence, MriscStructuredSweep) {
-  const TargetInfo &Hand = mriscTarget();
-  const TargetInfo &Spawn = spawnMriscTarget();
-  Rng R(8);
-  for (uint32_t Op = 0; Op < 64; ++Op) {
-    for (int I = 0; I < 60; ++I) {
-      MachWord W = static_cast<MachWord>(R.next());
-      W = insertBits(W, 26, 31, Op);
-      expectSameAnalysis(Hand, Spawn, W);
-      if (Op == 0) {
-        // R-type: shamt often must be zero for validity.
-        expectSameAnalysis(Hand, Spawn, insertBits(W, 6, 10, 0));
-        expectSameAnalysis(Hand, Spawn, insertBits(W, 21, 25, 0));
-      }
-    }
-  }
+  expectSameAnalysis(TargetArch::Mrisc, structuredWords(TargetArch::Mrisc));
 }
 
 TEST(SpawnEquivalence, AriscStructuredSweep) {
-  // Every major opcode with random fills. A random fill rarely encodes a
-  // valid operate, jmp, sys or ldih word, so those also run with the
-  // bits they must leave clear zeroed (for operate, the func field's
-  // high bits, which reaches every defined func).
-  const TargetInfo &Hand = ariscTarget();
-  const TargetInfo &Spawn = spawnAriscTarget();
-  Rng R(9);
-  for (uint32_t Op = 0; Op < 64; ++Op) {
-    for (int I = 0; I < 200; ++I) {
-      MachWord W = static_cast<MachWord>(R.next());
-      W = insertBits(W, 26, 31, Op);
-      expectSameAnalysis(Hand, Spawn, W);
-      switch (Op) {
-      case arisc::OpOperate:
-        expectSameAnalysis(Hand, Spawn, insertBits(W, 4, 10, 0));
-        break;
-      case arisc::OpJmp:
-        expectSameAnalysis(Hand, Spawn, insertBits(W, 0, 15, 0));
-        break;
-      case arisc::OpSys:
-        expectSameAnalysis(Hand, Spawn, insertBits(W, 16, 25, 0));
-        break;
-      case arisc::OpLdih:
-        expectSameAnalysis(Hand, Spawn, insertBits(W, 21, 25, 0));
-        break;
-      }
-    }
-  }
+  expectSameAnalysis(TargetArch::Arisc, structuredWords(TargetArch::Arisc));
 }
 
 // --- Description-driven interpreter ----------------------------------------------

@@ -6,7 +6,6 @@
 
 #include "support/BitOps.h"
 #include "support/ByteBuffer.h"
-#include "support/Casting.h"
 #include "support/Error.h"
 #include "support/FileIO.h"
 #include "support/RegSet.h"
@@ -78,30 +77,6 @@ TEST(RegSet, IterationInOrder) {
   for (unsigned Id : S)
     Ids.push_back(Id);
   EXPECT_EQ(Ids, (std::vector<unsigned>{2, 9, 17}));
-}
-
-TEST(Casting, KindBasedDispatch) {
-  struct Base {
-    enum Kind { KA, KB } K;
-    explicit Base(Kind K) : K(K) {}
-  };
-  struct A : Base {
-    A() : Base(KA) {}
-    static bool classof(const Base *B) { return B->K == KA; }
-  };
-  struct B : Base {
-    B() : Base(KB) {}
-    static bool classof(const Base *Bp) { return Bp->K == KB; }
-  };
-  A ValueA;
-  Base *P = &ValueA;
-  EXPECT_TRUE(isa<A>(P));
-  EXPECT_FALSE(isa<B>(P));
-  EXPECT_EQ(dyn_cast<A>(P), &ValueA);
-  EXPECT_EQ(dyn_cast<B>(P), nullptr);
-  EXPECT_EQ(dyn_cast_or_null<A>(static_cast<Base *>(nullptr)), nullptr);
-  bool Either = isa<A, B>(P);
-  EXPECT_TRUE(Either);
 }
 
 TEST(Expected, ValueAndError) {
