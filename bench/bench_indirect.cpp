@@ -26,7 +26,7 @@
 #include "bench/BenchUtil.h"
 #include "core/Executable.h"
 #include "core/Slice.h"
-#include "support/Trace.h"
+#include "support/Metrics.h"
 
 #include <benchmark/benchmark.h>
 
@@ -181,18 +181,21 @@ int main(int argc, char **argv) {
   // Stripped frontier: the same sunpro suite with symbol tables removed
   // goes down the eel-infer path. Constant-cell facts turn the previously
   // unanalyzable cell tail calls into inferred literals.
-  // The run is traced: inference throughput comes from the summed
-  // "infer" span durations.
-  TraceCollector::instance().reset();
-  traceSetEnabled(true);
-  SuiteStats Stripped = analyzeSuite(true, 12, /*Stripped=*/true);
-  traceSetEnabled(false);
+  // The run records into a sink: inference throughput comes from the
+  // summed "infer" span durations.
+  MetricsSink Traced;
+  SuiteStats Stripped;
+  {
+    TraceRequestScope Scope(/*Rid=*/0, &Traced);
+    Stripped = analyzeSuite(true, 12, /*Stripped=*/true);
+  }
+  MetricsSnapshot Snap = Traced.snapshot();
   uint64_t InferNs = 0;
-  for (const TraceEvent &Ev : TraceCollector::instance().drain())
+  for (const TraceEvent &Ev : Snap.Spans)
     if (std::string_view(Ev.Name) == "infer")
       InferNs += Ev.EndNs - Ev.StartNs;
-  if (TraceCollector::instance().droppedCount()) {
-    std::fprintf(stderr, "FAIL: trace rings wrapped; infer spans lost\n");
+  if (Snap.DroppedSpans) {
+    std::fprintf(stderr, "FAIL: the sink dropped spans; infer spans lost\n");
     return 1;
   }
   double InferUs = static_cast<double>(InferNs) / 1000.0;

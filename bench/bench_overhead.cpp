@@ -28,7 +28,7 @@
 #include "core/Executable.h"
 #include "serve/Serve.h"
 #include "support/Log.h"
-#include "support/Trace.h"
+#include "support/Metrics.h"
 #include "tools/Qpt.h"
 #include "tools/Sandbox.h"
 #include "tools/WindTunnel.h"
@@ -225,14 +225,15 @@ int main(int argc, char **argv) {
       Executable Exec(SxfFile(File), Opts);
       Qpt2Profiler Profiler(Exec);
       Profiler.instrument();
-      TraceCollector::instance().reset();
-      traceSetEnabled(true);
-      Expected<SxfFile> Edited = Exec.writeEditedExecutable();
-      traceSetEnabled(false);
+      MetricsSink Traced;
+      Expected<SxfFile> Edited = [&] {
+        TraceRequestScope Scope(/*Rid=*/0, &Traced);
+        return Exec.writeEditedExecutable();
+      }();
       if (Edited.hasError())
         std::printf("  WARNING: edit failed: %s\n",
                     Edited.error().message().c_str());
-      std::vector<TraceEvent> Events = TraceCollector::instance().drain();
+      std::vector<TraceEvent> Events = Traced.snapshot().Spans;
       const TraceEvent *Gate = nullptr, *Write = nullptr;
       for (const TraceEvent &Ev : Events) {
         if (std::string(Ev.Name) == "write.verify_gate")
@@ -321,16 +322,17 @@ int main(int argc, char **argv) {
         Instrument += std::chrono::duration<double, std::nano>(
                           std::chrono::steady_clock::now() - T0)
                           .count();
-        TraceCollector::instance().reset();
-        traceSetEnabled(true);
-        Expected<SxfFile> Edited = Exec.writeEditedExecutable();
-        traceSetEnabled(false);
+        MetricsSink Traced;
+        Expected<SxfFile> Edited = [&] {
+          TraceRequestScope Scope(/*Rid=*/0, &Traced);
+          return Exec.writeEditedExecutable();
+        }();
         if (Edited.hasError()) {
           std::fprintf(stderr, "FAIL: qpt2 edit failed: %s\n",
                        Edited.error().message().c_str());
           return 1;
         }
-        for (const TraceEvent &Ev : TraceCollector::instance().drain())
+        for (const TraceEvent &Ev : Traced.snapshot().Spans)
           if (std::string_view(Ev.Name) == "write.layout")
             Layout += double(Ev.EndNs - Ev.StartNs);
         Sites += Exec.editStats().SnippetInstances;
@@ -353,16 +355,15 @@ int main(int argc, char **argv) {
   }
 #endif
 
-  // Tracing compiled in but disabled must be invisible: a disabled
-  // EEL_TRACE_SCOPE is one relaxed atomic load and a branch, paid once
-  // per span site the pipeline passes. The bench measures that per-site
-  // cost directly, counts the sites one edit actually crosses (by running
-  // it once traced), and asserts the product stays under 1% of the
-  // untraced edit time.
+  // Tracing compiled in but disabled must be invisible: an EEL_TRACE_SCOPE
+  // with no sink installed is one thread-local load and a branch, paid
+  // once per span site the pipeline passes. The bench measures that
+  // per-site cost directly, counts the sites one edit actually crosses (by
+  // running it once into a sink), and asserts the product stays under 1%
+  // of the untraced edit time.
   printHeader("EEL_TRACE_SCOPE compiled in but disabled (acceptance: <1%)");
   bool TraceOverheadOk = true;
   {
-    traceSetEnabled(false);
     using Clock = std::chrono::steady_clock;
     const uint64_t Iters = Smoke ? (1u << 16) : (1u << 21);
     const int LoopReps = Smoke ? 2 : 7;
@@ -396,11 +397,12 @@ int main(int argc, char **argv) {
       benchmark::DoNotOptimize(Exec.writeEditedExecutable().hasValue());
     };
     // Count the span sites one edit crosses.
-    TraceCollector::instance().reset();
-    traceSetEnabled(true);
-    editOnce();
-    traceSetEnabled(false);
-    uint64_t Sites = TraceCollector::instance().drain().size();
+    MetricsSink Traced;
+    {
+      TraceRequestScope Scope(/*Rid=*/0, &Traced);
+      editOnce();
+    }
+    uint64_t Sites = Traced.snapshot().Spans.size();
     // Time the same edit with tracing disabled (the shipping default).
     editOnce();
     double BestEditNs = 1e18;

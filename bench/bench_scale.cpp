@@ -11,10 +11,11 @@
 /// edited text clears the data segment at 4 MB) and runs open →
 /// readContents → writeEditedExecutable at Threads = 1, so every size
 /// attributes work to the same phases. readContents ends with the
-/// "analyze" phase (CFG + slicing + liveness); draining after it keeps
-/// each trace drain below the per-thread ring capacity.
+/// "analyze" phase (CFG + slicing + liveness); the two halves record into
+/// separate sinks, which keeps each below a sink's per-thread span
+/// capacity.
 ///
-/// Phase times come from the phase tree (buildPhaseTree over the drained
+/// Phase times come from the phase tree (buildPhaseTree over the sinks'
 /// spans); each size keeps every phase's minimum over 5 repetitions, since
 /// host speed can swing by more than the effect measured. Each phase's
 /// exponent is the least-squares slope of log time against log image
@@ -42,7 +43,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <optional>
 
 using namespace eel;
 using namespace eelbench;
@@ -63,33 +66,34 @@ void flatten(const std::vector<PhaseNode> &Level, const std::string &Prefix,
 
 struct Pass {
   double Ms = 0;              ///< open through write, steady clock
-  PhaseTimes Phases;          ///< from the drained spans, ms
+  PhaseTimes Phases;          ///< from the recorded spans, ms
   size_t Routines = 0;        ///< after refinement
   std::vector<uint8_t> Bytes; ///< the serialized edited image
   std::string Error;          ///< the pipeline's error, if any
 };
 
-/// Drains the spans recorded since the last call; aborts the pass (and the
-/// bench) if a ring wrapped, since a truncated tree would undercount.
-bool drainInto(std::vector<TraceEvent> &Events) {
-  TraceCollector &TC = TraceCollector::instance();
-  if (TC.droppedCount()) {
-    std::fprintf(stderr, "FAIL: trace ring wrapped (%llu spans dropped)\n",
-                 static_cast<unsigned long long>(TC.droppedCount()));
+/// Appends \p Sink's spans to \p Events; false (failing the bench) if the
+/// sink dropped any, since a truncated tree would undercount.
+bool takeSpans(const MetricsSink &Sink, std::vector<TraceEvent> &Events) {
+  MetricsSnapshot Snap = Sink.snapshot();
+  if (Snap.DroppedSpans) {
+    std::fprintf(stderr, "FAIL: a trace sink wrapped (%llu spans dropped)\n",
+                 static_cast<unsigned long long>(Snap.DroppedSpans));
     return false;
   }
-  for (TraceEvent &Ev : TC.drain())
-    Events.push_back(std::move(Ev));
-  TC.reset();
+  Events.insert(Events.end(), std::make_move_iterator(Snap.Spans.begin()),
+                std::make_move_iterator(Snap.Spans.end()));
   return true;
 }
 
 bool runPass(const std::vector<uint8_t> &Bytes, unsigned Threads, Pass &P) {
   Executable::Options Opts;
   Opts.Threads = Threads;
-  std::vector<TraceEvent> Events;
-  TraceCollector::instance().reset();
-  traceSetEnabled(true);
+  // Each half records into its own sink, which keeps either half below a
+  // sink's per-thread span capacity.
+  MetricsSink Read, Write;
+  std::optional<TraceRequestScope> Scope;
+  Scope.emplace(/*Rid=*/0, &Read);
   auto Start = std::chrono::steady_clock::now();
   Expected<std::unique_ptr<Executable>> Opened =
       Executable::openImage(SxfFile::deserialize(Bytes).takeValue(), Opts);
@@ -99,15 +103,16 @@ bool runPass(const std::vector<uint8_t> &Bytes, unsigned Threads, Pass &P) {
   }
   Executable &Exec = *Opened.value();
   Exec.readContents();
-  if (!drainInto(Events))
-    return false;
+  Scope.emplace(/*Rid=*/0, &Write);
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   if (Edited.hasValue())
     P.Bytes = Edited.value().serialize();
   P.Ms = std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - Start)
              .count();
-  if (!drainInto(Events))
+  Scope.reset();
+  std::vector<TraceEvent> Events;
+  if (!takeSpans(Read, Events) || !takeSpans(Write, Events))
     return false;
   if (Edited.hasError())
     P.Error = Edited.error().describe();
@@ -299,7 +304,6 @@ int main(int argc, char **argv) {
   // Untraced: this row records an outcome, not phase times.
   if (!Smoke) {
     printHeader("Edited text past the data segment (12k routines)");
-    traceSetEnabled(false);
     Executable::Options Opts;
     Opts.Threads = 1;
     Executable Exec(SxfFile::deserialize(imageOf(12000)).takeValue(), Opts);

@@ -21,7 +21,7 @@
 #include "analysis/Report.h"
 #include "analysis/Verifier.h"
 #include "core/Executable.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "tools/Qpt.h"
 #include "vm/Machine.h"
 #include "workload/Generator.h"
@@ -59,8 +59,10 @@ int main(int argc, char **argv) {
 
   // Instrument: FOREACH_ROUTINE { FOREACH_BB { if (1 < succ size)
   // FOREACH_EDGE e->add_code_along(incr_count(num)); } }  (Figure 1).
-  // Tracing on, so the run-report summary below has a phase tree.
-  traceSetEnabled(true);
+  // Recorded into a fresh sink, so the run-report summary below has a
+  // phase tree and counters.
+  MetricsSink Sink;
+  TraceRequestScope Scope(/*Rid=*/0, &Sink);
   Executable Exec(std::move(File));
   Qpt2Profiler::Options ProfilerOptions;
   ProfilerOptions.CountBlocks = false;
@@ -124,11 +126,10 @@ int main(int argc, char **argv) {
                 static_cast<unsigned long long>(Counts[Order[I]]));
   }
   // One-screen run-report summary: the same data eel-report emits as JSON
-  // (phase tree from the drained spans, key counters, histogram medians).
-  traceSetEnabled(false);
+  // (phase tree from the sink's spans, key counters, histogram medians).
+  MetricsSnapshot Snap = Sink.snapshot();
   std::printf("\nrun report:\n");
-  std::vector<PhaseNode> Phases =
-      buildPhaseTree(TraceCollector::instance().drain());
+  std::vector<PhaseNode> Phases = buildPhaseTree(Snap.Spans);
   struct Printer {
     static void print(const std::vector<PhaseNode> &Level, int Depth) {
       for (const PhaseNode &N : Level) {
@@ -143,14 +144,13 @@ int main(int argc, char **argv) {
   Printer::print(Phases, 0);
   std::printf("  counters: %llu CFGs built, %llu snippet instances, "
               "%u translation sites\n",
+              static_cast<unsigned long long>(Snap.counter("eel.cfg.built")),
               static_cast<unsigned long long>(
-                  StatRegistry::instance().read("eel.cfg.built")),
-              static_cast<unsigned long long>(
-                  StatRegistry::instance().read("eel.snippet.instances")),
+                  Snap.counter("eel.snippet.instances")),
               Exec.editStats().TranslationSites);
   for (const char *Name :
        {"cfg.blocks_per_routine", "layout.words_per_routine"}) {
-    HistogramSnapshot H = HistogramRegistry::instance().read(Name);
+    HistogramSnapshot H = Snap.histogram(Name);
     if (H.Count)
       std::printf("  %-28s n=%-5llu median<=%llu max=%llu\n", Name,
                   static_cast<unsigned long long>(H.Count),

@@ -17,7 +17,7 @@
 #include "analysis/Infer.h"
 
 #include "analysis/InferInternal.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <algorithm>

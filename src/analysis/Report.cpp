@@ -7,7 +7,6 @@
 #include "analysis/Report.h"
 
 #include "support/Json.h"
-#include "support/Stats.h"
 
 #include <algorithm>
 
@@ -41,7 +40,7 @@ eel::buildPhaseTree(const std::vector<TraceEvent> &Events) {
     (void)Tid;
     // Start ascending; at equal start, longer span first (it encloses);
     // at equal start and duration (zero-length nests), higher sequence
-    // first — rings record at completion, so the parent finished later.
+    // first — sinks record at completion, so the parent finished later.
     std::sort(Spans.begin(), Spans.end(),
               [](const TraceEvent *A, const TraceEvent *B) {
                 if (A->StartNs != B->StartNs)
@@ -123,16 +122,11 @@ void RunReport::addOption(const std::string &Key, const std::string &Value) {
   Options.emplace_back(Key, Value);
 }
 
-void RunReport::captureMetrics() {
-  Counters = StatRegistry::instance().snapshot();
-  Histograms = HistogramRegistry::instance().snapshot();
-}
-
-void RunReport::captureMetrics(const MetricsSink &Sink) {
-  Counters = Sink.counters();
-  Histograms = Sink.histograms();
-  Phases = buildPhaseTree(Sink.spans());
-  DroppedSpans = Sink.droppedSpans();
+void RunReport::capture(const MetricsSnapshot &Snap) {
+  Counters = Snap.Counters;
+  Histograms = Snap.Histograms;
+  Phases = buildPhaseTree(Snap.Spans);
+  DroppedSpans = Snap.DroppedSpans;
   HasPhases = true;
 }
 
@@ -140,12 +134,6 @@ void RunReport::addCounters(
     const std::vector<std::pair<std::string, uint64_t>> &Extra) {
   Counters.insert(Counters.end(), Extra.begin(), Extra.end());
   std::sort(Counters.begin(), Counters.end());
-}
-
-void RunReport::capturePhases(const std::vector<TraceEvent> &Events) {
-  Phases = buildPhaseTree(Events);
-  DroppedSpans = TraceCollector::instance().droppedCount();
-  HasPhases = true;
 }
 
 void RunReport::captureDiagnostics(const DiagnosticReport &Report) {

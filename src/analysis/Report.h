@@ -7,16 +7,17 @@
 /// \file
 /// The "eel-report/1" JSON envelope: one provenance-carrying document
 /// combining input identity (content hash), the options a pipeline ran
-/// with, a phase-timing tree reconstructed from drained trace spans,
-/// counter and histogram tables, and verifier findings. eel-report emits
-/// it for edit pipelines, eel-lint --json and sxf-fuzz --json reuse the
-/// same envelope for their diagnostics, so downstream tooling parses one
-/// schema regardless of which tool produced the document.
+/// with, a phase-timing tree reconstructed from trace spans, counter and
+/// histogram tables — all three from one metrics sink's snapshot — and
+/// verifier findings. eel-report emits it for edit pipelines, eel-lint
+/// --json and sxf-fuzz --json reuse the same envelope for their
+/// diagnostics, so downstream tooling parses one schema regardless of
+/// which tool produced the document.
 ///
 /// Phase trees are rebuilt from the flat span list by interval
 /// containment: spans from one thread are sorted by (start ascending,
 /// duration descending, push-sequence descending) and nested with a stack.
-/// The sequence tiebreak matters for zero-length spans — rings record
+/// The sequence tiebreak matters for zero-length spans — sinks record
 /// spans at completion, so at equal start and duration a parent has a
 /// HIGHER sequence number than its children.
 ///
@@ -125,23 +126,15 @@ public:
     addOption(Key, Value ? std::string("true") : std::string("false"));
   }
 
-  /// Snapshots the global counter and histogram registries into the
-  /// report. Call from a quiescent point after the instrumented work.
-  void captureMetrics();
+  /// Takes the counters, histograms and phase tree of one run from its
+  /// sink's snapshot.
+  void capture(const MetricsSnapshot &Snap);
 
-  /// Takes one request's counters, histograms and phase tree from its
-  /// metrics sink (eel-serve's WantMetrics requests).
-  void captureMetrics(const MetricsSink &Sink);
-
-  /// Adds counters kept outside the registries (eel-serve's cumulative
-  /// service counters) to those captureMetrics() took; the rendered
-  /// counters stay sorted by name.
+  /// Adds counters kept outside the sink (eel-serve's cumulative service
+  /// counters) to those capture() took; the rendered counters stay sorted
+  /// by name.
   void addCounters(
       const std::vector<std::pair<std::string, uint64_t>> &Extra);
-
-  /// Builds the phase-timing tree from \p Events (typically
-  /// TraceCollector::instance().drain()).
-  void capturePhases(const std::vector<TraceEvent> &Events);
 
   /// Copies verifier findings into the report.
   void captureDiagnostics(const DiagnosticReport &Report);

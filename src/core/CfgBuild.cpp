@@ -26,7 +26,6 @@
 #include "core/Routine.h"
 #include "core/Slice.h"
 #include "support/Metrics.h"
-#include "support/Stats.h"
 #include "support/Trace.h"
 
 #include <algorithm>

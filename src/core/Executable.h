@@ -100,9 +100,9 @@ public:
   };
 
   /// Decodes the text into the decode table (the "decode" phase). Spans
-  /// and log records follow the process-wide gates (traceSetEnabled,
-  /// logSetLevel), which no option changes. Construction is a quiescent
-  /// point.
+  /// and counters go to the calling thread's metrics sink, if one is
+  /// installed (support/Metrics.h), and log records follow the
+  /// process-wide level (logSetLevel); no option changes either.
   Analysis(SxfFile Image, Options Opts);
   ~Analysis();
   Analysis(const Analysis &) = delete;

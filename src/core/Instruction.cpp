@@ -8,7 +8,7 @@
 
 #include "support/BitOps.h"
 #include "support/Error.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "support/Trace.h"
 
 using namespace eel;

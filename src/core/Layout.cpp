@@ -25,7 +25,6 @@
 #include "core/Routine.h"
 #include "core/Translate.h"
 #include "support/Metrics.h"
-#include "support/Stats.h"
 #include "support/Trace.h"
 
 #include <algorithm>

@@ -6,7 +6,7 @@
 
 #include "core/RegAlloc.h"
 
-#include "support/Stats.h"
+#include "support/Metrics.h"
 
 #include <bit>
 #include <memory>

@@ -72,7 +72,7 @@ Expected<SnippetInstance> instantiateSnippet(const TargetInfo &Target,
 /// Scavenging statistics of any number of placed sites, recorded at once:
 /// the eel.snippet.{instances,spills,ccsaves} counters and the
 /// scavenge.{granted,spilled}_per_site histograms end up exactly as one
-/// record per site would leave them, for one registry lookup per name.
+/// record per site would leave them, for one counter lookup per name.
 /// Layout keeps one for each routine that places a snippet.
 struct ScavengeTally {
   unsigned Instances = 0;

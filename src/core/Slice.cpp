@@ -8,7 +8,7 @@
 
 #include "core/Executable.h"
 #include "core/Routine.h"
-#include "support/Stats.h"
+#include "support/Metrics.h"
 #include "support/Trace.h"
 
 #include <set>

@@ -57,7 +57,6 @@
 #include "analysis/Infer.h"
 #include "core/Liveness.h"
 #include "support/Metrics.h"
-#include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
@@ -217,9 +216,9 @@ Expected<bool> Analysis::readContents() {
   // buildCfg), and liveness — are independent across routines, so they fan
   // out over the pool now (inline, in index order, at width 1). Each
   // routine is touched by exactly one worker; the decode table is frozen
-  // and the stat registry sharded. Every width runs this same schedule.
-  // Nothing builds lazily afterwards, which is what lets edit sessions
-  // share the finished analysis.
+  // and the metrics sink, if any, sharded. Every width runs this same
+  // schedule. Nothing builds lazily afterwards, which is what lets edit
+  // sessions share the finished analysis.
   EEL_TRACE_SCOPE("analyze", "routines", uint64_t(Routines.size()));
   bool WantTranslation = Opts.EnableRuntimeTranslation;
   parallelForEach(effectiveThreads(), Routines.size(),

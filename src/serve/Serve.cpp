@@ -148,11 +148,6 @@ EditService::EditService(ServeLimits LimitsIn)
                : std::max(2u, std::min(4u,
                                        std::thread::hardware_concurrency()))),
       StartedAt(std::chrono::steady_clock::now()) {
-  // Exemplar capture needs spans: turn the process-wide trace gate on for
-  // the service's lifetime. One-way (never off in the destructor): another
-  // service or test may still be relying on it.
-  if (Limits.SlowRequestUs)
-    traceSetEnabled(true);
   EEL_LOG(LogLevel::Info, "serve.start",
           logNum("max_inflight", Limits.MaxInFlight),
           logNum("cache_capacity", Limits.CacheCapacity),
@@ -285,10 +280,13 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
   auto Start = std::chrono::steady_clock::now();
   // The pool worker running this request adopts its context: spans and
   // log records from here down (and from parallelForEach helpers, which
-  // inherit it) carry the id, and a WantMetrics request's counters,
-  // histograms and spans land in its own sink, whatever runs beside it.
+  // inherit it) carry the id. A request that wants metrics, or that may
+  // become a slow-request exemplar, records its counters, histograms and
+  // spans into its own sink, whatever runs beside it; any other request
+  // records nothing.
+  bool KeepsExemplars = Limits.SlowRequestUs && Limits.ExemplarCapacity;
   std::optional<MetricsSink> Sink;
-  if (Req.WantMetrics)
+  if (Req.WantMetrics || KeepsExemplars)
     Sink.emplace();
   TraceRequestScope RequestScope(Rid, Sink ? &*Sink : nullptr);
 
@@ -373,8 +371,15 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
           logNum("latency_us", LatencyUs),
           logNum("cache_hit", CacheHit ? 1 : 0),
           logNum("edited_image_bytes", Resp.EditedImage.size()));
-  maybeCaptureSlow(Rid, LatencyUs, Req.ToolSpec, ImageHash, CacheHit,
-                   Sink ? &*Sink : nullptr);
+  // Every thread that recorded into the sink has finished: the
+  // pipeline's fan-outs returned.
+  bool Slow = KeepsExemplars && LatencyUs > Limits.SlowRequestUs;
+  MetricsSnapshot Snap;
+  if (Req.WantMetrics || Slow)
+    Snap = Sink->snapshot();
+  if (Slow)
+    captureSlow(Rid, LatencyUs, Req.ToolSpec, ImageHash, CacheHit,
+                Snap.Spans);
 
   RunReport Report("eel-serve");
   Report.addInput("<request>", ImageHash, Req.ImageBytes.size());
@@ -384,8 +389,8 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
   Report.addOption("verify", Req.Verify);
   Report.addOption("metrics", Req.WantMetrics);
   AnalysisCache::Stats CS = Cache.stats();
-  if (Sink) {
-    Report.captureMetrics(*Sink);
+  if (Req.WantMetrics) {
+    Report.capture(Snap);
     Report.addCounters(cumulativeCounters(CS));
   }
   JsonWriter S(/*Indent=*/false);
@@ -429,25 +434,10 @@ ServeResponse EditService::runPipeline(const ServeRequest &Req, ServeTool Tool,
 
 // --- Slow-request exemplars -------------------------------------------------
 
-void EditService::maybeCaptureSlow(uint64_t Rid, uint64_t LatencyUs,
-                                   const std::string &ToolSpec,
-                                   uint64_t ImageHash, bool CacheHit,
-                                   const MetricsSink *Sink) {
-  if (!Limits.SlowRequestUs || LatencyUs <= Limits.SlowRequestUs ||
-      Limits.ExemplarCapacity == 0)
-    return;
-  // A request with a sink holds all of its spans there. Otherwise drain
-  // the collector (safe mid-load: per-ring locks) and keep only this
-  // request's spans; other requests' spans stay in the rings untouched.
-  std::vector<TraceEvent> Mine;
-  if (Sink) {
-    Mine = Sink->spans();
-  } else {
-    for (TraceEvent &Ev : TraceCollector::instance().drain())
-      if (Ev.RequestId == Rid)
-        Mine.push_back(std::move(Ev));
-  }
-
+void EditService::captureSlow(uint64_t Rid, uint64_t LatencyUs,
+                              const std::string &ToolSpec, uint64_t ImageHash,
+                              bool CacheHit,
+                              const std::vector<TraceEvent> &Spans) {
   SlowExemplar Ex;
   Ex.RequestId = Rid;
   Ex.LatencyUs = LatencyUs;
@@ -455,13 +445,13 @@ void EditService::maybeCaptureSlow(uint64_t Rid, uint64_t LatencyUs,
   Ex.ImageHash = ImageHash;
   Ex.CacheHit = CacheHit;
   Ex.CapturedUnixMs = unixMillisNow();
-  Ex.TraceJson = renderChromeTrace(Mine);
+  Ex.TraceJson = renderChromeTrace(Spans);
 
   Counters.SlowCaptured.fetch_add(1, std::memory_order_relaxed);
   EEL_LOG(LogLevel::Warn, "serve.slow", logStr("tool", ToolSpec),
           logNum("latency_us", LatencyUs),
           logNum("threshold_us", Limits.SlowRequestUs),
-          logNum("spans", Mine.size()));
+          logNum("spans", Spans.size()));
 
   std::lock_guard<std::mutex> G(ExemplarM);
   // Worst-N ring: insert in descending-latency order, drop from the tail.

@@ -34,9 +34,9 @@
 ///    into its own support/Metrics.h MetricsSink, installed through its
 ///    request scope, so its envelope's pipeline counters, histograms, and
 ///    phase tree cover exactly that request while other requests run
-///    beside it. The cumulative `serve.*` counters never live in the
-///    registries: the service counts them itself and adds them to the
-///    envelope.
+///    beside it. A request without a sink records nothing. The cumulative
+///    `serve.*` counters never live in a sink: the service counts them
+///    itself and adds them to the envelope.
 ///
 /// The operational layer: every request carries a 64-bit RequestId
 /// (client-supplied or daemon-minted) stamped on its spans, log records,
@@ -45,11 +45,11 @@
 /// counts) and records latency/per-phase durations into AtomicHistograms,
 /// each service its own, so an ELSt status frame
 /// (handleFrame/handleStatus) can snapshot a live, saturated daemon
-/// without touching the sharded registries or admission control —
-/// scrapes never block behind an edit and never consume an in-flight
-/// slot. Requests slower than
-/// ServeLimits::SlowRequestUs drain their spans into a bounded
-/// worst-N exemplar ring (Chrome trace JSON keyed by RequestId),
+/// without touching a request's sink or admission control — scrapes never
+/// block behind an edit and never consume an in-flight slot. With
+/// ServeLimits::SlowRequestUs set, every request records into its own
+/// sink, and one slower than the threshold keeps that sink's spans in a
+/// bounded worst-N exemplar ring (Chrome trace JSON keyed by RequestId),
 /// fetchable through the same status frame.
 ///
 //===----------------------------------------------------------------------===//
@@ -87,9 +87,10 @@ struct ServeLimits {
   /// default from hardware concurrency.
   unsigned DispatchWorkers = 0;
   /// Latency threshold for slow-request exemplar capture, in microseconds.
-  /// A request slower than this drains its trace spans into the exemplar
-  /// ring. 0 disables capture (and leaves the trace gate alone); nonzero
-  /// turns the process-wide trace gate on for the service's lifetime.
+  /// Nonzero (with a nonzero ExemplarCapacity) gives every request its own
+  /// metrics sink, so it records its spans, and a request slower than this
+  /// keeps them in the exemplar ring. 0 disables capture; requests that do
+  /// not set WantMetrics then record nothing.
   uint64_t SlowRequestUs = 0;
   /// Worst-N exemplars retained (by latency). Ignored when SlowRequestUs
   /// is 0.
@@ -170,7 +171,7 @@ struct SlowExemplar {
   bool CacheHit = false;
   uint64_t CapturedUnixMs = 0; ///< Wall clock, for operator correlation.
   /// Chrome trace-event JSON of the request's spans (renderChromeTrace
-  /// over the drained collector filtered by RequestId).
+  /// over its sink's snapshot).
   std::string TraceJson;
 };
 
@@ -219,7 +220,7 @@ private:
 
   /// The service's cumulative counters: the one source for both the scrape
   /// and WantMetrics envelopes. Plain atomics, so either reads them
-  /// without the sharded registries' quiescence contract.
+  /// mid-load, where a sink is read only once its recorders finish.
   struct ServiceCounters {
     std::atomic<uint64_t> Requests{0};
     std::atomic<uint64_t> Ok{0};
@@ -234,12 +235,11 @@ private:
   ServeResponse reject(ErrorCode Code, const std::string &Message,
                        uint64_t Rid);
   ServeResponse errorResponse(const Error &E, uint64_t Rid);
-  /// Captures a slow request's spans into the exemplar ring (worst-N by
-  /// latency, guarded by ExemplarM): from \p Sink when the request had
-  /// one, else from the process-wide collector.
-  void maybeCaptureSlow(uint64_t Rid, uint64_t LatencyUs,
-                        const std::string &ToolSpec, uint64_t ImageHash,
-                        bool CacheHit, const MetricsSink *Sink);
+  /// Keeps a slow request's \p Spans, taken from its own sink, in the
+  /// exemplar ring (worst-N by latency, guarded by ExemplarM).
+  void captureSlow(uint64_t Rid, uint64_t LatencyUs,
+                   const std::string &ToolSpec, uint64_t ImageHash,
+                   bool CacheHit, const std::vector<TraceEvent> &Spans);
   /// Renders the JSON status snapshot (an eel-report/1 envelope).
   std::string statusJson(const StatusRequest &Req);
   /// Renders the Prometheus text snapshot.

@@ -54,7 +54,7 @@ bool eel::parseLogLevel(const std::string &Name, LogLevel &Out) {
 
 namespace {
 
-/// Flush a thread buffer once it holds this much; Warn+ records flush
+/// Flush the buffer once it holds this much; Warn+ records flush
 /// immediately regardless.
 constexpr size_t FlushThresholdBytes = 4096;
 
@@ -141,28 +141,12 @@ Logger &Logger::instance() {
   return L;
 }
 
-Logger::Buffer &Logger::localBuffer() {
-  // StatRegistry shard discipline: one buffer per thread, created on first
-  // use, owned by the logger for the life of the process so the cached
-  // pointer stays valid even after the thread exits.
-  thread_local Logger *Owner = nullptr;
-  thread_local Buffer *Local = nullptr;
-  if (Owner != this) {
-    std::lock_guard<std::mutex> Lock(BuffersM);
-    Buffers.push_back(std::make_unique<Buffer>());
-    Buffers.back()->Tid = static_cast<uint32_t>(Buffers.size() - 1);
-    Local = Buffers.back().get();
-    Owner = this;
-  }
-  return *Local;
-}
-
 bool Logger::setPath(const std::string &Path) {
   FILE *F = fopen(Path.c_str(), "ab");
   if (!F)
     return false;
-  flushAll();
   std::lock_guard<std::mutex> Lock(SinkM);
+  flushLocked();
   if (Sink)
     fclose(Sink);
   Sink = F;
@@ -170,8 +154,8 @@ bool Logger::setPath(const std::string &Path) {
 }
 
 void Logger::useStderr() {
-  flushAll();
   std::lock_guard<std::mutex> Lock(SinkM);
+  flushLocked();
   if (Sink)
     fclose(Sink);
   Sink = nullptr;
@@ -209,42 +193,34 @@ void Logger::write(LogLevel L, const char *Event, const LogField *Fields,
   uint64_t DrainedDrops = 0;
   if (!admit(NowMs, DrainedDrops))
     return;
-  Buffer &B = localBuffer();
-  std::lock_guard<std::mutex> Lock(B.M);
+  std::string Line;
+  uint32_t Tid = traceThreadId();
   if (DrainedDrops) {
     LogField Disclose = logNum("dropped", DrainedDrops);
-    appendRecord(B.Data, NowMs, B.Tid, LogLevel::Warn, "log.rate_limited",
+    appendRecord(Line, NowMs, Tid, LogLevel::Warn, "log.rate_limited",
                  &Disclose, 1);
     Emitted.fetch_add(1, std::memory_order_relaxed);
   }
-  appendRecord(B.Data, NowMs, B.Tid, L, Event, Fields, NumFields);
+  appendRecord(Line, NowMs, Tid, L, Event, Fields, NumFields);
   Emitted.fetch_add(1, std::memory_order_relaxed);
-  if (L >= LogLevel::Warn || B.Data.size() >= FlushThresholdBytes)
-    flushLocked(B);
+  std::lock_guard<std::mutex> Lock(SinkM);
+  Buffered += Line;
+  if (L >= LogLevel::Warn || Buffered.size() >= FlushThresholdBytes)
+    flushLocked();
 }
 
-void Logger::flushLocked(Buffer &B) {
-  if (B.Data.empty())
+void Logger::flushLocked() {
+  if (Buffered.empty())
     return;
-  std::lock_guard<std::mutex> Lock(SinkM);
   FILE *F = Sink ? Sink : stderr;
-  fwrite(B.Data.data(), 1, B.Data.size(), F);
+  fwrite(Buffered.data(), 1, Buffered.size(), F);
   fflush(F);
-  B.Data.clear();
+  Buffered.clear();
 }
 
 void Logger::flushAll() {
-  std::vector<Buffer *> Snapshot;
-  {
-    std::lock_guard<std::mutex> Lock(BuffersM);
-    Snapshot.reserve(Buffers.size());
-    for (const auto &B : Buffers)
-      Snapshot.push_back(B.get());
-  }
-  for (Buffer *B : Snapshot) {
-    std::lock_guard<std::mutex> Lock(B->M);
-    flushLocked(*B);
-  }
+  std::lock_guard<std::mutex> Lock(SinkM);
+  flushLocked();
 }
 
 uint64_t Logger::emittedCount() const {

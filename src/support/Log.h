@@ -17,19 +17,19 @@
 ///    load + compare when the level is below threshold — no field
 ///    construction, no formatting, no allocation. bench_overhead asserts
 ///    the disabled path costs <0.1% of a warm serve request;
-///  - per-thread buffers owned by the logger (StatRegistry sharding rule:
-///    created on first use, retained for the life of the process) so hot
-///    threads format locally and only take the sink lock on flush. Each
-///    buffer carries its own mutex, making flushAll() safe concurrent with
-///    writers;
+///  - each record is formatted into a local string, outside any lock, and
+///    appended to the logger's one buffer under the sink lock, so lines
+///    reach the sink in the order they were written, whichever thread
+///    wrote them. `tid` is the writer's traceThreadId(), the id its spans
+///    carry;
 ///  - a global rate limit (records per second, window-based). Dropped
 ///    records are counted and disclosed: the first record admitted in a
 ///    new window is preceded by a synthetic `log.rate_limited` record
 ///    carrying the number suppressed, so operators see the gap instead of
 ///    silently losing it.
 ///
-/// Records at Warn or above flush immediately; lower levels buffer until
-/// the thread buffer reaches a threshold or someone calls flushAll()
+/// Records at Warn or above flush the buffer immediately; lower levels
+/// wait until it reaches a threshold or someone calls flushAll()
 /// (eel-serve flushes on connection close, scrape, and shutdown).
 ///
 //===----------------------------------------------------------------------===//
@@ -40,10 +40,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace eel {
 
@@ -96,7 +94,7 @@ inline LogField logNum(const char *Key, uint64_t Val) {
   return LogField{Key, std::string(), Val, true};
 }
 
-/// Process-wide sink: per-thread format buffers flushed to one FILE*.
+/// Process-wide sink: one buffer of formatted records flushed to one FILE*.
 class Logger {
 public:
   static Logger &instance();
@@ -118,8 +116,8 @@ public:
   void write(LogLevel L, const char *Event, const LogField *Fields,
              size_t NumFields);
 
-  /// Flushes every thread buffer to the sink. Safe concurrent with
-  /// writers; each buffer is locked individually.
+  /// Writes every buffered record to the sink. Safe concurrent with
+  /// writers.
   void flushAll();
 
   /// Records admitted (formatted) since process start or resetCounts().
@@ -132,24 +130,15 @@ public:
 private:
   Logger() = default;
 
-  struct Buffer {
-    std::mutex M;
-    std::string Data;
-    uint32_t Tid = 0;
-  };
-
-  Buffer &localBuffer();
-  void flushLocked(Buffer &B); ///< Caller holds B.M.
+  void flushLocked(); ///< Caller holds SinkM.
 
   /// Rate limiter: returns false when the record must be dropped. When it
   /// admits the first record of a new window after drops, \p DrainedDrops
   /// receives the suppressed count to disclose.
   bool admit(uint64_t NowMs, uint64_t &DrainedDrops);
 
-  mutable std::mutex BuffersM; ///< Guards the buffer list, not contents.
-  std::vector<std::unique_ptr<Buffer>> Buffers;
-
-  std::mutex SinkM;
+  std::mutex SinkM;     ///< Guards Buffered and Sink.
+  std::string Buffered; ///< Formatted records not yet written.
   FILE *Sink = nullptr; ///< nullptr means stderr.
 
   std::atomic<uint64_t> Emitted{0};

@@ -1,4 +1,4 @@
-//===- support/Metrics.cpp - Log-bucketed histogram metrics --------------===//
+//===- support/Metrics.cpp - Counters, histograms and their sink ---------===//
 //
 // Part of the EEL reproduction project.
 //
@@ -66,145 +66,115 @@ double HistogramSnapshot::quantile(double Q) const {
   return static_cast<double>(Max);
 }
 
-HistogramRegistry &HistogramRegistry::instance() {
-  static HistogramRegistry Registry;
-  return Registry;
+uint64_t MetricsSnapshot::counter(std::string_view Name) const {
+  auto It = std::lower_bound(
+      Counters.begin(), Counters.end(), Name,
+      [](const auto &Entry, std::string_view N) { return Entry.first < N; });
+  return It != Counters.end() && It->first == Name ? It->second : 0;
 }
 
-HistogramRegistry::Shard &HistogramRegistry::localShard() {
-  // StatRegistry::localShard discipline; see that function for rationale.
-  thread_local HistogramRegistry *Owner = nullptr;
-  thread_local Shard *Local = nullptr;
-  if (Owner != this) {
-    std::lock_guard<std::mutex> Lock(M);
-    Shards.push_back(std::make_unique<Shard>());
-    Local = Shards.back().get();
-    Owner = this;
-  }
-  return *Local;
+HistogramSnapshot MetricsSnapshot::histogram(std::string_view Name) const {
+  auto It = std::lower_bound(
+      Histograms.begin(), Histograms.end(), Name,
+      [](const HistogramSnapshot &H, std::string_view N) { return H.Name < N; });
+  if (It != Histograms.end() && It->Name == Name)
+    return *It;
+  HistogramSnapshot Absent;
+  Absent.Name = std::string(Name);
+  return Absent;
 }
 
-void HistogramRegistry::record(std::string_view Name, uint64_t Value) {
-  slotFor(localShard().Cells, Name).record(Value);
-}
+/// One recording thread's part of a sink, written only by that thread.
+struct MetricsSink::Shard {
+  explicit Shard(uint32_t Tid) : Tid(Tid) {}
+  uint32_t Tid; ///< traceThreadId() of the owner.
+  StringMap<uint64_t> Counters;
+  StringMap<HistogramSnapshot> Histograms;
+  std::vector<TraceEvent> Spans; ///< Ring of SpanCapacity, filled lazily.
+  uint64_t PushedSpans = 0;
+};
 
-void HistogramRegistry::record(std::string_view Name,
-                               const HistogramSnapshot &Samples) {
-  slotFor(localShard().Cells, Name).merge(Samples);
-}
+namespace {
+std::atomic<uint64_t> NextSinkId{1};
+} // namespace
 
-std::vector<HistogramSnapshot> HistogramRegistry::snapshot() const {
+MetricsSink::MetricsSink()
+    : Id(NextSinkId.fetch_add(1, std::memory_order_relaxed)) {}
+
+MetricsSink::~MetricsSink() = default;
+
+MetricsSink::Shard &MetricsSink::localShard() {
+  // The last sink this thread recorded into, by id: a hit is two
+  // thread-local loads and a compare. A thread switching sinks (a pool
+  // worker helping another request) finds its shard again under the lock,
+  // so its spans keep one Tid and one push order per sink.
+  thread_local uint64_t CachedId = 0;
+  thread_local Shard *Cached = nullptr;
+  if (CachedId == Id)
+    return *Cached;
+  uint32_t Tid = traceThreadId();
   std::lock_guard<std::mutex> Lock(M);
-  std::map<std::string, HistogramSnapshot> Merged;
-  for (const auto &Shard : Shards) {
-    for (const auto &[Name, Cell] : Shard->Cells) {
-      if (Cell.Count == 0)
-        continue;
-      HistogramSnapshot &S = Merged[Name];
-      S.Name = Name;
-      S.merge(Cell);
-    }
-  }
-  std::vector<HistogramSnapshot> Out;
-  Out.reserve(Merged.size());
-  for (auto &[Name, Snap] : Merged)
-    Out.push_back(std::move(Snap));
-  return Out;
-}
-
-HistogramSnapshot HistogramRegistry::read(std::string_view Name) const {
-  std::lock_guard<std::mutex> Lock(M);
-  HistogramSnapshot S;
-  S.Name = std::string(Name);
-  for (const auto &Shard : Shards) {
-    auto It = Shard->Cells.find(Name);
-    if (It != Shard->Cells.end())
-      S.merge(It->second);
-  }
-  return S;
-}
-
-void HistogramRegistry::resetAll() {
-  std::lock_guard<std::mutex> Lock(M);
-  for (const auto &Shard : Shards)
-    for (auto &[Name, C] : Shard->Cells)
-      C = HistogramSnapshot{};
-}
-
-void eel::bumpHistogram(std::string_view Name, uint64_t Value) {
-  if (MetricsSink *Sink = requestSink())
-    Sink->recordHistogram(Name, Value);
-  else
-    HistogramRegistry::instance().record(Name, Value);
-}
-
-void eel::bumpHistogram(std::string_view Name,
-                        const HistogramSnapshot &Samples) {
-  if (MetricsSink *Sink = requestSink())
-    Sink->recordHistogram(Name, Samples);
-  else
-    HistogramRegistry::instance().record(Name, Samples);
+  auto It = std::find_if(Shards.begin(), Shards.end(),
+                         [Tid](const auto &S) { return S->Tid == Tid; });
+  if (It == Shards.end())
+    It = Shards.insert(Shards.end(), std::make_unique<Shard>(Tid));
+  CachedId = Id;
+  Cached = It->get();
+  return *Cached;
 }
 
 void MetricsSink::addCounter(std::string_view Name, uint64_t Delta) {
-  std::lock_guard<std::mutex> Lock(M);
-  slotFor(Counters, Name) += Delta;
+  slotFor(localShard().Counters, Name) += Delta;
 }
 
 void MetricsSink::recordHistogram(std::string_view Name, uint64_t Value) {
-  std::lock_guard<std::mutex> Lock(M);
-  HistogramSnapshot &S = slotFor(Histograms, Name);
-  if (S.Name.empty())
-    S.Name = std::string(Name);
-  S.record(Value);
+  slotFor(localShard().Histograms, Name).record(Value);
 }
 
 void MetricsSink::recordHistogram(std::string_view Name,
                                   const HistogramSnapshot &Samples) {
-  std::lock_guard<std::mutex> Lock(M);
-  HistogramSnapshot &S = slotFor(Histograms, Name);
-  if (S.Name.empty())
-    S.Name = std::string(Name);
-  S.merge(Samples);
+  slotFor(localShard().Histograms, Name).merge(Samples);
 }
 
 void MetricsSink::recordSpan(TraceEvent Ev) {
-  // A dense per-thread id (the sink's own numbering; the collector's ring
-  // ids mean nothing here) and a sink-wide push order, which keeps each
-  // thread's completion order as the phase tree's tie-breaker.
-  static std::atomic<uint32_t> NextTid{0};
-  thread_local uint32_t Tid = NextTid.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(M);
-  Ev.Tid = Tid;
-  Ev.Seq = PushedSpans;
-  if (Spans.size() < SpanCapacity)
-    Spans.push_back(std::move(Ev));
+  Shard &S = localShard();
+  Ev.Tid = S.Tid;
+  Ev.Seq = S.PushedSpans;
+  if (S.Spans.size() < SpanCapacity)
+    S.Spans.push_back(std::move(Ev));
   else
-    Spans[PushedSpans % SpanCapacity] = std::move(Ev);
-  ++PushedSpans;
+    S.Spans[S.PushedSpans % SpanCapacity] = std::move(Ev);
+  ++S.PushedSpans;
 }
 
-std::vector<std::pair<std::string, uint64_t>> MetricsSink::counters() const {
+MetricsSnapshot MetricsSink::snapshot() const {
   std::lock_guard<std::mutex> Lock(M);
-  return {Counters.begin(), Counters.end()};
-}
-
-std::vector<HistogramSnapshot> MetricsSink::histograms() const {
-  std::lock_guard<std::mutex> Lock(M);
-  std::vector<HistogramSnapshot> Out;
-  for (const auto &[Name, Snap] : Histograms)
-    Out.push_back(Snap);
+  std::map<std::string, uint64_t, std::less<>> Counters;
+  std::map<std::string, HistogramSnapshot, std::less<>> Histograms;
+  MetricsSnapshot Out;
+  for (const auto &S : Shards) {
+    for (const auto &[Name, Value] : S->Counters)
+      Counters[Name] += Value;
+    for (const auto &[Name, Cell] : S->Histograms)
+      if (Cell.Count)
+        Histograms[Name].merge(Cell);
+    // Oldest retained span first: once the ring has wrapped, that is the
+    // slot the next push would overwrite.
+    uint64_t Kept = S->Spans.size();
+    for (uint64_t I = 0; I < Kept; ++I)
+      Out.Spans.push_back(S->Spans[(S->PushedSpans - Kept + I) % SpanCapacity]);
+    Out.DroppedSpans += S->PushedSpans - Kept;
+  }
+  Out.Counters.assign(Counters.begin(), Counters.end());
+  for (auto &[Name, H] : Histograms) {
+    H.Name = Name;
+    Out.Histograms.push_back(std::move(H));
+  }
+  std::sort(Out.Spans.begin(), Out.Spans.end(),
+            [](const TraceEvent &A, const TraceEvent &B) {
+              return A.Tid != B.Tid ? A.Tid < B.Tid : A.Seq < B.Seq;
+            });
   return Out;
-}
-
-std::vector<TraceEvent> MetricsSink::spans() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Spans;
-}
-
-uint64_t MetricsSink::droppedSpans() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return PushedSpans > SpanCapacity ? PushedSpans - SpanCapacity : 0;
 }
 
 std::string eel::metricsJson(const std::vector<HistogramSnapshot> &Snaps) {

@@ -1,29 +1,39 @@
-//===- support/Metrics.h - Log-bucketed histogram metrics ------*- C++ -*-===//
+//===- support/Metrics.h - Counters, histograms and their sink --*- C++ -*-===//
 //
 // Part of the EEL reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic log-bucketed histograms extending the StatRegistry counter
-/// model: block/instruction counts per routine, layout words per routine,
-/// scavenge spill rates. Sharded per thread exactly like StatRegistry
-/// (lock-free hot path, merge at quiescent points).
+/// The metrics store: named counters in the spirit of LLVM's Statistic
+/// class, deterministic log-bucketed histograms (block/instruction counts
+/// per routine, layout words per routine, scavenge spill rates), and the
+/// MetricsSink that holds them together with a run's trace spans.
 ///
-/// Bucketing is power-of-two: value v lands in bucket std::bit_width(v)
-/// (v == 0 in bucket 0), i.e. bucket i >= 1 covers [2^(i-1), 2^i). With 64
-/// possible widths plus the zero bucket that is 65 buckets — enough for any
-/// uint64_t with no configuration. Because the bucket of a sample depends
-/// only on its value, and the pipeline records the same per-routine sample
-/// set whatever the schedule, merged bucket counts, sums, and min/max are
-/// bit-identical across thread counts. No registry histogram holds a
-/// duration: phase time comes from trace spans, and eel-serve keeps its
-/// latencies in its own AtomicHistograms.
+/// The Table 1 reproduction compares the number of objects the EEL-based
+/// profiler allocates against the ad-hoc baseline (the paper reports
+/// 317,494 vs 84,655), so allocation-heavy classes bump counters here.
+/// Every counter is a count of work, never a duration: phase time comes
+/// only from trace spans, so whole snapshots compare equal across thread
+/// counts with no exempt names.
 ///
-/// A long-lived process keeps requests apart with MetricsSink, a
-/// request-owned sink installed through the request scope: bumpStat,
-/// bumpHistogram and trace spans of that request land in it, and the
-/// process-wide registries never see them.
+/// bumpStat, bumpHistogram and TraceSpan record into the calling thread's
+/// sink, installed through TraceRequestScope (support/Trace.h) and
+/// forwarded by parallelForEach to its helpers; with no sink installed
+/// they record nothing, at the cost of one thread-local load and a
+/// branch. There is no process-wide store: a one-shot tool scopes its run
+/// over a fresh sink and snapshots it, and eel-serve gives a request its
+/// own.
+///
+/// Histogram bucketing is power-of-two: value v lands in bucket
+/// std::bit_width(v) (v == 0 in bucket 0), i.e. bucket i >= 1 covers
+/// [2^(i-1), 2^i). With 64 possible widths plus the zero bucket that is 65
+/// buckets — enough for any uint64_t with no configuration. Because the
+/// bucket of a sample depends only on its value, and the pipeline records
+/// the same per-routine sample set whatever the schedule, merged bucket
+/// counts, sums, and min/max are bit-identical across thread counts. No
+/// histogram in a sink holds a duration; eel-serve keeps its latencies in
+/// its own AtomicHistograms.
 ///
 /// Exporters: metricsJson() (embedded in run reports) and
 /// metricsPrometheus() (text exposition format with cumulative
@@ -35,7 +45,6 @@
 #ifndef EEL_SUPPORT_METRICS_H
 #define EEL_SUPPORT_METRICS_H
 
-#include "support/Stats.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -43,14 +52,38 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace eel {
+
+/// Hash for string-keyed maps probed by std::string_view: with
+/// std::equal_to<> it makes find() take a view, so a lookup builds no
+/// std::string.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view S) const noexcept {
+    return std::hash<std::string_view>{}(S);
+  }
+};
+
+/// String-keyed unordered map with allocation-free lookups by view.
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringViewHash, std::equal_to<>>;
+
+/// The slot of \p Name in \p Map, created from \p Name only when absent.
+template <typename MapT>
+typename MapT::mapped_type &slotFor(MapT &Map, std::string_view Name) {
+  auto It = Map.find(Name);
+  if (It == Map.end())
+    It = Map.emplace(std::string(Name), typename MapT::mapped_type{}).first;
+  return It->second;
+}
 
 /// Number of histogram buckets: the zero bucket plus one per possible
 /// std::bit_width of a uint64_t sample.
@@ -71,7 +104,7 @@ inline uint64_t histogramBucketLe(unsigned I) {
   return (uint64_t(1) << I) - 1;
 }
 
-/// Merged view of one histogram at a quiescent point.
+/// One histogram: its samples' count, sum, extrema and buckets.
 struct HistogramSnapshot {
   std::string Name;
   uint64_t Count = 0;
@@ -113,13 +146,12 @@ struct HistogramSnapshot {
 };
 
 /// A single histogram safe for fully concurrent recording and reading —
-/// no shards, no merge points. The live-scrape complement of
-/// HistogramRegistry: eel-serve records request latency and per-phase
-/// durations here so an ELSt status frame can snapshot them mid-load
-/// without the registry's quiescence contract. All operations are
-/// relaxed; a snapshot
-/// taken during a record may be off by the in-flight sample, which is
-/// fine for operational gauges.
+/// no shards, no merge points. The live-scrape complement of a sink's
+/// histograms: eel-serve records request latency and per-phase durations
+/// here so an ELSt status frame can snapshot them mid-load, where a sink
+/// may be snapshotted only after its recording threads finish. All
+/// operations are relaxed; a snapshot taken during a record may be off by
+/// the in-flight sample, which is fine for operational gauges.
 class AtomicHistogram {
 public:
   void record(uint64_t Value) {
@@ -156,86 +188,89 @@ private:
   std::atomic<uint64_t> Buckets[HistogramBuckets] = {};
 };
 
-/// Process-wide registry of named histograms, sharded per thread with the
-/// StatRegistry discipline: shards are created on a thread's first record
-/// and retained for the life of the process.
-class HistogramRegistry {
-public:
-  static HistogramRegistry &instance();
+/// Everything one sink recorded, merged across its recording threads.
+struct MetricsSnapshot {
+  /// Counters, merged by name and sorted by name.
+  std::vector<std::pair<std::string, uint64_t>> Counters;
+  /// Histograms holding at least one sample, merged by name and sorted by
+  /// name.
+  std::vector<HistogramSnapshot> Histograms;
+  /// Retained spans, sorted by (Tid, Seq).
+  std::vector<TraceEvent> Spans;
+  /// Spans overwritten because a thread's share of the sink wrapped.
+  uint64_t DroppedSpans = 0;
 
-  /// Records \p Value into the calling thread's shard of histogram
-  /// \p Name (lock-free once the shard exists).
-  void record(std::string_view Name, uint64_t Value);
-  /// Adds every sample of \p Samples the same way.
-  void record(std::string_view Name, const HistogramSnapshot &Samples);
-
-  /// Merged snapshots of all histograms, sorted by name. Call from
-  /// quiescent points only (no concurrent recorders).
-  std::vector<HistogramSnapshot> snapshot() const;
-
-  /// Merged snapshot of one histogram; Count == 0 when absent.
-  HistogramSnapshot read(std::string_view Name) const;
-
-  /// Zeroes every histogram in every shard. Call from quiescent points
-  /// only. Shards themselves are never freed (cached thread-local
-  /// pointers must stay valid).
-  void resetAll();
-
-private:
-  struct Shard {
-    StringMap<HistogramSnapshot> Cells;
-  };
-
-  Shard &localShard();
-
-  mutable std::mutex M; ///< Guards the shard list, not the cells.
-  std::vector<std::unique_ptr<Shard>> Shards;
+  /// The total of counter \p Name; 0 when absent.
+  uint64_t counter(std::string_view Name) const;
+  /// Histogram \p Name; Count == 0 when absent.
+  HistogramSnapshot histogram(std::string_view Name) const;
 };
 
-/// Mirror of bumpStat() for histograms: records into the calling
-/// request's metrics sink when one is installed, else this thread's
-/// registry shard.
-void bumpHistogram(std::string_view Name, uint64_t Value);
-/// The same for every sample of \p Samples at once (its Name is ignored):
-/// the histogram ends up as if each had been recorded on its own.
-void bumpHistogram(std::string_view Name, const HistogramSnapshot &Samples);
-
-/// One request's metrics, for a long-lived process (eel-serve): counters,
-/// histograms and trace spans, owned by the request instead of the
-/// process. Installed through TraceRequestScope (support/Trace.h) — the
-/// thread-local scope that carries the request id, which parallelForEach
-/// hands to its helpers — it receives every bumpStat, bumpHistogram and
-/// TraceSpan of the request, and traceEnabled() is true while it is
-/// installed. Nothing global is reset, and concurrent requests never see
-/// each other's work, so no lock serializes them. One mutex guards the
-/// sink: only requests that ask for metrics install one. Spans are bounded
-/// like a trace ring: past SpanCapacity the oldest are overwritten and
-/// counted as dropped.
+/// The one store of counters, histograms and spans. Installed through
+/// TraceRequestScope (support/Trace.h), the thread-local scope that
+/// carries the request id and that parallelForEach hands to its helpers,
+/// it receives every bumpStat, bumpHistogram and TraceSpan of the work
+/// under the scope.
+/// Concurrent runs with their own sinks never see each other's work.
+///
+/// Recording takes no lock: each recording thread writes its own shard,
+/// created on the thread's first record under the sink's lock and found
+/// after that through a thread-local cache keyed by the sink's id. Ids are
+/// never reused, so a sink created at a freed sink's address never
+/// matches a stale cache entry. snapshot() merges the shards; call it only
+/// after the recording threads have finished (parallelForEach's return
+/// synchronizes with every helper's writes, and a joined thread's with its
+/// joiner). Each shard keeps at most SpanCapacity spans: past that the
+/// oldest are overwritten and counted as dropped.
 class MetricsSink {
 public:
-  static constexpr size_t SpanCapacity = TraceCollector::RingCapacity;
+  /// Spans kept per recording thread. A full edit pipeline over the bench
+  /// workloads records a few thousand spans per thread, so 32K keeps
+  /// everything with headroom.
+  static constexpr size_t SpanCapacity = size_t(1) << 15;
+
+  MetricsSink();
+  ~MetricsSink();
+  MetricsSink(const MetricsSink &) = delete;
+  MetricsSink &operator=(const MetricsSink &) = delete;
 
   void addCounter(std::string_view Name, uint64_t Delta);
   void recordHistogram(std::string_view Name, uint64_t Value);
   void recordHistogram(std::string_view Name, const HistogramSnapshot &Samples);
   void recordSpan(TraceEvent Ev);
 
-  /// Counters, sorted by name.
-  std::vector<std::pair<std::string, uint64_t>> counters() const;
-  /// Histograms, sorted by name.
-  std::vector<HistogramSnapshot> histograms() const;
-  /// Retained spans, in no particular order (each carries Tid and Seq).
-  std::vector<TraceEvent> spans() const;
-  /// Spans overwritten because the sink's ring wrapped.
-  uint64_t droppedSpans() const;
+  /// Merges every shard. Call only after the recording threads finish.
+  MetricsSnapshot snapshot() const;
 
 private:
-  mutable std::mutex M;
-  std::map<std::string, uint64_t, std::less<>> Counters;
-  std::map<std::string, HistogramSnapshot, std::less<>> Histograms;
-  std::vector<TraceEvent> Spans; ///< Ring of SpanCapacity, filled lazily.
-  uint64_t PushedSpans = 0;
+  struct Shard;
+  Shard &localShard();
+
+  const uint64_t Id;    ///< Process-unique; never reused.
+  mutable std::mutex M; ///< Guards the shard list, not shard contents.
+  std::vector<std::unique_ptr<Shard>> Shards;
 };
+
+/// Adds \p Delta to the named counter in the calling thread's sink; a
+/// no-op with none installed.
+inline void bumpStat(std::string_view Name, uint64_t Delta = 1) {
+  if (MetricsSink *Sink = requestSink())
+    Sink->addCounter(Name, Delta);
+}
+
+/// Records \p Value into the named histogram in the calling thread's sink;
+/// a no-op with none installed.
+inline void bumpHistogram(std::string_view Name, uint64_t Value) {
+  if (MetricsSink *Sink = requestSink())
+    Sink->recordHistogram(Name, Value);
+}
+/// The same for every sample of \p Samples at once (its Name is ignored):
+/// the histogram ends up as if each had been recorded on its own.
+inline void bumpHistogram(std::string_view Name,
+                          const HistogramSnapshot &Samples) {
+  if (MetricsSink *Sink = requestSink())
+    Sink->recordHistogram(Name, Samples);
+}
 
 /// Renders \p Snaps as a JSON array of histogram objects (name, count,
 /// sum, min, max, and the non-empty buckets as {le, count} pairs).

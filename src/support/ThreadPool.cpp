@@ -156,8 +156,8 @@ bool ThreadPool::takeTask(size_t SelfIndex, std::function<void()> &Task) {
 void ThreadPool::runTask(std::function<void()> &Task) {
   // No tracing here: a task's completion signal lives inside Task()
   // (parallelForEach helpers decrement ActiveHelpers there), and the
-  // caller treats that as a quiescent point where rings may be
-  // drained. Any ring write after Task() would race; occupancy spans
+  // caller treats that as the point where its metrics sink may be
+  // snapshotted. Any sink write after Task() would race; occupancy spans
   // are recorded inside the batch lambdas instead, where they close
   // before the completion signal.
   const ThreadPool *Prev = CurrentTaskPool;
@@ -242,9 +242,9 @@ void eel::parallelForEach(unsigned Threads, size_t N,
     Pool.submit([State, Drain, I, Rid, Sink] {
       TraceRequestScope RequestScope(Rid, Sink);
       {
-        // Occupancy span: must close (and hit the ring) before the
+        // Occupancy span: must close (and reach the sink) before the
         // ActiveHelpers decrement that the caller treats as quiescence,
-        // or the caller's drain would race the write. "pool." prefix:
+        // or the caller's snapshot would race the write. "pool." prefix:
         // presence depends on the schedule, so determinism comparisons
         // exclude it.
         EEL_TRACE_SCOPE("pool.worker", "worker", uint64_t(I + 1));

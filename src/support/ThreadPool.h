@@ -11,8 +11,8 @@
 /// of indirect jumps, and routine layout — are independent across routines,
 /// so whole-executable throughput scales with cores: the instructions they
 /// share come from a decode table frozen before they start, and the one
-/// piece of cross-routine mutable state, the statistics registry, is
-/// sharded.
+/// piece of cross-routine mutable state, the metrics sink a traced run
+/// records into, keeps one shard per thread.
 ///
 /// Scheduling model: each worker owns a deque; submissions are distributed
 /// round-robin; a worker pops its own deque LIFO and steals FIFO from

@@ -1,4 +1,4 @@
-//===- support/Trace.h - Span tracing with per-thread rings ----*- C++ -*-===//
+//===- support/Trace.h - Request-scoped span tracing -----------*- C++ -*-===//
 //
 // Part of the EEL reproduction project.
 //
@@ -7,48 +7,41 @@
 /// \file
 /// A span-based tracing layer for the editing pipeline. Instrumented scopes
 /// open a TraceSpan (via EEL_TRACE_SCOPE) that records its name, optional
-/// typed arguments, and start/end timestamps into the calling thread's ring
-/// buffer when it closes. Rings follow the StatRegistry sharding discipline:
-/// one per thread, created on first use, owned by the collector and retained
-/// for the life of the process, so the hot path never takes a lock or
-/// bounces a cache line between workers. drain() merges the rings at
-/// quiescent points (after parallelForEach returns, which synchronizes with
-/// every worker's writes).
+/// typed arguments, and start/end timestamps when it closes.
+///
+/// Spans, like counters and histograms, have one store: the MetricsSink
+/// (support/Metrics.h) installed on the calling thread through a
+/// TraceRequestScope. The scope carries a request id and the sink, and
+/// parallelForEach hands both to its helpers, so a run's spans land in the
+/// sink of the run that fanned out, whatever thread recorded them. With
+/// no sink installed nothing is recorded.
 ///
 /// Two gates keep the cost out of production runs:
-///  - a process-wide runtime flag (traceSetEnabled), or a request's
-///    metrics sink (below); when neither is on, the span constructor is a
-///    relaxed atomic load and a thread-local load, and the destructor a
-///    branch — no clock reads, no allocation, no ring writes;
+///  - the installed sink: without one, the span constructor is one
+///    thread-local load and a branch and the destructor a branch — no
+///    clock reads, no allocation, no writes;
 ///  - the EEL_TRACE_DISABLED compile-time macro, which turns every
 ///    EEL_TRACE_SCOPE into ((void)0) and every TracePhases into a no-op,
 ///    so tracing compiles out entirely.
-/// bench_overhead asserts the compiled-in-but-disabled path costs <1% of
+/// bench_overhead asserts the compiled-in path without a sink costs <1% of
 /// pipeline time.
 ///
-/// A long-lived process (eel-serve) tags each request's work with a
-/// TraceRequestScope: a thread-local request id and optional MetricsSink,
-/// which parallelForEach hands to its helpers. While a sink is installed,
-/// spans (and bumpStat/bumpHistogram) record into it instead of the
-/// process-wide collector and registries.
-///
 /// Spans carry nanosecond timestamps from one process-wide steady-clock
-/// epoch. renderChromeTrace() exports the drained spans as Chrome
+/// epoch and the recording thread's dense id (traceThreadId(), which log
+/// records stamp too). renderChromeTrace() exports them as Chrome
 /// trace-event JSON ("X" complete events, microsecond units), directly
 /// loadable in Perfetto or chrome://tracing. Parent/child structure is not
 /// recorded explicitly; it is reconstructed from interval containment
-/// (analysis/Report.h), which is why rings store a per-thread push sequence:
-/// completion order breaks ties between zero-length nested spans.
+/// (analysis/Report.h), which is why each thread's spans carry a push
+/// sequence: completion order breaks ties between zero-length nested
+/// spans.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EEL_SUPPORT_TRACE_H
 #define EEL_SUPPORT_TRACE_H
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -58,7 +51,6 @@ namespace eel {
 class MetricsSink; // support/Metrics.h
 
 namespace trace_detail {
-extern std::atomic<bool> Enabled;
 /// The calling thread's request (see TraceRequestScope).
 struct RequestContext {
   uint64_t Id = 0;
@@ -67,22 +59,9 @@ struct RequestContext {
 extern constinit thread_local RequestContext CurrentRequest;
 } // namespace trace_detail
 
-/// The calling thread's request metrics sink, or null (the process-wide
-/// collector and registries).
+/// The calling thread's metrics sink, or null: then spans, counters and
+/// histograms are recorded nowhere.
 inline MetricsSink *requestSink() { return trace_detail::CurrentRequest.Sink; }
-
-/// True when span recording is on: process-wide, or for the calling
-/// thread's request while it has a metrics sink installed. Relaxed: the
-/// process flag only toggles at quiescent points (Analysis construction,
-/// tests), never mid-pipeline.
-inline bool traceEnabled() {
-  return trace_detail::Enabled.load(std::memory_order_relaxed) ||
-         requestSink() != nullptr;
-}
-
-/// Turns span recording on or off process-wide. Call only from quiescent
-/// points; spans already open keep the enablement they saw at entry.
-void traceSetEnabled(bool On);
 
 /// The calling thread's current request id (0 = none). Every span recorded
 /// while an id is set carries it, and structured log records stamp it, so
@@ -91,8 +70,14 @@ void traceSetEnabled(bool On);
 /// bodies), log lines, and exported Chrome traces.
 inline uint64_t traceRequestId() { return trace_detail::CurrentRequest.Id; }
 
+/// The calling thread's dense id: 0 for the first thread that asks, 1 for
+/// the next, and so on, fixed for the thread's life. Spans carry it as
+/// their Tid and log records as their `tid`.
+uint32_t traceThreadId();
+
 /// RAII: sets the calling thread's request id and metrics sink for the
 /// enclosing scope and restores the previous ones on exit (scopes nest).
+/// The one way to install a sink.
 class TraceRequestScope {
 public:
   explicit TraceRequestScope(uint64_t Rid, MetricsSink *Sink = nullptr)
@@ -108,13 +93,12 @@ private:
 };
 
 /// One completed span. Duration is EndNs - StartNs; both are nanoseconds
-/// since the collector's steady-clock epoch, so they compare across
-/// threads.
+/// since the span clock's epoch, so they compare across threads.
 struct TraceEvent {
   const char *Name; ///< Static string; instrumentation passes literals.
   uint64_t StartNs;
   uint64_t EndNs;
-  uint32_t Tid; ///< Collector-assigned dense thread id (stable per ring).
+  uint32_t Tid; ///< The recording thread's traceThreadId().
   uint64_t Seq; ///< Per-thread push sequence (completion order).
   /// Request the span belongs to (0 = none); stamped from the recording
   /// thread's traceRequestId() at span start.
@@ -127,78 +111,27 @@ struct TraceEvent {
   uint64_t Val1 = 0;
 };
 
-/// Process-wide span collector: per-thread overwrite-oldest ring buffers
-/// merged at quiescent points.
+/// The span clock, under the name perfbench's own spans call it by.
 class TraceCollector {
 public:
-  /// Ring capacity per thread. Power of two; a full edit pipeline over the
-  /// bench workloads records a few thousand spans per thread, so 32K keeps
-  /// everything with headroom while bounding memory (~2 MiB/thread).
-  static constexpr size_t RingCapacity = size_t(1) << 15;
-
-  static TraceCollector &instance();
-
-  /// Records one completed span into the calling thread's ring (lock-free
-  /// once the ring exists; overwrites the oldest entry when full).
-  void record(TraceEvent Ev);
-
-  /// Merges every ring's contents, ordered by (Tid, Seq). Does not clear
-  /// the rings. Safe concurrent with recorders (each ring carries its own
-  /// mutex, so live daemons can drain slow-request exemplars and serve
-  /// scrapes mid-load); the result is a consistent per-ring snapshot,
-  /// though spans completing during the drain may or may not appear.
-  std::vector<TraceEvent> drain() const;
-
-  /// Clears ring contents and the dropped-span count. Ring buffers
-  /// themselves are never freed — cached thread-local pointers into them
-  /// must stay valid for the life of the process (StatRegistry rule).
-  void reset();
-
-  /// Number of per-thread rings ever created. With tracing disabled this
-  /// must not grow: the hot path allocates nothing.
-  size_t bufferCount() const;
-
-  /// Total spans recorded (and retained) across all rings.
-  size_t recordedCount() const;
-
-  /// Spans overwritten because a ring wrapped. Exposed so exports can
-  /// disclose truncation instead of silently presenting a partial timeline.
-  uint64_t droppedCount() const;
-
-  /// Nanoseconds since the collector's epoch (first use of the clock).
+  /// Nanoseconds since the process-wide epoch (first use of the clock).
   static uint64_t nowNs();
-
-private:
-  struct Ring {
-    explicit Ring(uint32_t Tid) : Tid(Tid) { Events.resize(RingCapacity); }
-    /// Guards Events/Pushed so drain()/reset() are safe concurrent with the
-    /// owning thread's record(). The owner is the only writer, so its lock
-    /// acquisition is uncontended except during a drain.
-    mutable std::mutex RM;
-    std::vector<TraceEvent> Events;
-    uint64_t Pushed = 0; ///< Total pushes; count retained = min(Pushed, cap).
-    uint32_t Tid;
-  };
-
-  Ring &localRing();
-
-  mutable std::mutex M; ///< Guards the ring list, not ring contents.
-  std::vector<std::unique_ptr<Ring>> Rings;
 };
 
-/// RAII span: stamps the start on construction, records into the ring (or
-/// the request's sink) on destruction. All constructors no-op (no clock
-/// read) when tracing is runtime-disabled.
+/// RAII span: stamps the start on construction and records into the
+/// calling thread's sink on destruction. With no sink installed every
+/// constructor is one thread-local load and a branch (no clock read).
 class TraceSpan {
 public:
-  explicit TraceSpan(const char *Name) {
-    if (traceEnabled())
+  explicit TraceSpan(const char *Name) : Sink(requestSink()) {
+    if (Sink)
       begin(Name);
   }
   /// Span with one string argument (e.g. the routine name). By-reference
   /// so the disabled path copies (and allocates) nothing.
-  TraceSpan(const char *Name, const char *K0, const std::string &V0) {
-    if (traceEnabled()) {
+  TraceSpan(const char *Name, const char *K0, const std::string &V0)
+      : Sink(requestSink()) {
+    if (Sink) {
       begin(Name);
       Ev.Key0 = K0;
       Ev.Val0 = V0;
@@ -206,8 +139,9 @@ public:
   }
   /// Span with a string argument and an integer argument.
   TraceSpan(const char *Name, const char *K0, const std::string &V0,
-            const char *K1, uint64_t V1) {
-    if (traceEnabled()) {
+            const char *K1, uint64_t V1)
+      : Sink(requestSink()) {
+    if (Sink) {
       begin(Name);
       Ev.Key0 = K0;
       Ev.Val0 = V0;
@@ -216,8 +150,9 @@ public:
     }
   }
   /// Span with one integer argument.
-  TraceSpan(const char *Name, const char *K1, uint64_t V1) {
-    if (traceEnabled()) {
+  TraceSpan(const char *Name, const char *K1, uint64_t V1)
+      : Sink(requestSink()) {
+    if (Sink) {
       begin(Name);
       Ev.Key1 = K1;
       Ev.Val1 = V1;
@@ -225,7 +160,7 @@ public:
   }
 
   ~TraceSpan() {
-    if (Live)
+    if (Sink)
       end();
   }
 
@@ -234,16 +169,13 @@ public:
 
 private:
   void begin(const char *Name) {
-    Live = true;
-    Sink = requestSink();
     Ev.Name = Name;
     Ev.RequestId = traceRequestId();
     Ev.StartNs = TraceCollector::nowNs();
   }
   void end();
 
-  bool Live = false;
-  MetricsSink *Sink = nullptr; ///< Where end() records; null = collector.
+  MetricsSink *Sink; ///< Where end() records; null = nowhere.
   TraceEvent Ev;
 };
 

@@ -25,7 +25,6 @@
 #include "core/Executable.h"
 #include "support/BitOps.h"
 #include "support/Metrics.h"
-#include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "tools/Qpt.h"
@@ -210,11 +209,13 @@ TEST(ThreadPoolTest, PendingCountNeverWrapsUnderClosedLoopSubmits) {
 }
 
 TEST(ThreadPoolTest, ShardedStatsMergeAcrossThreads) {
-  StatRegistry &Reg = StatRegistry::instance();
-  uint64_t Before = Reg.read("test.parallel_bumps");
+  MetricsSink Sink;
   constexpr size_t N = 500;
-  parallelForEach(8, N, [](size_t) { bumpStat("test.parallel_bumps"); });
-  EXPECT_EQ(Reg.read("test.parallel_bumps"), Before + N);
+  {
+    TraceRequestScope Scope(/*Rid=*/0, &Sink);
+    parallelForEach(8, N, [](size_t) { bumpStat("test.parallel_bumps"); });
+  }
+  EXPECT_EQ(Sink.snapshot().counter("test.parallel_bumps"), N);
 }
 
 // --- Pipeline determinism ---------------------------------------------------------
@@ -246,7 +247,8 @@ struct PipelineResult {
 PipelineResult runPipeline(SxfFile Original, Executable::Options EOpts,
                            unsigned Threads) {
   EOpts.Threads = Threads;
-  StatRegistry::instance().resetAll();
+  MetricsSink Sink;
+  TraceRequestScope Scope(/*Rid=*/0, &Sink);
 
   PipelineResult Result;
   Result.OriginalFile = std::move(Original);
@@ -292,7 +294,7 @@ PipelineResult runPipeline(SxfFile Original, Executable::Options EOpts,
   Result.EditedFile = Edited.takeValue();
   Result.Bytes = Result.EditedFile.serialize();
   Result.Stats = Exec.editStats();
-  Result.Counters = StatRegistry::instance().snapshot();
+  Result.Counters = Sink.snapshot().Counters;
   return Result;
 }
 
@@ -433,7 +435,8 @@ TEST(ParallelDeterminism, DecodeTableMatchesTextAtEveryWidth) {
       SxfFile File = styledImage(Arch, S);
       for (unsigned Threads : {1u, 2u, 8u}) {
         SCOPED_TRACE("threads=" + std::to_string(Threads));
-        StatRegistry::instance().resetAll();
+        MetricsSink Sink;
+        TraceRequestScope Scope(/*Rid=*/0, &Sink);
         Executable::Options E;
         E.Threads = Threads;
         Analysis An(SxfFile(File), E);
@@ -445,7 +448,7 @@ TEST(ParallelDeterminism, DecodeTableMatchesTextAtEveryWidth) {
           EXPECT_EQ(ByWord.emplace(I->word(), I).first->second, I);
         }
         EXPECT_EQ(An.pool().distinct(), ByWord.size());
-        EXPECT_EQ(StatRegistry::instance().read("eel.inst.allocated"),
+        EXPECT_EQ(Sink.snapshot().counter("eel.inst.allocated"),
                   ByWord.size());
         EXPECT_EQ(An.instAt(An.textBase() - 4), nullptr);
         EXPECT_EQ(An.instAt(An.textEnd()), nullptr);
@@ -530,18 +533,6 @@ TEST(ParallelDeterminism, SnippetStatsCountEveryPlacedSite) {
   // from a tally of its sites: the totals must still be those of one
   // record per placed snippet, at every width. Every qpt2 site is granted
   // exactly its counter snippet's two placeholders.
-  auto CounterOf = [](const MetricsSink &Sink, std::string_view Name) {
-    for (const auto &[N, V] : Sink.counters())
-      if (N == Name)
-        return V;
-    return uint64_t(0);
-  };
-  auto HistogramOf = [](const MetricsSink &Sink, std::string_view Name) {
-    for (const HistogramSnapshot &H : Sink.histograms())
-      if (H.Name == Name)
-        return H;
-    return HistogramSnapshot();
-  };
   for (TargetArch Arch : AllTargetArches)
     for (unsigned Threads : {1u, 4u}) {
       SCOPED_TRACE(testing::Message() << "arch " << static_cast<int>(Arch)
@@ -564,16 +555,15 @@ TEST(ParallelDeterminism, SnippetStatsCountEveryPlacedSite) {
         Stats = Exec.editStats();
       }
       ASSERT_GT(Placed, 0u);
+      MetricsSnapshot Snap = Sink.snapshot();
       EXPECT_EQ(Stats.SnippetInstances, Placed);
-      EXPECT_EQ(CounterOf(Sink, "eel.snippet.instances"), Placed);
-      EXPECT_EQ(CounterOf(Sink, "eel.snippet.spills"), Stats.SnippetSpills);
-      EXPECT_EQ(CounterOf(Sink, "eel.snippet.ccsaves"), Stats.SnippetCCSaves);
-      HistogramSnapshot Granted =
-          HistogramOf(Sink, "scavenge.granted_per_site");
+      EXPECT_EQ(Snap.counter("eel.snippet.instances"), Placed);
+      EXPECT_EQ(Snap.counter("eel.snippet.spills"), Stats.SnippetSpills);
+      EXPECT_EQ(Snap.counter("eel.snippet.ccsaves"), Stats.SnippetCCSaves);
+      HistogramSnapshot Granted = Snap.histogram("scavenge.granted_per_site");
       EXPECT_EQ(Granted.Count, Placed);
       EXPECT_EQ(Granted.Sum, 2 * Placed);
-      HistogramSnapshot Spilled =
-          HistogramOf(Sink, "scavenge.spilled_per_site");
+      HistogramSnapshot Spilled = Snap.histogram("scavenge.spilled_per_site");
       EXPECT_EQ(Spilled.Count, Placed);
       EXPECT_EQ(Spilled.Sum, Stats.SnippetSpills);
     }
@@ -587,9 +577,10 @@ TEST(ParallelDeterminism, SnippetStatsCountEveryPlacedSite) {
     Executable Exec(generateWorkload(TargetArch::Srisc, bigWorkload()), Opts);
     ASSERT_TRUE(Exec.writeEditedExecutable().hasValue());
   }
-  for (const auto &[Name, Value] : Sink.counters())
+  MetricsSnapshot Snap = Sink.snapshot();
+  for (const auto &[Name, Value] : Snap.Counters)
     EXPECT_FALSE(Name.starts_with("eel.snippet.")) << Name << " = " << Value;
-  for (const HistogramSnapshot &H : Sink.histograms())
+  for (const HistogramSnapshot &H : Snap.Histograms)
     EXPECT_FALSE(H.Name.starts_with("scavenge.")) << H.Name;
 }
 

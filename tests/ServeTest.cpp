@@ -536,8 +536,7 @@ TEST(ServeMetrics, BackToBackEnvelopesAreIsolated) {
 
 TEST(ServeMetrics, SinkMatchesSoloColdRunBesidePlainTraffic) {
   // A WantMetrics request records into its own sink, so plain requests
-  // running beside it — their counters, histograms and spans going to the
-  // process-wide registries at the same time — change nothing in its
+  // running beside it on the same pool threads change nothing in its
   // envelope: counters and histograms equal those of the same request
   // served alone. Caching is off, so every request analyzes (cold).
   ServeLimits Limits;

@@ -8,9 +8,9 @@
 #include "support/ByteBuffer.h"
 #include "support/Error.h"
 #include "support/FileIO.h"
+#include "support/Metrics.h"
 #include "support/RegSet.h"
 #include "support/Rng.h"
-#include "support/Stats.h"
 
 #include <gtest/gtest.h>
 
@@ -193,14 +193,18 @@ TEST(CountCodeLines, SkipsCommentsAndBlanks) {
   EXPECT_EQ(countCodeLines(Text), 2u);
 }
 
-TEST(Stats, RegistryCounts) {
-  StatRegistry::instance().resetAll();
-  bumpStat("test.counter");
-  bumpStat("test.counter", 4);
-  EXPECT_EQ(StatRegistry::instance().read("test.counter"), 5u);
-  EXPECT_EQ(StatRegistry::instance().read("test.missing"), 0u);
-  StatRegistry::instance().resetAll();
-  EXPECT_EQ(StatRegistry::instance().read("test.counter"), 0u);
+TEST(Stats, SinkCounts) {
+  MetricsSink Sink;
+  {
+    TraceRequestScope Scope(/*Rid=*/0, &Sink);
+    bumpStat("test.counter");
+    bumpStat("test.counter", 4);
+  }
+  EXPECT_EQ(Sink.snapshot().counter("test.counter"), 5u);
+  EXPECT_EQ(Sink.snapshot().counter("test.missing"), 0u);
+  // A fresh sink starts from zero.
+  MetricsSink Fresh;
+  EXPECT_EQ(Fresh.snapshot().counter("test.counter"), 0u);
 }
 
 TEST(FileIO, RoundTrip) {

@@ -16,7 +16,9 @@
 ///    never builds an analysis lazily;
 ///  * exported Chrome trace JSON and eel-report JSON parse with the strict
 ///    in-tree parser and are dump/parse round-trip fixpoints;
-///  * disabled-mode tracing records nothing and creates no ring buffers;
+///  * with no metrics sink installed nothing is recorded anywhere; a sink
+///    created where a freed one lived, or installed by a second client on
+///    the same pool, sees exactly its own work;
 ///  * phase-tree reconstruction from interval containment, including the
 ///    zero-length-span sequence tiebreak;
 ///  * Prometheus text exposition shape and malformed-JSON rejection.
@@ -30,15 +32,17 @@
 #include "support/Json.h"
 #include "support/Log.h"
 #include "support/Metrics.h"
-#include "support/Stats.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <set>
 #include <string>
@@ -50,22 +54,16 @@ using namespace eel;
 
 namespace {
 
-/// Everything one traced pipeline run leaves behind at its quiescent end.
-struct PipelineArtifacts {
-  std::vector<std::pair<std::string, uint64_t>> Counters;
-  std::vector<HistogramSnapshot> Histograms;
-  std::vector<TraceEvent> Spans;
+/// Everything one traced pipeline run leaves behind: its sink's snapshot
+/// and the verifier's tally.
+struct PipelineArtifacts : MetricsSnapshot {
   unsigned VerifierChecks = 0;
   unsigned VerifierErrors = 0;
 };
 
 /// Runs generate -> readContents -> writeEditedExecutable -> verifyEdit
-/// with tracing on and \p Threads workers, against fresh registries.
+/// with \p Threads workers, recording into a fresh sink.
 PipelineArtifacts runTracedPipeline(unsigned Threads) {
-  StatRegistry::instance().resetAll();
-  HistogramRegistry::instance().resetAll();
-  TraceCollector::instance().reset();
-
   WorkloadOptions WOpts;
   WOpts.Seed = 11;
   WOpts.Routines = 16;
@@ -75,27 +73,21 @@ PipelineArtifacts runTracedPipeline(unsigned Threads) {
 
   Executable::Options EOpts;
   EOpts.Threads = Threads;
-  traceSetEnabled(true);
+  MetricsSink Sink;
+  TraceRequestScope Scope(/*Rid=*/0, &Sink);
   Executable Exec(std::move(File), EOpts);
   Expected<bool> Read = Exec.readContents();
   EXPECT_FALSE(Read.hasError());
   Expected<SxfFile> Edited = Exec.writeEditedExecutable();
   EXPECT_FALSE(Edited.hasError());
 
-  PipelineArtifacts Out;
+  DiagnosticReport Findings;
   if (Edited.hasValue()) {
     VerifyOptions VOpts;
     VOpts.Threads = Threads;
-    DiagnosticReport Findings = verifyEdit(Exec, Edited.value(), VOpts);
-    Out.VerifierChecks = Findings.checksRun();
-    Out.VerifierErrors = Findings.errorCount();
+    Findings = verifyEdit(Exec, Edited.value(), VOpts);
   }
-
-  traceSetEnabled(false);
-  Out.Counters = StatRegistry::instance().snapshot();
-  Out.Histograms = HistogramRegistry::instance().snapshot();
-  Out.Spans = TraceCollector::instance().drain();
-  return Out;
+  return {Sink.snapshot(), Findings.checksRun(), Findings.errorCount()};
 }
 
 bool isScheduleDependentSpan(const std::string &Name) {
@@ -134,11 +126,29 @@ TEST(Histogram, BucketBoundaries) {
   }
 }
 
+namespace {
+
+/// Records \p Values, \p Repeat times over, into histogram \p Name of a
+/// fresh sink and returns its snapshot.
+MetricsSnapshot recordHistogram(const char *Name,
+                                std::initializer_list<uint64_t> Values,
+                                int Repeat = 1) {
+  MetricsSink Sink;
+  {
+    TraceRequestScope Scope(/*Rid=*/0, &Sink);
+    for (int I = 0; I < Repeat; ++I)
+      for (uint64_t V : Values)
+        bumpHistogram(Name, V);
+  }
+  return Sink.snapshot();
+}
+
+} // namespace
+
 TEST(Histogram, RecordAndQuantile) {
-  HistogramRegistry::instance().resetAll();
-  for (uint64_t V : {1ull, 2ull, 3ull, 100ull})
-    bumpHistogram("test.hist.record", V);
-  HistogramSnapshot H = HistogramRegistry::instance().read("test.hist.record");
+  MetricsSnapshot Snap =
+      recordHistogram("test.hist.record", {1ull, 2ull, 3ull, 100ull});
+  HistogramSnapshot H = Snap.histogram("test.hist.record");
   EXPECT_EQ(H.Count, 4u);
   EXPECT_EQ(H.Sum, 106u);
   EXPECT_EQ(H.Min, 1u);
@@ -148,7 +158,7 @@ TEST(Histogram, RecordAndQuantile) {
   // The top quantile lands in 100's bucket: [64,127] -> le bound 127.
   EXPECT_EQ(H.quantileUpperBound(1.0), 127u);
   // Absent histograms read back empty rather than failing.
-  EXPECT_EQ(HistogramRegistry::instance().read("test.hist.absent").Count, 0u);
+  EXPECT_EQ(Snap.histogram("test.hist.absent").Count, 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -208,7 +218,8 @@ TEST(Determinism, SpanNamesIdenticalAcrossThreadCounts) {
   // workload this small.
   for (const TraceEvent &Ev : Serial.Spans)
     EXPECT_GE(Ev.EndNs, Ev.StartNs);
-  EXPECT_EQ(TraceCollector::instance().droppedCount(), 0u);
+  EXPECT_EQ(Serial.DroppedSpans, 0u);
+  EXPECT_EQ(Parallel.DroppedSpans, 0u);
 }
 
 TEST(Determinism, LayoutBuildsNoAnalysisAtAnyWidth) {
@@ -225,15 +236,16 @@ TEST(Determinism, LayoutBuildsNoAnalysisAtAnyWidth) {
   WOpts.TailCallPercent = 10;
   SxfFile File = generateWorkload(TargetArch::Srisc, WOpts);
   for (unsigned Threads : {1u, 4u}) {
-    TraceCollector::instance().reset();
     Executable::Options EOpts;
     EOpts.Threads = Threads;
-    traceSetEnabled(true);
-    Executable Exec(SxfFile(File), EOpts);
-    ASSERT_FALSE(Exec.readContents().hasError());
-    ASSERT_FALSE(Exec.writeEditedExecutable().hasError());
-    traceSetEnabled(false);
-    std::vector<TraceEvent> Spans = TraceCollector::instance().drain();
+    MetricsSink Sink;
+    {
+      TraceRequestScope Scope(/*Rid=*/0, &Sink);
+      Executable Exec(SxfFile(File), EOpts);
+      ASSERT_FALSE(Exec.readContents().hasError());
+      ASSERT_FALSE(Exec.writeEditedExecutable().hasError());
+    }
+    std::vector<TraceEvent> Spans = Sink.snapshot().Spans;
 
     auto isAnalysis = [](const TraceEvent &Ev) {
       std::string_view Name = Ev.Name;
@@ -303,8 +315,7 @@ TEST(Export, RunReportParsesAndRoundTrips) {
   RunReport Report("trace-test");
   Report.addInput("<generated>", 0x1234, 99);
   Report.addOption("threads", uint64_t(1));
-  Report.captureMetrics();
-  Report.capturePhases(Run.Spans);
+  Report.capture(Run);
   std::string Text = Report.renderJson();
 
   Expected<JsonValue> Doc = parseJson(Text);
@@ -338,14 +349,15 @@ TEST(Export, RunReportParsesAndRoundTrips) {
 }
 
 TEST(Export, PrometheusTextFormat) {
-  StatRegistry::instance().resetAll();
-  HistogramRegistry::instance().resetAll();
-  bumpStat("test.prom.counter", 7);
-  bumpHistogram("test.prom.hist", 5); // bucket [4,7], le bound 7
+  MetricsSink Sink;
+  {
+    TraceRequestScope Scope(/*Rid=*/0, &Sink);
+    bumpStat("test.prom.counter", 7);
+    bumpHistogram("test.prom.hist", 5); // bucket [4,7], le bound 7
+  }
 
-  std::string Text =
-      metricsPrometheus(StatRegistry::instance().snapshot(),
-                        HistogramRegistry::instance().snapshot());
+  MetricsSnapshot Snap = Sink.snapshot();
+  std::string Text = metricsPrometheus(Snap.Counters, Snap.Histograms);
   EXPECT_NE(Text.find("test_prom_counter 7"), std::string::npos);
   EXPECT_NE(Text.find("test_prom_hist_bucket{le=\"7\"} 1"), std::string::npos);
   EXPECT_NE(Text.find("test_prom_hist_bucket{le=\"+Inf\"} 1"),
@@ -363,25 +375,116 @@ TEST(Export, PrometheusTextFormat) {
 //===----------------------------------------------------------------------===//
 
 TEST(Disabled, RecordsNothingAndCreatesNoRings) {
-  traceSetEnabled(false);
-  size_t RingsBefore = TraceCollector::instance().bufferCount();
-  size_t RecordedBefore = TraceCollector::instance().recordedCount();
+  // With no sink installed, spans and bumps are recorded nowhere: there is
+  // no process-wide store to land in.
+  ASSERT_EQ(requestSink(), nullptr);
   std::string Routine = "some_routine";
   for (int I = 0; I < 10000; ++I) {
     EEL_TRACE_SCOPE("test.disabled", "routine", Routine);
+    bumpStat("test.disabled");
+    bumpHistogram("test.disabled", uint64_t(I));
   }
-  EXPECT_EQ(TraceCollector::instance().bufferCount(), RingsBefore);
-  EXPECT_EQ(TraceCollector::instance().recordedCount(), RecordedBefore);
 
-  // Flipping the gate on makes the very next span land.
-  traceSetEnabled(true);
+  // A sink installed afterwards holds only what ran under its scope.
+  MetricsSink Sink;
   {
+    TraceRequestScope Scope(/*Rid=*/0, &Sink);
+    EXPECT_EQ(requestSink(), &Sink);
     EEL_TRACE_SCOPE("test.enabled", "routine", Routine);
   }
-  traceSetEnabled(false);
-#ifndef EEL_TRACE_DISABLED
-  EXPECT_EQ(TraceCollector::instance().recordedCount(), RecordedBefore + 1);
+  EXPECT_EQ(requestSink(), nullptr);
+  MetricsSnapshot Snap = Sink.snapshot();
+  EXPECT_TRUE(Snap.Counters.empty());
+  EXPECT_TRUE(Snap.Histograms.empty());
+#ifdef EEL_TRACE_DISABLED
+  EXPECT_TRUE(Snap.Spans.empty());
+#else
+  ASSERT_EQ(Snap.Spans.size(), 1u);
+  EXPECT_STREQ(Snap.Spans[0].Name, "test.enabled");
 #endif
+}
+
+//===----------------------------------------------------------------------===//
+// Sinks on shared pool threads
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+[[maybe_unused]] size_t spansNamed(const MetricsSnapshot &Snap,
+                                   std::string_view Name) {
+  return std::count_if(Snap.Spans.begin(), Snap.Spans.end(),
+                       [Name](const TraceEvent &Ev) { return Ev.Name == Name; });
+}
+
+} // namespace
+
+TEST(Sink, FreshSinkEachRoundOnTheSamePoolThreads) {
+  // Each round's sink lives in the same stack slot, so it is created at
+  // the address of the one freed the round before, and the pool threads
+  // that record into it still cache the old one: a cache keyed by address
+  // would send this round's work to the freed sink.
+  for (int Round = 0; Round < 200; ++Round) {
+    MetricsSink Sink;
+    {
+      TraceRequestScope Scope(uint64_t(Round + 1), &Sink);
+      parallelForEach(4, 64, [](size_t) {
+        EEL_TRACE_SCOPE("test.round_body");
+        bumpStat("test.round_bumps");
+      });
+    }
+    MetricsSnapshot Snap = Sink.snapshot();
+    ASSERT_EQ(Snap.counter("test.round_bumps"), 64u) << "round " << Round;
+#ifndef EEL_TRACE_DISABLED
+    ASSERT_EQ(spansNamed(Snap, "test.round_body"), 64u) << "round " << Round;
+#endif
+  }
+}
+
+TEST(Sink, ConcurrentClientsSeeOnlyTheirOwnWork) {
+  // Two client threads, each with its own sink, fan out over the one
+  // shared pool at the same time, so pool workers switch between the
+  // sinks from task to task.
+  constexpr int Reps = 20;
+  const char *const Names[2] = {"test.client0", "test.client1"};
+  MetricsSink Sinks[2];
+  std::atomic<int> Started{0};
+  auto Client = [&](int C) {
+    TraceRequestScope Scope(uint64_t(C + 1), &Sinks[C]);
+    Started.fetch_add(1);
+    while (Started.load() < 2)
+      std::this_thread::yield();
+    for (int Rep = 0; Rep < Reps; ++Rep)
+      parallelForEach(4, 64, [&, C](size_t) {
+        EEL_TRACE_SCOPE(Names[C]);
+        bumpStat(Names[C]);
+        bumpHistogram("test.client", uint64_t(C));
+      });
+  };
+  std::thread A(Client, 0), B(Client, 1);
+  A.join();
+  B.join();
+
+  for (int C = 0; C < 2; ++C) {
+    SCOPED_TRACE(Names[C]);
+    MetricsSnapshot Snap = Sinks[C].snapshot();
+    EXPECT_EQ(Snap.counter(Names[C]), uint64_t(Reps * 64));
+    EXPECT_EQ(Snap.counter(Names[1 - C]), 0u);
+    HistogramSnapshot H = Snap.histogram("test.client");
+    EXPECT_EQ(H.Count, uint64_t(Reps * 64));
+    EXPECT_EQ(H.Min, uint64_t(C));
+    EXPECT_EQ(H.Max, uint64_t(C));
+#ifndef EEL_TRACE_DISABLED
+    EXPECT_EQ(spansNamed(Snap, Names[C]), size_t(Reps * 64));
+    EXPECT_EQ(spansNamed(Snap, Names[1 - C]), 0u);
+    // A worker that switched sinks kept one push order per sink.
+    std::set<std::pair<uint32_t, uint64_t>> Keys;
+    for (const TraceEvent &Ev : Snap.Spans) {
+      EXPECT_EQ(Ev.RequestId, uint64_t(C + 1));
+      Keys.emplace(Ev.Tid, Ev.Seq);
+    }
+    EXPECT_EQ(Keys.size(), Snap.Spans.size());
+#endif
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -470,10 +573,8 @@ TEST(HistogramQuantile, EmptyAndZeroSamples) {
   EXPECT_EQ(Empty.quantile(0.5), 0.0);
   EXPECT_EQ(Empty.quantile(0.99), 0.0);
 
-  HistogramRegistry::instance().resetAll();
-  for (int I = 0; I < 5; ++I)
-    bumpHistogram("test.q.zeros", 0);
-  HistogramSnapshot H = HistogramRegistry::instance().read("test.q.zeros");
+  HistogramSnapshot H =
+      recordHistogram("test.q.zeros", {0}, 5).histogram("test.q.zeros");
   // The zero bucket holds only exact zeros; no interpolation applies.
   EXPECT_EQ(H.quantile(0.5), 0.0);
   EXPECT_EQ(H.quantile(1.0), 0.0);
@@ -482,17 +583,14 @@ TEST(HistogramQuantile, EmptyAndZeroSamples) {
 TEST(HistogramQuantile, SingleValueReportsItself) {
   // The min/max clamp makes a degenerate histogram exact: every quantile
   // of 100 identical samples is the sample, not a bucket midpoint.
-  HistogramRegistry::instance().resetAll();
-  for (int I = 0; I < 100; ++I)
-    bumpHistogram("test.q.single", 10);
-  HistogramSnapshot H = HistogramRegistry::instance().read("test.q.single");
+  HistogramSnapshot H =
+      recordHistogram("test.q.single", {10}, 100).histogram("test.q.single");
   for (double Q : {0.0, 0.25, 0.5, 0.99, 1.0})
     EXPECT_EQ(H.quantile(Q), 10.0) << "q=" << Q;
 
   // A lone sample near its bucket's low edge clamps to the observed max.
-  HistogramRegistry::instance().resetAll();
-  bumpHistogram("test.q.lone", 65); // bucket [64,127]
-  HistogramSnapshot L = HistogramRegistry::instance().read("test.q.lone");
+  HistogramSnapshot L = // bucket [64,127]
+      recordHistogram("test.q.lone", {65}).histogram("test.q.lone");
   EXPECT_EQ(L.quantile(1.0), 65.0);
 }
 
@@ -500,12 +598,8 @@ TEST(HistogramQuantile, InterpolatesDeterministically) {
   // 50 samples of 1 (bucket le=1) and 50 of 100 (bucket [64,127]): the
   // 25th percentile sits in the first bucket exactly, the 75th a known
   // fraction into the second.
-  HistogramRegistry::instance().resetAll();
-  for (int I = 0; I < 50; ++I) {
-    bumpHistogram("test.q.two", 1);
-    bumpHistogram("test.q.two", 100);
-  }
-  HistogramSnapshot H = HistogramRegistry::instance().read("test.q.two");
+  HistogramSnapshot H =
+      recordHistogram("test.q.two", {1, 100}, 50).histogram("test.q.two");
   EXPECT_EQ(H.quantile(0.25), 1.0);
   // Rank 75: 25 of the 50 samples into [64,127] -> 64 + 63 * 0.5 = 95.5.
   EXPECT_DOUBLE_EQ(H.quantile(0.75), 95.5);
@@ -522,15 +616,15 @@ TEST(HistogramQuantile, InterpolatesDeterministically) {
 }
 
 TEST(HistogramQuantile, AtomicHistogramMatchesRegistry) {
-  // AtomicHistogram (the serve scrape path) and the sharded registry are
-  // two recorders of the same distribution; their snapshots must agree.
-  HistogramRegistry::instance().resetAll();
+  // AtomicHistogram (the serve scrape path) and a sink's sharded
+  // histograms are two recorders of the same distribution; their
+  // snapshots must agree.
   AtomicHistogram A;
-  for (uint64_t V : {1ull, 2ull, 3ull, 100ull, 250ull, 4096ull}) {
-    bumpHistogram("test.q.pair", V);
+  for (uint64_t V : {1ull, 2ull, 3ull, 100ull, 250ull, 4096ull})
     A.record(V);
-  }
-  HistogramSnapshot R = HistogramRegistry::instance().read("test.q.pair");
+  HistogramSnapshot R =
+      recordHistogram("test.q.pair", {1, 2, 3, 100, 250, 4096})
+          .histogram("test.q.pair");
   HistogramSnapshot S = A.snapshot("test.q.pair");
   EXPECT_EQ(S.Count, R.Count);
   EXPECT_EQ(S.Sum, R.Sum);
@@ -698,6 +792,40 @@ TEST(Log, RequestIdStampedFromTraceScope) {
   EXPECT_EQ(parseJson(Lines[2]).value().find("request_id"), nullptr);
 }
 
+TEST(Log, RecordsKeepWriteOrderAcrossThreads) {
+  // Thread A's Info record is buffered when thread B's Warn flushes: the
+  // flush writes both, in the order they were written. Each line's tid is
+  // its writer's traceThreadId(), the id its spans carry.
+  LogStateGuard Guard;
+  std::string Path = logTestPath("order");
+  std::remove(Path.c_str());
+  ASSERT_TRUE(Logger::instance().setPath(Path));
+  logSetLevel(LogLevel::Info);
+
+  uint32_t TidA = 0, TidB = 0;
+  std::thread A([&] {
+    TidA = traceThreadId();
+    EEL_LOG(LogLevel::Info, "test.order_a");
+  });
+  A.join();
+  std::thread B([&] {
+    TidB = traceThreadId();
+    EEL_LOG(LogLevel::Warn, "test.order_b");
+  });
+  B.join();
+  Logger::instance().flushAll();
+
+  std::vector<std::string> Lines = readLogLines(Path);
+  ASSERT_EQ(Lines.size(), 2u);
+  JsonValue First = parseJson(Lines[0]).takeValue();
+  JsonValue Second = parseJson(Lines[1]).takeValue();
+  EXPECT_EQ(First.find("event")->Str, "test.order_a");
+  EXPECT_EQ(Second.find("event")->Str, "test.order_b");
+  EXPECT_NE(TidA, TidB);
+  EXPECT_EQ(First.find("tid")->asNumber(), double(TidA));
+  EXPECT_EQ(Second.find("tid")->asNumber(), double(TidB));
+}
+
 //===----------------------------------------------------------------------===//
 // Request-id propagation through spans
 //===----------------------------------------------------------------------===//
@@ -709,35 +837,31 @@ TEST(RequestId, PropagatesThroughParallelForEach) {
   // A request id set on the submitting thread must reach spans recorded
   // by pool helper threads — that is what makes slow-request exemplars
   // complete for multi-threaded edits.
-  TraceCollector::instance().reset();
-  traceSetEnabled(true);
+  MetricsSink Sink;
   {
-    TraceRequestScope Scope(4242);
+    TraceRequestScope Scope(4242, &Sink);
     parallelForEach(4, 32, [](size_t) {
       EEL_TRACE_SCOPE("test.rid_body");
     });
   }
-  traceSetEnabled(false);
 
-  std::vector<TraceEvent> Spans = TraceCollector::instance().drain();
   unsigned Bodies = 0;
-  for (const TraceEvent &Ev : Spans)
+  for (const TraceEvent &Ev : Sink.snapshot().Spans)
     if (std::string(Ev.Name) == "test.rid_body") {
       ++Bodies;
       EXPECT_EQ(Ev.RequestId, 4242u) << "span lost its request id";
     }
   EXPECT_EQ(Bodies, 32u);
 
-  // Outside any scope, spans carry no id.
-  traceSetEnabled(true);
+  // Under a scope without an id, spans carry none.
+  MetricsSink NoId;
   {
+    TraceRequestScope Scope(/*Rid=*/0, &NoId);
     EEL_TRACE_SCOPE("test.rid_none");
   }
-  traceSetEnabled(false);
-  for (const TraceEvent &Ev : TraceCollector::instance().drain())
-    if (std::string(Ev.Name) == "test.rid_none") {
-      EXPECT_EQ(Ev.RequestId, 0u);
-    }
+  std::vector<TraceEvent> Spans = NoId.snapshot().Spans;
+  ASSERT_EQ(Spans.size(), 1u);
+  EXPECT_EQ(Spans[0].RequestId, 0u);
 }
 
 TEST(Json, AcceptsAndRoundTripsValidDocuments) {

@@ -183,12 +183,18 @@ int main(int argc, char **argv) {
   Run.addOption("stripped", Config.Stripped);
   Run.addOption("threads", uint64_t(Config.Threads));
   bool AllLoaded = true;
-  for (const std::string &Path : Paths)
-    AllLoaded &= lintOne(Path, Config, Report, Run);
+  // --json reports the run's counters, histograms and phases: record
+  // them into a fresh sink.
+  MetricsSink Sink;
+  {
+    TraceRequestScope Scope(/*Rid=*/0, Config.Json ? &Sink : nullptr);
+    for (const std::string &Path : Paths)
+      AllLoaded &= lintOne(Path, Config, Report, Run);
+  }
 
   if (Config.Json) {
     Run.captureDiagnostics(Report);
-    Run.captureMetrics();
+    Run.capture(Sink.snapshot());
     std::printf("%s\n", Run.renderJson().c_str());
   } else if (!Report.empty()) {
     std::printf("%s", Report.renderText().c_str());

@@ -32,7 +32,6 @@
 #include "core/Executable.h"
 #include "support/FileIO.h"
 #include "support/Json.h"
-#include "support/Stats.h"
 #include "workload/Generator.h"
 
 #include <cstdio>
@@ -149,11 +148,9 @@ int main(int argc, char **argv) {
   uint64_t ImageHash = fnv1a64(ImageBytes.data(), ImageBytes.size());
 
   // --- Run the pipeline traced ------------------------------------------------
-  // Fresh registries so the report covers exactly this run.
-  StatRegistry::instance().resetAll();
-  HistogramRegistry::instance().resetAll();
-  TraceCollector::instance().reset();
-  traceSetEnabled(true);
+  // A fresh sink, so the report covers exactly this run.
+  MetricsSink Sink;
+  TraceRequestScope Scope(/*Rid=*/0, &Sink);
 
   Executable::Options EOpts;
   EOpts.Threads = Config.Threads;
@@ -182,7 +179,7 @@ int main(int argc, char **argv) {
     VOpts.Threads = Config.Threads;
     Findings = verifyEdit(Exec, Edited.value(), VOpts);
   }
-  traceSetEnabled(false);
+  MetricsSnapshot Snap = Sink.snapshot();
 
   // --- Assemble the report -----------------------------------------------------
   RunReport Report("eel-report");
@@ -197,9 +194,7 @@ int main(int argc, char **argv) {
                    uint64_t(Exec.analysis().effectiveThreads()));
   Report.addOption("verify", Config.Verify);
   Report.addOption("runtime_translation", EOpts.EnableRuntimeTranslation);
-  Report.captureMetrics();
-  std::vector<TraceEvent> Spans = TraceCollector::instance().drain();
-  Report.capturePhases(Spans);
+  Report.capture(Snap);
   Report.captureDiagnostics(Findings);
   {
     const Executable::EditStats &ES = Exec.editStats();
@@ -214,7 +209,7 @@ int main(int argc, char **argv) {
     S.key("delay_slots_folded");
     S.value(uint64_t(ES.DelaySlotsFolded));
     S.key("spans_recorded");
-    S.value(uint64_t(Spans.size()));
+    S.value(uint64_t(Snap.Spans.size()));
     S.endObject();
     Report.setSummaryJson(S.take());
   }
@@ -222,12 +217,11 @@ int main(int argc, char **argv) {
   if (!writeOrPrint(Config.OutPath, Report.renderJson()))
     return 2;
   if (!Config.TracePath.empty() &&
-      !writeOrPrint(Config.TracePath, renderChromeTrace(Spans)))
+      !writeOrPrint(Config.TracePath, renderChromeTrace(Snap.Spans)))
     return 2;
   if (!Config.PrometheusPath.empty() &&
       !writeOrPrint(Config.PrometheusPath,
-                    metricsPrometheus(StatRegistry::instance().snapshot(),
-                                      HistogramRegistry::instance().snapshot())))
+                    metricsPrometheus(Snap.Counters, Snap.Histograms)))
     return 2;
   return Findings.hasErrors() ? 1 : 0;
 }

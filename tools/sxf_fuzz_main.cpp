@@ -116,7 +116,14 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  FuzzReport Report = runFaultInjection(Corpus, Options);
+  // --json reports the run's counters and histograms: record them into a
+  // fresh sink.
+  MetricsSink Sink;
+  FuzzReport Report;
+  {
+    TraceRequestScope Scope(/*Rid=*/0, Json ? &Sink : nullptr);
+    Report = runFaultInjection(Corpus, Options);
+  }
 
   if (Json) {
     RunReport Run("sxf-fuzz");
@@ -132,7 +139,12 @@ int main(int Argc, char **Argv) {
                 "image " + std::to_string(F.ImageIndex) + " mutant " +
                     std::to_string(F.MutantIndex) + ": " + F.What);
     Run.captureDiagnostics(Diags);
-    Run.captureMetrics();
+    // Thousands of mutants wrap the sink's span rings, so a phase tree
+    // would cover only the last of them: the envelope leaves spans out.
+    MetricsSnapshot Snap = Sink.snapshot();
+    Snap.Spans.clear();
+    Snap.DroppedSpans = 0;
+    Run.capture(Snap);
     JsonWriter S(/*Indent=*/false);
     S.beginObject();
     S.key("mutants");
