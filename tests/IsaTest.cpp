@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "isa/AriscEncoding.h"
 #include "isa/MriscEncoding.h"
 #include "isa/SriscEncoding.h"
 #include "isa/Target.h"
@@ -340,6 +341,228 @@ TEST(MriscTarget, DataOps) {
   EXPECT_EQ(Op.Kind, DataOpKind::Sll);
   EXPECT_EQ(Op.Rs1, 7u);
   EXPECT_EQ(Op.Imm, 2);
+}
+
+// --- ARISC -------------------------------------------------------------------
+//
+// Facts written from AriscEncoding.h's format table: rc := ra <func> rb,
+// rb := ra <op> imm16, data ra and base rb for memory, displacements
+// relative to the next word, jmp linking ra and jumping through rb, and a
+// trap number in imm16.
+
+TEST(AriscTarget, OperateForms) {
+  using namespace arisc;
+  const TargetInfo &T = ariscTarget();
+  DecodedWord Add = T.decode(encodeOperate(3, 4, 5, FnAdd));
+  EXPECT_EQ(Add.Category, InstCategory::Computation);
+  EXPECT_EQ(Add.Reads, (RegSet{3, 4}));
+  EXPECT_EQ(Add.Writes, (RegSet{5}));
+  EXPECT_EQ(Add.Delay, DelayBehavior::None);
+  EXPECT_EQ(Add.Op.Kind, DataOpKind::Add);
+  EXPECT_EQ(Add.Op.Rd, 5u);
+  EXPECT_EQ(Add.Op.Rs1, 3u);
+  EXPECT_EQ(Add.Op.Rs2, 4u);
+  EXPECT_FALSE(Add.Op.HasImm);
+  ASSERT_EQ(Add.NumRegFields, 3u);
+  EXPECT_EQ(Add.RegFields[0], (BitRange{11, 15}));
+  EXPECT_EQ(Add.RegFields[1], (BitRange{16, 20}));
+  EXPECT_EQ(Add.RegFields[2], (BitRange{21, 25}));
+  const std::pair<uint32_t, DataOpKind> Funcs[] = {
+      {FnAdd, DataOpKind::Add}, {FnSub, DataOpKind::Sub},
+      {FnAnd, DataOpKind::And}, {FnOr, DataOpKind::Or},
+      {FnXor, DataOpKind::Xor}, {FnSll, DataOpKind::Sll},
+      {FnSrl, DataOpKind::Srl}, {FnSra, DataOpKind::Sra},
+      {FnMul, DataOpKind::Mul}, {FnDiv, DataOpKind::Div},
+      {FnRem, DataOpKind::Rem}, {FnCmplt, DataOpKind::SetLess}};
+  for (const auto &[Func, Kind] : Funcs)
+    EXPECT_EQ(T.decode(encodeOperate(1, 2, 3, Func)).Op.Kind, Kind)
+        << "func " << Func;
+  // The hard zero is neither read nor written.
+  DecodedWord Zero = T.decode(encodeOperate(0, 2, 0, FnOr));
+  EXPECT_EQ(Zero.Reads, (RegSet{2}));
+  EXPECT_EQ(Zero.Writes, RegSet{});
+  EXPECT_EQ(T.decode(encodeOperate(1, 2, 3, FnCmplt + 1)).Category,
+            InstCategory::Invalid);
+}
+
+TEST(AriscTarget, ImmediateForms) {
+  using namespace arisc;
+  const TargetInfo &T = ariscTarget();
+  // addi and cmplti sign-extend imm16; the logical ops and shifts do not.
+  DecodedWord Addi = T.decode(encodeIType(OpAddi, 3, 4, 0xFFFC));
+  EXPECT_EQ(Addi.Category, InstCategory::Computation);
+  EXPECT_EQ(Addi.Reads, (RegSet{3}));
+  EXPECT_EQ(Addi.Writes, (RegSet{4}));
+  EXPECT_EQ(Addi.Op.Kind, DataOpKind::Add);
+  EXPECT_EQ(Addi.Op.Rd, 4u);
+  EXPECT_EQ(Addi.Op.Rs1, 3u);
+  EXPECT_TRUE(Addi.Op.HasImm);
+  EXPECT_EQ(Addi.Op.Imm, -4);
+  ASSERT_EQ(Addi.NumRegFields, 2u);
+  EXPECT_EQ(Addi.RegFields[0], (BitRange{16, 20}));
+  EXPECT_EQ(Addi.RegFields[1], (BitRange{21, 25}));
+  const struct {
+    uint32_t Op;
+    DataOpKind Kind;
+    int32_t Imm;
+  } Forms[] = {{OpAddi, DataOpKind::Add, -2},
+               {OpCmplti, DataOpKind::SetLess, -2},
+               {OpAndi, DataOpKind::And, 0xFFFE},
+               {OpOri, DataOpKind::Or, 0xFFFE},
+               {OpXori, DataOpKind::Xor, 0xFFFE},
+               {OpSlli, DataOpKind::Sll, 0xFFFE},
+               {OpSrli, DataOpKind::Srl, 0xFFFE},
+               {OpSrai, DataOpKind::Sra, 0xFFFE}};
+  for (const auto &F : Forms) {
+    DataOp Op = T.decode(encodeIType(F.Op, 7, 8, 0xFFFE)).Op;
+    EXPECT_EQ(Op.Kind, F.Kind) << "op " << F.Op;
+    EXPECT_EQ(Op.Rd, 8u) << "op " << F.Op;
+    EXPECT_EQ(Op.Rs1, 7u) << "op " << F.Op;
+    EXPECT_TRUE(Op.HasImm) << "op " << F.Op;
+    EXPECT_EQ(Op.Imm, F.Imm) << "op " << F.Op;
+  }
+  // The canonical nop (ori r0, r0, 0) reads and writes nothing.
+  DecodedWord Nop = T.decode(nop());
+  EXPECT_EQ(Nop.Category, InstCategory::Computation);
+  EXPECT_EQ(Nop.Reads, RegSet{});
+  EXPECT_EQ(Nop.Writes, RegSet{});
+}
+
+TEST(AriscTarget, Ldih) {
+  using namespace arisc;
+  const TargetInfo &T = ariscTarget();
+  DecodedWord Ldih = T.decode(encodeIType(OpLdih, 0, 7, 0x1234));
+  EXPECT_EQ(Ldih.Category, InstCategory::Computation);
+  EXPECT_EQ(Ldih.Reads, RegSet{});
+  EXPECT_EQ(Ldih.Writes, (RegSet{7}));
+  EXPECT_EQ(Ldih.Op.Kind, DataOpKind::LoadImmHi);
+  EXPECT_EQ(Ldih.Op.Rd, 7u);
+  EXPECT_TRUE(Ldih.Op.HasImm);
+  EXPECT_EQ(Ldih.Op.Imm, int32_t(0x12340000));
+  // ra is a fixed zero field.
+  EXPECT_EQ(T.decode(encodeIType(OpLdih, 1, 7, 0x1234)).Category,
+            InstCategory::Invalid);
+}
+
+TEST(AriscTarget, LoadsAndStores) {
+  using namespace arisc;
+  const TargetInfo &T = ariscTarget();
+  const struct {
+    uint32_t Op;
+    uint8_t Width;
+    bool Signed;
+  } Loads[] = {{OpLdw, 4, false},
+               {OpLdb, 1, true},
+               {OpLdbu, 1, false},
+               {OpLdh, 2, true},
+               {OpLdhu, 2, false}};
+  for (const auto &L : Loads) {
+    DecodedWord D = T.decode(encodeIType(L.Op, 5, RegSP, 0xFFF8));
+    ASSERT_EQ(D.Category, InstCategory::Load) << "op " << L.Op;
+    EXPECT_EQ(D.Reads, (RegSet{RegSP})) << "op " << L.Op;
+    EXPECT_EQ(D.Writes, (RegSet{5})) << "op " << L.Op;
+    EXPECT_TRUE(D.Mem.IsLoad) << "op " << L.Op;
+    EXPECT_FALSE(D.Mem.IsStore) << "op " << L.Op;
+    EXPECT_EQ(D.Mem.Width, L.Width) << "op " << L.Op;
+    EXPECT_EQ(D.Mem.SignExtendLoad, L.Signed) << "op " << L.Op;
+    EXPECT_EQ(D.Mem.AddrBase, unsigned(RegSP)) << "op " << L.Op;
+    EXPECT_FALSE(D.Mem.HasIndex) << "op " << L.Op;
+    EXPECT_EQ(D.Mem.Offset, -8) << "op " << L.Op;
+    EXPECT_EQ(D.Mem.DataReg, 5u) << "op " << L.Op;
+  }
+  const struct {
+    uint32_t Op;
+    uint8_t Width;
+  } Stores[] = {{OpStw, 4}, {OpStb, 1}, {OpSth, 2}};
+  for (const auto &S : Stores) {
+    DecodedWord D = T.decode(encodeIType(S.Op, 5, RegSP, 12));
+    ASSERT_EQ(D.Category, InstCategory::Store) << "op " << S.Op;
+    EXPECT_EQ(D.Reads, (RegSet{5, RegSP})) << "op " << S.Op;
+    EXPECT_EQ(D.Writes, RegSet{}) << "op " << S.Op;
+    EXPECT_TRUE(D.Mem.IsStore) << "op " << S.Op;
+    EXPECT_FALSE(D.Mem.IsLoad) << "op " << S.Op;
+    EXPECT_EQ(D.Mem.Width, S.Width) << "op " << S.Op;
+    EXPECT_FALSE(D.Mem.SignExtendLoad) << "op " << S.Op;
+    EXPECT_EQ(D.Mem.AddrBase, unsigned(RegSP)) << "op " << S.Op;
+    EXPECT_EQ(D.Mem.Offset, 12) << "op " << S.Op;
+    EXPECT_EQ(D.Mem.DataReg, 5u) << "op " << S.Op;
+  }
+}
+
+TEST(AriscTarget, TransfersRelativeToNextWord) {
+  using namespace arisc;
+  const TargetInfo &T = ariscTarget();
+  Addr PC = 0x10000;
+  for (uint32_t Op : {OpBeq, OpBne, OpBlt, OpBle}) {
+    DecodedWord D = T.decode(encodeBranch(Op, 1, 2, 3));
+    EXPECT_EQ(D.Category, InstCategory::BranchDirect) << "op " << Op;
+    EXPECT_TRUE(D.Conditional) << "op " << Op;
+    EXPECT_EQ(D.Delay, DelayBehavior::None) << "op " << Op;
+    EXPECT_EQ(D.Reads, (RegSet{1, 2})) << "op " << Op;
+    EXPECT_EQ(D.Writes, RegSet{}) << "op " << Op;
+    EXPECT_EQ(D.directTarget(PC), std::optional<Addr>(PC + 4 + 12));
+    EXPECT_EQ(T.decode(encodeBranch(Op, 1, 2, -2)).directTarget(PC),
+              std::optional<Addr>(PC + 4 - 8));
+  }
+  DecodedWord Br = T.decode(encodeBrType(OpBr, 5));
+  EXPECT_EQ(Br.Category, InstCategory::JumpDirect);
+  EXPECT_FALSE(Br.Conditional);
+  EXPECT_EQ(Br.Delay, DelayBehavior::None);
+  EXPECT_EQ(Br.Writes, RegSet{});
+  EXPECT_EQ(Br.directTarget(PC), std::optional<Addr>(PC + 4 + 20));
+  DecodedWord Bsr = T.decode(encodeBrType(OpBsr, -3));
+  EXPECT_EQ(Bsr.Category, InstCategory::CallDirect);
+  EXPECT_EQ(Bsr.Delay, DelayBehavior::None);
+  EXPECT_EQ(Bsr.Writes, (RegSet{RegRA}));
+  EXPECT_EQ(Bsr.FixedRegs, (RegSet{RegRA}));
+  EXPECT_EQ(Bsr.directTarget(PC), std::optional<Addr>(PC + 4 - 12));
+  // The displacement field is 16 bits for branches and 26 for br/bsr.
+  EXPECT_EQ(T.decode(encodeBranch(OpBeq, 1, 2, 0)).Direct.Field,
+            (BitRange{0, 15}));
+  EXPECT_EQ(Br.Direct.Field, (BitRange{0, 25}));
+  MachWord BrWord = encodeBrType(OpBr, 5);
+  auto Re = retargetDirect(Br, BrWord, 0x20000, 0x20100);
+  ASSERT_TRUE(Re.has_value());
+  EXPECT_EQ(T.decode(*Re).directTarget(0x20000), std::optional<Addr>(0x20100));
+}
+
+TEST(AriscTarget, JmpBaseAndLink) {
+  using namespace arisc;
+  const TargetInfo &T = ariscTarget();
+  DecodedWord Call = T.decode(encodeJmp(RegRA, 3));
+  EXPECT_EQ(Call.Category, InstCategory::IndirectJump);
+  EXPECT_EQ(Call.Delay, DelayBehavior::None);
+  EXPECT_EQ(Call.Indirect.BaseReg, 3u);
+  EXPECT_EQ(Call.Indirect.LinkReg, unsigned(RegRA));
+  EXPECT_FALSE(Call.Indirect.HasIndex);
+  EXPECT_EQ(Call.Indirect.Offset, 0);
+  EXPECT_EQ(Call.Reads, (RegSet{3}));
+  EXPECT_EQ(Call.Writes, (RegSet{RegRA}));
+  DecodedWord Ret = T.decode(encodeJmp(0, RegRA));
+  EXPECT_EQ(Ret.Indirect.BaseReg, unsigned(RegRA));
+  EXPECT_EQ(Ret.Indirect.LinkReg, 0u);
+  EXPECT_EQ(Ret.Reads, (RegSet{RegRA}));
+  EXPECT_EQ(Ret.Writes, RegSet{});
+  // jmp leaves imm16 clear.
+  EXPECT_EQ(T.decode(encodeIType(OpJmp, 0, 3, 1)).Category,
+            InstCategory::Invalid);
+}
+
+TEST(AriscTarget, SysTrapNumber) {
+  using namespace arisc;
+  const TargetInfo &T = ariscTarget();
+  DecodedWord Sys = T.decode(encodeSys(7));
+  EXPECT_EQ(Sys.Category, InstCategory::System);
+  EXPECT_EQ(Sys.TrapNumber, std::optional<unsigned>(7));
+  EXPECT_EQ(Sys.Reads, (RegSet{16, 17, 18}));
+  EXPECT_EQ(Sys.Writes, (RegSet{RegV0}));
+  EXPECT_EQ(T.decode(encodeSys(0xFFFF)).TrapNumber,
+            std::optional<unsigned>(0xFFFF));
+  // ra and rb are fixed zero fields.
+  EXPECT_EQ(T.decode(encodeIType(OpSys, 1, 0, 7)).Category,
+            InstCategory::Invalid);
+  EXPECT_FALSE(T.branchDelaySlots());
+  EXPECT_FALSE(T.hasConditionCodes());
 }
 
 // --- Cross-target disassembly smoke test --------------------------------------
