@@ -17,33 +17,42 @@ using namespace eel::spawn;
 namespace {
 
 /// Linear form of an expression: PcCoef*PC + Bias + field terms + register
-/// terms. Used for target shapes and memory-address shapes.
+/// terms. Used for target shapes, memory-address shapes, and, when the
+/// walk compiles, for every value it stores.
 struct Affine {
   int PcCoef = 0;
   int64_t Bias = 0;
   struct FieldTerm {
-    std::string Name;
+    const FieldDef *Field = nullptr;
     unsigned Shift = 0;
     bool Signed = false;
   };
   std::vector<FieldTerm> FieldTerms;
-  struct RegTerm {
-    unsigned FileIndex = 0;
-    unsigned Index = 0; ///< Folded register index.
-    std::string IndexField; ///< Field name when the index came from a field.
-  };
-  std::vector<RegTerm> RegTerms;
+  std::vector<const Expr *> RegTerms; ///< Register reads, in order.
   uint32_t RegionMask = 0; ///< Non-zero for (PC & mask) | ... shapes.
   bool HasRegion = false;
 };
 
+using Slot = DecodeFill::Slot;
+
 /// Analysis pass over one instruction's semantics for one concrete word.
+///
+/// Given a fill list the walk compiles instead: every value it would store
+/// from a field (a register number, immediate, displacement or trap number,
+/// or a register id for the read and write sets) stays out of the summary
+/// and becomes a fill, and every other field it folds — a ternary or guard
+/// condition, a shift amount, a fixed register's index — is a steering
+/// field, because its value chose the path of the walk.
 class WordAnalyzer {
 public:
-  WordAnalyzer(const MachineDesc &Desc, MachWord Word)
-      : Desc(Desc), Word(Word) {}
+  WordAnalyzer(const MachineDesc &Desc, MachWord Word,
+               std::vector<DecodeFill> *Fills = nullptr)
+      : Desc(Desc), Word(Word), Fills(Fills) {}
 
   DecodedWord run();
+
+  /// Bits of the word that steered the walk.
+  uint32_t steeringBits() const { return SteerBits; }
 
 private:
   // --- Expression helpers ------------------------------------------------
@@ -53,8 +62,12 @@ private:
   ExprP resolve(const ExprP &E);
 
   /// Fully folds an expression of fields and constants; nullopt if it
-  /// involves registers, memory, or PC.
+  /// involves registers, memory, or PC. The fields it reads steer, unless
+  /// a value store is folding them.
   std::optional<int64_t> foldConst(const ExprP &E);
+
+  /// foldConst for a value the walk stores or only tests for foldability.
+  std::optional<int64_t> foldValue(const ExprP &E);
 
   /// Register id for a Reg expression (folds the index); asserts on an
   /// unfoldable index, which would mean a register indexed by a register.
@@ -70,13 +83,28 @@ private:
   void collectRegIndexFields(const ExprP &E);
   void addRegField(const std::string &FieldName);
 
-  /// The signed or unsigned value of field \p Name in the word.
-  int64_t fieldValue(const std::string &Name, bool Signed) const;
-
   std::optional<Affine> linearize(const ExprP &E);
 
   bool containsPc(const ExprP &E) const;
-  bool containsMemRead(const ExprP &E) const;
+
+  // --- Value stores ----------------------------------------------------------
+
+  /// Stores \p E, an expression of fields and constants, in \p Dst.
+  template <class T> void store(Slot To, T &Dst, const ExprP &E);
+
+  /// Stores the number of register \p Reg in \p Dst.
+  void storeReg(Slot To, uint8_t &Dst, const Expr &Reg);
+
+  /// Adds linear-form term \p Term to \p Dst.
+  template <class T> void addTerm(Slot To, T &Dst, const Affine::FieldTerm &Term);
+
+  /// Adds register \p Reg to \p Set unless it is the hard zero.
+  void addReg(Slot To, RegSet &Set, const Expr &Reg);
+
+  /// The linear form of a stored value; aborts if it is not one.
+  Affine valueForm(const ExprP &E);
+
+  void recordFill(Slot To, const Affine::FieldTerm &Term, unsigned RegBase);
 
   // --- Statement walk ------------------------------------------------------
 
@@ -85,16 +113,17 @@ private:
 
   const MachineDesc &Desc;
   MachWord Word;
+  std::vector<DecodeFill> *Fills;
+  uint32_t SteerBits = 0;
+  bool InValue = false;
   DecodedWord Summary;
   std::map<std::string, ExprP> Locals;
 
   // Facts accumulated by the walk.
   struct RegAssign {
-    unsigned FileIndex;
-    unsigned Number; ///< Raw register number (field value).
+    const Expr *Lhs;
     ExprP Rhs;
     bool Conditional;
-    bool IndexWasConst;
   };
   std::vector<RegAssign> RegAssigns;
   struct PcAssign {
@@ -161,18 +190,19 @@ std::optional<int64_t> WordAnalyzer::foldConst(const ExprP &E) {
   switch (E->K) {
   case Expr::Kind::Const:
     return E->IntVal;
-  case Expr::Kind::Field: {
-    const FieldDef *F = Desc.field(E->Name);
-    assert(F && "unknown field survived parsing");
-    return static_cast<int64_t>(Desc.fieldValue(*F, Word));
-  }
+  case Expr::Kind::Field:
   case Expr::Kind::Apply: {
-    if (E->Fn == RtlFn::Sx) {
-      const FieldDef *F = Desc.field(E->Args[0]->Name);
-      assert(F && "sx of unknown field");
-      return signExtend(Desc.fieldValue(*F, Word), F->width());
-    }
-    return std::nullopt; // other builtins need register values
+    if (E->K == Expr::Kind::Apply && E->Fn != RtlFn::Sx)
+      return std::nullopt; // other builtins need register values
+    const FieldDef *F =
+        Desc.field(E->K == Expr::Kind::Field ? E->Name : E->Args[0]->Name);
+    assert(F && "unknown field survived parsing");
+    if (!InValue)
+      SteerBits |= static_cast<uint32_t>(
+          ((uint64_t(1) << F->width()) - 1) << F->Lo);
+    uint32_t Raw = Desc.fieldValue(*F, Word);
+    return E->K == Expr::Kind::Field ? static_cast<int64_t>(Raw)
+                                     : signExtend(Raw, F->width());
   }
   case Expr::Kind::Binary: {
     std::optional<int64_t> L = foldConst(E->Args[0]);
@@ -202,7 +232,11 @@ std::optional<int64_t> WordAnalyzer::foldConst(const ExprP &E) {
     return std::nullopt;
   }
   case Expr::Kind::Ternary: {
+    // The condition steers even inside a stored value.
+    bool Outer = InValue;
+    InValue = false;
     std::optional<int64_t> C = foldConst(E->Args[0]);
+    InValue = Outer;
     if (!C)
       return std::nullopt;
     return foldConst(E->Args[*C != 0 ? 1 : 2]);
@@ -216,6 +250,14 @@ std::optional<int64_t> WordAnalyzer::foldConst(const ExprP &E) {
   default:
     return std::nullopt;
   }
+}
+
+std::optional<int64_t> WordAnalyzer::foldValue(const ExprP &E) {
+  bool Outer = InValue;
+  InValue = true;
+  std::optional<int64_t> V = foldConst(E);
+  InValue = Outer;
+  return V;
 }
 
 unsigned WordAnalyzer::regNumber(const Expr &Reg) {
@@ -239,12 +281,9 @@ void WordAnalyzer::collectReads(const ExprP &E) {
   if (!E)
     return;
   switch (E->K) {
-  case Expr::Kind::Reg: {
-    unsigned Id = regId(*E);
-    if (static_cast<int>(Id) != Desc.ZeroRegId)
-      Summary.Reads.insert(Id);
+  case Expr::Kind::Reg:
+    addReg(Slot::Reads, Summary.Reads, *E);
     return;
-  }
   case Expr::Kind::Mem:
     MemReads.push_back({E->Args[0], E->MemWidth, E->MemSignExtend});
     collectReads(E->Args[0]);
@@ -260,13 +299,6 @@ void WordAnalyzer::addRegField(const std::string &FieldName) {
   const FieldDef *F = Desc.field(FieldName);
   assert(F && "register-index field unknown");
   Summary.addRegField(F->Lo, F->Hi);
-}
-
-int64_t WordAnalyzer::fieldValue(const std::string &Name, bool Signed) const {
-  const FieldDef *F = Desc.field(Name);
-  assert(F && "unknown field survived parsing");
-  uint32_t Raw = Desc.fieldValue(*F, Word);
-  return Signed ? signExtend(Raw, F->width()) : static_cast<int64_t>(Raw);
 }
 
 void WordAnalyzer::collectRegIndexFields(const ExprP &E) {
@@ -292,17 +324,6 @@ bool WordAnalyzer::containsPc(const ExprP &E) const {
   return false;
 }
 
-bool WordAnalyzer::containsMemRead(const ExprP &E) const {
-  if (!E)
-    return false;
-  if (E->K == Expr::Kind::Mem)
-    return true;
-  for (const ExprP &Arg : E->Args)
-    if (containsMemRead(Arg))
-      return true;
-  return false;
-}
-
 std::optional<Affine> WordAnalyzer::linearize(const ExprP &E) {
   if (!E)
     return std::nullopt;
@@ -312,23 +333,17 @@ std::optional<Affine> WordAnalyzer::linearize(const ExprP &E) {
     A.Bias = E->IntVal;
     return A;
   case Expr::Kind::Field:
-    A.FieldTerms.push_back({E->Name, 0, false});
+    A.FieldTerms.push_back({Desc.field(E->Name), 0, false});
     return A;
   case Expr::Kind::Pc:
     A.PcCoef = 1;
     return A;
-  case Expr::Kind::Reg: {
-    Affine::RegTerm Term;
-    Term.FileIndex = E->FileIndex;
-    Term.Index = regNumber(*E);
-    if (!E->Args.empty() && E->Args[0]->K == Expr::Kind::Field)
-      Term.IndexField = E->Args[0]->Name;
-    A.RegTerms.push_back(Term);
+  case Expr::Kind::Reg:
+    A.RegTerms.push_back(E.get());
     return A;
-  }
   case Expr::Kind::Apply:
     if (E->Fn == RtlFn::Sx) {
-      A.FieldTerms.push_back({E->Args[0]->Name, 0, true});
+      A.FieldTerms.push_back({Desc.field(E->Args[0]->Name), 0, true});
       return A;
     }
     return std::nullopt;
@@ -357,7 +372,7 @@ std::optional<Affine> WordAnalyzer::linearize(const ExprP &E) {
       L->Bias += R->Bias;
       for (auto &T : R->FieldTerms)
         L->FieldTerms.push_back(T);
-      for (auto &T : R->RegTerms)
+      for (const Expr *T : R->RegTerms)
         L->RegTerms.push_back(T);
       return L;
     }
@@ -405,6 +420,87 @@ std::optional<Affine> WordAnalyzer::linearize(const ExprP &E) {
   }
 }
 
+// --- Value stores --------------------------------------------------------------
+
+Affine WordAnalyzer::valueForm(const ExprP &E) {
+  std::optional<Affine> A = linearize(E);
+  if (!A || A->PcCoef || !A->RegTerms.empty() || A->HasRegion)
+    reportFatalError("machine description '" + Desc.ArchName +
+                     "': a value read from the word is not a sum of "
+                     "shifted fields and constants");
+  return *A;
+}
+
+void WordAnalyzer::recordFill(Slot To, const Affine::FieldTerm &Term,
+                              unsigned RegBase) {
+  if (Term.Shift >= 32 || RegBase > 0xFF)
+    reportFatalError("machine description '" + Desc.ArchName +
+                     "': a field value does not fit a decode-table fill");
+  DecodeFill F;
+  F.To = To;
+  F.Lo = static_cast<uint8_t>(Term.Field->Lo);
+  F.Width = static_cast<uint8_t>(Term.Field->width());
+  F.Shift = static_cast<uint8_t>(Term.Shift);
+  F.Signed = Term.Signed;
+  F.RegBase = static_cast<uint8_t>(RegBase);
+  Fills->push_back(F);
+}
+
+template <class T>
+void WordAnalyzer::store(Slot To, T &Dst, const ExprP &E) {
+  if (!Fills) {
+    std::optional<int64_t> V = foldValue(E);
+    if (!V)
+      reportFatalError("a value read from the word does not fold to a "
+                       "constant");
+    Dst = static_cast<T>(*V);
+    return;
+  }
+  Affine A = valueForm(E);
+  Dst = static_cast<T>(A.Bias);
+  for (const Affine::FieldTerm &Term : A.FieldTerms)
+    recordFill(To, Term, 0);
+}
+
+void WordAnalyzer::storeReg(Slot To, uint8_t &Dst, const Expr &Reg) {
+  if (Reg.Args.empty())
+    Dst = 0; // a single register such as CC
+  else
+    store(To, Dst, Reg.Args[0]);
+}
+
+template <class T>
+void WordAnalyzer::addTerm(Slot To, T &Dst, const Affine::FieldTerm &Term) {
+  if (Fills) {
+    recordFill(To, Term, 0);
+    return;
+  }
+  uint32_t Raw = Desc.fieldValue(*Term.Field, Word);
+  int64_t V = Term.Signed ? signExtend(Raw, Term.Field->width())
+                          : static_cast<int64_t>(Raw);
+  Dst = static_cast<T>(static_cast<int64_t>(Dst) + (V << Term.Shift));
+}
+
+void WordAnalyzer::addReg(Slot To, RegSet &Set, const Expr &Reg) {
+  const RegFileDef &RF = Desc.RegFiles[Reg.FileIndex];
+  if (Fills && RF.Count != 0) {
+    Affine A = valueForm(Reg.Args[0]);
+    if (A.FieldTerms.size() > 1)
+      reportFatalError("machine description '" + Desc.ArchName +
+                       "': a register index sums several fields");
+    if (A.FieldTerms.size() == 1) {
+      recordFill(To, A.FieldTerms[0],
+                 RF.BaseId + static_cast<unsigned>(A.Bias));
+      return;
+    }
+  }
+  unsigned Id = regId(Reg);
+  if (static_cast<int>(Id) != Desc.ZeroRegId)
+    Set.insert(Id);
+}
+
+// --- Statement walk ------------------------------------------------------------
+
 void WordAnalyzer::walkStmt(const Stmt &S, bool UnderGuard) {
   switch (S.K) {
   case Stmt::Kind::Skip:
@@ -419,21 +515,16 @@ void WordAnalyzer::walkStmt(const Stmt &S, bool UnderGuard) {
   case Stmt::Kind::AssignReg: {
     ExprP Rhs = resolve(S.Rhs);
     const Expr &Lhs = *S.Lhs;
-    unsigned Id = regId(Lhs);
-    unsigned Number =
-        Desc.RegFiles[Lhs.FileIndex].Count == 0 ? 0 : regNumber(Lhs);
-    bool IndexWasConst =
-        Lhs.Args.empty() || Lhs.Args[0]->K != Expr::Kind::Field;
-    if (static_cast<int>(Id) != Desc.ZeroRegId)
-      Summary.Writes.insert(Id);
+    bool IndexIsField =
+        !Lhs.Args.empty() && Lhs.Args[0]->K == Expr::Kind::Field;
+    addReg(Slot::Writes, Summary.Writes, Lhs);
     collectReads(Rhs);
     collectRegIndexFields(Rhs);
-    if (!IndexWasConst)
+    if (IndexIsField)
       addRegField(Lhs.Args[0]->Name);
     else if (Desc.RegFiles[Lhs.FileIndex].Count != 0)
-      Summary.FixedRegs.insert(Number);
-    RegAssigns.push_back({Lhs.FileIndex, Number, Rhs, UnderGuard,
-                          IndexWasConst});
+      Summary.FixedRegs.insert(regNumber(Lhs)); // its index fields steer
+    RegAssigns.push_back({&Lhs, Rhs, UnderGuard});
     return;
   }
   case Stmt::Kind::AssignPc: {
@@ -495,14 +586,21 @@ DecodedWord WordAnalyzer::run() {
   walkStmts(Sem.Before, /*UnderGuard=*/false);
   walkStmts(Sem.After, /*UnderGuard=*/false);
 
+  // The last general-register write whose value holds the PC: a link.
+  const RegAssign *Link = nullptr;
+  for (const RegAssign &RA : RegAssigns)
+    if (Desc.RegFiles[RA.Lhs->FileIndex].Count != 0 && containsPc(RA.Rhs))
+      Link = &RA;
+
   // --- Classification ------------------------------------------------------
   bool HasMemRead = !MemReads.empty();
   if (HasTrap) {
     Summary.Category = InstCategory::System;
     Summary.TrapNumber.reset();
-    if (TrapExpr)
-      if (std::optional<int64_t> N = foldConst(TrapExpr))
-        Summary.TrapNumber = static_cast<unsigned>(*N);
+    if (TrapExpr && foldValue(TrapExpr)) {
+      Summary.TrapNumber.emplace();
+      store(Slot::TrapNumber, *Summary.TrapNumber, TrapExpr);
+    }
   } else if (MemW && HasMemRead) {
     Summary.Category = InstCategory::LoadStore;
   } else if (MemW) {
@@ -519,50 +617,41 @@ DecodedWord WordAnalyzer::run() {
       Shape.Region = A->HasRegion;
       Shape.RegionMask = A->RegionMask;
       Shape.Bias = static_cast<int32_t>(A->Bias);
-      int64_t Value = A->Bias;
+      Shape.Value = static_cast<uint32_t>(A->Bias);
       if (!A->FieldTerms.empty()) {
         assert(A->FieldTerms.size() == 1 &&
                "direct target uses several fields");
         const Affine::FieldTerm &T = A->FieldTerms[0];
-        const FieldDef *F = Desc.field(T.Name);
         Shape.HasField = true;
-        Shape.Field = {static_cast<uint8_t>(F->Lo),
-                       static_cast<uint8_t>(F->Hi)};
+        Shape.Field = {static_cast<uint8_t>(T.Field->Lo),
+                       static_cast<uint8_t>(T.Field->Hi)};
         Shape.Shift = static_cast<uint8_t>(T.Shift);
         Shape.Signed = T.Signed;
-        Value += fieldValue(T.Name, T.Signed) << T.Shift;
+        addTerm(Slot::DirectValue, Shape.Value, T);
       }
-      Shape.Value = static_cast<uint32_t>(Value);
       Summary.Conditional = Pc->Conditional;
-      if (Pc->Conditional) {
+      if (Pc->Conditional)
         Summary.Category = InstCategory::BranchDirect;
-      } else {
-        bool WritesLink = false;
-        for (const RegAssign &RA : RegAssigns)
-          if (Desc.RegFiles[RA.FileIndex].Count != 0 && containsPc(RA.Rhs))
-            WritesLink = true;
-        Summary.Category = WritesLink ? InstCategory::CallDirect
-                                      : InstCategory::JumpDirect;
-      }
+      else
+        Summary.Category =
+            Link ? InstCategory::CallDirect : InstCategory::JumpDirect;
     } else {
       // Indirect transfer through registers.
       Summary.Category = InstCategory::IndirectJump;
       IndirectTargetInfo &Info = Summary.Indirect;
       if (A && !A->RegTerms.empty()) {
-        Info.BaseReg = A->RegTerms[0].Index;
+        storeReg(Slot::IndirectBase, Info.BaseReg, *A->RegTerms[0]);
         if (A->RegTerms.size() > 1) {
           Info.HasIndex = true;
-          Info.IndexReg = A->RegTerms[1].Index;
+          storeReg(Slot::IndirectIndex, Info.IndexReg, *A->RegTerms[1]);
         } else {
-          int64_t Offset = A->Bias;
+          Info.Offset = static_cast<int32_t>(A->Bias);
           for (const Affine::FieldTerm &T : A->FieldTerms)
-            Offset += fieldValue(T.Name, T.Signed) << T.Shift;
-          Info.Offset = static_cast<int32_t>(Offset);
+            addTerm(Slot::IndirectOffset, Info.Offset, T);
         }
       }
-      for (const RegAssign &RA : RegAssigns)
-        if (Desc.RegFiles[RA.FileIndex].Count != 0 && containsPc(RA.Rhs))
-          Info.LinkReg = RA.Number;
+      if (Link)
+        storeReg(Slot::IndirectLink, Info.LinkReg, *Link->Lhs);
     }
   } else if (AnnulAlways) {
     // Annul without a transfer skips the delay slot: a jump to PC+8.
@@ -602,7 +691,7 @@ DecodedWord WordAnalyzer::run() {
     const RegAssign *Main = nullptr;
     bool SetsCC = false;
     for (const RegAssign &RA : RegAssigns) {
-      if (Desc.RegFiles[RA.FileIndex].Count != 0) {
+      if (Desc.RegFiles[RA.Lhs->FileIndex].Count != 0) {
         if (!Main)
           Main = &RA;
         else
@@ -613,13 +702,11 @@ DecodedWord WordAnalyzer::run() {
     }
     if (Main && !Main->Conditional) {
       DataOp &Op = Summary.Op;
-      Op.Rd = Main->Number;
-      Op.SetsCC = SetsCC;
       const ExprP &Rhs = Main->Rhs;
-      if (std::optional<int64_t> C = foldConst(Rhs)) {
+      if (foldValue(Rhs)) {
         Op.Kind = DataOpKind::LoadImmHi;
         Op.HasImm = true;
-        Op.Imm = static_cast<int32_t>(*C);
+        store(Slot::OpImm, Op.Imm, Rhs);
       } else if ((Rhs->K == Expr::Kind::Apply ||
                   Rhs->K == Expr::Kind::Binary) &&
                  Rhs->Args.size() == 2 &&
@@ -653,67 +740,73 @@ DecodedWord WordAnalyzer::run() {
           default: break;
           }
         }
-        if (Kind != DataOpKind::None) {
+        // A second operand that is neither a constant nor a register
+        // leaves the shape inexpressible.
+        const ExprP &B = Rhs->Args[1];
+        bool ImmB = foldValue(B).has_value();
+        if (Kind != DataOpKind::None && (ImmB || B->K == Expr::Kind::Reg)) {
           Op.Kind = Kind;
-          Op.Rs1 = regNumber(*Rhs->Args[0]);
-          const ExprP &B = Rhs->Args[1];
-          if (std::optional<int64_t> C2 = foldConst(B)) {
+          storeReg(Slot::OpRs1, Op.Rs1, *Rhs->Args[0]);
+          if (ImmB) {
             Op.HasImm = true;
-            Op.Imm = static_cast<int32_t>(*C2);
-          } else if (B->K == Expr::Kind::Reg) {
-            Op.Rs2 = regNumber(*B);
+            store(Slot::OpImm, Op.Imm, B);
           } else {
-            Op.Kind = DataOpKind::None; // complex second operand
+            storeReg(Slot::OpRs2, Op.Rs2, *B);
           }
         }
       }
-      // If the shape is unrecognized, Kind stays None but Rd may be set;
-      // normalize so callers can test Kind alone.
-      if (Op.Kind == DataOpKind::None)
-        Summary.Op = DataOp();
+      // An unrecognized shape leaves Op zero, so callers test Kind alone.
+      if (Op.Kind != DataOpKind::None) {
+        storeReg(Slot::OpRd, Op.Rd, *Main->Lhs);
+        Op.SetsCC = SetsCC;
+      }
     }
   }
 
   // --- Memory shape ----------------------------------------------------------
-  auto FillAddr = [&](MemOp &M, const ExprP &AddrExpr) -> bool {
+  // An address is a base register plus an index register or a displacement.
+  auto AddrForm = [&](const ExprP &AddrExpr) -> std::optional<Affine> {
     std::optional<Affine> A = linearize(AddrExpr);
-    if (!A || A->PcCoef || A->HasRegion)
-      return false;
-    if (A->RegTerms.empty() || A->RegTerms.size() > 2)
-      return false;
-    M.AddrBase = A->RegTerms[0].Index;
-    if (A->RegTerms.size() == 2) {
+    if (!A || A->PcCoef || A->HasRegion || A->RegTerms.empty() ||
+        A->RegTerms.size() > 2)
+      return std::nullopt;
+    return A;
+  };
+  auto FillAddr = [&](MemOp &M, const Affine &A) {
+    storeReg(Slot::MemBase, M.AddrBase, *A.RegTerms[0]);
+    if (A.RegTerms.size() == 2) {
       M.HasIndex = true;
-      M.AddrIndex = A->RegTerms[1].Index;
-    } else {
-      int64_t Offset = A->Bias;
-      for (const Affine::FieldTerm &T : A->FieldTerms)
-        Offset += fieldValue(T.Name, T.Signed) << T.Shift;
-      M.Offset = static_cast<int32_t>(Offset);
+      storeReg(Slot::MemIndex, M.AddrIndex, *A.RegTerms[1]);
+      return;
     }
-    return true;
+    M.Offset = static_cast<int32_t>(A.Bias);
+    for (const Affine::FieldTerm &T : A.FieldTerms)
+      addTerm(Slot::MemOffset, M.Offset, T);
   };
   if (Summary.Category == InstCategory::Load && MemReads.size() == 1) {
-    for (const RegAssign &RA : RegAssigns) {
-      if (Desc.RegFiles[RA.FileIndex].Count == 0 ||
-          RA.Rhs->K != Expr::Kind::Mem)
-        continue;
-      MemOp M;
+    const RegAssign *Data = nullptr;
+    for (const RegAssign &RA : RegAssigns)
+      if (Desc.RegFiles[RA.Lhs->FileIndex].Count != 0 &&
+          RA.Rhs->K == Expr::Kind::Mem)
+        Data = &RA;
+    std::optional<Affine> A = AddrForm(MemReads[0].AddrExpr);
+    if (Data && A) {
+      MemOp &M = Summary.Mem;
       M.IsLoad = true;
-      M.Width = MemReads[0].Width;
+      M.Width = static_cast<uint8_t>(MemReads[0].Width);
       M.SignExtendLoad = MemReads[0].SignExtend;
-      M.DataReg = RA.Number;
-      if (FillAddr(M, MemReads[0].AddrExpr))
-        Summary.Mem = M;
+      storeReg(Slot::MemData, M.DataReg, *Data->Lhs);
+      FillAddr(M, *A);
     }
   } else if (Summary.Category == InstCategory::Store && MemW) {
-    MemOp M;
-    M.IsStore = true;
-    M.Width = MemW->Width;
-    if (MemW->Rhs->K == Expr::Kind::Reg)
-      M.DataReg = regNumber(*MemW->Rhs);
-    if (FillAddr(M, MemW->AddrExpr))
-      Summary.Mem = M;
+    if (std::optional<Affine> A = AddrForm(MemW->AddrExpr)) {
+      MemOp &M = Summary.Mem;
+      M.IsStore = true;
+      M.Width = static_cast<uint8_t>(MemW->Width);
+      if (MemW->Rhs->K == Expr::Kind::Reg)
+        storeReg(Slot::MemData, M.DataReg, *MemW->Rhs);
+      FillAddr(M, *A);
+    }
   }
 
   return Summary;
@@ -722,4 +815,103 @@ DecodedWord WordAnalyzer::run() {
 DecodedWord spawn::analyzeWord(const MachineDesc &Desc, MachWord Word) {
   WordAnalyzer Analyzer(Desc, Word);
   return Analyzer.run();
+}
+
+/// Lays the trap conventions over a System answer.
+static void layTrapConventions(DecodedWord &D, const TargetConventions &Conv) {
+  if (D.Category != InstCategory::System)
+    return;
+  D.Reads = Conv.SyscallReads;
+  D.Writes = Conv.SyscallWrites;
+}
+
+DecodedWord spawn::analyzeWord(const MachineDesc &Desc, MachWord Word,
+                               const TargetConventions &Conv) {
+  DecodedWord D = analyzeWord(Desc, Word);
+  layTrapConventions(D, Conv);
+  return D;
+}
+
+// --- The compiled decoder --------------------------------------------------------
+
+/// Spreads the low bits of \p Value over the set bits of \p Mask, lowest
+/// first (the inverse of the key CompiledDecoder::entryOf extracts).
+static uint32_t depositBits(uint32_t Value, uint32_t Mask) {
+  uint32_t Out = 0;
+  for (uint32_t Bit = 1; Mask; Bit <<= 1) {
+    uint32_t Low = Mask & -Mask;
+    if (Value & Bit)
+      Out |= Low;
+    Mask &= Mask - 1;
+  }
+  return Out;
+}
+
+CompiledDecoder::CompiledDecoder(std::shared_ptr<const MachineDesc> TheDesc,
+                                 const TargetConventions &Conv)
+    : Desc(std::move(TheDesc)), ZeroReg(Desc->ZeroRegId) {
+  // Bound a pattern's entries so that a description folding a wide field
+  // fails here rather than building a huge table.
+  constexpr unsigned MaxSteeringBits = 8;
+  FillStart.push_back(0);
+  for (const InstPattern &P : Desc->Patterns) {
+    struct Compiled {
+      DecodedWord Template;
+      std::vector<DecodeFill> Fills;
+    };
+    std::vector<Compiled> Entries;
+    // Walk every value of the steering bits found so far; a walk that
+    // folds a further free bit widens the key and starts over.
+    uint32_t Steer = 0;
+    for (;;) {
+      unsigned N = static_cast<unsigned>(__builtin_popcount(Steer));
+      if (N > MaxSteeringBits)
+        reportFatalError("machine description '" + Desc->ArchName +
+                         "': pattern '" + P.Name + "' folds " +
+                         std::to_string(N) + " bits of its word");
+      Entries.clear();
+      uint32_t Found = 0;
+      for (uint32_t K = 0; K < (1u << N); ++K) {
+        Compiled C;
+        WordAnalyzer Walk(*Desc, P.Match | depositBits(K, Steer), &C.Fills);
+        C.Template = Walk.run();
+        Found |= Walk.steeringBits();
+        Entries.push_back(std::move(C));
+      }
+      Found &= ~P.Mask;
+      if ((Found & ~Steer) == 0)
+        break;
+      Steer |= Found;
+    }
+
+    Key K;
+    K.First = static_cast<uint32_t>(Templates.size());
+    unsigned At = 0;
+    for (uint32_t Rest = Steer; Rest;) {
+      unsigned Lo = static_cast<unsigned>(__builtin_ctz(Rest));
+      unsigned Width = static_cast<unsigned>(__builtin_ctz(~(Rest >> Lo)));
+      if (K.NumRuns == Key::MaxRuns)
+        reportFatalError("machine description '" + Desc->ArchName +
+                         "': pattern '" + P.Name +
+                         "' is steered by too many separate fields");
+      uint32_t Mask = (1u << Width) - 1u;
+      K.Runs[K.NumRuns++] = {static_cast<uint8_t>(Lo),
+                             static_cast<uint8_t>(At), Mask};
+      At += Width;
+      Rest &= ~(Mask << Lo);
+    }
+    Keys.push_back(K);
+
+    for (Compiled &C : Entries) {
+      if (C.Template.Category == InstCategory::System) {
+        layTrapConventions(C.Template, Conv);
+        std::erase_if(C.Fills, [](const DecodeFill &F) {
+          return F.To == Slot::Reads || F.To == Slot::Writes;
+        });
+      }
+      Templates.push_back(C.Template);
+      Fills.insert(Fills.end(), C.Fills.begin(), C.Fills.end());
+      FillStart.push_back(static_cast<uint32_t>(Fills.size()));
+    }
+  }
 }

@@ -8,11 +8,18 @@
 /// Derives everything a TargetInfo must answer about one machine word from
 /// the word's RTL semantics: classification, register reads/writes, delay
 /// behaviour, direct/indirect transfer shapes, dataflow and memory shapes,
-/// and the instruction fields that hold register numbers — the same
-/// DecodedWord a handwritten backend's decode() fills. This is the
+/// and the instruction fields that hold register numbers. This is the
 /// machine-independent core of spawn — the paper's claim that classification,
 /// register sets, literal values, and even "the computation in most
 /// instructions" fall out of a concise description is reproduced here.
+///
+/// The same walk serves twice. analyzeWord interprets one word's RTL afresh.
+/// CompiledDecoder runs the walk once per pattern and per value of the
+/// pattern's steering bits (the fields the walk folds to choose a path,
+/// such as SRISC's `i` and `a`) and keeps the answer as a template plus a
+/// list of field fills; its decode() is a pattern lookup, a template copy
+/// and the fills. Every TargetInfo decodes through a CompiledDecoder, and
+/// the tests compare it against analyzeWord.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +28,10 @@
 
 #include "isa/Target.h"
 #include "spawn/MachineDesc.h"
+
+#include <memory>
+#include <type_traits>
+#include <vector>
 
 namespace eel {
 namespace spawn {
@@ -31,6 +42,137 @@ namespace spawn {
 /// malformed semantics abort (they indicate a broken description, which
 /// MachineDesc::finalize should have caught).
 DecodedWord analyzeWord(const MachineDesc &Desc, MachWord Word);
+
+/// analyzeWord with \p Conv's trap registers laid over a System answer
+/// (paper §4: conventions live outside the description). The interpretive
+/// reference that CompiledDecoder::decode must equal.
+DecodedWord analyzeWord(const MachineDesc &Desc, MachWord Word,
+                        const TargetConventions &Conv);
+
+/// One value a compiled entry copies out of the word: bits
+/// [Lo, Lo + Width) zero- or sign-extended and shifted left by Shift, then
+/// added to slot To of the template. For Reads and Writes the value plus
+/// RegBase is a register id, inserted unless it is the hard zero.
+struct DecodeFill {
+  enum class Slot : uint8_t {
+    Reads,
+    Writes,
+    OpRd,
+    OpRs1,
+    OpRs2,
+    OpImm,
+    MemBase,
+    MemIndex,
+    MemData,
+    MemOffset,
+    IndirectBase,
+    IndirectIndex,
+    IndirectLink,
+    IndirectOffset,
+    DirectValue,
+    TrapNumber,
+  };
+  Slot To = Slot::Reads;
+  uint8_t Lo = 0;
+  uint8_t Width = 0;
+  uint8_t Shift = 0;
+  bool Signed = false;
+  uint8_t RegBase = 0;
+};
+
+/// A machine description compiled into a decode table, built whole at
+/// construction and immutable afterwards. An entry is a pattern together
+/// with one value of its steering bits; it holds the DecodedWord every
+/// word of the entry shares (trap conventions included) and the fills
+/// that add what varies from word to word.
+class CompiledDecoder {
+public:
+  CompiledDecoder(std::shared_ptr<const MachineDesc> Desc,
+                  const TargetConventions &Conv);
+
+  /// Everything EEL asks about \p Word.
+  DecodedWord decode(MachWord Word) const {
+    int Entry = entryOf(Word);
+    if (Entry < 0)
+      return DecodedWord();
+    DecodedWord D = Templates[Entry];
+    for (uint32_t I = FillStart[Entry], E = FillStart[Entry + 1]; I != E; ++I)
+      apply(Fills[I], Word, D);
+    return D;
+  }
+
+  /// The entry \p Word decodes through, or -1 if it matches no pattern.
+  int entryOf(MachWord Word) const {
+    int Pattern = Desc->decode(Word);
+    if (Pattern < 0)
+      return -1;
+    const Key &K = Keys[Pattern];
+    uint32_t Entry = K.First;
+    for (unsigned I = 0; I < K.NumRuns; ++I)
+      Entry += ((Word >> K.Runs[I].Lo) & K.Runs[I].Mask) << K.Runs[I].At;
+    return static_cast<int>(Entry);
+  }
+
+  size_t numEntries() const { return Templates.size(); }
+  const MachineDesc &desc() const { return *Desc; }
+
+private:
+  /// Where a pattern's entries start, and the runs of steering bits that
+  /// index them, lowest first.
+  struct Key {
+    static constexpr unsigned MaxRuns = 4;
+    struct Run {
+      uint8_t Lo = 0;
+      uint8_t At = 0;
+      uint32_t Mask = 0;
+    };
+    uint32_t First = 0;
+    uint8_t NumRuns = 0;
+    Run Runs[MaxRuns];
+  };
+
+  void apply(const DecodeFill &F, MachWord Word, DecodedWord &D) const {
+    uint32_t Raw = (Word >> F.Lo) & ((uint64_t(1) << F.Width) - 1);
+    uint32_t V = (F.Signed ? static_cast<uint32_t>(signExtend(Raw, F.Width))
+                           : Raw)
+                 << F.Shift;
+    auto Add = [V](auto &Slot) {
+      using T = std::remove_reference_t<decltype(Slot)>;
+      Slot = static_cast<T>(static_cast<uint32_t>(Slot) + V);
+    };
+    using S = DecodeFill::Slot;
+    switch (F.To) {
+    case S::Reads:
+    case S::Writes: {
+      unsigned Id = F.RegBase + V;
+      if (static_cast<int>(Id) != ZeroReg)
+        (F.To == S::Reads ? D.Reads : D.Writes).insert(Id);
+      return;
+    }
+    case S::OpRd: return Add(D.Op.Rd);
+    case S::OpRs1: return Add(D.Op.Rs1);
+    case S::OpRs2: return Add(D.Op.Rs2);
+    case S::OpImm: return Add(D.Op.Imm);
+    case S::MemBase: return Add(D.Mem.AddrBase);
+    case S::MemIndex: return Add(D.Mem.AddrIndex);
+    case S::MemData: return Add(D.Mem.DataReg);
+    case S::MemOffset: return Add(D.Mem.Offset);
+    case S::IndirectBase: return Add(D.Indirect.BaseReg);
+    case S::IndirectIndex: return Add(D.Indirect.IndexReg);
+    case S::IndirectLink: return Add(D.Indirect.LinkReg);
+    case S::IndirectOffset: return Add(D.Indirect.Offset);
+    case S::DirectValue: return Add(D.Direct.Value);
+    case S::TrapNumber: return Add(*D.TrapNumber);
+    }
+  }
+
+  std::shared_ptr<const MachineDesc> Desc;
+  int ZeroReg = -1;
+  std::vector<Key> Keys;              ///< Per pattern.
+  std::vector<DecodedWord> Templates; ///< Per entry.
+  std::vector<uint32_t> FillStart;    ///< Per entry, plus one past the end.
+  std::vector<DecodeFill> Fills;
+};
 
 } // namespace spawn
 } // namespace eel

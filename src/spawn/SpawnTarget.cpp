@@ -16,7 +16,8 @@ using namespace eel::spawn;
 
 SpawnTarget::SpawnTarget(std::shared_ptr<const MachineDesc> Desc,
                          const TargetInfo &CodegenDelegate)
-    : Desc(std::move(Desc)), Delegate(CodegenDelegate) {
+    : Desc(Desc), Delegate(CodegenDelegate),
+      Table(std::move(Desc), CodegenDelegate.conventions()) {
   DisplayName = this->Desc->ArchName + "-spawn";
 }
 
@@ -48,13 +49,7 @@ bool SpawnTarget::branchDelaySlots() const {
 }
 
 DecodedWord SpawnTarget::decode(MachWord Word) const {
-  DecodedWord D = analyzeWord(*Desc, Word);
-  // Trap conventions live outside the description (paper §4).
-  if (D.Category == InstCategory::System) {
-    D.Reads = conventions().SyscallReads;
-    D.Writes = conventions().SyscallWrites;
-  }
-  return D;
+  return Table.decode(Word);
 }
 
 MachWord SpawnTarget::nopWord() const { return Delegate.nopWord(); }

@@ -91,6 +91,7 @@ private:
   std::shared_ptr<const MachineDesc> Desc;
   const TargetInfo &Delegate;
   std::string DisplayName;
+  CompiledDecoder Table;
 };
 
 /// Spawn-derived targets for the embedded descriptions (parsed once).
