@@ -9,6 +9,7 @@
 #include "support/BitOps.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <map>
 
 using namespace eel;
@@ -32,8 +33,6 @@ struct Affine {
   uint32_t RegionMask = 0; ///< Non-zero for (PC & mask) | ... shapes.
   bool HasRegion = false;
 };
-
-using Slot = DecodeFill::Slot;
 
 /// Analysis pass over one instruction's semantics for one concrete word.
 ///
@@ -89,22 +88,26 @@ private:
 
   // --- Value stores ----------------------------------------------------------
 
-  /// Stores \p E, an expression of fields and constants, in \p Dst.
-  template <class T> void store(Slot To, T &Dst, const ExprP &E);
+  /// Stores \p E, an expression of fields and constants, in \p Dst, a
+  /// member of the summary.
+  template <class T> void store(T &Dst, const ExprP &E);
 
   /// Stores the number of register \p Reg in \p Dst.
-  void storeReg(Slot To, uint8_t &Dst, const Expr &Reg);
+  void storeReg(uint8_t &Dst, const Expr &Reg);
 
   /// Adds linear-form term \p Term to \p Dst.
-  template <class T> void addTerm(Slot To, T &Dst, const Affine::FieldTerm &Term);
+  template <class T> void addTerm(T &Dst, const Affine::FieldTerm &Term);
 
   /// Adds register \p Reg to \p Set unless it is the hard zero.
-  void addReg(Slot To, RegSet &Set, const Expr &Reg);
+  void addReg(RegSet &Set, const Expr &Reg);
 
   /// The linear form of a stored value; aborts if it is not one.
   Affine valueForm(const ExprP &E);
 
-  void recordFill(Slot To, const Affine::FieldTerm &Term, unsigned RegBase);
+  /// Records a fill of \p Term into \p Dst, a member of the summary.
+  template <class T>
+  void recordFill(const T &Dst, const Affine::FieldTerm &Term,
+                  unsigned RegBase = 0);
 
   // --- Statement walk ------------------------------------------------------
 
@@ -282,7 +285,7 @@ void WordAnalyzer::collectReads(const ExprP &E) {
     return;
   switch (E->K) {
   case Expr::Kind::Reg:
-    addReg(Slot::Reads, Summary.Reads, *E);
+    addReg(Summary.Reads, *E);
     return;
   case Expr::Kind::Mem:
     MemReads.push_back({E->Args[0], E->MemWidth, E->MemSignExtend});
@@ -431,23 +434,44 @@ Affine WordAnalyzer::valueForm(const ExprP &E) {
   return *A;
 }
 
-void WordAnalyzer::recordFill(Slot To, const Affine::FieldTerm &Term,
+template <class T>
+void WordAnalyzer::recordFill(const T &Dst, const Affine::FieldTerm &Term,
                               unsigned RegBase) {
-  if (Term.Shift >= 32 || RegBase > 0xFF)
-    reportFatalError("machine description '" + Desc.ArchName +
-                     "': a field value does not fit a decode-table fill");
+  auto Reject = [this](const char *Why) {
+    reportFatalError("machine description '" + Desc.ArchName + "': " + Why);
+  };
+  unsigned Width = Term.Field->width();
   DecodeFill F;
-  F.To = To;
   F.Lo = static_cast<uint8_t>(Term.Field->Lo);
-  F.Width = static_cast<uint8_t>(Term.Field->width());
-  F.Shift = static_cast<uint8_t>(Term.Shift);
-  F.Signed = Term.Signed;
-  F.RegBase = static_cast<uint8_t>(RegBase);
+  F.Mask = static_cast<uint32_t>((uint64_t(1) << Width) - 1);
+  if constexpr (std::is_same_v<T, RegSet>) {
+    F.K = DecodeFill::Kind::Reg;
+    uint64_t Set = ~(Desc.ZeroRegId >= 0 ? uint64_t(1) << Desc.ZeroRegId : 0);
+    (&Dst == &Summary.Writes ? F.WriteMask : F.ReadMask) = Set;
+    F.RegBase = static_cast<uint8_t>(RegBase);
+    if (RegBase + uint64_t(F.Mask) > MaxRegId)
+      Reject("a register field names ids past the register set");
+  } else {
+    static_assert(sizeof(T) == 1 || sizeof(T) == 4, "no fill of this size");
+    F.K = sizeof(T) == 1 ? DecodeFill::Kind::Byte : DecodeFill::Kind::Word;
+    F.At = static_cast<uint8_t>(reinterpret_cast<const char *>(&Dst) -
+                                reinterpret_cast<const char *>(&Summary));
+    F.Base = static_cast<uint32_t>(Dst); // the constant part, stored already
+    F.SignBit = Term.Signed ? 1u << (Width - 1) : 0;
+    if (Term.Shift >= 32)
+      Reject("a field is shifted past the word");
+    F.Scale = 1u << Term.Shift;
+    if (F.K == DecodeFill::Kind::Byte &&
+        (F.Base != 0 || F.SignBit != 0 || F.Scale != 1))
+      Reject("a register number is not a plain field");
+    for (const DecodeFill &Other : *Fills)
+      if (Other.K == F.K && Other.At == F.At)
+        Reject("a value sums several fields");
+  }
   Fills->push_back(F);
 }
 
-template <class T>
-void WordAnalyzer::store(Slot To, T &Dst, const ExprP &E) {
+template <class T> void WordAnalyzer::store(T &Dst, const ExprP &E) {
   if (!Fills) {
     std::optional<int64_t> V = foldValue(E);
     if (!V)
@@ -459,20 +483,20 @@ void WordAnalyzer::store(Slot To, T &Dst, const ExprP &E) {
   Affine A = valueForm(E);
   Dst = static_cast<T>(A.Bias);
   for (const Affine::FieldTerm &Term : A.FieldTerms)
-    recordFill(To, Term, 0);
+    recordFill(Dst, Term);
 }
 
-void WordAnalyzer::storeReg(Slot To, uint8_t &Dst, const Expr &Reg) {
+void WordAnalyzer::storeReg(uint8_t &Dst, const Expr &Reg) {
   if (Reg.Args.empty())
     Dst = 0; // a single register such as CC
   else
-    store(To, Dst, Reg.Args[0]);
+    store(Dst, Reg.Args[0]);
 }
 
 template <class T>
-void WordAnalyzer::addTerm(Slot To, T &Dst, const Affine::FieldTerm &Term) {
+void WordAnalyzer::addTerm(T &Dst, const Affine::FieldTerm &Term) {
   if (Fills) {
-    recordFill(To, Term, 0);
+    recordFill(Dst, Term);
     return;
   }
   uint32_t Raw = Desc.fieldValue(*Term.Field, Word);
@@ -481,7 +505,7 @@ void WordAnalyzer::addTerm(Slot To, T &Dst, const Affine::FieldTerm &Term) {
   Dst = static_cast<T>(static_cast<int64_t>(Dst) + (V << Term.Shift));
 }
 
-void WordAnalyzer::addReg(Slot To, RegSet &Set, const Expr &Reg) {
+void WordAnalyzer::addReg(RegSet &Set, const Expr &Reg) {
   const RegFileDef &RF = Desc.RegFiles[Reg.FileIndex];
   if (Fills && RF.Count != 0) {
     Affine A = valueForm(Reg.Args[0]);
@@ -489,7 +513,7 @@ void WordAnalyzer::addReg(Slot To, RegSet &Set, const Expr &Reg) {
       reportFatalError("machine description '" + Desc.ArchName +
                        "': a register index sums several fields");
     if (A.FieldTerms.size() == 1) {
-      recordFill(To, A.FieldTerms[0],
+      recordFill(Set, A.FieldTerms[0],
                  RF.BaseId + static_cast<unsigned>(A.Bias));
       return;
     }
@@ -517,7 +541,7 @@ void WordAnalyzer::walkStmt(const Stmt &S, bool UnderGuard) {
     const Expr &Lhs = *S.Lhs;
     bool IndexIsField =
         !Lhs.Args.empty() && Lhs.Args[0]->K == Expr::Kind::Field;
-    addReg(Slot::Writes, Summary.Writes, Lhs);
+    addReg(Summary.Writes, Lhs);
     collectReads(Rhs);
     collectRegIndexFields(Rhs);
     if (IndexIsField)
@@ -599,7 +623,7 @@ DecodedWord WordAnalyzer::run() {
     Summary.TrapNumber.reset();
     if (TrapExpr && foldValue(TrapExpr)) {
       Summary.TrapNumber.emplace();
-      store(Slot::TrapNumber, *Summary.TrapNumber, TrapExpr);
+      store(*Summary.TrapNumber, TrapExpr);
     }
   } else if (MemW && HasMemRead) {
     Summary.Category = InstCategory::LoadStore;
@@ -627,7 +651,7 @@ DecodedWord WordAnalyzer::run() {
                        static_cast<uint8_t>(T.Field->Hi)};
         Shape.Shift = static_cast<uint8_t>(T.Shift);
         Shape.Signed = T.Signed;
-        addTerm(Slot::DirectValue, Shape.Value, T);
+        addTerm(Shape.Value, T);
       }
       Summary.Conditional = Pc->Conditional;
       if (Pc->Conditional)
@@ -640,18 +664,18 @@ DecodedWord WordAnalyzer::run() {
       Summary.Category = InstCategory::IndirectJump;
       IndirectTargetInfo &Info = Summary.Indirect;
       if (A && !A->RegTerms.empty()) {
-        storeReg(Slot::IndirectBase, Info.BaseReg, *A->RegTerms[0]);
+        storeReg(Info.BaseReg, *A->RegTerms[0]);
         if (A->RegTerms.size() > 1) {
           Info.HasIndex = true;
-          storeReg(Slot::IndirectIndex, Info.IndexReg, *A->RegTerms[1]);
+          storeReg(Info.IndexReg, *A->RegTerms[1]);
         } else {
           Info.Offset = static_cast<int32_t>(A->Bias);
           for (const Affine::FieldTerm &T : A->FieldTerms)
-            addTerm(Slot::IndirectOffset, Info.Offset, T);
+            addTerm(Info.Offset, T);
         }
       }
       if (Link)
-        storeReg(Slot::IndirectLink, Info.LinkReg, *Link->Lhs);
+        storeReg(Info.LinkReg, *Link->Lhs);
     }
   } else if (AnnulAlways) {
     // Annul without a transfer skips the delay slot: a jump to PC+8.
@@ -706,7 +730,7 @@ DecodedWord WordAnalyzer::run() {
       if (foldValue(Rhs)) {
         Op.Kind = DataOpKind::LoadImmHi;
         Op.HasImm = true;
-        store(Slot::OpImm, Op.Imm, Rhs);
+        store(Op.Imm, Rhs);
       } else if ((Rhs->K == Expr::Kind::Apply ||
                   Rhs->K == Expr::Kind::Binary) &&
                  Rhs->Args.size() == 2 &&
@@ -746,18 +770,18 @@ DecodedWord WordAnalyzer::run() {
         bool ImmB = foldValue(B).has_value();
         if (Kind != DataOpKind::None && (ImmB || B->K == Expr::Kind::Reg)) {
           Op.Kind = Kind;
-          storeReg(Slot::OpRs1, Op.Rs1, *Rhs->Args[0]);
+          storeReg(Op.Rs1, *Rhs->Args[0]);
           if (ImmB) {
             Op.HasImm = true;
-            store(Slot::OpImm, Op.Imm, B);
+            store(Op.Imm, B);
           } else {
-            storeReg(Slot::OpRs2, Op.Rs2, *B);
+            storeReg(Op.Rs2, *B);
           }
         }
       }
       // An unrecognized shape leaves Op zero, so callers test Kind alone.
       if (Op.Kind != DataOpKind::None) {
-        storeReg(Slot::OpRd, Op.Rd, *Main->Lhs);
+        storeReg(Op.Rd, *Main->Lhs);
         Op.SetsCC = SetsCC;
       }
     }
@@ -773,15 +797,15 @@ DecodedWord WordAnalyzer::run() {
     return A;
   };
   auto FillAddr = [&](MemOp &M, const Affine &A) {
-    storeReg(Slot::MemBase, M.AddrBase, *A.RegTerms[0]);
+    storeReg(M.AddrBase, *A.RegTerms[0]);
     if (A.RegTerms.size() == 2) {
       M.HasIndex = true;
-      storeReg(Slot::MemIndex, M.AddrIndex, *A.RegTerms[1]);
+      storeReg(M.AddrIndex, *A.RegTerms[1]);
       return;
     }
     M.Offset = static_cast<int32_t>(A.Bias);
     for (const Affine::FieldTerm &T : A.FieldTerms)
-      addTerm(Slot::MemOffset, M.Offset, T);
+      addTerm(M.Offset, T);
   };
   if (Summary.Category == InstCategory::Load && MemReads.size() == 1) {
     const RegAssign *Data = nullptr;
@@ -795,7 +819,7 @@ DecodedWord WordAnalyzer::run() {
       M.IsLoad = true;
       M.Width = static_cast<uint8_t>(MemReads[0].Width);
       M.SignExtendLoad = MemReads[0].SignExtend;
-      storeReg(Slot::MemData, M.DataReg, *Data->Lhs);
+      storeReg(M.DataReg, *Data->Lhs);
       FillAddr(M, *A);
     }
   } else if (Summary.Category == InstCategory::Store && MemW) {
@@ -804,7 +828,7 @@ DecodedWord WordAnalyzer::run() {
       M.IsStore = true;
       M.Width = static_cast<uint8_t>(MemW->Width);
       if (MemW->Rhs->K == Expr::Kind::Reg)
-        storeReg(Slot::MemData, M.DataReg, *MemW->Rhs);
+        storeReg(M.DataReg, *MemW->Rhs);
       FillAddr(M, *A);
     }
   }
@@ -847,19 +871,41 @@ static uint32_t depositBits(uint32_t Value, uint32_t Mask) {
   return Out;
 }
 
+/// Folds each Reg fill into a Byte fill of the same field, so that the
+/// field is read once for its byte slot and its register set.
+static void mergeRegisterFills(std::vector<DecodeFill> &Fills) {
+  using Kind = DecodeFill::Kind;
+  for (size_t I = 0; I < Fills.size(); ++I) {
+    DecodeFill &R = Fills[I];
+    if (R.K != Kind::Reg)
+      continue;
+    for (DecodeFill &B : Fills) {
+      if (B.K != Kind::Byte || B.Lo != R.Lo || B.Mask != R.Mask ||
+          ((B.ReadMask | B.WriteMask) && B.RegBase != R.RegBase) ||
+          (B.ReadMask & R.ReadMask) || (B.WriteMask & R.WriteMask))
+        continue;
+      B.RegBase = R.RegBase;
+      B.ReadMask |= R.ReadMask;
+      B.WriteMask |= R.WriteMask;
+      Fills.erase(Fills.begin() + static_cast<std::ptrdiff_t>(I--));
+      break;
+    }
+  }
+}
+
 CompiledDecoder::CompiledDecoder(std::shared_ptr<const MachineDesc> TheDesc,
                                  const TargetConventions &Conv)
-    : Desc(std::move(TheDesc)), ZeroReg(Desc->ZeroRegId) {
+    : Desc(std::move(TheDesc)) {
   // Bound a pattern's entries so that a description folding a wide field
   // fails here rather than building a huge table.
   constexpr unsigned MaxSteeringBits = 8;
-  FillStart.push_back(0);
+  Entries.emplace_back(); // words that match no pattern
   for (const InstPattern &P : Desc->Patterns) {
     struct Compiled {
       DecodedWord Template;
       std::vector<DecodeFill> Fills;
     };
-    std::vector<Compiled> Entries;
+    std::vector<Compiled> Walked;
     // Walk every value of the steering bits found so far; a walk that
     // folds a further free bit widens the key and starts over.
     uint32_t Steer = 0;
@@ -869,14 +915,14 @@ CompiledDecoder::CompiledDecoder(std::shared_ptr<const MachineDesc> TheDesc,
         reportFatalError("machine description '" + Desc->ArchName +
                          "': pattern '" + P.Name + "' folds " +
                          std::to_string(N) + " bits of its word");
-      Entries.clear();
+      Walked.clear();
       uint32_t Found = 0;
       for (uint32_t K = 0; K < (1u << N); ++K) {
         Compiled C;
         WordAnalyzer Walk(*Desc, P.Match | depositBits(K, Steer), &C.Fills);
         C.Template = Walk.run();
         Found |= Walk.steeringBits();
-        Entries.push_back(std::move(C));
+        Walked.push_back(std::move(C));
       }
       Found &= ~P.Mask;
       if ((Found & ~Steer) == 0)
@@ -885,7 +931,7 @@ CompiledDecoder::CompiledDecoder(std::shared_ptr<const MachineDesc> TheDesc,
     }
 
     Key K;
-    K.First = static_cast<uint32_t>(Templates.size());
+    K.First = static_cast<uint32_t>(Entries.size());
     unsigned At = 0;
     for (uint32_t Rest = Steer; Rest;) {
       unsigned Lo = static_cast<unsigned>(__builtin_ctz(Rest));
@@ -902,16 +948,30 @@ CompiledDecoder::CompiledDecoder(std::shared_ptr<const MachineDesc> TheDesc,
     }
     Keys.push_back(K);
 
-    for (Compiled &C : Entries) {
-      if (C.Template.Category == InstCategory::System) {
-        layTrapConventions(C.Template, Conv);
+    for (Compiled &C : Walked) {
+      Entry &E = Entries.emplace_back();
+      E.Template = C.Template;
+      E.FirstFill = static_cast<uint32_t>(Fills.size());
+      if (E.Template.Category == InstCategory::System) {
+        layTrapConventions(E.Template, Conv);
         std::erase_if(C.Fills, [](const DecodeFill &F) {
-          return F.To == Slot::Reads || F.To == Slot::Writes;
+          return F.K == DecodeFill::Kind::Reg;
         });
+        for (DecodeFill &F : C.Fills)
+          F.ReadMask = F.WriteMask = 0;
       }
-      Templates.push_back(C.Template);
-      Fills.insert(Fills.end(), C.Fills.begin(), C.Fills.end());
-      FillStart.push_back(static_cast<uint32_t>(Fills.size()));
+      mergeRegisterFills(C.Fills);
+      // Bytes, then words, then registers: the order of Kind.
+      std::stable_sort(C.Fills.begin(), C.Fills.end(),
+                       [](const DecodeFill &A, const DecodeFill &B) {
+                         return A.K < B.K;
+                       });
+      for (const DecodeFill &F : C.Fills) {
+        Fills.push_back(F);
+        ++(F.K == DecodeFill::Kind::Byte   ? E.NumBytes
+           : F.K == DecodeFill::Kind::Word ? E.NumWords
+                                           : E.NumRegs);
+      }
     }
   }
 }

@@ -29,8 +29,8 @@
 #include "isa/Target.h"
 #include "spawn/MachineDesc.h"
 
+#include <cstring>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 namespace eel {
@@ -49,42 +49,41 @@ DecodedWord analyzeWord(const MachineDesc &Desc, MachWord Word);
 DecodedWord analyzeWord(const MachineDesc &Desc, MachWord Word,
                         const TargetConventions &Conv);
 
-/// One value a compiled entry copies out of the word: bits
-/// [Lo, Lo + Width) zero- or sign-extended and shifted left by Shift, then
-/// added to slot To of the template. For Reads and Writes the value plus
-/// RegBase is a register id, inserted unless it is the hard zero.
+/// One field of the word that a compiled entry reads: bits
+/// [Lo, Lo + width of Mask). A Word fill sign-extends it when SignBit is
+/// set, scales it by Scale (a power of two), adds Base and stores the
+/// value at byte offset At of the entry's DecodedWord. A Byte or Reg fill
+/// reads a register number, which a Byte fill also stores at At; register
+/// RegBase + number joins Reads and Writes through ReadMask and WriteMask,
+/// which are all ones but the hard zero's bit where the register is read
+/// or written, and 0 elsewhere.
 struct DecodeFill {
-  enum class Slot : uint8_t {
-    Reads,
-    Writes,
-    OpRd,
-    OpRs1,
-    OpRs2,
-    OpImm,
-    MemBase,
-    MemIndex,
-    MemData,
-    MemOffset,
-    IndirectBase,
-    IndirectIndex,
-    IndirectLink,
-    IndirectOffset,
-    DirectValue,
-    TrapNumber,
-  };
-  Slot To = Slot::Reads;
+  enum class Kind : uint8_t { Byte, Word, Reg };
+  Kind K = Kind::Byte;
+  uint8_t At = 0;
   uint8_t Lo = 0;
-  uint8_t Width = 0;
-  uint8_t Shift = 0;
-  bool Signed = false;
   uint8_t RegBase = 0;
+  uint32_t Mask = 0;
+  uint32_t SignBit = 0; ///< The field's top bit when signed, else 0.
+  uint32_t Scale = 1;
+  uint32_t Base = 0;
+  uint64_t ReadMask = 0;
+  uint64_t WriteMask = 0;
+
+  uint32_t field(MachWord Word) const { return (Word >> Lo) & Mask; }
+
+  uint32_t value(MachWord Word) const {
+    // (x ^ s) - s sign-extends x at bit s without a branch.
+    return Base + ((field(Word) ^ SignBit) - SignBit) * Scale;
+  }
 };
 
 /// A machine description compiled into a decode table, built whole at
 /// construction and immutable afterwards. An entry is a pattern together
 /// with one value of its steering bits; it holds the DecodedWord every
 /// word of the entry shares (trap conventions included) and the fills
-/// that add what varies from word to word.
+/// that store what varies from word to word, grouped by kind so that
+/// decode() runs three short loops and no per-fill dispatch.
 class CompiledDecoder {
 public:
   CompiledDecoder(std::shared_ptr<const MachineDesc> Desc,
@@ -92,28 +91,51 @@ public:
 
   /// Everything EEL asks about \p Word.
   DecodedWord decode(MachWord Word) const {
-    int Entry = entryOf(Word);
-    if (Entry < 0)
-      return DecodedWord();
-    DecodedWord D = Templates[Entry];
-    for (uint32_t I = FillStart[Entry], E = FillStart[Entry + 1]; I != E; ++I)
-      apply(Fills[I], Word, D);
+    // One named result, built in the caller's object: copying it out of
+    // a temporary would reload the fills' narrow stores with wide loads,
+    // which stall.
+    const Entry &E = Entries[entryOf(Word)];
+    DecodedWord D = E.Template;
+    // Each fill stores through a byte offset taken from a DecodedWord's
+    // members at construction, and reads nothing back.
+    auto *Bytes = reinterpret_cast<unsigned char *>(&D);
+    uint64_t Reads = 0, Writes = 0;
+    auto AddReg = [&](const DecodeFill &F, uint32_t Number) {
+      uint64_t Bit = uint64_t(1) << ((F.RegBase + Number) & 63);
+      Reads |= Bit & F.ReadMask;
+      Writes |= Bit & F.WriteMask;
+    };
+    const DecodeFill *F = Fills.data() + E.FirstFill;
+    for (const DecodeFill *End = F + E.NumBytes; F != End; ++F) {
+      uint32_t Number = F->field(Word);
+      Bytes[F->At] = static_cast<unsigned char>(Number);
+      AddReg(*F, Number);
+    }
+    for (const DecodeFill *End = F + E.NumWords; F != End; ++F) {
+      uint32_t V = F->value(Word);
+      std::memcpy(Bytes + F->At, &V, sizeof(V));
+    }
+    for (const DecodeFill *End = F + E.NumRegs; F != End; ++F)
+      AddReg(*F, F->field(Word));
+    D.Reads.insert(RegSet::fromMask(Reads));
+    D.Writes.insert(RegSet::fromMask(Writes));
     return D;
   }
 
-  /// The entry \p Word decodes through, or -1 if it matches no pattern.
-  int entryOf(MachWord Word) const {
+  /// The entry \p Word decodes through; entry 0, an Invalid answer with
+  /// no fills, holds the words that match no pattern.
+  unsigned entryOf(MachWord Word) const {
     int Pattern = Desc->decode(Word);
     if (Pattern < 0)
-      return -1;
+      return 0;
     const Key &K = Keys[Pattern];
-    uint32_t Entry = K.First;
+    unsigned Index = K.First;
     for (unsigned I = 0; I < K.NumRuns; ++I)
-      Entry += ((Word >> K.Runs[I].Lo) & K.Runs[I].Mask) << K.Runs[I].At;
-    return static_cast<int>(Entry);
+      Index += ((Word >> K.Runs[I].Lo) & K.Runs[I].Mask) << K.Runs[I].At;
+    return Index;
   }
 
-  size_t numEntries() const { return Templates.size(); }
+  size_t numEntries() const { return Entries.size(); }
   const MachineDesc &desc() const { return *Desc; }
 
 private:
@@ -131,46 +153,19 @@ private:
     Run Runs[MaxRuns];
   };
 
-  void apply(const DecodeFill &F, MachWord Word, DecodedWord &D) const {
-    uint32_t Raw = (Word >> F.Lo) & ((uint64_t(1) << F.Width) - 1);
-    uint32_t V = (F.Signed ? static_cast<uint32_t>(signExtend(Raw, F.Width))
-                           : Raw)
-                 << F.Shift;
-    auto Add = [V](auto &Slot) {
-      using T = std::remove_reference_t<decltype(Slot)>;
-      Slot = static_cast<T>(static_cast<uint32_t>(Slot) + V);
-    };
-    using S = DecodeFill::Slot;
-    switch (F.To) {
-    case S::Reads:
-    case S::Writes: {
-      unsigned Id = F.RegBase + V;
-      if (static_cast<int>(Id) != ZeroReg)
-        (F.To == S::Reads ? D.Reads : D.Writes).insert(Id);
-      return;
-    }
-    case S::OpRd: return Add(D.Op.Rd);
-    case S::OpRs1: return Add(D.Op.Rs1);
-    case S::OpRs2: return Add(D.Op.Rs2);
-    case S::OpImm: return Add(D.Op.Imm);
-    case S::MemBase: return Add(D.Mem.AddrBase);
-    case S::MemIndex: return Add(D.Mem.AddrIndex);
-    case S::MemData: return Add(D.Mem.DataReg);
-    case S::MemOffset: return Add(D.Mem.Offset);
-    case S::IndirectBase: return Add(D.Indirect.BaseReg);
-    case S::IndirectIndex: return Add(D.Indirect.IndexReg);
-    case S::IndirectLink: return Add(D.Indirect.LinkReg);
-    case S::IndirectOffset: return Add(D.Indirect.Offset);
-    case S::DirectValue: return Add(D.Direct.Value);
-    case S::TrapNumber: return Add(*D.TrapNumber);
-    }
-  }
+  /// A template and its fills: NumBytes Byte fills, then NumWords Word
+  /// fills, then NumRegs Reg fills from FirstFill on.
+  struct Entry {
+    DecodedWord Template;
+    uint32_t FirstFill = 0;
+    uint8_t NumBytes = 0;
+    uint8_t NumWords = 0;
+    uint8_t NumRegs = 0;
+  };
 
   std::shared_ptr<const MachineDesc> Desc;
-  int ZeroReg = -1;
-  std::vector<Key> Keys;              ///< Per pattern.
-  std::vector<DecodedWord> Templates; ///< Per entry.
-  std::vector<uint32_t> FillStart;    ///< Per entry, plus one past the end.
+  std::vector<Key> Keys;       ///< Per pattern.
+  std::vector<Entry> Entries;
   std::vector<DecodeFill> Fills;
 };
 

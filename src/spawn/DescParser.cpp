@@ -549,34 +549,6 @@ std::vector<std::string> MachineDesc::regFileNames() const {
   return Names;
 }
 
-int MachineDesc::decode(MachWord Word) const {
-  if (DecodeProgram.empty())
-    return decodeLinear(Word);
-  size_t Node = 0;
-  for (;;) {
-    int32_t Header = DecodeProgram[Node];
-    if (Header < 0) {
-      // Scan node: -Header candidates that could not be split further.
-      for (int32_t I = 0; I < -Header; ++I) {
-        int32_t PI = DecodeProgram[Node + 1 + I];
-        if ((Word & Patterns[PI].Mask) == Patterns[PI].Match)
-          return PI;
-      }
-      return -1;
-    }
-    unsigned Lo = static_cast<unsigned>(Header) >> 8;
-    unsigned Width = static_cast<unsigned>(Header) & 0xFF;
-    uint32_t Value = (Word >> Lo) & ((1u << Width) - 1u);
-    int32_t Entry = DecodeProgram[Node + 1 + Value];
-    if (Entry == -1)
-      return -1;
-    if (Entry >= 0)
-      return (Word & Patterns[Entry].Mask) == Patterns[Entry].Match ? Entry
-                                                                    : -1;
-    Node = static_cast<size_t>(-(Entry + 2));
-  }
-}
-
 int MachineDesc::decodeLinear(MachWord Word) const {
   if (BucketFieldIndex >= 0) {
     const FieldDef &F = Fields[BucketFieldIndex];

@@ -80,7 +80,33 @@ public:
   /// Decodes \p Word to a pattern index, or -1 for invalid encodings.
   /// Walks the compiled decode table (falling back to the linear scan when
   /// no table was built, i.e. before finalize()).
-  int decode(MachWord Word) const;
+  int decode(MachWord Word) const {
+    if (DecodeProgram.empty())
+      return decodeLinear(Word);
+    size_t Node = 0;
+    for (;;) {
+      int32_t Header = DecodeProgram[Node];
+      if (Header < 0) {
+        // Scan node: -Header candidates that could not be split further.
+        for (int32_t I = 0; I < -Header; ++I) {
+          int32_t PI = DecodeProgram[Node + 1 + I];
+          if ((Word & Patterns[PI].Mask) == Patterns[PI].Match)
+            return PI;
+        }
+        return -1;
+      }
+      unsigned Lo = static_cast<unsigned>(Header) >> 8;
+      unsigned Width = static_cast<unsigned>(Header) & 0xFF;
+      uint32_t Value = (Word >> Lo) & ((1u << Width) - 1u);
+      int32_t Entry = DecodeProgram[Node + 1 + Value];
+      if (Entry == -1)
+        return -1;
+      if (Entry >= 0)
+        return (Word & Patterns[Entry].Mask) == Patterns[Entry].Match ? Entry
+                                                                      : -1;
+      Node = static_cast<size_t>(-(Entry + 2));
+    }
+  }
 
   /// The pre-table decoder: bucket on one common field, then scan the
   /// bucket's mask/match pairs linearly. Kept callable so the decode-table
