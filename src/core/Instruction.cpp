@@ -13,11 +13,7 @@
 
 using namespace eel;
 
-/// The kind of a word decoded as \p D: its category, with the overloaded
-/// uses of an indirect jump resolved by convention (Figure 6 of the
-/// paper). Writing the link register makes it a call; jumping through the
-/// link register at the conventional offset makes it a return.
-static InstKind kindOf(const TargetInfo &Target, const DecodedWord &D) {
+InstKind eel::instKind(const DecodedWord &D, const TargetConventions &Conv) {
   switch (D.Category) {
   case InstCategory::Invalid:
     return InstKind::Invalid;
@@ -38,7 +34,6 @@ static InstKind kindOf(const TargetInfo &Target, const DecodedWord &D) {
   case InstCategory::System:
     return InstKind::SystemCall;
   case InstCategory::IndirectJump: {
-    const TargetConventions &Conv = Target.conventions();
     const IndirectTargetInfo &Info = D.Indirect;
     if (Info.LinkReg == Conv.LinkReg && Conv.LinkReg != 0)
       return InstKind::IndirectCall;
@@ -53,7 +48,7 @@ static InstKind kindOf(const TargetInfo &Target, const DecodedWord &D) {
 
 Instruction::Instruction(const TargetInfo &Target, MachWord Word)
     : Word(Word), D(Target.decode(Word)) {
-  Kind = kindOf(Target, D);
+  Kind = instKind(D, Target.conventions());
 }
 
 Instruction eel::makeInstruction(const TargetInfo &Target, MachWord Word) {

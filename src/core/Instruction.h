@@ -56,6 +56,12 @@ enum class InstKind : uint8_t {
   SystemCall,
 };
 
+/// The kind of a word decoded as \p D: its category, with the overloaded
+/// uses of an indirect jump resolved by \p Conv (Figure 6 of the paper).
+/// Writing the link register makes it a call; jumping through the link
+/// register at the conventional offset makes it a return.
+InstKind instKind(const DecodedWord &D, const TargetConventions &Conv);
+
 /// One machine word and everything EEL asks about it. Immutable and
 /// shared; never holds address-specific state.
 class Instruction final {

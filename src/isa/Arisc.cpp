@@ -1,20 +1,23 @@
-//===- isa/Arisc.cpp - Handwritten ARISC target backend ------------------===//
+//===- isa/Arisc.cpp - ARISC target backend -------------------------------===//
 //
 // Part of the EEL reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The handwritten machine-specific layer for ARISC, the Alpha-like third
-/// target. Its distinguishing property is the *absence* of delay slots:
-/// every control transfer takes effect immediately, so its decode() never
-/// reports a delay slot and its emit helpers produce single-word transfers
-/// with no trailing nop. Any machine-independent code that still
-/// works correctly on ARISC genuinely contains no SPARC-isms.
+/// The ARISC backend, the Alpha-like third target. Its distinguishing
+/// property is the *absence* of delay slots: its description marks none,
+/// so no decoded word reports one, and its emit helpers produce
+/// single-word transfers with no trailing nop. Any machine-independent
+/// code that still works correctly on ARISC genuinely contains no
+/// SPARC-isms. Like the other backends it supplies conventions, snippet
+/// code generation, register names and disassembly; TargetInfo decodes
+/// every word through the compiled description.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "isa/AriscEncoding.h"
+#include "isa/Descriptions.h"
 #include "isa/Target.h"
 #include "support/Error.h"
 
@@ -24,44 +27,31 @@
 using namespace eel;
 using namespace eel::arisc;
 
-/// A word displacement in bits [0, Hi], relative to the next instruction.
-static DirectShape nextPcRelative(unsigned Hi, int32_t DispWords) {
-  DirectShape S;
-  S.HasField = true;
-  S.Signed = true;
-  S.Shift = 2;
-  S.Field = {0, static_cast<uint8_t>(Hi)};
-  S.Bias = 4;
-  S.Value = 4 + static_cast<uint32_t>(DispWords) * 4;
-  return S;
+/// ARISC's calling and trap conventions.
+static TargetConventions ariscConventions() {
+  TargetConventions Conv;
+  Conv.LinkReg = RegRA;
+  Conv.ReturnOffset = 0;
+  Conv.StackPointer = RegSP;
+  Conv.FramePointer = RegFP;
+  Conv.ArgRegs = RegSet{16, 17, 18, 19};
+  Conv.RetRegs = RegSet{RegV0};
+  Conv.CallerSaved = RegSet{1,  2,  3,  4,  5,  6,  7,  8,  9,  16, 17,
+                            18, 19, 20, 21, 22, 23, 24, 25, 26, 27};
+  Conv.Reserved = RegSet{RegZero, RegFP, RegAT, RegGP, RegSP};
+  Conv.SyscallNumReg = 0; // trap number is an immediate field, like SRISC
+  Conv.SyscallReads = RegSet{16, 17, 18};
+  Conv.SyscallWrites = RegSet{RegV0};
+  return Conv;
 }
 
 namespace {
 
-/// Handwritten ARISC implementation of the target interface.
+/// The ARISC target.
 class AriscTarget : public TargetInfo {
 public:
-  AriscTarget() {
-    Conv.LinkReg = RegRA;
-    Conv.ReturnOffset = 0;
-    Conv.StackPointer = RegSP;
-    Conv.FramePointer = RegFP;
-    Conv.ArgRegs = RegSet{16, 17, 18, 19};
-    Conv.RetRegs = RegSet{RegV0};
-    Conv.CallerSaved = RegSet{1,  2,  3,  4,  5,  6,  7,  8,  9,  16, 17,
-                              18, 19, 20, 21, 22, 23, 24, 25, 26, 27};
-    Conv.Reserved = RegSet{RegZero, RegFP, RegAT, RegGP, RegSP};
-    Conv.SyscallNumReg = 0; // trap number is an immediate field, like SRISC
-    Conv.SyscallReads = RegSet{16, 17, 18};
-    Conv.SyscallWrites = RegSet{RegV0};
-  }
-
-  TargetArch arch() const override { return TargetArch::Arisc; }
-  const char *name() const override { return "arisc"; }
-  const TargetConventions &conventions() const override { return Conv; }
-  unsigned numRegisters() const override { return 32; }
-  bool hasConditionCodes() const override { return false; }
-  bool branchDelaySlots() const override { return false; }
+  AriscTarget()
+      : TargetInfo(TargetArch::Arisc, ariscDescription(), ariscConventions()) {}
 
   std::string regName(unsigned Reg) const override {
     if (Reg == RegIdPC)
@@ -73,134 +63,6 @@ public:
         "$a0",   "$a1",  "$a2",  "$a3",  "$t8",  "$t9",  "$t10", "$t11",
         "$t12",  "$t13", "$ra",  "$t14", "$at",  "$gp",  "$sp",  "$s5"};
     return Names[Reg];
-  }
-
-  DecodedWord decode(MachWord W) const override {
-    // No ARISC word has a delay slot: Delay stays None throughout.
-    DecodedWord D;
-    uint32_t Op = fieldOp(W);
-    switch (Op) {
-    case OpOperate: {
-      static const DataOpKind Kinds[] = {
-          DataOpKind::Add, DataOpKind::Sub, DataOpKind::And,
-          DataOpKind::Or,  DataOpKind::Xor, DataOpKind::Sll,
-          DataOpKind::Srl, DataOpKind::Sra, DataOpKind::Mul,
-          DataOpKind::Div, DataOpKind::Rem, DataOpKind::SetLess};
-      if (fieldFunc(W) > FnCmplt)
-        return D; // invalid
-      D.Category = InstCategory::Computation;
-      D.readsField(W, 21, 25);
-      D.readsField(W, 16, 20);
-      D.writesField(W, 11, 15);
-      D.Op.Kind = Kinds[fieldFunc(W)];
-      D.Op.Rd = fieldRc(W);
-      D.Op.Rs1 = fieldRa(W);
-      D.Op.Rs2 = fieldRb(W);
-      return D;
-    }
-    case OpAddi:
-    case OpAndi:
-    case OpOri:
-    case OpXori:
-    case OpSlli:
-    case OpSrli:
-    case OpSrai:
-    case OpCmplti: {
-      static const DataOpKind Kinds[] = {
-          DataOpKind::Add, DataOpKind::And, DataOpKind::Or,
-          DataOpKind::Xor, DataOpKind::Sll, DataOpKind::Srl,
-          DataOpKind::Sra, DataOpKind::SetLess};
-      D.Category = InstCategory::Computation;
-      D.readsField(W, 21, 25);
-      D.writesField(W, 16, 20);
-      D.Op.Kind = Kinds[Op - OpAddi];
-      D.Op.Rd = fieldRb(W);
-      D.Op.Rs1 = fieldRa(W);
-      D.Op.HasImm = true;
-      D.Op.Imm = Op == OpAddi || Op == OpCmplti
-                     ? fieldSimm16(W)
-                     : static_cast<int32_t>(fieldUimm16(W));
-      return D;
-    }
-    case OpLdih:
-      if (fieldRa(W) != 0)
-        return D; // invalid: ra is a fixed zero field
-      D.Category = InstCategory::Computation;
-      D.writesField(W, 16, 20);
-      D.Op.Kind = DataOpKind::LoadImmHi;
-      D.Op.Rd = fieldRb(W);
-      D.Op.HasImm = true;
-      D.Op.Imm = static_cast<int32_t>(fieldUimm16(W) << 16);
-      return D;
-    case OpLdw:
-    case OpLdb:
-    case OpLdbu:
-    case OpLdh:
-    case OpLdhu:
-    case OpStw:
-    case OpStb:
-    case OpSth: {
-      MemOp &M = D.Mem;
-      M.IsStore = Op >= OpStw;
-      M.IsLoad = !M.IsStore;
-      M.Width = Op == OpLdb || Op == OpLdbu || Op == OpStb   ? 1
-                : Op == OpLdh || Op == OpLdhu || Op == OpSth ? 2
-                                                             : 4;
-      M.SignExtendLoad = Op == OpLdb || Op == OpLdh;
-      M.AddrBase = fieldRb(W);
-      M.Offset = fieldSimm16(W);
-      M.DataReg = fieldRa(W);
-      D.Category = M.IsLoad ? InstCategory::Load : InstCategory::Store;
-      D.readsField(W, 16, 20);
-      if (M.IsStore)
-        D.readsField(W, 21, 25); // stored value
-      else
-        D.writesField(W, 21, 25);
-      return D;
-    }
-    case OpBeq:
-    case OpBne:
-    case OpBlt:
-    case OpBle:
-      D.Category = InstCategory::BranchDirect;
-      D.Conditional = true;
-      D.readsField(W, 21, 25);
-      D.readsField(W, 16, 20);
-      D.Direct = nextPcRelative(15, fieldSimm16(W));
-      return D;
-    case OpBr:
-    case OpBsr:
-      // All ARISC transfers are PC-relative; no MRISC-style region jumps.
-      D.Category =
-          Op == OpBr ? InstCategory::JumpDirect : InstCategory::CallDirect;
-      if (Op == OpBsr) {
-        D.Writes.insert(RegRA);
-        D.FixedRegs.insert(RegRA); // implicit: cannot be renamed
-      }
-      D.Direct = nextPcRelative(25, fieldSdisp26(W));
-      return D;
-    case OpJmp:
-      if (fieldUimm16(W) != 0)
-        return D; // invalid
-      D.Category = InstCategory::IndirectJump;
-      D.readsField(W, 16, 20);
-      D.writesField(W, 21, 25); // link, when nonzero
-      D.Indirect.BaseReg = fieldRb(W);
-      D.Indirect.LinkReg = fieldRa(W);
-      return D;
-    case OpSys:
-      if (fieldRa(W) != 0 || fieldRb(W) != 0)
-        return D; // invalid
-      // Trap arguments and results follow the conventions; the number is
-      // an immediate, like SRISC's.
-      D.Category = InstCategory::System;
-      D.Reads = Conv.SyscallReads;
-      D.Writes = Conv.SyscallWrites;
-      D.TrapNumber = fieldUimm16(W);
-      return D;
-    default:
-      return D; // invalid
-    }
   }
 
   MachWord nopWord() const override { return nop(); }
@@ -335,9 +197,6 @@ public:
   }
 
   std::string disassemble(MachWord W, Addr PC) const override;
-
-private:
-  TargetConventions Conv;
 };
 
 } // namespace

@@ -1,15 +1,18 @@
-//===- isa/Mrisc.cpp - Handwritten MRISC target backend ------------------===//
+//===- isa/Mrisc.cpp - MRISC target backend -------------------------------===//
 //
 // Part of the EEL reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The handwritten machine-specific layer for MRISC (the MIPS-like target),
-/// analogous to the paper's 128-line MIPS R2000 port.
+/// The MRISC backend (the MIPS-like target, analogous to the paper's
+/// 128-line MIPS R2000 port): its conventions, snippet code generation,
+/// register names and disassembly. TargetInfo decodes every word through
+/// the compiled description.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "isa/Descriptions.h"
 #include "isa/MriscEncoding.h"
 #include "isa/Target.h"
 #include "support/Error.h"
@@ -52,32 +55,31 @@ static bool isValidRType(MachWord W) {
   }
 }
 
+/// MRISC's calling and trap conventions.
+static TargetConventions mriscConventions() {
+  TargetConventions Conv;
+  Conv.LinkReg = RegRA;
+  Conv.ReturnOffset = 0;
+  Conv.StackPointer = RegSP;
+  Conv.FramePointer = RegFP;
+  Conv.ArgRegs = RegSet{4, 5, 6, 7};
+  Conv.RetRegs = RegSet{2, 3};
+  Conv.CallerSaved = RegSet{1,  2,  3,  4,  5,  6,  7, 8, 9,
+                            10, 11, 12, 13, 14, 15, 24, 25, 31};
+  Conv.Reserved = RegSet{RegZero, 26, 27, 28, RegSP, RegFP};
+  Conv.SyscallNumReg = RegV0;
+  Conv.SyscallReads = RegSet{RegV0, 4, 5, 6};
+  Conv.SyscallWrites = RegSet{RegV0};
+  return Conv;
+}
+
 namespace {
 
-/// Handwritten MRISC implementation of the target interface.
+/// The MRISC target.
 class MriscTarget : public TargetInfo {
 public:
-  MriscTarget() {
-    Conv.LinkReg = RegRA;
-    Conv.ReturnOffset = 0;
-    Conv.StackPointer = RegSP;
-    Conv.FramePointer = RegFP;
-    Conv.ArgRegs = RegSet{4, 5, 6, 7};
-    Conv.RetRegs = RegSet{2, 3};
-    Conv.CallerSaved = RegSet{1,  2,  3,  4,  5,  6,  7, 8, 9,
-                              10, 11, 12, 13, 14, 15, 24, 25, 31};
-    Conv.Reserved = RegSet{RegZero, 26, 27, 28, RegSP, RegFP};
-    Conv.SyscallNumReg = RegV0;
-    Conv.SyscallReads = RegSet{RegV0, 4, 5, 6};
-    Conv.SyscallWrites = RegSet{RegV0};
-  }
-
-  TargetArch arch() const override { return TargetArch::Mrisc; }
-  const char *name() const override { return "mrisc"; }
-  const TargetConventions &conventions() const override { return Conv; }
-  unsigned numRegisters() const override { return 32; }
-  bool hasConditionCodes() const override { return false; }
-  bool branchDelaySlots() const override { return true; }
+  MriscTarget()
+      : TargetInfo(TargetArch::Mrisc, mriscDescription(), mriscConventions()) {}
 
   std::string regName(unsigned Reg) const override {
     if (Reg == RegIdPC)
@@ -89,113 +91,6 @@ public:
         "$s0",   "$s1", "$s2", "$s3", "$s4", "$s5", "$s6", "$s7",
         "$t8",   "$t9", "$k0", "$k1", "$gp", "$sp", "$fp", "$ra"};
     return Names[Reg];
-  }
-
-  DecodedWord decode(MachWord W) const override {
-    DecodedWord D;
-    uint32_t Op = fieldOp(W);
-    switch (Op) {
-    case OpRType:
-      if (isValidRType(W))
-        decodeRType(W, D);
-      return D;
-    case OpJ:
-    case OpJal:
-      D.Category =
-          Op == OpJ ? InstCategory::JumpDirect : InstCategory::CallDirect;
-      D.Delay = DelayBehavior::Always;
-      if (Op == OpJal) {
-        D.Writes.insert(RegRA);
-        D.FixedRegs.insert(RegRA); // implicit: cannot be renamed
-      }
-      // Absolute within the current 256 MB region.
-      D.Direct.Region = true;
-      D.Direct.RegionMask = 0xF0000000u;
-      D.Direct.HasField = true;
-      D.Direct.Shift = 2;
-      D.Direct.Field = {0, 25};
-      D.Direct.Value = fieldIndex26(W) << 2;
-      return D;
-    case OpBlez:
-    case OpBgtz:
-      if (fieldRt(W) != 0)
-        return D; // invalid: rt is a fixed zero field
-      [[fallthrough]];
-    case OpBeq:
-    case OpBne:
-      D.Category = InstCategory::BranchDirect;
-      D.Conditional = true;
-      D.Delay = DelayBehavior::Always;
-      D.readsField(W, 21, 25);
-      if (Op == OpBeq || Op == OpBne)
-        D.readsField(W, 16, 20);
-      // MIPS branch displacements are relative to the delay slot.
-      D.Direct.HasField = true;
-      D.Direct.Signed = true;
-      D.Direct.Shift = 2;
-      D.Direct.Field = {0, 15};
-      D.Direct.Bias = 4;
-      D.Direct.Value = 4 + static_cast<uint32_t>(fieldSimm16(W)) * 4;
-      return D;
-    case OpLui:
-      if (fieldRs(W) != 0)
-        return D; // invalid: rs is a fixed zero field
-      D.Category = InstCategory::Computation;
-      D.writesField(W, 16, 20);
-      D.Op.Kind = DataOpKind::LoadImmHi;
-      D.Op.Rd = fieldRt(W);
-      D.Op.HasImm = true;
-      D.Op.Imm = static_cast<int32_t>(fieldUimm16(W) << 16);
-      return D;
-    case OpAddi:
-    case OpSlti:
-    case OpAndi:
-    case OpOri:
-    case OpXori:
-      D.Category = InstCategory::Computation;
-      D.readsField(W, 21, 25);
-      D.writesField(W, 16, 20);
-      D.Op.Kind = Op == OpAddi   ? DataOpKind::Add
-                  : Op == OpSlti ? DataOpKind::SetLess
-                  : Op == OpAndi ? DataOpKind::And
-                  : Op == OpOri  ? DataOpKind::Or
-                                 : DataOpKind::Xor;
-      D.Op.Rd = fieldRt(W);
-      D.Op.Rs1 = fieldRs(W);
-      D.Op.HasImm = true;
-      D.Op.Imm = Op == OpAddi || Op == OpSlti
-                     ? fieldSimm16(W)
-                     : static_cast<int32_t>(fieldUimm16(W));
-      return D;
-    case OpLb:
-    case OpLh:
-    case OpLw:
-    case OpLbu:
-    case OpLhu:
-    case OpSb:
-    case OpSh:
-    case OpSw: {
-      MemOp &M = D.Mem;
-      M.IsStore = Op >= OpSb;
-      M.IsLoad = !M.IsStore;
-      M.Width = Op == OpLb || Op == OpLbu || Op == OpSb   ? 1
-                : Op == OpLh || Op == OpLhu || Op == OpSh ? 2
-                                                          : 4;
-      M.SignExtendLoad = Op == OpLb || Op == OpLh;
-      M.AddrBase = fieldRs(W);
-      M.Offset = fieldSimm16(W);
-      M.DataReg = fieldRt(W);
-      D.Category = M.IsLoad ? InstCategory::Load : InstCategory::Store;
-      D.readsField(W, 21, 25);
-      if (M.IsStore)
-        D.readsField(W, 16, 20); // stored value
-      else
-        D.writesField(W, 16, 20);
-      return D;
-    }
-    default:
-      return D; // invalid
-    }
   }
 
   MachWord nopWord() const override { return nop(); }
@@ -327,99 +222,9 @@ public:
   }
 
   std::string disassemble(MachWord W, Addr PC) const override;
-
-private:
-  void decodeRType(MachWord W, DecodedWord &D) const;
-
-  TargetConventions Conv;
 };
 
 } // namespace
-
-void MriscTarget::decodeRType(MachWord W, DecodedWord &D) const {
-  uint32_t Funct = fieldFunct(W);
-  switch (Funct) {
-  case FnJr:
-  case FnJalr:
-    D.Category = InstCategory::IndirectJump;
-    D.Delay = DelayBehavior::Always;
-    D.readsField(W, 21, 25);
-    D.Indirect.BaseReg = fieldRs(W);
-    if (Funct == FnJalr) {
-      D.writesField(W, 11, 15);
-      D.Indirect.LinkReg = fieldRd(W);
-    }
-    return;
-  case FnSyscall:
-    // The number (v0) and arguments follow the trap conventions.
-    D.Category = InstCategory::System;
-    D.Reads = Conv.SyscallReads;
-    D.Writes = Conv.SyscallWrites;
-    return;
-  }
-  DataOp &Op = D.Op;
-  switch (Funct) {
-  case FnSll:
-  case FnSllv:
-    Op.Kind = DataOpKind::Sll;
-    break;
-  case FnSrl:
-  case FnSrlv:
-    Op.Kind = DataOpKind::Srl;
-    break;
-  case FnSra:
-  case FnSrav:
-    Op.Kind = DataOpKind::Sra;
-    break;
-  case FnMul:
-    Op.Kind = DataOpKind::Mul;
-    break;
-  case FnDiv:
-    Op.Kind = DataOpKind::Div;
-    break;
-  case FnRem:
-    Op.Kind = DataOpKind::Rem;
-    break;
-  case FnAdd:
-    Op.Kind = DataOpKind::Add;
-    break;
-  case FnSub:
-    Op.Kind = DataOpKind::Sub;
-    break;
-  case FnAnd:
-    Op.Kind = DataOpKind::And;
-    break;
-  case FnOr:
-    Op.Kind = DataOpKind::Or;
-    break;
-  case FnXor:
-    Op.Kind = DataOpKind::Xor;
-    break;
-  case FnSlt:
-    Op.Kind = DataOpKind::SetLess;
-    break;
-  }
-  D.Category = InstCategory::Computation;
-  D.writesField(W, 11, 15);
-  D.readsField(W, 16, 20);
-  Op.Rd = fieldRd(W);
-  if (Funct == FnSll || Funct == FnSrl || Funct == FnSra) {
-    // Immediate shifts: rd := rt shifted by shamt.
-    Op.Rs1 = fieldRt(W);
-    Op.HasImm = true;
-    Op.Imm = static_cast<int32_t>(fieldShamt(W));
-    return;
-  }
-  D.readsField(W, 21, 25);
-  if (Funct == FnSllv || Funct == FnSrlv || Funct == FnSrav) {
-    // Variable shifts: rd := rt shifted by rs.
-    Op.Rs1 = fieldRt(W);
-    Op.Rs2 = fieldRs(W);
-  } else {
-    Op.Rs1 = fieldRs(W);
-    Op.Rs2 = fieldRt(W);
-  }
-}
 
 std::string MriscTarget::disassemble(MachWord W, Addr PC) const {
   char Buf[128];

@@ -1,18 +1,18 @@
-//===- isa/Srisc.cpp - Handwritten SRISC target backend ------------------===//
+//===- isa/Srisc.cpp - SRISC target backend -------------------------------===//
 //
 // Part of the EEL reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The handwritten machine-specific layer for SRISC. This file plays the
-/// role of the paper's 2,268 lines of hand-coded SPARC manipulation code:
-/// spawn generates an equivalent implementation from the ~150-line machine
-/// description in isa/Descriptions.cpp, and the test suite checks the two
-/// agree instruction-by-instruction.
+/// The SRISC backend: what its spawn description (isa/Descriptions.cpp)
+/// cannot say. That is the calling and trap conventions, snippet code
+/// generation, register names and disassembly; TargetInfo decodes every
+/// word through the compiled description.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "isa/Descriptions.h"
 #include "isa/SriscEncoding.h"
 #include "isa/Target.h"
 #include "support/Error.h"
@@ -24,157 +24,33 @@
 using namespace eel;
 using namespace eel::srisc;
 
-/// The dataflow kind of an ALU op3, or None when \p Op3 is not one.
-static DataOpKind aluKind(uint32_t Op3) {
-  switch (Op3) {
-  case Op3Add:
-  case Op3AddCC:
-    return DataOpKind::Add;
-  case Op3And:
-  case Op3AndCC:
-    return DataOpKind::And;
-  case Op3Or:
-  case Op3OrCC:
-    return DataOpKind::Or;
-  case Op3Xor:
-  case Op3XorCC:
-    return DataOpKind::Xor;
-  case Op3Sub:
-  case Op3SubCC:
-    return DataOpKind::Sub;
-  case Op3Sll:
-    return DataOpKind::Sll;
-  case Op3Srl:
-    return DataOpKind::Srl;
-  case Op3Sra:
-    return DataOpKind::Sra;
-  case Op3Smul:
-    return DataOpKind::Mul;
-  case Op3Sdiv:
-    return DataOpKind::Div;
-  case Op3Srem:
-    return DataOpKind::Rem;
-  default:
-    return DataOpKind::None;
-  }
-}
-
-/// A PC-relative word displacement in bits [0, Hi].
-static DirectShape pcRelative(unsigned Hi, int32_t DispWords) {
-  DirectShape S;
-  S.HasField = true;
-  S.Signed = true;
-  S.Shift = 2;
-  S.Field = {0, static_cast<uint8_t>(Hi)};
-  S.Value = static_cast<uint32_t>(DispWords) * 4;
-  return S;
-}
-
-/// rs1 and, in the register form, rs2: the format-3 source operands.
-static void readsOperands(MachWord W, DecodedWord &D) {
-  D.readsField(W, 14, 18);
-  if (!fieldI(W))
-    D.readsField(W, 0, 4);
-}
-
-static void decodeBranch(MachWord W, DecodedWord &D) {
-  uint32_t C = fieldCond(W);
-  bool Annul = fieldAnnul(W);
-  if (C == CondN) {
-    // `bn` never transfers control. With the annul bit it skips the next
-    // instruction: a direct transfer to PC+8 with no displacement field.
-    // Without it, it occupies a delay slot in hardware, but since it
-    // neither branches nor annuls it is a computation that changes nothing.
-    if (!Annul) {
-      D.Category = InstCategory::Computation;
-      return;
-    }
-    D.Category = InstCategory::JumpDirect;
-    D.Delay = DelayBehavior::AnnulAlways;
-    D.Direct.Value = 8;
-    D.Direct.Bias = 8;
-    return;
-  }
-  D.Direct = pcRelative(21, fieldDisp22(W));
-  if (C == CondA) {
-    D.Category = InstCategory::JumpDirect;
-    D.Delay = Annul ? DelayBehavior::AnnulAlways : DelayBehavior::Always;
-    return;
-  }
-  D.Category = InstCategory::BranchDirect;
-  D.Conditional = true;
-  D.Reads.insert(RegIdCC);
-  D.Delay = Annul ? DelayBehavior::AnnulUntaken : DelayBehavior::Always;
-}
-
-static void decodeMem(MachWord W, DecodedWord &D) {
-  uint32_t Op3 = fieldOp3(W);
-  MemOp &M = D.Mem;
-  switch (Op3) {
-  case Op3Ld:
-  case Op3St:
-    M.Width = 4;
-    break;
-  case Op3Lduh:
-  case Op3Ldsh:
-  case Op3Sth:
-    M.Width = 2;
-    break;
-  case Op3Ldub:
-  case Op3Ldsb:
-  case Op3Stb:
-    M.Width = 1;
-    break;
-  default:
-    return; // invalid
-  }
-  M.IsStore = Op3 >= Op3St;
-  M.IsLoad = !M.IsStore;
-  M.SignExtendLoad = Op3 == Op3Ldsb || Op3 == Op3Ldsh;
-  M.AddrBase = fieldRs1(W);
-  if (fieldI(W)) {
-    M.Offset = fieldSimm13(W);
-  } else {
-    M.HasIndex = true;
-    M.AddrIndex = fieldRs2(W);
-  }
-  M.DataReg = fieldRd(W);
-  D.Category = M.IsLoad ? InstCategory::Load : InstCategory::Store;
-  readsOperands(W, D);
-  if (M.IsStore)
-    D.readsField(W, 25, 29); // stored value
-  else
-    D.writesField(W, 25, 29);
+/// SRISC's calling and trap conventions.
+static TargetConventions sriscConventions() {
+  TargetConventions Conv;
+  Conv.LinkReg = RegLink;
+  Conv.ReturnOffset = 8;
+  Conv.StackPointer = RegSP;
+  Conv.FramePointer = RegFP;
+  Conv.ArgRegs = RegSet{8, 9, 10, 11, 12, 13};
+  Conv.RetRegs = RegSet{8};
+  // o-registers and g-registers are caller-saved, as are the condition
+  // codes; l- and i-registers are callee-saved.
+  Conv.CallerSaved =
+      RegSet{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, RegIdCC};
+  Conv.Reserved = RegSet{RegZero, RegSP, RegFP};
+  Conv.SyscallNumReg = 0; // immediate field
+  Conv.SyscallReads = RegSet{8, 9, 10};
+  Conv.SyscallWrites = RegSet{8};
+  return Conv;
 }
 
 namespace {
 
-/// Handwritten SRISC implementation of the target interface.
+/// The SRISC target.
 class SriscTarget : public TargetInfo {
 public:
-  SriscTarget() {
-    Conv.LinkReg = RegLink;
-    Conv.ReturnOffset = 8;
-    Conv.StackPointer = RegSP;
-    Conv.FramePointer = RegFP;
-    Conv.ArgRegs = RegSet{8, 9, 10, 11, 12, 13};
-    Conv.RetRegs = RegSet{8};
-    // o-registers and g-registers are caller-saved, as are the condition
-    // codes; l- and i-registers are callee-saved.
-    Conv.CallerSaved =
-        RegSet{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, RegIdCC};
-    Conv.Reserved = RegSet{RegZero, RegSP, RegFP};
-    Conv.SyscallNumReg = 0; // immediate field
-    Conv.SyscallReads = RegSet{8, 9, 10};
-    Conv.SyscallWrites = RegSet{8};
-  }
-
-  TargetArch arch() const override { return TargetArch::Srisc; }
-  const char *name() const override { return "srisc"; }
-  const TargetConventions &conventions() const override { return Conv; }
-  unsigned numRegisters() const override { return 32; }
-  bool hasConditionCodes() const override { return true; }
-  bool branchDelaySlots() const override { return true; }
+  SriscTarget()
+      : TargetInfo(TargetArch::Srisc, sriscDescription(), sriscConventions()) {}
 
   std::string regName(unsigned Reg) const override {
     if (Reg == RegIdCC)
@@ -186,38 +62,6 @@ public:
     char Buf[8];
     std::snprintf(Buf, sizeof(Buf), "%%%c%u", Groups[Reg / 8], Reg % 8);
     return Buf;
-  }
-
-  DecodedWord decode(MachWord W) const override {
-    DecodedWord D;
-    switch (fieldOp(W)) {
-    case OpFormat2:
-      if (fieldOp2(W) == Op2Sethi) {
-        D.Category = InstCategory::Computation;
-        D.writesField(W, 25, 29);
-        D.Op.Kind = DataOpKind::LoadImmHi;
-        D.Op.Rd = fieldRd(W);
-        D.Op.HasImm = true;
-        D.Op.Imm = static_cast<int32_t>(fieldImm22(W) << 10);
-      } else if (fieldOp2(W) == Op2Bicc) {
-        decodeBranch(W, D);
-      }
-      return D;
-    case OpCall:
-      D.Category = InstCategory::CallDirect;
-      D.Delay = DelayBehavior::Always;
-      D.Writes.insert(RegLink);
-      D.FixedRegs.insert(RegLink); // implicit: cannot be renamed
-      D.Direct = pcRelative(29, fieldDisp30(W));
-      return D;
-    case OpArith:
-      decodeArith(W, D);
-      return D;
-    case OpMem:
-      decodeMem(W, D);
-      return D;
-    }
-    unreachable("2-bit field out of range");
   }
 
   MachWord nopWord() const override { return nop(); }
@@ -342,72 +186,9 @@ public:
   }
 
   std::string disassemble(MachWord W, Addr PC) const override;
-
-private:
-  void decodeArith(MachWord W, DecodedWord &D) const;
-
-  TargetConventions Conv;
 };
 
 } // namespace
-
-void SriscTarget::decodeArith(MachWord W, DecodedWord &D) const {
-  uint32_t Op3 = fieldOp3(W);
-  switch (Op3) {
-  case Op3Jmpl:
-    D.Category = InstCategory::IndirectJump;
-    D.Delay = DelayBehavior::Always;
-    D.Indirect.BaseReg = fieldRs1(W);
-    if (fieldI(W)) {
-      D.Indirect.Offset = fieldSimm13(W);
-    } else {
-      D.Indirect.HasIndex = true;
-      D.Indirect.IndexReg = fieldRs2(W);
-    }
-    D.Indirect.LinkReg = fieldRd(W);
-    readsOperands(W, D);
-    D.writesField(W, 25, 29);
-    return;
-  case Op3Sys:
-    if (!fieldI(W))
-      return; // invalid
-    // Trap arguments and results follow the conventions (§4: they live
-    // outside the machine description); the number is the low 13 bits.
-    D.Category = InstCategory::System;
-    D.Reads = Conv.SyscallReads;
-    D.Writes = Conv.SyscallWrites;
-    D.TrapNumber = extractBits(W, 0, 12);
-    return;
-  case Op3RdCC:
-    D.Category = InstCategory::Computation;
-    D.Reads.insert(RegIdCC);
-    D.writesField(W, 25, 29);
-    return;
-  case Op3WrCC:
-    D.Category = InstCategory::Computation;
-    D.readsField(W, 14, 18);
-    D.Writes.insert(RegIdCC);
-    return;
-  }
-  DataOp &Op = D.Op;
-  Op.Kind = aluKind(Op3);
-  if (Op.Kind == DataOpKind::None)
-    return; // invalid
-  D.Category = InstCategory::Computation;
-  readsOperands(W, D);
-  D.writesField(W, 25, 29);
-  Op.SetsCC = Op3 >= Op3AddCC;
-  if (Op.SetsCC)
-    D.Writes.insert(RegIdCC);
-  Op.Rd = fieldRd(W);
-  Op.Rs1 = fieldRs1(W);
-  if (fieldI(W)) {
-    Op.HasImm = true;
-    Op.Imm = fieldSimm13(W);
-  } else {
-    Op.Rs2 = fieldRs2(W);
-  }
-}
 
 std::string SriscTarget::disassemble(MachWord W, Addr PC) const {
   char Buf[128];

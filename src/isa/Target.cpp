@@ -1,24 +1,54 @@
-//===- isa/Target.cpp - Machine-independent operations on decoded words ---===//
+//===- isa/Target.cpp - Targets and operations on decoded words -----------===//
 //
 // Part of the EEL reproduction project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The operations every backend used to implement for itself, written once
-/// over the DecodedWord a backend's decode() returns: retargeting a direct
-/// transfer and renaming a word's registers.
+/// A target's construction, which compiles its machine description into
+/// the decode table, and the operations written once over the DecodedWord
+/// decode() returns: retargeting a direct transfer and renaming a word's
+/// registers.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "isa/Target.h"
 
+#include "spawn/Analysis.h"
 #include "support/BitOps.h"
 #include "support/Error.h"
 
 using namespace eel;
 
+TargetInfo::TargetInfo(TargetArch Arch, const char *Description,
+                       TargetConventions TheConv)
+    : Arch(Arch), Conv(std::move(TheConv)) {
+  Expected<std::shared_ptr<spawn::MachineDesc>> Desc =
+      spawn::parseMachineDescription(Description);
+  if (Desc.hasError())
+    reportFatalError("embedded machine description is broken: " +
+                     Desc.error().message());
+  const spawn::MachineDesc &D = *Desc.value();
+  for (const spawn::RegFileDef &RF : D.RegFiles) {
+    if (RF.Count == 0)
+      ConditionCodes = true;
+    else if (NumRegisters == 0)
+      NumRegisters = RF.Count;
+  }
+  DelaySlots = D.hasDelayMarks();
+  Decoder = std::make_unique<const spawn::CompiledDecoder>(Desc.takeValue(),
+                                                           Conv);
+}
+
 TargetInfo::~TargetInfo() = default;
+
+const char *TargetInfo::name() const { return desc().ArchName.c_str(); }
+
+DecodedWord TargetInfo::decode(MachWord Word) const {
+  return Decoder->decode(Word);
+}
+
+const spawn::MachineDesc &TargetInfo::desc() const { return Decoder->desc(); }
 
 void DecodedWord::tooManyRegFields() {
   reportFatalError("instruction has more register fields than DecodedWord "

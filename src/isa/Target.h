@@ -7,17 +7,18 @@
 /// \file
 /// The boundary between machine-independent EEL and architecture-specific
 /// code, mirroring §4 of the paper. Everything above this interface (CFGs,
-/// analyses, editing, tools) is written once; below it live three
-/// handwritten backends (SRISC, a SPARC-like ISA with annulled delay slots;
-/// MRISC, a MIPS-like ISA; ARISC, an Alpha-like ISA without delay slots) and
-/// a fourth implementation derived by `spawn` from a machine description.
+/// analyses, editing, tools) is written once; below it are three machines:
+/// SRISC, a SPARC-like ISA with annulled delay slots; MRISC, a MIPS-like
+/// ISA; and ARISC, an Alpha-like ISA without delay slots.
 ///
-/// A backend answers one analytical question per word, `decode()`, whose
-/// DecodedWord holds every fact EEL asks about it. Target evaluation,
-/// retargeting and register renaming are machine-independent functions of
-/// that answer, so what a port writes by hand is `decode()`, its
-/// conventions, snippet code generation, `regName` and `disassemble`. The
-/// test suite compares the spawn-derived and handwritten answers whole.
+/// A target answers one analytical question per word, `decode()`, whose
+/// DecodedWord holds every fact EEL asks about it. That answer comes from
+/// the machine's spawn description (isa/Descriptions.cpp), compiled into a
+/// decode table when the target is constructed (spawn/Analysis.h), and so
+/// do the register count, the condition codes and the delay slots. Target
+/// evaluation, retargeting and register renaming are machine-independent
+/// functions of the answer. What a port still writes by hand is its
+/// conventions, snippet code generation, `regName` and `disassemble`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -222,19 +224,7 @@ struct DecodedWord {
                          : PC + Direct.Value;
   }
 
-  // Decoder helpers: the register named by bits [Lo, Hi] of \p W is read
-  // or written, and the field is renamable. Register 0 is the hard zero on
-  // every target and is never reported.
-  void readsField(MachWord W, unsigned Lo, unsigned Hi) {
-    addRegField(Lo, Hi);
-    if (unsigned Reg = extractBits(W, Lo, Hi))
-      Reads.insert(Reg);
-  }
-  void writesField(MachWord W, unsigned Lo, unsigned Hi) {
-    addRegField(Lo, Hi);
-    if (unsigned Reg = extractBits(W, Lo, Hi))
-      Writes.insert(Reg);
-  }
+  /// Records bits [Lo, Hi] as a register field.
   void addRegField(unsigned Lo, unsigned Hi) {
     for (unsigned I = 0; I < NumRegFields; ++I)
       if (RegFields[I].Lo == Lo)
@@ -267,33 +257,45 @@ using RegisterMap = std::array<uint8_t, 32>;
 std::optional<MachWord> rewriteRegisters(const DecodedWord &D, MachWord Word,
                                          const RegisterMap &Map);
 
-/// Abstract interface to one machine's instruction set. One instance exists
-/// per target (they are stateless); `spawnTarget()` builds an equivalent
-/// instance from a machine description at run time.
+namespace spawn {
+class CompiledDecoder;
+class MachineDesc;
+} // namespace spawn
+
+/// One machine's instruction set, immutable once constructed; one
+/// instance exists per target. The analytical half is compiled from the
+/// machine's description; a backend subclass adds what the description
+/// cannot say.
 class TargetInfo {
 public:
   virtual ~TargetInfo();
 
-  virtual TargetArch arch() const = 0;
-  virtual const char *name() const = 0;
-  virtual const TargetConventions &conventions() const = 0;
+  TargetArch arch() const { return Arch; }
+  /// The description's architecture name ("srisc", "mrisc", "arisc").
+  const char *name() const;
+  const TargetConventions &conventions() const { return Conv; }
 
   /// Number of general registers (32 on every target). Register id 32 is
   /// the condition-code register on targets that have one.
-  virtual unsigned numRegisters() const = 0;
-  virtual bool hasConditionCodes() const = 0;
+  unsigned numRegisters() const { return NumRegisters; }
+  bool hasConditionCodes() const { return ConditionCodes; }
+
+  /// Whether this architecture places a delay slot after its control
+  /// transfers: whether its description carries a `;` delay mark (a
+  /// word's DecodedWord::Delay refines it per encoding). False on ARISC,
+  /// true on SRISC and MRISC.
+  bool branchDelaySlots() const { return DelaySlots; }
+
+  /// Everything EEL asks about \p Word: the description's pattern for it,
+  /// that pattern's precompiled answer, and the word's fields filled in.
+  DecodedWord decode(MachWord Word) const;
+
+  /// The compiled decode table, and the description it was compiled from.
+  const spawn::CompiledDecoder &decoder() const { return *Decoder; }
+  const spawn::MachineDesc &desc() const;
 
   /// Printable register name (for the disassembler and diagnostics).
   virtual std::string regName(unsigned Reg) const = 0;
-
-  /// Whether this architecture architecturally places a delay slot after its
-  /// control transfers. An ISA-level property (a word's DecodedWord::Delay
-  /// refines it per encoding); false on ARISC, true on SRISC/MRISC. The
-  /// spawn-derived target answers from the description's `;` delay marks.
-  virtual bool branchDelaySlots() const = 0;
-
-  /// Everything EEL asks about \p Word, in one pass over its encoding.
-  virtual DecodedWord decode(MachWord Word) const = 0;
 
   // --- Code generation helpers for snippets and stubs --------------------
 
@@ -364,9 +366,22 @@ public:
   // --- Disassembly -------------------------------------------------------
 
   virtual std::string disassemble(MachWord Word, Addr PC) const = 0;
+
+protected:
+  /// Parses and compiles \p Description, laying \p Conv's trap registers
+  /// over its trap words. A broken description is a fatal error.
+  TargetInfo(TargetArch Arch, const char *Description, TargetConventions Conv);
+
+private:
+  TargetArch Arch;
+  TargetConventions Conv;
+  std::unique_ptr<const spawn::CompiledDecoder> Decoder;
+  unsigned NumRegisters = 0;
+  bool ConditionCodes = false;
+  bool DelaySlots = false;
 };
 
-/// Handwritten backends (the paper's 2,268-line hand-coded layer analog).
+/// The three targets, built on first use.
 const TargetInfo &sriscTarget();
 const TargetInfo &mriscTarget();
 const TargetInfo &ariscTarget();
@@ -375,7 +390,7 @@ const TargetInfo &ariscTarget();
 inline constexpr TargetArch AllTargetArches[] = {
     TargetArch::Srisc, TargetArch::Mrisc, TargetArch::Arisc};
 
-/// Returns the handwritten backend for \p Arch.
+/// Returns the target for \p Arch.
 const TargetInfo &targetFor(TargetArch Arch);
 
 } // namespace eel

@@ -8,8 +8,8 @@
 /// The semantic model a spawn machine description compiles to: instruction
 /// fields, register resources, encoding patterns (mask/match pairs derived
 /// from the paper's instruction-name matrices), and per-instruction RTL
-/// semantics. Everything the SpawnTarget, the RTL evaluator, and the code
-/// generator need is derived from this object.
+/// semantics. Everything a target's decode table, the RTL evaluator and
+/// the code generator need is derived from this object.
 ///
 //===----------------------------------------------------------------------===//
 

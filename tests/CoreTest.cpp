@@ -19,9 +19,7 @@
 #include "core/Executable.h"
 #include "core/Liveness.h"
 #include "core/Slice.h"
-#include "isa/Descriptions.h"
 #include "isa/SriscEncoding.h"
-#include "spawn/SpawnTarget.h"
 #include "support/BitOps.h"
 #include "workload/Generator.h"
 
@@ -91,23 +89,6 @@ InstKind expectedKind(const TargetInfo &T, const DecodedWord &D) {
   return InstKind::Invalid;
 }
 
-/// SRISC whose calls return to the link register itself (return offset
-/// 0), so that a jump through the link plus an index register (offset 0)
-/// differs from a return by its index alone.
-class LinkReturnSrisc : public spawn::SpawnTarget {
-public:
-  LinkReturnSrisc()
-      : SpawnTarget(spawn::parseMachineDescription(sriscDescription()).value(),
-                    sriscTarget()),
-        Conv(sriscTarget().conventions()) {
-    Conv.ReturnOffset = 0;
-  }
-  const TargetConventions &conventions() const override { return Conv; }
-
-private:
-  TargetConventions Conv;
-};
-
 } // namespace
 
 TEST(InstructionTest, KindSweepOnEveryIsa) {
@@ -157,12 +138,14 @@ TEST(InstructionTest, KindSweepOnEveryIsa) {
             InstKind::IndirectJump);
   EXPECT_EQ(KindOf(S, srisc::encodeJmplImm(0, srisc::RegLink, 12)),
             InstKind::IndirectJump);
-  // With a return offset of 0, only the index register tells the two
-  // apart.
-  const LinkReturnSrisc Zero;
-  EXPECT_EQ(KindOf(Zero, srisc::encodeJmplImm(0, srisc::RegLink, 0)),
+  // Under SRISC conventions whose calls return to the link register
+  // itself (return offset 0), only the index register tells the two apart.
+  TargetConventions Zero = S.conventions();
+  Zero.ReturnOffset = 0;
+  auto ZeroKind = [&](MachWord W) { return instKind(S.decode(W), Zero); };
+  EXPECT_EQ(ZeroKind(srisc::encodeJmplImm(0, srisc::RegLink, 0)),
             InstKind::Return);
-  EXPECT_EQ(KindOf(Zero, srisc::encodeJmplReg(0, srisc::RegLink, 1)),
+  EXPECT_EQ(ZeroKind(srisc::encodeJmplReg(0, srisc::RegLink, 1)),
             InstKind::IndirectJump);
 }
 

@@ -22,7 +22,6 @@
 #include "core/Translate.h"
 #include "isa/SriscEncoding.h"
 #include "spawn/Codegen.h"
-#include "spawn/SpawnTarget.h"
 #include "support/FileIO.h"
 #include "support/Rng.h"
 #include "tools/Qpt.h"
@@ -78,7 +77,7 @@ TEST(SpawnCodegenCompile, GeneratedSourceCompiles) {
     GTEST_SKIP() << "no host C++ compiler available";
   for (TargetArch Arch : AllTargetArches) {
     std::string Source = CodegenPrelude;
-    Source += spawn::generateCppSource(spawn::spawnTargetFor(Arch).desc());
+    Source += spawn::generateCppSource(targetFor(Arch).desc());
     std::string Path = testing::TempDir() + "/eel_spawn_gen_" +
                        std::to_string(static_cast<int>(Arch)) + ".cpp";
     ASSERT_TRUE(writeFileBytes(Path, std::vector<uint8_t>(Source.begin(),

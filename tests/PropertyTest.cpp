@@ -27,7 +27,6 @@
 #include "core/Executable.h"
 #include "core/Liveness.h"
 #include "spawn/Eval.h"
-#include "spawn/SpawnTarget.h"
 #include "tools/Qpt.h"
 #include "vm/Machine.h"
 #include "workload/Generator.h"
@@ -174,7 +173,7 @@ TEST_P(EditingSweep, SpawnInterpreterAgrees) {
   SxfFile File = makeProgram(GetParam());
   RunResult Hand = runToCompletion(File);
   RunResult Spawn = spawn::runWithDescription(
-      spawn::spawnTargetFor(GetParam().Arch).desc(), File);
+      targetFor(GetParam().Arch).desc(), File);
   EXPECT_EQ(static_cast<int>(Hand.Reason), static_cast<int>(Spawn.Reason));
   EXPECT_EQ(Hand.ExitCode, Spawn.ExitCode);
   EXPECT_EQ(Hand.Output, Spawn.Output);

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Validates the spawn pipeline: lexer, description parser, per-word
-/// analysis, the spawn-derived TargetInfo (whose decode() answers are
-/// checked equal to the handwritten backends' over random and structured
-/// word samples — the paper's spawn-vs-handwritten validation), and the
-/// description-driven interpreter (checked against the handwritten VM on
-/// whole programs).
+/// analysis, the decode table every target compiles from its description
+/// (whose decode() answers are checked equal to the interpretive
+/// analyzeWord over random and structured word samples that reach every
+/// table entry), and the description-driven interpreter (checked against
+/// the VM on whole programs).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +19,10 @@
 #include "asmkit/Assembler.h"
 #include "isa/Descriptions.h"
 #include "isa/SriscEncoding.h"
+#include "spawn/Analysis.h"
 #include "spawn/Codegen.h"
 #include "spawn/Eval.h"
 #include "spawn/Lexer.h"
-#include "spawn/SpawnTarget.h"
 #include "support/FileIO.h"
 #include "support/Rng.h"
 #include "vm/Machine.h"
@@ -130,15 +130,17 @@ TEST(SpawnParser, SmallCustomDescription) {
   const char *Source = R"(
 arch tiny
 wordsize 32
-fields op 28:31, ra 24:27, rb 20:23, imm 0:19
+fields op 28:31, ra 24:27, rb 20:23, imm 0:19, i 19:19, rc 0:3, simm 0:15
 register int{32} G[16]
 zero G[0]
 pat inc is op=1
 pat jmp is op=2
 pat halt is op=3
+pat add2 is op=4
 sem inc is G[ra] := G[rb] + 1
 sem jmp is t := PC + (sx(imm) << 2) ; pc := t
 sem halt is trap imm
+sem add2 is G[ra] := G[rb] + (i = 1 ? sx(simm) : G[rc])
 )";
   Expected<std::shared_ptr<MachineDesc>> DescE =
       parseMachineDescription(Source);
@@ -169,9 +171,31 @@ sem halt is trap imm
   S = analyzeWord(Desc, Halt);
   EXPECT_EQ(S.Category, InstCategory::System);
   EXPECT_EQ(S.TrapNumber, std::optional<unsigned>(7));
+
+  // add2 folds its i bit in a ternary, so the compiled table keys it by
+  // pattern and i: two entries, each equal to the interpretive answer.
+  CompiledDecoder Table(DescE.value(), TargetConventions());
+  MachWord Add2 = insertBits(insertBits(insertBits(0, 28, 31, 4), 24, 27, 5),
+                             20, 23, 6);
+  MachWord Add2Reg = insertBits(Add2, 0, 3, 7);
+  MachWord Add2Imm = insertBits(insertBits(Add2, 19, 19, 1), 0, 15, 0xFFFE);
+  EXPECT_NE(Table.entryOf(Add2Reg), Table.entryOf(Add2Imm));
+  EXPECT_NE(Table.entryOf(Add2Reg), 0u);
+  EXPECT_NE(Table.entryOf(Add2Imm), 0u);
+  for (MachWord W : {Inc, Jmp, Halt, Add2Reg, Add2Imm})
+    EXPECT_EQ(Table.decode(W), analyzeWord(Desc, W)) << std::hex << W;
+  S = Table.decode(Add2Reg);
+  EXPECT_EQ(S.Reads, (RegSet{6, 7}));
+  EXPECT_FALSE(S.Op.HasImm);
+  EXPECT_EQ(S.Op.Rs2, 7u);
+  S = Table.decode(Add2Imm);
+  EXPECT_EQ(S.Reads, (RegSet{6}));
+  EXPECT_TRUE(S.Op.HasImm);
+  EXPECT_EQ(S.Op.Imm, -2);
+  EXPECT_EQ(S.Op.Rd, 5u);
 }
 
-// --- Spawn-vs-handwritten equivalence ------------------------------------------
+// --- Decode table vs interpretation ---------------------------------------------
 
 namespace {
 
@@ -204,24 +228,21 @@ std::string describe(const DecodedWord &D) {
   return OS.str();
 }
 
-} // namespace
-
-namespace {
-
-/// Requires the spawn-derived and handwritten decode() answers for every
-/// word of \p Words to be equal, whole: every fact, the direct-target
-/// shape and the register fields, so retargetDirect and rewriteRegisters
-/// agree too.
+/// Requires the target's decode() answer, read from its compiled table,
+/// to equal the interpretive analyzeWord answer with the target's trap
+/// conventions laid over it, whole, for every word of \p Words: every
+/// fact, the direct-target shape and the register fields, so that
+/// retargetDirect and rewriteRegisters agree too.
 void expectSameAnalysis(TargetArch Arch, const std::vector<MachWord> &Words) {
-  const TargetInfo &Hand = targetFor(Arch);
-  const TargetInfo &Spawn = spawnTargetFor(Arch);
+  const TargetInfo &T = targetFor(Arch);
   for (MachWord W : Words) {
-    DecodedWord H = Hand.decode(W), S = Spawn.decode(W);
-    if (H == S)
+    DecodedWord Table = T.decode(W);
+    DecodedWord Interp = analyzeWord(T.desc(), W, T.conventions());
+    if (Table == Interp)
       continue;
     ADD_FAILURE() << "word=0x" << std::hex << W << " ["
-                  << Hand.disassemble(W, 0) << "]\n  hand:  " << describe(H)
-                  << "\n  spawn: " << describe(S);
+                  << T.disassemble(W, 0) << "]\n  table:  " << describe(Table)
+                  << "\n  interp: " << describe(Interp);
   }
 }
 
@@ -251,6 +272,32 @@ TEST(SpawnEquivalence, AriscStructuredSweep) {
   expectSameAnalysis(TargetArch::Arisc, structuredWords(TargetArch::Arisc));
 }
 
+TEST(SpawnEquivalence, SweepsReachEveryTableEntry) {
+  // Every entry (a pattern with one value of its steering bits) decodes at
+  // least one sweep word, so the sweeps above check the whole table.
+  for (TargetArch Arch : AllTargetArches) {
+    const TargetInfo &T = targetFor(Arch);
+    const CompiledDecoder &Table = T.decoder();
+    std::vector<bool> Hit(Table.numEntries());
+    for (const std::vector<MachWord> &Words :
+         {randomWords(Arch), structuredWords(Arch)})
+      for (MachWord W : Words)
+        Hit[Table.entryOf(W)] = true;
+    // A pattern's entries start at the entry of its match word, whose
+    // steering bits are all clear.
+    const std::vector<InstPattern> &Patterns = T.desc().Patterns;
+    for (unsigned E = 1; E < Hit.size(); ++E) {
+      const InstPattern *Owner = nullptr;
+      for (const InstPattern &P : Patterns)
+        if (Table.entryOf(P.Match) <= E &&
+            (!Owner || Table.entryOf(P.Match) > Table.entryOf(Owner->Match)))
+          Owner = &P;
+      EXPECT_TRUE(Hit[E]) << T.name() << ": no sweep word reaches entry " << E
+                          << " of pattern " << (Owner ? Owner->Name : "?");
+    }
+  }
+}
+
 // --- Description-driven interpreter ----------------------------------------------
 
 namespace {
@@ -259,8 +306,7 @@ namespace {
 void expectSameExecution(TargetArch Arch, const std::string &Source) {
   SxfFile File = assembleOrDie(Arch, Source);
   RunResult Hand = runToCompletion(File);
-  const MachineDesc &Desc = spawnTargetFor(Arch).desc();
-  RunResult Spawn = runWithDescription(Desc, File);
+  RunResult Spawn = runWithDescription(targetFor(Arch).desc(), File);
   EXPECT_EQ(static_cast<int>(Hand.Reason), static_cast<int>(Spawn.Reason));
   EXPECT_EQ(Hand.ExitCode, Spawn.ExitCode);
   EXPECT_EQ(Hand.Instructions, Spawn.Instructions);
@@ -393,7 +439,7 @@ TEST(SpawnInterp, RandomArithmeticPrograms) {
 // --- Generated source -----------------------------------------------------------
 
 TEST(SpawnCodegen, GeneratesFaithfulSource) {
-  const MachineDesc &Desc = spawnSriscTarget().desc();
+  const MachineDesc &Desc = sriscTarget().desc();
   std::string Source = generateCppSource(Desc);
   // Every instruction appears as an executor.
   for (const InstPattern &P : Desc.Patterns)
@@ -407,7 +453,7 @@ TEST(SpawnCodegen, GeneratesFaithfulSource) {
 }
 
 TEST(SpawnRtl, PrinterRendersSemantics) {
-  const MachineDesc &Desc = spawnSriscTarget().desc();
+  const MachineDesc &Desc = sriscTarget().desc();
   std::vector<std::string> Names = Desc.regFileNames();
   // Find the `call` pattern and render its semantics.
   for (const InstPattern &P : Desc.Patterns) {
@@ -433,7 +479,7 @@ TEST(SpawnRtl, PrinterRendersSemantics) {
 }
 
 TEST(SpawnRtl, PrinterRendersGuards) {
-  const MachineDesc &Desc = spawnSriscTarget().desc();
+  const MachineDesc &Desc = sriscTarget().desc();
   std::vector<std::string> Names = Desc.regFileNames();
   for (const InstPattern &P : Desc.Patterns) {
     if (P.Name != "bne")

@@ -7,8 +7,10 @@
 /// \file
 /// The word samples that decode sweeps run over on each ISA: a seeded
 /// random sample, and a structured one that enumerates every major opcode
-/// (on SRISC every op3 and every branch condition and annul bit) with
-/// random fills, since random words rarely hit rare-but-valid encodings.
+/// (on SRISC every op3 and every branch condition and annul bit, on MRISC
+/// every R-type function) with random fills, since random words rarely hit
+/// rare-but-valid encodings. Together they reach every entry of each
+/// target's decode table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,6 +70,17 @@ inline std::vector<MachWord> structuredWords(TargetArch Arch) {
           Words.push_back(insertBits(W, 6, 10, 0));
           Words.push_back(insertBits(W, 21, 25, 0));
         }
+      }
+    }
+    // Every R-type function, with the fields its encodings leave clear
+    // zeroed: shamt; rt and rd too (jr); and rs (syscall).
+    for (uint32_t Funct = 0; Funct < 64; ++Funct) {
+      for (int I = 0; I < 10; ++I) {
+        MachWord W = insertBits(insertBits(Random(), 26, 31, 0), 0, 5, Funct);
+        W = insertBits(W, 6, 10, 0);
+        Words.push_back(W);
+        Words.push_back(insertBits(W, 11, 20, 0));
+        Words.push_back(insertBits(W, 11, 25, 0));
       }
     }
     break;
