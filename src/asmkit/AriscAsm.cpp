@@ -29,120 +29,15 @@ using namespace eel;
 using namespace eel::asmkit;
 using namespace eel::arisc;
 
-namespace {
-
-/// Token cursor over one instruction line (Tokens[0] is the mnemonic).
-class Cursor {
-public:
-  explicit Cursor(const std::vector<std::string> &Tokens) : Tokens(Tokens) {}
-
-  bool atEnd() const { return Index >= Tokens.size(); }
-  const std::string &peek() const {
-    static const std::string Empty;
-    return atEnd() ? Empty : Tokens[Index];
-  }
-  std::string next() {
-    std::string T = peek();
-    ++Index;
-    return T;
-  }
-  bool eat(const std::string &T) {
-    if (peek() != T)
-      return false;
-    ++Index;
-    return true;
-  }
-
-private:
-  const std::vector<std::string> &Tokens;
-  size_t Index = 1;
-};
-
-/// Immediate operand: a constant or a %hi/%lo symbol reference.
-struct ImmOperand {
-  int64_t Value = 0;
-  Fixup Fix;
-};
-
-} // namespace
-
-static Expected<unsigned> parseReg(const std::string &T) {
-  static const std::map<std::string, unsigned> Named = {
-      {"$zero", 0}, {"$v0", 1},   {"$t0", 2},   {"$t1", 3},   {"$t2", 4},
-      {"$t3", 5},   {"$t4", 6},   {"$t5", 7},   {"$t6", 8},   {"$t7", 9},
-      {"$s0", 10},  {"$s1", 11},  {"$s2", 12},  {"$s3", 13},  {"$s4", 14},
-      {"$fp", 15},  {"$a0", 16},  {"$a1", 17},  {"$a2", 18},  {"$a3", 19},
-      {"$t8", 20},  {"$t9", 21},  {"$t10", 22}, {"$t11", 23}, {"$t12", 24},
-      {"$t13", 25}, {"$ra", 26},  {"$t14", 27}, {"$at", 28},  {"$gp", 29},
-      {"$sp", 30},  {"$s5", 31}};
-  if (auto It = Named.find(T); It != Named.end())
-    return It->second;
-  if (T.size() >= 2 && T[0] == '$' &&
-      std::isdigit(static_cast<unsigned char>(T[1]))) {
-    unsigned N = 0;
-    for (size_t I = 1; I < T.size(); ++I) {
-      if (!std::isdigit(static_cast<unsigned char>(T[I])))
-        return Error("bad register '" + T + "'");
-      N = N * 10 + (T[I] - '0');
-    }
-    if (N >= 32)
-      return Error("register number out of range in '" + T + "'");
-    return N;
-  }
-  return Error("expected a register, found '" + T + "'");
-}
-
-static Expected<int64_t> parseNumberToken(const std::string &T) {
-  if (T.empty() || !std::isdigit(static_cast<unsigned char>(T[0])))
-    return Error("expected a number, found '" + T + "'");
-  int64_t Value = 0;
-  if (T.size() > 2 && (T[1] == 'x' || T[1] == 'X')) {
-    for (size_t I = 2; I < T.size(); ++I) {
-      char Ch = static_cast<char>(std::tolower(static_cast<unsigned char>(T[I])));
-      if (!std::isxdigit(static_cast<unsigned char>(Ch)))
-        return Error("bad hex number '" + T + "'");
-      Value = Value * 16 + (Ch <= '9' ? Ch - '0' : Ch - 'a' + 10);
-    }
-  } else {
-    for (char Ch : T) {
-      if (!std::isdigit(static_cast<unsigned char>(Ch)))
-        return Error("bad number '" + T + "'");
-      Value = Value * 10 + (Ch - '0');
-    }
-  }
-  return Value;
-}
-
-/// Parses an immediate: NUM, -NUM, %hi(sym[+n]), or %lo(sym[+n]).
-static Expected<ImmOperand> parseImmOperand(Cursor &C) {
-  ImmOperand Op;
-  if (C.peek() == "%hi" || C.peek() == "%lo") {
-    bool IsHi = C.next() == "%hi";
-    Op.Fix.Kind = IsHi ? FixupKind::ImmHi : FixupKind::ImmLo;
-    if (!C.eat("("))
-      return Error("expected '(' after %hi/%lo");
-    std::string Sym = C.next();
-    if (Sym.empty())
-      return Error("expected a symbol in %hi/%lo");
-    Op.Fix.Symbol = Sym;
-    if (C.peek() == "+" || C.peek() == "-") {
-      bool Neg = C.next() == "-";
-      Expected<int64_t> N = parseNumberToken(C.next());
-      if (N.hasError())
-        return N.error();
-      Op.Fix.Addend = Neg ? -N.value() : N.value();
-    }
-    if (!C.eat(")"))
-      return Error("expected ')' after %hi/%lo");
-    return Op;
-  }
-  bool Neg = C.eat("-");
-  Expected<int64_t> N = parseNumberToken(C.next());
-  if (N.hasError())
-    return N.error();
-  Op.Value = Neg ? -N.value() : N.value();
-  return Op;
-}
+/// ARISC register names.
+static const std::map<std::string, unsigned> RegNames = {
+    {"$zero", 0}, {"$v0", 1},   {"$t0", 2},   {"$t1", 3},   {"$t2", 4},
+    {"$t3", 5},   {"$t4", 6},   {"$t5", 7},   {"$t6", 8},   {"$t7", 9},
+    {"$s0", 10},  {"$s1", 11},  {"$s2", 12},  {"$s3", 13},  {"$s4", 14},
+    {"$fp", 15},  {"$a0", 16},  {"$a1", 17},  {"$a2", 18},  {"$a3", 19},
+    {"$t8", 20},  {"$t9", 21},  {"$t10", 22}, {"$t11", 23}, {"$t12", 24},
+    {"$t13", 25}, {"$ra", 26},  {"$t14", 27}, {"$at", 28},  {"$gp", 29},
+    {"$sp", 30},  {"$s5", 31}};
 
 namespace {
 
@@ -187,7 +82,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
   auto ParseRegAfterComma = [&](unsigned &Reg) -> Expected<bool> {
     if (!C.eat(","))
       return Error("expected ','");
-    Expected<unsigned> R = parseReg(C.next());
+    Expected<unsigned> R = parseReg(C.next(), RegNames);
     if (R.hasError())
       return R.error();
     Reg = R.value();
@@ -201,7 +96,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
       return Error("transfer needs a target");
     Inst.Fix.Kind = FixupKind::PcRelative;
     if (std::isdigit(static_cast<unsigned char>(TargetTok[0]))) {
-      Expected<int64_t> N = parseNumberToken(TargetTok);
+      Expected<int64_t> N = parseNumber(TargetTok);
       if (N.hasError())
         return N.error();
       Inst.Fix.Addend = N.value();
@@ -213,7 +108,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
 
   if (auto It = Operate.find(Mnemonic); It != Operate.end()) {
     // op $rc, $ra, $rb
-    Expected<unsigned> Rc = parseReg(C.next());
+    Expected<unsigned> Rc = parseReg(C.next(), RegNames);
     if (Rc.hasError())
       return Rc.error();
     unsigned Ra = 0, Rb = 0;
@@ -229,7 +124,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
 
   if (auto It = IAluSigned.find(Mnemonic); It != IAluSigned.end()) {
     // op $rb, $ra, imm (dest first, as written).
-    Expected<unsigned> Rb = parseReg(C.next());
+    Expected<unsigned> Rb = parseReg(C.next(), RegNames);
     if (Rb.hasError())
       return Rb.error();
     unsigned Ra = 0;
@@ -253,7 +148,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (auto It = IAluUnsigned.find(Mnemonic); It != IAluUnsigned.end()) {
-    Expected<unsigned> Rb = parseReg(C.next());
+    Expected<unsigned> Rb = parseReg(C.next(), RegNames);
     if (Rb.hasError())
       return Rb.error();
     unsigned Ra = 0;
@@ -277,7 +172,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (auto It = IShift.find(Mnemonic); It != IShift.end()) {
-    Expected<unsigned> Rb = parseReg(C.next());
+    Expected<unsigned> Rb = parseReg(C.next(), RegNames);
     if (Rb.hasError())
       return Rb.error();
     unsigned Ra = 0;
@@ -286,7 +181,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
       return A.error();
     if (!C.eat(","))
       return Error("expected ','");
-    Expected<int64_t> Shamt = parseNumberToken(C.next());
+    Expected<int64_t> Shamt = parseNumber(C.next());
     if (Shamt.hasError())
       return Shamt.error();
     if (Shamt.value() < 0 || Shamt.value() > 31)
@@ -298,7 +193,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "ldih") {
-    Expected<unsigned> Rb = parseReg(C.next());
+    Expected<unsigned> Rb = parseReg(C.next(), RegNames);
     if (Rb.hasError())
       return Rb.error();
     if (!C.eat(","))
@@ -316,7 +211,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
 
   if (auto It = Mem.find(Mnemonic); It != Mem.end()) {
     // op $ra, off($rb)  with off = NUM | %lo(sym) | empty.
-    Expected<unsigned> Ra = parseReg(C.next());
+    Expected<unsigned> Ra = parseReg(C.next(), RegNames);
     if (Ra.hasError())
       return Ra.error();
     if (!C.eat(","))
@@ -330,7 +225,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
     }
     if (!C.eat("("))
       return Error("expected '(' in memory operand");
-    Expected<unsigned> Rb = parseReg(C.next());
+    Expected<unsigned> Rb = parseReg(C.next(), RegNames);
     if (Rb.hasError())
       return Rb.error();
     if (!C.eat(")"))
@@ -347,7 +242,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
 
   if (auto It = CondBranch.find(Mnemonic); It != CondBranch.end()) {
     // op $ra, $rb, target
-    Expected<unsigned> Ra = parseReg(C.next());
+    Expected<unsigned> Ra = parseReg(C.next(), RegNames);
     if (Ra.hasError())
       return Ra.error();
     unsigned Rb = 0;
@@ -379,7 +274,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
     // jmp ($rb)  or  jmp $ra, ($rb); bare registers also accepted.
     unsigned Link = 0;
     bool Paren = C.eat("(");
-    Expected<unsigned> First = parseReg(C.next());
+    Expected<unsigned> First = parseReg(C.next(), RegNames);
     if (First.hasError())
       return First.error();
     unsigned Base = First.value();
@@ -389,7 +284,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
     } else if (C.eat(",")) {
       Link = First.value();
       Paren = C.eat("(");
-      Expected<unsigned> Second = parseReg(C.next());
+      Expected<unsigned> Second = parseReg(C.next(), RegNames);
       if (Second.hasError())
         return Second.error();
       Base = Second.value();
@@ -406,7 +301,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "sys") {
-    Expected<int64_t> Num = parseNumberToken(C.next());
+    Expected<int64_t> Num = parseNumber(C.next());
     if (Num.hasError())
       return Num.error();
     if (Num.value() < 0 || !fitsUnsigned(static_cast<uint64_t>(Num.value()), 16))
@@ -421,7 +316,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "move") {
-    Expected<unsigned> Rc = parseReg(C.next());
+    Expected<unsigned> Rc = parseReg(C.next(), RegNames);
     if (Rc.hasError())
       return Rc.error();
     unsigned Ra = 0;
@@ -433,13 +328,13 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "li") {
-    Expected<unsigned> Rd = parseReg(C.next());
+    Expected<unsigned> Rd = parseReg(C.next(), RegNames);
     if (Rd.hasError())
       return Rd.error();
     if (!C.eat(","))
       return Error("expected ','");
     bool Neg = C.eat("-");
-    Expected<int64_t> N = parseNumberToken(C.next());
+    Expected<int64_t> N = parseNumber(C.next());
     if (N.hasError())
       return N.error();
     int64_t Value = Neg ? -N.value() : N.value();
@@ -459,7 +354,7 @@ Expected<bool> AriscAsm::parse(const std::vector<std::string> &Tokens,
 
   if (Mnemonic == "la") {
     // la $rd, sym  ->  ldih %hi + ori %lo (always two words).
-    Expected<unsigned> Rd = parseReg(C.next());
+    Expected<unsigned> Rd = parseReg(C.next(), RegNames);
     if (Rd.hasError())
       return Rd.error();
     if (!C.eat(","))

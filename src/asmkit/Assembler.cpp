@@ -147,39 +147,10 @@ static std::vector<std::string> tokenize(const std::string &Line) {
 }
 
 Expected<int64_t> Driver::parseNumber(const std::string &Token) const {
-  if (Token.empty())
-    return lineError("expected a number");
-  size_t Pos = 0;
-  bool Neg = false;
-  if (Token[0] == '-') {
-    Neg = true;
-    Pos = 1;
-  }
-  if (Pos >= Token.size() ||
-      !std::isdigit(static_cast<unsigned char>(Token[Pos])))
-    return lineError("expected a number, found '" + Token + "'");
-  int64_t Value = 0;
-  if (Token.compare(Pos, 2, "0x") == 0 || Token.compare(Pos, 2, "0X") == 0) {
-    for (size_t I = Pos + 2; I < Token.size(); ++I) {
-      char C = static_cast<char>(
-          std::tolower(static_cast<unsigned char>(Token[I])));
-      int Digit;
-      if (C >= '0' && C <= '9')
-        Digit = C - '0';
-      else if (C >= 'a' && C <= 'f')
-        Digit = C - 'a' + 10;
-      else
-        return lineError("bad hexadecimal digit in '" + Token + "'");
-      Value = Value * 16 + Digit;
-    }
-  } else {
-    for (size_t I = Pos; I < Token.size(); ++I) {
-      if (!std::isdigit(static_cast<unsigned char>(Token[I])))
-        return lineError("bad digit in '" + Token + "'");
-      Value = Value * 10 + (Token[I] - '0');
-    }
-  }
-  return Neg ? -Value : Value;
+  Expected<int64_t> N = asmkit::parseNumber(Token);
+  if (N.hasError())
+    return lineError(N.error().message());
+  return N;
 }
 
 Expected<bool> Driver::defineLabel(const std::string &Name) {
@@ -595,4 +566,75 @@ Expected<SxfFile> eel::assembleProgram(TargetArch Arch,
 SxfFile eel::assembleOrDie(TargetArch Arch, const std::string &Source,
                            const AsmOptions &Options) {
   return assembleProgram(Arch, Source, Options).takeValue();
+}
+
+// --- Operand syntax shared by the targets -------------------------------------
+
+Expected<int64_t> asmkit::parseNumber(const std::string &Token) {
+  size_t Pos = Token.size() > 1 && Token[0] == '-' ? 1 : 0;
+  bool Hex = Token.compare(Pos, 2, "0x") == 0 || Token.compare(Pos, 2, "0X") == 0;
+  size_t First = Pos + (Hex ? 2 : 0);
+  if (First >= Token.size() ||
+      !std::isdigit(static_cast<unsigned char>(Token[Pos])))
+    return Error("expected a number, found '" + Token + "'");
+  int64_t Value = 0;
+  for (size_t I = First; I < Token.size(); ++I) {
+    char C = static_cast<char>(
+        std::tolower(static_cast<unsigned char>(Token[I])));
+    int Digit = C >= '0' && C <= '9'           ? C - '0'
+                : Hex && C >= 'a' && C <= 'f' ? C - 'a' + 10
+                                              : -1;
+    if (Digit < 0)
+      return Error("bad digit in '" + Token + "'");
+    if (__builtin_mul_overflow(Value, Hex ? 16 : 10, &Value) ||
+        __builtin_add_overflow(Value, Digit, &Value))
+      return Error("number out of range: '" + Token + "'");
+  }
+  return Pos ? -Value : Value;
+}
+
+Expected<unsigned>
+asmkit::parseReg(const std::string &T,
+                 const std::map<std::string, unsigned> &Names) {
+  if (auto It = Names.find(T); It != Names.end())
+    return It->second;
+  if (T.size() < 2 || T[0] != '$' ||
+      !std::isdigit(static_cast<unsigned char>(T[1])))
+    return Error("expected a register, found '" + T + "'");
+  if (T.find_first_not_of("0123456789", 1) != std::string::npos)
+    return Error("bad register '" + T + "'");
+  Expected<int64_t> N = parseNumber(T.substr(1));
+  if (N.hasError() || N.value() >= 32)
+    return Error("register number out of range in '" + T + "'");
+  return static_cast<unsigned>(N.value());
+}
+
+Expected<ImmOperand> asmkit::parseImmOperand(Cursor &C) {
+  ImmOperand Op;
+  if (C.peek() == "%hi" || C.peek() == "%lo") {
+    bool IsHi = C.next() == "%hi";
+    Op.Fix.Kind = IsHi ? FixupKind::ImmHi : FixupKind::ImmLo;
+    if (!C.eat("("))
+      return Error("expected '(' after %hi/%lo");
+    std::string Sym = C.next();
+    if (Sym.empty())
+      return Error("expected a symbol in %hi/%lo");
+    Op.Fix.Symbol = Sym;
+    if (C.peek() == "+" || C.peek() == "-") {
+      bool Neg = C.next() == "-";
+      Expected<int64_t> N = parseNumber(C.next());
+      if (N.hasError())
+        return N.error();
+      Op.Fix.Addend = Neg ? -N.value() : N.value();
+    }
+    if (!C.eat(")"))
+      return Error("expected ')' after %hi/%lo");
+    return Op;
+  }
+  bool Neg = C.eat("-");
+  Expected<int64_t> N = parseNumber(C.next());
+  if (N.hasError())
+    return N.error();
+  Op.Value = Neg ? -N.value() : N.value();
+  return Op;
 }

@@ -26,120 +26,15 @@ using namespace eel;
 using namespace eel::asmkit;
 using namespace eel::mrisc;
 
-namespace {
-
-/// Token cursor over one instruction line (Tokens[0] is the mnemonic).
-class Cursor {
-public:
-  explicit Cursor(const std::vector<std::string> &Tokens) : Tokens(Tokens) {}
-
-  bool atEnd() const { return Index >= Tokens.size(); }
-  const std::string &peek() const {
-    static const std::string Empty;
-    return atEnd() ? Empty : Tokens[Index];
-  }
-  std::string next() {
-    std::string T = peek();
-    ++Index;
-    return T;
-  }
-  bool eat(const std::string &T) {
-    if (peek() != T)
-      return false;
-    ++Index;
-    return true;
-  }
-
-private:
-  const std::vector<std::string> &Tokens;
-  size_t Index = 1;
-};
-
-/// Immediate operand: a constant or a %hi/%lo symbol reference.
-struct ImmOperand {
-  int64_t Value = 0;
-  Fixup Fix;
-};
-
-} // namespace
-
-static Expected<unsigned> parseReg(const std::string &T) {
-  static const std::map<std::string, unsigned> Named = {
-      {"$zero", 0}, {"$at", 1},  {"$v0", 2},  {"$v1", 3},  {"$a0", 4},
-      {"$a1", 5},   {"$a2", 6},  {"$a3", 7},  {"$t0", 8},  {"$t1", 9},
-      {"$t2", 10},  {"$t3", 11}, {"$t4", 12}, {"$t5", 13}, {"$t6", 14},
-      {"$t7", 15},  {"$s0", 16}, {"$s1", 17}, {"$s2", 18}, {"$s3", 19},
-      {"$s4", 20},  {"$s5", 21}, {"$s6", 22}, {"$s7", 23}, {"$t8", 24},
-      {"$t9", 25},  {"$k0", 26}, {"$k1", 27}, {"$gp", 28}, {"$sp", 29},
-      {"$fp", 30},  {"$ra", 31}};
-  if (auto It = Named.find(T); It != Named.end())
-    return It->second;
-  if (T.size() >= 2 && T[0] == '$' &&
-      std::isdigit(static_cast<unsigned char>(T[1]))) {
-    unsigned N = 0;
-    for (size_t I = 1; I < T.size(); ++I) {
-      if (!std::isdigit(static_cast<unsigned char>(T[I])))
-        return Error("bad register '" + T + "'");
-      N = N * 10 + (T[I] - '0');
-    }
-    if (N >= 32)
-      return Error("register number out of range in '" + T + "'");
-    return N;
-  }
-  return Error("expected a register, found '" + T + "'");
-}
-
-static Expected<int64_t> parseNumberToken(const std::string &T) {
-  if (T.empty() || !std::isdigit(static_cast<unsigned char>(T[0])))
-    return Error("expected a number, found '" + T + "'");
-  int64_t Value = 0;
-  if (T.size() > 2 && (T[1] == 'x' || T[1] == 'X')) {
-    for (size_t I = 2; I < T.size(); ++I) {
-      char Ch = static_cast<char>(std::tolower(static_cast<unsigned char>(T[I])));
-      if (!std::isxdigit(static_cast<unsigned char>(Ch)))
-        return Error("bad hex number '" + T + "'");
-      Value = Value * 16 + (Ch <= '9' ? Ch - '0' : Ch - 'a' + 10);
-    }
-  } else {
-    for (char Ch : T) {
-      if (!std::isdigit(static_cast<unsigned char>(Ch)))
-        return Error("bad number '" + T + "'");
-      Value = Value * 10 + (Ch - '0');
-    }
-  }
-  return Value;
-}
-
-/// Parses an immediate: NUM, -NUM, %hi(sym[+n]), or %lo(sym[+n]).
-static Expected<ImmOperand> parseImmOperand(Cursor &C) {
-  ImmOperand Op;
-  if (C.peek() == "%hi" || C.peek() == "%lo") {
-    bool IsHi = C.next() == "%hi";
-    Op.Fix.Kind = IsHi ? FixupKind::ImmHi : FixupKind::ImmLo;
-    if (!C.eat("("))
-      return Error("expected '(' after %hi/%lo");
-    std::string Sym = C.next();
-    if (Sym.empty())
-      return Error("expected a symbol in %hi/%lo");
-    Op.Fix.Symbol = Sym;
-    if (C.peek() == "+" || C.peek() == "-") {
-      bool Neg = C.next() == "-";
-      Expected<int64_t> N = parseNumberToken(C.next());
-      if (N.hasError())
-        return N.error();
-      Op.Fix.Addend = Neg ? -N.value() : N.value();
-    }
-    if (!C.eat(")"))
-      return Error("expected ')' after %hi/%lo");
-    return Op;
-  }
-  bool Neg = C.eat("-");
-  Expected<int64_t> N = parseNumberToken(C.next());
-  if (N.hasError())
-    return N.error();
-  Op.Value = Neg ? -N.value() : N.value();
-  return Op;
-}
+/// MRISC register names.
+static const std::map<std::string, unsigned> RegNames = {
+    {"$zero", 0}, {"$at", 1},  {"$v0", 2},  {"$v1", 3},  {"$a0", 4},
+    {"$a1", 5},   {"$a2", 6},  {"$a3", 7},  {"$t0", 8},  {"$t1", 9},
+    {"$t2", 10},  {"$t3", 11}, {"$t4", 12}, {"$t5", 13}, {"$t6", 14},
+    {"$t7", 15},  {"$s0", 16}, {"$s1", 17}, {"$s2", 18}, {"$s3", 19},
+    {"$s4", 20},  {"$s5", 21}, {"$s6", 22}, {"$s7", 23}, {"$t8", 24},
+    {"$t9", 25},  {"$k0", 26}, {"$k1", 27}, {"$gp", 28}, {"$sp", 29},
+    {"$fp", 30},  {"$ra", 31}};
 
 namespace {
 
@@ -185,7 +80,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   auto ParseRegAfterComma = [&](unsigned &Reg) -> Expected<bool> {
     if (!C.eat(","))
       return Error("expected ','");
-    Expected<unsigned> R = parseReg(C.next());
+    Expected<unsigned> R = parseReg(C.next(), RegNames);
     if (R.hasError())
       return R.error();
     Reg = R.value();
@@ -193,7 +88,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   };
 
   if (auto It = RThree.find(Mnemonic); It != RThree.end()) {
-    Expected<unsigned> Rd = parseReg(C.next());
+    Expected<unsigned> Rd = parseReg(C.next(), RegNames);
     if (Rd.hasError())
       return Rd.error();
     unsigned Rs = 0, Rt = 0;
@@ -208,7 +103,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (auto It = RShiftVar.find(Mnemonic); It != RShiftVar.end()) {
-    Expected<unsigned> Rd = parseReg(C.next());
+    Expected<unsigned> Rd = parseReg(C.next(), RegNames);
     if (Rd.hasError())
       return Rd.error();
     unsigned Rt = 0, Rs = 0;
@@ -223,7 +118,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (auto It = RShiftImm.find(Mnemonic); It != RShiftImm.end()) {
-    Expected<unsigned> Rd = parseReg(C.next());
+    Expected<unsigned> Rd = parseReg(C.next(), RegNames);
     if (Rd.hasError())
       return Rd.error();
     unsigned Rt = 0;
@@ -232,7 +127,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
       return A.error();
     if (!C.eat(","))
       return Error("expected ','");
-    Expected<int64_t> Shamt = parseNumberToken(C.next());
+    Expected<int64_t> Shamt = parseNumber(C.next());
     if (Shamt.hasError())
       return Shamt.error();
     if (Shamt.value() < 0 || Shamt.value() > 31)
@@ -245,7 +140,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (auto It = IAlu.find(Mnemonic); It != IAlu.end()) {
-    Expected<unsigned> Rt = parseReg(C.next());
+    Expected<unsigned> Rt = parseReg(C.next(), RegNames);
     if (Rt.hasError())
       return Rt.error();
     unsigned Rs = 0;
@@ -273,7 +168,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "lui") {
-    Expected<unsigned> Rt = parseReg(C.next());
+    Expected<unsigned> Rt = parseReg(C.next(), RegNames);
     if (Rt.hasError())
       return Rt.error();
     if (!C.eat(","))
@@ -291,7 +186,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
 
   if (auto It = Mem.find(Mnemonic); It != Mem.end()) {
     // op $rt, off($rs)  with off = NUM | %lo(sym) | empty.
-    Expected<unsigned> Rt = parseReg(C.next());
+    Expected<unsigned> Rt = parseReg(C.next(), RegNames);
     if (Rt.hasError())
       return Rt.error();
     if (!C.eat(","))
@@ -305,7 +200,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
     }
     if (!C.eat("("))
       return Error("expected '(' in memory operand");
-    Expected<unsigned> Rs = parseReg(C.next());
+    Expected<unsigned> Rs = parseReg(C.next(), RegNames);
     if (Rs.hasError())
       return Rs.error();
     if (!C.eat(")"))
@@ -325,7 +220,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
     uint32_t Op = OpBeq;
     if (Mnemonic != "b") {
       Op = Mnemonic == "beq" ? OpBeq : OpBne;
-      Expected<unsigned> A = parseReg(C.next());
+      Expected<unsigned> A = parseReg(C.next(), RegNames);
       if (A.hasError())
         return A.error();
       Rs = A.value();
@@ -342,7 +237,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
       return Error("branch needs a target");
     Inst.Fix.Kind = FixupKind::PcRelative;
     if (std::isdigit(static_cast<unsigned char>(TargetTok[0]))) {
-      Expected<int64_t> N = parseNumberToken(TargetTok);
+      Expected<int64_t> N = parseNumber(TargetTok);
       if (N.hasError())
         return N.error();
       Inst.Fix.Addend = N.value();
@@ -354,7 +249,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "blez" || Mnemonic == "bgtz") {
-    Expected<unsigned> Rs = parseReg(C.next());
+    Expected<unsigned> Rs = parseReg(C.next(), RegNames);
     if (Rs.hasError())
       return Rs.error();
     if (!C.eat(","))
@@ -366,7 +261,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
     Inst.Fix.Kind = FixupKind::PcRelative;
     if (!TargetTok.empty() &&
         std::isdigit(static_cast<unsigned char>(TargetTok[0]))) {
-      Expected<int64_t> N = parseNumberToken(TargetTok);
+      Expected<int64_t> N = parseNumber(TargetTok);
       if (N.hasError())
         return N.error();
       Inst.Fix.Addend = N.value();
@@ -385,7 +280,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
       return Error("jump needs a target");
     Inst.Fix.Kind = FixupKind::PcRelative;
     if (std::isdigit(static_cast<unsigned char>(TargetTok[0]))) {
-      Expected<int64_t> N = parseNumberToken(TargetTok);
+      Expected<int64_t> N = parseNumber(TargetTok);
       if (N.hasError())
         return N.error();
       Inst.Fix.Addend = N.value();
@@ -397,7 +292,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "jr") {
-    Expected<unsigned> Rs = parseReg(C.next());
+    Expected<unsigned> Rs = parseReg(C.next(), RegNames);
     if (Rs.hasError())
       return Rs.error();
     Out.push_back({encodeRType(Rs.value(), 0, 0, 0, FnJr), {}});
@@ -405,12 +300,12 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "jalr") {
-    Expected<unsigned> First = parseReg(C.next());
+    Expected<unsigned> First = parseReg(C.next(), RegNames);
     if (First.hasError())
       return First.error();
     unsigned Rd = RegRA, Rs = First.value();
     if (C.eat(",")) {
-      Expected<unsigned> Second = parseReg(C.next());
+      Expected<unsigned> Second = parseReg(C.next(), RegNames);
       if (Second.hasError())
         return Second.error();
       Rd = First.value();
@@ -431,7 +326,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "move") {
-    Expected<unsigned> Rd = parseReg(C.next());
+    Expected<unsigned> Rd = parseReg(C.next(), RegNames);
     if (Rd.hasError())
       return Rd.error();
     unsigned Rs = 0;
@@ -443,13 +338,13 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
   }
 
   if (Mnemonic == "li") {
-    Expected<unsigned> Rd = parseReg(C.next());
+    Expected<unsigned> Rd = parseReg(C.next(), RegNames);
     if (Rd.hasError())
       return Rd.error();
     if (!C.eat(","))
       return Error("expected ','");
     bool Neg = C.eat("-");
-    Expected<int64_t> N = parseNumberToken(C.next());
+    Expected<int64_t> N = parseNumber(C.next());
     if (N.hasError())
       return N.error();
     int64_t Value = Neg ? -N.value() : N.value();
@@ -469,7 +364,7 @@ Expected<bool> MriscAsm::parse(const std::vector<std::string> &Tokens,
 
   if (Mnemonic == "la") {
     // la $rd, sym  ->  lui %hi + ori %lo (always two words).
-    Expected<unsigned> Rd = parseReg(C.next());
+    Expected<unsigned> Rd = parseReg(C.next(), RegNames);
     if (Rd.hasError())
       return Rd.error();
     if (!C.eat(","))

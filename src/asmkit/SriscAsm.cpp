@@ -33,33 +33,6 @@ InstParser::~InstParser() = default;
 
 namespace {
 
-/// Token cursor over one instruction line.
-class Cursor {
-public:
-  explicit Cursor(const std::vector<std::string> &Tokens) : Tokens(Tokens) {}
-
-  bool atEnd() const { return Index >= Tokens.size(); }
-  const std::string &peek() const {
-    static const std::string Empty;
-    return atEnd() ? Empty : Tokens[Index];
-  }
-  std::string next() {
-    std::string T = peek();
-    ++Index;
-    return T;
-  }
-  bool eat(const std::string &T) {
-    if (peek() != T)
-      return false;
-    ++Index;
-    return true;
-  }
-
-private:
-  const std::vector<std::string> &Tokens;
-  size_t Index = 1; // Tokens[0] is the mnemonic.
-};
-
 struct Operand2 {
   bool IsReg = false;
   unsigned Reg = 0;
@@ -92,15 +65,12 @@ static Expected<unsigned> parseReg(const std::string &T) {
     Base = 24;
     break;
   case 'r': {
-    unsigned N = 0;
-    for (size_t I = 2; I < T.size(); ++I) {
-      if (!std::isdigit(static_cast<unsigned char>(T[I])))
-        return Error("bad register '" + T + "'");
-      N = N * 10 + (T[I] - '0');
-    }
-    if (N >= 32)
+    if (T.find_first_not_of("0123456789", 2) != std::string::npos)
+      return Error("bad register '" + T + "'");
+    Expected<int64_t> N = parseNumber(T.substr(2));
+    if (N.hasError() || N.value() >= 32)
       return Error("register number out of range in '" + T + "'");
-    return N;
+    return static_cast<unsigned>(N.value());
   }
   default:
     return Error("bad register '" + T + "'");
@@ -119,26 +89,10 @@ static bool looksLikeReg(const std::string &T) {
 
 static Expected<int64_t> parseImm(Cursor &C) {
   bool Neg = C.eat("-");
-  std::string T = C.next();
-  if (T.empty() || !std::isdigit(static_cast<unsigned char>(T[0])))
-    return Error("expected an immediate, found '" + T + "'");
-  int64_t Value = 0;
-  if (T.size() > 2 && (T[1] == 'x' || T[1] == 'X')) {
-    for (size_t I = 2; I < T.size(); ++I) {
-      char Ch = static_cast<char>(std::tolower(static_cast<unsigned char>(T[I])));
-      int D = Ch <= '9' ? Ch - '0' : Ch - 'a' + 10;
-      if (D < 0 || D > 15 || (Ch > '9' && Ch < 'a'))
-        return Error("bad hex immediate '" + T + "'");
-      Value = Value * 16 + D;
-    }
-  } else {
-    for (char Ch : T) {
-      if (!std::isdigit(static_cast<unsigned char>(Ch)))
-        return Error("bad immediate '" + T + "'");
-      Value = Value * 10 + (Ch - '0');
-    }
-  }
-  return Neg ? -Value : Value;
+  Expected<int64_t> Value = parseNumber(C.next());
+  if (Value.hasError())
+    return Value.error();
+  return Neg ? -Value.value() : Value.value();
 }
 
 /// Parses `%hi ( sym [+/- n] )` or `%lo ( ... )`; returns the fixup.
@@ -150,22 +104,12 @@ static Expected<Fixup> parseHiLo(Cursor &C, bool IsHi) {
   std::string Sym = C.next();
   if (Sym.empty())
     return Error("expected a symbol in %hi/%lo");
-  if (!Sym.empty() && std::isdigit(static_cast<unsigned char>(Sym[0]))) {
+  if (std::isdigit(static_cast<unsigned char>(Sym[0]))) {
     // %hi(constant): encode the constant directly through the fixup path.
-    Cursor Sub = C; // unused; constants re-parsed below
-    (void)Sub;
-    int64_t Value = 0;
-    if (Sym.size() > 2 && (Sym[1] == 'x' || Sym[1] == 'X')) {
-      for (size_t I = 2; I < Sym.size(); ++I) {
-        char Ch =
-            static_cast<char>(std::tolower(static_cast<unsigned char>(Sym[I])));
-        Value = Value * 16 + (Ch <= '9' ? Ch - '0' : Ch - 'a' + 10);
-      }
-    } else {
-      for (char Ch : Sym)
-        Value = Value * 10 + (Ch - '0');
-    }
-    Fix.Addend = Value;
+    Expected<int64_t> Value = parseNumber(Sym);
+    if (Value.hasError())
+      return Value.error();
+    Fix.Addend = Value.value();
   } else {
     Fix.Symbol = Sym;
     if (C.peek() == "+" || C.peek() == "-") {

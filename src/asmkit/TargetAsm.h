@@ -19,6 +19,7 @@
 #include "support/Error.h"
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,53 @@ struct SymExpr {
   int64_t Addend = 0;
   Part Which = Part::Full;
 };
+
+/// Token cursor over one instruction line (Tokens[0] is the mnemonic).
+class Cursor {
+public:
+  explicit Cursor(const std::vector<std::string> &Tokens) : Tokens(Tokens) {}
+
+  bool atEnd() const { return Index >= Tokens.size(); }
+  const std::string &peek() const {
+    static const std::string Empty;
+    return atEnd() ? Empty : Tokens[Index];
+  }
+  std::string next() {
+    std::string T = peek();
+    ++Index;
+    return T;
+  }
+  bool eat(const std::string &T) {
+    if (peek() != T)
+      return false;
+    ++Index;
+    return true;
+  }
+
+private:
+  const std::vector<std::string> &Tokens;
+  size_t Index = 1;
+};
+
+/// Parses \p Token as a decimal or 0x-prefixed hexadecimal number with an
+/// optional leading '-'. Any other character, and a magnitude past
+/// INT64_MAX, is an error.
+Expected<int64_t> parseNumber(const std::string &Token);
+
+// --- MIPS-style operands, shared by MRISC and ARISC ---------------------------
+
+/// A register `$name` from \p Names, or `$N` for N below 32.
+Expected<unsigned> parseReg(const std::string &T,
+                            const std::map<std::string, unsigned> &Names);
+
+/// Immediate operand: a constant or a %hi/%lo symbol reference.
+struct ImmOperand {
+  int64_t Value = 0;
+  Fixup Fix;
+};
+
+/// Parses an immediate: NUM, -NUM, %hi(sym[+n]), or %lo(sym[+n]).
+Expected<ImmOperand> parseImmOperand(Cursor &C);
 
 /// Target-specific mnemonic table and encoder.
 class InstParser {

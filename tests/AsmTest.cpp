@@ -178,6 +178,15 @@ TEST(SriscAsm, Errors) {
       assembleProgram(TargetArch::Srisc, "x: nop\nx: nop\n").hasError());
   EXPECT_TRUE(
       assembleProgram(TargetArch::Srisc, ".data\nnop\n").hasError());
+  // Numbers with stray digits, and numbers past int64_t (which once
+  // wrapped, some to an immediate that fits), are errors wherever they
+  // appear.
+  for (const char *Bad :
+       {"sethi %hi(12ab), %o1\n", "sethi %hi(0xzz), %o1\n",
+        "sethi %hi(0x10000000000000001), %o1\n",
+        "add %o1, 18446744073709551617, %o2\n",
+        "add %r4294967297, 1, %o2\n", ".data\n.word 18446744073709551617\n"})
+    EXPECT_TRUE(assembleProgram(TargetArch::Srisc, Bad).hasError()) << Bad;
   // Error messages carry line numbers.
   Expected<SxfFile> R =
       assembleProgram(TargetArch::Srisc, "nop\nbogus\n");
