@@ -15,7 +15,7 @@
 /// routine maps of multi-chunk images at Threads = 1, 2 and 8, and another
 /// checks the decode table of the same images at those widths. Also
 /// unit-tests the thread pool's parallelForEach (exactly-once coverage,
-/// nesting).
+/// nesting), and builds the three targets from three threads at once.
 ///
 /// Registered under the ctest label `par` so a -DEEL_SANITIZE=thread build
 /// can run just these under TSan: `ctest -L par`.
@@ -35,6 +35,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -334,6 +335,32 @@ WorkloadOptions bigWorkload() {
   W.TailCallPercent = 25; // unanalyzable indirect jumps -> translator
   W.SymbolPathologies = true;
   return W;
+}
+
+TEST(TargetConstruction, FirstUseFromThreeThreadsAtOnce) {
+  // ctest runs each case in a process of its own, so no target exists yet:
+  // three threads each build one (parsing and compiling its description)
+  // at the same moment, and each target must come out whole.
+  std::latch Start(3);
+  const TargetInfo *Built[3] = {};
+  DecodedWord Nop[3];
+  std::vector<std::thread> Threads;
+  for (TargetArch Arch : AllTargetArches)
+    Threads.emplace_back([&, Arch] {
+      Start.arrive_and_wait();
+      const TargetInfo &T = targetFor(Arch);
+      Built[static_cast<unsigned>(Arch)] = &T;
+      Nop[static_cast<unsigned>(Arch)] = T.decode(T.nopWord());
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (TargetArch Arch : AllTargetArches) {
+    unsigned I = static_cast<unsigned>(Arch);
+    ASSERT_EQ(Built[I], &targetFor(Arch));
+    EXPECT_EQ(Built[I]->arch(), Arch);
+    EXPECT_EQ(Nop[I].Category, InstCategory::Computation);
+    EXPECT_TRUE(Nop[I].Writes.empty());
+  }
 }
 
 TEST(ParallelDeterminism, SriscMatchesSerial) {
