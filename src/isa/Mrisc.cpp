@@ -23,38 +23,6 @@
 using namespace eel;
 using namespace eel::mrisc;
 
-static bool isValidRType(MachWord W) {
-  uint32_t Funct = fieldFunct(W);
-  uint32_t Shamt = fieldShamt(W);
-  switch (Funct) {
-  case FnSll:
-  case FnSrl:
-  case FnSra:
-    return fieldRs(W) == 0; // immediate shifts leave rs clear
-  case FnJalr:
-    return Shamt == 0 && fieldRt(W) == 0;
-  case FnSllv:
-  case FnSrlv:
-  case FnSrav:
-  case FnMul:
-  case FnDiv:
-  case FnRem:
-  case FnAdd:
-  case FnSub:
-  case FnAnd:
-  case FnOr:
-  case FnXor:
-  case FnSlt:
-    return Shamt == 0;
-  case FnJr:
-    return Shamt == 0 && fieldRt(W) == 0 && fieldRd(W) == 0;
-  case FnSyscall:
-    return Shamt == 0 && fieldRs(W) == 0 && fieldRt(W) == 0 && fieldRd(W) == 0;
-  default:
-    return false;
-  }
-}
-
 /// MRISC's calling and trap conventions.
 static TargetConventions mriscConventions() {
   TargetConventions Conv;
@@ -233,7 +201,7 @@ std::string MriscTarget::disassemble(MachWord W, Addr PC) const {
     return "nop";
   switch (fieldOp(W)) {
   case OpRType: {
-    if (!isValidRType(W))
+    if (decode(W).Category == InstCategory::Invalid)
       return "<invalid>";
     uint32_t Funct = fieldFunct(W);
     static const struct {

@@ -957,8 +957,6 @@ CompiledDecoder::CompiledDecoder(std::shared_ptr<const MachineDesc> TheDesc,
         std::erase_if(C.Fills, [](const DecodeFill &F) {
           return F.K == DecodeFill::Kind::Reg;
         });
-        for (DecodeFill &F : C.Fills)
-          F.ReadMask = F.WriteMask = 0;
       }
       mergeRegisterFills(C.Fills);
       // Bytes, then words, then registers: the order of Kind.
