@@ -175,7 +175,7 @@ int main(int argc, char **argv) {
   }
   std::printf("\npaper: SPARC 145-line description vs 2,268 handwritten "
               "vs 6,178 generated;\nMIPS description 128 lines. Expected "
-              "shape: description << handwritten < generated.\n");
+              "shape: description << by hand < generated.\n");
 
   // §5's speed claim, measured per word: decode() through the compiled
   // table against interpreting the word's RTL, on the same sampled words.

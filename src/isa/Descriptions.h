@@ -5,11 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The spawn machine descriptions for SRISC and MRISC (the Figure 7
-/// language). They are embedded as strings so that the spawn-derived
-/// targets need no file-system configuration, and so the machine-description
-/// conciseness benchmark (bench_machdesc) can count their lines against the
-/// handwritten backends.
+/// The spawn machine descriptions for SRISC, MRISC and ARISC (the Figure 7
+/// language). Each target compiles its description into the decode table
+/// behind TargetInfo::decode() when it is built. They are embedded as
+/// strings so that the targets need no file-system configuration, and so
+/// the machine-description conciseness benchmark (bench_machdesc) can count
+/// their lines against what a port still writes by hand.
 ///
 //===----------------------------------------------------------------------===//
 

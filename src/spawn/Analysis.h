@@ -49,14 +49,15 @@ DecodedWord analyzeWord(const MachineDesc &Desc, MachWord Word);
 DecodedWord analyzeWord(const MachineDesc &Desc, MachWord Word,
                         const TargetConventions &Conv);
 
-/// One field of the word that a compiled entry reads: bits
-/// [Lo, Lo + width of Mask). A Word fill sign-extends it when SignBit is
-/// set, scales it by Scale (a power of two), adds Base and stores the
-/// value at byte offset At of the entry's DecodedWord. A Byte or Reg fill
-/// reads a register number, which a Byte fill also stores at At; register
-/// RegBase + number joins Reads and Writes through ReadMask and WriteMask,
-/// which are all ones but the hard zero's bit where the register is read
-/// or written, and 0 elsewhere.
+/// One field of the word that a compiled entry reads: the bits
+/// [Lo, Lo + width of Mask).
+///  - A Word fill sign-extends the field when SignBit is set, multiplies
+///    it by Scale (a power of two), adds Base, and stores the result at
+///    byte offset At of the entry's DecodedWord.
+///  - A Byte fill stores the field, a register number, in the byte at At.
+///  - A Byte or Reg fill adds register RegBase + field to Reads and Writes
+///    through ReadMask and WriteMask: all ones but the hard zero's bit
+///    where the word reads or writes the register, and 0 where it does not.
 struct DecodeFill {
   enum class Kind : uint8_t { Byte, Word, Reg };
   Kind K = Kind::Byte;

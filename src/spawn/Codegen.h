@@ -9,8 +9,8 @@
 /// paper's spawn emitted (6,178 lines for SPARC from a 145-line description).
 /// The output contains the decode tables, field accessors, and a direct
 /// translation of every instruction's RTL semantics into C++ statements.
-/// bench_machdesc counts its lines against the description and the
-/// handwritten backends to reproduce the §4 conciseness comparison.
+/// bench_machdesc counts its lines against the description and what a
+/// port still writes by hand to reproduce the §4 conciseness comparison.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -18,7 +18,7 @@ namespace {
 
 // 4-bit NZVC condition-code helpers (semantics of the cc_* builtins; these
 // duplicate the SRISC encoding helpers deliberately — the evaluator must not
-// depend on any handwritten backend).
+// depend on any target's encoding header).
 enum : uint32_t { FlagC = 1, FlagV = 2, FlagZ = 4, FlagN = 8 };
 
 static uint32_t ccAdd(uint32_t A, uint32_t B) {
@@ -401,7 +401,7 @@ StepOutcome Evaluator::run() {
 
   if (PendingTrap) {
     // Trap conventions live outside the description (paper §4); fetch them
-    // from the handwritten backend for this architecture.
+    // from the target backend for this architecture.
     TargetArch Arch = Desc.ArchName == "mrisc"   ? TargetArch::Mrisc
                       : Desc.ArchName == "arisc" ? TargetArch::Arisc
                                                  : TargetArch::Srisc;

@@ -1,7 +1,15 @@
-//===- tests/IsaTest.cpp - Handwritten target backend tests ---------------===//
+//===- tests/IsaTest.cpp - Target decoding and backend tests --------------===//
 //
 // Part of the EEL reproduction project.
 //
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Pins each ISA's decoded facts word by word on words written from its
+/// encoding header, independently of the description the decode table is
+/// compiled from, and tests the backends' encoders, snippet code
+/// generation, retargeting and register renaming.
+///
 //===----------------------------------------------------------------------===//
 
 #include "isa/AriscEncoding.h"

@@ -283,18 +283,19 @@ TEST(SpawnEquivalence, SweepsReachEveryTableEntry) {
          {randomWords(Arch), structuredWords(Arch)})
       for (MachWord W : Words)
         Hit[Table.entryOf(W)] = true;
-    // A pattern's entries start at the entry of its match word, whose
-    // steering bits are all clear.
-    const std::vector<InstPattern> &Patterns = T.desc().Patterns;
-    for (unsigned E = 1; E < Hit.size(); ++E) {
-      const InstPattern *Owner = nullptr;
-      for (const InstPattern &P : Patterns)
-        if (Table.entryOf(P.Match) <= E &&
-            (!Owner || Table.entryOf(P.Match) > Table.entryOf(Owner->Match)))
-          Owner = &P;
+    // A pattern's entries start at its match word's entry (steering bits
+    // clear), which names the pattern an unreached entry belongs to.
+    auto Owner = [&](unsigned E) {
+      std::string Name;
+      unsigned Best = 0;
+      for (const InstPattern &P : T.desc().Patterns)
+        if (unsigned First = Table.entryOf(P.Match); First <= E && First > Best)
+          Best = First, Name = P.Name;
+      return Name;
+    };
+    for (unsigned E = 1; E < Hit.size(); ++E)
       EXPECT_TRUE(Hit[E]) << T.name() << ": no sweep word reaches entry " << E
-                          << " of pattern " << (Owner ? Owner->Name : "?");
-    }
+                          << " of pattern " << Owner(E);
   }
 }
 
