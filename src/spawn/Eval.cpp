@@ -399,29 +399,12 @@ StepOutcome Evaluator::run() {
     return Out;
   commit();
 
+  // Trap conventions live outside the description (paper §4); the VM's
+  // trap path applies them.
   if (PendingTrap) {
-    // Trap conventions live outside the description (paper §4); fetch them
-    // from the target backend for this architecture.
-    TargetArch Arch = Desc.ArchName == "mrisc"   ? TargetArch::Mrisc
-                      : Desc.ArchName == "arisc" ? TargetArch::Arisc
-                                                 : TargetArch::Srisc;
-    const TargetConventions &Conv = targetFor(Arch).conventions();
-    // Gather up to three argument registers in id order.
-    uint32_t Args[3] = {0, 0, 0};
-    unsigned N = 0;
-    for (unsigned Reg : Conv.ArgRegs) {
-      if (N >= 3)
-        break;
-      Args[N++] = M.cpu().Regs[Reg];
-    }
-    bool Exited = false;
-    int Code = 0;
-    uint32_t Ret = M.doSyscall(TrapNumber, Args, Exited, Code);
-    if (Exited) {
+    if (std::optional<int> Status = M.trap(TrapNumber)) {
       Out.Exited = true;
-      Out.ExitCode = Code;
-    } else {
-      M.cpu().Regs[Conv.RetRegs.first()] = Ret;
+      Out.ExitCode = *Status;
     }
   }
   return Out;
