@@ -207,9 +207,6 @@ int main(int argc, char **argv) {
   // inside the gate, summed over the routines and the worker threads the
   // gate fans out to, over the sum for all four passes.
   printHeader("Options::Verify gate: share of the gated write (spans)");
-#ifdef EEL_TRACE_DISABLED
-  std::printf("  tracing compiled out: not measured\n");
-#else
   {
     SxfFile File =
         generateWorkload(TargetArch::Srisc, suiteMember(false, 13, 24));
@@ -291,16 +288,12 @@ int main(int argc, char **argv) {
                   "fraction");
     }
   }
-#endif
 
   // The cost of a snippet site on qpt2's path (§3.5): the serial
   // instrument() walk that makes the edits, and the write.layout phase
   // that instantiates them, each per snippet placed. Threads = 1, as in
   // the spec_qpt workload; one gcc-style image per ISA; median over reps.
   printHeader("qpt2 snippet sites: nanoseconds per site (Threads = 1)");
-#ifdef EEL_TRACE_DISABLED
-  std::printf("  tracing compiled out: not measured\n");
-#else
   {
     std::vector<SxfFile> Images;
     for (TargetArch Arch : AllTargetArches)
@@ -353,7 +346,6 @@ int main(int argc, char **argv) {
     Sink.metric("qpt2_instrument_ns_per_site", Median(InstrumentNs), "ns");
     Sink.metric("qpt2_layout_ns_per_site", Median(LayoutNs), "ns");
   }
-#endif
 
   // Tracing compiled in but disabled must be invisible: an EEL_TRACE_SCOPE
   // with no sink installed is one thread-local load and a branch, paid

@@ -6,7 +6,6 @@
 # repository root:
 #
 #   release  build-release  Release (-O3), -Werror         full ctest
-#   notrace  build-notrace  -DEEL_TRACE_DISABLED           full ctest
 #   tsan     build-tsan     EEL_SANITIZE=thread            ctest -L 'par|serve|obs|ir'
 #   san      build-san      EEL_SANITIZE=address,undefined ctest -L 'fuzz|obs|serve|par'
 #
@@ -53,10 +52,8 @@ check() {
 
 check release build-release "" -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS= -DEEL_SANITIZE=
-check notrace build-notrace "" -DCMAKE_CXX_FLAGS=-DEEL_TRACE_DISABLED \
-  -DEEL_SANITIZE=
 check tsan build-tsan 'par|serve|obs|ir' -DCMAKE_CXX_FLAGS= \
   -DEEL_SANITIZE=thread
 check san build-san 'fuzz|obs|serve|par' -DCMAKE_CXX_FLAGS= \
   -DEEL_SANITIZE=address,undefined
-echo "all four configurations passed"
+echo "all three configurations passed"

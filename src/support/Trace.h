@@ -16,15 +16,11 @@
 /// sink of the run that fanned out, whatever thread recorded them. With
 /// no sink installed nothing is recorded.
 ///
-/// Two gates keep the cost out of production runs:
-///  - the installed sink: without one, the span constructor is one
-///    thread-local load and a branch and the destructor a branch — no
-///    clock reads, no allocation, no writes;
-///  - the EEL_TRACE_DISABLED compile-time macro, which turns every
-///    EEL_TRACE_SCOPE into ((void)0) and every TracePhases into a no-op,
-///    so tracing compiles out entirely.
-/// bench_overhead asserts the compiled-in path without a sink costs <1% of
-/// pipeline time.
+/// The installed sink is the one gate that keeps the cost out of production
+/// runs: without one, the span constructor is one thread-local load and a
+/// branch and the destructor a branch — no clock reads, no allocation, no
+/// writes. bench_overhead asserts that this path costs <1% of pipeline
+/// time, so tracing has one build and nothing compiles it out.
 ///
 /// Spans carry nanosecond timestamps from one process-wide steady-clock
 /// epoch and the recording thread's dense id (traceThreadId(), which log
@@ -183,9 +179,6 @@ private:
 /// current phase's span and opens the next, and destruction ends the last.
 class TracePhases {
 public:
-#ifdef EEL_TRACE_DISABLED
-  void begin(const char *) {}
-#else
   void begin(const char *Name) {
     Current.reset();
     Current.emplace(Name);
@@ -193,7 +186,6 @@ public:
 
 private:
   std::optional<TraceSpan> Current;
-#endif
 };
 
 /// Renders \p Events as a Chrome trace-event JSON document (the
@@ -207,13 +199,8 @@ std::string renderChromeTrace(const std::vector<TraceEvent> &Events);
 
 /// Opens a span covering the rest of the enclosing scope:
 ///   EEL_TRACE_SCOPE("cfg_build", "routine", R.name());
-/// Compiles out entirely under -DEEL_TRACE_DISABLED.
-#ifdef EEL_TRACE_DISABLED
-#define EEL_TRACE_SCOPE(...) ((void)0)
-#else
 #define EEL_TRACE_SCOPE(...)                                                   \
   ::eel::TraceSpan EEL_TRACE_CAT(EelTraceSpan_, __LINE__)(__VA_ARGS__)
-#endif
 
 } // namespace eel
 

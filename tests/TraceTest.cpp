@@ -196,9 +196,6 @@ TEST(Determinism, SnapshotsIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, SpanNamesIdenticalAcrossThreadCounts) {
-#ifdef EEL_TRACE_DISABLED
-  GTEST_SKIP() << "spans compile out under EEL_TRACE_DISABLED";
-#endif
   PipelineArtifacts Serial = runTracedPipeline(1);
   PipelineArtifacts Parallel = runTracedPipeline(8);
   ASSERT_FALSE(Serial.Spans.empty());
@@ -223,9 +220,6 @@ TEST(Determinism, SpanNamesIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, LayoutBuildsNoAnalysisAtAnyWidth) {
-#ifdef EEL_TRACE_DISABLED
-  GTEST_SKIP() << "spans compile out under EEL_TRACE_DISABLED";
-#endif
   // readContents() runs the per-routine analyses at every width, so the
   // write path only reads cached CFGs, slices, and liveness: no analysis
   // span may open inside a layout_routine span, at 1 thread or at 4.
@@ -278,9 +272,6 @@ TEST(Determinism, LayoutBuildsNoAnalysisAtAnyWidth) {
 //===----------------------------------------------------------------------===//
 
 TEST(Export, ChromeTraceParsesAndRoundTrips) {
-#ifdef EEL_TRACE_DISABLED
-  GTEST_SKIP() << "spans compile out under EEL_TRACE_DISABLED";
-#endif
   PipelineArtifacts Run = runTracedPipeline(1);
   ASSERT_FALSE(Run.Spans.empty());
   std::string Text = renderChromeTrace(Run.Spans);
@@ -330,13 +321,11 @@ TEST(Export, RunReportParsesAndRoundTrips) {
   const JsonValue *Phases = Root.find("phases");
   ASSERT_NE(Phases, nullptr);
   ASSERT_TRUE(Phases->isArray());
-#ifndef EEL_TRACE_DISABLED
   std::set<std::string> TopLevel;
   for (const JsonValue &P : Phases->Arr)
     TopLevel.insert(P.find("name")->Str);
   EXPECT_TRUE(TopLevel.count("readContents"));
   EXPECT_TRUE(TopLevel.count("writeEditedExecutable"));
-#endif
 
   const JsonValue *Hists = Root.find("histograms");
   ASSERT_NE(Hists, nullptr);
@@ -396,12 +385,8 @@ TEST(Disabled, RecordsNothingAndCreatesNoRings) {
   MetricsSnapshot Snap = Sink.snapshot();
   EXPECT_TRUE(Snap.Counters.empty());
   EXPECT_TRUE(Snap.Histograms.empty());
-#ifdef EEL_TRACE_DISABLED
-  EXPECT_TRUE(Snap.Spans.empty());
-#else
   ASSERT_EQ(Snap.Spans.size(), 1u);
   EXPECT_STREQ(Snap.Spans[0].Name, "test.enabled");
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -434,9 +419,7 @@ TEST(Sink, FreshSinkEachRoundOnTheSamePoolThreads) {
     }
     MetricsSnapshot Snap = Sink.snapshot();
     ASSERT_EQ(Snap.counter("test.round_bumps"), 64u) << "round " << Round;
-#ifndef EEL_TRACE_DISABLED
     ASSERT_EQ(spansNamed(Snap, "test.round_body"), 64u) << "round " << Round;
-#endif
   }
 }
 
@@ -473,7 +456,6 @@ TEST(Sink, ConcurrentClientsSeeOnlyTheirOwnWork) {
     EXPECT_EQ(H.Count, uint64_t(Reps * 64));
     EXPECT_EQ(H.Min, uint64_t(C));
     EXPECT_EQ(H.Max, uint64_t(C));
-#ifndef EEL_TRACE_DISABLED
     EXPECT_EQ(spansNamed(Snap, Names[C]), size_t(Reps * 64));
     EXPECT_EQ(spansNamed(Snap, Names[1 - C]), 0u);
     // A worker that switched sinks kept one push order per sink.
@@ -483,7 +465,6 @@ TEST(Sink, ConcurrentClientsSeeOnlyTheirOwnWork) {
       Keys.emplace(Ev.Tid, Ev.Seq);
     }
     EXPECT_EQ(Keys.size(), Snap.Spans.size());
-#endif
   }
 }
 
@@ -831,9 +812,6 @@ TEST(Log, RecordsKeepWriteOrderAcrossThreads) {
 //===----------------------------------------------------------------------===//
 
 TEST(RequestId, PropagatesThroughParallelForEach) {
-#ifdef EEL_TRACE_DISABLED
-  GTEST_SKIP() << "spans compile out under EEL_TRACE_DISABLED";
-#endif
   // A request id set on the submitting thread must reach spans recorded
   // by pool helper threads — that is what makes slow-request exemplars
   // complete for multi-threaded edits.
