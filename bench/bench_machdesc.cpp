@@ -20,8 +20,7 @@
 /// backend and encoding header) vs generated-file lines, per target;
 /// decode() nanoseconds per word for the table every target compiles from
 /// its description and for the interpretive analyzeWord it is checked
-/// against, on the same sampled words; and the description's pattern
-/// lookup against its linear matcher.
+/// against, on the same sampled words.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -119,20 +118,6 @@ static void BM_DecodeTable(benchmark::State &State) {
 }
 BENCHMARK(BM_DecodeTable)->Arg(0)->Arg(1)->Arg(2);
 
-static void BM_DecodeLinear(benchmark::State &State) {
-  TargetArch Arch = static_cast<TargetArch>(State.range(0));
-  std::vector<MachWord> Words = sampleWords(Arch, 20000);
-  const spawn::MachineDesc &Desc = targetFor(Arch).desc();
-  for (auto _ : State) {
-    uint64_t Sum = 0;
-    for (MachWord W : Words)
-      Sum += static_cast<uint64_t>(Desc.decodeLinear(W) + 1);
-    benchmark::DoNotOptimize(Sum);
-  }
-  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
-                          Words.size() * sizeof(MachWord));
-}
-BENCHMARK(BM_DecodeLinear)->Arg(0)->Arg(1)->Arg(2);
 
 int main(int argc, char **argv) {
   eelbench::JsonSink Sink("bench_machdesc", &argc, argv);
@@ -213,49 +198,5 @@ int main(int argc, char **argv) {
               "speed\" as the handwritten.\nHere every target decodes "
               "through the table; EXPERIMENTS.md records the cost\nof the "
               "handwritten decoders it replaced on the same words.\n");
-
-  // Decode throughput: the compiled decode table vs the bucketed linear
-  // scan it replaced, with a byte-identity check — the table must agree
-  // with the linear decoder on every sampled word before its speed counts.
-  printHeader("table-driven decode vs linear scan");
-  std::printf("%-8s %14s %14s %10s\n", "target", "table MB/s",
-              "linear MB/s", "speedup");
-  unsigned WordCount = Sink.smoke() ? 20000 : 200000;
-  unsigned Reps = Sink.smoke() ? 2 : 25;
-  for (TargetArch Arch : AllTargetArches) {
-    const spawn::MachineDesc &Desc = targetFor(Arch).desc();
-    std::vector<MachWord> Words = sampleWords(Arch, WordCount);
-    unsigned Mismatches = 0;
-    for (MachWord W : Words)
-      if (Desc.decode(W) != Desc.decodeLinear(W))
-        ++Mismatches;
-    if (Mismatches) {
-      std::printf("%-8s DECODE MISMATCH on %u/%zu words\n",
-                  targetFor(Arch).name(), Mismatches, Words.size());
-      return 1;
-    }
-    auto Throughput = [&](bool Table) {
-      uint64_t Sink2 = 0;
-      auto Start = std::chrono::steady_clock::now();
-      for (unsigned R = 0; R < Reps; ++R)
-        for (MachWord W : Words)
-          Sink2 += static_cast<uint64_t>(
-              (Table ? Desc.decode(W) : Desc.decodeLinear(W)) + 1);
-      auto End = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(Sink2);
-      double Seconds = std::chrono::duration<double>(End - Start).count();
-      double Bytes = double(Reps) * Words.size() * sizeof(MachWord);
-      return Seconds > 0 ? Bytes / Seconds / 1e6 : 0.0;
-    };
-    double TableMBs = Throughput(true);
-    double LinearMBs = Throughput(false);
-    std::printf("%-8s %11.1f    %11.1f    %7.2fx\n", targetFor(Arch).name(),
-                TableMBs, LinearMBs,
-                LinearMBs > 0 ? TableMBs / LinearMBs : 0.0);
-    Sink.metric(std::string("decode_table_mbs_") + targetFor(Arch).name(),
-                TableMBs, "MB/s");
-    Sink.metric(std::string("decode_linear_mbs_") + targetFor(Arch).name(),
-                LinearMBs, "MB/s");
-  }
   return 0;
 }

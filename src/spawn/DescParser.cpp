@@ -33,6 +33,7 @@
 #include "spawn/Lexer.h"
 #include "support/BitOps.h"
 
+#include <algorithm>
 #include <set>
 
 using namespace eel;
@@ -179,13 +180,7 @@ private:
   Expected<std::vector<StmtP>> parseStmtList();
   Expected<StmtP> parseStmt();
   Expected<ExprP> parseExpr(bool AllowTernary);
-  Expected<ExprP> parseOr(bool AllowTernary);
-  Expected<ExprP> parseXor(bool AllowTernary);
-  Expected<ExprP> parseAnd(bool AllowTernary);
-  Expected<ExprP> parseEq(bool AllowTernary);
-  Expected<ExprP> parseShift(bool AllowTernary);
-  Expected<ExprP> parseAdd(bool AllowTernary);
-  Expected<ExprP> parseMul(bool AllowTernary);
+  Expected<ExprP> parseBinary(unsigned Level);
   Expected<ExprP> parseUnary();
   Expected<ExprP> parsePrimary();
 
@@ -314,7 +309,7 @@ Expected<StmtP> RtlParser::parseStmt() {
 }
 
 Expected<ExprP> RtlParser::parseExpr(bool AllowTernary) {
-  Expected<ExprP> L = parseOr(AllowTernary);
+  Expected<ExprP> L = parseBinary(0);
   if (L.hasError() || !AllowTernary || !peek().is("?"))
     return L;
   next(); // '?'
@@ -329,92 +324,44 @@ Expected<ExprP> RtlParser::parseExpr(bool AllowTernary) {
   return Expr::makeTernary(L.takeValue(), T.takeValue(), F.takeValue());
 }
 
-Expected<ExprP> RtlParser::parseOr(bool AllowTernary) {
-  Expected<ExprP> L = parseXor(AllowTernary);
-  while (L.hasValue() && peek().is("|")) {
-    next();
-    Expected<ExprP> R = parseXor(AllowTernary);
-    if (R.hasError())
-      return R;
-    L = Expr::makeBinary(RtlBinOp::Or, L.takeValue(), R.takeValue());
-  }
-  return L;
-}
+namespace {
 
-Expected<ExprP> RtlParser::parseXor(bool AllowTernary) {
-  Expected<ExprP> L = parseAnd(AllowTernary);
-  while (L.hasValue() && peek().is("^")) {
-    next();
-    Expected<ExprP> R = parseAnd(AllowTernary);
-    if (R.hasError())
-      return R;
-    L = Expr::makeBinary(RtlBinOp::Xor, L.takeValue(), R.takeValue());
-  }
-  return L;
-}
+/// A binary operator and its precedence level; level 0 binds loosest.
+struct BinaryOp {
+  const char *Text;
+  RtlBinOp Op;
+  unsigned Level;
+};
 
-Expected<ExprP> RtlParser::parseAnd(bool AllowTernary) {
-  Expected<ExprP> L = parseEq(AllowTernary);
-  while (L.hasValue() && peek().is("&")) {
-    next();
-    Expected<ExprP> R = parseEq(AllowTernary);
-    if (R.hasError())
-      return R;
-    L = Expr::makeBinary(RtlBinOp::And, L.takeValue(), R.takeValue());
-  }
-  return L;
-}
+constexpr BinaryOp BinaryOps[] = {
+    {"|", RtlBinOp::Or, 0},  {"^", RtlBinOp::Xor, 1}, {"&", RtlBinOp::And, 2},
+    {"=", RtlBinOp::Eq, 3},  {"!=", RtlBinOp::Ne, 3}, {"<<", RtlBinOp::Shl, 4},
+    {"+", RtlBinOp::Add, 5}, {"-", RtlBinOp::Sub, 5}, {"*", RtlBinOp::Mul, 6}};
+constexpr unsigned NumBinaryLevels = 7;
+/// `=` and `!=` do not associate; every other level associates left.
+constexpr unsigned EqualityLevel = 3;
 
-Expected<ExprP> RtlParser::parseEq(bool AllowTernary) {
-  Expected<ExprP> L = parseShift(AllowTernary);
-  if (L.hasError())
-    return L;
-  if (peek().is("=") || peek().is("!=")) {
-    RtlBinOp Op = peek().is("=") ? RtlBinOp::Eq : RtlBinOp::Ne;
-    next();
-    Expected<ExprP> R = parseShift(AllowTernary);
-    if (R.hasError())
-      return R;
-    return Expr::makeBinary(Op, L.takeValue(), R.takeValue());
-  }
-  return L;
-}
+} // namespace
 
-Expected<ExprP> RtlParser::parseShift(bool AllowTernary) {
-  Expected<ExprP> L = parseAdd(AllowTernary);
-  while (L.hasValue() && peek().is("<<")) {
+Expected<ExprP> RtlParser::parseBinary(unsigned Level) {
+  if (Level == NumBinaryLevels)
+    return parseUnary();
+  Expected<ExprP> L = parseBinary(Level + 1);
+  while (L.hasValue()) {
+    const BinaryOp *Op = std::find_if(
+        std::begin(BinaryOps), std::end(BinaryOps), [&](const BinaryOp &B) {
+          return B.Level == Level && peek().is(B.Text);
+        });
+    if (Op == std::end(BinaryOps))
+      break;
     next();
-    Expected<ExprP> R = parseAdd(AllowTernary);
+    Expected<ExprP> R = parseBinary(Level + 1);
     if (R.hasError())
       return R;
-    L = Expr::makeBinary(RtlBinOp::Shl, L.takeValue(), R.takeValue());
+    L = Expr::makeBinary(Op->Op, L.takeValue(), R.takeValue());
+    if (Level == EqualityLevel)
+      break;
   }
-  return L;
-}
-
-Expected<ExprP> RtlParser::parseAdd(bool AllowTernary) {
-  Expected<ExprP> L = parseMul(AllowTernary);
-  while (L.hasValue() && (peek().is("+") || peek().is("-"))) {
-    RtlBinOp Op = peek().is("+") ? RtlBinOp::Add : RtlBinOp::Sub;
-    next();
-    Expected<ExprP> R = parseMul(AllowTernary);
-    if (R.hasError())
-      return R;
-    L = Expr::makeBinary(Op, L.takeValue(), R.takeValue());
-  }
-  return L;
-}
-
-Expected<ExprP> RtlParser::parseMul(bool AllowTernary) {
-  Expected<ExprP> L = parseUnary();
-  while (L.hasValue() && peek().is("*")) {
-    next();
-    Expected<ExprP> R = parseUnary();
-    if (R.hasError())
-      return R;
-    L = Expr::makeBinary(RtlBinOp::Mul, L.takeValue(), R.takeValue());
-  }
-  (void)AllowTernary;
   return L;
 }
 
@@ -549,24 +496,9 @@ std::vector<std::string> MachineDesc::regFileNames() const {
   return Names;
 }
 
-int MachineDesc::decodeLinear(MachWord Word) const {
-  if (BucketFieldIndex >= 0) {
-    const FieldDef &F = Fields[BucketFieldIndex];
-    auto It = Buckets.find(fieldValue(F, Word));
-    if (It == Buckets.end())
-      return -1;
-    for (int Index : It->second)
-      if ((Word & Patterns[Index].Mask) == Patterns[Index].Match)
-        return Index;
-    return -1;
-  }
-  for (size_t I = 0; I < Patterns.size(); ++I)
-    if ((Word & Patterns[I].Mask) == Patterns[I].Match)
-      return static_cast<int>(I);
-  return -1;
-}
-
 Expected<bool> MachineDesc::finalize() {
+  if (Patterns.empty())
+    return Error("machine description: no instruction patterns");
   // Every pattern needs semantics.
   for (const InstPattern &P : Patterns)
     if (P.SemIndex < 0)
@@ -582,39 +514,12 @@ Expected<bool> MachineDesc::finalize() {
                      "' and '" + Patterns[J].Name + "' overlap");
     }
   }
-  // Find a field constrained by every pattern to bucket the decoder.
-  for (size_t FI = 0; FI < Fields.size(); ++FI) {
-    bool InAll = !Patterns.empty();
-    for (const InstPattern &P : Patterns) {
-      bool Found = false;
-      for (const PatternConstraint &C : P.Constraints)
-        if (C.Field == Fields[FI].Name)
-          Found = true;
-      if (!Found) {
-        InAll = false;
-        break;
-      }
-    }
-    if (InAll) {
-      BucketFieldIndex = static_cast<int>(FI);
-      break;
-    }
-  }
-  if (BucketFieldIndex >= 0) {
-    for (size_t PI = 0; PI < Patterns.size(); ++PI) {
-      for (const PatternConstraint &C : Patterns[PI].Constraints)
-        if (C.Field == Fields[BucketFieldIndex].Name)
-          Buckets[C.Value].push_back(static_cast<int>(PI));
-    }
-  }
   buildDecodeProgram();
   return true;
 }
 
 void MachineDesc::buildDecodeProgram() {
   DecodeProgram.clear();
-  if (Patterns.size() < 2)
-    return;
 
   // Recursive splitter in the binutils opcodes style: at each node pick the
   // most discriminating field constrained by *every* pattern in the subset
@@ -631,6 +536,15 @@ void MachineDesc::buildDecodeProgram() {
         }
       Found = false;
       return 0;
+    }
+
+    /// Emits a scan node over \p Subset and returns its reference.
+    int32_t scan(const std::vector<int> &Subset) {
+      int32_t Node = static_cast<int32_t>(D.DecodeProgram.size());
+      D.DecodeProgram.push_back(-static_cast<int32_t>(Subset.size()));
+      for (int PI : Subset)
+        D.DecodeProgram.push_back(PI);
+      return -(Node + 2);
     }
 
     /// Returns the entry value encoding this subset: a leaf, a child-node
@@ -665,13 +579,8 @@ void MachineDesc::buildDecodeProgram() {
           Best = static_cast<int>(FI);
         }
       }
-      if (Best < 0) {
-        int32_t Node = static_cast<int32_t>(D.DecodeProgram.size());
-        D.DecodeProgram.push_back(-static_cast<int32_t>(Subset.size()));
-        for (int PI : Subset)
-          D.DecodeProgram.push_back(PI);
-        return -(Node + 2);
-      }
+      if (Best < 0)
+        return scan(Subset);
       const FieldDef &F = D.Fields[Best];
       unsigned Width = F.width();
       int32_t Node = static_cast<int32_t>(D.DecodeProgram.size());
@@ -694,8 +603,13 @@ void MachineDesc::buildDecodeProgram() {
   std::vector<int> All(Patterns.size());
   for (size_t I = 0; I < All.size(); ++I)
     All[I] = static_cast<int>(I);
+  // The root is always a node, so decode() always has a table to walk: a
+  // single pattern is a leaf, not a node, and gets a scan node of its own.
   Builder B{*this};
-  B.build(All, 0);
+  if (All.size() == 1)
+    B.scan(All);
+  else
+    B.build(All, 0);
 }
 
 // --- Clause parser --------------------------------------------------------------

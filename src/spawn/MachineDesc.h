@@ -77,12 +77,9 @@ public:
     return false;
   }
 
-  /// Decodes \p Word to a pattern index, or -1 for invalid encodings.
-  /// Walks the compiled decode table (falling back to the linear scan when
-  /// no table was built, i.e. before finalize()).
+  /// Decodes \p Word to a pattern index, or -1 for invalid encodings, by
+  /// walking the decode table finalize() compiles.
   int decode(MachWord Word) const {
-    if (DecodeProgram.empty())
-      return decodeLinear(Word);
     size_t Node = 0;
     for (;;) {
       int32_t Header = DecodeProgram[Node];
@@ -108,11 +105,6 @@ public:
     }
   }
 
-  /// The pre-table decoder: bucket on one common field, then scan the
-  /// bucket's mask/match pairs linearly. Kept callable so the decode-table
-  /// speedup is measurable (bench_machdesc) and cross-checkable (tests).
-  int decodeLinear(MachWord Word) const;
-
   /// The compiled decode table, a flattened tree. Each node starts with a
   /// header word:
   ///
@@ -123,7 +115,7 @@ public:
   ///
   /// An entry is -1 (invalid), >= 0 (pattern-index leaf, verified against
   /// the pattern's mask/match), or <= -2 (child node at offset -(e + 2)).
-  /// Empty when the description has at most one pattern.
+  /// A description with one pattern compiles to a one-entry scan node.
   const std::vector<int32_t> &decodeProgram() const { return DecodeProgram; }
 
   uint32_t fieldValue(const FieldDef &F, MachWord Word) const;
@@ -132,14 +124,12 @@ public:
   std::vector<std::string> regFileNames() const;
 
   /// Called once after parsing: validates pattern disjointness and builds
-  /// the decode index. Returns an error message on inconsistency.
+  /// the decode table. Returns an error message on inconsistency.
   Expected<bool> finalize();
 
 private:
   void buildDecodeProgram();
 
-  int BucketFieldIndex = -1;
-  std::map<uint32_t, std::vector<int>> Buckets;
   std::vector<int32_t> DecodeProgram;
 };
 
