@@ -131,9 +131,13 @@ InferConfidence confidenceFor(const EntryFact &F, bool WeakOracle) {
   return InferConfidence::Low;
 }
 
+/// Fixpoint iteration cap; the rule set converges in 2–3 rounds on
+/// everything we generate, the cap only bounds adversarial inputs.
+constexpr unsigned MaxRounds = 8;
+
 } // namespace
 
-InferResult eel::inferLayout(Analysis &An, const InferOptions &Opts) {
+InferResult eel::inferLayout(Analysis &An) {
   EEL_TRACE_SCOPE("infer");
 
   InferContext Ctx(An);
@@ -143,7 +147,7 @@ InferResult eel::inferLayout(Analysis &An, const InferOptions &Opts) {
   scanDataPointers(Ctx);  // R3, likewise
 
   std::vector<uint64_t> PrevFP;
-  for (unsigned Round = 1; Round <= Opts.MaxRounds; ++Round) {
+  for (unsigned Round = 1; Round <= MaxRounds; ++Round) {
     Ctx.Stats.Rounds = Round;
     voteEntries(Ctx);                                    // R5
     std::vector<Extent> Extents = partition(Ctx);

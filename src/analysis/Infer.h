@@ -52,12 +52,6 @@ namespace eel {
 
 class Analysis;
 
-struct InferOptions {
-  /// Fixpoint iteration cap; the rule set converges in 2–3 rounds on
-  /// everything we generate, the cap only bounds adversarial inputs.
-  unsigned MaxRounds = 8;
-};
-
 /// Everything the fixpoint concluded, in core-consumable form.
 struct InferResult {
   std::vector<InferredRoutine> Routines;
@@ -72,7 +66,7 @@ struct InferResult {
 /// reads the image, touches no routine state. Deterministic — serial by
 /// design, with every container ordered by address — so two runs (and any
 /// thread setting) produce identical results.
-InferResult inferLayout(Analysis &An, const InferOptions &Opts = {});
+InferResult inferLayout(Analysis &An);
 
 } // namespace eel
 

@@ -53,7 +53,6 @@
 
 namespace eel {
 
-struct InferOptions;
 struct InferResult;
 
 /// The read-only half of an executable: the image and everything
@@ -189,7 +188,7 @@ public:
 private:
   /// The fixpoint installs constant-cell facts round by round (the slicing
   /// oracle must see round N's cells during round N+1's resolutions).
-  friend InferResult inferLayout(Analysis &, const InferOptions &);
+  friend InferResult inferLayout(Analysis &);
 
   /// §3.1 stages 1–4: builds the sorted routine map (readContents'
   /// "symbol_refine" phase).

@@ -19,7 +19,6 @@
 
 #include "core/Layout.h"
 
-#include "asmkit/TargetAsm.h"
 #include "core/Liveness.h"
 #include "core/RegAlloc.h"
 #include "core/Routine.h"
@@ -833,8 +832,6 @@ Expected<bool> RoutineLayouter::runVerbatim() {
   Out.Verbatim = true;
   Out.Code.reserve(Mapped.size()); // every word of the extent, once
   bumpStat("eel.layout.verbatim");
-  const asmkit::InstParser &Parser = asmkit::instParserFor(Target.arch());
-  (void)Parser;
   const Instruction *Prev = nullptr;
   for (Addr A = R.startAddr(); A + 4 <= R.endAddr(); A += 4) {
     const Instruction *I = An.instAt(A);

@@ -77,16 +77,6 @@ public:
     return true; // single word: no delay-slot nop on ARISC
   }
 
-  bool emitCall(Addr PC, Addr Target, std::vector<MachWord> &Out) const override {
-    int64_t DispWords = (static_cast<int64_t>(Target) -
-                         (static_cast<int64_t>(PC) + 4)) /
-                        4;
-    if (!fitsSigned(DispWords, 26))
-      return false;
-    Out.push_back(encodeBrType(OpBsr, static_cast<int32_t>(DispWords)));
-    return true;
-  }
-
   void emitLoadConst(unsigned Reg, uint32_t Value,
                      std::vector<MachWord> &Out) const override {
     if (Value <= 0xFFFFu) {

@@ -71,14 +71,6 @@ public:
     return true;
   }
 
-  bool emitCall(Addr PC, Addr Target, std::vector<MachWord> &Out) const override {
-    if ((PC & 0xF0000000u) != (Target & 0xF0000000u))
-      return false;
-    Out.push_back(encodeJType(OpJal, Target >> 2));
-    Out.push_back(nop());
-    return true;
-  }
-
   void emitLoadConst(unsigned Reg, uint32_t Value,
                      std::vector<MachWord> &Out) const override {
     if (Value <= 0xFFFFu) {

@@ -76,16 +76,6 @@ public:
     return true;
   }
 
-  bool emitCall(Addr PC, Addr Target, std::vector<MachWord> &Out) const override {
-    int64_t DispWords =
-        (static_cast<int64_t>(Target) - static_cast<int64_t>(PC)) / 4;
-    if (!fitsSigned(DispWords, 30))
-      return false;
-    Out.push_back(encodeCall(static_cast<int32_t>(DispWords)));
-    Out.push_back(nop());
-    return true;
-  }
-
   void emitLoadConst(unsigned Reg, uint32_t Value,
                      std::vector<MachWord> &Out) const override {
     if (fitsSigned(static_cast<int32_t>(Value), 13)) {

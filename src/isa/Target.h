@@ -306,10 +306,6 @@ public:
   virtual bool emitJump(Addr PC, Addr Target,
                         std::vector<MachWord> &Out) const = 0;
 
-  /// Emits a call (with delay-slot nop) from \p PC to \p Target.
-  virtual bool emitCall(Addr PC, Addr Target,
-                        std::vector<MachWord> &Out) const = 0;
-
   /// Emits code materializing the 32-bit constant \p Value into \p Reg.
   virtual void emitLoadConst(unsigned Reg, uint32_t Value,
                              std::vector<MachWord> &Out) const = 0;
