@@ -26,8 +26,10 @@
 
 #include "core/Executable.h"
 #include "core/Snippet.h"
+#include "support/Arena.h"
 #include "support/Error.h"
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,18 +50,20 @@ struct Reloc {
   unsigned WordIndex = 0;
   Addr OrigTarget = 0;       ///< CallTo/JumpTo/AddrHi/AddrLo.
   unsigned DestWordIndex = 0;///< Internal.
+  /// CallTo/JumpTo/Internal: the displacement field of the word being
+  /// retargeted, as layout decoded it (no field when the word is not a
+  /// direct transfer), so patching needs no decode.
+  DirectShape Shape;
 };
 
-/// One rewritten dispatch-table entry: the new value is either the edited
-/// address of an original target or a stub inside the routine.
+/// One rewritten dispatch-table entry, word \p Index of the table at
+/// \p TableAddr: the new value is either the edited address of an
+/// original target or a stub inside the routine.
 struct TableEntryFix {
+  Addr TableAddr = 0;
+  unsigned Index = 0;
   Addr OrigTarget = 0;        ///< Used when StubWordIndex is unset.
   int StubWordIndex = -1;     ///< >= 0: entry points at this routine word.
-};
-
-struct TableFix {
-  Addr TableAddr = 0;
-  std::vector<TableEntryFix> Entries;
 };
 
 /// A constant code-pointer cell that feeds a Literal-resolved indirect
@@ -78,17 +82,19 @@ struct PendingCallback {
   unsigned WordIndex = 0; ///< Placement of Instance.Words within the code.
 };
 
-/// The machine-code rendering of one routine.
+/// The machine-code rendering of one routine. The arrays live in the
+/// arena the caller passed to layoutRoutine(), which frees them all at
+/// once; only the rare snippet call-backs own memory of their own.
 struct RoutineLayout {
-  std::vector<MachWord> Code;
-  std::vector<Reloc> Relocs;
+  std::span<const MachWord> Code;
+  std::span<const Reloc> Relocs;
   /// Original address → word index of its edited location (block starts
   /// point before any code inserted ahead of their first instruction).
-  /// Sorted by original address with unique keys (first mapping wins);
-  /// the layouter seals it before returning.
-  std::vector<std::pair<Addr, unsigned>> AddrMap;
-  std::vector<TableFix> TableFixes;
-  std::vector<CellFix> CellFixes;
+  /// Sorted by original address; every key lies in the routine's extent
+  /// and appears once.
+  std::span<const std::pair<Addr, unsigned>> AddrMap;
+  std::span<const TableEntryFix> TableEntries; ///< Table by table.
+  std::span<const CellFix> CellFixes;
   std::vector<PendingCallback> Callbacks;
   bool Verbatim = false;
   bool NeedsTranslator = false;
@@ -99,11 +105,11 @@ struct RoutineLayout {
   unsigned SnippetCCSaves = 0;
 };
 
-/// Lays out \p R, applying the batch \p Exec accumulated for its CFG.
-/// Fails when a snippet cannot be instantiated or an edited routine is
-/// unsupported.
-Expected<RoutineLayout> layoutRoutine(const Executable &Exec,
-                                      const Routine &R);
+/// Lays out \p R, applying the batch \p Exec accumulated for its CFG,
+/// with the result's arrays in \p Arena. Fails when a snippet cannot be
+/// instantiated or an edited routine is unsupported.
+Expected<RoutineLayout> layoutRoutine(const Executable &Exec, const Routine &R,
+                                      BumpArena &Arena);
 
 } // namespace eel
 

@@ -77,10 +77,10 @@ Expected<bool> eel::emitTranslationSite(const TargetInfo &Target,
 
     Target.emitStoreWord(G2, SP, -68, Code);
     Relocs.push_back({Reloc::Kind::TranslatorHi,
-                      static_cast<unsigned>(Code.size()), 0, 0});
+                      static_cast<unsigned>(Code.size()), 0, 0, {}});
     Code.push_back(encodeSethi(G2, 0));
     Relocs.push_back({Reloc::Kind::TranslatorLo,
-                      static_cast<unsigned>(Code.size()), 0, 0});
+                      static_cast<unsigned>(Code.size()), 0, 0, {}});
     Code.push_back(encodeArithImm(Op3Or, G2, G2, 0));
     Code.push_back(encodeJmplImm(Rd, G2, 0));
     Code.push_back(nop());
@@ -113,10 +113,10 @@ Expected<bool> eel::emitTranslationSite(const TargetInfo &Target,
     if (DelayWord != Target.nopWord())
       Code.push_back(DelayWord);
     Relocs.push_back({Reloc::Kind::TranslatorHi,
-                      static_cast<unsigned>(Code.size()), 0, 0});
+                      static_cast<unsigned>(Code.size()), 0, 0, {}});
     Code.push_back(encodeIType(OpLdih, 0, P1, 0));
     Relocs.push_back({Reloc::Kind::TranslatorLo,
-                      static_cast<unsigned>(Code.size()), 0, 0});
+                      static_cast<unsigned>(Code.size()), 0, 0, {}});
     Code.push_back(encodeIType(OpOri, P1, P1, 0));
     Code.push_back(encodeJmp(Rd, P1));
     return true;
@@ -140,10 +140,10 @@ Expected<bool> eel::emitTranslationSite(const TargetInfo &Target,
   if (DelayWord != Target.nopWord())
     Code.push_back(DelayWord);
   Relocs.push_back({Reloc::Kind::TranslatorHi,
-                    static_cast<unsigned>(Code.size()), 0, 0});
+                    static_cast<unsigned>(Code.size()), 0, 0, {}});
   Code.push_back(encodeIType(OpLui, 0, K1, 0));
   Relocs.push_back({Reloc::Kind::TranslatorLo,
-                    static_cast<unsigned>(Code.size()), 0, 0});
+                    static_cast<unsigned>(Code.size()), 0, 0, {}});
   Code.push_back(encodeIType(OpOri, K1, K1, 0));
   if (Rd == 0)
     Code.push_back(encodeRType(K1, 0, 0, 0, FnJr));

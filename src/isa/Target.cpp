@@ -58,8 +58,15 @@ void DecodedWord::tooManyRegFields() {
 std::optional<MachWord> eel::retargetDirect(const DecodedWord &D,
                                             MachWord Word, Addr NewPC,
                                             Addr NewTarget) {
-  const DirectShape &S = D.Direct;
-  if (!D.isDirectTransfer() || !S.HasField)
+  if (!D.isDirectTransfer())
+    return std::nullopt;
+  return retargetDirect(D.Direct, Word, NewPC, NewTarget);
+}
+
+std::optional<MachWord> eel::retargetDirect(const DirectShape &S,
+                                            MachWord Word, Addr NewPC,
+                                            Addr NewTarget) {
+  if (!S.HasField)
     return std::nullopt;
   int64_t Needed;
   if (S.Region) {

@@ -248,6 +248,10 @@ private:
 std::optional<MachWord> retargetDirect(const DecodedWord &D, MachWord Word,
                                        Addr NewPC, Addr NewTarget);
 
+/// The same for a direct transfer whose shape \p S a decode already found.
+std::optional<MachWord> retargetDirect(const DirectShape &S, MachWord Word,
+                                       Addr NewPC, Addr NewTarget);
+
 /// A renaming of the general registers: register R becomes Map[R].
 using RegisterMap = std::array<uint8_t, 32>;
 

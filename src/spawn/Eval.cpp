@@ -236,12 +236,13 @@ uint32_t Evaluator::evalExpr(const ExprP &E) {
     return M.cpu().Regs[regId(*E)];
   case Expr::Kind::Mem: {
     Addr A = evalExpr(E->Args[0]);
+    // OnMemory sees the access before its alignment check, as in the VM.
+    if (M.OnMemory)
+      M.OnMemory(PC, A, E->MemWidth, /*IsStore=*/false);
     if (A & (E->MemWidth - 1)) {
       Out.BadAlign = true;
       return 0;
     }
-    if (M.OnMemory)
-      M.OnMemory(PC, A, E->MemWidth, /*IsStore=*/false);
     uint32_t Raw;
     switch (E->MemWidth) {
     case 1:
@@ -325,12 +326,12 @@ void Evaluator::execStmt(const Stmt &S) {
     Addr A = evalExpr(S.Lhs->Args[0]);
     unsigned Width = S.Lhs->MemWidth;
     uint32_t Value = evalExpr(S.Rhs);
+    if (M.OnMemory)
+      M.OnMemory(PC, A, Width, /*IsStore=*/true);
     if (A & (Width - 1)) {
       Out.BadAlign = true;
       return;
     }
-    if (M.OnMemory)
-      M.OnMemory(PC, A, Width, /*IsStore=*/true);
     MemWrites.push_back({A, Width, Value});
     return;
   }

@@ -70,20 +70,27 @@ std::optional<uint32_t> SxfFile::readWord(Addr A) const {
   return std::nullopt;
 }
 
-bool SxfFile::writeWord(Addr A, uint32_t Value) {
+uint8_t *SxfFile::wordBytes(Addr A) {
   for (SxfSegment &Seg : Segments) {
     if (A < Seg.VAddr)
       continue;
     size_t Off = A - Seg.VAddr;
     if (Seg.Bytes.size() < 4 || Off > Seg.Bytes.size() - 4)
       continue;
-    Seg.Bytes[Off] = static_cast<uint8_t>(Value);
-    Seg.Bytes[Off + 1] = static_cast<uint8_t>(Value >> 8);
-    Seg.Bytes[Off + 2] = static_cast<uint8_t>(Value >> 16);
-    Seg.Bytes[Off + 3] = static_cast<uint8_t>(Value >> 24);
-    return true;
+    return &Seg.Bytes[Off];
   }
-  return false;
+  return nullptr;
+}
+
+bool SxfFile::writeWord(Addr A, uint32_t Value) {
+  uint8_t *Bytes = wordBytes(A);
+  if (!Bytes)
+    return false;
+  Bytes[0] = static_cast<uint8_t>(Value);
+  Bytes[1] = static_cast<uint8_t>(Value >> 8);
+  Bytes[2] = static_cast<uint8_t>(Value >> 16);
+  Bytes[3] = static_cast<uint8_t>(Value >> 24);
+  return true;
 }
 
 const SxfSymbol *SxfFile::findSymbol(const std::string &Name) const {

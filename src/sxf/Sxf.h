@@ -105,6 +105,10 @@ public:
   /// not within a file-backed segment.
   bool writeWord(Addr A, uint32_t Value);
 
+  /// The four file bytes writeWord(\p A, ...) stores to, or null. Valid
+  /// until the segments change.
+  uint8_t *wordBytes(Addr A);
+
   // --- Symbols ------------------------------------------------------------
 
   const SxfSymbol *findSymbol(const std::string &Name) const;

@@ -167,7 +167,7 @@ template <typename StepT>
       NPC = Next;
     }
   }
-  if (StepNo == MaxSteps && MaxSteps) {
+  if (StepNo == MaxSteps) { // the budget ran out, a zero budget included
     Result.Reason = StopReason::StepLimit;
     Result.FaultPC = PC;
   }

@@ -129,6 +129,39 @@ other:
   EXPECT_EQ(After.ExitCode, 9);
 }
 
+TEST(LayoutEdge, DelaySlotHoldingTheNextRoutineIsMappedOnce) {
+  // main's last word is a call whose delay slot is tail's first word, the
+  // one way two routines' code could share an original address. Only the
+  // routine whose extent holds an address maps it: main's graph has its
+  // delay slot outside it, so main is copied verbatim over its own two
+  // words, and tail alone maps its start, to its edited start.
+  Executable Exec(assembleOrDie(TargetArch::Srisc, R"(
+.text
+main:
+  mov 1, %o0
+  call tail
+tail:
+  add %o0, 2, %o0
+  sys 0
+  ret
+  nop
+)"));
+  RunResult Original = runToCompletion(Exec.image());
+  EXPECT_EQ(Original.ExitCode, 5); // the add runs in the slot and at tail
+  Expected<SxfFile> Edited = Exec.writeEditedExecutable();
+  ASSERT_TRUE(Edited.hasValue()) << Edited.error().message();
+  ASSERT_EQ(Exec.routines().size(), 2u);
+  EXPECT_EQ(Exec.editStats().RoutinesVerbatim, 1u);
+  const FlatAddrMap &Map = Exec.addrMap();
+  EXPECT_EQ(Map.size(), 6u); // every text word once
+  Addr Tail = Exec.image().findSymbol("tail")->Value;
+  const SxfSymbol *EditedTail = Edited.value().findSymbol("tail");
+  ASSERT_NE(EditedTail, nullptr);
+  ASSERT_EQ(Map.count(Tail), 1u);
+  EXPECT_EQ(Map.at(Tail), EditedTail->Value);
+  EXPECT_EQ(runToCompletion(Edited.value()).ExitCode, 5);
+}
+
 TEST(LayoutEdge, EditOrderingAtOnePoint) {
   // Two snippets at the same point apply in insertion order: the second
   // one doubles, so (0 + 5) * 2 != (0 * 2) + 5 distinguishes orders.

@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <latch>
@@ -54,6 +55,39 @@ TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   });
   for (size_t I = 0; I < N; ++I)
     EXPECT_EQ(Hits[I].load(), 1u) << "index " << I;
+}
+
+TEST(ThreadPoolTest, ChunkedClaimsCoverEveryIndexOnce) {
+  // Participants claim chunks of N / (32 * participants) indices: sizes
+  // around the points where a chunk grows from one index to two, and one
+  // whose chunks do not divide it, at several widths.
+  for (unsigned Threads : {2u, 3u, 4u, 8u})
+    for (size_t N : {size_t(1), size_t(2), size_t(63), size_t(64),
+                     size_t(65), size_t(127), size_t(128), size_t(129),
+                     size_t(256), size_t(257), size_t(10007)}) {
+      SCOPED_TRACE(testing::Message() << "threads " << Threads << ", n " << N);
+      std::vector<std::atomic<unsigned>> Hits(N);
+      parallelForEach(Threads, N, [&Hits](size_t I) {
+        Hits[I].fetch_add(1, std::memory_order_relaxed);
+      });
+      for (size_t I = 0; I < N; ++I)
+        ASSERT_EQ(Hits[I].load(), 1u) << "index " << I;
+    }
+}
+
+TEST(ThreadPoolTest, FanOutNestedInsideAChunk) {
+  // Every outer index of a chunk runs an inner fan-out before the chunk's
+  // next index starts: the claiming participant helps the inner one along
+  // and then resumes its chunk.
+  constexpr size_t Outer = 300, Inner = 129;
+  std::vector<std::atomic<unsigned>> Hits(Outer * Inner);
+  parallelForEach(4, Outer, [&Hits](size_t O) {
+    parallelForEach(3, Inner, [&Hits, O](size_t I) {
+      Hits[O * Inner + I].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (size_t I = 0; I < Hits.size(); ++I)
+    ASSERT_EQ(Hits[I].load(), 1u) << "index " << I;
 }
 
 TEST(ThreadPoolTest, SerialPathRunsInIndexOrder) {
@@ -235,6 +269,7 @@ struct PipelineResult {
   std::vector<uint8_t> Bytes; ///< Serialized edited image.
   Executable::EditStats Stats;
   std::vector<std::pair<std::string, uint64_t>> Counters; ///< Full snapshot.
+  std::vector<HistogramSnapshot> Histograms;                 ///< Likewise.
   std::vector<RoutineFacts> Routines; ///< The routine map, in order.
   size_t TextWords = 0;
   SxfFile EditedFile;
@@ -295,7 +330,9 @@ PipelineResult runPipeline(SxfFile Original, Executable::Options EOpts,
   Result.EditedFile = Edited.takeValue();
   Result.Bytes = Result.EditedFile.serialize();
   Result.Stats = Exec.editStats();
-  Result.Counters = Sink.snapshot().Counters;
+  MetricsSnapshot Snap = Sink.snapshot();
+  Result.Counters = std::move(Snap.Counters);
+  Result.Histograms = std::move(Snap.Histograms);
   return Result;
 }
 
@@ -314,6 +351,7 @@ void expectIdentical(const PipelineResult &Serial,
   EXPECT_EQ(A.RoutinesVerbatim, B.RoutinesVerbatim);
   EXPECT_EQ(A.DispatchEntriesRewritten, B.DispatchEntriesRewritten);
   EXPECT_EQ(A.DataPointersRewritten, B.DataPointersRewritten);
+  EXPECT_EQ(A.CellPointersRewritten, B.CellPointersRewritten);
   EXPECT_EQ(A.TranslationSites, B.TranslationSites);
   EXPECT_EQ(A.TranslationEntries, B.TranslationEntries);
   EXPECT_EQ(A.DelaySlotsFolded, B.DelaySlotsFolded);
@@ -324,6 +362,35 @@ void expectIdentical(const PipelineResult &Serial,
 
   EXPECT_EQ(Serial.Counters, Parallel.Counters)
       << "merged stat snapshots differ";
+  ASSERT_EQ(Serial.Histograms.size(), Parallel.Histograms.size());
+  for (size_t I = 0; I < Serial.Histograms.size(); ++I) {
+    const HistogramSnapshot &L = Serial.Histograms[I],
+                            &R = Parallel.Histograms[I];
+    EXPECT_EQ(L.Name, R.Name);
+    EXPECT_EQ(L.Count, R.Count) << L.Name;
+    EXPECT_EQ(L.Sum, R.Sum) << L.Name;
+    EXPECT_EQ(L.Min, R.Min) << L.Name;
+    EXPECT_EQ(L.Max, R.Max) << L.Name;
+    EXPECT_TRUE(std::equal(std::begin(L.Buckets), std::end(L.Buckets),
+                           std::begin(R.Buckets)))
+        << L.Name;
+  }
+}
+
+/// The widths every determinism case compares with Threads = 1.
+constexpr unsigned ParallelWidths[] = {2, 4, 8};
+
+/// Runs the pipeline over \p W's image at Threads = 1 and at every
+/// ParallelWidths width, and requires identical results.
+void expectSameAtEveryWidth(TargetArch Arch, const WorkloadOptions &W,
+                            const Executable::Options &E) {
+  SxfFile File = generateWorkload(Arch, W);
+  PipelineResult Serial = runPipeline(File, E, 1);
+  ASSERT_FALSE(Serial.Bytes.empty());
+  for (unsigned Threads : ParallelWidths) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
+    expectIdentical(Serial, runPipeline(File, E, Threads));
+  }
 }
 
 WorkloadOptions bigWorkload() {
@@ -364,47 +431,75 @@ TEST(TargetConstruction, FirstUseFromThreeThreadsAtOnce) {
 }
 
 TEST(ParallelDeterminism, SriscMatchesSerial) {
-  Executable::Options E;
-  PipelineResult Serial = runPipeline(TargetArch::Srisc, bigWorkload(), E, 1);
-  PipelineResult Parallel =
-      runPipeline(TargetArch::Srisc, bigWorkload(), E, 8);
-  expectIdentical(Serial, Parallel);
+  expectSameAtEveryWidth(TargetArch::Srisc, bigWorkload(), {});
 }
 
 TEST(ParallelDeterminism, MriscMatchesSerial) {
   WorkloadOptions W = bigWorkload();
   W.AnnulledBranches = false; // SRISC-only idiom
-  Executable::Options E;
-  PipelineResult Serial = runPipeline(TargetArch::Mrisc, W, E, 1);
-  PipelineResult Parallel = runPipeline(TargetArch::Mrisc, W, E, 8);
-  expectIdentical(Serial, Parallel);
+  expectSameAtEveryWidth(TargetArch::Mrisc, W, {});
 }
 
 TEST(ParallelDeterminism, AriscMatchesSerial) {
   WorkloadOptions W = bigWorkload();
   W.AnnulledBranches = false; // SRISC-only idiom
-  Executable::Options E;
-  PipelineResult Serial = runPipeline(TargetArch::Arisc, W, E, 1);
-  PipelineResult Parallel = runPipeline(TargetArch::Arisc, W, E, 8);
-  expectIdentical(Serial, Parallel);
+  expectSameAtEveryWidth(TargetArch::Arisc, W, {});
 }
 
 TEST(ParallelDeterminism, DisableSlicingAblation) {
   Executable::Options E;
   E.DisableSlicing = true;
-  PipelineResult Serial = runPipeline(TargetArch::Srisc, bigWorkload(), E, 1);
-  PipelineResult Parallel =
-      runPipeline(TargetArch::Srisc, bigWorkload(), E, 8);
-  expectIdentical(Serial, Parallel);
+  expectSameAtEveryWidth(TargetArch::Srisc, bigWorkload(), E);
 }
 
 TEST(ParallelDeterminism, DisableDelayFoldingAblation) {
   Executable::Options E;
   E.DisableDelayFolding = true;
-  PipelineResult Serial = runPipeline(TargetArch::Srisc, bigWorkload(), E, 1);
-  PipelineResult Parallel =
-      runPipeline(TargetArch::Srisc, bigWorkload(), E, 8);
-  expectIdentical(Serial, Parallel);
+  expectSameAtEveryWidth(TargetArch::Srisc, bigWorkload(), E);
+}
+
+TEST(ParallelDeterminism, EveryWriterPathMatchesAcrossWidths) {
+  // One image that reaches every per-routine path of the writer: dispatch
+  // tables, Word32 data relocations, translator sites, and a name defined
+  // twice with different bindings, first as a data object. The edited
+  // routine takes the binding of the name's first definition.
+  WorkloadOptions W = bigWorkload();
+  W.Routines = 120;
+  SxfFile File = generateWorkload(TargetArch::Srisc, W);
+  const SxfSegment *Data = File.segment(SegKind::Data);
+  ASSERT_NE(Data, nullptr);
+  ASSERT_FALSE(File.Relocs.empty());
+  const SxfSymbol *Twice = nullptr;
+  for (const SxfSymbol &Sym : File.Symbols)
+    if (Sym.Kind == SymKind::Routine && Sym.Value != File.Entry) {
+      Twice = &Sym;
+      break;
+    }
+  ASSERT_NE(Twice, nullptr);
+  const std::string Name = Twice->Name;
+  const SymBinding Routine = Twice->Binding;
+  const SymBinding First = Routine == SymBinding::Global ? SymBinding::Local
+                                                         : SymBinding::Global;
+  File.Symbols.insert(File.Symbols.begin(),
+                      {Name, Data->VAddr, 4, SymKind::Object, First});
+
+  Executable::Options E;
+  PipelineResult Serial = runPipeline(File, E, 1);
+  ASSERT_FALSE(Serial.Bytes.empty());
+  EXPECT_GT(Serial.Stats.DispatchEntriesRewritten, 0u);
+  EXPECT_GT(Serial.Stats.DataPointersRewritten, 0u);
+  EXPECT_GT(Serial.Stats.TranslationSites, 0u);
+  unsigned Found = 0;
+  for (const SxfSymbol &Sym : Serial.EditedFile.Symbols)
+    if (Sym.Name == Name) {
+      ++Found;
+      EXPECT_EQ(Sym.Binding, First) << "at 0x" << std::hex << Sym.Value;
+    }
+  EXPECT_EQ(Found, 2u); // the edited routine and the data object
+  for (unsigned Threads : ParallelWidths) {
+    SCOPED_TRACE("threads=" + std::to_string(Threads));
+    expectIdentical(Serial, runPipeline(File, E, Threads));
+  }
 }
 
 /// A compiler style §3.1 refinement distinguishes.
@@ -530,7 +625,7 @@ TEST(ParallelDeterminism, ChunkedRefinementMatchesAcrossWidths) {
         Hidden += R.Hidden;
         Data += R.Data;
       }
-      for (unsigned Threads : {2u, 8u}) {
+      for (unsigned Threads : ParallelWidths) {
         SCOPED_TRACE("threads=" + std::to_string(Threads));
         expectIdentical(Serial, runPipeline(File, E, Threads));
       }

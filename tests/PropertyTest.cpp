@@ -169,15 +169,55 @@ TEST_P(EditingSweep, ProfiledProgramTransparent) {
 
 // --- P3: dual-interpreter agreement ---------------------------------------------------
 
+/// A run of \p File with FNV-1a hashes of its OnInst and OnMemory streams,
+/// under the VM or, given \p Desc, the description interpreter.
+struct HookedRun {
+  RunResult Result;
+  uint64_t InstHash = 14695981039346656037ull;
+  uint64_t MemHash = 14695981039346656037ull;
+};
+
+void mixInto(uint64_t &Hash, uint32_t Value) {
+  for (unsigned Byte = 0; Byte < 4; ++Byte) {
+    Hash ^= (Value >> (8 * Byte)) & 0xFF;
+    Hash *= 1099511628211ull;
+  }
+}
+
+HookedRun runHooked(const SxfFile &File, const spawn::MachineDesc *Desc) {
+  HookedRun Run;
+  Machine M(File);
+  M.OnInst = [&Run](Addr PC, MachWord Word) {
+    mixInto(Run.InstHash, PC);
+    mixInto(Run.InstHash, Word);
+  };
+  M.OnMemory = [&Run](Addr PC, Addr EffAddr, unsigned Width, bool IsStore) {
+    mixInto(Run.MemHash, PC);
+    mixInto(Run.MemHash, EffAddr);
+    mixInto(Run.MemHash, Width | (IsStore ? 0x100u : 0u));
+  };
+  if (!Desc) {
+    Run.Result = M.run();
+    return Run;
+  }
+  Run.Result = M.runGeneric([Desc](Machine &Mach, Addr PC, MachWord Word) {
+    return spawn::executeWord(*Desc, Mach, PC, Word);
+  });
+  return Run;
+}
+
 TEST_P(EditingSweep, SpawnInterpreterAgrees) {
   SxfFile File = makeProgram(GetParam());
-  RunResult Hand = runToCompletion(File);
-  RunResult Spawn = spawn::runWithDescription(
-      targetFor(GetParam().Arch).desc(), File);
-  EXPECT_EQ(static_cast<int>(Hand.Reason), static_cast<int>(Spawn.Reason));
-  EXPECT_EQ(Hand.ExitCode, Spawn.ExitCode);
-  EXPECT_EQ(Hand.Output, Spawn.Output);
-  EXPECT_EQ(Hand.Instructions, Spawn.Instructions);
+  HookedRun Hand = runHooked(File, nullptr);
+  HookedRun Spawn = runHooked(File, &targetFor(GetParam().Arch).desc());
+  EXPECT_EQ(static_cast<int>(Hand.Result.Reason),
+            static_cast<int>(Spawn.Result.Reason));
+  EXPECT_EQ(Hand.Result.ExitCode, Spawn.Result.ExitCode);
+  EXPECT_EQ(Hand.Result.Output, Spawn.Result.Output);
+  EXPECT_EQ(Hand.Result.Instructions, Spawn.Result.Instructions);
+  EXPECT_EQ(Hand.Result.FaultPC, Spawn.Result.FaultPC);
+  EXPECT_EQ(Hand.InstHash, Spawn.InstHash) << "OnInst streams differ";
+  EXPECT_EQ(Hand.MemHash, Spawn.MemHash) << "OnMemory streams differ";
 }
 
 // --- P5: ablation safety ---------------------------------------------------------------

@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
 
 using namespace eel;
 using namespace eel::spawn;
@@ -499,6 +500,68 @@ TEST(SpawnInterp, RandomArithmeticPrograms) {
     }
     Src += "  and %o0, 255, %o0\n  sys 0\n";
     expectSameExecution(TargetArch::Srisc, Src);
+  }
+}
+
+TEST(SpawnInterp, ZeroBudgetStopsAtTheEntry) {
+  // The description interpreter shares the VM's loop, so a zero budget
+  // reads the same there: a step-limit stop at the entry, nothing retired.
+  const std::pair<TargetArch, const char *> Programs[] = {
+      {TargetArch::Srisc, ".text\nmain:\n  mov 3, %o0\n  sys 0\n"},
+      {TargetArch::Mrisc, ".text\nmain:\n  li $v0, 3\n  jr $ra\n  nop\n"},
+      {TargetArch::Arisc, ".text\nmain:\n  addi $t0, $t0, 1\n  br main\n"}};
+  for (const auto &[Arch, Source] : Programs) {
+    SCOPED_TRACE(targetFor(Arch).name());
+    SxfFile File = assembleOrDie(Arch, Source);
+    RunResult Spawn =
+        runWithDescription(targetFor(Arch).desc(), File, /*MaxSteps=*/0);
+    EXPECT_EQ(Spawn.Reason, StopReason::StepLimit);
+    EXPECT_EQ(Spawn.FaultPC, File.Entry);
+    EXPECT_EQ(Spawn.Instructions, 0u);
+    EXPECT_EQ(Spawn.ExitCode, 0);
+  }
+}
+
+TEST(SpawnInterp, MisalignedAccessFiresOnMemoryFirst) {
+  // As in the VM, OnMemory sees a misaligned access once, before the run
+  // stops at it with BadAlignment.
+  struct Case {
+    TargetArch Arch;
+    const char *Prologue, *Access;
+    unsigned Offset, Width;
+    bool IsStore;
+  };
+  const char *SriscSetup = "  set data, %o1\n  mov 5, %o2\n";
+  const char *OtherSetup = "  la $t0, data\n  li $t1, 5\n";
+  const Case Cases[] = {
+      {TargetArch::Srisc, SriscSetup, "ld [%o1 + 2], %o3", 2, 4, false},
+      {TargetArch::Srisc, SriscSetup, "sth %o2, [%o1 + 1]", 1, 2, true},
+      {TargetArch::Mrisc, OtherSetup, "lw $t2, 2($t0)", 2, 4, false},
+      {TargetArch::Mrisc, OtherSetup, "sh $t1, 1($t0)", 1, 2, true},
+      {TargetArch::Arisc, OtherSetup, "ldw $t2, 2($t0)", 2, 4, false},
+      {TargetArch::Arisc, OtherSetup, "sth $t1, 1($t0)", 1, 2, true}};
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Access);
+    SxfFile File = assembleOrDie(
+        C.Arch, std::string(".text\nmain:\n") + C.Prologue + "fault:\n  " +
+                    C.Access + "\n  nop\n.data\n.align 4\ndata: .word 0\n");
+    const Addr Fault = File.findSymbol("fault")->Value;
+    const Addr Data = File.findSymbol("data")->Value;
+    Machine M(File);
+    std::vector<std::tuple<Addr, Addr, unsigned, bool>> Seen;
+    M.OnMemory = [&Seen](Addr PC, Addr A, unsigned Width, bool IsStore) {
+      Seen.emplace_back(PC, A, Width, IsStore);
+    };
+    const MachineDesc &Desc = targetFor(C.Arch).desc();
+    RunResult R =
+        M.runGeneric([&Desc](Machine &Mach, Addr PC, MachWord Word) {
+          return executeWord(Desc, Mach, PC, Word);
+        });
+    EXPECT_EQ(R.Reason, StopReason::BadAlignment);
+    EXPECT_EQ(R.FaultPC, Fault);
+    ASSERT_EQ(Seen.size(), 1u);
+    EXPECT_EQ(Seen[0],
+              std::make_tuple(Fault, Data + C.Offset, C.Width, C.IsStore));
   }
 }
 

@@ -583,6 +583,15 @@ main:
   EXPECT_EQ(T.Result.FaultPC, T.sym("main") + 4);
 }
 
+TEST(VmSrisc, ZeroBudgetStopsAtTheEntry) {
+  // A zero budget runs nothing and says so: not a clean exit with code 0.
+  Trial T(TargetArch::Srisc, ".text\nmain:\n  mov 3, %o0\n  sys 0\n", 0);
+  EXPECT_EQ(T.Result.Reason, StopReason::StepLimit);
+  EXPECT_EQ(T.Result.FaultPC, T.sym("main"));
+  EXPECT_EQ(T.Result.Instructions, 0u);
+  EXPECT_EQ(T.Fetched, 0u);
+}
+
 TEST(VmMrisc, DivRemShiftAndMultiplyRules) {
   Trial T(TargetArch::Mrisc, R"(
 .text
@@ -715,6 +724,15 @@ main:
   EXPECT_EQ(T.Result.Reason, StopReason::StepLimit);
   EXPECT_EQ(T.Result.Instructions, 1001u);
   EXPECT_EQ(T.Result.FaultPC, T.sym("main") + 4);
+}
+
+TEST(VmMrisc, ZeroBudgetStopsAtTheEntry) {
+  Trial T(TargetArch::Mrisc, ".text\nmain:\n  li $v0, 3\n  jr $ra\n  nop\n",
+          0);
+  EXPECT_EQ(T.Result.Reason, StopReason::StepLimit);
+  EXPECT_EQ(T.Result.FaultPC, T.sym("main"));
+  EXPECT_EQ(T.Result.Instructions, 0u);
+  EXPECT_EQ(T.Fetched, 0u);
 }
 
 // --- ARISC -------------------------------------------------------------------
@@ -1026,4 +1044,14 @@ main:
   EXPECT_EQ(T.Result.Instructions, 1001u);
   EXPECT_EQ(T.Result.FaultPC, T.sym("main") + 4);
   EXPECT_EQ(T.reg(2), 501u);
+}
+
+TEST(VmArisc, ZeroBudgetStopsAtTheEntry) {
+  Trial T(TargetArch::Arisc, ".text\nmain:\n  addi $t0, $t0, 1\n  br main\n",
+          0);
+  EXPECT_EQ(T.Result.Reason, StopReason::StepLimit);
+  EXPECT_EQ(T.Result.FaultPC, T.sym("main"));
+  EXPECT_EQ(T.Result.Instructions, 0u);
+  EXPECT_EQ(T.Fetched, 0u);
+  EXPECT_EQ(T.reg(2), 0u);
 }
